@@ -6,7 +6,10 @@
 
 #include "abr/policies.h"
 #include "bench/bench_common.h"
-#include "core/pipeline.h"
+#include "env/abr_domain.h"
+#include "gen/state_gen.h"
+#include "search/candidate.h"
+#include "search/search_job.h"
 
 int main() {
   using namespace nada;
@@ -35,15 +38,19 @@ int main() {
           3));
     }
 
-    core::PipelineConfig config = core::scaled_pipeline_config(env, scale);
-    core::Pipeline pipeline(dataset, video, config,
-                            7000 + static_cast<int>(env), &pool);
-    row.push_back(
-        util::format_double(pipeline.original_baseline().test_score, 3));
+    const env::AbrDomain domain(dataset, video);
+    const search::SearchConfig config = search::scaled_config(env, scale);
     gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
                                   33 + static_cast<int>(env));
-    const auto result =
-        pipeline.search_states(generator, config.baseline_arch);
+    search::StateCandidateSource source(generator);
+    search::JobOptions options;
+    options.pool = &pool;
+    search::SearchJob job(domain, config, 7000 + static_cast<int>(env),
+                          source,
+                          search::FixedDesign{nullptr, &config.baseline_arch},
+                          options);
+    const auto result = job.run_to_completion();
+    row.push_back(util::format_double(result.original_score, 3));
     row.push_back(util::format_double(
         result.has_best() ? result.best_score : result.original_score, 3));
     table.add_row(std::move(row));

@@ -20,7 +20,8 @@ inline void banner(const std::string& name, const util::ScaleConfig& scale) {
   std::cout << "\n############################################################\n"
             << "# " << name << "\n"
             << "# " << scale.describe()
-            << "  (override via NADA_SCALE_GEN / _EPOCHS / _SEEDS / _TRACES;"
+            << "  (override via NADA_SCALE_GEN / _EPOCHS / _SEEDS / _TRACES /"
+            << " _MODEL;"
             << " 1.0 = paper scale)\n"
             << "############################################################\n";
 }

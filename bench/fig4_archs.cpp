@@ -9,7 +9,10 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/pipeline.h"
+#include "env/abr_domain.h"
+#include "gen/arch_gen.h"
+#include "search/candidate.h"
+#include "search/search_job.h"
 
 int main() {
   using namespace nada;
@@ -24,7 +27,6 @@ int main() {
   util::TextTable fig4("Figure 4 curves");
   fig4.set_header({"dataset", "epoch", "original", "best"});
 
-  const double model_scale = util::env_double("NADA_SCALE_MODEL", 0.25);
   const auto state =
       dsl::StateProgram::compile(dsl::pensieve_state_source());
 
@@ -37,13 +39,17 @@ int main() {
     const video::Video video = video::make_test_video(
         high_bw ? video::youtube_ladder() : video::pensieve_ladder(), 7);
 
-    core::PipelineConfig config = core::scaled_pipeline_config(env, scale);
-    core::Pipeline pipeline(dataset, video, config,
-                            3000 + static_cast<int>(env), &pool);
+    const env::AbrDomain domain(dataset, video);
+    const search::SearchConfig config = search::scaled_config(env, scale);
     gen::ArchGenerator generator(gen::gpt35_profile(), gen::PromptStrategy{},
-                                 55 + static_cast<int>(env), model_scale);
-    const core::PipelineResult result =
-        pipeline.search_archs(generator, state);
+                                 55 + static_cast<int>(env), scale.model);
+    search::ArchCandidateSource source(generator);
+    search::JobOptions options;
+    options.pool = &pool;
+    search::SearchJob job(domain, config, 3000 + static_cast<int>(env),
+                          source, search::FixedDesign{&state, nullptr},
+                          options);
+    const search::SearchResult result = job.run_to_completion();
 
     const double original_score = result.original_score;
     const double best =

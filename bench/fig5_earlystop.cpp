@@ -10,17 +10,19 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/pipeline.h"
-#include "filter/earlystop.h"
 #include "env/abr_domain.h"
+#include "filter/checks.h"
+#include "filter/earlystop.h"
+#include "gen/state_gen.h"
+#include "rl/trainer.h"
+#include "search/types.h"
 
 namespace {
 
 using namespace nada;
 
 /// Trains one design and returns its (normalized) record.
-filter::DesignRecord train_record(const trace::Dataset& dataset,
-                                  const video::Video& video,
+filter::DesignRecord train_record(const env::TaskDomain& domain,
                                   const dsl::StateProgram& program,
                                   const std::string& id,
                                   const std::string& source,
@@ -30,7 +32,7 @@ filter::DesignRecord train_record(const trace::Dataset& dataset,
   rl::TrainConfig config;
   config.epochs = total_epochs;
   config.evaluate_checkpoints = false;  // ranking uses training rewards
-  rl::Trainer trainer(dataset, video, config, seed);
+  rl::Trainer trainer(domain, config, seed);
   const rl::TrainResult result = trainer.train(program, arch);
   filter::DesignRecord record;
   record.id = id;
@@ -75,16 +77,7 @@ int main() {
       std::max<std::size_t>(scale.gen_count(2000), 150);
   const std::size_t total_epochs = scale.epoch_count(10000, 120);
 
-  nn::ArchSpec arch = nn::ArchSpec::pensieve();
-  const double model_scale = util::env_double("NADA_SCALE_MODEL", 0.25);
-  auto sw = [model_scale](std::size_t w) {
-    return std::max<std::size_t>(
-        static_cast<std::size_t>(std::lround(w * model_scale)), 8);
-  };
-  arch.conv_filters = sw(arch.conv_filters);
-  arch.rnn_hidden = sw(arch.rnn_hidden);
-  arch.scalar_hidden = sw(arch.scalar_hidden);
-  arch.merge_hidden = sw(arch.merge_hidden);
+  const nn::ArchSpec arch = search::scaled_arch(scale);
 
   const trace::Environment envs[] = {trace::Environment::kFcc,
                                      trace::Environment::kStarlink};
@@ -94,13 +87,14 @@ int main() {
         trace::build_dataset(env, scale.traces, 42);
     const video::Video video =
         video::make_test_video(video::pensieve_ladder(), 7);
+    const env::AbrDomain domain(dataset, video);
 
     // Environment normalizer: the original design's training plateau.
     const auto original =
         dsl::StateProgram::compile(dsl::pensieve_state_source());
     const auto base_record =
-        train_record(dataset, video, original, "original", "", arch,
-                     total_epochs, 1.0, 99);
+        train_record(domain, original, "original", "", arch, total_epochs,
+                     1.0, 99);
     const double normalizer = std::max(std::abs(base_record.final_score), 0.1);
 
     // Generate candidates from both profiles, keep the pre-check survivors.
@@ -129,7 +123,7 @@ int main() {
     std::vector<filter::DesignRecord> records(survivors.size());
     pool.parallel_for(survivors.size(), [&](std::size_t i) {
       const auto program = dsl::StateProgram::compile(survivors[i].second);
-      records[i] = train_record(dataset, video, program, survivors[i].first,
+      records[i] = train_record(domain, program, survivors[i].first,
                                 survivors[i].second, arch, total_epochs,
                                 normalizer, 1000 + i);
     });

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "env/abr_domain.h"
 #include "gen/state_gen.h"
 #include "nn/mat_kernels.h"
 #include "rl/batch_probe.h"
@@ -30,6 +31,7 @@ int main() {
   const trace::Dataset dataset = trace::build_dataset(env, scale.traces, 7);
   const video::Video video =
       video::make_test_video(video::pensieve_ladder(), 11);
+  const env::AbrDomain domain(dataset, video);
   util::ThreadPool pool;
 
   rl::TrainConfig probe_config;
@@ -84,13 +86,13 @@ int main() {
     std::vector<rl::TrainResult> serial_results;
     serial_results.reserve(cohort);
     for (const auto& job : jobs) {
-      rl::Trainer trainer(dataset, video, probe_config, job.seed);
+      rl::Trainer trainer(domain, probe_config, job.seed);
       serial_results.push_back(trainer.train(*job.program, *job.spec));
     }
     const double serial_s = serial_timer.seconds();
 
     const rl::BatchProbeTrainer batch_trainer(
-        dataset, video, rl::BatchProbeConfig{probe_config, 4});
+        domain, rl::BatchProbeConfig{probe_config, 4});
     bench::Stopwatch batch_timer;
     const auto batch_results = batch_trainer.train(jobs, nullptr);
     const double batch_s = batch_timer.seconds();
@@ -126,13 +128,13 @@ int main() {
     bench::Stopwatch serial_timer;
     std::vector<rl::TrainResult> serial_results(cohort);
     pool.parallel_for(cohort, [&](std::size_t i) {
-      rl::Trainer trainer(dataset, video, probe_config, jobs[i].seed);
+      rl::Trainer trainer(domain, probe_config, jobs[i].seed);
       serial_results[i] = trainer.train(*jobs[i].program, *jobs[i].spec);
     });
     const double serial_s = serial_timer.seconds();
 
     const rl::BatchProbeTrainer batch_trainer(
-        dataset, video, rl::BatchProbeConfig{probe_config, 4});
+        domain, rl::BatchProbeConfig{probe_config, 4});
     bench::Stopwatch batch_timer;
     const auto batch_results = batch_trainer.train(jobs, &pool);
     const double batch_s = batch_timer.seconds();
@@ -172,7 +174,7 @@ int main() {
                                   0x9e3779b9ULL * (i + 1)});
     }
     const rl::BatchProbeTrainer batch_trainer(
-        dataset, video, rl::BatchProbeConfig{probe_config, 4});
+        domain, rl::BatchProbeConfig{probe_config, 4});
 
     util::TextTable sweep("Kernel-flavor sweep (batched, cohort 16)");
     sweep.set_header({"kernel", "batched cand/s", "vs scalar"});

@@ -11,8 +11,10 @@
 #include <memory>
 
 #include "bench/bench_common.h"
-#include "core/pipeline.h"
+#include "env/abr_domain.h"
 #include "gen/state_gen.h"
+#include "search/candidate.h"
+#include "search/search_job.h"
 #include "store/candidate_store.h"
 #include "store/shard.h"
 #include "trace/generator.h"
@@ -28,20 +30,25 @@ int main() {
   const trace::Dataset dataset = trace::build_dataset(env, scale.traces, 7);
   const video::Video video =
       video::make_test_video(video::pensieve_ladder(), 11);
+  const env::AbrDomain domain(dataset, video);
   util::ThreadPool pool;
 
-  core::PipelineConfig config = core::scaled_pipeline_config(env, scale);
+  search::SearchConfig config = search::scaled_config(env, scale);
   config.num_candidates = std::min<std::size_t>(config.num_candidates, 120);
 
   const auto run_once = [&](store::CandidateStore* cache,
                             double* seconds) {
-    core::Pipeline pipeline(dataset, video, config, 31337, &pool);
-    if (cache != nullptr) pipeline.attach_store(cache);
     gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
                                   2024);
+    search::StateCandidateSource source(generator);
+    search::JobOptions options;
+    options.store = cache;
+    options.pool = &pool;
+    search::SearchJob job(domain, config, 31337, source,
+                          search::FixedDesign{nullptr, &config.baseline_arch},
+                          options);
     bench::Stopwatch timer;
-    const core::PipelineResult result =
-        pipeline.search_states(generator, config.baseline_arch);
+    const search::SearchResult result = job.run_to_completion();
     *seconds = timer.seconds();
     return result;
   };
@@ -49,14 +56,13 @@ int main() {
   const std::string store_dir =
       (std::filesystem::temp_directory_path() / "nada_store_bench").string();
   std::filesystem::remove_all(store_dir);
-  core::Pipeline scoped(dataset, video, config, 31337, &pool);
-  const store::StoreScope scope = scoped.store_scope();
+  const store::StoreScope scope = search::store_scope(domain, config, 31337);
   const std::string journal = store_dir + "/funnel.jsonl";
 
   double cold_s = 0.0;
   double warm_s = 0.0;
-  core::PipelineResult cold;
-  core::PipelineResult warm;
+  search::SearchResult cold;
+  search::SearchResult warm;
   {
     store::CandidateStore cache(journal, scope);
     cold = run_once(&cache, &cold_s);

@@ -9,7 +9,10 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/pipeline.h"
+#include "env/abr_domain.h"
+#include "gen/state_gen.h"
+#include "search/candidate.h"
+#include "search/search_job.h"
 
 namespace {
 
@@ -60,12 +63,18 @@ int main() {
     const video::Video video = video::make_test_video(
         high_bw ? video::youtube_ladder() : video::pensieve_ladder(), 7);
 
-    core::PipelineConfig config = core::scaled_pipeline_config(env, scale);
-    core::Pipeline pipeline(dataset, video, config, 1000 + static_cast<int>(env),
-                            &pool);
+    const env::AbrDomain domain(dataset, video);
+    const search::SearchConfig config = search::scaled_config(env, scale);
+    const std::uint64_t seed = 1000 + static_cast<int>(env);
+    // Trained once up front; both profiles' searches share it.
+    std::optional<rl::SessionResult> baseline =
+        search::train_baseline(domain, config, seed, &pool);
+    search::JobOptions options;
+    options.pool = &pool;
+    options.baseline_cache = &baseline;
 
     const PaperEntry paper = paper_scores(env);
-    const double original_score = pipeline.original_baseline().test_score;
+    const double original_score = baseline->test_score;
     table3.add_row(
         {env_name, "Original",
          util::format_double(original_score, 3) + " (" +
@@ -84,8 +93,12 @@ int main() {
     for (const auto& run : runs) {
       gen::StateGenerator generator(run.profile, gen::PromptStrategy{},
                                     77 + static_cast<int>(env));
-      const core::PipelineResult result =
-          pipeline.search_states(generator, config.baseline_arch);
+      search::StateCandidateSource source(generator);
+      search::SearchJob job(domain, config, seed, source,
+                            search::FixedDesign{nullptr,
+                                                &config.baseline_arch},
+                            options);
+      const search::SearchResult result = job.run_to_completion();
       const double best = result.has_best() ? result.best_score
                                             : original_score;
       const double impr = original_score != 0.0

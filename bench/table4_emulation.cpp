@@ -12,7 +12,10 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/pipeline.h"
+#include "env/abr_domain.h"
+#include "gen/state_gen.h"
+#include "search/candidate.h"
+#include "search/search_job.h"
 
 namespace {
 
@@ -56,14 +59,19 @@ int main() {
     const video::Video video = video::make_test_video(
         high_bw ? video::youtube_ladder() : video::pensieve_ladder(), 7);
 
-    core::PipelineConfig config = core::scaled_pipeline_config(env, scale);
+    const env::AbrDomain domain(dataset, video);
+    search::SearchConfig config = search::scaled_config(env, scale);
     config.train.emulation_final_eval = true;
-    core::Pipeline pipeline(dataset, video, config,
-                            4000 + static_cast<int>(env), &pool);
+    const std::uint64_t seed = 4000 + static_cast<int>(env);
+    // Trained once up front; both profiles' searches share it.
+    std::optional<rl::SessionResult> baseline =
+        search::train_baseline(domain, config, seed, &pool);
+    search::JobOptions options;
+    options.pool = &pool;
+    options.baseline_cache = &baseline;
 
     const PaperEntry paper = paper_emulation(env);
-    const double original_emu =
-        pipeline.original_baseline().emulation_score;
+    const double original_emu = baseline->emulation_score;
     table.add_row({env_name, "Original",
                    util::format_double(original_emu, 4) + " (" +
                        util::format_double(paper.original, 4) + ")",
@@ -78,8 +86,12 @@ int main() {
     for (const auto& run : runs) {
       gen::StateGenerator generator(run.profile, gen::PromptStrategy{},
                                     900 + static_cast<int>(env));
-      const core::PipelineResult result =
-          pipeline.search_states(generator, config.baseline_arch);
+      search::StateCandidateSource source(generator);
+      search::SearchJob job(domain, config, seed, source,
+                            search::FixedDesign{nullptr,
+                                                &config.baseline_arch},
+                            options);
+      const search::SearchResult result = job.run_to_completion();
       // Winner is chosen by *simulation* score; we report its emulation
       // score, exactly the paper's protocol.
       const double emu =

@@ -9,7 +9,12 @@
 #include <iostream>
 
 #include "bench/bench_common.h"
-#include "core/pipeline.h"
+#include "env/abr_domain.h"
+#include "gen/arch_gen.h"
+#include "gen/state_gen.h"
+#include "rl/session.h"
+#include "search/candidate.h"
+#include "search/search_job.h"
 
 namespace {
 
@@ -30,7 +35,7 @@ PaperEntry paper_improvements(nada::trace::Environment env) {
 
 /// Indices of the fully trained outcomes, best first.
 std::vector<std::size_t> ranked_trained(
-    const nada::core::PipelineResult& result) {
+    const nada::search::SearchResult& result) {
   std::vector<std::size_t> idx;
   for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
     if (result.outcomes[i].fully_trained) idx.push_back(i);
@@ -50,7 +55,6 @@ int main() {
                 scale);
   bench::Stopwatch timer;
   util::ThreadPool pool;
-  const double model_scale = util::env_double("NADA_SCALE_MODEL", 0.25);
   // Paper: top 30 x top 30 = 900 combinations; scaled: top_k x top_k.
   const std::size_t top_k =
       std::clamp<std::size_t>(scale.gen_count(30, 2), 2, 4);
@@ -67,22 +71,35 @@ int main() {
     const video::Video video = video::make_test_video(
         high_bw ? video::youtube_ladder() : video::pensieve_ladder(), 7);
 
-    core::PipelineConfig config = core::scaled_pipeline_config(env, scale);
+    const env::AbrDomain domain(dataset, video);
+    search::SearchConfig config = search::scaled_config(env, scale);
     config.full_train_top = top_k;
-    core::Pipeline pipeline(dataset, video, config,
-                            5000 + static_cast<int>(env), &pool);
-    const double original = pipeline.original_baseline().test_score;
+    const std::uint64_t seed = 5000 + static_cast<int>(env);
+    // One baseline for both searches, shared through the jobs' cache slot.
+    std::optional<rl::SessionResult> baseline =
+        search::train_baseline(domain, config, seed, &pool);
+    const double original = baseline->test_score;
+    search::JobOptions options;
+    options.pool = &pool;
+    options.baseline_cache = &baseline;
 
     gen::StateGenerator state_gen(gen::gpt35_profile(), gen::PromptStrategy{},
                                   71 + static_cast<int>(env));
-    const auto state_result =
-        pipeline.search_states(state_gen, config.baseline_arch);
+    search::StateCandidateSource states(state_gen);
+    search::SearchJob state_job(
+        domain, config, seed, states,
+        search::FixedDesign{nullptr, &config.baseline_arch}, options);
+    const auto state_result = state_job.run_to_completion();
 
     gen::ArchGenerator arch_gen(gen::gpt35_profile(), gen::PromptStrategy{},
-                                72 + static_cast<int>(env), model_scale);
+                                72 + static_cast<int>(env), scale.model);
+    search::ArchCandidateSource archs(arch_gen);
     const auto original_state =
         dsl::StateProgram::compile(dsl::pensieve_state_source());
-    const auto arch_result = pipeline.search_archs(arch_gen, original_state);
+    search::SearchJob arch_job(domain, config, seed, archs,
+                               search::FixedDesign{&original_state, nullptr},
+                               options);
+    const auto arch_result = arch_job.run_to_completion();
 
     const auto top_states = ranked_trained(state_result);
     const auto top_archs = ranked_trained(arch_result);
@@ -106,9 +123,8 @@ int main() {
       const auto program = dsl::StateProgram::compile(
           state_result.outcomes[combos[c].state_idx].source);
       const auto result = rl::run_sessions(
-          dataset, video, program,
-          *arch_result.outcomes[combos[c].arch_idx].arch, session_config,
-          6000 + c, nullptr);
+          domain, program, *arch_result.outcomes[combos[c].arch_idx].arch,
+          session_config, 6000 + c, nullptr);
       combos[c].score = result.failed ? -1e9 : result.test_score;
     });
 

@@ -5,7 +5,7 @@
 // implementation and (2) a simulator to score it. This example runs the
 // full funnel — generate CC state functions -> pre-check against the CC
 // binding catalog -> batched probe -> early-stop ranking -> full training
-// -> rank — over cc::CcDomain, through core::Pipeline, i.e. exactly the
+// -> rank — over cc::CcDomain, through search::SearchJob, i.e. exactly the
 // code path the ABR search uses. A persistent candidate store makes the
 // second invocation serve every stage from its journal.
 //
@@ -15,9 +15,10 @@
 #include "cc/cc_domain.h"
 #include "cc/cc_env.h"
 #include "cc/cc_state.h"
-#include "core/pipeline.h"
 #include "examples/example_common.h"
 #include "gen/state_gen.h"
+#include "search/candidate.h"
+#include "search/search_job.h"
 #include "store/candidate_store.h"
 #include "trace/generator.h"
 #include "util/stats.h"
@@ -45,7 +46,7 @@ int main() {
   const cc::CcDomain domain(dataset, cc_config);
 
   // Funnel budgets (tiny demo scale).
-  core::PipelineConfig config =
+  search::SearchConfig config =
       examples::demo_funnel_config(/*candidates=*/24, /*early_epochs=*/6,
                                    /*full_train_top=*/3, /*seeds=*/2,
                                    /*epochs=*/16, /*test_interval=*/8,
@@ -53,34 +54,29 @@ int main() {
   config.baseline_arch = examples::small_pensieve_arch(8, 8, 8, 16);
 
   util::ThreadPool pool(4);
-  core::Pipeline pipeline(domain, config, 2024, &pool);
+  const std::uint64_t seed = 2024;
 
   // Persistent store: reruns of this example serve cached stages.
-  const auto store = examples::attach_default_store(pipeline);
+  const auto store =
+      examples::open_default_store(search::store_scope(domain, config, seed));
   std::cout << "\n";
 
   // CC candidates from the CC design space; the same generator machinery
   // the ABR search uses, pointed at the CC binding vocabulary.
   gen::StateGenerator generator(gen::cc_state_space(), gen::gpt4_profile(),
                                 gen::PromptStrategy{}, 11);
+  search::StateCandidateSource source(generator);
 
   std::cout << "Running the CC search funnel (generate -> pre-check -> "
                "batched probe -> rank -> full train)...\n";
-  const core::PipelineResult result =
-      pipeline.search_states(generator, config.baseline_arch);
-
-  util::TextTable funnel("CC search funnel");
-  funnel.set_header({"Stage", "Count"});
-  funnel.add_row({"generated", std::to_string(result.n_total)});
-  funnel.add_row({"compiled", std::to_string(result.n_compiled)});
-  funnel.add_row({"well-normalized", std::to_string(result.n_normalized)});
-  funnel.add_row({"early-stopped", std::to_string(result.n_early_stopped)});
-  funnel.add_row({"fully trained", std::to_string(result.n_fully_trained)});
-  funnel.add_row({"cache hits", std::to_string(result.cache_hits())});
-  funnel.add_row({"probes run", std::to_string(result.n_probes_run)});
-  funnel.add_row({"full trains run",
-                  std::to_string(result.n_full_trains_run)});
-  funnel.print(std::cout);
+  search::JobOptions options;
+  options.store = store.get();
+  options.pool = &pool;
+  search::SearchJob job(domain, config, seed, source,
+                        search::FixedDesign{nullptr, &config.baseline_arch},
+                        options);
+  const search::SearchResult result = job.run_to_completion();
+  examples::print_funnel_summary(result);
 
   // AIMD reference over the same strided test-trace subset the trained
   // policies' checkpoint evaluations use (max_eval_traces). Episode start

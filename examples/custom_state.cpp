@@ -75,10 +75,11 @@ emit "tput_pred" = linreg_predict(throughput_mbps) / (max_bitrate_kbps / 1000.0)
             << " seeds each)...\n";
   const auto original =
       dsl::StateProgram::compile(dsl::pensieve_state_source());
+  const env::AbrDomain domain(dataset, video);
   const auto original_result =
-      rl::run_sessions(dataset, video, original, arch, config, 31, &pool);
+      rl::run_sessions(domain, original, arch, config, 31, &pool);
   const auto custom_result =
-      rl::run_sessions(dataset, video, *program, arch, config, 31, &pool);
+      rl::run_sessions(domain, *program, arch, config, 31, &pool);
 
   util::TextTable table("4G test scores");
   table.set_header({"State design", "Score"});

@@ -10,8 +10,11 @@
 // Run: ./build/examples/design_search
 #include <iostream>
 
-#include "core/pipeline.h"
+#include "env/abr_domain.h"
 #include "examples/example_common.h"
+#include "gen/state_gen.h"
+#include "search/candidate.h"
+#include "search/search_job.h"
 #include "util/table.h"
 
 int main() {
@@ -21,9 +24,10 @@ int main() {
       trace::build_dataset(trace::Environment::kStarlink, 0.3, 2024);
   const video::Video video =
       video::make_test_video(video::pensieve_ladder(), 11);
+  const env::AbrDomain domain(dataset, video);
   util::ThreadPool pool;
 
-  core::PipelineConfig config =
+  search::SearchConfig config =
       examples::demo_funnel_config(/*candidates=*/60, /*early_epochs=*/80,
                                    /*full_train_top=*/4, /*seeds=*/3,
                                    /*epochs=*/500, /*test_interval=*/25,
@@ -32,11 +36,15 @@ int main() {
 
   std::cout << "Searching " << config.num_candidates
             << " generated state designs on Starlink...\n";
-  core::Pipeline pipeline(dataset, video, config, 99, &pool);
   gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
                                 7);
-  const core::PipelineResult result =
-      pipeline.search_states(generator, config.baseline_arch);
+  search::StateCandidateSource source(generator);
+  search::JobOptions options;
+  options.pool = &pool;
+  search::SearchJob job(domain, config, 99, source,
+                        search::FixedDesign{nullptr, &config.baseline_arch},
+                        options);
+  const search::SearchResult result = job.run_to_completion();
 
   std::cout << "\nFunnel: " << result.n_total << " generated -> "
             << result.n_compiled << " compiled -> " << result.n_normalized

@@ -10,7 +10,6 @@
 #include <memory>
 #include <string>
 
-#include "core/pipeline.h"
 #include "obs/metrics.h"
 #include "obs/metrics_observer.h"
 #include "obs/status.h"
@@ -64,14 +63,6 @@ inline std::unique_ptr<store::CandidateStore> open_default_store(
   out << "store: " << cache->path() << " (" << cache->size()
       << " records on open, scope " << scope.env << "/"
       << scope.config_digest.substr(0, 12) << "...)\n";
-  return cache;
-}
-
-/// As above, and attaches the store to the pipeline.
-inline std::unique_ptr<store::CandidateStore> attach_default_store(
-    core::Pipeline& pipeline, std::ostream& out = std::cout) {
-  auto cache = open_default_store(pipeline.store_scope(), out);
-  pipeline.attach_store(cache.get());
   return cache;
 }
 

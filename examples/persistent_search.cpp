@@ -10,13 +10,10 @@
 //   ./build/examples/persistent_search
 //   ./build/examples/persistent_search   # all cache hits
 // The journal lands under $NADA_STORE_DIR (default ./nada_store).
-//
-// (core::Pipeline::search_states/resume_states remain as the stable
-// blocking wrappers over exactly this job — see examples/design_search.cpp
-// for that surface.)
 #include <iostream>
 #include <optional>
 
+#include "env/abr_domain.h"
 #include "examples/example_common.h"
 #include "gen/state_gen.h"
 #include "search/candidate.h"

@@ -69,8 +69,9 @@ int main() {
   std::cout << "\nTraining " << config.seeds << " sessions of "
             << config.train.epochs << " epochs (" << arch.describe()
             << ")...\n";
+  const env::AbrDomain domain(dataset, video);
   const rl::SessionResult result =
-      rl::run_sessions(dataset, video, state, arch, config, 1234);
+      rl::run_sessions(domain, state, arch, config, 1234);
 
   // --- 5. Compare. -----------------------------------------------------------
   util::TextTable table("Results (mean per-chunk QoE on held-out traces)");

@@ -2,7 +2,7 @@
 //
 // The funnel (generate -> pre-check -> batched probe -> early-stop -> full
 // train -> rank) is domain-agnostic: rl::Trainer, rl::BatchProbeTrainer,
-// and core::Pipeline only need episodes that step under a discrete action
+// and search::SearchJob only need episodes that step under a discrete action
 // space, observations expressed as DSL bindings, and a handful of scalar
 // hints. A TaskDomain packages those for one task — ABR streaming
 // (env::AbrDomain) and congestion control (cc::CcDomain) today; a third

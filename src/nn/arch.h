@@ -85,9 +85,9 @@ class ActorCriticNet {
   /// touches no layer caches (safe to interleave with a pending batched
   /// backward) and uses the layers' fast inference paths when
   /// sync_inference_cache() has been called since the last weight change.
-  /// AbrAgent::decide — i.e. every greedy evaluation rollout — runs on
-  /// this; training rollouts use forward_capture instead so the batch
-  /// caches fill as a side effect.
+  /// rl::PolicyAgent::decide — i.e. every greedy evaluation rollout —
+  /// runs on this; training rollouts use forward_capture instead so the
+  /// batch caches fill as a side effect.
   [[nodiscard]] Output forward_inference(
       const std::vector<Vec>& state_rows) const;
 

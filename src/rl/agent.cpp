@@ -13,21 +13,12 @@ nn::StateSignature derive_signature(const dsl::StateProgram& program,
   return sig;
 }
 
-nn::StateSignature derive_signature(const dsl::StateProgram& program) {
-  return derive_signature(program, env::abr_catalog());
-}
-
 PolicyAgent::PolicyAgent(const dsl::StateProgram& program,
                          const nn::ArchSpec& spec, std::size_t num_actions,
                          const dsl::BindingCatalog& catalog, util::Rng& rng)
     : program_(&program), sig_(derive_signature(program, catalog)) {
   net_ = std::make_unique<nn::ActorCriticNet>(spec, sig_, num_actions, rng);
 }
-
-PolicyAgent::PolicyAgent(const dsl::StateProgram& program,
-                         const nn::ArchSpec& spec, std::size_t num_actions,
-                         util::Rng& rng)
-    : PolicyAgent(program, spec, num_actions, env::abr_catalog(), rng) {}
 
 const dsl::StateMatrix& PolicyAgent::eval_state(const dsl::Bindings& obs) {
   ++exec_runs_;
@@ -70,11 +61,6 @@ PolicyAgent::Decision PolicyAgent::decide(const dsl::Bindings& obs,
     }
   }
   return d;
-}
-
-PolicyAgent::Decision PolicyAgent::decide(const env::Observation& obs,
-                                          bool sample, util::Rng& rng) {
-  return decide(env::bindings_from_observation(obs), sample, rng);
 }
 
 void PolicyAgent::forward_backward(const dsl::Bindings& obs,

@@ -18,7 +18,6 @@
 #include "dsl/binding_catalog.h"
 #include "dsl/state_program.h"
 #include "dsl/vm.h"
-#include "env/abr_domain.h"
 #include "nn/arch.h"
 #include "util/rng.h"
 
@@ -34,10 +33,6 @@ class PolicyAgent {
               std::size_t num_actions, const dsl::BindingCatalog& catalog,
               util::Rng& rng);
 
-  /// ABR convenience: derives the signature via env::abr_catalog().
-  PolicyAgent(const dsl::StateProgram& program, const nn::ArchSpec& spec,
-              std::size_t num_actions, util::Rng& rng);
-
   struct Decision {
     std::size_t action = 0;
     nn::Vec probs;
@@ -47,9 +42,6 @@ class PolicyAgent {
   /// Runs the state program and the network; samples the action from the
   /// policy when `sample` is true, otherwise picks the argmax.
   Decision decide(const dsl::Bindings& obs, bool sample, util::Rng& rng);
-
-  /// ABR convenience overload.
-  Decision decide(const env::Observation& obs, bool sample, util::Rng& rng);
 
   /// Re-runs the forward pass for `obs` (so layer caches are fresh) and
   /// backpropagates the combined policy/value gradient.
@@ -88,16 +80,9 @@ class PolicyAgent {
   std::uint64_t exec_runs_ = 0;
 };
 
-/// The historical name from when the agent was ABR-only.
-using AbrAgent = PolicyAgent;
-
 /// Derives the network input signature from a trial run of the program on
 /// `catalog`'s canned observation.
 [[nodiscard]] nn::StateSignature derive_signature(
     const dsl::StateProgram& program, const dsl::BindingCatalog& catalog);
-
-/// ABR convenience: derive against env::abr_catalog().
-[[nodiscard]] nn::StateSignature derive_signature(
-    const dsl::StateProgram& program);
 
 }  // namespace nada::rl

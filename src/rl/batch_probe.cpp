@@ -46,10 +46,9 @@ struct BatchProbeTrainer::Candidate {
   }
 };
 
-BatchProbeTrainer::BatchProbeTrainer(
-    std::shared_ptr<const env::TaskDomain> domain, BatchProbeConfig config)
-    : owned_domain_(std::move(domain)), domain_(owned_domain_.get()),
-      config_(std::move(config)) {
+BatchProbeTrainer::BatchProbeTrainer(const env::TaskDomain& domain,
+                                     BatchProbeConfig config)
+    : domain_(&domain), config_(std::move(config)) {
   if (config_.train.epochs == 0) {
     throw std::invalid_argument("BatchProbeTrainer: zero epochs");
   }
@@ -60,18 +59,6 @@ BatchProbeTrainer::BatchProbeTrainer(
   eval_indices_ = eval_trace_indices(domain_->num_eval_units(),
                                      config_.train.max_eval_traces);
 }
-
-BatchProbeTrainer::BatchProbeTrainer(const env::TaskDomain& domain,
-                                     BatchProbeConfig config)
-    : BatchProbeTrainer(std::shared_ptr<const env::TaskDomain>(
-                            std::shared_ptr<void>{}, &domain),
-                        std::move(config)) {}
-
-BatchProbeTrainer::BatchProbeTrainer(const trace::Dataset& dataset,
-                                     const video::Video& video,
-                                     BatchProbeConfig config)
-    : BatchProbeTrainer(std::make_shared<env::AbrDomain>(dataset, video),
-                        std::move(config)) {}
 
 std::vector<TrainResult> BatchProbeTrainer::train(
     std::span<const ProbeJob> jobs, util::ThreadPool* pool) const {

@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -72,10 +71,6 @@ class BatchProbeTrainer {
   /// Domain-generic; `domain` must outlive the trainer.
   BatchProbeTrainer(const env::TaskDomain& domain, BatchProbeConfig config);
 
-  /// ABR convenience: wraps (dataset, video) in an owned env::AbrDomain.
-  BatchProbeTrainer(const trace::Dataset& dataset, const video::Video& video,
-                    BatchProbeConfig config);
-
   /// Trains all jobs; blocks are scheduled on `pool` when non-null.
   [[nodiscard]] std::vector<TrainResult> train(std::span<const ProbeJob> jobs,
                                                util::ThreadPool* pool =
@@ -84,16 +79,12 @@ class BatchProbeTrainer {
  private:
   struct Candidate;
 
-  BatchProbeTrainer(std::shared_ptr<const env::TaskDomain> domain,
-                    BatchProbeConfig config);
-
   void train_block(std::span<const ProbeJob> jobs,
                    std::span<TrainResult> results) const;
   void step_candidate(Candidate& c) const;
   void update_candidate(Candidate& c, double entropy_weight) const;
   void finalize_candidate(Candidate& c) const;
 
-  std::shared_ptr<const env::TaskDomain> owned_domain_;
   const env::TaskDomain* domain_;
   BatchProbeConfig config_;
   std::vector<std::size_t> eval_indices_;

@@ -82,16 +82,6 @@ SessionResult run_sessions(const env::TaskDomain& domain,
                             config.train.emulation_final_eval);
 }
 
-SessionResult run_sessions(const trace::Dataset& dataset,
-                           const video::Video& video,
-                           const dsl::StateProgram& program,
-                           const nn::ArchSpec& spec,
-                           const SessionConfig& config,
-                           std::uint64_t base_seed, util::ThreadPool* pool) {
-  const env::AbrDomain domain(dataset, video);
-  return run_sessions(domain, program, spec, config, base_seed, pool);
-}
-
 std::vector<SessionResult> run_session_batch(const env::TaskDomain& domain,
                                              const std::vector<SessionJob>& jobs,
                                              const SessionConfig& config,
@@ -127,14 +117,6 @@ std::vector<SessionResult> run_session_batch(const env::TaskDomain& domain,
                                          config.train.emulation_final_eval));
   }
   return results;
-}
-
-std::vector<SessionResult> run_session_batch(
-    const trace::Dataset& dataset, const video::Video& video,
-    const std::vector<SessionJob>& jobs, const SessionConfig& config,
-    util::ThreadPool* pool) {
-  const env::AbrDomain domain(dataset, video);
-  return run_session_batch(domain, jobs, config, pool);
 }
 
 }  // namespace nada::rl

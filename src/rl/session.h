@@ -5,8 +5,7 @@
 // and the reported score is the median across sessions. run_sessions
 // implements exactly that protocol (seed count is configurable) and also
 // returns the per-checkpoint median curve used by Figures 3 and 4.
-// Sessions are domain-generic; the (dataset, video) overloads are the ABR
-// convenience form.
+// Sessions are domain-generic: they train over any env::TaskDomain.
 #pragma once
 
 #include <cstdint>
@@ -45,15 +44,6 @@ struct SessionResult {
                                          std::uint64_t base_seed,
                                          util::ThreadPool* pool = nullptr);
 
-/// ABR convenience overload.
-[[nodiscard]] SessionResult run_sessions(const trace::Dataset& dataset,
-                                         const video::Video& video,
-                                         const dsl::StateProgram& program,
-                                         const nn::ArchSpec& spec,
-                                         const SessionConfig& config,
-                                         std::uint64_t base_seed,
-                                         util::ThreadPool* pool = nullptr);
-
 /// Aggregates already-run per-seed results into a SessionResult (the same
 /// median/curve logic run_sessions applies).
 [[nodiscard]] SessionResult aggregate_sessions(
@@ -72,11 +62,5 @@ struct SessionJob {
 [[nodiscard]] std::vector<SessionResult> run_session_batch(
     const env::TaskDomain& domain, const std::vector<SessionJob>& jobs,
     const SessionConfig& config, util::ThreadPool* pool);
-
-/// ABR convenience overload.
-[[nodiscard]] std::vector<SessionResult> run_session_batch(
-    const trace::Dataset& dataset, const video::Video& video,
-    const std::vector<SessionJob>& jobs, const SessionConfig& config,
-    util::ThreadPool* pool);
 
 }  // namespace nada::rl

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "env/abr_env.h"
 #include "nn/optimizer.h"
 #include "util/stats.h"
 
@@ -31,35 +30,6 @@ double evaluate_agent(PolicyAgent& agent, const env::TaskDomain& domain,
                       env::Fidelity fidelity, std::uint64_t eval_seed) {
   return evaluate_agent(agent, domain,
                         eval_trace_indices(domain.num_eval_units(), 0),
-                        fidelity, eval_seed);
-}
-
-double evaluate_agent(PolicyAgent& agent,
-                      std::span<const trace::Trace> test_traces,
-                      std::span<const std::size_t> indices,
-                      const video::Video& video, env::Fidelity fidelity,
-                      std::uint64_t eval_seed) {
-  util::Rng eval_rng(eval_seed);
-  util::RunningStats chunk_rewards;
-  for (std::size_t idx : indices) {
-    env::AbrEnv env(test_traces[idx], video, fidelity, eval_rng);
-    env::Observation obs = env.reset();
-    while (!env.done()) {
-      const auto decision = agent.decide(obs, /*sample=*/false, eval_rng);
-      const env::StepResult step = env.step(decision.action);
-      chunk_rewards.add(step.reward);
-      obs = step.observation;
-    }
-  }
-  return chunk_rewards.mean();
-}
-
-double evaluate_agent(PolicyAgent& agent,
-                      std::span<const trace::Trace> test_traces,
-                      const video::Video& video, env::Fidelity fidelity,
-                      std::uint64_t eval_seed) {
-  return evaluate_agent(agent, test_traces,
-                        eval_trace_indices(test_traces.size(), 0), video,
                         fidelity, eval_seed);
 }
 
@@ -132,10 +102,9 @@ double a2c_step_gradient(const TrainConfig& config, const nn::Vec& probs,
   return 2.0 * config.critic_weight * value_error * scale;
 }
 
-Trainer::Trainer(std::shared_ptr<const env::TaskDomain> domain,
-                 TrainConfig config, std::uint64_t seed)
-    : owned_domain_(std::move(domain)), domain_(owned_domain_.get()),
-      config_(config), seed_(seed), rng_(seed) {
+Trainer::Trainer(const env::TaskDomain& domain, TrainConfig config,
+                 std::uint64_t seed)
+    : domain_(&domain), config_(config), seed_(seed), rng_(seed) {
   if (config_.epochs == 0) {
     throw std::invalid_argument("Trainer: zero epochs");
   }
@@ -145,17 +114,6 @@ Trainer::Trainer(std::shared_ptr<const env::TaskDomain> domain,
   eval_indices_ =
       eval_trace_indices(domain_->num_eval_units(), config_.max_eval_traces);
 }
-
-Trainer::Trainer(const env::TaskDomain& domain, TrainConfig config,
-                 std::uint64_t seed)
-    : Trainer(std::shared_ptr<const env::TaskDomain>(
-                  std::shared_ptr<void>{}, &domain),
-              config, seed) {}
-
-Trainer::Trainer(const trace::Dataset& dataset, const video::Video& video,
-                 TrainConfig config, std::uint64_t seed)
-    : Trainer(std::make_shared<env::AbrDomain>(dataset, video), config,
-              seed) {}
 
 double Trainer::checkpoint_eval(PolicyAgent& agent) const {
   return evaluate_agent(agent, *domain_, eval_indices_, config_.fidelity,

@@ -6,25 +6,20 @@
 //
 // The trainer is domain-generic: ABR and congestion control train through
 // the same loop, differing only in the env::TaskDomain they are given.
-// ABR-shaped convenience overloads (dataset + video) construct an
-// env::AbrDomain internally and are bit-identical to the historical
-// ABR-only implementation.
+// It runs full-scale training sessions; the funnel's early probes go
+// through rl::BatchProbeTrainer, which is pinned bit-identical to it.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "dsl/state_program.h"
-#include "env/abr_domain.h"
 #include "env/domain.h"
 #include "nn/arch.h"
 #include "nn/optimizer.h"
 #include "rl/agent.h"
-#include "trace/generator.h"
-#include "video/video.h"
 
 namespace nada::rl {
 
@@ -98,21 +93,6 @@ struct TrainResult {
                                     env::Fidelity fidelity,
                                     std::uint64_t eval_seed);
 
-/// ABR convenience: greedy rollout over every trace in `test_traces`.
-[[nodiscard]] double evaluate_agent(PolicyAgent& agent,
-                                    std::span<const trace::Trace> test_traces,
-                                    const video::Video& video,
-                                    env::Fidelity fidelity,
-                                    std::uint64_t eval_seed);
-
-/// ABR convenience over the subset `test_traces[i]` for i in `indices`.
-[[nodiscard]] double evaluate_agent(PolicyAgent& agent,
-                                    std::span<const trace::Trace> test_traces,
-                                    std::span<const std::size_t> indices,
-                                    const video::Video& video,
-                                    env::Fidelity fidelity,
-                                    std::uint64_t eval_seed);
-
 /// Deterministic evaluation subset: `cap` indices strided evenly across
 /// [0, num_traces) (all indices when cap is 0 or >= num_traces). A strided
 /// pick keeps the subset representative of the whole split — evaluating a
@@ -148,13 +128,9 @@ double a2c_step_gradient(const TrainConfig& config, const nn::Vec& probs,
 
 class Trainer {
  public:
-  /// Domain-generic trainer; `domain` must outlive the trainer.
+  /// `domain` must outlive the trainer.
   Trainer(const env::TaskDomain& domain, TrainConfig config,
           std::uint64_t seed);
-
-  /// ABR convenience: wraps (dataset, video) in an owned env::AbrDomain.
-  Trainer(const trace::Dataset& dataset, const video::Video& video,
-          TrainConfig config, std::uint64_t seed);
 
   /// Trains one candidate design (state program + architecture) from
   /// scratch. Failures (runtime errors in the state program, invalid
@@ -164,16 +140,10 @@ class Trainer {
                                   const nn::ArchSpec& spec);
 
  private:
-  /// All public constructors funnel here; a non-owning aliasing pointer
-  /// carries borrowed domains.
-  Trainer(std::shared_ptr<const env::TaskDomain> domain, TrainConfig config,
-          std::uint64_t seed);
-
   void run_epoch(PolicyAgent& agent, nn::Adam& optimizer,
                  double entropy_weight, TrainResult& result);
   [[nodiscard]] double checkpoint_eval(PolicyAgent& agent) const;
 
-  std::shared_ptr<const env::TaskDomain> owned_domain_;
   const env::TaskDomain* domain_;
   TrainConfig config_;
   std::uint64_t seed_;

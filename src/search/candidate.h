@@ -2,10 +2,10 @@
 //
 // The funnel searches over two kinds of designs — state programs trained
 // on a fixed architecture, and architectures driving a fixed state
-// program. Historically each kind had its own ~200-line code path
-// (Pipeline::search_states / search_archs); CandidateSpec collapses them
-// into one stream the single SearchJob funnel consumes, with the kind
-// deciding only the genuinely kind-specific leaves:
+// program. Historically each kind had its own ~200-line code path;
+// CandidateSpec collapses them into one stream the single SearchJob funnel
+// consumes, with the kind deciding only the genuinely kind-specific
+// leaves:
 //
 //   * the content fingerprint (state: combine(state_fp, fixed_arch_fp);
 //     arch: combine(arch_fp, fixed_state_fp) — the historical store keys,

@@ -4,15 +4,14 @@
 // timing) and for every candidate milestone — entered the stream, served
 // from the store cache, failed a check or blew up in training, probed,
 // early-stopped, fully trained, or skipped as out-of-shard. Observers get
-// live progress where the monolithic Pipeline entry points were silent
-// until the final result: CLIs print funnel lines as they happen, tests
-// assert stage coverage, services will export counters.
+// live progress instead of only the final result: CLIs print funnel lines
+// as they happen, tests assert stage coverage, services export counters.
 //
-// Threading: candidate events are serialized (the job guards dispatch with
-// a mutex), but when the probe stage runs serial per-candidate trainers on
-// a thread pool (SearchConfig::probe_batch == false) they may arrive on
-// pool threads. Stage start/finish events always fire on the stepping
-// thread.
+// Threading: every event — stage start/finish, window, and candidate —
+// fires on the thread stepping the job, in stream order, whatever the
+// job's thread pool (pool threads only compute; the stepping thread
+// applies and announces their results). Dispatch is additionally guarded
+// by the job's mutex.
 #pragma once
 
 #include <cstddef>

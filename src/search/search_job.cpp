@@ -124,34 +124,6 @@ void copy_full_train_result(const CandidateOutcome& from,
                         from.curve_epochs);
 }
 
-/// Runs the early-probe stage over `jobs` — batched lockstep blocks or one
-/// serial Trainer per candidate (bit-identical either way) — and hands
-/// each result to `apply(k, result)` with k indexing `jobs`.
-void run_probe_stage(
-    const env::TaskDomain& domain, util::ThreadPool* pool,
-    const SearchConfig& config, const rl::TrainConfig& probe_config,
-    const std::vector<rl::ProbeJob>& jobs,
-    obs::MetricsRegistry* metrics,
-    const std::function<void(std::size_t, const rl::TrainResult&)>& apply) {
-  if (config.probe_batch) {
-    const rl::BatchProbeTrainer batch_trainer(
-        domain,
-        rl::BatchProbeConfig{probe_config, config.probe_block, metrics});
-    const auto results = batch_trainer.train(jobs, pool);
-    for (std::size_t k = 0; k < jobs.size(); ++k) apply(k, results[k]);
-    return;
-  }
-  auto probe = [&](std::size_t k) {
-    rl::Trainer trainer(domain, probe_config, jobs[k].seed);
-    apply(k, trainer.train(*jobs[k].program, *jobs[k].spec));
-  };
-  if (pool != nullptr && jobs.size() > 1) {
-    pool->parallel_for(jobs.size(), probe);
-  } else {
-    for (std::size_t k = 0; k < jobs.size(); ++k) probe(k);
-  }
-}
-
 void apply_session_results(std::vector<CandidateOutcome>& outcomes,
                            const std::vector<std::size_t>& selected,
                            const std::vector<rl::SessionResult>& sessions) {
@@ -174,12 +146,13 @@ store::StoreScope store_scope(const env::TaskDomain& domain,
   // e.g. rev 2 fixed AbrEnv's constructor RNG draw, the eval-prefix bias,
   // and the stall-deadline "completed" lie. Journals written under an
   // older revision are scoped out rather than silently mixed with
-  // incomparable fresh results. Execution-only knobs (probe_batch,
-  // probe_block) never feed the digest: batched and serial runs are
-  // bit-identical and share journals. The NN kernel flavor is such a knob
-  // for scalar and avx2 (bit-identical by contract) but NOT for fma, whose
-  // fused rounding changes result bits — runs under the fma flavor carry a
-  // kernel=fma token so their journals never alias scalar/avx2 ones.
+  // incomparable fresh results. Execution-only knobs (probe_block,
+  // window_size) never feed the digest: every block size and window size
+  // computes the same records and shares journals. The NN kernel flavor is
+  // such a knob for scalar and avx2 (bit-identical by contract) but NOT for
+  // fma, whose fused rounding changes result bits — runs under the fma
+  // flavor carry a kernel=fma token so their journals never alias
+  // scalar/avx2 ones.
   spec << "sim_rev=2;";
   if (nn::kernel_flavor() == nn::KernelFlavor::kFma) spec << "kernel=fma;";
   spec << store::canonical_train_config(config.train)
@@ -608,34 +581,37 @@ void SearchJob::stage_probe() {
                      is_state ? fixed_.arch : &*outcomes_[i].arch,
                      probe_seed(specs_[i], seed_, fps_[i])});
   }
-  run_probe_stage(
-      *domain_, options_.pool, config_, probe_config, probe_jobs,
-      options_.metrics,
-      [&](std::size_t k, const rl::TrainResult& probe_result) {
-        const std::size_t i = probe_set_[k];
-        if (!probe_result.failed) {
-          outcomes_[i].early_probed = true;
-          outcomes_[i].early_rewards = probe_result.train_rewards;
-          if (!observers_.empty()) {
-            notify_candidate(CandidateEvent{CandidateEventType::kProbed,
-                                            StageKind::kProbe,
-                                            outcomes_[i].stream_index,
-                                            outcomes_[i].id, ""});
-          }
-        } else {
-          // Blew up only under real training inputs; treat as
-          // compile-stage failure discovered late.
-          outcomes_[i].compile_error = probe_result.error;
-          if (!observers_.empty()) {
-            notify_candidate(CandidateEvent{CandidateEventType::kFailed,
-                                            StageKind::kProbe,
-                                            outcomes_[i].stream_index,
-                                            outcomes_[i].id,
-                                            probe_result.error});
-          }
-        }
-        journal(i, store::Stage::kProbed);
-      });
+  // Lockstep blocks run on the pool; results are applied, journaled, and
+  // announced afterwards on this thread, in stream order.
+  const rl::BatchProbeTrainer trainer(
+      *domain_, rl::BatchProbeConfig{probe_config, config_.probe_block,
+                                     options_.metrics});
+  const auto probe_results = trainer.train(probe_jobs, options_.pool);
+  for (std::size_t k = 0; k < probe_set_.size(); ++k) {
+    const std::size_t i = probe_set_[k];
+    const rl::TrainResult& probe_result = probe_results[k];
+    if (!probe_result.failed) {
+      outcomes_[i].early_probed = true;
+      outcomes_[i].early_rewards = probe_result.train_rewards;
+      if (!observers_.empty()) {
+        notify_candidate(CandidateEvent{CandidateEventType::kProbed,
+                                        StageKind::kProbe,
+                                        outcomes_[i].stream_index,
+                                        outcomes_[i].id, ""});
+      }
+    } else {
+      // Blew up only under real training inputs; treat as compile-stage
+      // failure discovered late.
+      outcomes_[i].compile_error = probe_result.error;
+      if (!observers_.empty()) {
+        notify_candidate(CandidateEvent{CandidateEventType::kFailed,
+                                        StageKind::kProbe,
+                                        outcomes_[i].stream_index,
+                                        outcomes_[i].id, probe_result.error});
+      }
+    }
+    journal(i, store::Stage::kProbed);
+  }
   result_.n_probes_run += probe_set_.size();
   for (std::size_t i = 0; i < n; ++i) {
     if (leader_[i] != i && outcomes_[i].compiled && outcomes_[i].normalized &&

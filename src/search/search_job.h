@@ -1,8 +1,8 @@
 // SearchJob: the NADA funnel (Figure 1) as an incrementally steppable job.
 //
 // One job pulls one candidate stream through generate -> pre-check ->
-// probe -> baseline -> select -> full-train -> rank. Unlike the monolithic
-// Pipeline entry points it replaces underneath, a job
+// probe -> baseline -> select -> full-train -> rank. It is the funnel's one
+// driver; a job
 //
 //   * is steppable: next_stage() executes exactly one stage, so callers
 //     interleave their own work, stop early (shard workers run only
@@ -21,8 +21,7 @@
 //   batch (window_size == 0, the default): one window spans the whole
 //   stream. Every candidate's outcome is kept and returned —
 //   SearchResult::outcomes[i] is stream position i. Peak memory is
-//   O(num_candidates). This mode is byte-for-byte the historical
-//   generate_batch behaviour.
+//   O(num_candidates).
 //
 //   streaming (window_size >= 1): the per-candidate stages repeat in
 //   rolling windows — the job pulls window_size candidates, pre-checks and
@@ -35,14 +34,14 @@
 //   full_train_top); SearchResult::outcomes holds only the retained
 //   candidates (stream positions travel in CandidateOutcome::stream_index).
 //
-// Bit-identity contract: batch mode matches the historical
-// Pipeline::search_states / search_archs code paths exactly (fingerprints,
-// seed salts, stage order over the store, and selection tie-breaks are all
-// preserved; tests/search_test.cpp pins it). Streaming mode produces the
-// same rankings and the same store journal records as batch mode for the
-// same seeds — per-candidate seeds are fingerprint-derived, so where the
-// work runs cannot change what it computes; only the journal's line ORDER
-// differs (windows interleave check/probe records). tests/stream_test.cpp
+// Determinism contract: per-candidate seeds are fingerprint-derived and
+// every journal write and candidate event happens on the stepping thread in
+// stream order, so a job's results and journal bytes do not depend on its
+// thread pool (tests/integration_test.cpp pins pool-less vs pooled journal
+// bytes). Streaming mode produces the same rankings and the same store
+// journal records as batch mode for the same seeds — where the work runs
+// cannot change what it computes; only the journal's line ORDER differs
+// (windows interleave check/probe records). tests/stream_test.cpp
 // pins batch-vs-streaming equivalence for ABR and CC, serial and sharded.
 // One caveat: without an attached store, a candidate whose duplicate
 // appeared in an earlier (already retired) window is re-probed rather than
@@ -79,7 +78,7 @@ namespace nada::search {
 /// normalization check parameters, the job seed, the identity of the
 /// domain's data, and the simulator-semantics revision — feeds the digest;
 /// selection-only knobs (num_candidates, full_train_top) and execution
-/// knobs (probe_batch, probe_block) do not.
+/// knobs (probe_block, window_size) do not.
 [[nodiscard]] store::StoreScope store_scope(const env::TaskDomain& domain,
                                             const SearchConfig& config,
                                             std::uint64_t seed);
@@ -100,8 +99,9 @@ struct JobOptions {
   /// seed) (std::invalid_argument otherwise) and outlive the job.
   store::CandidateStore* store = nullptr;
   util::ThreadPool* pool = nullptr;
-  /// Shared baseline slot: lets several jobs (or a wrapping Pipeline)
-  /// train the original design once. Must outlive the job.
+  /// Shared baseline slot: lets several jobs (say a state search and an
+  /// architecture search over one domain) train the original design once.
+  /// Must outlive the job.
   std::optional<rl::SessionResult>* baseline_cache = nullptr;
   /// Restrict execution to one shard of the fingerprint space (worker
   /// mode): candidates outside the slice are skipped and counted in

@@ -1,10 +1,5 @@
 // Shared value types of the search API: the funnel configuration, the
 // per-candidate outcome, and the ranked result.
-//
-// These are the types the historical core::Pipeline surface exposed as
-// PipelineConfig / CandidateOutcome / PipelineResult; core/pipeline.h
-// aliases them, so the two surfaces cannot drift. New code should name
-// them through nada::search.
 #pragma once
 
 #include <cmath>
@@ -18,6 +13,8 @@
 #include "nn/arch.h"
 #include "rl/session.h"
 #include "rl/trainer.h"
+#include "trace/generator.h"
+#include "util/scale.h"
 
 namespace nada::search {
 
@@ -36,15 +33,9 @@ struct SearchConfig {
   nn::ArchSpec baseline_arch = nn::ArchSpec::pensieve();
   double normalization_threshold = filter::kNormalizationThreshold;
   std::size_t normalization_fuzz_runs = 16;
-  /// Run the early-probe stage through rl::BatchProbeTrainer: candidates
-  /// train in lockstep blocks with fused matrix-matrix updates instead of
-  /// one serial Trainer each. Bit-identical per-candidate reward curves
-  /// and store records either way (per-candidate seeds are fingerprint-
-  /// derived and unaffected), so this is an execution knob, not a scope
-  /// knob: it does not feed store_scope() and journals are shared freely
-  /// between batched and serial runs of the same code revision.
-  bool probe_batch = true;
-  /// Candidates per lockstep block when probe_batch is on.
+  /// Candidates per rl::BatchProbeTrainer lockstep block in the probe
+  /// stage. An execution knob, not a scope knob: results are bit-identical
+  /// for every block size, so it never feeds store_scope().
   std::size_t probe_block = 4;
   /// Rolling-window streaming. 0 (the default) materializes the whole
   /// candidate stream up front — the historical batch mode, byte-for-byte.
@@ -56,7 +47,7 @@ struct SearchConfig {
   /// running selection keeps only the top full_train_top probes across
   /// windows, so SearchResult::outcomes holds just the retained candidates
   /// (see SearchResult). Rankings, journal records, and store keys are
-  /// identical to batch mode for the same seeds; like probe_batch this is
+  /// identical to batch mode for the same seeds; like probe_block this is
   /// an execution knob and never feeds store_scope().
   std::size_t window_size = 0;
 
@@ -67,6 +58,16 @@ struct SearchConfig {
 /// 1 <= full_train_top <= num_candidates, seeds >= 1, probe_block >= 1,
 /// early_epochs >= 1. Throws std::invalid_argument.
 void validate_config(const SearchConfig& config);
+
+/// Pensieve's architecture with every tower width scaled by `scale.model`
+/// (rounded, at least 8 units).
+[[nodiscard]] nn::ArchSpec scaled_arch(const util::ScaleConfig& scale);
+
+/// Environment-scaled SearchConfig: applies ScaleConfig to the paper's
+/// budgets for `env` (Table 1 epochs / test interval, 3,000 candidates),
+/// with scaled_arch(scale) as the baseline architecture.
+[[nodiscard]] SearchConfig scaled_config(trace::Environment env,
+                                         const util::ScaleConfig& scale);
 
 /// One worker's slice of a sharded search: the job executes (and journals)
 /// only the candidates store::ShardPlan(num_shards) assigns to `shard`;

@@ -82,7 +82,7 @@ enum class StoreFormat {
 [[nodiscard]] StoreFormat format_for_path(std::string_view path);
 
 /// The work products of one candidate's trip through the funnel. Field for
-/// field this mirrors core::CandidateOutcome minus the per-run selection
+/// field this mirrors search::CandidateOutcome minus the per-run selection
 /// verdict (early_stopped), which depends on the cohort, not the candidate.
 struct OutcomeRecord {
   Fingerprint fingerprint;

@@ -1,9 +1,13 @@
 #include "util/fs.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <system_error>
 
 namespace nada::util {
 
@@ -15,15 +19,33 @@ bool file_exists(const std::string& path) {
 }
 
 std::optional<std::string> read_file_if_exists(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    if (!file_exists(path)) return std::nullopt;
-    throw std::runtime_error("read_file: cannot open " + path);
+  // "Missing" is decided by the failed open's own errno. Asking a second
+  // existence query afterwards would race a writer whose atomic rename
+  // lands between the two calls and misreport a present file as an error.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    const int err = errno;
+    if (err == ENOENT || err == ENOTDIR) return std::nullopt;
+    throw std::runtime_error("read_file: cannot open " + path + ": " +
+                             std::generic_category().message(err));
   }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) throw std::runtime_error("read_file: read failed for " + path);
-  return buffer.str();
+  std::string content;
+  char buffer[1 << 16];
+  for (;;) {
+    const ssize_t n = ::read(fd, buffer, sizeof buffer);
+    if (n > 0) {
+      content.append(buffer, static_cast<std::size_t>(n));
+    } else if (n == 0) {
+      break;
+    } else if (errno != EINTR) {
+      const int err = errno;
+      ::close(fd);
+      throw std::runtime_error("read_file: read failed for " + path + ": " +
+                               std::generic_category().message(err));
+    }
+  }
+  ::close(fd);
+  return content;
 }
 
 std::string read_file(const std::string& path) {

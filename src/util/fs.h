@@ -12,8 +12,9 @@ namespace nada::util {
 /// True if `path` names an existing regular file.
 [[nodiscard]] bool file_exists(const std::string& path);
 
-/// Reads a whole file; std::nullopt when the file does not exist. Throws
-/// std::runtime_error on I/O errors for files that do exist.
+/// Reads a whole file; std::nullopt when the file does not exist (open(2)
+/// fails with ENOENT or ENOTDIR). Throws std::runtime_error on any other
+/// failure, including a path that names a directory.
 [[nodiscard]] std::optional<std::string> read_file_if_exists(
     const std::string& path);
 

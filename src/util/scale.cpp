@@ -57,6 +57,7 @@ ScaleConfig ScaleConfig::from_env() {
   cfg.epochs = positive_factor("NADA_SCALE_EPOCHS", 0.12);
   cfg.seeds = positive_factor("NADA_SCALE_SEEDS", 0.6);  // 5 -> 3 seeds
   cfg.traces = positive_factor("NADA_SCALE_TRACES", 0.15);
+  cfg.model = positive_factor("NADA_SCALE_MODEL", 0.25);
   return cfg;
 }
 
@@ -71,7 +72,7 @@ std::size_t ScaleConfig::apply(std::size_t paper_value, double factor,
 std::string ScaleConfig::describe() const {
   std::ostringstream out;
   out << "scale{gen=" << gen << ", epochs=" << epochs << ", seeds=" << seeds
-      << ", traces=" << traces << "}";
+      << ", traces=" << traces << ", model=" << model << "}";
   return out.str();
 }
 

@@ -20,9 +20,11 @@ struct ScaleConfig {
   double seeds = 1.0;
   /// Multiplier on trace-dataset sizes (paper: Table 1 counts).
   double traces = 1.0;
+  /// Multiplier on NN tower widths (paper: 128-wide Pensieve towers).
+  double model = 1.0;
 
   /// Reads NADA_SCALE_GEN / NADA_SCALE_EPOCHS / NADA_SCALE_SEEDS /
-  /// NADA_SCALE_TRACES, falling back to bench-friendly defaults tuned so a
+  /// NADA_SCALE_TRACES / NADA_SCALE_MODEL, falling back to bench-friendly defaults tuned so a
   /// full `for b in build/bench/*; do $b; done` finishes in minutes.
   /// Throws std::runtime_error when a variable is set to anything that is
   /// not a positive finite number — including unparseable text (which

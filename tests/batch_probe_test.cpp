@@ -1,20 +1,16 @@
 // The batched probe engine's headline guarantee: given the same seeds,
 // BatchProbeTrainer is BIT-IDENTICAL to a fresh rl::Trainer per candidate —
-// reward curves, checkpoint scores, failure captures — and the pipeline's
-// batched probe stage journals exactly the records the serial stage would.
+// reward curves, checkpoint scores, failure captures — so the funnel's probe
+// stage, which only ever runs the batched engine, records what serial
+// training would have.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <map>
 #include <string>
-#include <utility>
 
-#include "core/pipeline.h"
 #include "dsl/state_program.h"
-#include "gen/state_gen.h"
+#include "env/abr_domain.h"
 #include "rl/batch_probe.h"
 #include "rl/trainer.h"
-#include "store/candidate_store.h"
 #include "trace/generator.h"
 #include "util/thread_pool.h"
 #include "video/video.h"
@@ -59,14 +55,13 @@ std::vector<ProbeJob> make_jobs(const std::vector<dsl::StateProgram>& programs,
   return jobs;
 }
 
-std::vector<TrainResult> run_serial(const trace::Dataset& dataset,
-                                    const video::Video& video,
+std::vector<TrainResult> run_serial(const env::TaskDomain& domain,
                                     const TrainConfig& config,
                                     const std::vector<ProbeJob>& jobs) {
   std::vector<TrainResult> results;
   results.reserve(jobs.size());
   for (const auto& job : jobs) {
-    Trainer trainer(dataset, video, config, job.seed);
+    Trainer trainer(domain, config, job.seed);
     results.push_back(trainer.train(*job.program, *job.spec));
   }
   return results;
@@ -86,6 +81,7 @@ void expect_identical(const TrainResult& serial, const TrainResult& batched) {
 TEST(BatchProbeTrainer, BitIdenticalToSerialTrainer) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 5);
+  const env::AbrDomain domain(dataset, video);
   const auto programs = candidate_programs();
   const auto arch = tiny_arch();
   TrainConfig config;
@@ -93,11 +89,10 @@ TEST(BatchProbeTrainer, BitIdenticalToSerialTrainer) {
   config.evaluate_checkpoints = false;  // the pipeline's probe setting
   const auto jobs = make_jobs(programs, arch, 7);
 
-  const auto serial = run_serial(dataset, video, config, jobs);
+  const auto serial = run_serial(domain, config, jobs);
   // Block size 3 forces blocks that straddle different programs and leave a
   // ragged tail.
-  const BatchProbeTrainer batched(dataset, video,
-                                  BatchProbeConfig{config, 3});
+  const BatchProbeTrainer batched(domain, BatchProbeConfig{config, 3});
   const auto batch = batched.train(jobs);
 
   ASSERT_EQ(batch.size(), serial.size());
@@ -111,6 +106,7 @@ TEST(BatchProbeTrainer, BitIdenticalToSerialTrainer) {
 TEST(BatchProbeTrainer, BitIdenticalWithCheckpointEvaluation) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 6);
+  const env::AbrDomain domain(dataset, video);
   const auto programs = candidate_programs();
   const auto arch = tiny_arch();
   TrainConfig config;
@@ -119,9 +115,8 @@ TEST(BatchProbeTrainer, BitIdenticalWithCheckpointEvaluation) {
   config.max_eval_traces = 2;  // exercises the strided eval subset too
   const auto jobs = make_jobs(programs, arch, 4);
 
-  const auto serial = run_serial(dataset, video, config, jobs);
-  const BatchProbeTrainer batched(dataset, video,
-                                  BatchProbeConfig{config, 4});
+  const auto serial = run_serial(domain, config, jobs);
+  const BatchProbeTrainer batched(domain, BatchProbeConfig{config, 4});
   const auto batch = batched.train(jobs);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("candidate " + std::to_string(i));
@@ -135,6 +130,7 @@ TEST(BatchProbeTrainer, BitIdenticalUnderEmulationFidelity) {
   // step, so this pins the interleaving of action draws and session draws.
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 7);
+  const env::AbrDomain domain(dataset, video);
   const auto programs = candidate_programs();
   const auto arch = tiny_arch();
   TrainConfig config;
@@ -143,9 +139,8 @@ TEST(BatchProbeTrainer, BitIdenticalUnderEmulationFidelity) {
   config.evaluate_checkpoints = false;
   const auto jobs = make_jobs(programs, arch, 5);
 
-  const auto serial = run_serial(dataset, video, config, jobs);
-  const BatchProbeTrainer batched(dataset, video,
-                                  BatchProbeConfig{config, 2});
+  const auto serial = run_serial(domain, config, jobs);
+  const BatchProbeTrainer batched(domain, BatchProbeConfig{config, 2});
   const auto batch = batched.train(jobs);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("candidate " + std::to_string(i));
@@ -156,6 +151,7 @@ TEST(BatchProbeTrainer, BitIdenticalUnderEmulationFidelity) {
 TEST(BatchProbeTrainer, FailedCandidateIsolatedFromBlock) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 8);
+  const env::AbrDomain domain(dataset, video);
   const auto programs = candidate_programs();
   const auto fragile = dsl::StateProgram::compile(
       "emit \"x\" = log(vmin(throughput_mbps));\n");
@@ -168,9 +164,8 @@ TEST(BatchProbeTrainer, FailedCandidateIsolatedFromBlock) {
   std::vector<ProbeJob> jobs = make_jobs(programs, arch, 4);
   jobs.insert(jobs.begin() + 1, ProbeJob{&fragile, &arch, 0xdeadULL});
 
-  const auto serial = run_serial(dataset, video, config, jobs);
-  const BatchProbeTrainer batched(dataset, video,
-                                  BatchProbeConfig{config, 5});
+  const auto serial = run_serial(domain, config, jobs);
+  const BatchProbeTrainer batched(domain, BatchProbeConfig{config, 5});
   const auto batch = batched.train(jobs);
 
   ASSERT_TRUE(serial[1].failed);
@@ -184,6 +179,7 @@ TEST(BatchProbeTrainer, FailedCandidateIsolatedFromBlock) {
 TEST(BatchProbeTrainer, PoolScheduledBlocksMatchSerial) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 9);
+  const env::AbrDomain domain(dataset, video);
   const auto programs = candidate_programs();
   const auto arch = tiny_arch();
   TrainConfig config;
@@ -191,10 +187,9 @@ TEST(BatchProbeTrainer, PoolScheduledBlocksMatchSerial) {
   config.evaluate_checkpoints = false;
   const auto jobs = make_jobs(programs, arch, 9);
 
-  const auto serial = run_serial(dataset, video, config, jobs);
+  const auto serial = run_serial(domain, config, jobs);
   util::ThreadPool pool(3);
-  const BatchProbeTrainer batched(dataset, video,
-                                  BatchProbeConfig{config, 2});
+  const BatchProbeTrainer batched(domain, BatchProbeConfig{config, 2});
   const auto batch = batched.train(jobs, &pool);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("candidate " + std::to_string(i));
@@ -205,111 +200,19 @@ TEST(BatchProbeTrainer, PoolScheduledBlocksMatchSerial) {
 TEST(BatchProbeTrainer, RejectsDegenerateConfig) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 10);
+  const env::AbrDomain domain(dataset, video);
   TrainConfig zero_epochs;
   zero_epochs.epochs = 0;
   EXPECT_THROW(
-      BatchProbeTrainer(dataset, video, BatchProbeConfig{zero_epochs, 4}),
+      BatchProbeTrainer(domain, BatchProbeConfig{zero_epochs, 4}),
       std::invalid_argument);
   const auto programs = candidate_programs();
   const auto arch = tiny_arch();
   TrainConfig config;
   config.epochs = 2;
-  const BatchProbeTrainer trainer(dataset, video,
-                                  BatchProbeConfig{config, 4});
+  const BatchProbeTrainer trainer(domain, BatchProbeConfig{config, 4});
   std::vector<ProbeJob> null_job{ProbeJob{nullptr, &arch, 1}};
   EXPECT_THROW((void)trainer.train(null_job), std::invalid_argument);
-}
-
-// ---- pipeline-level equivalence ---------------------------------------------
-
-class TempStoreDir {
- public:
-  TempStoreDir() {
-    path_ = (std::filesystem::temp_directory_path() / "nada_batch_probe_test")
-                .string();
-    std::filesystem::remove_all(path_);
-    std::filesystem::create_directories(path_);
-  }
-  ~TempStoreDir() { std::filesystem::remove_all(path_); }
-  [[nodiscard]] std::string file(const std::string& name) const {
-    return path_ + "/" + name;
-  }
-
- private:
-  std::string path_;
-};
-
-TEST(PipelineProbeBatch, BatchedAndSerialProduceIdenticalOutcomesAndJournals) {
-  const auto dataset = tiny_dataset(21);
-  const auto video = video::make_test_video(video::pensieve_ladder(), 5);
-  util::ThreadPool pool(2);
-
-  core::PipelineConfig config;
-  config.num_candidates = 14;
-  config.early_epochs = 6;
-  config.full_train_top = 2;
-  config.seeds = 2;
-  config.train.epochs = 8;
-  config.train.test_interval = 4;
-  config.probe_block = 4;
-
-  TempStoreDir dir;
-  auto run = [&](bool batched, const std::string& journal) {
-    core::PipelineConfig c = config;
-    c.probe_batch = batched;
-    core::Pipeline pipeline(dataset, video, c, 424242, &pool);
-    store::CandidateStore store(dir.file(journal), pipeline.store_scope());
-    pipeline.attach_store(&store);
-    gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
-                                  99);
-    auto result = pipeline.search_states(generator, config.baseline_arch);
-    return std::make_pair(std::move(result), store.records());
-  };
-
-  auto [serial_result, serial_records] = run(false, "serial.jsonl");
-  auto [batch_result, batch_records] = run(true, "batched.jsonl");
-
-  // The probe_batch knob must not move the store scope: both runs share the
-  // same funnel digest, so cached journals survive flipping it.
-  ASSERT_EQ(serial_result.n_total, batch_result.n_total);
-  EXPECT_EQ(serial_result.n_probes_run, batch_result.n_probes_run);
-  EXPECT_EQ(serial_result.n_early_stopped, batch_result.n_early_stopped);
-  EXPECT_EQ(serial_result.best_index, batch_result.best_index);
-  EXPECT_EQ(serial_result.best_score, batch_result.best_score);
-  ASSERT_EQ(serial_result.outcomes.size(), batch_result.outcomes.size());
-  for (std::size_t i = 0; i < serial_result.outcomes.size(); ++i) {
-    SCOPED_TRACE("candidate " + std::to_string(i));
-    const auto& a = serial_result.outcomes[i];
-    const auto& b = batch_result.outcomes[i];
-    EXPECT_EQ(a.early_probed, b.early_probed);
-    EXPECT_EQ(a.early_rewards, b.early_rewards);  // bitwise
-    EXPECT_EQ(a.early_stopped, b.early_stopped);
-    EXPECT_EQ(a.fully_trained, b.fully_trained);
-    EXPECT_EQ(a.test_score, b.test_score);
-  }
-
-  // Journal contents match record for record (order may differ: the serial
-  // stage journals from pool workers as they finish).
-  auto by_fp = [](const std::vector<store::OutcomeRecord>& records) {
-    std::map<std::string, store::OutcomeRecord> index;
-    for (const auto& r : records) index[r.fingerprint.hex()] = r;
-    return index;
-  };
-  const auto serial_map = by_fp(serial_records);
-  const auto batch_map = by_fp(batch_records);
-  ASSERT_EQ(serial_map.size(), batch_map.size());
-  for (const auto& [fp, a] : serial_map) {
-    SCOPED_TRACE("fingerprint " + fp);
-    const auto it = batch_map.find(fp);
-    ASSERT_NE(it, batch_map.end());
-    const auto& b = it->second;
-    EXPECT_EQ(a.stage, b.stage);
-    EXPECT_EQ(a.early_probed, b.early_probed);
-    EXPECT_EQ(a.early_rewards, b.early_rewards);  // bitwise
-    EXPECT_EQ(a.compile_error, b.compile_error);
-    EXPECT_EQ(a.fully_trained, b.fully_trained);
-    EXPECT_EQ(a.test_score, b.test_score);
-  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // The congestion-control domain through the shared funnel: deterministic
 // episodes, serial-vs-batched probe equivalence on CC candidates, and a
-// tiny end-to-end CC pipeline with store caching/resume — the same
+// tiny end-to-end CC search with store caching/resume — the same
 // guarantees the ABR domain pins in batch_probe_test and store_test, now
 // exercised through env::TaskDomain.
 #include <gtest/gtest.h>
@@ -14,12 +14,16 @@
 #include "cc/cc_domain.h"
 #include "cc/cc_env.h"
 #include "cc/cc_state.h"
-#include "core/pipeline.h"
+#include "env/abr_domain.h"
 #include "gen/state_gen.h"
 #include "rl/batch_probe.h"
 #include "rl/trainer.h"
+#include "search/candidate.h"
+#include "search/search_job.h"
 #include "store/candidate_store.h"
 #include "trace/generator.h"
+#include "util/thread_pool.h"
+#include "video/video.h"
 
 namespace nada {
 namespace {
@@ -196,10 +200,10 @@ TEST(CcBatchProbe, BitIdenticalWithCheckpointEvaluation) {
   }
 }
 
-// ---- end-to-end CC pipeline -------------------------------------------------
+// ---- end-to-end CC search ---------------------------------------------------
 
-core::PipelineConfig tiny_cc_pipeline_config() {
-  core::PipelineConfig config;
+search::SearchConfig tiny_cc_search_config() {
+  search::SearchConfig config;
   config.num_candidates = 20;
   config.early_epochs = 4;
   config.full_train_top = 2;
@@ -221,15 +225,37 @@ std::string fresh_store_path(const std::string& name) {
   return path;
 }
 
-TEST(CcPipeline, FunnelRunsEndToEnd) {
+/// A CC state search (generator seed `gen_seed`) against `store` (may be
+/// null); `resume` goes through SearchJob::resume().
+search::SearchResult search_cc_states(const cc::CcDomain& domain,
+                                      std::uint64_t seed,
+                                      std::uint64_t gen_seed,
+                                      util::ThreadPool* pool,
+                                      store::CandidateStore* store = nullptr,
+                                      bool resume = false) {
+  const search::SearchConfig config = tiny_cc_search_config();
+  gen::StateGenerator generator(gen::cc_state_space(), gen::gpt4_profile(),
+                                gen::PromptStrategy{}, gen_seed);
+  search::StateCandidateSource source(generator);
+  search::JobOptions options;
+  options.pool = pool;
+  options.store = store;
+  search::SearchJob job(domain, config, seed, source,
+                        search::FixedDesign{nullptr, &config.baseline_arch},
+                        options);
+  return resume ? job.resume() : job.run_to_completion();
+}
+
+store::StoreScope cc_store_scope(const cc::CcDomain& domain,
+                                 std::uint64_t seed) {
+  return search::store_scope(domain, tiny_cc_search_config(), seed);
+}
+
+TEST(CcSearch, FunnelRunsEndToEnd) {
   const auto dataset = cc_dataset();
   const cc::CcDomain domain(dataset, tiny_cc_config());
   util::ThreadPool pool{4};
-  core::Pipeline pipeline(domain, tiny_cc_pipeline_config(), 777, &pool);
-  gen::StateGenerator generator(gen::cc_state_space(), gen::gpt4_profile(),
-                                gen::PromptStrategy{}, 55);
-  const auto result =
-      pipeline.search_states(generator, tiny_cc_pipeline_config().baseline_arch);
+  const auto result = search_cc_states(domain, 777, 55, &pool);
 
   EXPECT_EQ(result.n_total, 20u);
   EXPECT_GT(result.n_compiled, 0u);
@@ -245,15 +271,16 @@ TEST(CcPipeline, FunnelRunsEndToEnd) {
   }
 }
 
-TEST(CcPipeline, StoreScopeCarriesDomainToken) {
+TEST(CcSearch, StoreScopeCarriesDomainToken) {
   const auto dataset = cc_dataset();
   const cc::CcDomain cc_domain(dataset, tiny_cc_config());
   const video::Video video = video::make_test_video(video::pensieve_ladder(),
                                                     7);
-  core::Pipeline cc_pipeline(cc_domain, tiny_cc_pipeline_config(), 1);
-  core::Pipeline abr_pipeline(dataset, video, tiny_cc_pipeline_config(), 1);
-  const auto cc_scope = cc_pipeline.store_scope();
-  const auto abr_scope = abr_pipeline.store_scope();
+  const env::AbrDomain abr_domain(dataset, video);
+  const auto cc_scope =
+      search::store_scope(cc_domain, tiny_cc_search_config(), 1);
+  const auto abr_scope =
+      search::store_scope(abr_domain, tiny_cc_search_config(), 1);
   EXPECT_EQ(cc_scope.env, "cc-4G");
   EXPECT_EQ(abr_scope.env, "4G");
   EXPECT_NE(cc_scope.env, abr_scope.env);
@@ -261,29 +288,19 @@ TEST(CcPipeline, StoreScopeCarriesDomainToken) {
   EXPECT_FALSE(cc_scope == abr_scope);
 }
 
-TEST(CcPipeline, SecondRunServesEverythingFromCache) {
+TEST(CcSearch, SecondRunServesEverythingFromCache) {
   const auto dataset = cc_dataset();
   const cc::CcDomain domain(dataset, tiny_cc_config());
   util::ThreadPool pool{4};
   const std::string path = fresh_store_path("cache");
 
-  core::Pipeline first(domain, tiny_cc_pipeline_config(), 4242, &pool);
-  store::CandidateStore store_a(path, first.store_scope());
-  first.attach_store(&store_a);
-  gen::StateGenerator gen_a(gen::cc_state_space(), gen::gpt4_profile(),
-                            gen::PromptStrategy{}, 91);
-  const auto run_a = first.search_states(gen_a, tiny_cc_pipeline_config()
-                                                    .baseline_arch);
+  store::CandidateStore store_a(path, cc_store_scope(domain, 4242));
+  const auto run_a = search_cc_states(domain, 4242, 91, &pool, &store_a);
   EXPECT_GT(run_a.n_probes_run, 0u);
   EXPECT_GT(run_a.n_full_trains_run, 0u);
 
-  core::Pipeline second(domain, tiny_cc_pipeline_config(), 4242, &pool);
-  store::CandidateStore store_b(path, second.store_scope());
-  second.attach_store(&store_b);
-  gen::StateGenerator gen_b(gen::cc_state_space(), gen::gpt4_profile(),
-                            gen::PromptStrategy{}, 91);
-  const auto run_b = second.search_states(gen_b, tiny_cc_pipeline_config()
-                                                     .baseline_arch);
+  store::CandidateStore store_b(path, cc_store_scope(domain, 4242));
+  const auto run_b = search_cc_states(domain, 4242, 91, &pool, &store_b);
 
   // Everything is served from the journal: zero duplicate training.
   EXPECT_EQ(run_b.n_probes_run, 0u);
@@ -301,7 +318,7 @@ TEST(CcPipeline, SecondRunServesEverythingFromCache) {
   EXPECT_EQ(run_a.best_score, run_b.best_score);
 }
 
-TEST(CcPipeline, ResumeAfterTruncatedJournalMatchesFullRun) {
+TEST(CcSearch, ResumeAfterTruncatedJournalMatchesFullRun) {
   const auto dataset = cc_dataset();
   const cc::CcDomain domain(dataset, tiny_cc_config());
   util::ThreadPool pool{4};
@@ -309,13 +326,8 @@ TEST(CcPipeline, ResumeAfterTruncatedJournalMatchesFullRun) {
   const std::string cut_path = fresh_store_path("resume_cut");
 
   // Reference run.
-  core::Pipeline reference(domain, tiny_cc_pipeline_config(), 31337, &pool);
-  store::CandidateStore full_store(full_path, reference.store_scope());
-  reference.attach_store(&full_store);
-  gen::StateGenerator gen_a(gen::cc_state_space(), gen::gpt4_profile(),
-                            gen::PromptStrategy{}, 17);
-  const auto want = reference.search_states(
-      gen_a, tiny_cc_pipeline_config().baseline_arch);
+  store::CandidateStore full_store(full_path, cc_store_scope(domain, 31337));
+  const auto want = search_cc_states(domain, 31337, 17, &pool, &full_store);
 
   // Simulate an interruption: keep only the first half of the journal.
   {
@@ -328,13 +340,9 @@ TEST(CcPipeline, ResumeAfterTruncatedJournalMatchesFullRun) {
     }
   }
 
-  core::Pipeline resumed(domain, tiny_cc_pipeline_config(), 31337, &pool);
-  store::CandidateStore cut_store(cut_path, resumed.store_scope());
-  resumed.attach_store(&cut_store);
-  gen::StateGenerator gen_b(gen::cc_state_space(), gen::gpt4_profile(),
-                            gen::PromptStrategy{}, 17);
-  const auto got =
-      resumed.resume_states(gen_b, tiny_cc_pipeline_config().baseline_arch);
+  store::CandidateStore cut_store(cut_path, cc_store_scope(domain, 31337));
+  const auto got = search_cc_states(domain, 31337, 17, &pool, &cut_store,
+                                    /*resume=*/true);
 
   ASSERT_EQ(want.outcomes.size(), got.outcomes.size());
   for (std::size_t i = 0; i < want.outcomes.size(); ++i) {

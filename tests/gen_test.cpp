@@ -295,7 +295,7 @@ TEST(PromptStrategy, DisablingCotReducesDiversity) {
 nn::StateSignature pensieve_sig() {
   const auto program =
       dsl::StateProgram::compile(dsl::pensieve_state_source());
-  return rl::derive_signature(program);
+  return rl::derive_signature(program, env::abr_catalog());
 }
 
 TEST(ArchGenerator, Gpt35InvalidRateMatchesPaper) {

@@ -6,9 +6,8 @@
 //   * util::format_duration: one human-readable formatter across scales
 //     (the StreamObserver "1.2e-05s" fix and the status snapshots share it),
 //   * MetricsObserver: its counters agree exactly with a RecordingObserver
-//     on the same job — including the pooled serial-probe path
-//     (probe_batch == false), where candidate events arrive from
-//     ThreadPool threads and every one must be serialized, none dropped,
+//     on the same pooled job, batch and streaming — every candidate event
+//     folded, none dropped,
 //   * TraceSink: one valid JSONL line per dispatched event, monotone seq,
 //   * StatusWriter: atomic snapshots with the documented schema, plus the
 //     driver-side read/aggregate path,
@@ -194,16 +193,15 @@ std::uint64_t counter_value(MetricsRegistry& registry,
 
 // ---- MetricsObserver vs RecordingObserver ----------------------------------
 
-/// The dispatch-integrity contract on the pooled serial-probe path
-/// (probe_batch == false): candidate events fire from ThreadPool threads,
-/// the job serializes them, and the metrics fold sees every single one —
-/// counts agree exactly with the recording observer, batch and streaming.
-TEST(MetricsObserver, AgreesWithRecordingOnPooledSerialProbes) {
+/// The dispatch-integrity contract on a pooled job: the probe blocks run
+/// on ThreadPool threads, the job announces their results, and the metrics
+/// fold sees every single event — counts agree exactly with the recording
+/// observer, batch and streaming.
+TEST(MetricsObserver, AgreesWithRecordingOnPooledProbes) {
   Fixture fx;
   for (const std::size_t window : {std::size_t{0}, std::size_t{5}}) {
     SCOPED_TRACE("window=" + std::to_string(window));
-    search::SearchConfig config = fast_config(window);
-    config.probe_batch = false;  // serial per-candidate trainers on the pool
+    const search::SearchConfig config = fast_config(window);
 
     MetricsRegistry registry;
     MetricsObserver metrics(registry);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "dsl/state_program.h"
+#include "env/abr_domain.h"
 #include "rl/agent.h"
 #include "rl/session.h"
 #include "rl/trainer.h"
@@ -31,20 +32,28 @@ dsl::StateProgram pensieve_program() {
   return dsl::StateProgram::compile(dsl::pensieve_state_source());
 }
 
-// ---- AbrAgent ---------------------------------------------------------------
+/// The ABR catalog's canned observation.
+dsl::Bindings canned() { return env::abr_catalog().canned(); }
 
-TEST(AbrAgent, SignatureDerivedFromProgram) {
+/// A policy agent over the ABR vocabulary (6 ladder levels).
+PolicyAgent abr_agent(const dsl::StateProgram& program, util::Rng& rng) {
+  return PolicyAgent(program, tiny_arch(), 6, env::abr_catalog(), rng);
+}
+
+// ---- PolicyAgent ------------------------------------------------------------
+
+TEST(PolicyAgent, SignatureDerivedFromProgram) {
   const auto program = pensieve_program();
-  const nn::StateSignature sig = derive_signature(program);
+  const nn::StateSignature sig =
+      derive_signature(program, env::abr_catalog());
   EXPECT_EQ(sig.row_lengths, (std::vector<std::size_t>{1, 1, 8, 8, 6, 1}));
 }
 
-TEST(AbrAgent, DecideReturnsValidDistribution) {
+TEST(PolicyAgent, DecideReturnsValidDistribution) {
   const auto program = pensieve_program();
   util::Rng rng(1);
-  AbrAgent agent(program, tiny_arch(), 6, rng);
-  const auto decision =
-      agent.decide(env::canned_observation(), /*sample=*/false, rng);
+  PolicyAgent agent = abr_agent(program, rng);
+  const auto decision = agent.decide(canned(), /*sample=*/false, rng);
   ASSERT_EQ(decision.probs.size(), 6u);
   double total = 0.0;
   for (double p : decision.probs) total += p;
@@ -52,41 +61,40 @@ TEST(AbrAgent, DecideReturnsValidDistribution) {
   EXPECT_LT(decision.action, 6u);
 }
 
-TEST(AbrAgent, GreedyPicksArgmax) {
+TEST(PolicyAgent, GreedyPicksArgmax) {
   const auto program = pensieve_program();
   util::Rng rng(2);
-  AbrAgent agent(program, tiny_arch(), 6, rng);
-  const auto decision =
-      agent.decide(env::canned_observation(), /*sample=*/false, rng);
+  PolicyAgent agent = abr_agent(program, rng);
+  const auto decision = agent.decide(canned(), /*sample=*/false, rng);
   for (double p : decision.probs) {
     EXPECT_LE(p, decision.probs[decision.action] + 1e-12);
   }
 }
 
-TEST(AbrAgent, SampledActionsVary) {
+TEST(PolicyAgent, SampledActionsVary) {
   const auto program = pensieve_program();
   util::Rng rng(3);
-  AbrAgent agent(program, tiny_arch(), 6, rng);
+  PolicyAgent agent = abr_agent(program, rng);
   std::set<std::size_t> actions;
   for (int i = 0; i < 100; ++i) {
     actions.insert(
-        agent.decide(env::canned_observation(), /*sample=*/true, rng).action);
+        agent.decide(canned(), /*sample=*/true, rng).action);
   }
   // A freshly initialized policy is near-uniform: sampling covers several
   // actions.
   EXPECT_GE(actions.size(), 3u);
 }
 
-TEST(AbrAgent, CustomStateShapeBuildsMatchingNet) {
+TEST(PolicyAgent, CustomStateShapeBuildsMatchingNet) {
   const auto program = dsl::StateProgram::compile(
       "emit \"buf\" = buffer_size_s / 10.0;\n"
       "emit \"tput\" = throughput_mbps / 8.0;\n");
   util::Rng rng(4);
-  AbrAgent agent(program, tiny_arch(), 6, rng);
+  PolicyAgent agent = abr_agent(program, rng);
   EXPECT_EQ(agent.signature().row_lengths,
             (std::vector<std::size_t>{1, 8}));
   EXPECT_NO_THROW(
-      agent.decide(env::canned_observation(), /*sample=*/false, rng));
+      agent.decide(canned(), /*sample=*/false, rng));
 }
 
 // ---- Trainer ----------------------------------------------------------------
@@ -98,7 +106,8 @@ TEST(Trainer, RewardImprovesOnEasyEnvironment) {
   config.epochs = 240;
   config.test_interval = 60;
   config.learning_rate = 2e-3;
-  Trainer trainer(dataset, video, config, 77);
+  const env::AbrDomain domain(dataset, video);
+  Trainer trainer(domain, config, 77);
   const auto result = trainer.train(pensieve_program(), tiny_arch());
   ASSERT_FALSE(result.failed) << result.error;
   ASSERT_EQ(result.train_rewards.size(), config.epochs);
@@ -115,7 +124,8 @@ TEST(Trainer, CheckpointCadenceMatchesInterval) {
   TrainConfig config;
   config.epochs = 50;
   config.test_interval = 10;
-  Trainer trainer(dataset, video, config, 1);
+  const env::AbrDomain domain(dataset, video);
+  Trainer trainer(domain, config, 1);
   const auto result = trainer.train(pensieve_program(), tiny_arch());
   ASSERT_FALSE(result.failed);
   ASSERT_EQ(result.test_scores.size(), 5u);
@@ -129,7 +139,8 @@ TEST(Trainer, SkippingEvaluationProducesNoCheckpoints) {
   TrainConfig config;
   config.epochs = 30;
   config.evaluate_checkpoints = false;
-  Trainer trainer(dataset, video, config, 2);
+  const env::AbrDomain domain(dataset, video);
+  Trainer trainer(domain, config, 2);
   const auto result = trainer.train(pensieve_program(), tiny_arch());
   ASSERT_FALSE(result.failed);
   EXPECT_TRUE(result.test_scores.empty());
@@ -149,7 +160,8 @@ TEST(Trainer, FragileProgramCapturedAsFailure) {
   const auto video = video::make_test_video(video::pensieve_ladder(), 8);
   TrainConfig config;
   config.epochs = 10;
-  Trainer trainer(dataset, video, config, 3);
+  const env::AbrDomain domain(dataset, video);
+  Trainer trainer(domain, config, 3);
   const auto result = trainer.train(program, tiny_arch());
   // log(0.0001) = -9.2: fine. This one survives; now the truly fragile one:
   const auto fragile = dsl::StateProgram::compile(
@@ -166,7 +178,8 @@ TEST(Trainer, InvalidArchCapturedAsFailure) {
   const auto video = video::make_test_video(video::pensieve_ladder(), 9);
   TrainConfig config;
   config.epochs = 5;
-  Trainer trainer(dataset, video, config, 4);
+  const env::AbrDomain domain(dataset, video);
+  Trainer trainer(domain, config, 4);
   nn::ArchSpec bad = tiny_arch();
   bad.conv_kernel = 7;  // > next-sizes row length 6
   const auto result = trainer.train(pensieve_program(), bad);
@@ -180,7 +193,8 @@ TEST(Trainer, MaxEvalTracesCapsEvaluation) {
   config.epochs = 10;
   config.test_interval = 10;
   config.max_eval_traces = 1;
-  Trainer trainer(dataset, video, config, 5);
+  const env::AbrDomain domain(dataset, video);
+  Trainer trainer(domain, config, 5);
   const auto result = trainer.train(pensieve_program(), tiny_arch());
   ASSERT_FALSE(result.failed);
   EXPECT_EQ(result.test_scores.size(), 1u);
@@ -189,13 +203,13 @@ TEST(Trainer, MaxEvalTracesCapsEvaluation) {
 TEST(Trainer, RejectsDegenerateConfig) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 11);
+  const env::AbrDomain domain(dataset, video);
   TrainConfig zero_epochs;
   zero_epochs.epochs = 0;
-  EXPECT_THROW(Trainer(dataset, video, zero_epochs, 1),
-               std::invalid_argument);
+  EXPECT_THROW(Trainer(domain, zero_epochs, 1), std::invalid_argument);
   TrainConfig zero_interval;
   zero_interval.test_interval = 0;
-  EXPECT_THROW(Trainer(dataset, video, zero_interval, 1),
+  EXPECT_THROW(Trainer(domain, zero_interval, 1),
                std::invalid_argument);
 }
 
@@ -206,13 +220,12 @@ TEST(EvaluateAgent, DeterministicForSeed) {
   const auto video = video::make_test_video(video::pensieve_ladder(), 12);
   const auto program = pensieve_program();
   util::Rng rng(6);
-  AbrAgent agent(program, tiny_arch(), 6, rng);
+  const env::AbrDomain domain(dataset, video);
+  PolicyAgent agent = abr_agent(program, rng);
   const double a =
-      evaluate_agent(agent, dataset.test, video,
-                     env::Fidelity::kSimulation, 42);
+      evaluate_agent(agent, domain, env::Fidelity::kSimulation, 42);
   const double b =
-      evaluate_agent(agent, dataset.test, video,
-                     env::Fidelity::kSimulation, 42);
+      evaluate_agent(agent, domain, env::Fidelity::kSimulation, 42);
   EXPECT_DOUBLE_EQ(a, b);
 }
 
@@ -221,11 +234,12 @@ TEST(EvaluateAgent, EmulationDiffersFromSimulation) {
   const auto video = video::make_test_video(video::pensieve_ladder(), 13);
   const auto program = pensieve_program();
   util::Rng rng(7);
-  AbrAgent agent(program, tiny_arch(), 6, rng);
-  const double sim = evaluate_agent(agent, dataset.test, video,
-                                    env::Fidelity::kSimulation, 42);
-  const double emu = evaluate_agent(agent, dataset.test, video,
-                                    env::Fidelity::kEmulation, 42);
+  const env::AbrDomain domain(dataset, video);
+  PolicyAgent agent = abr_agent(program, rng);
+  const double sim =
+      evaluate_agent(agent, domain, env::Fidelity::kSimulation, 42);
+  const double emu =
+      evaluate_agent(agent, domain, env::Fidelity::kEmulation, 42);
   EXPECT_NE(sim, emu);
 }
 
@@ -262,15 +276,18 @@ TEST(EvaluateAgent, SubsetOverloadMatchesManualSubset) {
   const auto video = video::make_test_video(video::pensieve_ladder(), 18);
   const auto program = pensieve_program();
   util::Rng rng(8);
-  AbrAgent agent(program, tiny_arch(), 6, rng);
+  PolicyAgent agent = abr_agent(program, rng);
+  const env::AbrDomain domain(dataset, video);
   const std::vector<std::size_t> indices =
       eval_trace_indices(dataset.test.size(), 2);
-  std::vector<trace::Trace> subset;
-  for (std::size_t i : indices) subset.push_back(dataset.test[i]);
-  const double via_indices =
-      evaluate_agent(agent, dataset.test, indices, video,
-                     env::Fidelity::kSimulation, 42);
-  const double via_copy = evaluate_agent(agent, subset, video,
+  // The same units as a dataset whose test split is just the subset.
+  trace::Dataset subset_data = dataset;
+  subset_data.test.clear();
+  for (std::size_t i : indices) subset_data.test.push_back(dataset.test[i]);
+  const env::AbrDomain subset_domain(subset_data, video);
+  const double via_indices = evaluate_agent(
+      agent, domain, indices, env::Fidelity::kSimulation, 42);
+  const double via_copy = evaluate_agent(agent, subset_domain,
                                          env::Fidelity::kSimulation, 42);
   EXPECT_DOUBLE_EQ(via_indices, via_copy);
 }
@@ -280,13 +297,14 @@ TEST(EvaluateAgent, SubsetOverloadMatchesManualSubset) {
 TEST(RunSessions, MedianAcrossSeeds) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 14);
+  const env::AbrDomain domain(dataset, video);
   const auto program = pensieve_program();
   SessionConfig config;
   config.seeds = 3;
   config.train.epochs = 30;
   config.train.test_interval = 10;
-  const auto result = run_sessions(dataset, video, program, tiny_arch(),
-                                   config, 123);
+  const auto result =
+      run_sessions(domain, program, tiny_arch(), config, 123);
   ASSERT_EQ(result.sessions.size(), 3u);
   EXPECT_FALSE(result.failed);
   std::vector<double> finals;
@@ -300,29 +318,31 @@ TEST(RunSessions, MedianAcrossSeeds) {
 TEST(RunSessions, ParallelMatchesSerial) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 15);
+  const env::AbrDomain domain(dataset, video);
   const auto program = pensieve_program();
   SessionConfig config;
   config.seeds = 2;
   config.train.epochs = 15;
   config.train.test_interval = 15;
-  const auto serial = run_sessions(dataset, video, program, tiny_arch(),
-                                   config, 55, nullptr);
+  const auto serial =
+      run_sessions(domain, program, tiny_arch(), config, 55, nullptr);
   util::ThreadPool pool(2);
-  const auto parallel = run_sessions(dataset, video, program, tiny_arch(),
-                                     config, 55, &pool);
+  const auto parallel =
+      run_sessions(domain, program, tiny_arch(), config, 55, &pool);
   EXPECT_DOUBLE_EQ(serial.test_score, parallel.test_score);
 }
 
 TEST(RunSessions, AllSessionsFailingIsReported) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 16);
+  const env::AbrDomain domain(dataset, video);
   const auto fragile = dsl::StateProgram::compile(
       "emit \"x\" = log(vmin(throughput_mbps));\n");
   SessionConfig config;
   config.seeds = 2;
   config.train.epochs = 5;
-  const auto result = run_sessions(dataset, video, fragile, tiny_arch(),
-                                   config, 66);
+  const auto result =
+      run_sessions(domain, fragile, tiny_arch(), config, 66);
   EXPECT_TRUE(result.failed);
   EXPECT_EQ(result.test_score, -1e9);
 }
@@ -330,9 +350,10 @@ TEST(RunSessions, AllSessionsFailingIsReported) {
 TEST(RunSessions, ZeroSeedsRejected) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 17);
+  const env::AbrDomain domain(dataset, video);
   SessionConfig config;
   config.seeds = 0;
-  EXPECT_THROW(run_sessions(dataset, video, pensieve_program(), tiny_arch(),
+  EXPECT_THROW(run_sessions(domain, pensieve_program(), tiny_arch(),
                             config, 1),
                std::invalid_argument);
 }

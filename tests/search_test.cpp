@@ -1,9 +1,6 @@
-// Tests for the composable search API (src/search/):
+// Tests for the composable search API (src/search/); funnel accounting,
+// config validation and the scaled config are in core_test.cpp:
 //
-//   * bit-identity: core::Pipeline's entry points are a thin wrapper over
-//     search::SearchJob — same seeds produce byte-identical store journals
-//     and identical rankings through either surface, for state and arch
-//     searches (the backward-compatible-upgrade contract),
 //   * stage stepping: next_stage() walks the documented stage order and a
 //     stepped job equals a run_to_completion() job,
 //   * observer coverage: every stage fires start/finish with a timing, and
@@ -13,8 +10,8 @@
 //   * sharding: a 4-shard worker pass + merge_and_rank equals the
 //     single-process run — identical rankings and identical journal
 //     records (the multi-process driver's correctness pin),
-//   * resume folding: SearchJob::resume() behaves like the historical
-//     resume_* twins,
+//   * resume: SearchJob::resume() serves every journaled stage from the
+//     store and reproduces the cold result,
 //   * unified candidates: one job can carry state-program and architecture
 //     candidates in the same stream.
 #include <gtest/gtest.h>
@@ -25,7 +22,9 @@
 #include <set>
 #include <sstream>
 
-#include "core/pipeline.h"
+#include "env/abr_domain.h"
+#include "gen/arch_gen.h"
+#include "gen/state_gen.h"
 #include "search/candidate.h"
 #include "search/observer.h"
 #include "search/search_job.h"
@@ -93,70 +92,6 @@ void expect_same_result(const SearchResult& a, const SearchResult& b) {
     EXPECT_DOUBLE_EQ(a.outcomes[i].test_score, b.outcomes[i].test_score);
     EXPECT_EQ(a.outcomes[i].early_rewards, b.outcomes[i].early_rewards);
   }
-}
-
-// ---- wrapper bit-identity ---------------------------------------------------
-
-TEST(SearchJobEquivalence, StateSearchMatchesPipelineWrapperBitForBit) {
-  Fixture fx;
-  const SearchConfig config = tiny_config();
-
-  // Through the compatibility wrapper.
-  const std::string wrapper_path = fresh_path("wrap_state");
-  core::Pipeline pipeline(fx.dataset, fx.video, config, 1234, &fx.pool);
-  store::CandidateStore wrapper_store(wrapper_path, pipeline.store_scope());
-  pipeline.attach_store(&wrapper_store);
-  gen::StateGenerator gen1(gen::gpt4_profile(), gen::PromptStrategy{}, 77);
-  const auto via_wrapper = pipeline.search_states(gen1, config.baseline_arch);
-
-  // Directly through a SearchJob.
-  const std::string direct_path = fresh_path("direct_state");
-  store::CandidateStore direct_store(
-      direct_path, store_scope(fx.domain, config, 1234));
-  gen::StateGenerator gen2(gen::gpt4_profile(), gen::PromptStrategy{}, 77);
-  StateCandidateSource source(gen2);
-  JobOptions options;
-  options.store = &direct_store;
-  options.pool = &fx.pool;
-  SearchJob job(fx.domain, config, 1234, source,
-                FixedDesign{nullptr, &config.baseline_arch}, options);
-  const auto direct = job.run_to_completion();
-
-  expect_same_result(via_wrapper, direct);
-  // The journals must match byte for byte: the wrapper adds nothing and
-  // loses nothing on the way to the store.
-  EXPECT_EQ(util::read_file(wrapper_path), util::read_file(direct_path));
-}
-
-TEST(SearchJobEquivalence, ArchSearchMatchesPipelineWrapperBitForBit) {
-  Fixture fx;
-  SearchConfig config = tiny_config();
-  config.num_candidates = 20;
-  const auto state = dsl::StateProgram::compile(dsl::pensieve_state_source());
-
-  const std::string wrapper_path = fresh_path("wrap_arch");
-  core::Pipeline pipeline(fx.dataset, fx.video, config, 555, &fx.pool);
-  store::CandidateStore wrapper_store(wrapper_path, pipeline.store_scope());
-  pipeline.attach_store(&wrapper_store);
-  gen::ArchGenerator gen1(gen::gpt35_profile(), gen::PromptStrategy{}, 99,
-                          0.25);
-  const auto via_wrapper = pipeline.search_archs(gen1, state);
-
-  const std::string direct_path = fresh_path("direct_arch");
-  store::CandidateStore direct_store(direct_path,
-                                     store_scope(fx.domain, config, 555));
-  gen::ArchGenerator gen2(gen::gpt35_profile(), gen::PromptStrategy{}, 99,
-                          0.25);
-  ArchCandidateSource source(gen2);
-  JobOptions options;
-  options.store = &direct_store;
-  options.pool = &fx.pool;
-  SearchJob job(fx.domain, config, 555, source,
-                FixedDesign{&state, nullptr}, options);
-  const auto direct = job.run_to_completion();
-
-  expect_same_result(via_wrapper, direct);
-  EXPECT_EQ(util::read_file(wrapper_path), util::read_file(direct_path));
 }
 
 // ---- stage stepping ---------------------------------------------------------
@@ -373,7 +308,7 @@ TEST(ShardRunnerTest, MergeAndRankSurfacesMissingWorkerJournal) {
 
 // ---- resume folding ---------------------------------------------------------
 
-TEST(SearchJobResume, ResumeServesJournaledStagesAndMatchesPipeline) {
+TEST(SearchJobResume, ResumeServesJournaledStagesAndMatchesColdRun) {
   Fixture fx;
   const SearchConfig config = tiny_config();
   const std::string path = fresh_path("resume");

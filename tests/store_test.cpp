@@ -1,6 +1,6 @@
 // Tests for the persistent candidate store: canonical serialization and
 // fingerprint stability, journal round-trip and crash recovery, shard
-// planning, and cache/resume behaviour of the integrated pipeline.
+// planning, and cache/resume behaviour of store-backed search jobs.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -16,9 +16,13 @@
 #include <string_view>
 #include <vector>
 
-#include "core/pipeline.h"
 #include "dsl/canonical.h"
 #include "dsl/parser.h"
+#include "env/abr_domain.h"
+#include "gen/arch_gen.h"
+#include "gen/state_gen.h"
+#include "search/candidate.h"
+#include "search/search_job.h"
 #include "store/candidate_store.h"
 #include "store/convert.h"
 #include "store/fingerprint.h"
@@ -1161,10 +1165,10 @@ TEST(GeneratorReplay, ResetReplaysTheExactStream) {
   }
 }
 
-// ---- pipeline integration --------------------------------------------------
+// ---- search integration ----------------------------------------------------
 
-core::PipelineConfig tiny_config() {
-  core::PipelineConfig config;
+search::SearchConfig tiny_config() {
+  search::SearchConfig config;
   config.num_candidates = 30;
   config.early_epochs = 8;
   config.full_train_top = 3;
@@ -1180,15 +1184,34 @@ core::PipelineConfig tiny_config() {
   return config;
 }
 
-struct PipelineFixture {
+struct SearchFixture {
   trace::Dataset dataset = trace::build_dataset(trace::Environment::kStarlink,
                                                 0.2, 99);
   video::Video video = video::make_test_video(video::pensieve_ladder(), 7);
+  env::AbrDomain domain{dataset, video};
   util::ThreadPool pool{8};
+
+  [[nodiscard]] StoreScope scope(const search::SearchConfig& config,
+                                 std::uint64_t seed) const {
+    return search::store_scope(domain, config, seed);
+  }
+
+  /// One pooled job over `source` against `store` (may be null); `resume`
+  /// goes through SearchJob::resume() instead of run_to_completion().
+  search::SearchResult run(const search::SearchConfig& config,
+                           std::uint64_t seed, search::CandidateSource& source,
+                           search::FixedDesign fixed, CandidateStore* store,
+                           bool resume = false) {
+    search::JobOptions options;
+    options.store = store;
+    options.pool = &pool;
+    search::SearchJob job(domain, config, seed, source, fixed, options);
+    return resume ? job.resume() : job.run_to_completion();
+  }
 };
 
-void expect_same_ranked_result(const core::PipelineResult& a,
-                               const core::PipelineResult& b) {
+void expect_same_ranked_result(const search::SearchResult& a,
+                               const search::SearchResult& b) {
   EXPECT_EQ(a.best_index, b.best_index);
   EXPECT_DOUBLE_EQ(a.best_score, b.best_score);
   EXPECT_EQ(a.n_fully_trained, b.n_fully_trained);
@@ -1204,27 +1227,26 @@ void expect_same_ranked_result(const core::PipelineResult& a,
   }
 }
 
-TEST(PipelineStore, SecondRunServesEverythingFromCache) {
-  PipelineFixture fx;
+TEST(SearchStore, SecondRunServesEverythingFromCache) {
+  SearchFixture fx;
   const std::string path = fresh_path("pipeline_cache");
-  const core::PipelineConfig config = tiny_config();
+  const search::SearchConfig config = tiny_config();
+  const search::FixedDesign fixed{nullptr, &config.baseline_arch};
 
-  core::Pipeline first(fx.dataset, fx.video, config, 1234, &fx.pool);
-  CandidateStore store1(path, first.store_scope());
-  first.attach_store(&store1);
+  CandidateStore store1(path, fx.scope(config, 1234));
   gen::StateGenerator gen1(gen::gpt4_profile(), gen::PromptStrategy{}, 77);
-  const auto run1 = first.search_states(gen1, config.baseline_arch);
+  search::StateCandidateSource source1(gen1);
+  const auto run1 = fx.run(config, 1234, source1, fixed, &store1);
   EXPECT_GT(run1.n_probes_run, 0u);
   EXPECT_GT(run1.n_full_trains_run, 0u);
   EXPECT_EQ(run1.cache_hits(), 0u);
 
-  // A fresh process: new pipeline, the journal reopened from disk, the
-  // same generator stream.
-  core::Pipeline second(fx.dataset, fx.video, config, 1234, &fx.pool);
-  CandidateStore store2(path, second.store_scope());
-  second.attach_store(&store2);
+  // A fresh process: new job, the journal reopened from disk, the same
+  // generator stream.
+  CandidateStore store2(path, fx.scope(config, 1234));
   gen::StateGenerator gen2(gen::gpt4_profile(), gen::PromptStrategy{}, 77);
-  const auto run2 = second.search_states(gen2, config.baseline_arch);
+  search::StateCandidateSource source2(gen2);
+  const auto run2 = fx.run(config, 1234, source2, fixed, &store2);
 
   // Zero duplicate work: no probes, no full-training runs.
   EXPECT_EQ(run2.n_probes_run, 0u);
@@ -1234,17 +1256,16 @@ TEST(PipelineStore, SecondRunServesEverythingFromCache) {
   expect_same_ranked_result(run1, run2);
 }
 
-TEST(PipelineStore, ResumesFromTruncatedCheckpointToSameResult) {
-  PipelineFixture fx;
+TEST(SearchStore, ResumesFromTruncatedCheckpointToSameResult) {
+  SearchFixture fx;
   const std::string path = fresh_path("pipeline_resume_full");
-  const core::PipelineConfig config = tiny_config();
+  const search::SearchConfig config = tiny_config();
+  const search::FixedDesign fixed{nullptr, &config.baseline_arch};
 
-  core::Pipeline uninterrupted(fx.dataset, fx.video, config, 4321, &fx.pool);
-  CandidateStore store1(path, uninterrupted.store_scope());
-  uninterrupted.attach_store(&store1);
+  CandidateStore store1(path, fx.scope(config, 4321));
   gen::StateGenerator gen1(gen::gpt4_profile(), gen::PromptStrategy{}, 88);
-  const auto full_run = uninterrupted.search_states(gen1,
-                                                    config.baseline_arch);
+  search::StateCandidateSource source1(gen1);
+  const auto full_run = fx.run(config, 4321, source1, fixed, &store1);
   EXPECT_GT(full_run.n_full_trains_run, 0u);
 
   // Simulate a crash mid-way through the full-training stage: keep the
@@ -1261,12 +1282,12 @@ TEST(PipelineStore, ResumesFromTruncatedCheckpointToSameResult) {
   const std::string resume_path = fresh_path("pipeline_resume_torn");
   util::write_file_atomic(resume_path, interrupted_journal);
 
-  core::Pipeline resumed(fx.dataset, fx.video, config, 4321, &fx.pool);
-  CandidateStore store2(resume_path, resumed.store_scope());
+  CandidateStore store2(resume_path, fx.scope(config, 4321));
   EXPECT_EQ(store2.recovered_line_errors(), 1u);
-  resumed.attach_store(&store2);
   gen::StateGenerator gen2(gen::gpt4_profile(), gen::PromptStrategy{}, 88);
-  const auto resumed_run = resumed.resume_states(gen2, config.baseline_arch);
+  search::StateCandidateSource source2(gen2);
+  const auto resumed_run =
+      fx.run(config, 4321, source2, fixed, &store2, /*resume=*/true);
 
   // Prechecks and probes come from the checkpoint; only full training
   // (whose records were lost in the crash) re-executes.
@@ -1275,44 +1296,45 @@ TEST(PipelineStore, ResumesFromTruncatedCheckpointToSameResult) {
   expect_same_ranked_result(full_run, resumed_run);
 }
 
-TEST(PipelineStore, ArchSearchCachesAcrossRuns) {
-  PipelineFixture fx;
+TEST(SearchStore, ArchSearchCachesAcrossRuns) {
+  SearchFixture fx;
   const std::string path = fresh_path("pipeline_arch_cache");
-  core::PipelineConfig config = tiny_config();
+  search::SearchConfig config = tiny_config();
   config.num_candidates = 20;
   const auto state =
       dsl::StateProgram::compile(dsl::pensieve_state_source());
+  const search::FixedDesign fixed{&state, nullptr};
 
-  core::Pipeline first(fx.dataset, fx.video, config, 555, &fx.pool);
-  CandidateStore store1(path, first.store_scope());
-  first.attach_store(&store1);
+  CandidateStore store1(path, fx.scope(config, 555));
   gen::ArchGenerator gen1(gen::gpt35_profile(), gen::PromptStrategy{}, 99,
                           0.25);
-  const auto run1 = first.search_archs(gen1, state);
+  search::ArchCandidateSource source1(gen1);
+  const auto run1 = fx.run(config, 555, source1, fixed, &store1);
   EXPECT_GT(run1.n_full_trains_run, 0u);
 
-  core::Pipeline second(fx.dataset, fx.video, config, 555, &fx.pool);
-  CandidateStore store2(path, second.store_scope());
-  second.attach_store(&store2);
+  CandidateStore store2(path, fx.scope(config, 555));
   gen::ArchGenerator gen2(gen::gpt35_profile(), gen::PromptStrategy{}, 99,
                           0.25);
-  const auto run2 = second.resume_archs(gen2, state);
+  search::ArchCandidateSource source2(gen2);
+  const auto run2 =
+      fx.run(config, 555, source2, fixed, &store2, /*resume=*/true);
   EXPECT_EQ(run2.n_probes_run, 0u);
   EXPECT_EQ(run2.n_full_trains_run, 0u);
   expect_same_ranked_result(run1, run2);
 }
 
-TEST(PipelineStore, InBatchClonesShareOneProbe) {
+TEST(SearchStore, InBatchClonesShareOneProbe) {
   // Even without a store, candidates with identical content (same state
   // fingerprint, same arch) must probe exactly once: n_probes_run equals
   // the number of distinct fingerprints among normalized candidates.
-  PipelineFixture fx;
-  const core::PipelineConfig config = tiny_config();
-  core::Pipeline pipeline(fx.dataset, fx.video, config, 2468, &fx.pool);
+  SearchFixture fx;
+  const search::SearchConfig config = tiny_config();
   gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
                                 33);
-  const auto result = pipeline.search_states(generator,
-                                             config.baseline_arch);
+  search::StateCandidateSource source(generator);
+  const auto result =
+      fx.run(config, 2468, source,
+             search::FixedDesign{nullptr, &config.baseline_arch}, nullptr);
   const Fingerprint arch_fp = fingerprint_arch(config.baseline_arch);
   std::set<std::string> distinct;
   for (const auto& outcome : result.outcomes) {
@@ -1324,38 +1346,48 @@ TEST(PipelineStore, InBatchClonesShareOneProbe) {
   EXPECT_EQ(result.n_probes_run, distinct.size());
 }
 
-TEST(PipelineStore, AttachRejectsMismatchedScope) {
-  PipelineFixture fx;
-  const core::PipelineConfig config = tiny_config();
-  core::Pipeline pipeline(fx.dataset, fx.video, config, 1, &fx.pool);
+TEST(SearchStore, JobRejectsMismatchedScope) {
+  SearchFixture fx;
+  const search::SearchConfig config = tiny_config();
   CandidateStore wrong(fresh_path("wrong_scope"),
                        StoreScope{"fcc", "not-this-pipeline"});
-  EXPECT_THROW(pipeline.attach_store(&wrong), std::invalid_argument);
+  gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                7);
+  search::StateCandidateSource source(generator);
+  search::JobOptions options;
+  options.store = &wrong;
+  EXPECT_THROW(search::SearchJob(fx.domain, config, 1, source,
+                                 search::FixedDesign{nullptr,
+                                                     &config.baseline_arch},
+                                 options),
+               std::invalid_argument);
 
   // Different funnel budgets => different scope digests.
-  core::PipelineConfig other = config;
+  search::SearchConfig other = config;
   other.early_epochs += 4;
-  core::Pipeline other_pipeline(fx.dataset, fx.video, other, 1, &fx.pool);
-  EXPECT_NE(pipeline.store_scope().config_digest,
-            other_pipeline.store_scope().config_digest);
-  EXPECT_EQ(pipeline.store_scope().env, "Starlink");
+  EXPECT_NE(fx.scope(config, 1).config_digest,
+            fx.scope(other, 1).config_digest);
+  EXPECT_EQ(fx.scope(config, 1).env, "Starlink");
 
   // Same environment but different traces (another dataset build seed)
   // must not alias either: results are only reusable on the same data.
   const trace::Dataset other_data =
       trace::build_dataset(trace::Environment::kStarlink, 0.2, 100);
-  core::Pipeline other_env(other_data, fx.video, config, 1, &fx.pool);
-  EXPECT_NE(pipeline.store_scope().config_digest,
-            other_env.store_scope().config_digest);
+  const env::AbrDomain other_env(other_data, fx.video);
+  EXPECT_NE(fx.scope(config, 1).config_digest,
+            search::store_scope(other_env, config, 1).config_digest);
 }
 
-TEST(PipelineStore, ResumeWithoutStoreThrows) {
-  PipelineFixture fx;
-  core::Pipeline pipeline(fx.dataset, fx.video, tiny_config(), 1, &fx.pool);
+TEST(SearchStore, ResumeWithoutStoreThrows) {
+  SearchFixture fx;
+  const search::SearchConfig config = tiny_config();
   gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
                                 7);
-  EXPECT_THROW((void)pipeline.resume_states(generator,
-                                            tiny_config().baseline_arch),
+  search::StateCandidateSource source(generator);
+  EXPECT_THROW((void)fx.run(config, 1, source,
+                            search::FixedDesign{nullptr,
+                                                &config.baseline_arch},
+                            nullptr, /*resume=*/true),
                std::logic_error);
 }
 

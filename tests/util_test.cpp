@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <set>
 #include <thread>
@@ -494,6 +495,8 @@ TEST(Scale, DescribeMentionsFactors) {
   ScaleConfig s;
   s.gen = 0.25;
   EXPECT_NE(s.describe().find("0.25"), std::string::npos);
+  s.model = 0.375;
+  EXPECT_NE(s.describe().find("model=0.375"), std::string::npos);
 }
 
 TEST(Scale, FromEnvRejectsNonPositiveAndNaNFactors) {
@@ -514,6 +517,16 @@ TEST(Scale, FromEnvRejectsNonPositiveAndNaNFactors) {
   EXPECT_DOUBLE_EQ(ScaleConfig::from_env().gen, 0.5);
   ::unsetenv("NADA_SCALE_GEN");
   EXPECT_NO_THROW(ScaleConfig::from_env());
+
+  // The model factor follows the same rules.
+  for (const char* bad : {"0", "-0.5", "nan", "inf", "O.5", "0.5x"}) {
+    ::setenv("NADA_SCALE_MODEL", bad, 1);
+    EXPECT_THROW(ScaleConfig::from_env(), std::runtime_error) << bad;
+  }
+  ::setenv("NADA_SCALE_MODEL", "0.5", 1);
+  EXPECT_DOUBLE_EQ(ScaleConfig::from_env().model, 0.5);
+  ::unsetenv("NADA_SCALE_MODEL");
+  EXPECT_DOUBLE_EQ(ScaleConfig::from_env().model, 0.25);
 }
 
 // ---- json ------------------------------------------------------------------
@@ -595,6 +608,52 @@ TEST(Fs, MissingFilesAreReportedNotInvented) {
   EXPECT_FALSE(file_exists(path));
   EXPECT_FALSE(read_file_if_exists(path).has_value());
   EXPECT_THROW(read_file(path), std::runtime_error);
+}
+
+TEST(Fs, MissingParentDirectoryReadsAsMissing) {
+  const std::string file =
+      std::string(::testing::TempDir()) + "/nada_fs_test_plain.txt";
+  write_file_atomic(file, "x");
+  // A path "through" a regular file fails with ENOTDIR: still missing.
+  EXPECT_FALSE(read_file_if_exists(file + "/child").has_value());
+  std::remove(file.c_str());
+}
+
+TEST(Fs, DirectoryPathThrowsInsteadOfReadingAsMissing) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "/nada_fs_test_dir";
+  ensure_directories(dir);
+  EXPECT_THROW((void)read_file_if_exists(dir), std::runtime_error);
+}
+
+TEST(Fs, ReadRacingAtomicRenameNeverThrows) {
+  // A writer repeatedly publishes the file by atomic rename and deletes
+  // it; every read sees either no file or the whole content, and never
+  // mistakes a file that appeared mid-call for an open error.
+  const std::string path =
+      std::string(::testing::TempDir()) + "/nada_fs_test_race.txt";
+  std::remove(path.c_str());
+  const std::string content(512, 'r');
+  std::atomic<bool> stop{false};
+  std::thread writer([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      write_file_atomic(path, content);
+      std::remove(path.c_str());
+    }
+  });
+  std::size_t errors = 0;
+  for (int i = 0; i < 20000; ++i) {
+    try {
+      const auto read = read_file_if_exists(path);
+      if (read.has_value()) EXPECT_EQ(*read, content);
+    } catch (const std::runtime_error&) {
+      ++errors;
+    }
+  }
+  stop = true;
+  writer.join();
+  std::remove(path.c_str());
+  EXPECT_EQ(errors, 0u);
 }
 
 }  // namespace
