@@ -61,7 +61,7 @@ int main() {
     const std::string dir = base_dir + "/single";
     util::ensure_directories(dir);
     const auto scope = search::store_scope(domain, config, seed);
-    const std::string path = dir + "/single.jsonl";
+    const std::string path = dir + "/single.nsb";
     std::remove(path.c_str());
     store::CandidateStore store(path, scope);
     std::unique_ptr<gen::StateGenerator> generator;

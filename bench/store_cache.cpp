@@ -57,7 +57,7 @@ int main() {
       (std::filesystem::temp_directory_path() / "nada_store_bench").string();
   std::filesystem::remove_all(store_dir);
   const store::StoreScope scope = search::store_scope(domain, config, 31337);
-  const std::string journal = store_dir + "/funnel.jsonl";
+  const std::string journal = store_dir + "/funnel.nsb";
 
   double cold_s = 0.0;
   double warm_s = 0.0;
@@ -97,7 +97,7 @@ int main() {
     std::vector<std::unique_ptr<store::CandidateStore>> shards;
     for (std::size_t s = 0; s < plan.num_shards(); ++s) {
       shard_paths.push_back(store_dir + "/shard-" + std::to_string(s) +
-                            ".jsonl");
+                            ".nsb");
       shards.push_back(
           std::make_unique<store::CandidateStore>(shard_paths[s], scope));
     }
@@ -109,7 +109,7 @@ int main() {
     for (const auto& shard : shards) std::cout << " " << shard->size();
     std::cout << "\n";
   }
-  store::CandidateStore merged(store_dir + "/merged.jsonl", scope);
+  store::CandidateStore merged(store_dir + "/merged.nsb", scope);
   const std::size_t merged_count =
       store::merge_shard_files(shard_paths, merged);
   std::cout << "merged " << merged_count << " records back into one store ("

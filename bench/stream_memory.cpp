@@ -14,13 +14,13 @@
 // throughput. No store is attached — a store would add its own O(n)
 // in-memory index to both modes (see docs/STORE_FORMAT.md).
 //
-// A second table measures the candidate store's open path per format:
+// A second table measures the candidate store's open path: binary
 // journals of 10k/100k/1M synthetic records (scaled by NADA_SCALE_GEN) are
 // opened in forked children, timing CandidateStore construction plus one
-// lookup and recording peak RSS. Expected shape: the JSONL columns grow
-// linearly in both time and RSS (open materializes every record); the
-// binary columns stay flat — the mmap'd sidecar makes open O(index) and
-// the lookup deserializes one frame ("frames decoded" pins that at 1).
+// lookup and recording peak RSS. Expected shape: flat — the mmap'd sidecar
+// makes open O(index) and the lookup deserializes one frame ("frames
+// decoded" pins that at 1). The retired JSONL backend's linear open cost is
+// recorded in docs/STORE_FORMAT.md.
 //
 // Writes bench_results/stream_memory.csv and
 // bench_results/store_open.csv. Args: `store-only` / `funnel-only` run a
@@ -192,26 +192,16 @@ store::OutcomeRecord nth_record(std::size_t i) {
   return r;
 }
 
-/// Writes an n-record journal in `format` (and, for binary, lets a throwaway
-/// open build + persist the sidecar, as any real prior run would have).
-std::string build_journal(std::size_t n, store::StoreFormat format,
-                          const std::string& dir) {
-  const std::string path = dir + "/open-bench-" + std::to_string(n) +
-                           store::journal_extension(format);
+/// Writes an n-record binary journal and lets a throwaway open build and
+/// persist the sidecar, as any real prior run would have.
+std::string build_journal(std::size_t n, const std::string& dir) {
+  const std::string path = dir + "/open-bench-" + std::to_string(n) + ".nsb";
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (format == store::StoreFormat::kBinary) {
-    out.write(store::kBinaryJournalMagic.data(),
-              static_cast<std::streamsize>(store::kBinaryJournalMagic.size()));
-  }
+  out.write(store::kBinaryJournalMagic.data(),
+            static_cast<std::streamsize>(store::kBinaryJournalMagic.size()));
   std::string buffer;
   for (std::size_t i = 0; i < n; ++i) {
-    if (format == store::StoreFormat::kBinary) {
-      buffer += store::encode_record(nth_record(i), bench_scope());
-    } else {
-      buffer += store::CandidateStore::encode_line(nth_record(i),
-                                                   bench_scope()) +
-                "\n";
-    }
+    buffer += store::encode_record(nth_record(i), bench_scope());
     if (buffer.size() > (1u << 20)) {
       out.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
       buffer.clear();
@@ -224,19 +214,17 @@ std::string build_journal(std::size_t n, store::StoreFormat format,
     std::exit(1);
   }
   out.close();
-  if (format == store::StoreFormat::kBinary) {
-    // Build the sidecar (as any real prior run would have) in a child, so
-    // the rebuild scan's RSS is not inherited by the measurement fork.
-    const pid_t pid = fork();
-    if (pid == 0) {
-      store::CandidateStore store(path, bench_scope());
-      _exit(0);
-    }
-    int status = 0;
-    if (pid < 0 || waitpid(pid, &status, 0) != pid || status != 0) {
-      std::cerr << "stream_memory: sidecar build for " << path << " failed\n";
-      std::exit(1);
-    }
+  // Build the sidecar in a child, so the rebuild scan's RSS is not
+  // inherited by the measurement fork.
+  const pid_t pid = fork();
+  if (pid == 0) {
+    store::CandidateStore store(path, bench_scope());
+    _exit(0);
+  }
+  int status = 0;
+  if (pid < 0 || waitpid(pid, &status, 0) != pid || status != 0) {
+    std::cerr << "stream_memory: sidecar build for " << path << " failed\n";
+    std::exit(1);
   }
   return path;
 }
@@ -313,27 +301,21 @@ int run_store_table(const util::ScaleConfig& scale) {
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
-  util::TextTable table("store open path (jsonl vs binary+index)");
+  util::TextTable table("store open path (binary+index)");
   table.set_header({"format", "records", "open ms", "lookup ms",
                     "frames decoded", "peak RSS MB"});
   for (const std::size_t n : counts) {
-    for (const auto format :
-         {store::StoreFormat::kJsonl, store::StoreFormat::kBinary}) {
-      const std::string path = build_journal(n, format, dir);
-      const OpenStats stats = measure_open(path, n);
-      const char* name =
-          format == store::StoreFormat::kBinary ? "binary" : "jsonl";
-      table.add_row({name, std::to_string(stats.records),
-                     util::format_double(stats.open_ms, 2),
-                     util::format_double(stats.lookup_ms, 3),
-                     std::to_string(stats.frames_decoded),
-                     util::format_double(stats.peak_rss_mb, 1)});
-      std::cout << name << " " << n << " records: open "
-                << util::format_double(stats.open_ms, 2) << " ms, "
-                << stats.frames_decoded << " frame(s) decoded, "
-                << util::format_double(stats.peak_rss_mb, 1)
-                << " MB peak\n";
-    }
+    const std::string path = build_journal(n, dir);
+    const OpenStats stats = measure_open(path, n);
+    table.add_row({"binary", std::to_string(stats.records),
+                   util::format_double(stats.open_ms, 2),
+                   util::format_double(stats.lookup_ms, 3),
+                   std::to_string(stats.frames_decoded),
+                   util::format_double(stats.peak_rss_mb, 1)});
+    std::cout << "binary " << n << " records: open "
+              << util::format_double(stats.open_ms, 2) << " ms, "
+              << stats.frames_decoded << " frame(s) decoded, "
+              << util::format_double(stats.peak_rss_mb, 1) << " MB peak\n";
   }
   table.print(std::cout);
   bench::save_csv("store_open.csv", table);

@@ -440,7 +440,7 @@ void SearchJob::precheck_arch(std::size_t i,
 
 void SearchJob::precheck_state(std::size_t i) {
   // NOTE: runs on pool threads; journaling happens on the stepping thread
-  // afterwards (stage_precheck), in stream order, so the journal line for
+  // afterwards (stage_precheck), in stream order, so the journal record for
   // a fingerprint shared by in-batch clones always carries the leader's id
   // regardless of thread timing.
   CandidateOutcome& outcome = outcomes_[i];

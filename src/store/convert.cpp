@@ -16,6 +16,10 @@
 namespace nada::store {
 namespace {
 
+// The converter's own direction rule: ".nsb" is the binary journal, any
+// other path the JSONL export.
+bool is_binary_path(std::string_view path) { return path.ends_with(".nsb"); }
+
 // Streams every decodable (record, scope) pair out of a journal in order,
 // counting what open-time recovery would have skipped.
 std::vector<ScopedRecord> read_journal(const std::string& path,
@@ -25,10 +29,9 @@ std::vector<ScopedRecord> read_journal(const std::string& path,
     throw std::runtime_error("store_convert: cannot read " + path);
   }
   std::vector<ScopedRecord> out;
-  if (format_for_path(path) == StoreFormat::kBinary) {
+  if (is_binary_path(path)) {
     std::string_view view(*content);
-    if (view.size() < kBinaryJournalMagic.size() ||
-        view.substr(0, kBinaryJournalMagic.size()) != kBinaryJournalMagic) {
+    if (!view.starts_with(kBinaryJournalMagic)) {
       throw std::runtime_error("store_convert: " + path +
                                " is not a binary store journal (bad magic)");
     }
@@ -69,7 +72,6 @@ ConvertStats convert_journal(const std::string& in_path,
   const std::vector<ScopedRecord> records =
       read_journal(in_path, &stats.skipped);
 
-  const StoreFormat out_format = format_for_path(out_path);
   const std::string tmp_path = out_path + ".tmp";
   util::ensure_directories(util::parent_directory(out_path));
   {
@@ -77,7 +79,7 @@ ConvertStats convert_journal(const std::string& in_path,
     if (!out) {
       throw std::runtime_error("store_convert: cannot open " + tmp_path);
     }
-    if (out_format == StoreFormat::kBinary) {
+    if (is_binary_path(out_path)) {
       out.write(kBinaryJournalMagic.data(),
                 static_cast<std::streamsize>(kBinaryJournalMagic.size()));
       for (const auto& scoped : records) {

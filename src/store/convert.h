@@ -1,6 +1,9 @@
-// Lossless journal format conversion (JSONL <-> binary).
+// Lossless journal conversion between the binary store journal and its
+// JSONL export.
 //
-// `convert_journal` rewrites a store journal into the format implied by the
+// JSONL is not a live store format: it is what binary journals export to
+// for line diffs and inspection, and what legacy JSONL journals import
+// from. `convert_journal` rewrites a journal into the format implied by the
 // output path's extension, preserving record order, per-record scope, and
 // duplicate entries (a journal is an append-only history; conversion must
 // not collapse it). Torn tails and corrupt frames/lines are skipped and

@@ -132,9 +132,13 @@ bool MmapIndex::open(const std::string& path, std::uint64_t scope_hash) {
   const auto* entries =
       reinterpret_cast<const Entry*>(static_cast<const char*>(map_) +
                                      sizeof(IndexHeader));
+  // The entry count is bounded by the mapping before it is multiplied: a
+  // count with any of its top five bits flipped would otherwise wrap the
+  // product back to the true size and pass the size check.
   const bool valid =
       std::memcmp(header.magic, kIndexMagic, sizeof(kIndexMagic)) == 0 &&
       header.version == kIndexVersion && header.scope_hash == scope_hash &&
+      header.n_entries <= (map_bytes_ - sizeof(IndexHeader)) / sizeof(Entry) &&
       map_bytes_ == sizeof(IndexHeader) + header.n_entries * sizeof(Entry) &&
       header.entries_hash ==
           hash_words(entries, header.n_entries * sizeof(Entry)) &&

@@ -403,13 +403,6 @@ std::string encode_jsonl_line(const OutcomeRecord& record,
   return out.dump();
 }
 
-std::optional<OutcomeRecord> decode_jsonl_line(const std::string& line,
-                                               const StoreScope& scope) {
-  auto scoped = decode_jsonl_line_any(line);
-  if (!scoped.has_value() || !(scoped->scope == scope)) return std::nullopt;
-  return std::move(scoped->record);
-}
-
 std::optional<ScopedRecord> decode_jsonl_line_any(const std::string& line) {
   util::JsonValue value;
   try {

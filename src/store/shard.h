@@ -74,10 +74,9 @@ class ShardPlan {
     ShardPlan::Range parent);
 
 /// Reads each shard journal (read-only; throws std::runtime_error when a
-/// path is missing) and unions its records into `dest` under dest's scope.
-/// Each source's format follows its own extension, so JSONL and binary
-/// shard journals can merge into one destination of either format.
-/// Returns the number of records accepted into dest.
+/// path is missing or is not a binary journal) and unions its records into
+/// `dest` under dest's scope. Returns the number of records accepted into
+/// dest.
 std::size_t merge_shard_files(std::span<const std::string> shard_paths,
                               CandidateStore& dest);
 

@@ -4,7 +4,7 @@
 //
 //   {"event":"grant","ts_unix":...,"lease":3,"attempt":1,
 //    "lo":"8000000000000000","hi":"bfffffffffffffff",
-//    "journal":".../lease-3.jsonl","parent":0}
+//    "journal":".../lease-3.nsb","parent":0}
 //   {"event":"complete","ts_unix":...,"lease":3}
 //   {"event":"revoke","ts_unix":...,"lease":3,"reason":"crash: exit 42"}
 //   {"event":"spawn"|"restart"|"stale_kill"|"split"|"reassign"|"abort",...}

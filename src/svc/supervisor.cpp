@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "obs/status.h"
-#include "store/candidate_store.h"
+#include "store/shard.h"
 #include "util/fs.h"
 
 namespace nada::svc {
@@ -46,12 +46,9 @@ Supervisor::Supervisor(SupervisorConfig config, CommandBuilder command)
 }
 
 std::string Supervisor::lease_journal_path(std::uint64_t id) const {
-  // Candidate journals follow NADA_STORE_FORMAT; the supervisor's own
-  // event log stays JSONL regardless (it is an operator-facing log).
-  return default_path(
-      config_,
-      "lease-" + std::to_string(id) +
-          store::journal_extension(store::store_format_from_env()));
+  // Candidate journals are binary; the supervisor's own event log stays
+  // JSONL (it is an operator-facing log, not a candidate journal).
+  return default_path(config_, "lease-" + std::to_string(id) + ".nsb");
 }
 
 Lease Supervisor::make_lease(std::uint64_t id, store::ShardPlan::Range range,

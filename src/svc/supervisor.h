@@ -77,7 +77,7 @@ struct SupervisorConfig {
   std::string dir = "nada_svc";
   /// File-name prefix inside `dir` (derive it from the store scope so
   /// concurrent searches never collide): lease journals are
-  /// "<dir>/<prefix>lease-<id>.jsonl".
+  /// "<dir>/<prefix>lease-<id>.nsb".
   std::string prefix;
   /// Lease/event log path; "" = "<dir>/<prefix>supervisor.jsonl".
   std::string event_log_path;

@@ -45,12 +45,16 @@ void append_number(std::string& out, double d) {
   out += std::isfinite(d) ? shortest_double(d) : "null";
 }
 
+// Arrays and objects recurse; past this depth the parser throws instead of
+// exhausting the stack on hostile input (a file of a million '[').
+constexpr std::size_t kMaxNestingDepth = 256;
+
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
   JsonValue parse_document() {
-    JsonValue v = parse_value();
+    JsonValue v = parse_value(0);
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters");
     return v;
@@ -89,12 +93,13 @@ class Parser {
     return true;
   }
 
-  JsonValue parse_value() {
+  /// `depth` counts the arrays/objects enclosing the value.
+  JsonValue parse_value(std::size_t depth) {
     skip_ws();
     const char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
       case '"': return JsonValue::string(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -165,7 +170,7 @@ class Parser {
               fail("bad \\u escape");
             }
           }
-          // The journal only ever emits \u00XX control escapes; decode the
+          // The JSONL export only emits \u00XX control escapes; decode the
           // BMP code point as UTF-8 for completeness.
           if (code < 0x80) {
             out += static_cast<char>(code);
@@ -184,7 +189,14 @@ class Parser {
     }
   }
 
-  JsonValue parse_array() {
+  void check_depth(std::size_t depth) const {
+    if (depth > kMaxNestingDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxNestingDepth));
+    }
+  }
+
+  JsonValue parse_array(std::size_t depth) {
+    check_depth(depth);
     expect('[');
     JsonValue out = JsonValue::array();
     skip_ws();
@@ -193,7 +205,7 @@ class Parser {
       return out;
     }
     for (;;) {
-      out.push_back(parse_value());
+      out.push_back(parse_value(depth));
       skip_ws();
       const char c = peek();
       if (c == ',') {
@@ -207,7 +219,8 @@ class Parser {
     }
   }
 
-  JsonValue parse_object() {
+  JsonValue parse_object(std::size_t depth) {
+    check_depth(depth);
     expect('{');
     JsonValue out = JsonValue::object();
     skip_ws();
@@ -220,7 +233,7 @@ class Parser {
       std::string key = parse_string();
       skip_ws();
       expect(':');
-      out.set(key, parse_value());
+      out.set(key, parse_value(depth));
       skip_ws();
       const char c = peek();
       if (c == ',') {

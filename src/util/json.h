@@ -1,10 +1,11 @@
-// Minimal JSON reader/writer for the candidate store's JSONL journal.
+// Minimal JSON reader/writer for status, lease-log and metrics files and
+// the candidate store's JSONL export.
 //
 // Deliberately tiny: objects, arrays, strings, finite numbers, booleans and
 // null — enough to round-trip OutcomeRecord lines without an external
 // dependency. Numbers are emitted with the shortest representation that
 // round-trips (std::to_chars); non-finite doubles degrade to null so a
-// crashed training run can never poison the journal with unparsable bytes.
+// crashed training run can never poison an export with unparsable bytes.
 #pragma once
 
 #include <cstddef>
@@ -51,7 +52,7 @@ class JsonValue {
   [[nodiscard]] std::string dump() const;
 
   /// Parses a complete JSON document; throws std::runtime_error on any
-  /// syntax error or trailing garbage.
+  /// syntax error, trailing garbage, or nesting deeper than 256 levels.
   [[nodiscard]] static JsonValue parse(std::string_view text);
 
  private:

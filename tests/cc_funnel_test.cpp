@@ -219,7 +219,7 @@ search::SearchConfig tiny_cc_search_config() {
 std::string fresh_store_path(const std::string& name) {
   const std::string path =
       (std::filesystem::path(::testing::TempDir()) /
-       ("nada_cc_funnel_" + name + ".jsonl"))
+       ("nada_cc_funnel_" + name + ".nsb"))
           .string();
   std::filesystem::remove(path);
   return path;

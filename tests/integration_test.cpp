@@ -95,7 +95,7 @@ TEST(Integration, PooledJobWritesTheSameJournalBytesAsPoolLessJob) {
     auto journal_of = [&](util::ThreadPool* run_pool,
                           const std::string& tag) {
       const std::string path = ::testing::TempDir() + "nada_integration_" +
-                               tag + std::to_string(window) + ".jsonl";
+                               tag + std::to_string(window) + ".nsb";
       std::remove(path.c_str());
       search::SearchResult result;
       {

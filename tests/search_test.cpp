@@ -32,12 +32,14 @@
 #include "store/shard.h"
 #include "util/fs.h"
 
+#include "journal_lines.h"
+
 namespace nada::search {
 namespace {
 
 std::string fresh_path(const std::string& tag) {
   const std::string path =
-      ::testing::TempDir() + "nada_search_" + tag + ".jsonl";
+      ::testing::TempDir() + "nada_search_" + tag + ".nsb";
   std::remove(path.c_str());
   return path;
 }
@@ -271,21 +273,12 @@ TEST(ShardRunnerTest, FourShardRunMergesToSingleProcessResult) {
   expect_same_result(single_result, merged_result);
 
   // ...and identical journals: same fingerprints, and per fingerprint the
-  // byte-identical record line (order differs — grouped by shard vs by
-  // stream — so compare as sorted line sets).
+  // byte-identical exported record line (order differs — grouped by shard
+  // vs by stream — so compare as sorted line sets).
   store::CandidateStore merged_store(runner.merged_store_path(),
                                      runner.scope());
-  auto sorted_lines = [](const std::string& path) {
-    std::vector<std::string> lines;
-    std::istringstream in(util::read_file(path));
-    for (std::string line; std::getline(in, line);) {
-      if (!line.empty()) lines.push_back(line);
-    }
-    std::sort(lines.begin(), lines.end());
-    return lines;
-  };
-  EXPECT_EQ(sorted_lines(single_path),
-            sorted_lines(runner.merged_store_path()));
+  EXPECT_EQ(test::sorted_journal_lines(single_path),
+            test::sorted_journal_lines(runner.merged_store_path()));
   EXPECT_EQ(merged_store.size(), single_store.size());
 }
 

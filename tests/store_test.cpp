@@ -35,58 +35,30 @@
 namespace nada::store {
 namespace {
 
-// A fresh journal path per test, cleaned of any previous run's leftovers.
+// A fresh journal path per test, cleaned of any previous run's leftovers
+// (journal, sidecar, and tmp files).
 std::string fresh_path(const std::string& name) {
+  const std::string path =
+      (std::filesystem::path(::testing::TempDir()) /
+       ("nada_store_test_" + name + ".nsb"))
+          .string();
+  for (const char* suffix : {"", ".tmp", ".idx", ".idx.tmp", ".compact.tmp"}) {
+    std::filesystem::remove(path + suffix);
+  }
+  return path;
+}
+
+// A fresh path for a JSONL export/import file.
+std::string fresh_jsonl_path(const std::string& name) {
   const std::string path =
       (std::filesystem::path(::testing::TempDir()) /
        ("nada_store_test_" + name + ".jsonl"))
           .string();
   std::filesystem::remove(path);
-  std::filesystem::remove(path + ".tmp");
-  return path;
-}
-
-// Fresh binary journal path (plus sidecar/tmp leftovers cleaned).
-std::string fresh_binary_path(const std::string& name) {
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) /
-       ("nada_store_test_" + name + ".nsb"))
-          .string();
-  std::filesystem::remove(path);
-  std::filesystem::remove(path + ".tmp");
-  std::filesystem::remove(path + ".idx");
-  std::filesystem::remove(path + ".idx.tmp");
-  std::filesystem::remove(path + ".compact.tmp");
   return path;
 }
 
 StoreScope test_scope() { return StoreScope{"fcc", "test-digest"}; }
-
-// Scoped NADA_STORE_FORMAT override with restore-on-exit.
-class FormatEnvGuard {
- public:
-  explicit FormatEnvGuard(const char* value) {
-    const char* old = std::getenv("NADA_STORE_FORMAT");
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value != nullptr) {
-      ::setenv("NADA_STORE_FORMAT", value, 1);
-    } else {
-      ::unsetenv("NADA_STORE_FORMAT");
-    }
-  }
-  ~FormatEnvGuard() {
-    if (had_) {
-      ::setenv("NADA_STORE_FORMAT", saved_.c_str(), 1);
-    } else {
-      ::unsetenv("NADA_STORE_FORMAT");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_ = false;
-};
 
 OutcomeRecord make_test_record(std::uint64_t salt, Stage stage) {
   OutcomeRecord record;
@@ -265,108 +237,6 @@ TEST(CandidateStore, PutIsMonotonePerFingerprint) {
   const auto got = store.lookup(record.fingerprint);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->stage, Stage::kProbed);
-
-  // Exactly two journal lines: one per accepted put.
-  const std::string content = util::read_file(path);
-  std::size_t lines = 0;
-  for (char c : content) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, 2u);
-}
-
-TEST(CandidateStore, RecoversFromTornFinalLine) {
-  const std::string path = fresh_path("torn");
-  {
-    CandidateStore store(path, test_scope());
-    store.put(make_test_record(1, Stage::kProbed));
-    store.put(make_test_record(2, Stage::kTrained));
-  }
-  // Simulate a crash mid-append: keep the first record plus a prefix of the
-  // second line.
-  const std::string content = util::read_file(path);
-  const std::size_t first_newline = content.find('\n');
-  ASSERT_NE(first_newline, std::string::npos);
-  const std::string torn =
-      content.substr(0, first_newline + 1) +
-      content.substr(first_newline + 1, (content.size() - first_newline) / 2);
-  util::write_file_atomic(path, torn);
-
-  CandidateStore recovered(path, test_scope());
-  EXPECT_EQ(recovered.size(), 1u);
-  EXPECT_EQ(recovered.recovered_line_errors(), 1u);
-  EXPECT_TRUE(
-      recovered.lookup(make_test_record(1, Stage::kProbed).fingerprint)
-          .has_value());
-  // The journal stays usable after recovery.
-  EXPECT_TRUE(recovered.put(make_test_record(3, Stage::kChecked)));
-  CandidateStore reopened(path, test_scope());
-  EXPECT_EQ(reopened.size(), 2u);
-}
-
-TEST(CandidateStore, CompactRewritesUpgradesAndTornTail) {
-  const std::string path = fresh_path("compact");
-  {
-    // A journal full of superseded stages: each record journaled at every
-    // stage it passed through (3 + 2 + 1 = 6 lines for 3 fingerprints).
-    CandidateStore store(path, test_scope());
-    store.put(make_test_record(1, Stage::kChecked));
-    store.put(make_test_record(1, Stage::kProbed));
-    store.put(make_test_record(1, Stage::kTrained));
-    store.put(make_test_record(2, Stage::kChecked));
-    store.put(make_test_record(2, Stage::kProbed));
-    store.put(make_test_record(3, Stage::kChecked));
-  }
-  // Plus a crash's torn tail.
-  {
-    const std::string content = util::read_file(path);
-    util::write_file_atomic(path,
-                            content + "{\"fp\": \"deadbeef\", \"trunc");
-  }
-
-  CandidateStore store(path, test_scope());
-  EXPECT_EQ(store.size(), 3u);
-  EXPECT_EQ(store.recovered_line_errors(), 1u);
-  const std::size_t dropped = store.compact();
-  // 7 meaningful lines on disk -> 3 latest-stage records.
-  EXPECT_EQ(dropped, 4u);
-  EXPECT_EQ(store.recovered_line_errors(), 0u);
-
-  // The rewritten journal holds exactly one line per fingerprint, at the
-  // furthest stage, and stays fully usable.
-  {
-    const std::string content = util::read_file(path);
-    std::size_t lines = 0;
-    for (char c : content) lines += c == '\n' ? 1 : 0;
-    EXPECT_EQ(lines, 3u);
-  }
-  const auto r1 = store.lookup(make_test_record(1, Stage::kChecked).fingerprint);
-  ASSERT_TRUE(r1.has_value());
-  EXPECT_EQ(r1->stage, Stage::kTrained);
-  EXPECT_TRUE(store.put(make_test_record(4, Stage::kChecked)));
-
-  CandidateStore reopened(path, test_scope());
-  EXPECT_EQ(reopened.size(), 4u);
-  EXPECT_EQ(reopened.recovered_line_errors(), 0u);
-  const auto r1_again =
-      reopened.lookup(make_test_record(1, Stage::kChecked).fingerprint);
-  ASSERT_TRUE(r1_again.has_value());
-  EXPECT_EQ(r1_again->stage, Stage::kTrained);
-  EXPECT_EQ(r1_again->test_score, make_test_record(1, Stage::kTrained).test_score);
-  // Idempotent: a second compaction drops nothing.
-  EXPECT_EQ(reopened.compact(), 0u);
-  EXPECT_EQ(reopened.size(), 4u);
-}
-
-TEST(CandidateStore, ForeignScopeLinesAreSkipped) {
-  const std::string path = fresh_path("scope");
-  {
-    CandidateStore store(path, test_scope());
-    store.put(make_test_record(1, Stage::kChecked));
-  }
-  CandidateStore other(path, StoreScope{"fcc", "other-digest"});
-  EXPECT_EQ(other.size(), 0u);
-  EXPECT_EQ(other.recovered_line_errors(), 1u);
 }
 
 TEST(CandidateStore, MergeUnionsAndKeepsFurthestStage) {
@@ -394,6 +264,7 @@ TEST(CandidateStore, DefaultPathHonorsEnvDir) {
   const std::string path = default_store_path(test_scope());
   EXPECT_EQ(path.rfind("/tmp/nada-test-stores/", 0), 0u);
   EXPECT_NE(path.find("fcc-"), std::string::npos);
+  EXPECT_TRUE(path.ends_with(".nsb")) << path;
   ::unsetenv("NADA_STORE_DIR");
 }
 
@@ -482,7 +353,7 @@ TEST(ShardPlan, MergeShardFilesUnionsWorkerStores) {
 
 TEST(ShardPlan, MergeShardFilesFiltersMixedDomainJournals) {
   // One shard set serving two domains at once: every shard journal holds
-  // ABR-scope and CC-scope lines interleaved (workers for both searches
+  // ABR-scope and CC-scope frames interleaved (workers for both searches
   // sharing a store directory and shard files). A merge must accept
   // exactly the destination's scope and skip the other domain's records —
   // never alias them together.
@@ -493,15 +364,12 @@ TEST(ShardPlan, MergeShardFilesFiltersMixedDomainJournals) {
   std::vector<std::string> paths;
   for (std::size_t s = 0; s < 2; ++s) {
     const std::string path = fresh_path("mixed_shard" + std::to_string(s));
-    std::string content;
+    std::string content(kBinaryJournalMagic);
     for (std::size_t k = 5 * s; k < 5 * s + 5; ++k) {
-      content += CandidateStore::encode_line(
-                     make_test_record(salts[k], Stage::kProbed), abr_scope) +
-                 "\n";
-      content += CandidateStore::encode_line(
-                     make_test_record(100 + salts[k], Stage::kTrained),
-                     cc_scope) +
-                 "\n";
+      content += encode_record(make_test_record(salts[k], Stage::kProbed),
+                               abr_scope);
+      content += encode_record(
+          make_test_record(100 + salts[k], Stage::kTrained), cc_scope);
     }
     util::write_file_atomic(path, content);
     paths.push_back(path);
@@ -630,13 +498,13 @@ TEST(RecordCodec, RandomizedBinaryRoundTripProperty) {
   }
 }
 
-TEST(StoreConvert, JsonlToBinaryToJsonlIsByteIdentical) {
-  const std::string jsonl_path = fresh_path("convert_src");
+TEST(StoreConvert, ExportImportRoundTripIsByteIdentical) {
+  const std::string journal = fresh_path("convert_src");
   {
-    // A realistic journal: per-fingerprint stage history (multiple lines
-    // per record), plus a second scope's lines interleaved — conversion
-    // must preserve all of it, order, duplicates, and scopes included.
-    CandidateStore store(jsonl_path, test_scope());
+    // A realistic journal: per-fingerprint stage history (multiple frames
+    // per record), plus a second scope's frame appended — conversion must
+    // preserve all of it, order, duplicates, and scopes included.
+    CandidateStore store(journal, test_scope());
     for (std::uint64_t salt = 0; salt < 8; ++salt) {
       store.put(make_test_record(salt, Stage::kChecked));
       if (salt % 2 == 0) store.put(make_test_record(salt, Stage::kProbed));
@@ -644,37 +512,91 @@ TEST(StoreConvert, JsonlToBinaryToJsonlIsByteIdentical) {
     }
   }
   {
-    std::ofstream out(jsonl_path, std::ios::binary | std::ios::app);
+    std::ofstream out(journal, std::ios::binary | std::ios::app);
     const StoreScope other{"other-env", "other-digest"};
     auto foreign = make_test_record(99, Stage::kTrained);
     foreign.arch = nn::ArchSpec::pensieve();
-    out << CandidateStore::encode_line(foreign, other) << "\n";
+    out << encode_record(foreign, other);
   }
-  const std::string original = util::read_file(jsonl_path);
+  const std::string original = util::read_file(journal);
 
-  const std::string nsb_path = fresh_binary_path("convert_mid");
-  const std::string back_path = fresh_path("convert_back");
-  const auto to_bin = convert_journal(jsonl_path, nsb_path);
-  EXPECT_EQ(to_bin.records, 15u);  // 8 + 4 + 2 + 1 foreign
-  EXPECT_EQ(to_bin.skipped, 0u);
-  const auto to_jsonl = convert_journal(nsb_path, back_path);
-  EXPECT_EQ(to_jsonl.records, 15u);
-  EXPECT_EQ(to_jsonl.skipped, 0u);
-  EXPECT_EQ(util::read_file(back_path), original);
+  // run.nsb -> a.jsonl -> b.nsb -> c.jsonl: the exports match byte for
+  // byte, and so does the re-imported journal.
+  const std::string a_path = fresh_jsonl_path("convert_a");
+  const std::string b_path = fresh_path("convert_b");
+  const std::string c_path = fresh_jsonl_path("convert_c");
+  const auto exported = convert_journal(journal, a_path);
+  EXPECT_EQ(exported.records, 15u);  // 8 + 4 + 2 + 1 foreign
+  EXPECT_EQ(exported.skipped, 0u);
+  const auto imported = convert_journal(a_path, b_path);
+  EXPECT_EQ(imported.records, 15u);
+  EXPECT_EQ(imported.skipped, 0u);
+  (void)convert_journal(b_path, c_path);
+  EXPECT_EQ(util::read_file(c_path), util::read_file(a_path));
+  EXPECT_EQ(util::read_file(b_path), original);
 
-  // And the binary intermediate opens as a working store with the same
+  // And the imported journal opens as a working store with the same
   // record set.
-  CandidateStore store(nsb_path, test_scope());
+  CandidateStore store(b_path, test_scope());
   EXPECT_EQ(store.size(), 8u);
   const auto got = store.lookup(make_test_record(4, Stage::kTrained).fingerprint);
   ASSERT_TRUE(got.has_value());
   EXPECT_EQ(got->stage, Stage::kTrained);
 }
 
+TEST(StoreConvert, LegacyJsonlJournalIsRefusedThenMigrates) {
+  // A journal written by the retired JSONL backend: stage history lines
+  // for six fingerprints.
+  const std::string legacy = fresh_jsonl_path("legacy");
+  std::vector<OutcomeRecord> history;
+  // Each fingerprint's history climbs in stage, so its last line is the
+  // record the store must hold: latest stage, first-sighting order.
+  std::vector<std::string> expected;
+  for (std::uint64_t salt = 0; salt < 6; ++salt) {
+    history.push_back(make_test_record(salt, Stage::kChecked));
+    if (salt % 2 == 0) {
+      history.push_back(make_test_record(salt, Stage::kProbed));
+    }
+    if (salt % 3 == 0) {
+      history.push_back(make_test_record(salt, Stage::kTrained));
+    }
+    expected.push_back(
+        CandidateStore::encode_line(history.back(), test_scope()));
+  }
+  std::string content;
+  for (const auto& record : history) {
+    content += CandidateStore::encode_line(record, test_scope()) + "\n";
+  }
+  util::write_file_atomic(legacy, content);
+
+  // Opening it as a store fails loudly, names the migration tool, and
+  // leaves the file untouched.
+  try {
+    CandidateStore store(legacy, test_scope());
+    FAIL() << "a JSONL journal opened as a store";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("tools/store_convert"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(util::read_file(legacy), content);
+  EXPECT_FALSE(util::file_exists(legacy + ".idx"));
+
+  // Migrated, it holds the JSONL source's records.
+  const std::string migrated = fresh_path("legacy_migrated");
+  EXPECT_EQ(convert_journal(legacy, migrated).records, history.size());
+  const CandidateStore store(migrated, test_scope());
+  std::vector<std::string> got;
+  for (const auto& record : store.records()) {
+    got.push_back(CandidateStore::encode_line(record, test_scope()));
+  }
+  EXPECT_EQ(got, expected);
+}
+
 // ---- binary store backend --------------------------------------------------
 
 TEST(BinaryStore, RoundTripAllStagesThroughIndexedReopen) {
-  const std::string path = fresh_binary_path("roundtrip");
+  const std::string path = fresh_path("roundtrip");
   const auto checked = make_test_record(1, Stage::kChecked);
   auto probed = make_test_record(2, Stage::kProbed);
   probed.compile_error = "blew up \"late\"\nwith a newline";
@@ -684,7 +606,6 @@ TEST(BinaryStore, RoundTripAllStagesThroughIndexedReopen) {
   trained.arch->shared_trunk = true;
   {
     CandidateStore store(path, test_scope());
-    EXPECT_EQ(store.format(), StoreFormat::kBinary);
     EXPECT_TRUE(store.put(checked));
     EXPECT_TRUE(store.put(probed));
     EXPECT_TRUE(store.put(trained));
@@ -717,8 +638,7 @@ TEST(BinaryStore, RoundTripAllStagesThroughIndexedReopen) {
                                    .fingerprint)
                    .has_value());
 
-  // records() matches the JSONL contract: latest record per fingerprint in
-  // first-sighting order.
+  // records(): latest record per fingerprint in first-sighting order.
   const auto records = reopened.records();
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(records[0].fingerprint.hex(), checked.fingerprint.hex());
@@ -726,7 +646,7 @@ TEST(BinaryStore, RoundTripAllStagesThroughIndexedReopen) {
 }
 
 TEST(BinaryStore, PutIsMonotoneAndAppendsOneFramePerAcceptedPut) {
-  const std::string path = fresh_binary_path("monotone");
+  const std::string path = fresh_path("monotone");
   CandidateStore store(path, test_scope());
   auto record = make_test_record(7, Stage::kChecked);
   EXPECT_TRUE(store.put(record));
@@ -752,7 +672,7 @@ TEST(BinaryStore, PutIsMonotoneAndAppendsOneFramePerAcceptedPut) {
 }
 
 TEST(BinaryStore, TruncationAtEveryOffsetOfFinalRecordRecovers) {
-  const std::string path = fresh_binary_path("torture_src");
+  const std::string path = fresh_path("torture_src");
   std::uint64_t final_frame_start = 0;
   {
     CandidateStore store(path, test_scope());
@@ -766,7 +686,7 @@ TEST(BinaryStore, TruncationAtEveryOffsetOfFinalRecordRecovers) {
   const std::string full = util::read_file(path);
   ASSERT_GT(full.size(), final_frame_start);
 
-  const std::string work = fresh_binary_path("torture_work");
+  const std::string work = fresh_path("torture_work");
   for (std::uint64_t cut = final_frame_start; cut < full.size(); ++cut) {
     util::write_file_atomic(work, full.substr(0, cut));
     std::filesystem::remove(work + ".idx");
@@ -797,7 +717,7 @@ TEST(BinaryStore, TruncationAtEveryOffsetOfFinalRecordRecovers) {
 }
 
 TEST(BinaryStore, FlippedBodyByteIsSkippedOnRebuild) {
-  const std::string path = fresh_binary_path("flip_rebuild");
+  const std::string path = fresh_path("flip_rebuild");
   std::uint64_t second_frame_start = 0;
   {
     CandidateStore store(path, test_scope());
@@ -826,7 +746,7 @@ TEST(BinaryStore, FlippedBodyByteIsSkippedOnRebuild) {
 }
 
 TEST(BinaryStore, FlippedByteUnderValidSidecarIsDetectedAtLookup) {
-  const std::string path = fresh_binary_path("flip_lazy");
+  const std::string path = fresh_path("flip_lazy");
   std::uint64_t second_frame_start = 0;
   {
     CandidateStore store(path, test_scope());
@@ -857,7 +777,7 @@ TEST(BinaryStore, FlippedByteUnderValidSidecarIsDetectedAtLookup) {
 }
 
 TEST(BinaryStore, CorruptOrMissingSidecarIsRebuilt) {
-  const std::string path = fresh_binary_path("sidecar");
+  const std::string path = fresh_path("sidecar");
   {
     CandidateStore store(path, test_scope());
     for (std::uint64_t salt = 0; salt < 5; ++salt) {
@@ -895,7 +815,7 @@ TEST(BinaryStore, CorruptOrMissingSidecarIsRebuilt) {
   }
   // A sidecar built under a different scope is never trusted.
   {
-    const std::string foreign = fresh_binary_path("sidecar_foreign");
+    const std::string foreign = fresh_path("sidecar_foreign");
     CandidateStore other(foreign, StoreScope{"other", "digest"});
     other.put(make_test_record(50, Stage::kProbed));
     other.rebuild_index();
@@ -907,8 +827,31 @@ TEST(BinaryStore, CorruptOrMissingSidecarIsRebuilt) {
   }
 }
 
+TEST(BinaryStore, SidecarEntryCountOverflowIsRebuilt) {
+  const std::string path = fresh_path("sidecar_overflow");
+  {
+    CandidateStore store(path, test_scope());
+    store.put(make_test_record(1, Stage::kProbed));
+  }
+  const std::string idx = util::read_file(path + ".idx");
+  // Bit 59 of the header's u64 entry count (bytes 16..23, little-endian):
+  // n_entries * 32 wraps back to the true size, so only an explicit bound
+  // on the count rejects it.
+  std::string flipped = idx;
+  flipped[16 + 7] = static_cast<char>(flipped[16 + 7] ^ 0x08);
+  util::write_file_atomic(path + ".idx", flipped);
+
+  CandidateStore store(path, test_scope());
+  ASSERT_EQ(store.size(), 1u);
+  EXPECT_EQ(store.decoded_frames(), 1u);  // the rebuild scan read the frame
+  EXPECT_EQ(util::read_file(path + ".idx"), idx);
+  EXPECT_TRUE(
+      store.lookup(make_test_record(1, Stage::kProbed).fingerprint)
+          .has_value());
+}
+
 TEST(BinaryStore, StaleSidecarTriggersTailScanOnly) {
-  const std::string path = fresh_binary_path("tail_scan");
+  const std::string path = fresh_path("tail_scan");
   {
     CandidateStore store(path, test_scope());
     store.put(make_test_record(1, Stage::kChecked));
@@ -937,7 +880,7 @@ TEST(BinaryStore, StaleSidecarTriggersTailScanOnly) {
 }
 
 TEST(BinaryStore, ForeignScopeFramesAreSkipped) {
-  const std::string path = fresh_binary_path("foreign");
+  const std::string path = fresh_path("foreign");
   {
     CandidateStore store(path, StoreScope{"other-env", "other-digest"});
     store.put(make_test_record(1, Stage::kProbed));
@@ -952,7 +895,7 @@ TEST(BinaryStore, ForeignScopeFramesAreSkipped) {
 }
 
 TEST(BinaryStore, CompactDropsSupersededAndIsIdempotent) {
-  const std::string path = fresh_binary_path("compact");
+  const std::string path = fresh_path("compact");
   {
     // Stage history journaling: 3 + 2 + 1 = 6 frames for 3 fingerprints.
     CandidateStore store(path, test_scope());
@@ -985,91 +928,6 @@ TEST(BinaryStore, CompactDropsSupersededAndIsIdempotent) {
   EXPECT_EQ(reopened.size(), 4u);
 }
 
-TEST(ShardPlan, MixedFormatShardMergeMatchesAllJsonl) {
-  // Three shard journals in mixed formats must merge byte-identically to
-  // the same three journals all-JSONL — the supervisor may restart workers
-  // under a different NADA_STORE_FORMAT mid-run.
-  const std::vector<std::uint64_t> salts = {1, 2, 3, 4, 5, 6};
-  auto fill = [&](CandidateStore& store, std::size_t begin, std::size_t end,
-                  Stage stage) {
-    for (std::size_t i = begin; i < end; ++i) {
-      store.put(make_test_record(salts[i], stage));
-    }
-  };
-  // JSONL originals.
-  std::vector<std::string> jsonl_paths;
-  for (int s = 0; s < 3; ++s) {
-    jsonl_paths.push_back(fresh_path("mixfmt" + std::to_string(s)));
-  }
-  {
-    CandidateStore s0(jsonl_paths[0], test_scope());
-    fill(s0, 0, 4, Stage::kProbed);
-    CandidateStore s1(jsonl_paths[1], test_scope());
-    fill(s1, 2, 6, Stage::kTrained);  // overlaps s0 at stages above it
-    CandidateStore s2(jsonl_paths[2], test_scope());
-    fill(s2, 4, 6, Stage::kChecked);  // overlaps s1 at stages below it
-  }
-  // Mixed set: shard 1 converted to binary, others untouched.
-  const std::string nsb_path = fresh_binary_path("mixfmt1");
-  (void)convert_journal(jsonl_paths[1], nsb_path);
-  const std::vector<std::string> mixed_paths = {jsonl_paths[0], nsb_path,
-                                                jsonl_paths[2]};
-
-  const std::string all_jsonl_dest = fresh_path("mixfmt_alljsonl");
-  const std::string mixed_dest = fresh_path("mixfmt_mixed");
-  const std::string binary_dest = fresh_binary_path("mixfmt_bin");
-  std::size_t missing = 0;
-  CandidateStore all_jsonl(all_jsonl_dest, test_scope());
-  const std::size_t accepted_jsonl =
-      merge_existing_shard_files(jsonl_paths, all_jsonl, &missing);
-  EXPECT_EQ(missing, 0u);
-  CandidateStore mixed(mixed_dest, test_scope());
-  EXPECT_EQ(merge_existing_shard_files(mixed_paths, mixed, &missing),
-            accepted_jsonl);
-  CandidateStore binary(binary_dest, test_scope());
-  EXPECT_EQ(merge_existing_shard_files(mixed_paths, binary, &missing),
-            accepted_jsonl);
-
-  // Byte-identical merged JSONL journals, and the binary destination holds
-  // the same record set line for line.
-  EXPECT_EQ(util::read_file(mixed_dest), util::read_file(all_jsonl_dest));
-  const auto expect_records = all_jsonl.records();
-  const auto binary_records = binary.records();
-  ASSERT_EQ(binary_records.size(), expect_records.size());
-  for (std::size_t i = 0; i < expect_records.size(); ++i) {
-    EXPECT_EQ(CandidateStore::encode_line(binary_records[i], test_scope()),
-              CandidateStore::encode_line(expect_records[i], test_scope()));
-  }
-}
-
-TEST(CandidateStore, StoreFormatEnvDrivesExtensionAndDefaultPath) {
-  {
-    FormatEnvGuard guard(nullptr);
-    EXPECT_EQ(store_format_from_env(), StoreFormat::kJsonl);
-  }
-  {
-    FormatEnvGuard guard("binary");
-    EXPECT_EQ(store_format_from_env(), StoreFormat::kBinary);
-    ::setenv("NADA_STORE_DIR", "/tmp/nada_fmt_test", 1);
-    const std::string path = default_store_path(test_scope());
-    ::unsetenv("NADA_STORE_DIR");
-    EXPECT_TRUE(path.ends_with(".nsb")) << path;
-    EXPECT_EQ(format_for_path(path), StoreFormat::kBinary);
-  }
-  {
-    FormatEnvGuard guard("jsonl");
-    EXPECT_EQ(store_format_from_env(), StoreFormat::kJsonl);
-  }
-  {
-    FormatEnvGuard guard("parquet");  // typo / unsupported: loud failure
-    EXPECT_THROW((void)store_format_from_env(), std::runtime_error);
-  }
-  EXPECT_EQ(journal_extension(StoreFormat::kJsonl), std::string(".jsonl"));
-  EXPECT_EQ(journal_extension(StoreFormat::kBinary), std::string(".nsb"));
-  EXPECT_EQ(format_for_path("a/b/x.jsonl"), StoreFormat::kJsonl);
-  EXPECT_EQ(format_for_path("a/b/x.nsb"), StoreFormat::kBinary);
-}
-
 TEST(BinaryStore, MillionRecordOpenIsIndexTimeAndLookupIsLazy) {
   // The acceptance pin for the whole backend: a journal at (scaled)
   // million-candidate size opens in under 100 ms through its sidecar and
@@ -1077,7 +935,7 @@ TEST(BinaryStore, MillionRecordOpenIsIndexTimeAndLookupIsLazy) {
   // runs in CI's store-format-smoke job via NADA_SCALE_GEN=1.
   const auto scale = util::ScaleConfig::from_env();
   const std::size_t n = scale.gen_count(1'000'000, 50'000);
-  const std::string path = fresh_binary_path("million");
+  const std::string path = fresh_path("million");
 
   // Synthesize the journal directly through the codec (put()'s
   // flush-per-append durability is the wrong tool for bulk fixture
@@ -1271,16 +1129,18 @@ TEST(SearchStore, ResumesFromTruncatedCheckpointToSameResult) {
   // Simulate a crash mid-way through the full-training stage: keep the
   // journal up to the first trained record, torn half-way through it.
   const std::string content = util::read_file(path);
-  const std::size_t first_trained = content.find("\"stage\":2");
-  ASSERT_NE(first_trained, std::string::npos);
-  const std::size_t line_start = content.rfind('\n', first_trained) + 1;
-  const std::size_t line_end = content.find('\n', first_trained);
-  ASSERT_NE(line_end, std::string::npos);
-  const std::string interrupted_journal =
-      content.substr(0, line_start) +
-      content.substr(line_start, (line_end - line_start) / 2);
+  std::optional<std::uint64_t> torn_end;
+  scan_binary_journal(
+      std::string_view(content).substr(kBinaryJournalMagic.size()),
+      [&](std::uint64_t offset, std::string_view frame) {
+        const auto scoped = decode_record_any(frame);
+        if (!torn_end && scoped && scoped->record.stage == Stage::kTrained) {
+          torn_end = kBinaryJournalMagic.size() + offset + frame.size() / 2;
+        }
+      });
+  ASSERT_TRUE(torn_end.has_value());
   const std::string resume_path = fresh_path("pipeline_resume_torn");
-  util::write_file_atomic(resume_path, interrupted_journal);
+  util::write_file_atomic(resume_path, content.substr(0, *torn_end));
 
   CandidateStore store2(resume_path, fx.scope(config, 4321));
   EXPECT_EQ(store2.recovered_line_errors(), 1u);

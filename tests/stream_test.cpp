@@ -5,9 +5,9 @@
 //     up front (window_size == 0) or pulled through rolling windows —
 //     for ABR and CC domains, with and without a store, serial and
 //     sharded,
-//   * same store journal record SET: only the line order may differ
+//   * same store journal record SET: only the record order may differ
 //     (windows interleave check/probe records), so journals compare as
-//     sorted line sets, byte-identical per line,
+//     sorted JSONL export lines, byte-identical per line,
 //   * constant-memory mechanics: window events fire with the right
 //     sizes/positions, the per-candidate stages cycle per window, and the
 //     running selection never exceeds full_train_top,
@@ -18,7 +18,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -35,12 +34,14 @@
 #include "util/fs.h"
 #include "video/video.h"
 
+#include "journal_lines.h"
+
 namespace nada::search {
 namespace {
 
 std::string fresh_path(const std::string& tag) {
   const std::string path =
-      ::testing::TempDir() + "nada_stream_" + tag + ".jsonl";
+      ::testing::TempDir() + "nada_stream_" + tag + ".nsb";
   std::remove(path.c_str());
   return path;
 }
@@ -74,16 +75,6 @@ struct Fixture {
   env::AbrDomain domain{dataset, video};
   util::ThreadPool pool{8};
 };
-
-std::vector<std::string> sorted_lines(const std::string& path) {
-  std::vector<std::string> lines;
-  std::istringstream in(util::read_file(path));
-  for (std::string line; std::getline(in, line);) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  std::sort(lines.begin(), lines.end());
-  return lines;
-}
 
 /// Runs one state search over `space` with the given window mode;
 /// journals into `store_path` when non-empty.
@@ -168,8 +159,9 @@ TEST(StreamingEquivalence, AbrSearchMatchesBatchAndJournalsSameRecords) {
   EXPECT_LE(stream.outcomes.size(), tiny_config(7).full_train_top);
   // ...but journals the identical record set: per line byte-identical,
   // only the order differs (windows interleave checked/probed records).
-  EXPECT_EQ(sorted_lines(batch_path), sorted_lines(stream_path));
-  EXPECT_NE(sorted_lines(batch_path), std::vector<std::string>{});
+  EXPECT_EQ(test::sorted_journal_lines(batch_path),
+            test::sorted_journal_lines(stream_path));
+  EXPECT_NE(test::sorted_journal_lines(batch_path), std::vector<std::string>{});
 
   // Warm streaming rerun: everything from the journal, nothing executed.
   const auto warm =
@@ -230,7 +222,8 @@ TEST(StreamingEquivalence, CcSearchMatchesBatchAndJournalsSameRecords) {
   const auto stream = run_state_search(domain, config, 11, 8, stream_path,
                                        &pool, gen::cc_state_space());
   expect_equivalent(batch, stream);
-  EXPECT_EQ(sorted_lines(batch_path), sorted_lines(stream_path));
+  EXPECT_EQ(test::sorted_journal_lines(batch_path),
+            test::sorted_journal_lines(stream_path));
 }
 
 // ---- early-stop model through the fold --------------------------------------
@@ -314,8 +307,8 @@ TEST(StreamingEquivalence, ShardedStreamingWorkersMatchBatchSingleProcess) {
       driver_source, FixedDesign{nullptr, &stream_config.baseline_arch});
   EXPECT_EQ(merged.n_probes_run, 0u);
   expect_equivalent(single, merged);
-  EXPECT_EQ(sorted_lines(single_path),
-            sorted_lines(runner.merged_store_path()));
+  EXPECT_EQ(test::sorted_journal_lines(single_path),
+            test::sorted_journal_lines(runner.merged_store_path()));
 }
 
 // ---- mixed-kind streams -----------------------------------------------------
@@ -490,7 +483,8 @@ TEST(StreamingResume, InterruptedStreamingRunFinishesFromTheJournal) {
       run_state_search(fx.domain, batch_config, 4321, 88, batch_path,
                        &fx.pool, gen::abr_state_space());
   expect_equivalent(batch, warm);
-  EXPECT_EQ(sorted_lines(batch_path), sorted_lines(path));
+  EXPECT_EQ(test::sorted_journal_lines(batch_path),
+            test::sorted_journal_lines(path));
 }
 
 }  // namespace

@@ -25,7 +25,6 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -34,6 +33,7 @@
 #include "search/shard_runner.h"
 #include "store/candidate_store.h"
 #include "store/fingerprint.h"
+#include "store/record_codec.h"
 #include "store/shard.h"
 #include "svc/lease_log.h"
 #include "svc/process.h"
@@ -41,6 +41,8 @@
 #include "tools/cli_common.h"
 #include "util/fs.h"
 #include "util/json.h"
+
+#include "journal_lines.h"
 
 namespace nada::svc {
 namespace {
@@ -156,7 +158,7 @@ Lease test_lease(std::uint64_t id, std::uint64_t lo, std::uint64_t hi,
   Lease lease;
   lease.id = id;
   lease.range = {lo, hi};
-  lease.journal_path = dir + "/lease-" + std::to_string(id) + ".jsonl";
+  lease.journal_path = dir + "/lease-" + std::to_string(id) + ".nsb";
   lease.status_path = lease.journal_path + ".status.json";
   lease.attempt = attempt;
   lease.parent = parent;
@@ -182,7 +184,7 @@ TEST(LeaseLog, RecoverReplaysDurableState) {
   EXPECT_EQ(state.max_lease_id, 3u);
   EXPECT_EQ(state.completed, (std::set<std::uint64_t>{1}));
   ASSERT_EQ(state.completed_journals.size(), 1u);
-  EXPECT_EQ(state.completed_journals[0], dir + "/lease-1.jsonl");
+  EXPECT_EQ(state.completed_journals[0], dir + "/lease-1.nsb");
   // Lease 2 was re-granted after its revoke: outstanding, at attempt 1.
   ASSERT_EQ(state.outstanding.size(), 1u);
   EXPECT_EQ(state.outstanding.at(2).attempt, 1u);
@@ -438,15 +440,19 @@ TEST(WorkerExitCodes, UsageRuntimeAndInjectedCrashAreDistinct) {
   EXPECT_EQ(run_to_exit({bin, "--mode", "worker", "--quiet",
                          "--candidates", "6",
                          "--store-dir", dir,
-                         "--journal", dir + "/crash.jsonl",
+                         "--journal", dir + "/crash.nsb",
                          "--range-lo", "0000000000000000",
                          "--range-hi", "ffffffffffffffff",
                          "--crash-after-candidates", "1"}),
             42);
-  // The crash really tore the journal: last line has no terminator.
-  const std::string journal = util::read_file(dir + "/crash.jsonl");
-  ASSERT_FALSE(journal.empty());
-  EXPECT_NE(journal.back(), '\n');
+  // The crash really tore the journal: its last frame is incomplete.
+  const std::string journal = util::read_file(dir + "/crash.nsb");
+  ASSERT_TRUE(journal.starts_with(store::kBinaryJournalMagic));
+  EXPECT_TRUE(store::scan_binary_journal(
+                  std::string_view(journal).substr(
+                      store::kBinaryJournalMagic.size()),
+                  nullptr)
+                  .torn_tail);
 }
 
 // ---- THE invariant: kill-and-restart equivalence ----------------------------
@@ -462,16 +468,6 @@ std::vector<TrainedRow> trained_rows(const search::SearchResult& result) {
   }
   std::sort(rows.begin(), rows.end());
   return rows;
-}
-
-std::vector<std::string> sorted_lines(const std::string& path) {
-  std::vector<std::string> lines;
-  std::istringstream in(util::read_file(path));
-  for (std::string line; std::getline(in, line);) {
-    if (!line.empty()) lines.push_back(line);
-  }
-  std::sort(lines.begin(), lines.end());
-  return lines;
 }
 
 /// A supervised run of the REAL shard_worker binary with two injected
@@ -494,7 +490,7 @@ TEST(SupervisedEquivalence, KillAndRestartMatchesUninterruptedRun) {
   single_shards.worker_status = false;
   search::ShardRunner single_runner(*setup->domain, setup->config, 1234,
                                     single_shards);
-  store::CandidateStore single_store(single_dir + "/single.jsonl",
+  store::CandidateStore single_store(single_dir + "/single.nsb",
                                      single_runner.scope());
   search::JobOptions options;
   options.store = &single_store;
@@ -563,117 +559,11 @@ TEST(SupervisedEquivalence, KillAndRestartMatchesUninterruptedRun) {
   EXPECT_EQ(supervised.n_fully_trained, uninterrupted.n_fully_trained);
   EXPECT_DOUBLE_EQ(supervised.original_score, uninterrupted.original_score);
   EXPECT_EQ(trained_rows(supervised), trained_rows(uninterrupted));
-  const auto supervised_journal = sorted_lines(svc_runner.merged_store_path());
-  EXPECT_EQ(supervised_journal, sorted_lines(single_store.path()));
+  const auto supervised_journal =
+      test::sorted_journal_lines(svc_runner.merged_store_path());
+  EXPECT_EQ(supervised_journal,
+            test::sorted_journal_lines(single_store.path()));
   EXPECT_FALSE(supervised_journal.empty());
-}
-
-/// The same kill-and-restart invariant with NADA_STORE_FORMAT=binary: the
-/// supervisor's lease journals, the workers' stores, and the merged store
-/// all switch to .nsb (workers inherit the env var), a crash tears a
-/// binary frame instead of a JSON line, and the run must still produce
-/// rankings and a record set identical to an uninterrupted JSONL-backed
-/// single-process run — the cross-format equivalence pin.
-TEST(SupervisedEquivalence, BinaryFormatRestartMatchesJsonlRun) {
-  constexpr std::size_t kCandidates = 16;
-  const auto setup = tools::make_search_setup("abr", "state", kCandidates,
-                                              /*gen_seed=*/78, /*window=*/0);
-
-  // --- uninterrupted single-process run, default JSONL store ------------
-  const std::string single_dir = fresh_dir("binequiv_single");
-  store::StoreScope scope;
-  std::vector<std::string> single_lines;
-  search::SearchResult uninterrupted;
-  {
-    search::ShardRunnerConfig single_shards;
-    single_shards.num_shards = 1;
-    single_shards.store_dir = single_dir;
-    single_shards.worker_status = false;
-    search::ShardRunner single_runner(*setup->domain, setup->config, 4321,
-                                      single_shards);
-    scope = single_runner.scope();
-    store::CandidateStore single_store(single_dir + "/single.jsonl", scope);
-    search::JobOptions options;
-    options.store = &single_store;
-    search::SearchJob job(*setup->domain, setup->config, 4321, *setup->source,
-                          setup->fixed, options);
-    uninterrupted = job.run_to_completion();
-    for (const auto& record : single_store.records()) {
-      single_lines.push_back(store::CandidateStore::encode_line(record, scope));
-    }
-    std::sort(single_lines.begin(), single_lines.end());
-  }
-
-  // --- supervised binary-backed run with a mid-append crash -------------
-  const char* saved = std::getenv("NADA_STORE_FORMAT");
-  const std::string saved_value = saved != nullptr ? saved : "";
-  ::setenv("NADA_STORE_FORMAT", "binary", 1);
-  const auto restore_env = [&] {
-    if (saved != nullptr) {
-      ::setenv("NADA_STORE_FORMAT", saved_value.c_str(), 1);
-    } else {
-      ::unsetenv("NADA_STORE_FORMAT");
-    }
-  };
-  const std::string svc_dir = fresh_dir("binequiv_svc");
-  search::ShardRunnerConfig svc_shards;
-  svc_shards.num_shards = 1;
-  svc_shards.store_dir = svc_dir;
-  search::ShardRunner svc_runner(*setup->domain, setup->config, 4321,
-                                 svc_shards);
-  EXPECT_TRUE(svc_runner.merged_store_path().ends_with(".nsb"));
-  SupervisorConfig config;
-  config.num_workers = 2;
-  config.initial_leases = 2;
-  config.max_restarts = 3;
-  config.heartbeat_timeout_seconds = 5.0;
-  config.poll_interval_seconds = 0.05;
-  config.dir = svc_dir;
-  config.prefix = svc_runner.service_prefix();
-  const auto command = [&svc_dir](const Lease& lease) {
-    std::vector<std::string> argv{
-        NADA_SHARD_WORKER_BIN, "--mode", "worker", "--quiet",
-        "--journal", lease.journal_path,
-        "--range-lo", hex_u64(lease.range.lo),
-        "--range-hi", hex_u64(lease.range.hi),
-        "--store-dir", svc_dir,
-        "--candidates", std::to_string(kCandidates)};
-    if (lease.attempt == 0 && lease.id == 1) {
-      argv.insert(argv.end(), {"--crash-after-candidates", "1"});
-    }
-    return argv;
-  };
-  Supervisor supervisor(config, command);
-  const auto report = supervisor.run();
-  restore_env();
-  ASSERT_TRUE(report.success) << report.error;
-  EXPECT_GE(report.crash_restarts, 1u);
-  for (const auto& path : report.journal_paths) {
-    EXPECT_TRUE(path.ends_with(".nsb")) << path;
-  }
-
-  ::setenv("NADA_STORE_FORMAT", "binary", 1);
-  const auto supervised = svc_runner.merge_and_rank_paths(
-      report.journal_paths, *setup->source, setup->fixed);
-  const std::string merged_path = svc_runner.merged_store_path();
-  restore_env();
-
-  EXPECT_EQ(supervised.n_total, uninterrupted.n_total);
-  EXPECT_EQ(supervised.n_fully_trained, uninterrupted.n_fully_trained);
-  EXPECT_DOUBLE_EQ(supervised.original_score, uninterrupted.original_score);
-  EXPECT_EQ(trained_rows(supervised), trained_rows(uninterrupted));
-
-  // Identical record sets across formats: every record in the binary
-  // merged store re-encodes to exactly the JSONL journal's line set.
-  store::CandidateStore merged(merged_path, scope);
-  EXPECT_EQ(merged.format(), store::StoreFormat::kBinary);
-  std::vector<std::string> merged_lines;
-  for (const auto& record : merged.records()) {
-    merged_lines.push_back(store::CandidateStore::encode_line(record, scope));
-  }
-  std::sort(merged_lines.begin(), merged_lines.end());
-  EXPECT_EQ(merged_lines, single_lines);
-  EXPECT_FALSE(merged_lines.empty());
 }
 
 }  // namespace

@@ -570,6 +570,28 @@ TEST(Json, RejectsTornAndTrailingInput) {
   EXPECT_THROW(JsonValue::parse(""), std::runtime_error);
 }
 
+TEST(Json, NestingDepthIsCapped) {
+  // 256 levels parse; one more throws. A million '[' must throw as well,
+  // not overflow the stack.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_NO_THROW((void)JsonValue::parse(nested(256)));
+  try {
+    (void)JsonValue::parse(nested(257));
+    FAIL() << "257 levels parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)JsonValue::parse(std::string(1'000'000, '[')),
+               std::runtime_error);
+  std::string objects;
+  for (int i = 0; i < 300; ++i) objects += "{\"a\":";
+  EXPECT_THROW((void)JsonValue::parse(objects), std::runtime_error);
+}
+
 TEST(Json, DoublesHelpersRoundTrip) {
   const std::vector<double> values = {1.0, -2.5, 0.0, 1e-9};
   const JsonValue encoded = json_doubles(values);

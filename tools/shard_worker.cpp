@@ -23,7 +23,7 @@
 // (tools/search_service). Instead of --shard/--shards it takes an explicit
 // fingerprint sub-range and journal —
 //
-//   shard_worker --mode worker --journal /tmp/s/lease-3.jsonl \
+//   shard_worker --mode worker --journal /tmp/s/lease-3.nsb \
 //     --range-lo 8000000000000000 --range-hi bfffffffffffffff
 //
 // — because supervised ranges are born from splits and re-grants, not from
@@ -41,9 +41,9 @@
 // supervisor-smoke CI job can exercise the supervisor's restart and
 // straggler paths with real processes; never set them in a real run):
 //   --crash-after-candidates N   after N in-range candidate completions,
-//                                append a torn half-record to the journal
+//                                append a torn half-frame to the journal
 //                                and _exit(42) — a hard kill mid-append,
-//                                exercising torn-line recovery
+//                                exercising torn-tail recovery
 //   --stall-after-candidates N   after N completions, stop making progress
 //                                (and heartbeating) while staying alive —
 //                                a straggler for the staleness killer
@@ -200,8 +200,8 @@ Args parse_args(int argc, char** argv) {
 /// TEST ONLY. Counts in-range candidate completions (anything past the
 /// entered/out-of-shard bookkeeping: cache hits, failures, probes, ...) and
 /// fires the configured fault once the count is reached. The crash mimics a
-/// power cut mid-append — half a JSON record, no newline, then _exit — so
-/// the restarted worker exercises the store's torn-line recovery for real.
+/// power cut mid-append — half a journal frame, then _exit — so the
+/// restarted worker exercises the store's torn-tail recovery for real.
 class FaultInjector : public search::Observer {
  public:
   FaultInjector(const Args& args, std::string journal_path)
@@ -214,17 +214,12 @@ class FaultInjector : public search::Observer {
     }
     ++completions_;
     if (args_->crash_after && completions_ >= *args_->crash_after) {
+      // A frame header promising more body bytes than follow: a torn
+      // final append.
       std::ofstream torn(journal_path_, std::ios::app | std::ios::binary);
-      if (store::format_for_path(journal_path_) ==
-          store::StoreFormat::kBinary) {
-        // A frame header promising more body bytes than follow — the
-        // binary analogue of half a JSON line.
-        const char partial[] = {100, 0, 0, 0, 1, 2, 3, 4,
-                                5,   6, 7, 8, 't', 'o', 'r', 'n'};
-        torn.write(partial, sizeof(partial));
-      } else {
-        torn << R"({"v":1,"id":"torn-by-crash-injection","stage":)";
-      }
+      const char partial[] = {100, 0, 0, 0, 1, 2, 3, 4,
+                              5,   6, 7, 8, 't', 'o', 'r', 'n'};
+      torn.write(partial, sizeof(partial));
       torn.flush();
       std::_Exit(tools::kExitCrashInjected);
     }
@@ -365,8 +360,7 @@ int run(const Args& args) {
   const auto scope = runner.scope();
   store::CandidateStore store(
       args.store_dir + "/" + scope.env + "-" +
-          scope.config_digest.substr(0, 12) + "-single" +
-          store::journal_extension(store::store_format_from_env()),
+          scope.config_digest.substr(0, 12) + "-single.nsb",
       scope);
   search::JobOptions options;
   options.store = &store;

@@ -1,14 +1,18 @@
-// store_convert: migrate candidate-store journals between formats.
+// store_convert: export a binary store journal to JSONL, or import one.
 //
-//   store_convert --in runs/fcc-abc.jsonl --out runs/fcc-abc.nsb
-//   store_convert --in runs/fcc-abc.nsb --out roundtrip.jsonl
+//   store_convert --in runs/fcc-abc.nsb --out runs/fcc-abc.jsonl  # export
+//   store_convert --in legacy.jsonl --out runs/fcc-abc.nsb        # import
 //
-// The output format is implied by the --out extension (".nsb" = binary,
-// anything else JSONL). Conversion is lossless and order-preserving: every
-// decodable record is re-encoded with the scope its journal line carried,
-// duplicates and all, so converting back reproduces the original journal
-// byte for byte (modulo recovered torn/corrupt units, which are dropped
-// and reported). Exit 0 on success, 2 on usage or I/O errors.
+// The store itself only reads and writes binary journals; JSONL is the
+// greppable, line-diffable export (CI compares runs through it) and the
+// migration path for journals written before the JSONL backend was
+// retired. The output format is implied by the --out extension (".nsb" =
+// binary, anything else JSONL). Conversion is lossless and
+// order-preserving: every decodable record is re-encoded with the scope
+// its journal entry carried, duplicates and all, so converting back
+// reproduces the original journal byte for byte (modulo recovered
+// torn/corrupt units, which are dropped and reported). Exit 0 on success,
+// 2 on usage or I/O errors.
 #include <cstdio>
 #include <exception>
 #include <string>
