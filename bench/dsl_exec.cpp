@@ -1,6 +1,7 @@
-// DSL execution bench: state-program steps/sec, tree-walk interpreter vs
-// the slot-resolved bytecode VM, over the programs the funnel actually
-// runs — the pensieve baseline plus generator-sampled ABR and CC survivors.
+// DSL execution bench: state-program steps/sec, the reference tree-walk
+// oracle (tests/dsl_tree_oracle.h) vs the slot-resolved bytecode VM, the
+// library's only engine, over the programs the funnel actually runs — the
+// pensieve baseline plus generator-sampled ABR and CC survivors.
 //
 // Training dominates the funnel's compute and every training step runs the
 // candidate's state program once, so steps/sec here translates directly to
@@ -20,6 +21,7 @@
 #include "env/abr_domain.h"
 #include "filter/checks.h"
 #include "gen/state_gen.h"
+#include "tests/dsl_tree_oracle.h"
 #include "util/rng.h"
 
 namespace {
@@ -125,7 +127,8 @@ int main() {
     dsl::Vm vm;
     bool identical = true;
     for (const auto& o : obs) {
-      const dsl::StateMatrix tree = dsl::run_program(sample.program.program(), o);
+      const dsl::StateMatrix tree =
+          test::run_program(sample.program.program(), o);
       if (!matrices_identical(tree, vm.run(sample.program.code(), o))) {
         identical = false;
       }
@@ -135,7 +138,7 @@ int main() {
     double tree_sink = 0.0;
     for (std::size_t i = 0; i < steps; ++i) {
       const dsl::StateMatrix matrix =
-          dsl::run_program(sample.program.program(), obs[i % obs.size()]);
+          test::run_program(sample.program.program(), obs[i % obs.size()]);
       tree_sink += matrix.rows[0].values[0];
     }
     const double tree_s = tree_timer.seconds();

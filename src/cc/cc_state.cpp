@@ -41,11 +41,6 @@ emit "rtt_trend" = trend(rtt_ms) / min_rtt_ms;
   return kSource;
 }
 
-dsl::StateMatrix run_cc_program(const dsl::Program& program,
-                                const CcObservation& obs) {
-  return dsl::run_program(program, bindings_from_cc_observation(obs));
-}
-
 CcObservation canned_cc_observation() {
   CcObservation obs;
   obs.send_rate_mbps = {2.0, 2.3, 2.6, 3.0, 2.8, 3.2, 3.0, 3.4};

@@ -13,11 +13,11 @@
 
 #include "cc/cc_env.h"
 #include "dsl/binding_catalog.h"
-#include "dsl/interpreter.h"
+#include "dsl/value.h"
 
 namespace nada::cc {
 
-/// Interpreter bindings for a CC observation (semantic names, as the
+/// DSL input bindings for a CC observation (semantic names, as the
 /// paper's prompting strategy prescribes).
 [[nodiscard]] dsl::Bindings bindings_from_cc_observation(
     const CcObservation& obs);
@@ -28,10 +28,6 @@ namespace nada::cc {
 /// A reasonable hand-written CC state (the "original design" for a CC
 /// search): normalized rate, throughput, RTT inflation, and loss history.
 [[nodiscard]] const std::string& default_cc_state_source();
-
-/// Runs a compiled NadaScript program against a CC observation.
-[[nodiscard]] dsl::StateMatrix run_cc_program(const dsl::Program& program,
-                                              const CcObservation& obs);
 
 /// A synthetic mid-episode CC observation (trial-run input for the
 /// compilation check).

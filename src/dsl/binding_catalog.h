@@ -20,7 +20,7 @@
 #include <string_view>
 #include <vector>
 
-#include "dsl/interpreter.h"
+#include "dsl/value.h"
 #include "util/rng.h"
 
 namespace nada::dsl {

@@ -1,4 +1,4 @@
-#include "dsl/interpreter.h"
+#include "dsl/builtins.h"
 
 #include <algorithm>
 #include <cmath>
@@ -28,6 +28,11 @@ std::size_t require_index(const Value& v, const char* what) {
   if (d < 0.0 || std::floor(d) != d) {
     throw RuntimeError(std::string(what) + " must be a non-negative integer");
   }
+  // Capped at 2^53, below which every integer is a double: past 2^64 (or
+  // at infinity) the cast would be undefined.
+  if (d >= 9007199254740992.0) {
+    throw RuntimeError(std::string(what) + " out of range");
+  }
   return static_cast<std::size_t>(d);
 }
 
@@ -38,11 +43,6 @@ Value map_unary(const Value& v, const std::function<double(double)>& fn) {
     out[i] = fn(v.as_vector()[i]);
   }
   return Value(std::move(out));
-}
-
-double checked_div(double a, double b) {
-  if (std::abs(b) < 1e-12) throw RuntimeError("division by zero");
-  return a / b;
 }
 
 double checked_log(double x) {
@@ -356,224 +356,6 @@ int builtin_index(const std::string& name) {
   const auto it = reg.find(name);
   if (it == reg.end()) return -1;
   return static_cast<int>(std::distance(reg.begin(), it));
-}
-
-Value eval_expr(const Expr& expr, const Bindings& inputs,
-                const Bindings& locals) {
-  switch (expr.kind) {
-    case ExprKind::kNumber:
-      return Value(expr.number);
-
-    case ExprKind::kVariable: {
-      if (auto it = locals.find(expr.name); it != locals.end()) {
-        return it->second;
-      }
-      if (auto it = inputs.find(expr.name); it != inputs.end()) {
-        return it->second;
-      }
-      throw RuntimeError("undefined variable '" + expr.name + "' (line " +
-                         std::to_string(expr.line) + ")");
-    }
-
-    case ExprKind::kUnary: {
-      const Value operand = eval_expr(*expr.children[0], inputs, locals);
-      if (expr.unary_op == UnaryOp::kNeg) {
-        return map_unary(operand, [](double x) { return -x; });
-      }
-      return map_unary(operand, [](double x) { return x == 0.0 ? 1.0 : 0.0; });
-    }
-
-    case ExprKind::kBinary: {
-      const Value lhs = eval_expr(*expr.children[0], inputs, locals);
-      const Value rhs = eval_expr(*expr.children[1], inputs, locals);
-      switch (expr.binary_op) {
-        case BinaryOp::kAdd:
-          return broadcast_binary(
-              lhs, rhs, [](double a, double b) { return a + b; }, "+");
-        case BinaryOp::kSub:
-          return broadcast_binary(
-              lhs, rhs, [](double a, double b) { return a - b; }, "-");
-        case BinaryOp::kMul:
-          return broadcast_binary(
-              lhs, rhs, [](double a, double b) { return a * b; }, "*");
-        case BinaryOp::kDiv:
-          return broadcast_binary(lhs, rhs, checked_div, "/");
-        case BinaryOp::kMod:
-          return broadcast_binary(lhs, rhs, [](double a, double b) {
-            if (std::abs(b) < 1e-12) throw RuntimeError("modulo by zero");
-            return std::fmod(a, b);
-          }, "%");
-        case BinaryOp::kLess:
-          return broadcast_binary(
-              lhs, rhs, [](double a, double b) { return a < b ? 1.0 : 0.0; },
-              "<");
-        case BinaryOp::kGreater:
-          return broadcast_binary(
-              lhs, rhs, [](double a, double b) { return a > b ? 1.0 : 0.0; },
-              ">");
-        case BinaryOp::kLessEq:
-          return broadcast_binary(
-              lhs, rhs, [](double a, double b) { return a <= b ? 1.0 : 0.0; },
-              "<=");
-        case BinaryOp::kGreaterEq:
-          return broadcast_binary(
-              lhs, rhs, [](double a, double b) { return a >= b ? 1.0 : 0.0; },
-              ">=");
-        case BinaryOp::kEq:
-          return broadcast_binary(
-              lhs, rhs, [](double a, double b) { return a == b ? 1.0 : 0.0; },
-              "==");
-        case BinaryOp::kNotEq:
-          return broadcast_binary(
-              lhs, rhs, [](double a, double b) { return a != b ? 1.0 : 0.0; },
-              "!=");
-        case BinaryOp::kAnd:
-          return Value(require_scalar(lhs, "'&&' operand") != 0.0 &&
-                               require_scalar(rhs, "'&&' operand") != 0.0
-                           ? 1.0
-                           : 0.0);
-        case BinaryOp::kOr:
-          return Value(require_scalar(lhs, "'||' operand") != 0.0 ||
-                               require_scalar(rhs, "'||' operand") != 0.0
-                           ? 1.0
-                           : 0.0);
-      }
-      throw RuntimeError("unknown binary operator");
-    }
-
-    case ExprKind::kTernary: {
-      const Value cond = eval_expr(*expr.children[0], inputs, locals);
-      const double c = require_scalar(cond, "ternary condition");
-      return c != 0.0 ? eval_expr(*expr.children[1], inputs, locals)
-                      : eval_expr(*expr.children[2], inputs, locals);
-    }
-
-    case ExprKind::kCall: {
-      const auto it = builtins().find(expr.name);
-      if (it == builtins().end()) {
-        throw RuntimeError("unknown function '" + expr.name + "' (line " +
-                           std::to_string(expr.line) + ")");
-      }
-      const Builtin& builtin = it->second;
-      if (expr.children.size() < builtin.min_args ||
-          expr.children.size() > builtin.max_args) {
-        throw RuntimeError("function '" + expr.name + "' expects " +
-                           std::to_string(builtin.min_args) +
-                           (builtin.max_args != builtin.min_args
-                                ? ".." + std::to_string(builtin.max_args)
-                                : "") +
-                           " arguments, got " +
-                           std::to_string(expr.children.size()) + " (line " +
-                           std::to_string(expr.line) + ")");
-      }
-      std::vector<Value> args;
-      args.reserve(expr.children.size());
-      for (const auto& child : expr.children) {
-        args.push_back(eval_expr(*child, inputs, locals));
-      }
-      return builtin.fn(args);
-    }
-
-    case ExprKind::kIndex: {
-      const Value base = eval_expr(*expr.children[0], inputs, locals);
-      const Value index = eval_expr(*expr.children[1], inputs, locals);
-      if (!base.is_vector()) {
-        throw RuntimeError("cannot index a scalar (line " +
-                           std::to_string(expr.line) + ")");
-      }
-      const double raw = require_scalar(index, "index");
-      if (std::floor(raw) != raw) {
-        throw RuntimeError("index must be an integer");
-      }
-      // Python-style negative indexing.
-      std::ptrdiff_t i = static_cast<std::ptrdiff_t>(raw);
-      const auto n = static_cast<std::ptrdiff_t>(base.size());
-      if (i < 0) i += n;
-      if (i < 0 || i >= n) {
-        throw RuntimeError("index " + std::to_string(raw) +
-                           " out of range for vector of length " +
-                           std::to_string(n));
-      }
-      return Value(base.as_vector()[static_cast<std::size_t>(i)]);
-    }
-
-    case ExprKind::kVectorLiteral: {
-      std::vector<double> out;
-      out.reserve(expr.children.size());
-      for (const auto& child : expr.children) {
-        out.push_back(require_scalar(
-            eval_expr(*child, inputs, locals), "vector literal element"));
-      }
-      if (out.empty()) throw RuntimeError("empty vector literal");
-      return Value(std::move(out));
-    }
-  }
-  throw RuntimeError("unknown expression kind");
-}
-
-std::vector<std::size_t> StateMatrix::row_lengths() const {
-  std::vector<std::size_t> lengths;
-  lengths.reserve(rows.size());
-  for (const auto& row : rows) lengths.push_back(row.values.size());
-  return lengths;
-}
-
-double StateMatrix::max_abs() const {
-  double m = 0.0;
-  for (const auto& row : rows) {
-    for (double v : row.values) m = std::max(m, std::abs(v));
-  }
-  return m;
-}
-
-bool StateMatrix::all_finite() const {
-  for (const auto& row : rows) {
-    for (double v : row.values) {
-      if (!std::isfinite(v)) return false;
-    }
-  }
-  return true;
-}
-
-std::vector<std::vector<double>> StateMatrix::to_network_rows() const {
-  std::vector<std::vector<double>> out;
-  out.reserve(rows.size());
-  for (const auto& row : rows) out.push_back(row.values);
-  return out;
-}
-
-StateMatrix run_program(const Program& program, const Bindings& inputs) {
-  Bindings locals;
-  StateMatrix matrix;
-  for (const auto& stmt : program.statements) {
-    Value value = eval_expr(*stmt.expr, inputs, locals);
-    if (stmt.kind == StatementKind::kLet) {
-      locals[stmt.name] = std::move(value);
-    } else {
-      StateRow row;
-      row.name = stmt.name;
-      row.is_vector = value.is_vector();
-      if (value.is_vector()) {
-        row.values = value.as_vector();
-        if (row.values.empty()) {
-          throw RuntimeError("emit '" + stmt.name + "': empty vector");
-        }
-      } else {
-        row.values = {value.as_scalar()};
-      }
-      if (row.values.size() > 64) {
-        throw RuntimeError("emit '" + stmt.name + "': row longer than 64");
-      }
-      matrix.rows.push_back(std::move(row));
-    }
-  }
-  if (matrix.rows.empty()) {
-    throw RuntimeError("program emitted no state rows");
-  }
-  if (matrix.rows.size() > 24) {
-    throw RuntimeError("program emitted more than 24 state rows");
-  }
-  return matrix;
 }
 
 }  // namespace nada::dsl

@@ -1,25 +1,25 @@
 // Flat register bytecode for NadaScript.
 //
-// The tree-walk interpreter re-resolves every variable through a string
-// hash map and allocates fresh Values per AST node, per step — and the
-// state program is the per-step inner loop of precheck, probe, and full
-// training. compile_program() lowers the parsed AST once into straight-
-// line register code: variable references become input/local slot indices
+// A tree-walk re-resolves every variable through a string hash map and
+// allocates fresh Values per AST node, per step — and the state program is
+// the per-step inner loop of precheck, probe, and full training.
+// compile_program() lowers the parsed AST once into straight-line register
+// code: variable references become input/local slot indices
 // (annotated with the domain catalog's canonical slot numbering when a
 // catalog is supplied), builtin calls become direct indices into the flat
 // builtin_table(), numeric literals are pooled and bound to registers up
 // front, and let-bindings are zero-cost register aliases. dsl::Vm (vm.h)
 // executes the result against a reusable register file.
 //
-// Lowering is total: it never rejects a program. Errors the tree-walk
-// interpreter raises lazily — an undefined variable, an unknown function,
-// a bad arity — are lowered to instructions that raise the exact same
-// RuntimeError message at the exact same evaluation point, because a
-// reference inside a never-taken ternary branch must NOT fail (the
-// tree-walk never evaluates it) while the same reference in straight-line
-// code must fail with the tree-walk's message. Bit-identical behaviour,
-// including failure behaviour, is the equivalence bar: store journals
-// record failure reasons, and tree/VM runs must journal byte-identically.
+// Lowering is total: it never rejects a program. Errors the language
+// raises lazily — an undefined variable, an unknown function, a bad arity
+// — are lowered to instructions that raise the exact same RuntimeError
+// message at the exact same evaluation point, because a reference inside
+// a never-taken ternary branch must NOT fail (it is never evaluated) while
+// the same reference in straight-line code must. The reference tree-walk
+// oracle in tests/ defines those semantics, and the VM matches it bit for
+// bit, failure messages included: store journals record failure reasons,
+// so any drift in a message changes journal bytes.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +29,7 @@
 
 #include "dsl/ast.h"
 #include "dsl/binding_catalog.h"
-#include "dsl/interpreter.h"
+#include "dsl/builtins.h"
 #include "dsl/value.h"
 
 namespace nada::dsl {
@@ -98,7 +98,7 @@ struct CompiledProgram {
 
 /// Lowers a parsed program. Never throws on well-parsed input: semantic
 /// errors are lowered to runtime throws so the VM's failure behaviour
-/// matches the tree-walk interpreter exactly. `catalog`, when non-null,
+/// matches the reference tree-walk exactly. `catalog`, when non-null,
 /// only annotates InputRef::catalog_slot — it does not affect execution.
 [[nodiscard]] CompiledProgram compile_program(
     const Program& program, const BindingCatalog* catalog = nullptr);

@@ -1,5 +1,6 @@
 #include "dsl/parser.h"
 
+#include <string>
 #include <utility>
 
 #include "dsl/lexer.h"
@@ -28,6 +29,13 @@ const char* binary_op_name(BinaryOp op) {
 
 namespace {
 
+// Deepest expression nesting the parser accepts. Every later pass over the
+// AST — the canonical serializer, the bytecode compiler, the reference
+// tree-walk, ~Expr — recurses once per level, so hostile source nested
+// thousands deep would overflow the stack. Generated programs nest a
+// handful of levels.
+constexpr std::size_t kMaxNesting = 256;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
@@ -52,6 +60,34 @@ class Parser {
   bool check(TokenType t) const { return current().type == t; }
 
   Token advance() { return tokens_[pos_++]; }
+
+  // Nesting levels held by one parse frame, released when it returns.
+  // Parentheses add no AST node, so levels are counted as the parser
+  // descends, not from the tree: one per parse_expr (parentheses, index
+  // brackets, call arguments, vector elements, ternary arms), one per
+  // unary operator, and one per operand an operator chain appends, since
+  // a left-associative chain builds a left-deep tree.
+  class Nesting {
+   public:
+    explicit Nesting(Parser& parser) : parser_(parser) {}
+    Nesting(const Nesting&) = delete;
+    Nesting& operator=(const Nesting&) = delete;
+    ~Nesting() { parser_.depth_ -= levels_; }
+
+    void deeper() {
+      if (parser_.depth_ >= kMaxNesting) {
+        throw CompileError("expression nested deeper than " +
+                               std::to_string(kMaxNesting) + " levels",
+                           parser_.current().line);
+      }
+      ++parser_.depth_;
+      ++levels_;
+    }
+
+   private:
+    Parser& parser_;
+    std::size_t levels_ = 0;
+  };
 
   Token expect(TokenType t, const char* context) {
     if (!check(t)) {
@@ -91,7 +127,11 @@ class Parser {
     return stmt;
   }
 
-  ExprPtr parse_expr() { return parse_ternary(); }
+  ExprPtr parse_expr() {
+    Nesting nesting(*this);
+    nesting.deeper();
+    return parse_ternary();
+  }
 
   ExprPtr parse_ternary() {
     ExprPtr cond = parse_or();
@@ -111,7 +151,9 @@ class Parser {
 
   ExprPtr parse_or() {
     ExprPtr left = parse_and();
+    Nesting chain(*this);
     while (check(TokenType::kOrOr)) {
+      chain.deeper();
       const std::size_t line = advance().line;
       left = make_binary(BinaryOp::kOr, std::move(left), parse_and(), line);
     }
@@ -120,7 +162,9 @@ class Parser {
 
   ExprPtr parse_and() {
     ExprPtr left = parse_comparison();
+    Nesting chain(*this);
     while (check(TokenType::kAndAnd)) {
+      chain.deeper();
       const std::size_t line = advance().line;
       left = make_binary(BinaryOp::kAnd, std::move(left), parse_comparison(),
                          line);
@@ -148,7 +192,9 @@ class Parser {
 
   ExprPtr parse_additive() {
     ExprPtr left = parse_multiplicative();
+    Nesting chain(*this);
     while (check(TokenType::kPlus) || check(TokenType::kMinus)) {
+      chain.deeper();
       const BinaryOp op = check(TokenType::kPlus) ? BinaryOp::kAdd
                                                   : BinaryOp::kSub;
       const std::size_t line = advance().line;
@@ -159,8 +205,10 @@ class Parser {
 
   ExprPtr parse_multiplicative() {
     ExprPtr left = parse_unary();
+    Nesting chain(*this);
     while (check(TokenType::kStar) || check(TokenType::kSlash) ||
            check(TokenType::kPercent)) {
+      chain.deeper();
       BinaryOp op = BinaryOp::kMul;
       if (check(TokenType::kSlash)) op = BinaryOp::kDiv;
       if (check(TokenType::kPercent)) op = BinaryOp::kMod;
@@ -179,6 +227,8 @@ class Parser {
       node->kind = ExprKind::kUnary;
       node->unary_op = op;
       node->line = line;
+      Nesting nesting(*this);
+      nesting.deeper();
       node->children.push_back(parse_unary());
       return node;
     }
@@ -187,7 +237,9 @@ class Parser {
 
   ExprPtr parse_postfix() {
     ExprPtr base = parse_primary();
+    Nesting chain(*this);
     while (check(TokenType::kLBracket)) {
+      chain.deeper();
       const std::size_t line = advance().line;
       auto node = std::make_unique<Expr>();
       node->kind = ExprKind::kIndex;
@@ -273,6 +325,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< nesting levels currently held; see Nesting
 };
 
 }  // namespace

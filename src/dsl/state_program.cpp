@@ -1,39 +1,10 @@
 #include "dsl/state_program.h"
 
-#include <atomic>
-#include <cstdlib>
-
 #include "dsl/binding_catalog.h"
 #include "dsl/parser.h"
 #include "dsl/vm.h"
 
 namespace nada::dsl {
-namespace {
-
-std::atomic<int> g_exec_mode{-1};  // -1: not yet read from the environment
-
-int read_exec_mode_env() {
-  const char* v = std::getenv("NADA_DSL_EXEC");
-  if (v != nullptr && std::string(v) == "tree") {
-    return static_cast<int>(ExecMode::kTree);
-  }
-  return static_cast<int>(ExecMode::kVm);
-}
-
-}  // namespace
-
-ExecMode exec_mode() {
-  int mode = g_exec_mode.load(std::memory_order_relaxed);
-  if (mode < 0) {
-    mode = read_exec_mode_env();
-    g_exec_mode.store(mode, std::memory_order_relaxed);
-  }
-  return static_cast<ExecMode>(mode);
-}
-
-void set_exec_mode(ExecMode mode) {
-  g_exec_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
 
 StateProgram::StateProgram(std::string source, Program program,
                            const BindingCatalog* catalog)
@@ -50,9 +21,6 @@ StateProgram StateProgram::compile(std::string source,
 }
 
 StateMatrix StateProgram::run(const Bindings& inputs) const {
-  if (exec_mode() == ExecMode::kTree) {
-    return run_program(program_, inputs);
-  }
   // One VM per thread: run() is called concurrently on shared programs
   // (rl::run_sessions fans one program out across seed workers), and a Vm
   // is single-threaded mutable state. The matrix is copied out for API

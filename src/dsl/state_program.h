@@ -9,12 +9,11 @@
 // binding vocabulary changes (src/env and src/cc own those vocabularies).
 //
 // Execution: compile() parses the source AND lowers it to register
-// bytecode (bytecode.h); run() dispatches to the bytecode VM or the
-// tree-walk interpreter per exec_mode(). The VM is the default and is
-// bit-identical to the tree-walk — same matrices, same error messages —
-// so rankings, store journals, and sim_rev are unchanged; NADA_DSL_EXEC
-// exists for differential testing and as an escape hatch, and
-// deliberately does NOT feed the store digest.
+// bytecode (bytecode.h); run() executes that bytecode on the VM (vm.h),
+// the only engine. The parsed AST stays available through program() for
+// the canonical serializer and for the reference tree-walk oracle in
+// tests/, which the VM is pinned bit-identical to — same matrices, same
+// error messages, hence the same journaled failure reasons.
 //
 // The original Pensieve state is provided in this language
 // (pensieve_state_source) and serves as the ABR seed design.
@@ -28,28 +27,18 @@
 
 #include "dsl/ast.h"
 #include "dsl/bytecode.h"
-#include "dsl/interpreter.h"
+#include "dsl/value.h"
 
 namespace nada::dsl {
 
 class BindingCatalog;
 
-/// Which engine StateProgram::run uses.
-enum class ExecMode { kTree, kVm };
-
-/// The process-wide execution mode: NADA_DSL_EXEC=tree selects the
-/// tree-walk interpreter, anything else (including unset) the VM. Read
-/// once, then cached; set_exec_mode overrides it.
-[[nodiscard]] ExecMode exec_mode();
-
-/// Process-wide override for tests and benches (e.g. differential runs).
-void set_exec_mode(ExecMode mode);
-
 class StateProgram {
  public:
-  /// Parses and lowers `source`; throws CompileError on syntax errors.
-  /// Lowering never rejects a parseable program (semantic errors surface
-  /// at run time with tree-walk-identical messages; see bytecode.h).
+  /// Parses and lowers `source`; throws CompileError on syntax errors and
+  /// on expressions nested past the parser's depth cap. Lowering never
+  /// rejects a parseable program (semantic errors surface at run time;
+  /// see bytecode.h).
   /// `catalog`, when given, annotates the bytecode's input table with the
   /// domain's canonical slot indices (execution is unaffected; see
   /// InputRef::catalog_slot).
@@ -58,8 +47,8 @@ class StateProgram {
 
   /// Runs against a set of observation bindings (see BindingCatalog);
   /// throws RuntimeError on evaluation errors, including references to
-  /// variables outside the bound vocabulary, and BudgetError (VM mode)
-  /// when a run exceeds the execution budget.
+  /// variables outside the bound vocabulary, and BudgetError when a run
+  /// exceeds the execution budget.
   [[nodiscard]] StateMatrix run(const Bindings& inputs) const;
 
   [[nodiscard]] const std::string& source() const { return source_; }

@@ -8,11 +8,12 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace nada::dsl {
 
-/// Thrown by the interpreter for type errors, bad arity, division by zero,
+/// Thrown by program execution for type errors, bad arity, division by zero,
 /// domain errors, and other Python-exception-like conditions. A candidate
 /// whose trial run throws RuntimeError fails NADA's compilation check.
 class RuntimeError : public std::runtime_error {
@@ -103,5 +104,33 @@ Value broadcast_binary(const Value& a, const Value& b, Op op,
   }
   return Value(std::move(out));
 }
+
+/// Named input values for one program run: the raw observation, keyed by
+/// the domain's variable names (see BindingCatalog).
+using Bindings = std::unordered_map<std::string, Value>;
+
+/// One emitted state row.
+struct StateRow {
+  std::string name;
+  std::vector<double> values;  ///< single element for scalar rows
+  bool is_vector = false;
+};
+
+/// The state matrix produced by one program run.
+struct StateMatrix {
+  std::vector<StateRow> rows;
+
+  /// Row lengths (1 for scalar rows) — the network input signature.
+  [[nodiscard]] std::vector<std::size_t> row_lengths() const;
+
+  /// Largest absolute feature value (the normalization-check statistic).
+  [[nodiscard]] double max_abs() const;
+
+  /// True if every value is finite.
+  [[nodiscard]] bool all_finite() const;
+
+  /// Flattens to per-row vectors for the network.
+  [[nodiscard]] std::vector<std::vector<double>> to_network_rows() const;
+};
 
 }  // namespace nada::dsl

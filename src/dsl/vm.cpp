@@ -4,12 +4,14 @@
 #include <cstdlib>
 #include <string>
 
+#include "dsl/builtins.h"
+
 namespace nada::dsl {
 namespace {
 
-// Mirrors the tree-walk interpreter's require_scalar exactly (message
-// identity matters: failure reasons are journaled by the store, and
-// tree/VM journals must be byte-identical).
+// Mirrors the reference tree-walk's require_scalar exactly (message
+// identity matters: failure reasons are journaled by the store, so a
+// changed message changes journal bytes).
 double require_scalar(const Value& v, const char* what) {
   if (!v.is_scalar()) {
     throw RuntimeError(std::string(what) + " must be a scalar");
@@ -285,13 +287,14 @@ const StateMatrix& Vm::run(const CompiledProgram& program,
         if (std::floor(raw) != raw) {
           throw RuntimeError("index must be an integer");
         }
-        std::ptrdiff_t i = static_cast<std::ptrdiff_t>(raw);
-        const auto n = static_cast<std::ptrdiff_t>(base.size());
-        if (i < 0) i += n;
-        if (i < 0 || i >= n) {
+        // Range-checked as a double: the integer cast is only defined
+        // once the index is known in range.
+        const double n = static_cast<double>(base.size());
+        const double i = raw < 0.0 ? raw + n : raw;
+        if (i < 0.0 || i >= n) {
           throw RuntimeError("index " + std::to_string(raw) +
                              " out of range for vector of length " +
-                             std::to_string(n));
+                             std::to_string(base.size()));
         }
         Value& dst = storage[in.dst];
         dst.set_scalar(base.as_vector()[static_cast<std::size_t>(i)]);

@@ -1,17 +1,17 @@
-// Register VM for compiled NadaScript (see bytecode.h).
+// Register VM for compiled NadaScript (see bytecode.h) — the library's only
+// DSL engine.
 //
 // A Vm owns a reusable register file, a preallocated StateMatrix, and the
 // scratch buffers execution needs, so running the same program across an
 // episode performs zero heap allocation for scalar operations and reuses
 // vector capacity steady-state. Vector results are computed in place
-// (registers are SSA — operands never alias destinations) with exactly the
-// tree-walk interpreter's broadcast loops and error messages; builtin
-// calls dispatch through the flat builtin_table() to the same Builtin::fn
-// implementations the tree-walk uses, so builtin semantics are identical
-// by construction.
+// (registers are SSA — operands never alias destinations) with the
+// broadcast loops and error messages of the reference tree-walk oracle
+// (tests/dsl_tree_oracle.h, pinned bit-identical by tests/dsl_vm_test.cpp);
+// builtin calls dispatch through the flat builtin_table() to the same
+// Builtin::fn implementations the oracle uses (dsl/builtins.h).
 //
-// The VM also enforces an execution budget the tree-walk cannot: at
-// million-candidate scale the generator's output is untrusted input, and
+// The VM also enforces an execution budget: at million-candidate scale the generator's output is untrusted input, and
 // NadaScript's only unbounded axis is vector growth (e.g. repeated
 // `let x = concat(x, x)` doubles a register per statement). Each run
 // accumulates cost units — one per instruction plus the element count of
@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "dsl/bytecode.h"
-#include "dsl/interpreter.h"
 #include "dsl/value.h"
 
 namespace nada::dsl {
@@ -61,7 +60,7 @@ class Vm {
 
   /// Executes `program` against `inputs` and returns the VM-owned state
   /// matrix (valid until the next run). Throws RuntimeError exactly where
-  /// and with exactly the message the tree-walk interpreter would, and
+  /// and with exactly the message the reference tree-walk would, and
   /// BudgetError when the run exceeds the budget. `program` must outlive
   /// the returned reference (constant registers point into it).
   const StateMatrix& run(const CompiledProgram& program,

@@ -23,7 +23,7 @@
 
 namespace nada::env {
 
-/// Converts an observation into the interpreter's input bindings.
+/// Converts an observation into the DSL input bindings.
 [[nodiscard]] dsl::Bindings bindings_from_observation(const Observation& obs);
 
 /// Names of all ABR observation variables exposed to programs.

@@ -21,11 +21,6 @@ PolicyAgent::PolicyAgent(const dsl::StateProgram& program,
 }
 
 const dsl::StateMatrix& PolicyAgent::eval_state(const dsl::Bindings& obs) {
-  ++exec_runs_;
-  if (dsl::exec_mode() == dsl::ExecMode::kTree) {
-    tree_matrix_ = program_->run(obs);
-    return tree_matrix_;
-  }
   return vm_.run(program_->code(), obs);
 }
 

@@ -48,23 +48,22 @@ class PolicyAgent {
   void forward_backward(const dsl::Bindings& obs, const nn::Vec& dlogits,
                         double dvalue);
 
-  /// Runs the state program on `obs` through the active engine (the
-  /// agent-owned Vm by default, the tree-walk under NADA_DSL_EXEC=tree)
-  /// and returns the agent-owned matrix, valid until the next eval_state
-  /// call. This is the per-step inner loop: VM-mode scalar ops perform no
-  /// heap allocation, and the matrix/row buffers are reused across steps.
+  /// Runs the state program on `obs` through the agent-owned Vm and
+  /// returns the Vm-owned matrix, valid until the next eval_state call.
+  /// This is the per-step inner loop: scalar ops perform no heap
+  /// allocation, and the matrix/row buffers are reused across steps.
   const dsl::StateMatrix& eval_state(const dsl::Bindings& obs);
 
   /// `matrix` flattened into the agent-owned network-row buffers
   /// (capacity-reusing equivalent of StateMatrix::to_network_rows).
   const std::vector<nn::Vec>& network_rows(const dsl::StateMatrix& matrix);
 
-  /// Cumulative Vm counters (zero in tree mode); see obs `dsl.exec.*`.
+  /// Cumulative Vm counters; see obs `dsl.exec.*`.
   [[nodiscard]] const dsl::Vm::Stats& exec_stats() const {
     return vm_.stats();
   }
-  /// State-program runs through eval_state, counted in both engines.
-  [[nodiscard]] std::uint64_t exec_runs() const { return exec_runs_; }
+  /// State-program runs through eval_state.
+  [[nodiscard]] std::uint64_t exec_runs() const { return vm_.stats().runs; }
 
   [[nodiscard]] nn::ActorCriticNet& net() { return *net_; }
   [[nodiscard]] const dsl::StateProgram& program() const { return *program_; }
@@ -75,9 +74,7 @@ class PolicyAgent {
   nn::StateSignature sig_;
   std::unique_ptr<nn::ActorCriticNet> net_;
   dsl::Vm vm_;                      ///< agent-owned: agents are thread-confined
-  dsl::StateMatrix tree_matrix_;    ///< tree-mode scratch
   std::vector<nn::Vec> row_cache_;  ///< network_rows scratch
-  std::uint64_t exec_runs_ = 0;
 };
 
 /// Derives the network input signature from a trial run of the program on

@@ -99,6 +99,11 @@ struct SupervisorConfig {
 /// from restarts, which is how tests inject faults into attempt 0 only.
 /// The command must journal into lease.journal_path, heartbeat into
 /// lease.status_path, and execute exactly the candidates in lease.range.
+/// It must be the worker itself, or a shell that `exec`s it: a kill
+/// signals only the spawned pid, so a worker running as a shell's child
+/// would outlive its lease (and keep the shell's stdout open). Workers
+/// stay in the supervisor's process group, so a terminal's Ctrl-C or a
+/// group kill of the supervisor still reaches them.
 using CommandBuilder = std::function<std::vector<std::string>(const Lease&)>;
 
 struct SupervisorReport {

@@ -5,7 +5,7 @@
 
 #include "cc/cc_env.h"
 #include "cc/cc_state.h"
-#include "dsl/parser.h"
+#include "dsl/state_program.h"
 #include "trace/generator.h"
 
 namespace nada::cc {
@@ -192,13 +192,15 @@ TEST(Aimd, AchievesReasonableUtilizationWithoutStandingQueue) {
 // ---- DSL bindings ----------------------------------------------------------------
 
 TEST(CcState, DefaultStateCompilesAndRuns) {
-  const dsl::Program program = dsl::parse(default_cc_state_source());
+  const auto program =
+      dsl::StateProgram::compile(default_cc_state_source(), &cc_catalog());
   util::Rng rng(10);
   const auto cap = constant_capacity(8.0);
   CcEnv env(cap, CcConfig{}, rng);
   env.reset();
   const auto r = env.step(3);
-  const dsl::StateMatrix matrix = run_cc_program(program, r.observation);
+  const dsl::StateMatrix matrix =
+      program.run(bindings_from_cc_observation(r.observation));
   EXPECT_GE(matrix.rows.size(), 5u);
   EXPECT_TRUE(matrix.all_finite());
   EXPECT_LT(matrix.max_abs(), 100.0);  // passes the normalization bar
@@ -209,7 +211,7 @@ TEST(CcState, AllInputVariablesBindable) {
   for (const auto& var : cc_input_variables()) {
     src += "emit \"" + var.name + "\" = " + var.name + " * 0.001;\n";
   }
-  const dsl::Program program = dsl::parse(src);
+  const auto program = dsl::StateProgram::compile(src, &cc_catalog());
   CcObservation obs;
   obs.send_rate_mbps.assign(kCcHistoryLen, 1.0);
   obs.ack_rate_mbps.assign(kCcHistoryLen, 1.0);
@@ -217,21 +219,24 @@ TEST(CcState, AllInputVariablesBindable) {
   obs.loss_fraction.assign(kCcHistoryLen, 0.0);
   obs.min_rtt_ms = 40.0;
   obs.current_rate_mbps = 1.0;
-  const auto matrix = run_cc_program(program, obs);
+  const auto matrix = program.run(bindings_from_cc_observation(obs));
   EXPECT_EQ(matrix.rows.size(), cc_input_variables().size());
 }
 
 TEST(CcState, StateShapeStableAcrossSteps) {
-  const dsl::Program program = dsl::parse(default_cc_state_source());
+  const auto program =
+      dsl::StateProgram::compile(default_cc_state_source(), &cc_catalog());
   util::Rng rng(11);
   const auto cap = constant_capacity(6.0);
   CcEnv env(cap, CcConfig{}, rng);
   CcObservation obs = env.reset();
-  const auto first = run_cc_program(program, obs).row_lengths();
+  const auto first =
+      program.run(bindings_from_cc_observation(obs)).row_lengths();
   for (int i = 0; i < 30; ++i) {
     const auto r = env.step(static_cast<std::size_t>(rng.uniform_int(0, 4)));
     obs = r.observation;
-    EXPECT_EQ(run_cc_program(program, obs).row_lengths(), first);
+    EXPECT_EQ(program.run(bindings_from_cc_observation(obs)).row_lengths(),
+              first);
   }
 }
 

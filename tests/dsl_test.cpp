@@ -1,10 +1,12 @@
-// Tests for NadaScript: lexer, parser, interpreter semantics, builtins, and
-// the Pensieve reference state program.
+// Tests for NadaScript: lexer, parser, language semantics, builtins, and
+// the Pensieve reference state program. Programs run on the production
+// engine (StateProgram -> bytecode VM); tests/dsl_vm_test.cpp pins that
+// engine to the reference tree-walk.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "dsl/interpreter.h"
+#include "dsl/builtins.h"
 #include "dsl/lexer.h"
 #include "dsl/parser.h"
 #include "dsl/state_program.h"
@@ -16,10 +18,24 @@ namespace {
 
 Value eval_source_expr(const std::string& expr_text,
                        const Bindings& inputs = {}) {
-  // Wrap the expression into a one-emit program and run it.
-  const Program program = parse("emit \"x\" = " + expr_text + ";");
-  Bindings locals;
-  return eval_expr(*program.statements[0].expr, inputs, locals);
+  // Wrap the expression into a one-emit program, run it, and hand back
+  // the emitted row as a value.
+  const StateMatrix m =
+      StateProgram::compile("emit \"x\" = " + expr_text + ";").run(inputs);
+  const StateRow& row = m.rows.at(0);
+  if (row.is_vector) return Value(row.values);
+  return Value(row.values.at(0));
+}
+
+// The RuntimeError message `expr_text` fails with, or "" if it runs.
+std::string error_of(const std::string& expr_text,
+                     const Bindings& inputs = {}) {
+  try {
+    (void)eval_source_expr(expr_text, inputs);
+  } catch (const RuntimeError& e) {
+    return e.what();
+  }
+  return "";
 }
 
 double eval_scalar(const std::string& expr_text, const Bindings& inputs = {}) {
@@ -152,30 +168,57 @@ TEST(Parser, LogicalOperators) {
   EXPECT_DOUBLE_EQ(eval_scalar("!3"), 0.0);
 }
 
+TEST(Parser, NestingDepthIsCapped) {
+  // Hostile source is a compile error, not a stack overflow in the parser
+  // or in a later pass over the AST.
+  const auto repeat = [](std::size_t n, const std::string& unit) {
+    std::string out;
+    for (std::size_t i = 0; i < n; ++i) out += unit;
+    return out;
+  };
+  const auto parens = [](std::size_t depth) {
+    return std::string(depth, '(') + "1" + std::string(depth, ')');
+  };
+  EXPECT_THROW(StateProgram::compile("emit \"x\" = " + parens(10000) + ";"),
+               CompileError);
+  EXPECT_THROW(
+      StateProgram::compile("emit \"x\" = 1" + repeat(99999, "+1") + ";"),
+      CompileError);
+  EXPECT_THROW(parse("emit \"x\" = " + parens(20000) + ";"), CompileError);
+  EXPECT_THROW(parse("emit \"x\" = " + std::string(20000, '-') + "1;"),
+               CompileError);
+  // Well inside the cap, deep nesting still compiles and runs.
+  EXPECT_DOUBLE_EQ(eval_scalar(parens(200)), 1.0);
+  EXPECT_DOUBLE_EQ(eval_scalar("1" + repeat(199, "+1")), 200.0);
+  EXPECT_DOUBLE_EQ(eval_scalar(std::string(200, '-') + "1"), 1.0);
+}
+
 TEST(Parser, TernarySelectsBranch) {
   EXPECT_DOUBLE_EQ(eval_scalar("1 ? 10 : 20"), 10.0);
   EXPECT_DOUBLE_EQ(eval_scalar("0 ? 10 : 20"), 20.0);
   EXPECT_DOUBLE_EQ(eval_scalar("2 < 1 ? 10 : 20"), 20.0);
 }
 
-// ---- interpreter semantics ----------------------------------------------------
+// ---- language semantics -------------------------------------------------------
 
 TEST(Interp, LetBindingAndReuse) {
-  const Program p = parse("let a = 3; let b = a * 2; emit \"x\" = a + b;");
-  const StateMatrix m = run_program(p, {});
+  const StateMatrix m =
+      StateProgram::compile("let a = 3; let b = a * 2; emit \"x\" = a + b;")
+          .run({});
   ASSERT_EQ(m.rows.size(), 1u);
   EXPECT_DOUBLE_EQ(m.rows[0].values[0], 9.0);
 }
 
 TEST(Interp, LetShadowing) {
-  const Program p = parse("let a = 1; let a = a + 1; emit \"x\" = a;");
-  const StateMatrix m = run_program(p, {});
+  const StateMatrix m =
+      StateProgram::compile("let a = 1; let a = a + 1; emit \"x\" = a;")
+          .run({});
   EXPECT_DOUBLE_EQ(m.rows[0].values[0], 2.0);
 }
 
 TEST(Interp, UndefinedVariableThrows) {
-  const Program p = parse("emit \"x\" = nope;");
-  EXPECT_THROW(run_program(p, {}), RuntimeError);
+  const StateProgram p = StateProgram::compile("emit \"x\" = nope;");
+  EXPECT_THROW((void)p.run({}), RuntimeError);
 }
 
 TEST(Interp, VectorScalarBroadcast) {
@@ -233,7 +276,7 @@ TEST(Interp, EmitLimits) {
   for (int i = 0; i < 25; ++i) {
     many += "emit \"r" + std::to_string(i) + "\" = 1;";
   }
-  EXPECT_THROW(run_program(parse(many), {}), RuntimeError);
+  EXPECT_THROW((void)StateProgram::compile(many).run({}), RuntimeError);
 }
 
 TEST(Interp, RowLongerThan64Rejected) {
@@ -353,6 +396,24 @@ TEST(Builtins, VectorTransforms) {
             (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_EQ(eval_vector("vec(3, 7)"),
             (std::vector<double>{7.0, 7.0, 7.0}));
+}
+
+TEST(Builtins, IndexArgumentsFrom2Pow53AreOutOfRange) {
+  // Windows and bounds from 2^53 up are rejected: the size_t cast they
+  // used to take is undefined past 2^64 and journaled misleading reasons.
+  const Bindings obs = env::abr_catalog().canned();
+  EXPECT_EQ(error_of("smooth(throughput_mbps, 1e30)", obs),
+            "smooth window out of range");
+  EXPECT_EQ(error_of("slice(throughput_mbps, 1e30, 1e30)", obs),
+            "slice start out of range");
+  EXPECT_EQ(error_of("smooth(throughput_mbps, 9007199254740992)", obs),
+            "smooth window out of range");
+  EXPECT_EQ(error_of("smooth(throughput_mbps, 9007199254740991)", obs), "");
+  // Smaller values keep their messages.
+  EXPECT_EQ(error_of("smooth(throughput_mbps, 0)", obs),
+            "smooth window is zero");
+  EXPECT_EQ(error_of("slice(throughput_mbps, 0, 9)", obs),
+            "slice bounds [0, 9) invalid for length 8");
 }
 
 TEST(Builtins, SmoothMovingAverage) {

@@ -1,12 +1,13 @@
 // Differential tests for the bytecode VM (dsl/bytecode.h, dsl/vm.h).
 //
-// The equivalence bar is the repo's standard: the VM must be bit-identical
-// to the tree-walk interpreter — same StateMatrix bits on success, same
+// The equivalence bar is the repo's standard: the VM, the library's only
+// DSL engine, must be bit-identical to the reference tree-walk oracle
+// (tests/dsl_tree_oracle.h) — same StateMatrix bits on success, same
 // RuntimeError message on failure — over both generators' candidate
-// streams (flawed candidates included), so that rankings and store
-// journals do not change when the VM is the default engine. The
-// serialize -> parse -> canonicalize -> compile -> re-execute round trip
-// follows sceneri's Interpreter test shape (SNIPPETS.md §2).
+// streams (flawed candidates included), because failure reasons are
+// journaled. The serialize -> parse -> canonicalize -> compile ->
+// re-execute round trip follows sceneri's Interpreter test shape
+// (SNIPPETS.md §2).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -28,23 +29,10 @@
 #include "rl/agent.h"
 #include "util/rng.h"
 
+#include "dsl_tree_oracle.h"
+
 namespace nada::dsl {
 namespace {
-
-// NADA_DSL_EXEC is never set under ctest, so the first test in this binary
-// can pin the documented default before anything calls set_exec_mode.
-TEST(ExecMode, DefaultsToVm) { EXPECT_EQ(exec_mode(), ExecMode::kVm); }
-
-class ScopedExecMode {
- public:
-  explicit ScopedExecMode(ExecMode mode) : saved_(exec_mode()) {
-    set_exec_mode(mode);
-  }
-  ~ScopedExecMode() { set_exec_mode(saved_); }
-
- private:
-  ExecMode saved_;
-};
 
 bool same_bits(double x, double y) {
   std::uint64_t a = 0;
@@ -60,17 +48,24 @@ struct RunOutcome {
   std::string error;
 };
 
-RunOutcome run_in_mode(const StateProgram& program, const Bindings& obs,
-                       ExecMode mode) {
-  ScopedExecMode scoped(mode);
+template <typename Run>
+RunOutcome outcome_of(Run run) {
   RunOutcome out;
   try {
-    out.matrix = program.run(obs);
+    out.matrix = run();
     out.ok = true;
   } catch (const std::exception& e) {
     out.error = e.what();
   }
   return out;
+}
+
+RunOutcome run_vm(const StateProgram& program, const Bindings& obs) {
+  return outcome_of([&] { return program.run(obs); });
+}
+
+RunOutcome run_oracle(const StateProgram& program, const Bindings& obs) {
+  return outcome_of([&] { return test::run_program(program.program(), obs); });
 }
 
 void expect_matrices_identical(const StateMatrix& tree, const StateMatrix& vm,
@@ -89,12 +84,12 @@ void expect_matrices_identical(const StateMatrix& tree, const StateMatrix& vm,
   }
 }
 
-// Tree-walk and VM must agree on outcome AND on the exact failure message
-// (failure reasons are journaled; journals must be byte-identical).
+// Oracle and VM must agree on outcome AND on the exact failure message
+// (failure reasons are journaled).
 void expect_equivalent(const StateProgram& program, const Bindings& obs,
                        const std::string& context) {
-  const RunOutcome tree = run_in_mode(program, obs, ExecMode::kTree);
-  const RunOutcome vm = run_in_mode(program, obs, ExecMode::kVm);
+  const RunOutcome tree = run_oracle(program, obs);
+  const RunOutcome vm = run_vm(program, obs);
   ASSERT_EQ(tree.ok, vm.ok) << context << "\ntree: " << tree.error
                             << "\nvm:   " << vm.error;
   if (tree.ok) {
@@ -127,7 +122,7 @@ void differential_over_stream(const gen::StateSpace& space,
       try {
         return StateProgram::compile(candidate.source, &catalog);
       } catch (const CompileError&) {
-        // Syntax flaws fail in the (shared) parser before any engine runs.
+        // Syntax flaws fail in the (shared) parser before either one runs.
         return StateProgram::compile("emit \"x\" = 0.0;");
       }
     }();
@@ -161,7 +156,7 @@ TEST(DslVm, CcGeneratorStreamDifferential) {
 }
 
 // The CC planted-flaw tables, exercised directly: every runtime-bug and
-// raw-unit variant must fail/succeed identically under both engines.
+// raw-unit variant must fail/succeed identically in the VM and the oracle.
 TEST(DslVm, CcPlantedFlawTablesDifferential) {
   const auto& space = gen::cc_state_space();
   const auto obs = observations(cc::cc_catalog(), 4, 0xbadf1a3ULL);
@@ -193,8 +188,7 @@ TEST(DslVm, DeadTernaryBranchNeverFails) {
         "emit \"x\" = 1.0 ? 2.0 : mean(1.0, 2.0, 3.0);\n"}) {
     const StateProgram program = StateProgram::compile(source, &catalog);
     expect_equivalent(program, catalog.canned(), source);
-    const RunOutcome vm =
-        run_in_mode(program, catalog.canned(), ExecMode::kVm);
+    const RunOutcome vm = run_vm(program, catalog.canned());
     EXPECT_TRUE(vm.ok) << source << ": " << vm.error;
   }
 }
@@ -217,10 +211,13 @@ TEST(DslVm, TakenErrorBranchMessagesMatch) {
         "emit \"x\" = [throughput_mbps, undefined_var];\n",
         "emit \"x\" = vec(0, 1.0);\n",
         "emit \"x\" = vec(65, 1.0);\n",
-        "emit \"x\" = slice(throughput_mbps, 3, 2);\n"}) {
+        "emit \"x\" = slice(throughput_mbps, 3, 2);\n",
+        "emit \"x\" = throughput_mbps[1e300];\n",
+        "emit \"x\" = throughput_mbps[-1e400];\n",
+        "emit \"x\" = smooth(throughput_mbps, 1e30);\n",
+        "emit \"x\" = slice(throughput_mbps, 1e30, 1e30);\n"}) {
     const StateProgram program = StateProgram::compile(source, &catalog);
-    const RunOutcome tree =
-        run_in_mode(program, catalog.canned(), ExecMode::kTree);
+    const RunOutcome tree = run_oracle(program, catalog.canned());
     ASSERT_FALSE(tree.ok) << source;
     expect_equivalent(program, catalog.canned(), source);
   }
@@ -239,11 +236,12 @@ TEST(DslVm, AndOrEvaluateBothButShortCircuitTheScalarCheck) {
     const StateProgram program = StateProgram::compile(source, &catalog);
     expect_equivalent(program, catalog.canned(), source);
   }
-  // "0 && undefined_var" still throws in BOTH engines: the operand itself
-  // is always evaluated, only its scalar check short-circuits.
+  // "0 && undefined_var" still throws in the VM and the oracle alike: the
+  // operand itself is always evaluated, only its scalar check
+  // short-circuits.
   const StateProgram program =
       StateProgram::compile("emit \"x\" = 0.0 && undefined_var;\n", &catalog);
-  EXPECT_FALSE(run_in_mode(program, catalog.canned(), ExecMode::kVm).ok);
+  EXPECT_FALSE(run_vm(program, catalog.canned()).ok);
 }
 
 // ---- serialize -> parse -> canonicalize -> compile -> re-execute ----------
@@ -285,7 +283,7 @@ void round_trip_over_stream(const gen::StateSpace& space,
     // Canonicalization is idempotent across the round trip: serializing
     // the reparsed program fingerprints back to the same canonical text.
     EXPECT_EQ(canonical_source(reparsed.program()), canon) << candidate.id;
-    // The canonical program is tree/VM equivalent on every observation...
+    // The canonical program is oracle/VM equivalent on every observation...
     const StateProgram original =
         StateProgram::compile(candidate.source, &catalog);
     for (std::size_t i = 0; i < obs.size(); ++i) {
@@ -293,8 +291,8 @@ void round_trip_over_stream(const gen::StateSpace& space,
       // ...and equivalent to the original source (error TEXT may cite
       // different line numbers since canonicalization strips comments, so
       // failures only need to agree as outcomes).
-      const RunOutcome orig = run_in_mode(original, obs[i], ExecMode::kTree);
-      const RunOutcome canon_vm = run_in_mode(reparsed, obs[i], ExecMode::kVm);
+      const RunOutcome orig = run_oracle(original, obs[i]);
+      const RunOutcome canon_vm = run_vm(reparsed, obs[i]);
       ASSERT_EQ(orig.ok, canon_vm.ok)
           << candidate.id << "\noriginal: " << orig.error
           << "\ncanonical vm: " << canon_vm.error;
@@ -400,7 +398,6 @@ std::string doubling_source(std::size_t doublings) {
 }
 
 TEST(DslVm, BudgetStopsPathologicalPrograms) {
-  ScopedExecMode scoped(ExecMode::kVm);
   const auto check = filter::compilation_check(doubling_source(24),
                                                env::abr_catalog());
   ASSERT_FALSE(check.passed);
@@ -415,7 +412,6 @@ TEST(DslVm, BudgetStopsPathologicalPrograms) {
 TEST(DslVm, BudgetErrorIsARuntimeError) {
   // Every existing catch treats budget exhaustion as a candidate failure.
   const StateProgram program = StateProgram::compile(doubling_source(24));
-  ScopedExecMode scoped(ExecMode::kVm);
   EXPECT_THROW((void)program.run(env::abr_catalog().canned()), RuntimeError);
 }
 
@@ -443,74 +439,24 @@ TEST(DslVm, WellBehavedProgramsCostFarBelowBudget) {
   EXPECT_LT(vm.stats().cost_units, instruction_budget() / 1000);
 }
 
-// ---- checks + agent through the VM ----------------------------------------
+// ---- agent through the VM ------------------------------------------------
 
-TEST(DslVm, CheckVerdictsAndReasonsMatchTreeWalk) {
-  // The journal-relevant content of the pre-checks — pass/fail verdict and
-  // reason string — must be identical under both engines across a flawed
-  // stream (this is the in-process pin behind the dsl-vm-smoke CI job).
-  gen::StateGenerator generator(gen::abr_state_space(), gen::gpt35_profile(),
-                                gen::PromptStrategy{}, 7);
-  for (const auto& candidate : generator.generate_batch(250)) {
-    ScopedExecMode tree_mode(ExecMode::kTree);
-    std::optional<StateProgram> tree_program;
-    const auto tree_check = filter::compilation_check(
-        candidate.source, env::abr_catalog(), &tree_program);
-    std::optional<filter::CheckResult> tree_norm;
-    if (tree_check.passed) {
-      tree_norm =
-          filter::normalization_check(*tree_program, env::abr_catalog());
-    }
-    set_exec_mode(ExecMode::kVm);
-    std::optional<StateProgram> vm_program;
-    const auto vm_check = filter::compilation_check(
-        candidate.source, env::abr_catalog(), &vm_program);
-    ASSERT_EQ(tree_check.passed, vm_check.passed) << candidate.id;
-    EXPECT_EQ(tree_check.reason, vm_check.reason) << candidate.id;
-    if (tree_norm.has_value()) {
-      const auto vm_norm =
-          filter::normalization_check(*vm_program, env::abr_catalog());
-      ASSERT_EQ(tree_norm->passed, vm_norm.passed) << candidate.id;
-      EXPECT_EQ(tree_norm->reason, vm_norm.reason) << candidate.id;
-    }
-  }
-}
-
-TEST(DslVm, AgentDecidesIdenticallyAndCountsExecution) {
+TEST(DslVm, AgentCountsVmExecution) {
   const auto& catalog = env::abr_catalog();
   std::optional<StateProgram> program;
   ASSERT_TRUE(filter::compilation_check(pensieve_state_source(), catalog,
                                         &program)
                   .passed);
-  const nn::ArchSpec spec = nn::ArchSpec::pensieve();
-  const auto decide_all = [&](ExecMode mode) {
-    ScopedExecMode scoped(mode);
-    util::Rng init(0x11ULL);
-    rl::PolicyAgent agent(*program, spec, 6, catalog, init);
-    std::vector<std::size_t> actions;
-    std::vector<double> values;
-    util::Rng rng(0x22ULL);
-    util::Rng fuzz(0x33ULL);
-    for (int i = 0; i < 16; ++i) {
-      const auto d = agent.decide(catalog.fuzz(fuzz), true, rng);
-      actions.push_back(d.action);
-      values.push_back(d.value);
-    }
-    EXPECT_EQ(agent.exec_runs(), 16u);
-    if (mode == ExecMode::kVm) {
-      EXPECT_EQ(agent.exec_stats().runs, 16u);
-      EXPECT_GT(agent.exec_stats().instructions, 0u);
-    } else {
-      EXPECT_EQ(agent.exec_stats().runs, 0u);  // tree mode: Vm untouched
-    }
-    return std::make_pair(actions, values);
-  };
-  const auto tree = decide_all(ExecMode::kTree);
-  const auto vm = decide_all(ExecMode::kVm);
-  EXPECT_EQ(tree.first, vm.first);
-  for (std::size_t i = 0; i < tree.second.size(); ++i) {
-    EXPECT_TRUE(same_bits(tree.second[i], vm.second[i])) << i;
+  util::Rng init(0x11ULL);
+  rl::PolicyAgent agent(*program, nn::ArchSpec::pensieve(), 6, catalog, init);
+  util::Rng rng(0x22ULL);
+  util::Rng fuzz(0x33ULL);
+  for (int i = 0; i < 16; ++i) {
+    (void)agent.decide(catalog.fuzz(fuzz), true, rng);
   }
+  EXPECT_EQ(agent.exec_runs(), 16u);
+  EXPECT_EQ(agent.exec_stats().runs, 16u);
+  EXPECT_GT(agent.exec_stats().instructions, 0u);
 }
 
 }  // namespace

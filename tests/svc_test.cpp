@@ -347,7 +347,7 @@ TEST(Supervisor, StaleStragglerIsKilledSplitAndReassigned) {
   // time) and never finishes; the split children exit immediately.
   Supervisor supervisor(config, [](const Lease& lease) {
     return std::vector<std::string>{
-        "/bin/sh", "-c", lease.parent == 0 ? "sleep 60" : "exit 0"};
+        "/bin/sh", "-c", lease.parent == 0 ? "exec sleep 60" : "exit 0"};
   });
   const auto report = supervisor.run();
   EXPECT_TRUE(report.success) << report.error;
