@@ -5,7 +5,8 @@
 // registry accumulates, live:
 //
 //   counters    search.candidates.{entered,out_of_shard,cache_hits,failed,
-//               probed,early_stopped,trained}
+//               probed,early_stopped,trained}   (out_of_shard: outside
+//               the job's fingerprint range)
 //               search.stage.<label>.runs      (stage executions — in
 //               streaming mode generate/precheck/probe run once per window)
 //               search.windows.completed, search.windows.candidates
@@ -14,7 +15,7 @@
 //   gauges      search.progress.stream_position   (candidates pulled)
 //               search.throughput.candidates_per_sec
 //               search.rate.cache_hit / search.rate.failed /
-//               search.rate.early_stopped   (of in-shard entered candidates)
+//               search.rate.early_stopped   (of in-range entered candidates)
 //
 // Pure readout: the observer never feeds a search decision, so attaching
 // it cannot change rankings or journal bytes. Counter updates are atomic

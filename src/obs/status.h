@@ -9,15 +9,15 @@
 //     `min_interval_seconds` on candidate events (so a million-candidate
 //     probe stage still heartbeats without a million rewrites),
 //   * written atomically (tmp + rename, util::write_file_atomic), so a
-//     `watch cat status.json`, the ShardRunner driver, or a supervisor
-//     polling worker liveness never reads a half-written snapshot,
+//     `watch cat status.json`, or a supervisor polling worker liveness,
+//     never reads a half-written snapshot,
 //   * self-contained: current stage/window/stream position, per-event
 //     counters, cumulative per-stage wall-clock totals, elapsed + ETA, and
 //     start/heartbeat unix timestamps.
 //
 // Snapshot schema (all keys always present unless noted):
 //
-//   {"label":"worker-0/3","pid":4242,"state":"running"|"done",
+//   {"label":"lease-0","pid":4242,"state":"running"|"done",
 //    "stage":"probe","window":3,"stream_position":64,
 //    "total_candidates":1000,
 //    "started_unix":...,"heartbeat_unix":...,
@@ -27,6 +27,9 @@
 //                "probed":18,"early_stopped":5,"trained":0,"windows":2},
 //    "stage_seconds":{"generate":0.01,"precheck":1.2,"probe":10.9},
 //    "stage_runs":{"generate":3,"precheck":3,"probe":3}}
+//
+// (counters.out_of_shard counts candidates outside the job's fingerprint
+// range; the name predates ranges and stays for compatibility.)
 //
 // Pure readout: a job with a StatusWriter attached computes bit-identical
 // results to one without. read_status / aggregate_status are the driver
@@ -50,7 +53,7 @@ namespace nada::obs {
 
 struct StatusConfig {
   std::string path;   ///< snapshot file (parent directory must exist)
-  std::string label;  ///< e.g. "worker-0/3", "driver", "single"
+  std::string label;  ///< e.g. "lease-0", "driver", "single"
   /// Stream length when known; 0 disables the ETA estimate.
   std::size_t total_candidates = 0;
   /// Floor between candidate-event-driven rewrites. Stage and window

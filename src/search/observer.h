@@ -3,7 +3,8 @@
 // A SearchJob fires an event for every stage transition (with wall-clock
 // timing) and for every candidate milestone — entered the stream, served
 // from the store cache, failed a check or blew up in training, probed,
-// early-stopped, fully trained, or skipped as out-of-shard. Observers get
+// early-stopped, fully trained, or skipped as outside the job's fingerprint
+// range ("out-of-shard", a name kept for published output). Observers get
 // live progress instead of only the final result: CLIs print funnel lines
 // as they happen, tests assert stage coverage, services export counters.
 //
@@ -58,7 +59,7 @@ enum class StageKind {
 
 enum class CandidateEventType {
   kEntered,       ///< joined the stream (kGenerate)
-  kOutOfShard,    ///< outside this job's ShardSlice; skipped entirely
+  kOutOfShard,    ///< outside this job's fingerprint range; skipped entirely
   kCacheHit,      ///< stage result served from the candidate store
   kFailed,        ///< failed a pre-check, or blew up during the probe
   kProbed,        ///< early-training probe completed

@@ -188,15 +188,6 @@ SearchJob::SearchJob(const env::TaskDomain& domain, SearchConfig config,
     : domain_(&domain), config_(std::move(config)), seed_(seed),
       source_(&source), fixed_(fixed), options_(options) {
   validate_config(config_);
-  if (options_.shard.has_value()) {
-    plan_.emplace(options_.shard->num_shards);
-    if (options_.shard->shard >= options_.shard->num_shards) {
-      throw std::invalid_argument(
-          "SearchJob: shard index " + std::to_string(options_.shard->shard) +
-          " out of range for " + std::to_string(options_.shard->num_shards) +
-          " shards");
-    }
-  }
   if (options_.range.has_value() &&
       options_.range->lo > options_.range->hi) {
     throw std::invalid_argument(
@@ -307,10 +298,6 @@ SearchResult SearchJob::resume() {
 }
 
 bool SearchJob::in_shard(std::size_t i) const {
-  if (plan_.has_value() &&
-      plan_->shard_of(fps_[i]) != options_.shard->shard) {
-    return false;
-  }
   return !options_.range.has_value() || options_.range->contains(fps_[i]);
 }
 

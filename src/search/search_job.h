@@ -5,7 +5,7 @@
 // driver; a job
 //
 //   * is steppable: next_stage() executes exactly one stage, so callers
-//     interleave their own work, stop early (shard workers run only
+//     interleave their own work, stop early (range workers run only
 //     through the probe stage), or drive progress UIs,
 //   * streams events: Observers see every stage transition (with timings),
 //     every candidate milestone, and — in streaming mode — every rolling
@@ -42,7 +42,8 @@
 // journal records as batch mode for the same seeds — where the work runs
 // cannot change what it computes; only the journal's line ORDER differs
 // (windows interleave check/probe records). tests/stream_test.cpp
-// pins batch-vs-streaming equivalence for ABR and CC, serial and sharded.
+// pins batch-vs-streaming equivalence for ABR and CC, serial and split
+// across fingerprint-range workers.
 // One caveat: without an attached store, a candidate whose duplicate
 // appeared in an earlier (already retired) window is re-probed rather than
 // copied — the results are identical either way, only n_probes_run grows;
@@ -103,18 +104,13 @@ struct JobOptions {
   /// architecture search over one domain) train the original design once.
   /// Must outlive the job.
   std::optional<rl::SessionResult>* baseline_cache = nullptr;
-  /// Restrict execution to one shard of the fingerprint space (worker
-  /// mode): candidates outside the slice are skipped and counted in
-  /// SearchResult::n_out_of_shard.
-  std::optional<ShardSlice> shard;
-  /// Restrict execution to an explicit fingerprint sub-range (lease mode,
-  /// inclusive bounds on Fingerprint::hi): candidates outside the range are
-  /// skipped and counted in SearchResult::n_out_of_shard. The supervisor
-  /// grants these sub-range leases (src/svc/); because membership is by
-  /// content hash and per-candidate seeds are fingerprint-derived, any
-  /// partition of the space into ranges computes the same records as a
-  /// single unrestricted run. Composes with `shard` (both filters apply),
-  /// though supervised runs use `range` alone.
+  /// Restrict execution to a fingerprint sub-range (inclusive bounds on
+  /// Fingerprint::hi): candidates outside the range are skipped and counted
+  /// in SearchResult::n_out_of_shard. The supervisor grants these sub-range
+  /// leases (src/svc/); because membership is by content hash and
+  /// per-candidate seeds are fingerprint-derived, any partition of the
+  /// space into ranges computes the same records as a single unrestricted
+  /// run.
   std::optional<store::ShardPlan::Range> range;
   /// Profiling registry for the hot paths the Observer event stream cannot
   /// see from outside: candidate generation pulls and fingerprinting
@@ -235,7 +231,6 @@ class SearchJob {
   CandidateSource* source_;
   FixedDesign fixed_;
   Options options_;
-  std::optional<store::ShardPlan> plan_;
   std::vector<Observer*> observers_;
   std::mutex notify_mutex_;
 

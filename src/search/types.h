@@ -69,14 +69,6 @@ void validate_config(const SearchConfig& config);
 [[nodiscard]] SearchConfig scaled_config(trace::Environment env,
                                          const util::ScaleConfig& scale);
 
-/// One worker's slice of a sharded search: the job executes (and journals)
-/// only the candidates store::ShardPlan(num_shards) assigns to `shard`;
-/// the rest of the stream is counted but skipped.
-struct ShardSlice {
-  std::size_t num_shards = 1;
-  std::size_t shard = 0;
-};
-
 /// Everything that happened to one candidate on its way through the funnel.
 struct CandidateOutcome {
   std::string id;
@@ -114,7 +106,9 @@ struct SearchResult {
   std::size_t n_normalized = 0;
   std::size_t n_early_stopped = 0;
   std::size_t n_fully_trained = 0;
-  /// Candidates outside this job's ShardSlice (always 0 unsharded).
+  /// Candidates outside this job's fingerprint range (JobOptions::range;
+  /// always 0 without one). The name predates ranges and is kept because
+  /// it feeds the published `out_of_shard` metric and status counter.
   std::size_t n_out_of_shard = 0;
   /// Stage results served from the attached candidate store instead of
   /// recomputed (always 0 without a store).

@@ -40,15 +40,6 @@ ShardPlan::Range ShardPlan::range(std::size_t shard) const {
   return r;
 }
 
-std::vector<std::vector<std::size_t>> ShardPlan::partition(
-    std::span<const Fingerprint> fingerprints) const {
-  std::vector<std::vector<std::size_t>> shards(num_shards_);
-  for (std::size_t i = 0; i < fingerprints.size(); ++i) {
-    shards[shard_of(fingerprints[i])].push_back(i);
-  }
-  return shards;
-}
-
 std::pair<ShardPlan::Range, ShardPlan::Range> split_range(
     ShardPlan::Range parent, std::uint64_t boundary) {
   if (boundary <= parent.lo || boundary > parent.hi) {
@@ -74,15 +65,18 @@ std::pair<ShardPlan::Range, ShardPlan::Range> split_midpoint(
 }
 
 std::size_t merge_shard_files(std::span<const std::string> shard_paths,
-                              CandidateStore& dest) {
+                              CandidateStore& dest, std::size_t* missing) {
   std::size_t accepted = 0;
+  std::size_t absent = 0;
   for (const auto& path : shard_paths) {
-    // Read-only decode: a missing shard journal is a worker that never
-    // reported — surface it instead of silently merging nothing (and never
-    // open merge sources for append). Torn/foreign records are skipped, as
-    // on any journal load.
-    const std::string content = util::read_file(path);
-    std::string_view view(content);
+    // Read-only decode (never open merge sources for append). Torn/foreign
+    // records are skipped, as on any journal load.
+    const auto content = util::read_file_if_exists(path);
+    if (!content.has_value()) {
+      ++absent;
+      continue;
+    }
+    std::string_view view(*content);
     if (!view.starts_with(kBinaryJournalMagic)) {
       throw std::runtime_error("merge_shard_files: " + path +
                                " is not a binary store journal");
@@ -96,24 +90,8 @@ std::size_t merge_shard_files(std::span<const std::string> shard_paths,
                           }
                         });
   }
-  return accepted;
-}
-
-std::size_t merge_existing_shard_files(std::span<const std::string> paths,
-                                       CandidateStore& dest,
-                                       std::size_t* missing) {
-  std::vector<std::string> present;
-  present.reserve(paths.size());
-  std::size_t absent = 0;
-  for (const auto& path : paths) {
-    if (util::file_exists(path)) {
-      present.push_back(path);
-    } else {
-      ++absent;
-    }
-  }
   if (missing != nullptr) *missing = absent;
-  return merge_shard_files(present, dest);
+  return accepted;
 }
 
 }  // namespace nada::store

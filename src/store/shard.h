@@ -1,12 +1,13 @@
-// Fingerprint-range shard planning for multi-worker searches.
+// Fingerprint-range planning and journal merging for multi-worker searches.
 //
 // A ShardPlan splits the 64-bit fingerprint `hi` space into N contiguous,
-// equal-width ranges. Every worker runs the same generator stream, keeps
-// only the candidates whose fingerprint falls in its range, journals into
-// its own store file, and a final merge unions the shard stores. Because
-// assignment is by content hash, the partition is stable across runs,
-// machines, and candidate orderings — the properties systematic coverage
-// tracking needs.
+// equal-width ranges; the supervisor plans its initial leases with it and
+// splits stragglers' ranges with split_midpoint. Every worker runs the
+// same generator stream, keeps only the candidates whose fingerprint falls
+// in its range, journals into its own store file, and a final merge
+// (merge_shard_files) unions the worker journals. Because assignment is by
+// content hash, the partition is stable across runs, machines, and
+// candidate orderings — the properties systematic coverage tracking needs.
 #pragma once
 
 #include <cstddef>
@@ -50,11 +51,6 @@ class ShardPlan {
   };
   [[nodiscard]] Range range(std::size_t shard) const;
 
-  /// Partitions indices of `fingerprints` by owning shard (outer size ==
-  /// num_shards; each inner vector preserves input order).
-  [[nodiscard]] std::vector<std::vector<std::size_t>> partition(
-      std::span<const Fingerprint> fingerprints) const;
-
  private:
   std::size_t num_shards_;
 };
@@ -73,21 +69,15 @@ class ShardPlan {
 [[nodiscard]] std::pair<ShardPlan::Range, ShardPlan::Range> split_midpoint(
     ShardPlan::Range parent);
 
-/// Reads each shard journal (read-only; throws std::runtime_error when a
-/// path is missing or is not a binary journal) and unions its records into
+/// Reads each worker journal (read-only) and unions its records into
 /// `dest` under dest's scope. Returns the number of records accepted into
-/// dest.
+/// dest. A missing path is skipped and counted in `*missing` when non-null:
+/// a worker that died before its first append leaves no journal, and
+/// whatever the merged store lacks, the driver's funnel pass recomputes
+/// (bit-identically, since per-candidate seeds are fingerprint-derived). A
+/// path that exists but is not a binary journal throws std::runtime_error.
 std::size_t merge_shard_files(std::span<const std::string> shard_paths,
-                              CandidateStore& dest);
-
-/// Crash-tolerant variant for supervised runs: journals of workers that
-/// died before their first append may simply not exist, and that is fine —
-/// whatever the merged store misses, the driver's funnel pass recomputes
-/// (bit-identically, since per-candidate seeds are fingerprint-derived).
-/// Missing paths are skipped and counted in `*missing` when non-null;
-/// existing journals merge exactly as merge_shard_files.
-std::size_t merge_existing_shard_files(std::span<const std::string> paths,
-                                       CandidateStore& dest,
-                                       std::size_t* missing = nullptr);
+                              CandidateStore& dest,
+                              std::size_t* missing = nullptr);
 
 }  // namespace nada::store

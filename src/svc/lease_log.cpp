@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -41,17 +42,49 @@ util::JsonValue base_line(const std::string& event) {
   return doc;
 }
 
-/// Decodes the lease payload of a grant line; throws on malformed fields
-/// (the caller treats the line as torn).
-Lease decode_grant(const util::JsonValue& doc) {
+/// A numeric field as an unsigned integer. Accepts only integral values in
+/// [min, 2^53), where a double holds every integer exactly; anything else
+/// (missing, non-numeric, fractional, negative, huge) throws, and recover()
+/// counts the line as skipped instead of casting it into a bogus lease.
+std::uint64_t decode_integer(const util::JsonValue& doc, const char* key,
+                             std::uint64_t min) {
+  constexpr double kLimit = 9007199254740992.0;  // 2^53
+  const double value = doc.get(key).as_number(std::nan(""));
+  if (!(value >= static_cast<double>(min) && value < kLimit) ||
+      value != std::floor(value)) {
+    throw std::runtime_error(std::string("lease log: bad \"") + key + "\"");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
+std::uint64_t decode_lease_id(const util::JsonValue& doc) {
+  return decode_integer(doc, "lease", 1);
+}
+
+/// The fields a grant line carries (and each child of a split line).
+void encode_lease(util::JsonValue& doc, const Lease& lease) {
+  doc.set("lease", util::JsonValue::number(static_cast<double>(lease.id)));
+  doc.set("lo", util::JsonValue::string(hex_u64(lease.range.lo)));
+  doc.set("hi", util::JsonValue::string(hex_u64(lease.range.hi)));
+  doc.set("journal", util::JsonValue::string(lease.journal_path));
+  doc.set("status", util::JsonValue::string(lease.status_path));
+  doc.set("attempt",
+          util::JsonValue::number(static_cast<double>(lease.attempt)));
+  doc.set("parent",
+          util::JsonValue::number(static_cast<double>(lease.parent)));
+}
+
+/// Decodes encode_lease's fields; throws on malformed fields (the caller
+/// treats the line as torn).
+Lease decode_lease(const util::JsonValue& doc) {
   Lease lease;
-  lease.id = static_cast<std::uint64_t>(doc.get("lease").as_number());
+  lease.id = decode_lease_id(doc);
   lease.range.lo = parse_hex_u64(doc.get("lo").as_string());
   lease.range.hi = parse_hex_u64(doc.get("hi").as_string());
   lease.journal_path = doc.get("journal").as_string();
   lease.status_path = doc.get("status").as_string();
-  lease.attempt = static_cast<std::size_t>(doc.get("attempt").as_number());
-  lease.parent = static_cast<std::uint64_t>(doc.get("parent").as_number());
+  lease.attempt = decode_integer(doc, "attempt", 0);
+  lease.parent = decode_integer(doc, "parent", 0);
   return lease;
 }
 
@@ -87,15 +120,20 @@ void LeaseLog::append(util::JsonValue line) {
 
 void LeaseLog::grant(const Lease& lease) {
   util::JsonValue doc = base_line("grant");
-  doc.set("lease", util::JsonValue::number(static_cast<double>(lease.id)));
-  doc.set("lo", util::JsonValue::string(hex_u64(lease.range.lo)));
-  doc.set("hi", util::JsonValue::string(hex_u64(lease.range.hi)));
-  doc.set("journal", util::JsonValue::string(lease.journal_path));
-  doc.set("status", util::JsonValue::string(lease.status_path));
-  doc.set("attempt",
-          util::JsonValue::number(static_cast<double>(lease.attempt)));
-  doc.set("parent",
-          util::JsonValue::number(static_cast<double>(lease.parent)));
+  encode_lease(doc, lease);
+  append(std::move(doc));
+}
+
+void LeaseLog::split(std::uint64_t parent_id, const Lease& left,
+                     const Lease& right) {
+  util::JsonValue doc = base_line("split");
+  doc.set("lease", util::JsonValue::number(static_cast<double>(parent_id)));
+  util::JsonValue left_doc = util::JsonValue::object();
+  util::JsonValue right_doc = util::JsonValue::object();
+  encode_lease(left_doc, left);
+  encode_lease(right_doc, right);
+  doc.set("left", std::move(left_doc));
+  doc.set("right", std::move(right_doc));
   append(std::move(doc));
 }
 
@@ -141,13 +179,26 @@ LeaseLog::Recovered LeaseLog::recover(const std::string& path) {
     const std::string& event = doc.get("event").as_string();
     try {
       if (event == "grant") {
-        const Lease lease = decode_grant(doc);
+        const Lease lease = decode_lease(doc);
         state.max_lease_id = std::max(state.max_lease_id, lease.id);
         state.outstanding[lease.id] = lease;
         state.revoked.erase(lease.id);
+      } else if (event == "split") {
+        // The parent's range now belongs to its two children: the parent
+        // is resolved, and each child is owed a run until its own
+        // grant/complete/revoke lines say otherwise — even when the
+        // supervisor died before granting it.
+        const auto parent = decode_lease_id(doc);
+        const Lease left = decode_lease(doc.get("left"));
+        const Lease right = decode_lease(doc.get("right"));
+        state.revoked.erase(parent);
+        state.outstanding.erase(parent);
+        for (const Lease& child : {left, right}) {
+          state.max_lease_id = std::max(state.max_lease_id, child.id);
+          state.outstanding[child.id] = child;
+        }
       } else if (event == "complete") {
-        const auto id =
-            static_cast<std::uint64_t>(doc.get("lease").as_number());
+        const auto id = decode_lease_id(doc);
         const auto it = state.outstanding.find(id);
         if (it != state.outstanding.end()) {
           state.completed_journals.push_back(it->second.journal_path);
@@ -155,16 +206,15 @@ LeaseLog::Recovered LeaseLog::recover(const std::string& path) {
         }
         state.completed.insert(id);
       } else if (event == "revoke") {
-        const auto id =
-            static_cast<std::uint64_t>(doc.get("lease").as_number());
+        const auto id = decode_lease_id(doc);
         const auto it = state.outstanding.find(id);
         if (it != state.outstanding.end()) {
           state.revoked[id] = it->second;
           state.outstanding.erase(it);
         }
       }
-      // Operational events (spawn/restart/stale_kill/split/...) carry no
-      // durable lease state.
+      // Operational events (spawn/restart/stale_kill/reassign/...) carry
+      // no durable lease state.
     } catch (const std::exception&) {
       ++state.skipped_lines;  // well-formed JSON, malformed payload
     }

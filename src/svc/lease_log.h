@@ -7,18 +7,22 @@
 //    "journal":".../lease-3.nsb","parent":0}
 //   {"event":"complete","ts_unix":...,"lease":3}
 //   {"event":"revoke","ts_unix":...,"lease":3,"reason":"crash: exit 42"}
-//   {"event":"spawn"|"restart"|"stale_kill"|"split"|"reassign"|"abort",...}
+//   {"event":"split","ts_unix":...,"lease":3,
+//    "left":{<grant fields of lease 4>},"right":{<grant fields of lease 5>}}
+//   {"event":"spawn"|"restart"|"stale_kill"|"reassign"|"abort",...}
 //
 // Range bounds are hex strings (JSON doubles cannot carry full 64-bit
-// precision). The grant/complete/revoke triple is the durable lease state:
-// recover() replays the log into {outstanding, completed} so a supervisor
+// precision); integers (lease ids, attempts, parents) must be integral
+// values in [0, 2^53), lease ids >= 1, or the line counts as skipped. The
+// grant/complete/revoke/split lines are the durable lease state: recover()
+// replays the log into {outstanding, revoked, completed} so a supervisor
 // restarted after a crash re-grants exactly the unfinished sub-ranges —
-// their journals are still on disk, so the re-run is mostly cache hits.
-// All other event types are operational history (the record the
-// supervisor-smoke CI job asserts restarts and reassignments from) and are
-// ignored by recovery. Torn tails are handled like the candidate store's:
-// skipped on read, newline-terminated on append-open so the next line
-// starts clean.
+// their journals are still on disk, so the re-run is mostly cache hits. A
+// split resolves its parent and owes a run to each child. All other event
+// types are operational history (the record the supervisor-smoke CI job
+// asserts restarts and reassignments from) and are ignored by recovery.
+// Torn tails are handled like the candidate store's: skipped on read,
+// newline-terminated on append-open so the next line starts clean.
 #pragma once
 
 #include <cstdint>
@@ -63,6 +67,9 @@ class LeaseLog {
   void grant(const Lease& lease);
   void complete(std::uint64_t lease_id);
   void revoke(std::uint64_t lease_id, const std::string& reason);
+  /// A revoked lease's range handed to two fresh child leases. Durable:
+  /// recovery drops the parent and owes a run to each child.
+  void split(std::uint64_t parent_id, const Lease& left, const Lease& right);
 
   /// Operational event with optional lease context (`lease_id` 0 = none)
   /// and free-form detail fields.
@@ -75,12 +82,12 @@ class LeaseLog {
   /// Durable lease state replayed from a log file. Unparsable (torn) lines
   /// are skipped and counted.
   struct Recovered {
-    /// Granted, neither completed nor revoked — the work a restarted
-    /// supervisor must re-grant. Keyed by lease id; `attempt` holds the
-    /// LAST granted attempt.
+    /// Granted (or born from a split), neither completed nor revoked — the
+    /// work a restarted supervisor must re-grant. Keyed by lease id;
+    /// `attempt` holds the LAST granted attempt.
     std::map<std::uint64_t, Lease> outstanding;
-    /// Revoked and never re-granted (the failure happened right before the
-    /// supervisor died): also work to re-grant.
+    /// Revoked and neither re-granted nor split (the failure happened
+    /// right before the supervisor died): also work to re-grant.
     std::map<std::uint64_t, Lease> revoked;
     std::set<std::uint64_t> completed;
     /// Journal paths of completed leases (merge inputs).

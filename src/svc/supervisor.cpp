@@ -103,7 +103,7 @@ void Supervisor::plan_or_recover() {
   }
 
   // Fresh run: carve the full fingerprint space into initial_leases
-  // contiguous sub-ranges via the same planner the static sharding uses.
+  // contiguous sub-ranges (store::ShardPlan).
   const store::ShardPlan plan(config_.initial_leases);
   for (std::size_t i = 0; i < plan.num_shards(); ++i) {
     pending_.push_back(make_lease(next_lease_id_++, plan.range(i), 0, 0));
@@ -218,9 +218,7 @@ void Supervisor::check_staleness() {
       const auto [left, right] = store::split_midpoint(dead.range);
       Lease a = make_lease(next_lease_id_++, left, dead.attempt + 1, dead.id);
       Lease b = make_lease(next_lease_id_++, right, dead.attempt + 1, dead.id);
-      log_->note("split", dead.id,
-                 {{"left", std::to_string(a.id)},
-                  {"right", std::to_string(b.id)}});
+      log_->split(dead.id, a, b);
       log_->note("reassign", a.id, {{"parent", std::to_string(dead.id)}});
       log_->note("reassign", b.id, {{"parent", std::to_string(dead.id)}});
       pending_.push_back(std::move(a));

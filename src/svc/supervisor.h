@@ -1,13 +1,12 @@
-// Supervisor: elastic work-queue sharding with crash restart and
-// straggler reassignment over the journals-as-only-coupling design.
+// Supervisor: the multi-worker search driver — elastic work-queue
+// sharding with crash restart and straggler reassignment over the
+// journals-as-only-coupling design.
 //
-// The sharded search (search::ShardRunner + tools/shard_worker) proves
-// that WHERE a candidate executes cannot change WHAT it computes: shard
-// assignment is by content fingerprint and per-candidate seeds are
-// fingerprint-derived. The supervisor turns that proof into fault
-// tolerance. Instead of N statically-owned ranges launched by a shell
-// `for` loop, the fingerprint space becomes a work QUEUE of leasable
-// sub-ranges:
+// WHERE a candidate executes cannot change WHAT it computes: range
+// membership is by content fingerprint and per-candidate seeds are
+// fingerprint-derived (search::ShardRunner pins any partition against a
+// single-process run). The supervisor turns that into fault tolerance: the
+// fingerprint space becomes a work QUEUE of leasable sub-ranges,
 //
 //   * each idle worker slot is granted the next pending lease — a
 //     store::ShardPlan::Range plus its own journal file — recorded in a
@@ -20,9 +19,10 @@
 //     from cache and executes only the remainder,
 //   * a worker that STALLS (alive, heartbeat older than the staleness
 //     threshold) is killed and its range is SPLIT at the fingerprint
-//     midpoint into two fresh leases that idle workers pick up — the
-//     straggler's partial journal still merges at the end, so only its
-//     genuinely-unfinished candidates re-execute,
+//     midpoint into two fresh leases that idle workers pick up (the split
+//     is a durable lease-log line, so a resumed supervisor re-runs the
+//     children, never the parent); the straggler's partial journal still
+//     merges at the end,
 //   * a worker that exits with the fail-fast code (bad arguments — a
 //     config bug every restart would reproduce) aborts the run instead of
 //     burning restarts,
@@ -39,6 +39,8 @@
 //
 // The supervisor is itself crash-tolerant: on start it replays an
 // existing lease log and re-grants exactly the unfinished sub-ranges.
+// A static N-way run is the degenerate policy: N leases on N workers,
+// max_restarts = 0, heartbeat_timeout_seconds = 0 (no straggler policy).
 // Policy details and the lease-log format: docs/SERVICE.md.
 #pragma once
 

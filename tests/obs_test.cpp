@@ -11,9 +11,10 @@
 //   * TraceSink: one valid JSONL line per dispatched event, monotone seq,
 //   * StatusWriter: atomic snapshots with the documented schema, plus the
 //     driver-side read/aggregate path,
-//   * THE invariant: a streaming, store-backed, 3-shard search with
-//     metrics + trace + status sinks attached produces bit-identical
-//     rankings and journal record sets to the same search run silent.
+//   * THE invariant: a streaming, store-backed search split over three
+//     fingerprint-range workers with metrics + trace + status sinks
+//     attached produces bit-identical rankings and journal record sets to
+//     the same search run silent.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,6 +38,7 @@
 #include "search/observer.h"
 #include "search/search_job.h"
 #include "search/shard_runner.h"
+#include "store/shard.h"
 #include "trace/generator.h"
 #include "util/fs.h"
 #include "util/json.h"
@@ -409,72 +411,83 @@ std::vector<TrainedRow> trained_rows(const search::SearchResult& result) {
   return rows;
 }
 
+constexpr std::size_t kRanges = 3;
+
+/// The range workers' journals: `<store_dir>/range-<i>.nsb`.
+std::vector<std::string> range_journals(const std::string& store_dir) {
+  std::vector<std::string> journals;
+  for (std::size_t i = 0; i < kRanges; ++i) {
+    journals.push_back(store_dir + "/range-" + std::to_string(i) + ".nsb");
+  }
+  return journals;
+}
+
 /// Removes any journals/snapshots a previous test invocation left in the
-/// runner's store dir (a stale journal would serve the whole run from
-/// cache and defeat the "sinks saw real work" assertions).
-void clean_store_dir(const search::ShardRunner& runner) {
-  for (std::size_t shard = 0; shard < runner.num_shards(); ++shard) {
-    std::remove(runner.shard_store_path(shard).c_str());
-    std::remove(runner.worker_status_path(shard).c_str());
+/// store dir (a stale journal would serve the whole run from cache and
+/// defeat the "sinks saw real work" assertions).
+void clean_store_dir(const search::ShardRunner& runner,
+                     const std::string& store_dir) {
+  for (const auto& journal : range_journals(store_dir)) {
+    std::remove(journal.c_str());
+    std::remove((journal + ".status.json").c_str());
   }
   std::remove(runner.merged_store_path().c_str());
   std::remove(runner.merged_status_path().c_str());
-  std::remove(runner.aggregate_status_path().c_str());
 }
 
-/// One streaming 3-shard search over a fresh store dir: 3 worker passes
-/// then the driver's merge+rank, all sinks from `observers` attached to
-/// every job.
+/// One streaming search over a fresh store dir: run_range passes over the
+/// ShardPlan(kRanges) ranges, then the driver's merge+rank, all sinks from
+/// `observers` attached to every job.
 search::SearchResult run_sharded(const search::SearchConfig& config,
                                  search::ShardRunner& runner,
+                                 const std::string& store_dir,
                                  const std::vector<search::Observer*>& obs) {
-  for (std::size_t shard = 0; shard < runner.num_shards(); ++shard) {
+  const store::ShardPlan plan(kRanges);
+  const auto journals = range_journals(store_dir);
+  for (std::size_t i = 0; i < kRanges; ++i) {
     gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
                                   77);
     search::StateCandidateSource source(generator);
-    runner.run_worker(shard, source,
-                      search::FixedDesign{nullptr, &config.baseline_arch},
-                      obs);
+    runner.run_range(plan.range(i), journals[i], source,
+                     search::FixedDesign{nullptr, &config.baseline_arch},
+                     obs);
   }
   gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
                                 77);
   search::StateCandidateSource source(generator);
-  return runner.merge_and_rank(
-      source, search::FixedDesign{nullptr, &config.baseline_arch}, nullptr,
-      obs);
+  return runner.merge_and_rank_paths(
+      journals, source, search::FixedDesign{nullptr, &config.baseline_arch},
+      nullptr, obs);
 }
 
 TEST(ObservabilityEquivalence, ShardedStreamingSinksMatchSilentRun) {
   Fixture fx;
   const search::SearchConfig config = fast_config(5);
-  const std::size_t kShards = 3;
 
   // --- observed run: metrics + trace + per-worker status, all attached ---
   const std::string obs_dir = fresh_path("equiv_sinks");
   search::ShardRunnerConfig observed_shards;
-  observed_shards.num_shards = kShards;
   observed_shards.store_dir = obs_dir;
   MetricsRegistry registry;
   observed_shards.metrics = &registry;  // worker_status stays default-on
   search::ShardRunner observed_runner(fx.domain, config, 1234,
                                       observed_shards, &fx.pool);
-  clean_store_dir(observed_runner);
+  clean_store_dir(observed_runner, obs_dir);
   MetricsObserver metrics(registry);
   const std::string trace_path = fresh_path("equiv_trace.jsonl");
   TraceSink trace(trace_path);
   const auto observed =
-      run_sharded(config, observed_runner, {&metrics, &trace});
+      run_sharded(config, observed_runner, obs_dir, {&metrics, &trace});
 
   // --- silent run: no sinks anywhere, fresh directory -------------------
   const std::string silent_dir = fresh_path("equiv_silent");
   search::ShardRunnerConfig silent_shards;
-  silent_shards.num_shards = kShards;
   silent_shards.store_dir = silent_dir;
   silent_shards.worker_status = false;
   search::ShardRunner silent_runner(fx.domain, config, 1234, silent_shards,
                                     &fx.pool);
-  clean_store_dir(silent_runner);
-  const auto silent = run_sharded(config, silent_runner, {});
+  clean_store_dir(silent_runner, silent_dir);
+  const auto silent = run_sharded(config, silent_runner, silent_dir, {});
 
   // Bit-identical results: counters, rankings, and the merged journal's
   // record set.
@@ -496,7 +509,7 @@ TEST(ObservabilityEquivalence, ShardedStreamingSinksMatchSilentRun) {
 
   // ...while the sinks actually captured the run. Metrics snapshot:
   EXPECT_EQ(registry.counter("search.candidates.entered").value(),
-            static_cast<std::uint64_t>(config.num_candidates) * (kShards + 1));
+            static_cast<std::uint64_t>(config.num_candidates) * (kRanges + 1));
   EXPECT_GT(registry.counter("store.lookups").value(), 0u);
   EXPECT_GT(registry.histogram("rl.probe_block.seconds").count(), 0u);
   EXPECT_NO_THROW(util::JsonValue::parse(registry.snapshot().dump()));
@@ -506,25 +519,22 @@ TEST(ObservabilityEquivalence, ShardedStreamingSinksMatchSilentRun) {
   for (const auto& line : trace_lines) {
     ASSERT_NO_THROW(util::JsonValue::parse(line)) << line;
   }
-  // Worker heartbeats: every shard reported and finished; the driver's
-  // aggregate folds all of them.
-  const auto statuses = observed_runner.worker_statuses();
-  ASSERT_EQ(statuses.size(), kShards);
-  for (std::size_t shard = 0; shard < kShards; ++shard) {
-    ASSERT_TRUE(statuses[shard].has_value()) << "shard " << shard;
-    EXPECT_TRUE(statuses[shard]->done());
-    EXPECT_EQ(statuses[shard]->counter("entered"), config.num_candidates);
+  // Worker heartbeats: every range reported and finished next to its
+  // journal; the aggregate folds all of them.
+  std::vector<std::optional<StatusSnapshot>> statuses;
+  for (const auto& journal : range_journals(obs_dir)) {
+    statuses.push_back(read_status(journal + ".status.json"));
+    ASSERT_TRUE(statuses.back().has_value()) << journal;
+    EXPECT_TRUE(statuses.back()->done());
+    EXPECT_EQ(statuses.back()->counter("entered"), config.num_candidates);
   }
-  const util::JsonValue aggregate = observed_runner.write_merged_status();
+  const util::JsonValue aggregate = aggregate_status(statuses, unix_now());
   EXPECT_EQ(aggregate.get("n_workers").as_number(),
-            static_cast<double>(kShards));
+            static_cast<double>(kRanges));
   EXPECT_EQ(aggregate.get("n_reporting").as_number(),
-            static_cast<double>(kShards));
-  EXPECT_EQ(aggregate.get("n_done").as_number(), static_cast<double>(kShards));
-  const auto on_disk =
-      util::read_file_if_exists(observed_runner.aggregate_status_path());
-  ASSERT_TRUE(on_disk.has_value());
-  EXPECT_NO_THROW(util::JsonValue::parse(*on_disk));
+            static_cast<double>(kRanges));
+  EXPECT_EQ(aggregate.get("n_done").as_number(), static_cast<double>(kRanges));
+  EXPECT_NO_THROW(util::JsonValue::parse(aggregate.dump()));
   // The driver's own status file (merge pass) is there too.
   const auto driver = read_status(observed_runner.merged_status_path());
   ASSERT_TRUE(driver.has_value());

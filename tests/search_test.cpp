@@ -7,9 +7,10 @@
 //     every candidate milestone (entered / cached / failed / probed /
 //     early-stopped / trained) is represented — no funnel transition goes
 //     silent,
-//   * sharding: a 4-shard worker pass + merge_and_rank equals the
-//     single-process run — identical rankings and identical journal
-//     records (the multi-process driver's correctness pin),
+//   * ranges: four run_range passes over ShardPlan(4) + merge_and_rank_paths
+//     equal the single-process run — identical rankings and identical
+//     journal records (the multi-worker driver's correctness pin) — and a
+//     lost range journal is recomputed by the driver to the same result,
 //   * resume: SearchJob::resume() serves every journaled stage from the
 //     store and reproduces the cold result,
 //   * unified candidates: one job can carry state-program and architecture
@@ -209,7 +210,45 @@ TEST(SearchObserver, EveryStageAndMilestoneFires) {
   EXPECT_GT(warm_recording.count(CandidateEventType::kCacheHit), 0u);
 }
 
-// ---- sharding ---------------------------------------------------------------
+// ---- fingerprint ranges ----------------------------------------------------
+
+/// The single-process reference run (seed 1234, generator seed 77): one
+/// job over the whole stream, journaling into `store`.
+SearchResult run_single(Fixture& fx, const SearchConfig& config,
+                        store::CandidateStore& store) {
+  gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                77);
+  StateCandidateSource source(generator);
+  JobOptions options;
+  options.store = &store;
+  options.pool = &fx.pool;
+  SearchJob job(fx.domain, config, 1234, source,
+                FixedDesign{nullptr, &config.baseline_arch}, options);
+  return job.run_to_completion();
+}
+
+/// One worker per ShardPlan(n) range over run_single's stream (one
+/// generator each, as separate processes would have), journaling into
+/// `<dir>/range-<i>.nsb`. Returns the worker results; `journals` receives
+/// the journal paths.
+std::vector<SearchResult> run_ranges(ShardRunner& runner,
+                                     const SearchConfig& config,
+                                     std::size_t n, const std::string& dir,
+                                     std::vector<std::string>& journals) {
+  std::vector<SearchResult> results;
+  const store::ShardPlan plan(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    journals.push_back(dir + "/range-" + std::to_string(i) + ".nsb");
+    std::remove(journals.back().c_str());
+    gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                  77);
+    StateCandidateSource source(generator);
+    results.push_back(runner.run_range(
+        plan.range(i), journals.back(), source,
+        FixedDesign{nullptr, &config.baseline_arch}));
+  }
+  return results;
+}
 
 TEST(ShardRunnerTest, FourShardRunMergesToSingleProcessResult) {
   Fixture fx;
@@ -220,51 +259,36 @@ TEST(ShardRunnerTest, FourShardRunMergesToSingleProcessResult) {
   const std::string single_path = fresh_path("shard_single");
   store::CandidateStore single_store(single_path,
                                      store_scope(fx.domain, config, 1234));
-  gen::StateGenerator single_gen(gen::gpt4_profile(), gen::PromptStrategy{},
-                                 77);
-  StateCandidateSource single_source(single_gen);
-  JobOptions options;
-  options.store = &single_store;
-  options.pool = &fx.pool;
-  SearchJob single_job(fx.domain, config, 1234, single_source,
-                       FixedDesign{nullptr, &config.baseline_arch}, options);
-  const auto single_result = single_job.run_to_completion();
+  const auto single_result = run_single(fx, config, single_store);
 
-  // Four workers (one generator each, as four processes would have), then
-  // the driver.
-  ShardRunnerConfig shard_config;
-  shard_config.num_shards = 4;
-  shard_config.store_dir = dir;
-  ShardRunner runner(fx.domain, config, 1234, shard_config, &fx.pool);
-  std::size_t in_shard_total = 0;
+  // Four range workers, then the driver.
+  ShardRunnerConfig runner_config;
+  runner_config.store_dir = dir;
+  ShardRunner runner(fx.domain, config, 1234, runner_config, &fx.pool);
+  std::vector<std::string> journals;
+  std::size_t in_range_total = 0;
   std::size_t probes_total = 0;
-  for (std::size_t shard = 0; shard < 4; ++shard) {
-    std::remove(runner.shard_store_path(shard).c_str());
-    gen::StateGenerator worker_gen(gen::gpt4_profile(), gen::PromptStrategy{},
-                                   77);
-    StateCandidateSource worker_source(worker_gen);
-    const auto worker_result =
-        runner.run_worker(shard, worker_source,
-                          FixedDesign{nullptr, &config.baseline_arch});
+  for (const auto& worker_result :
+       run_ranges(runner, config, 4, dir, journals)) {
     EXPECT_EQ(worker_result.n_total, config.num_candidates);
-    in_shard_total += worker_result.n_total - worker_result.n_out_of_shard;
+    in_range_total += worker_result.n_total - worker_result.n_out_of_shard;
     probes_total += worker_result.n_probes_run;
     // Workers stop before the cohort-global stages.
     EXPECT_EQ(worker_result.n_fully_trained, 0u);
   }
-  // The shards partition the stream exactly.
-  EXPECT_EQ(in_shard_total, config.num_candidates);
+  // The ranges partition the stream exactly.
+  EXPECT_EQ(in_range_total, config.num_candidates);
   EXPECT_EQ(probes_total, single_result.n_probes_run);
 
   std::remove(runner.merged_store_path().c_str());
   gen::StateGenerator driver_gen(gen::gpt4_profile(), gen::PromptStrategy{},
                                  77);
   StateCandidateSource driver_source(driver_gen);
-  const auto merged_result = runner.merge_and_rank(
-      driver_source, FixedDesign{nullptr, &config.baseline_arch});
+  const auto merged_result = runner.merge_and_rank_paths(
+      journals, driver_source, FixedDesign{nullptr, &config.baseline_arch});
 
   // The driver re-executes nothing below full training: every pre-check
-  // and probe comes from the shard journals.
+  // and probe comes from the range journals.
   EXPECT_EQ(merged_result.n_probes_run, 0u);
   EXPECT_EQ(merged_result.n_full_trains_run,
             single_result.n_full_trains_run);
@@ -273,7 +297,7 @@ TEST(ShardRunnerTest, FourShardRunMergesToSingleProcessResult) {
   expect_same_result(single_result, merged_result);
 
   // ...and identical journals: same fingerprints, and per fingerprint the
-  // byte-identical exported record line (order differs — grouped by shard
+  // byte-identical exported record line (order differs — grouped by range
   // vs by stream — so compare as sorted line sets).
   store::CandidateStore merged_store(runner.merged_store_path(),
                                      runner.scope());
@@ -282,21 +306,39 @@ TEST(ShardRunnerTest, FourShardRunMergesToSingleProcessResult) {
   EXPECT_EQ(merged_store.size(), single_store.size());
 }
 
-TEST(ShardRunnerTest, MergeAndRankSurfacesMissingWorkerJournal) {
+TEST(ShardRunnerTest, DriverRecomputesAMissingRangeJournal) {
   Fixture fx;
   SearchConfig config = tiny_config();
-  config.num_candidates = 4;
-  ShardRunnerConfig shard_config;
-  shard_config.num_shards = 3;
-  shard_config.store_dir = fresh_dir("missing_shard");
-  ShardRunner runner(fx.domain, config, 9, shard_config, nullptr);
-  gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
-                                5);
-  StateCandidateSource source(generator);
-  // No worker ever ran: the driver must refuse to silently rank nothing.
-  EXPECT_THROW((void)runner.merge_and_rank(
-                   source, FixedDesign{nullptr, &config.baseline_arch}),
-               std::runtime_error);
+  const std::string dir = fresh_dir("missing_range");
+
+  const std::string single_path = fresh_path("missing_range_single");
+  store::CandidateStore single_store(single_path,
+                                     store_scope(fx.domain, config, 1234));
+  const auto single_result = run_single(fx, config, single_store);
+
+  ShardRunnerConfig runner_config;
+  runner_config.store_dir = dir;
+  ShardRunner runner(fx.domain, config, 1234, runner_config, &fx.pool);
+  std::vector<std::string> journals;
+  const auto workers = run_ranges(runner, config, 3, dir, journals);
+  // A worker that died before its first append leaves no journal: lose
+  // range 1's whole journal before the merge.
+  ASSERT_GT(workers[1].n_probes_run, 0u);
+  ASSERT_EQ(std::remove(journals[1].c_str()), 0);
+
+  std::remove(runner.merged_store_path().c_str());
+  gen::StateGenerator driver_gen(gen::gpt4_profile(), gen::PromptStrategy{},
+                                 77);
+  StateCandidateSource driver_source(driver_gen);
+  const auto merged_result = runner.merge_and_rank_paths(
+      journals, driver_source, FixedDesign{nullptr, &config.baseline_arch});
+
+  // The driver probes exactly the lost range, and the result and the
+  // journal are the single-process run's.
+  EXPECT_EQ(merged_result.n_probes_run, workers[1].n_probes_run);
+  expect_same_result(single_result, merged_result);
+  EXPECT_EQ(test::sorted_journal_lines(single_path),
+            test::sorted_journal_lines(runner.merged_store_path()));
 }
 
 // ---- resume folding ---------------------------------------------------------

@@ -295,25 +295,6 @@ TEST(ShardPlan, ShardOfAgreesWithRanges) {
   }
 }
 
-TEST(ShardPlan, PartitionCoversEveryCandidateOnce) {
-  std::vector<Fingerprint> fps;
-  for (int i = 0; i < 200; ++i) {
-    fps.push_back(fingerprint_text("p-" + std::to_string(i)));
-  }
-  const ShardPlan plan(4);
-  const auto shards = plan.partition(fps);
-  ASSERT_EQ(shards.size(), 4u);
-  std::vector<bool> seen(fps.size(), false);
-  for (std::size_t s = 0; s < shards.size(); ++s) {
-    for (std::size_t idx : shards[s]) {
-      EXPECT_EQ(plan.shard_of(fps[idx]), s);
-      EXPECT_FALSE(seen[idx]);
-      seen[idx] = true;
-    }
-  }
-  for (bool b : seen) EXPECT_TRUE(b);
-}
-
 TEST(ShardPlan, MergeShardFilesUnionsWorkerStores) {
   const ShardPlan plan(3);
   std::vector<std::string> paths;
@@ -343,11 +324,24 @@ TEST(ShardPlan, MergeShardFilesUnionsWorkerStores) {
             .has_value());
   }
 
-  // A missing shard journal is a worker that never reported: loud failure,
-  // not a silently empty merge.
-  const std::vector<std::string> with_missing = {paths[0],
-                                                 fresh_path("shard_gone")};
-  EXPECT_THROW((void)merge_shard_files(with_missing, merged),
+  // A missing journal is a worker that died before its first append:
+  // skipped and counted, while the journals that exist still merge (the
+  // driver's funnel pass recomputes whatever the merge lacks).
+  CandidateStore partial(fresh_path("shard_partial"), test_scope());
+  const std::vector<std::string> with_missing = {
+      paths[0], fresh_path("shard_gone"), paths[2]};
+  std::size_t missing = 0;
+  const std::size_t kept = merge_shard_files(with_missing, partial, &missing);
+  EXPECT_EQ(missing, 1u);
+  EXPECT_EQ(kept, partial.size());
+  EXPECT_GT(kept, 0u);
+  EXPECT_LT(kept, total);
+
+  // A path that exists but is not a journal is still refused.
+  const std::string foreign = fresh_path("shard_foreign");
+  util::write_file_atomic(foreign, "not a journal\n");
+  const std::vector<std::string> with_foreign = {paths[0], foreign};
+  EXPECT_THROW((void)merge_shard_files(with_foreign, merged),
                std::runtime_error);
 }
 

@@ -3,8 +3,8 @@
 //   * same seeds => identical rankings (the fully-trained cohort, scores,
 //     curves, and the best candidate) whether the stream is materialized
 //     up front (window_size == 0) or pulled through rolling windows —
-//     for ABR and CC domains, with and without a store, serial and
-//     sharded,
+//     for ABR and CC domains, with and without a store, serial and split
+//     across fingerprint-range workers,
 //   * same store journal record SET: only the record order may differ
 //     (windows interleave check/probe records), so journals compare as
 //     sorted JSONL export lines, byte-identical per line,
@@ -30,6 +30,7 @@
 #include "search/observer.h"
 #include "search/search_job.h"
 #include "search/shard_runner.h"
+#include "store/shard.h"
 #include "trace/generator.h"
 #include "util/fs.h"
 #include "video/video.h"
@@ -268,7 +269,7 @@ TEST(StreamingEquivalence, EarlyStopModelVerdictsMatchBatch) {
   EXPECT_GT(batch.n_early_stopped, 0u);
 }
 
-// ---- sharded streaming workers ----------------------------------------------
+// ---- range-split streaming workers ------------------------------------------
 
 TEST(StreamingEquivalence, ShardedStreamingWorkersMatchBatchSingleProcess) {
   Fixture fx;
@@ -282,17 +283,20 @@ TEST(StreamingEquivalence, ShardedStreamingWorkersMatchBatchSingleProcess) {
   // then the driver's merge+rank (also streaming).
   SearchConfig stream_config = tiny_config(5);
   ShardRunnerConfig shard_config;
-  shard_config.num_shards = 3;
   shard_config.store_dir = fresh_dir("shards");
   ShardRunner runner(fx.domain, stream_config, 1234, shard_config, &fx.pool);
+  const store::ShardPlan plan(3);
+  std::vector<std::string> journals;
   std::size_t in_shard_total = 0;
-  for (std::size_t shard = 0; shard < 3; ++shard) {
-    std::remove(runner.shard_store_path(shard).c_str());
+  for (std::size_t i = 0; i < 3; ++i) {
+    journals.push_back(shard_config.store_dir + "/range-" +
+                       std::to_string(i) + ".nsb");
+    std::remove(journals.back().c_str());
     gen::StateGenerator worker_gen(gen::gpt4_profile(), gen::PromptStrategy{},
                                    77);
     StateCandidateSource worker_source(worker_gen);
-    const auto worker_result = runner.run_worker(
-        shard, worker_source,
+    const auto worker_result = runner.run_range(
+        plan.range(i), journals.back(), worker_source,
         FixedDesign{nullptr, &stream_config.baseline_arch});
     in_shard_total += worker_result.n_total - worker_result.n_out_of_shard;
     EXPECT_EQ(worker_result.n_fully_trained, 0u);
@@ -303,8 +307,9 @@ TEST(StreamingEquivalence, ShardedStreamingWorkersMatchBatchSingleProcess) {
   gen::StateGenerator driver_gen(gen::gpt4_profile(), gen::PromptStrategy{},
                                  77);
   StateCandidateSource driver_source(driver_gen);
-  const auto merged = runner.merge_and_rank(
-      driver_source, FixedDesign{nullptr, &stream_config.baseline_arch});
+  const auto merged = runner.merge_and_rank_paths(
+      journals, driver_source,
+      FixedDesign{nullptr, &stream_config.baseline_arch});
   EXPECT_EQ(merged.n_probes_run, 0u);
   expect_equivalent(single, merged);
   EXPECT_EQ(test::sorted_journal_lines(single_path),

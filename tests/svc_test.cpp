@@ -4,16 +4,18 @@
 //     exactly — no gap, no overlap, degenerate ranges handled, and the
 //     union of the fingerprints they contain reproduces the parent's set
 //     bit-for-bit,
-//   * LeaseLog: grant/complete/revoke replay into the correct durable
-//     state, torn tails are skipped on read and neutralized on append,
-//     hex range bounds round-trip at full 64-bit precision,
+//   * LeaseLog: grant/complete/revoke/split replay into the correct
+//     durable state, torn tails and out-of-range numbers are skipped on
+//     read (torn tails also neutralized on append), hex range bounds
+//     round-trip at full 64-bit precision,
 //   * Supervisor (scripted /bin/sh workers): drains the queue, re-grants a
 //     crashed lease with the same journal, fails fast on the usage exit
 //     code, gives up after max_restarts, kills + splits + reassigns a
-//     stale straggler, and resumes unfinished leases from a prior log,
-//   * shard_worker exit codes: 0 ok / 1 runtime / 2 usage / 42 injected
-//     crash — pinned, because the supervisor's restart policy branches on
-//     them,
+//     stale straggler (and a resume after that re-runs nothing), and
+//     resumes unfinished leases from a prior log,
+//   * shard_worker exit codes: 0 ok / 1 runtime / 2 usage (malformed
+//     numbers included) / 42 injected crash — pinned, because the
+//     supervisor's restart policy branches on them,
 //   * THE invariant: a supervised run of the real shard_worker binary with
 //     two injected mid-append crashes and one stale straggler (killed,
 //     split, reassigned) produces byte-identical rankings and journal
@@ -27,6 +29,7 @@
 #include <set>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "search/search_job.h"
@@ -221,6 +224,58 @@ TEST(LeaseLog, TornTailIsSkippedOnReadAndNeutralizedOnAppend) {
   EXPECT_EQ(after.completed, (std::set<std::uint64_t>{1}));
 }
 
+TEST(LeaseLog, SplitResolvesTheParentIntoItsChildren) {
+  const std::string dir = fresh_dir("leaselog_split");
+  const std::string path = dir + "/log.jsonl";
+  {
+    LeaseLog log(path);
+    log.grant(test_lease(1, 0, 199, dir));
+    log.revoke(1, "stale");
+    log.split(1, test_lease(2, 0, 99, dir, 1, 1),
+              test_lease(3, 100, 199, dir, 1, 1));
+    log.grant(test_lease(2, 0, 99, dir, 1, 1));
+    log.complete(2);
+  }
+  const auto state = LeaseLog::recover(path);
+  EXPECT_EQ(state.skipped_lines, 0u);
+  EXPECT_EQ(state.max_lease_id, 3u);
+  // The parent is resolved by the split; the child that was never granted
+  // is still owed a run.
+  EXPECT_TRUE(state.revoked.empty());
+  EXPECT_EQ(state.completed, (std::set<std::uint64_t>{2}));
+  ASSERT_EQ(state.outstanding.size(), 1u);
+  const Lease& child = state.outstanding.at(3);
+  EXPECT_EQ(child.range, (store::ShardPlan::Range{100, 199}));
+  EXPECT_EQ(child.attempt, 1u);
+  EXPECT_EQ(child.parent, 1u);
+  EXPECT_EQ(child.journal_path, dir + "/lease-3.nsb");
+}
+
+TEST(LeaseLog, OutOfRangeNumbersAreSkippedNotCast) {
+  const std::string dir = fresh_dir("leaselog_hostile");
+  const std::string path = dir + "/log.jsonl";
+  {
+    LeaseLog log(path);
+    log.grant(test_lease(7, 0, 99, dir));
+  }
+  {
+    // Well-formed JSON whose numbers no lease id or attempt can hold.
+    std::ofstream out(path, std::ios::app);
+    out << R"({"event":"grant","lease":1e300,"lo":"00","hi":"ff",)"
+        << R"("journal":"j","status":"s","attempt":0,"parent":0})" << "\n"
+        << R"({"event":"grant","lease":2,"lo":"00","hi":"ff",)"
+        << R"("journal":"j","status":"s","attempt":-1,"parent":0})" << "\n"
+        << R"({"event":"complete","lease":-5})" << "\n";
+  }
+  const auto state = LeaseLog::recover(path);
+  EXPECT_EQ(state.skipped_lines, 3u);
+  EXPECT_EQ(state.max_lease_id, 7u);
+  ASSERT_EQ(state.outstanding.size(), 1u);
+  EXPECT_TRUE(state.outstanding.contains(7));
+  EXPECT_TRUE(state.completed.empty());
+  EXPECT_TRUE(state.revoked.empty());
+}
+
 // ---- Supervisor with scripted workers ---------------------------------------
 
 /// Command builder running an inline /bin/sh script (fast, no search).
@@ -376,6 +431,19 @@ TEST(Supervisor, StaleStragglerIsKilledSplitAndReassigned) {
   EXPECT_EQ(left.lo, parent_range.lo);
   EXPECT_EQ(left.hi + 1, right.lo);
   EXPECT_EQ(right.hi, parent_range.hi);
+
+  // Resume on the finished directory: the split resolved the parent into
+  // its two completed children, so nothing is left to grant — re-granting
+  // lease 1 would re-run the whole fingerprint space.
+  std::vector<std::uint64_t> regranted;
+  Supervisor resumed(config, [&regranted](const Lease& lease) {
+    regranted.push_back(lease.id);
+    return std::vector<std::string>{"/bin/sh", "-c", "exit 0"};
+  });
+  const auto resumed_report = resumed.run();
+  EXPECT_TRUE(resumed_report.success) << resumed_report.error;
+  EXPECT_TRUE(regranted.empty());
+  EXPECT_EQ(resumed_report.spawned, 0u);
 }
 
 TEST(Supervisor, ResumeRegrantsUnfinishedLeasesFromAPriorLog) {
@@ -428,10 +496,19 @@ TEST(WorkerExitCodes, UsageRuntimeAndInjectedCrashAreDistinct) {
   EXPECT_EQ(run_to_exit({bin, "--mode", "bogus"}), 2);
   EXPECT_EQ(run_to_exit({bin, "--no-such-flag"}), 2);
   EXPECT_EQ(run_to_exit({bin, "--mode", "worker", "--journal", dir + "/j"}),
-            2);  // lease mode without its range
+            2);  // worker mode without its range
   EXPECT_EQ(run_to_exit({bin, "--mode", "worker", "--journal", dir + "/j",
                          "--range-lo", "zz", "--range-hi", "ff"}),
             2);  // malformed hex
+  // Malformed numbers: non-digits, trailing characters, a sign.
+  const std::vector<std::pair<std::string, std::string>> bad_numbers = {
+      {"--candidates", "abc"}, {"--seed", "12x"}, {"--candidates", "-1"}};
+  for (const auto& [flag, text] : bad_numbers) {
+    EXPECT_EQ(run_to_exit({bin, "--mode", "single", "--quiet", "--store-dir",
+                           dir + "/numbers", flag, text}),
+              2)
+        << flag << " " << text;
+  }
   // Runtime failure: an unwritable store directory.
   EXPECT_EQ(run_to_exit({bin, "--mode", "single", "--quiet", "--candidates",
                          "4", "--store-dir", "/dev/null/nope"}),
@@ -485,7 +562,6 @@ TEST(SupervisedEquivalence, KillAndRestartMatchesUninterruptedRun) {
   // --- uninterrupted single-process run ---------------------------------
   const std::string single_dir = fresh_dir("equiv_single");
   search::ShardRunnerConfig single_shards;
-  single_shards.num_shards = 1;
   single_shards.store_dir = single_dir;
   single_shards.worker_status = false;
   search::ShardRunner single_runner(*setup->domain, setup->config, 1234,
@@ -501,7 +577,6 @@ TEST(SupervisedEquivalence, KillAndRestartMatchesUninterruptedRun) {
   // --- supervised run with the full fault schedule ----------------------
   const std::string svc_dir = fresh_dir("equiv_svc");
   search::ShardRunnerConfig svc_shards;
-  svc_shards.num_shards = 1;
   svc_shards.store_dir = svc_dir;
   search::ShardRunner svc_runner(*setup->domain, setup->config, 1234,
                                  svc_shards);

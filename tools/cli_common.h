@@ -1,9 +1,9 @@
 // Shared plumbing for the search CLIs (shard_worker, search_service).
 //
-// One sharded search spans several processes — workers, a supervisor, a
-// merge driver — and they must agree on three things or the equivalence
-// diffs (CI's shard-equivalence-smoke and supervisor-smoke jobs) are
-// meaningless:
+// One supervised search spans several processes — lease workers and the
+// supervisor with its merge driver — and they must agree on three things
+// or the equivalence diffs against a single-process run (CI's
+// supervisor-smoke and metrics-smoke jobs) are meaningless:
 //
 //   * the SEARCH: domain datasets, funnel config, generator seeds — built
 //     here once (make_search_setup) and flag-for-flag identical across
@@ -17,6 +17,8 @@
 #pragma once
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -24,6 +26,8 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <system_error>
+#include <type_traits>
 #include <vector>
 
 #include "cc/cc_domain.h"
@@ -52,6 +56,28 @@ inline constexpr int kExitUsage = 2;
 /// failure is never mistaken for an injected one in CI assertions.
 inline constexpr int kExitCrashInjected = 42;
 
+/// Parses a numeric flag's value into `out` — an unsigned integer or a
+/// floating-point type — from the WHOLE string: digits for integers, a
+/// finite decimal for floating point. A sign, trailing characters, an
+/// overflow or a non-finite value calls `usage` (which exits with
+/// kExitUsage) naming the flag, so a config bug fails fast instead of
+/// reaching the run as a restartable runtime error.
+template <typename T>
+void parse_number(const std::string& flag, const std::string& text, T& out,
+                  void (*usage)(const std::string&)) {
+  static_assert(std::is_unsigned_v<T> || std::is_floating_point_v<T>);
+  T value{};
+  bool ok = !text.empty() && text.front() != '-' && text.front() != '+';
+  if (ok) {
+    const char* last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, value);
+    ok = ec == std::errc{} && end == last;
+  }
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) usage(flag + ": malformed number '" + text + "'");
+  out = value;
+}
+
 /// Everything one funnel run needs, built from CLI flags. Heap-allocate
 /// and keep put: `fixed` points into `config` / `fixed_state`, so the
 /// struct must not move (no copy/move; make_search_setup returns a
@@ -74,8 +100,8 @@ struct SearchSetup {
 };
 
 /// The demo-scale funnel config every mode of every tool shares (the
-/// search must be identical across worker, merge, single, and supervised
-/// runs for the equivalence diffs to mean anything).
+/// search must be identical across worker, single, and supervised runs for
+/// the equivalence diffs to mean anything).
 inline search::SearchConfig demo_config(std::size_t candidates) {
   search::SearchConfig config = examples::demo_funnel_config(
       candidates, /*early_epochs=*/8, /*full_train_top=*/3, /*seeds=*/2,
@@ -86,7 +112,7 @@ inline search::SearchConfig demo_config(std::size_t candidates) {
 
 /// Builds the domain, funnel config, candidate stream, and fixed design
 /// half from the flag values. The (dataset seed, cc parameters) are fixed:
-/// every process of one sharded search must score candidates on the same
+/// every process of one supervised search must score candidates on the same
 /// data or the merged journals would not be comparable. `domain_name` is
 /// "abr"|"cc", `search_kind` "state"|"arch" (validate before calling).
 inline std::unique_ptr<SearchSetup> make_search_setup(

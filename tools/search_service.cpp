@@ -1,13 +1,11 @@
-// search_service: the elastic supervised-search CLI (svc::Supervisor).
+// search_service: the multi-worker search CLI (svc::Supervisor).
 //
-// Where `shard_worker --mode worker` × N + `--mode merge` is a static
-// deployment (one range per worker, launched by hand, no recovery), this
-// tool runs the same search as a managed service in one command:
+// Runs one search across worker processes in one command:
 //
 //   search_service --workers 3 --store-dir /tmp/svc
 //
 // The supervisor carves the fingerprint space into leasable sub-ranges,
-// spawns shard_worker processes in lease mode (fork/exec; --worker-bin
+// spawns shard_worker processes in worker mode (fork/exec; --worker-bin
 // locates the binary, default "shard_worker" on PATH), watches their
 // heartbeat files, restarts workers that die, kills and splits stragglers
 // whose heartbeat goes stale, logs every decision to a crash-tolerant
@@ -16,6 +14,16 @@
 // `RANK,<pos>,<id>,<fingerprint>,<score>` lines as shard_worker, because
 // the result is byte-identical to an uninterrupted run by construction
 // (docs/SERVICE.md; the supervisor-smoke CI job diffs exactly that).
+//
+// A static N-way run — one range per worker, no recovery — is the same
+// command with the policies switched off:
+//
+//   search_service --workers N --leases N --max-restarts 0
+//     --heartbeat-timeout 0 --store-dir /tmp/svc
+//
+// Rerunning on a finished directory resumes from the lease log: nothing is
+// left to grant, so no worker spawns and the driver serves the ranking
+// from the journals.
 //
 // Search flags (--domain/--search/--candidates/--seed/--gen-seed/--window)
 // match shard_worker and are forwarded to every worker verbatim — the
@@ -97,29 +105,32 @@ Args parse_args(int argc, char** argv) {
     if (i + 1 >= argc) usage(std::string(argv[i]) + " needs a value");
     return argv[++i];
   };
+  auto number = [&](int& i, auto& out) {
+    const std::string flag = argv[i];
+    tools::parse_number(flag, value(i), out, usage);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (flag == "--domain") args.domain = value(i);
     else if (flag == "--search") args.search = value(i);
     else if (flag == "--store-dir") args.store_dir = value(i);
-    else if (flag == "--candidates") args.candidates = std::stoul(value(i));
-    else if (flag == "--seed") args.seed = std::stoull(value(i));
-    else if (flag == "--gen-seed") args.gen_seed = std::stoull(value(i));
-    else if (flag == "--threads") args.threads = std::stoul(value(i));
-    else if (flag == "--window") args.window = std::stoul(value(i));
-    else if (flag == "--workers") args.workers = std::stoul(value(i));
-    else if (flag == "--leases") args.leases = std::stoul(value(i));
-    else if (flag == "--max-restarts") args.max_restarts = std::stoul(value(i));
-    else if (flag == "--heartbeat-timeout")
-      args.heartbeat_timeout = std::stod(value(i));
-    else if (flag == "--poll-interval") args.poll_interval = std::stod(value(i));
+    else if (flag == "--candidates") number(i, args.candidates);
+    else if (flag == "--seed") number(i, args.seed);
+    else if (flag == "--gen-seed") number(i, args.gen_seed);
+    else if (flag == "--threads") number(i, args.threads);
+    else if (flag == "--window") number(i, args.window);
+    else if (flag == "--workers") number(i, args.workers);
+    else if (flag == "--leases") number(i, args.leases);
+    else if (flag == "--max-restarts") number(i, args.max_restarts);
+    else if (flag == "--heartbeat-timeout") number(i, args.heartbeat_timeout);
+    else if (flag == "--poll-interval") number(i, args.poll_interval);
     else if (flag == "--worker-bin") args.worker_bin = value(i);
     else if (flag == "--fresh") args.fresh = true;
     else if (flag == "--quiet") args.quiet = true;
-    else if (flag == "--crash-leases") args.crash_leases = std::stoul(value(i));
-    else if (flag == "--crash-after") args.crash_after = std::stoul(value(i));
-    else if (flag == "--stall-leases") args.stall_leases = std::stoul(value(i));
-    else if (flag == "--stall-after") args.stall_after = std::stoul(value(i));
+    else if (flag == "--crash-leases") number(i, args.crash_leases);
+    else if (flag == "--crash-after") number(i, args.crash_after);
+    else if (flag == "--stall-leases") number(i, args.stall_leases);
+    else if (flag == "--stall-after") number(i, args.stall_after);
     else usage("unknown flag " + flag);
   }
   if (args.domain != "abr" && args.domain != "cc") {
@@ -140,7 +151,6 @@ int run(const Args& args) {
   if (args.threads > 0) pool = std::make_unique<util::ThreadPool>(args.threads);
 
   search::ShardRunnerConfig shard_config;
-  shard_config.num_shards = 1;  // lease ranges replace static shards
   shard_config.store_dir = args.store_dir;
   search::ShardRunner runner(*setup->domain, setup->config, args.seed,
                              shard_config, pool.get());

@@ -1,33 +1,23 @@
-// shard_worker: the multi-process sharded-search CLI.
+// shard_worker: one process of a search — a supervised lease worker, or
+// the whole search in one process.
 //
-// One search, N worker processes, one driver. Every process replays the
-// same candidate stream; a worker executes only its slice of the
-// fingerprint space and journals into its own shard store; the driver
-// merges the shard journals, selects globally, runs the top-K full
-// trainings, and prints the ranking. `single` mode runs the identical
-// search in one process — its ranking and journal records must match the
-// sharded run exactly (CI diffs them; tests/search_test.cpp pins the same
-// property in-process).
+//   worker  executes exactly the candidates whose fingerprint lands in one
+//           sub-range and journals them (pre-checks and probes only; the
+//           cohort-global stages are the driver's). svc::Supervisor
+//           (tools/search_service) spawns one per lease:
 //
-//   # four workers (any order, any machines sharing the store dir), then
-//   # the driver:
-//   for i in 0 1 2 3; do
-//     shard_worker --mode worker --shard $i --shards 4 --store-dir /tmp/s &
-//   done; wait
-//   shard_worker --mode merge --shards 4 --store-dir /tmp/s
+//     shard_worker --mode worker --journal /tmp/s/lease-3.nsb
+//       --range-lo 8000000000000000 --range-hi bfffffffffffffff
 //
-//   # the same search, one process:
-//   shard_worker --mode single --store-dir /tmp/single
+//           The heartbeat lands at <journal>.status.json.
+//   single  the whole funnel in this process, its own journal — the
+//           reference run every CI equivalence diff compares against:
 //
-// Worker mode has a second face: a LEASE worker under the svc::Supervisor
-// (tools/search_service). Instead of --shard/--shards it takes an explicit
-// fingerprint sub-range and journal —
+//     shard_worker --mode single --store-dir /tmp/single
 //
-//   shard_worker --mode worker --journal /tmp/s/lease-3.nsb \
-//     --range-lo 8000000000000000 --range-hi bfffffffffffffff
-//
-// — because supervised ranges are born from splits and re-grants, not from
-// a static plan. The heartbeat lands at <journal>.status.json either way.
+// Every multi-worker run goes through search_service; a static N-way run
+// is `search_service --workers N --leases N --max-restarts 0
+// --heartbeat-timeout 0`.
 //
 // Ranking lines are printed as `RANK,<position>,<id>,<fingerprint>,<score>`
 // so two runs diff with grep + diff. Flags: --domain abr|cc,
@@ -58,9 +48,7 @@
 //   --metrics-out F   final MetricsRegistry snapshot as one JSON document
 //   --trace-out F     every search event as one JSONL line
 //   --status-out F    live, atomically-replaced status snapshot
-// Sharded runs additionally always get per-worker heartbeat files next to
-// the shard journals (<journal>.status.json); merge mode prints one
-// summary line per worker from them and writes the cluster aggregate.
+// Worker mode also always writes its heartbeat next to its journal.
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -82,7 +70,6 @@
 #include "svc/lease_log.h"
 #include "tools/cli_common.h"
 #include "util/fs.h"
-#include "util/strings.h"
 #include "util/thread_pool.h"
 
 namespace {
@@ -90,12 +77,10 @@ namespace {
 using namespace nada;
 
 struct Args {
-  std::string mode = "single";  // worker | merge | single
+  std::string mode = "single";  // worker | single
   std::string domain = "abr";   // abr | cc
   std::string search = "state";  // state | arch
   std::string store_dir = "nada_store";
-  std::size_t shards = 1;
-  std::size_t shard = 0;
   std::size_t candidates = 24;
   std::uint64_t seed = 1234;
   std::uint64_t gen_seed = 77;
@@ -105,7 +90,7 @@ struct Args {
   std::string metrics_out;
   std::string trace_out;
   std::string status_out;
-  // Lease mode (supervised worker): explicit range + journal.
+  // Worker mode: the lease's range + journal.
   std::string journal;
   std::optional<std::uint64_t> range_lo;
   std::optional<std::uint64_t> range_hi;
@@ -116,9 +101,8 @@ struct Args {
 
 [[noreturn]] void usage(const std::string& error) {
   std::cerr << "shard_worker: " << error << "\n"
-            << "usage: shard_worker --mode worker|merge|single"
-            << " [--shard I] [--shards N] [--store-dir DIR]"
-            << " [--journal F --range-lo HEX --range-hi HEX]"
+            << "usage: shard_worker --mode worker|single"
+            << " [--journal F --range-lo HEX --range-hi HEX] [--store-dir DIR]"
             << " [--domain abr|cc] [--search state|arch] [--candidates N]"
             << " [--seed S] [--gen-seed G] [--threads T] [--window W]"
             << " [--quiet] [--metrics-out F] [--trace-out F]"
@@ -132,6 +116,10 @@ Args parse_args(int argc, char** argv) {
   auto value = [&](int& i) -> std::string {
     if (i + 1 >= argc) usage(std::string(argv[i]) + " needs a value");
     return argv[++i];
+  };
+  auto number = [&](int& i, auto& out) {
+    const std::string flag = argv[i];
+    tools::parse_number(flag, value(i), out, usage);
   };
   auto hex_value = [&](int& i) -> std::uint64_t {
     const std::string text = value(i);
@@ -147,13 +135,11 @@ Args parse_args(int argc, char** argv) {
     else if (flag == "--domain") args.domain = value(i);
     else if (flag == "--search") args.search = value(i);
     else if (flag == "--store-dir") args.store_dir = value(i);
-    else if (flag == "--shards") args.shards = std::stoul(value(i));
-    else if (flag == "--shard") args.shard = std::stoul(value(i));
-    else if (flag == "--candidates") args.candidates = std::stoul(value(i));
-    else if (flag == "--seed") args.seed = std::stoull(value(i));
-    else if (flag == "--gen-seed") args.gen_seed = std::stoull(value(i));
-    else if (flag == "--threads") args.threads = std::stoul(value(i));
-    else if (flag == "--window") args.window = std::stoul(value(i));
+    else if (flag == "--candidates") number(i, args.candidates);
+    else if (flag == "--seed") number(i, args.seed);
+    else if (flag == "--gen-seed") number(i, args.gen_seed);
+    else if (flag == "--threads") number(i, args.threads);
+    else if (flag == "--window") number(i, args.window);
     else if (flag == "--quiet") args.quiet = true;
     else if (flag == "--metrics-out") args.metrics_out = value(i);
     else if (flag == "--trace-out") args.trace_out = value(i);
@@ -162,12 +148,12 @@ Args parse_args(int argc, char** argv) {
     else if (flag == "--range-lo") args.range_lo = hex_value(i);
     else if (flag == "--range-hi") args.range_hi = hex_value(i);
     else if (flag == "--crash-after-candidates")
-      args.crash_after = std::stoul(value(i));
+      number(i, args.crash_after.emplace());
     else if (flag == "--stall-after-candidates")
-      args.stall_after = std::stoul(value(i));
+      number(i, args.stall_after.emplace());
     else usage("unknown flag " + flag);
   }
-  if (args.mode != "worker" && args.mode != "merge" && args.mode != "single") {
+  if (args.mode != "worker" && args.mode != "single") {
     usage("bad --mode " + args.mode);
   }
   if (args.domain != "abr" && args.domain != "cc") {
@@ -176,20 +162,15 @@ Args parse_args(int argc, char** argv) {
   if (args.search != "state" && args.search != "arch") {
     usage("bad --search " + args.search);
   }
-  if (args.shards == 0) usage("--shards must be >= 1");
-  if (args.mode == "worker" && args.shard >= args.shards) {
-    usage("--shard out of range");
-  }
-  const bool lease = !args.journal.empty() || args.range_lo.has_value() ||
-                     args.range_hi.has_value();
-  if (lease) {
-    if (args.mode != "worker") usage("--journal/--range-* need --mode worker");
+  if (args.mode == "worker") {
     if (args.journal.empty() || !args.range_lo || !args.range_hi) {
-      usage("lease mode needs all of --journal, --range-lo, --range-hi");
+      usage("--mode worker needs all of --journal, --range-lo, --range-hi");
     }
     if (*args.range_lo > *args.range_hi) {
       usage("--range-lo must be <= --range-hi");
     }
+  } else if (!args.journal.empty() || args.range_lo || args.range_hi) {
+    usage("--journal/--range-* need --mode worker");
   }
   if ((args.crash_after || args.stall_after) && args.mode != "worker") {
     usage("fault injection needs --mode worker");
@@ -263,13 +244,8 @@ int run(const Args& args) {
   }
   if (!args.status_out.empty()) {
     util::ensure_directories(util::parent_directory(args.status_out));
-    const std::string label =
-        args.mode == "worker" ? "worker-" + std::to_string(args.shard) + "/" +
-                                    std::to_string(args.shards)
-        : args.mode == "merge" ? "driver"
-                               : "single";
     status = std::make_unique<obs::StatusWriter>(
-        obs::StatusConfig{args.status_out, label, args.candidates});
+        obs::StatusConfig{args.status_out, args.mode, args.candidates});
     observers.push_back(status.get());
   }
   // Final sink writes shared by every mode: terminal status snapshot, then
@@ -284,80 +260,34 @@ int run(const Args& args) {
     }
   };
 
-  search::ShardRunnerConfig shard_config;
-  shard_config.num_shards = args.shards;
-  shard_config.store_dir = args.store_dir;
-  shard_config.metrics = registry.get();
-  search::ShardRunner runner(*setup->domain, setup->config, args.seed,
-                             shard_config, pool.get());
-
   if (args.mode == "worker") {
-    const bool lease = !args.journal.empty();
-    const std::string journal_path =
-        lease ? args.journal : runner.shard_store_path(args.shard);
+    search::ShardRunnerConfig runner_config;
+    runner_config.metrics = registry.get();
+    search::ShardRunner runner(*setup->domain, setup->config, args.seed,
+                               runner_config, pool.get());
     std::unique_ptr<FaultInjector> fault;
     if (args.crash_after || args.stall_after) {
-      fault = std::make_unique<FaultInjector>(args, journal_path);
+      fault = std::make_unique<FaultInjector>(args, args.journal);
       observers.push_back(fault.get());
     }
-    search::SearchResult result;
-    if (lease) {
-      const store::ShardPlan::Range range{*args.range_lo, *args.range_hi};
-      result = runner.run_range(range, journal_path, *setup->source,
-                                setup->fixed, observers);
-      std::cout << "lease [" << svc::hex_u64(range.lo) << ", "
-                << svc::hex_u64(range.hi) << "]: ";
-    } else {
-      result = runner.run_worker(args.shard, *setup->source, setup->fixed,
-                                 observers);
-      std::cout << "worker " << args.shard << "/" << args.shards << ": ";
-    }
-    std::cout << result.n_total - result.n_out_of_shard << " of "
+    const store::ShardPlan::Range range{*args.range_lo, *args.range_hi};
+    const auto result = runner.run_range(range, args.journal, *setup->source,
+                                         setup->fixed, observers);
+    std::cout << "lease [" << svc::hex_u64(range.lo) << ", "
+              << svc::hex_u64(range.hi) << "]: "
+              << result.n_total - result.n_out_of_shard << " of "
               << result.n_total << " candidates in range, "
               << result.n_probes_run << " probes run, "
               << result.cache_hits() << " cache hits\n"
-              << "journal: " << journal_path << "\n";
-    finish_sinks();
-    return tools::kExitOk;
-  }
-
-  if (args.mode == "merge") {
-    const auto result = runner.merge_and_rank(*setup->source, setup->fixed,
-                                              nullptr, observers);
-    std::cout << "driver: merged " << args.shards << " shard journals, "
-              << result.cache_hits() << " stage results from shards, "
-              << result.n_probes_run << " probes and "
-              << result.n_full_trains_run
-              << " full trainings executed by the driver\n"
-              << "journal: " << runner.merged_store_path() << "\n";
-    // One summary line per worker from its heartbeat file, then the
-    // cluster-level aggregate document.
-    const auto statuses = runner.worker_statuses();
-    for (std::size_t shard = 0; shard < statuses.size(); ++shard) {
-      if (!statuses[shard].has_value()) {
-        std::cout << "worker " << shard << ": no status reported\n";
-        continue;
-      }
-      const auto& worker = *statuses[shard];
-      std::cout << "worker " << shard << ": "
-                << worker.counter("entered") << " candidates, "
-                << worker.counter("cache_hits") << " cache hits, "
-                << worker.counter("failed") << " failures, "
-                << util::format_duration(worker.elapsed_seconds) << "\n";
-    }
-    runner.write_merged_status();
-    std::cout << "cluster status: " << runner.aggregate_status_path() << "\n";
-    tools::print_ranking(
-        std::cout, result,
-        tools::ranked_fingerprints(*setup->source, setup->fixed, result,
-                                   setup->config.num_candidates));
+              << "journal: " << args.journal << "\n";
     finish_sinks();
     return tools::kExitOk;
   }
 
   // single: the whole funnel in this process, its own journal.
   util::ensure_directories(args.store_dir);
-  const auto scope = runner.scope();
+  const auto scope =
+      search::store_scope(*setup->domain, setup->config, args.seed);
   store::CandidateStore store(
       args.store_dir + "/" + scope.env + "-" +
           scope.config_digest.substr(0, 12) + "-single.nsb",
