@@ -14,26 +14,18 @@
 #include "filter/checks.h"
 #include "filter/earlystop.h"
 #include "gen/state_gen.h"
-#include "rl/trainer.h"
+#include "rl/batch_probe.h"
 #include "search/types.h"
 
 namespace {
 
 using namespace nada;
 
-/// Trains one design and returns its (normalized) record.
-filter::DesignRecord train_record(const env::TaskDomain& domain,
-                                  const dsl::StateProgram& program,
-                                  const std::string& id,
-                                  const std::string& source,
-                                  const nn::ArchSpec& arch,
-                                  std::size_t total_epochs,
-                                  double normalizer, std::uint64_t seed) {
-  rl::TrainConfig config;
-  config.epochs = total_epochs;
-  config.evaluate_checkpoints = false;  // ranking uses training rewards
-  rl::Trainer trainer(domain, config, seed);
-  const rl::TrainResult result = trainer.train(program, arch);
+/// One design's training run as a (normalized) record.
+filter::DesignRecord to_record(const rl::TrainResult& result,
+                               const std::string& id,
+                               const std::string& source,
+                               std::size_t total_epochs, double normalizer) {
   filter::DesignRecord record;
   record.id = id;
   record.source_text = source;
@@ -78,6 +70,9 @@ int main() {
   const std::size_t total_epochs = scale.epoch_count(10000, 120);
 
   const nn::ArchSpec arch = search::scaled_arch(scale);
+  rl::TrainConfig train_config;
+  train_config.epochs = total_epochs;
+  train_config.evaluate_checkpoints = false;  // ranking uses training rewards
 
   const trace::Environment envs[] = {trace::Environment::kFcc,
                                      trace::Environment::kStarlink};
@@ -88,14 +83,6 @@ int main() {
     const video::Video video =
         video::make_test_video(video::pensieve_ladder(), 7);
     const env::AbrDomain domain(dataset, video);
-
-    // Environment normalizer: the original design's training plateau.
-    const auto original =
-        dsl::StateProgram::compile(dsl::pensieve_state_source());
-    const auto base_record =
-        train_record(domain, original, "original", "", arch, total_epochs,
-                     1.0, 99);
-    const double normalizer = std::max(std::abs(base_record.final_score), 0.1);
 
     // Generate candidates from both profiles, keep the pre-check survivors.
     gen::StateGenerator g35(gen::gpt35_profile(), gen::PromptStrategy{},
@@ -120,14 +107,29 @@ int main() {
     harvest(g35, per_env / 2);
     harvest(g4, per_env);
 
-    std::vector<filter::DesignRecord> records(survivors.size());
-    pool.parallel_for(survivors.size(), [&](std::size_t i) {
-      const auto program = dsl::StateProgram::compile(survivors[i].second);
-      records[i] = train_record(domain, program, survivors[i].first,
-                                survivors[i].second, arch, total_epochs,
-                                normalizer, 1000 + i);
-    });
-    for (auto& r : records) corpus.push_back(std::move(r));
+    // One engine call trains the original design (job 0, whose training
+    // plateau is the environment's normalizer) and every survivor.
+    const auto original =
+        dsl::StateProgram::compile(dsl::pensieve_state_source());
+    std::vector<dsl::StateProgram> programs;
+    for (const auto& survivor : survivors) {
+      programs.push_back(dsl::StateProgram::compile(survivor.second));
+    }
+    std::vector<rl::ProbeJob> jobs{{&original, &arch, 99}};
+    for (std::size_t i = 0; i < programs.size(); ++i) {
+      jobs.push_back(rl::ProbeJob{&programs[i], &arch, 1000 + i});
+    }
+    const auto results =
+        rl::BatchProbeTrainer(domain, rl::BatchProbeConfig{train_config})
+            .train(jobs, &pool);
+    const filter::DesignRecord base_record =
+        to_record(results[0], "original", "", total_epochs, 1.0);
+    const double normalizer = std::max(std::abs(base_record.final_score), 0.1);
+    for (std::size_t i = 0; i < survivors.size(); ++i) {
+      corpus.push_back(to_record(results[i + 1], survivors[i].first,
+                                 survivors[i].second, total_epochs,
+                                 normalizer));
+    }
     std::cout << "[" << trace::environment_name(env) << "] corpus +"
               << survivors.size() << " designs (total " << corpus.size()
               << ")\n";

@@ -1,12 +1,18 @@
-// Probe-throughput bench: candidates/sec for the early-probe stage, serial
-// Trainer-per-candidate vs the lockstep BatchProbeTrainer, at several
-// cohort sizes.
+// Training-engine throughput bench: candidates/sec of the library's one
+// training engine (rl::BatchProbeTrainer) against the serial test oracle
+// (tests/rl_trainer_oracle.h), one per job, on the funnel's two training
+// shapes:
+//   * early probes (no checkpoint evaluation) at several cohort sizes on
+//     one thread, and the largest cohort on the pool, one task per job;
+//   * full training: 4 designs x 2 seeds with checkpoint evaluation,
+//     oracle per (design, seed) on the pool vs rl::run_sessions.
 //
-// The funnel spends nearly all its compute here (thousands of short runs
-// that only feed the early-stop ranker), so this is the number that decides
-// how many candidates a machine can screen per hour. The bench also
-// verifies the headline guarantee on every row: the batched reward curves
-// must be bit-identical to the serial ones.
+// Probes are where the funnel spends nearly all its compute (thousands of
+// short runs that only feed the early-stop ranker), so this is the number
+// that decides how many candidates a machine can screen per hour. The
+// bench also verifies the engine's headline guarantee on every row: its
+// reward curves and test scores must be bit-identical to the oracle's.
+#include <algorithm>
 #include <cmath>
 #include <iostream>
 #include <string>
@@ -17,7 +23,9 @@
 #include "gen/state_gen.h"
 #include "nn/mat_kernels.h"
 #include "rl/batch_probe.h"
+#include "rl/session.h"
 #include "rl/trainer.h"
+#include "tests/rl_trainer_oracle.h"
 #include "trace/generator.h"
 #include "util/thread_pool.h"
 #include "video/video.h"
@@ -25,7 +33,8 @@
 int main() {
   using namespace nada;
   const auto scale = util::ScaleConfig::from_env();
-  bench::banner("Batched probe training — candidates/sec vs serial", scale);
+  bench::banner("Training engine — candidates/sec vs the serial oracle",
+                scale);
 
   const trace::Environment env = trace::Environment::kFcc;
   const trace::Dataset dataset = trace::build_dataset(env, scale.traces, 7);
@@ -57,6 +66,19 @@ int main() {
   arch.conv_filters = 32;
   arch.scalar_hidden = 32;
   arch.merge_hidden = 32;
+  const auto probe_jobs = [&](std::size_t cohort) {
+    std::vector<rl::ProbeJob> jobs;
+    for (std::size_t i = 0; i < cohort; ++i) {
+      jobs.push_back(rl::ProbeJob{&programs[i % programs.size()], &arch,
+                                  0x9e3779b9ULL * (i + 1)});
+    }
+    return jobs;
+  };
+  const auto oracle_train = [&](const rl::TrainConfig& config,
+                                const rl::ProbeJob& job) {
+    test::Trainer oracle(domain, config, job.seed);
+    return oracle.train(*job.program, *job.spec);
+  };
 
   // Every row is labeled with the NN kernel flavor it ran under: scalar
   // and avx2 rows are mutually comparable (bit-identical results), fma
@@ -66,89 +88,131 @@ int main() {
   const std::string flavor = nn::kernel_flavor_name(nn::kernel_flavor());
   std::cout << "nn kernel flavor: " << flavor << "\n";
 
-  util::TextTable table("Early-probe throughput (higher is better)");
-  table.set_header({"candidates", "kernel", "serial cand/s",
-                    "batched cand/s", "speedup", "bit-identical"});
+  util::TextTable table("Training throughput (higher is better)");
+  table.set_header({"workload", "jobs", "threads", "kernel", "oracle cand/s",
+                    "engine cand/s", "speedup", "bit-identical"});
+  const auto add_row = [&](const std::string& workload, std::size_t jobs,
+                           std::size_t threads, double oracle_s,
+                           double engine_s, bool identical) {
+    const double oracle_rate = jobs / std::max(oracle_s, 1e-9);
+    const double engine_rate = jobs / std::max(engine_s, 1e-9);
+    table.add_row_mixed(
+        {workload, std::to_string(jobs), std::to_string(threads), flavor},
+        {oracle_rate, engine_rate, engine_rate / oracle_rate,
+         identical ? 1.0 : 0.0},
+        2);
+  };
 
   // CI runs this bench as the bit-identity smoke check: any divergence
   // must fail the job, not just print.
   bool all_identical = true;
+  const rl::BatchProbeTrainer probe_engine(domain,
+                                           rl::BatchProbeConfig{probe_config});
 
+  // One thread: the engine's per-job speed.
   for (const std::size_t cohort : {8u, 16u, 32u}) {
-    std::vector<rl::ProbeJob> jobs;
-    jobs.reserve(cohort);
-    for (std::size_t i = 0; i < cohort; ++i) {
-      jobs.push_back(rl::ProbeJob{&programs[i % programs.size()], &arch,
-                                  0x9e3779b9ULL * (i + 1)});
-    }
-
-    bench::Stopwatch serial_timer;
-    std::vector<rl::TrainResult> serial_results;
-    serial_results.reserve(cohort);
+    const auto jobs = probe_jobs(cohort);
+    bench::Stopwatch oracle_timer;
+    std::vector<rl::TrainResult> oracle_results;
     for (const auto& job : jobs) {
-      rl::Trainer trainer(domain, probe_config, job.seed);
-      serial_results.push_back(trainer.train(*job.program, *job.spec));
+      oracle_results.push_back(oracle_train(probe_config, job));
     }
-    const double serial_s = serial_timer.seconds();
+    const double oracle_s = oracle_timer.seconds();
 
-    const rl::BatchProbeTrainer batch_trainer(
-        domain, rl::BatchProbeConfig{probe_config, 4});
-    bench::Stopwatch batch_timer;
-    const auto batch_results = batch_trainer.train(jobs, nullptr);
-    const double batch_s = batch_timer.seconds();
+    bench::Stopwatch engine_timer;
+    const auto engine_results = probe_engine.train(jobs, nullptr);
+    const double engine_s = engine_timer.seconds();
 
-    bool identical = batch_results.size() == serial_results.size();
-    for (std::size_t i = 0; identical && i < batch_results.size(); ++i) {
-      identical = batch_results[i].failed == serial_results[i].failed &&
-                  batch_results[i].train_rewards ==
-                      serial_results[i].train_rewards;
+    bool identical = true;
+    for (std::size_t i = 0; i < cohort; ++i) {
+      identical &= engine_results[i].failed == oracle_results[i].failed &&
+                   engine_results[i].train_rewards ==
+                       oracle_results[i].train_rewards;
     }
-
-    const double serial_rate = cohort / std::max(serial_s, 1e-9);
-    const double batch_rate = cohort / std::max(batch_s, 1e-9);
-    table.add_row_mixed({std::to_string(cohort), flavor},
-                        {serial_rate, batch_rate, batch_rate / serial_rate,
-                         identical ? 1.0 : 0.0},
-                        2);
+    add_row("probe", cohort, 1, oracle_s, engine_s, identical);
     if (!identical) {
       all_identical = false;
-      std::cout << "ERROR: batched curves diverged from serial at cohort "
+      std::cout << "ERROR: engine curves diverged from the oracle at cohort "
                 << cohort << "\n";
     }
   }
 
-  // Pool-scheduled runs: candidate-blocks vs one task per candidate.
+  // The pool, one task per job on both sides.
   {
     const std::size_t cohort = 32;
-    std::vector<rl::ProbeJob> jobs;
-    for (std::size_t i = 0; i < cohort; ++i) {
-      jobs.push_back(rl::ProbeJob{&programs[i % programs.size()], &arch,
-                                  0x9e3779b9ULL * (i + 1)});
-    }
-    bench::Stopwatch serial_timer;
-    std::vector<rl::TrainResult> serial_results(cohort);
+    const auto jobs = probe_jobs(cohort);
+    bench::Stopwatch oracle_timer;
+    std::vector<rl::TrainResult> oracle_results(cohort);
     pool.parallel_for(cohort, [&](std::size_t i) {
-      rl::Trainer trainer(domain, probe_config, jobs[i].seed);
-      serial_results[i] = trainer.train(*jobs[i].program, *jobs[i].spec);
+      oracle_results[i] = oracle_train(probe_config, jobs[i]);
     });
-    const double serial_s = serial_timer.seconds();
+    const double oracle_s = oracle_timer.seconds();
 
-    const rl::BatchProbeTrainer batch_trainer(
-        domain, rl::BatchProbeConfig{probe_config, 4});
-    bench::Stopwatch batch_timer;
-    const auto batch_results = batch_trainer.train(jobs, &pool);
-    const double batch_s = batch_timer.seconds();
-    std::cout << "pool-scheduled, " << cohort << " candidates on "
-              << pool.size() << " threads: serial "
-              << cohort / std::max(serial_s, 1e-9) << " cand/s, batched "
-              << cohort / std::max(batch_s, 1e-9) << " cand/s ("
-              << serial_s / std::max(batch_s, 1e-9) << "x)\n";
+    bench::Stopwatch engine_timer;
+    const auto engine_results = probe_engine.train(jobs, &pool);
+    const double engine_s = engine_timer.seconds();
+
+    bool identical = true;
     for (std::size_t i = 0; i < cohort; ++i) {
-      if (batch_results[i].train_rewards != serial_results[i].train_rewards) {
-        all_identical = false;
-        std::cout << "ERROR: pool-scheduled batched curves diverged from "
-                     "serial at candidate " << i << "\n";
-      }
+      identical &= engine_results[i].train_rewards ==
+                   oracle_results[i].train_rewards;
+    }
+    add_row("probe", cohort, pool.size(), oracle_s, engine_s, identical);
+    if (!identical) {
+      all_identical = false;
+      std::cout << "ERROR: pool-scheduled engine curves diverged from the "
+                   "oracle\n";
+    }
+  }
+
+  // Full training: every (design, seed) is one pool task on both sides;
+  // the engine side is rl::run_sessions, as the funnel's baseline and
+  // top-K stages call it.
+  {
+    rl::SessionConfig session_config;
+    session_config.seeds = 2;
+    session_config.train.epochs = scale.epoch_count(120, 24);
+    session_config.train.test_interval =
+        std::max<std::size_t>(session_config.train.epochs / 3, 1);
+    session_config.train.max_eval_traces = 4;
+    std::vector<rl::SessionJob> designs;
+    for (std::size_t d = 0; d < 4; ++d) {
+      designs.push_back(rl::SessionJob{&programs[d % programs.size()], &arch,
+                                       0x5e55ULL + d});
+    }
+    const std::size_t sessions = designs.size() * session_config.seeds;
+
+    bench::Stopwatch oracle_timer;
+    std::vector<rl::TrainResult> oracle_results(sessions);
+    pool.parallel_for(sessions, [&](std::size_t flat) {
+      const rl::SessionJob& design = designs[flat / session_config.seeds];
+      const std::size_t s = flat % session_config.seeds;
+      oracle_results[flat] = oracle_train(
+          session_config.train,
+          rl::ProbeJob{design.program, design.spec,
+                       design.base_seed + 0x9e3779b9ULL * (s + 1)});
+    });
+    const double oracle_s = oracle_timer.seconds();
+
+    bench::Stopwatch engine_timer;
+    const auto engine_results =
+        rl::run_sessions(domain, designs, session_config, &pool);
+    const double engine_s = engine_timer.seconds();
+
+    bool identical = true;
+    for (std::size_t flat = 0; flat < sessions; ++flat) {
+      const rl::TrainResult& session =
+          engine_results[flat / session_config.seeds]
+              .sessions[flat % session_config.seeds];
+      identical &= !session.test_scores.empty() &&
+                   session.test_scores == oracle_results[flat].test_scores;
+    }
+    add_row("full train (4 designs x 2 seeds, ckpt)", sessions, pool.size(),
+            oracle_s, engine_s, identical);
+    if (!identical) {
+      all_identical = false;
+      std::cout << "ERROR: run_sessions test scores diverged from the "
+                   "oracle\n";
     }
   }
 
@@ -168,21 +232,15 @@ int main() {
     }
 
     const std::size_t cohort = 16;
-    std::vector<rl::ProbeJob> jobs;
-    for (std::size_t i = 0; i < cohort; ++i) {
-      jobs.push_back(rl::ProbeJob{&programs[i % programs.size()], &arch,
-                                  0x9e3779b9ULL * (i + 1)});
-    }
-    const rl::BatchProbeTrainer batch_trainer(
-        domain, rl::BatchProbeConfig{probe_config, 4});
+    const auto jobs = probe_jobs(cohort);
 
-    util::TextTable sweep("Kernel-flavor sweep (batched, cohort 16)");
-    sweep.set_header({"kernel", "batched cand/s", "vs scalar"});
+    util::TextTable sweep("Kernel-flavor sweep (engine, cohort 16)");
+    sweep.set_header({"kernel", "engine cand/s", "vs scalar"});
     std::vector<rl::TrainResult> scalar_results;
     for (const nn::KernelFlavor f : flavors) {
       nn::set_kernel_flavor(f);
       bench::Stopwatch flavor_timer;
-      const auto flavor_results = batch_trainer.train(jobs, nullptr);
+      const auto flavor_results = probe_engine.train(jobs, nullptr);
       const double rate = cohort / std::max(flavor_timer.seconds(), 1e-9);
       std::string comparison = "(reference)";
       if (f == nn::KernelFlavor::kScalar) {
@@ -219,7 +277,7 @@ int main() {
   std::cout << table.to_string() << "\n";
   bench::save_csv("probe_batch.csv", table);
   if (!all_identical) {
-    std::cout << "FAILED: batched/serial bit-identity violated\n";
+    std::cout << "FAILED: engine/oracle bit-identity violated\n";
     return 1;
   }
   return 0;

@@ -119,14 +119,21 @@ int main() {
     rl::SessionConfig session_config;
     session_config.seeds = config.seeds;
     session_config.train = config.train;
-    pool.parallel_for(combos.size(), [&](std::size_t c) {
-      const auto program = dsl::StateProgram::compile(
-          state_result.outcomes[combos[c].state_idx].source);
-      const auto result = rl::run_sessions(
-          domain, program, *arch_result.outcomes[combos[c].arch_idx].arch,
-          session_config, 6000 + c, nullptr);
-      combos[c].score = result.failed ? -1e9 : result.test_score;
-    });
+    std::vector<dsl::StateProgram> programs;
+    for (const Combo& combo : combos) {
+      programs.push_back(dsl::StateProgram::compile(
+          state_result.outcomes[combo.state_idx].source));
+    }
+    std::vector<rl::SessionJob> jobs;
+    for (std::size_t c = 0; c < combos.size(); ++c) {
+      jobs.push_back(rl::SessionJob{
+          &programs[c], &*arch_result.outcomes[combos[c].arch_idx].arch,
+          6000 + c});
+    }
+    const auto results = rl::run_sessions(domain, jobs, session_config, &pool);
+    for (std::size_t c = 0; c < combos.size(); ++c) {
+      combos[c].score = results[c].failed ? -1e9 : results[c].test_score;
+    }
 
     double best_combined = original;
     for (const auto& combo : combos) {

@@ -76,10 +76,10 @@ emit "tput_pred" = linreg_predict(throughput_mbps) / (max_bitrate_kbps / 1000.0)
   const auto original =
       dsl::StateProgram::compile(dsl::pensieve_state_source());
   const env::AbrDomain domain(dataset, video);
-  const auto original_result =
-      rl::run_sessions(domain, original, arch, config, 31, &pool);
-  const auto custom_result =
-      rl::run_sessions(domain, *program, arch, config, 31, &pool);
+  const auto results = rl::run_sessions(
+      domain, {{&original, &arch, 31}, {&*program, &arch, 31}}, config, &pool);
+  const auto& original_result = results[0];
+  const auto& custom_result = results[1];
 
   util::TextTable table("4G test scores");
   table.set_header({"State design", "Score"});

@@ -71,7 +71,7 @@ int main() {
             << ")...\n";
   const env::AbrDomain domain(dataset, video);
   const rl::SessionResult result =
-      rl::run_sessions(domain, state, arch, config, 1234);
+      rl::run_sessions(domain, {{&state, &arch, 1234}}, config).front();
 
   // --- 5. Compare. -----------------------------------------------------------
   util::TextTable table("Results (mean per-chunk QoE on held-out traces)");

@@ -7,7 +7,7 @@
 // capacity for ABR model bottleneck capacity here), actions are the
 // Aurora-style rate multipliers, and observations are lowered through
 // cc::bindings_from_cc_observation. With this adapter the entire funnel —
-// generate -> pre-check -> batched probe -> early-stop -> full train ->
+// generate -> pre-check -> probe -> early-stop -> full train ->
 // rank, store checkpointing included — runs over CC through exactly the
 // code path ABR uses.
 #pragma once

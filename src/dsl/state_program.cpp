@@ -22,9 +22,10 @@ StateProgram StateProgram::compile(std::string source,
 
 StateMatrix StateProgram::run(const Bindings& inputs) const {
   // One VM per thread: run() is called concurrently on shared programs
-  // (rl::run_sessions fans one program out across seed workers), and a Vm
-  // is single-threaded mutable state. The matrix is copied out for API
-  // compatibility; allocation-free execution uses PolicyAgent's own Vm.
+  // (pre-checks run on the pool, and every seed of a design is its own
+  // training-engine task there), and a Vm is single-threaded mutable
+  // state. The matrix is copied out for API compatibility; allocation-free
+  // execution uses PolicyAgent's own Vm.
   thread_local Vm vm;
   return vm.run(*code_, inputs);
 }

@@ -45,7 +45,7 @@ namespace nada::env {
 /// AbrEnv runs: training episodes draw a uniform train-trace choice from
 /// the caller's RNG, eval unit i is test trace i, and both draw their
 /// start offset in reset() — the same draws, in the same order, as the
-/// pre-domain Trainer code path.
+/// pre-domain training loop.
 class AbrDomain final : public TaskDomain {
  public:
   /// Throws std::invalid_argument when either dataset split is empty.

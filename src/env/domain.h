@@ -1,7 +1,7 @@
 // TaskDomain: the environment abstraction the search funnel runs over.
 //
-// The funnel (generate -> pre-check -> batched probe -> early-stop -> full
-// train -> rank) is domain-agnostic: rl::Trainer, rl::BatchProbeTrainer,
+// The funnel (generate -> pre-check -> probe -> early-stop -> full train ->
+// rank) is domain-agnostic: the training engine (rl::BatchProbeTrainer)
 // and search::SearchJob only need episodes that step under a discrete action
 // space, observations expressed as DSL bindings, and a handful of scalar
 // hints. A TaskDomain packages those for one task — ABR streaming
@@ -9,7 +9,7 @@
 // domain is one subclass plus a binding catalog and a generator state
 // space away.
 //
-// Determinism contract (the candidate store and the batched/serial probe
+// Determinism contract (the candidate store and the engine/oracle training
 // equivalence both rest on it):
 //   * constructing an Episode draws from `rng` exactly what the domain's
 //     pre-abstraction code drew (ABR: one uniform trace choice for
@@ -74,7 +74,7 @@ class TaskDomain {
   [[nodiscard]] virtual std::size_t num_actions() const = 0;
 
   /// Steps per episode. Both current domains run fixed-length episodes;
-  /// the batched probe trainer sizes its capture caches from this and
+  /// the training engine sizes its capture caches from this and
   /// enforces it after each rollout.
   [[nodiscard]] virtual std::size_t episode_length() const = 0;
 

@@ -42,7 +42,7 @@ PolicyAgent::Decision PolicyAgent::decide(const dsl::Bindings& obs,
   }
   // Inference-only forward: bit-identical to net().forward, leaves the
   // training caches alone, and rides the fast path on a synced net (the
-  // batched probe trainer's checkpoint evaluations).
+  // training engine's checkpoint evaluations).
   const auto out = net_->forward_inference(network_rows(matrix));
   Decision d;
   d.probs = out.probs;
@@ -56,13 +56,6 @@ PolicyAgent::Decision PolicyAgent::decide(const dsl::Bindings& obs,
     }
   }
   return d;
-}
-
-void PolicyAgent::forward_backward(const dsl::Bindings& obs,
-                                   const nn::Vec& dlogits, double dvalue) {
-  const dsl::StateMatrix& matrix = eval_state(obs);
-  (void)net_->forward(network_rows(matrix));
-  net_->backward(dlogits, dvalue);
 }
 
 }  // namespace nada::rl

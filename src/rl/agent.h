@@ -43,11 +43,6 @@ class PolicyAgent {
   /// policy when `sample` is true, otherwise picks the argmax.
   Decision decide(const dsl::Bindings& obs, bool sample, util::Rng& rng);
 
-  /// Re-runs the forward pass for `obs` (so layer caches are fresh) and
-  /// backpropagates the combined policy/value gradient.
-  void forward_backward(const dsl::Bindings& obs, const nn::Vec& dlogits,
-                        double dvalue);
-
   /// Runs the state program on `obs` through the agent-owned Vm and
   /// returns the Vm-owned matrix, valid until the next eval_state call.
   /// This is the per-step inner loop: scalar ops perform no heap

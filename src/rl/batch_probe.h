@@ -1,29 +1,26 @@
-// Batched probe training: many candidate designs trained in lockstep.
+// The training engine: every A2C training run in the library goes through
+// BatchProbeTrainer — the funnel's early probes, the original design's
+// baseline sessions, and the top-K's full training (rl::run_sessions).
 //
-// The funnel's early-probe stage trains thousands of candidates for a
-// short budget whose only output is the training-reward curve. Run one
-// Trainer per candidate and almost all the time goes to single-sample
-// network passes, per-step allocations, and running the state program
-// twice per step. BatchProbeTrainer trains a *block* of candidates in
-// lockstep instead: every candidate keeps its own RNG stream, episode,
-// and trajectory, but each candidate's per-epoch policy/value update is
-// fused into matrix-matrix passes over the whole episode
-// (nn::Layer::forward_batch / backward_batch), the state program runs
-// once per step instead of twice, and the thread pool schedules blocks
-// of candidates instead of one task per candidate.
+// Each job is one (design, seed) training run and one pool task. A job
+// keeps its own RNG stream, agent and optimizer, and runs its epochs as
+// straight-line code: roll one episode through the network's capture
+// forward, then apply the epoch's policy/value update as one fused
+// matrix-matrix backward pass over the whole episode
+// (nn::Layer::backward_batch). The rollout already recorded every
+// activation the update needs, so the update runs no forward pass and no
+// second state-program run.
 //
-// The trainer is domain-generic (it probes whatever env::TaskDomain it is
-// given — ABR and CC use the identical code path); fixed-length episodes
-// are required so the capture caches can be sized up front, and both
-// domains provide them.
+// The engine is domain-generic (ABR and CC use the identical code path);
+// fixed-length episodes are required so the capture caches can be sized up
+// front, and both domains provide them.
 //
-// The contract that makes this safe to switch on by default: given the
-// same per-candidate seeds, results are BIT-IDENTICAL to a fresh
-// rl::Trainer per candidate — same reward curves, same failure captures,
-// same checkpoint scores. The batched kernels preserve the serial
-// accumulation order (see nn/mat.h), and candidates never share a random
-// draw. tests/batch_probe_test.cpp (ABR) and tests/cc_funnel_test.cpp
-// (CC) pin the guarantee down.
+// The contract: given the same per-job seeds, results are BIT-IDENTICAL to
+// the straightforward serial A2C loop in tests/rl_trainer_oracle.h — same
+// reward curves, same failure captures, same checkpoint and emulation
+// scores. The fused kernels preserve the serial accumulation order (see
+// nn/mat.h), and jobs never share a random draw. tests/batch_probe_test.cpp
+// (ABR) and tests/cc_funnel_test.cpp (CC) pin the guarantee down.
 #pragma once
 
 #include <cstdint>
@@ -37,53 +34,47 @@
 
 namespace nada::rl {
 
-/// One probe candidate: a design plus the seed its Trainer would get.
+/// One training job: a design plus the seed of its private RNG stream.
 struct ProbeJob {
   const dsl::StateProgram* program = nullptr;
   const nn::ArchSpec* spec = nullptr;
-  std::uint64_t seed = 0;  ///< equals the serial Trainer's constructor seed
+  std::uint64_t seed = 0;
 };
 
 struct BatchProbeConfig {
-  TrainConfig train;  ///< probe budget (the pipeline passes early_epochs)
-  /// Candidates trained in lockstep per scheduled block. Each candidate
-  /// carries a few MB of weights, optimizer state, and capture caches, so
-  /// very large blocks thrash L2 during the round-robin rollout; 4 keeps
-  /// the lockstep structure (shared scheduling, shared trace table walk)
-  /// while staying cache-resident on small cores.
+  TrainConfig train;  ///< training budget (probes pass early_epochs)
+  /// Read by nothing: every job is its own pool task. Kept only because
+  /// the end-to-end benchmark harness (nada_bench/layers.cpp) still
+  /// initializes it.
   std::size_t block_size = 4;
-  /// Optional profiling registry (pure readout): per-block wall clock in
-  /// rl.probe_block.seconds, volumes in rl.probe_blocks /
+  /// Optional profiling registry (pure readout). Per job: wall clock in
+  /// rl.probe_block.seconds, one count each in rl.probe_blocks and
   /// rl.probe_block_candidates, DSL execution volume in dsl.exec.*, and
-  /// batched mat-mat kernel volume in nn.matmul.calls / nn.matmul.flops
-  /// plus the active flavor in the nn.kernel.flavor gauge
-  /// (0=scalar, 1=avx2, 2=fma). Must outlive the trainer.
+  /// batched mat-mat kernel volume in nn.matmul.calls / nn.matmul.flops,
+  /// plus the active flavor in the nn.kernel.flavor gauge (0=scalar,
+  /// 1=avx2, 2=fma). The funnel passes it for probes only. Must outlive
+  /// the trainer.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
-/// Trains each job exactly as `Trainer(domain, config.train,
-/// job.seed).train(*job.program, *job.spec)` would, but in lockstep blocks
-/// with fused per-epoch updates. Results are bit-identical to the serial
-/// path; failures are captured per candidate without disturbing the rest
-/// of the block.
+/// Trains each job to the serial oracle's result, one job per pool task.
+/// Failures (runtime errors in the state program, invalid architectures,
+/// non-finite values) are captured in that job's result rather than
+/// thrown: NADA treats them as filtered-out designs.
 class BatchProbeTrainer {
  public:
-  /// Domain-generic; `domain` must outlive the trainer.
+  /// Domain-generic; `domain` must outlive the trainer. Throws
+  /// std::invalid_argument on zero epochs or a zero test interval.
   BatchProbeTrainer(const env::TaskDomain& domain, BatchProbeConfig config);
 
-  /// Trains all jobs; blocks are scheduled on `pool` when non-null.
+  /// Trains all jobs, scheduled on `pool` when non-null. Results are in
+  /// job order and independent of the pool.
   [[nodiscard]] std::vector<TrainResult> train(std::span<const ProbeJob> jobs,
                                                util::ThreadPool* pool =
                                                    nullptr) const;
 
  private:
-  struct Candidate;
-
-  void train_block(std::span<const ProbeJob> jobs,
-                   std::span<TrainResult> results) const;
-  void step_candidate(Candidate& c) const;
-  void update_candidate(Candidate& c, double entropy_weight) const;
-  void finalize_candidate(Candidate& c) const;
+  [[nodiscard]] TrainResult train_job(const ProbeJob& job) const;
 
   const env::TaskDomain* domain_;
   BatchProbeConfig config_;

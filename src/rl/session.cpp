@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "rl/batch_probe.h"
 #include "util/stats.h"
 
 namespace nada::rl {
@@ -59,60 +60,30 @@ SessionResult aggregate_sessions(std::vector<TrainResult> sessions,
   return result;
 }
 
-SessionResult run_sessions(const env::TaskDomain& domain,
-                           const dsl::StateProgram& program,
-                           const nn::ArchSpec& spec,
-                           const SessionConfig& config,
-                           std::uint64_t base_seed, util::ThreadPool* pool) {
+std::vector<SessionResult> run_sessions(const env::TaskDomain& domain,
+                                        const std::vector<SessionJob>& jobs,
+                                        const SessionConfig& config,
+                                        util::ThreadPool* pool) {
   if (config.seeds == 0) {
     throw std::invalid_argument("run_sessions: zero seeds");
   }
-  std::vector<TrainResult> sessions(config.seeds);
-  auto run_one = [&](std::size_t i) {
-    Trainer trainer(domain, config.train,
-                    base_seed + 0x9e3779b9ULL * (i + 1));
-    sessions[i] = trainer.train(program, spec);
-  };
-  if (pool != nullptr && config.seeds > 1) {
-    pool->parallel_for(config.seeds, run_one);
-  } else {
-    for (std::size_t i = 0; i < config.seeds; ++i) run_one(i);
-  }
-  return aggregate_sessions(std::move(sessions),
-                            config.train.emulation_final_eval);
-}
-
-std::vector<SessionResult> run_session_batch(const env::TaskDomain& domain,
-                                             const std::vector<SessionJob>& jobs,
-                                             const SessionConfig& config,
-                                             util::ThreadPool* pool) {
-  if (config.seeds == 0) {
-    throw std::invalid_argument("run_session_batch: zero seeds");
-  }
-  for (const auto& job : jobs) {
-    if (job.program == nullptr || job.spec == nullptr) {
-      throw std::invalid_argument("run_session_batch: null job member");
+  std::vector<ProbeJob> flat;
+  flat.reserve(jobs.size() * config.seeds);
+  for (const SessionJob& job : jobs) {
+    for (std::size_t s = 0; s < config.seeds; ++s) {
+      flat.push_back(ProbeJob{job.program, job.spec,
+                              job.base_seed + 0x9e3779b9ULL * (s + 1)});
     }
   }
-  // Flatten (job, seed) into one task list.
-  std::vector<std::vector<TrainResult>> per_job(jobs.size());
-  for (auto& v : per_job) v.resize(config.seeds);
-  const std::size_t total = jobs.size() * config.seeds;
-  auto run_one = [&](std::size_t flat) {
-    const std::size_t j = flat / config.seeds;
-    const std::size_t s = flat % config.seeds;
-    Trainer trainer(domain, config.train,
-                    jobs[j].base_seed + 0x9e3779b9ULL * (s + 1));
-    per_job[j][s] = trainer.train(*jobs[j].program, *jobs[j].spec);
-  };
-  if (pool != nullptr && total > 1) {
-    pool->parallel_for(total, run_one);
-  } else {
-    for (std::size_t i = 0; i < total; ++i) run_one(i);
-  }
+  const BatchProbeTrainer engine(domain, BatchProbeConfig{config.train});
+  std::vector<TrainResult> trained = engine.train(flat, pool);
   std::vector<SessionResult> results;
   results.reserve(jobs.size());
-  for (auto& sessions : per_job) {
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    std::vector<TrainResult> sessions(config.seeds);
+    for (std::size_t s = 0; s < config.seeds; ++s) {
+      sessions[s] = std::move(trained[j * config.seeds + s]);
+    }
     results.push_back(aggregate_sessions(std::move(sessions),
                                          config.train.emulation_final_eval));
   }

@@ -5,7 +5,8 @@
 // and the reported score is the median across sessions. run_sessions
 // implements exactly that protocol (seed count is configurable) and also
 // returns the per-checkpoint median curve used by Figures 3 and 4.
-// Sessions are domain-generic: they train over any env::TaskDomain.
+// Sessions are domain-generic: they train over any env::TaskDomain, on the
+// library's one training engine (rl::BatchProbeTrainer).
 #pragma once
 
 #include <cstdint>
@@ -35,15 +36,6 @@ struct SessionResult {
   bool failed = false;  ///< true when every session failed
 };
 
-/// Trains `program`+`spec` across `config.seeds` independent sessions over
-/// `domain`. Sessions run in parallel when `pool` is non-null.
-[[nodiscard]] SessionResult run_sessions(const env::TaskDomain& domain,
-                                         const dsl::StateProgram& program,
-                                         const nn::ArchSpec& spec,
-                                         const SessionConfig& config,
-                                         std::uint64_t base_seed,
-                                         util::ThreadPool* pool = nullptr);
-
 /// Aggregates already-run per-seed results into a SessionResult (the same
 /// median/curve logic run_sessions applies).
 [[nodiscard]] SessionResult aggregate_sessions(
@@ -56,11 +48,14 @@ struct SessionJob {
   std::uint64_t base_seed = 0;
 };
 
-/// Trains many designs, flattening every (design, seed) pair into one
-/// parallel work list — keeps all pool threads busy even when designs
-/// outnumber seeds or vice versa.
-[[nodiscard]] std::vector<SessionResult> run_session_batch(
+/// Trains every job across `config.seeds` independent sessions over
+/// `domain` and returns one SessionResult per job, in job order. Session
+/// s of a job trains with seed `base_seed + 0x9e3779b9 * (s + 1)`. Every
+/// (design, seed) pair is one task of a single engine call, so all pool
+/// threads stay busy whether designs outnumber seeds or vice versa.
+/// Publishes no metrics: the engine's rl.probe_* figures describe probes.
+[[nodiscard]] std::vector<SessionResult> run_sessions(
     const env::TaskDomain& domain, const std::vector<SessionJob>& jobs,
-    const SessionConfig& config, util::ThreadPool* pool);
+    const SessionConfig& config, util::ThreadPool* pool = nullptr);
 
 }  // namespace nada::rl

@@ -4,10 +4,12 @@
 // advantage drives the policy gradient (with entropy regularization), and
 // model checkpoints are periodically evaluated on the held-out eval split.
 //
-// The trainer is domain-generic: ABR and congestion control train through
-// the same loop, differing only in the env::TaskDomain they are given.
-// It runs full-scale training sessions; the funnel's early probes go
-// through rl::BatchProbeTrainer, which is pinned bit-identical to it.
+// This header holds the protocol's configuration, its result type, the
+// evaluation helpers, and the per-epoch A2C arithmetic. The loop that runs
+// it is rl::BatchProbeTrainer (rl/batch_probe.h), the library's only
+// training engine: probes, the baseline and full training all go through
+// it. tests/rl_trainer_oracle.h keeps a straightforward serial loop over
+// the same arithmetic as the engine's bitwise reference.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +20,6 @@
 #include "dsl/state_program.h"
 #include "env/domain.h"
 #include "nn/arch.h"
-#include "nn/optimizer.h"
 #include "rl/agent.h"
 
 namespace nada::rl {
@@ -101,10 +102,10 @@ struct TrainResult {
 [[nodiscard]] std::vector<std::size_t> eval_trace_indices(
     std::size_t num_traces, std::size_t cap);
 
-// ---- A2C loss arithmetic, shared by Trainer and BatchProbeTrainer -----------
-// One definition of the per-epoch math keeps the serial and batched probe
-// paths structurally incapable of drifting apart (their bit-identity is the
-// batched engine's core guarantee).
+// ---- A2C loss arithmetic, shared by the engine and its test oracle ----------
+// One definition of the per-epoch math keeps the engine and the serial
+// oracle structurally incapable of drifting apart (their bit-identity is
+// the engine's core guarantee).
 
 /// TrainConfig::reward_scale with its 0 = "domain hint" default resolved.
 [[nodiscard]] double resolve_reward_scale(const TrainConfig& config,
@@ -125,30 +126,5 @@ double a2c_step_gradient(const TrainConfig& config, const nn::Vec& probs,
                          double step_return, double value,
                          double entropy_weight, double scale,
                          std::span<double> dlogits);
-
-class Trainer {
- public:
-  /// `domain` must outlive the trainer.
-  Trainer(const env::TaskDomain& domain, TrainConfig config,
-          std::uint64_t seed);
-
-  /// Trains one candidate design (state program + architecture) from
-  /// scratch. Failures (runtime errors in the state program, invalid
-  /// architectures, non-finite values) are captured in the result rather
-  /// than thrown: NADA treats them as filtered-out designs.
-  [[nodiscard]] TrainResult train(const dsl::StateProgram& program,
-                                  const nn::ArchSpec& spec);
-
- private:
-  void run_epoch(PolicyAgent& agent, nn::Adam& optimizer,
-                 double entropy_weight, TrainResult& result);
-  [[nodiscard]] double checkpoint_eval(PolicyAgent& agent) const;
-
-  const env::TaskDomain* domain_;
-  TrainConfig config_;
-  std::uint64_t seed_;
-  util::Rng rng_;
-  std::vector<std::size_t> eval_indices_;
-};
 
 }  // namespace nada::rl

@@ -146,13 +146,12 @@ store::StoreScope store_scope(const env::TaskDomain& domain,
   // e.g. rev 2 fixed AbrEnv's constructor RNG draw, the eval-prefix bias,
   // and the stall-deadline "completed" lie. Journals written under an
   // older revision are scoped out rather than silently mixed with
-  // incomparable fresh results. Execution-only knobs (probe_block,
-  // window_size) never feed the digest: every block size and window size
-  // computes the same records and shares journals. The NN kernel flavor is
-  // such a knob for scalar and avx2 (bit-identical by contract) but NOT for
-  // fma, whose fused rounding changes result bits — runs under the fma
-  // flavor carry a kernel=fma token so their journals never alias
-  // scalar/avx2 ones.
+  // incomparable fresh results. The execution-only knob window_size never
+  // feeds the digest: every window size computes the same records and
+  // shares journals. The NN kernel flavor is such a knob for scalar and
+  // avx2 (bit-identical by contract) but NOT for fma, whose fused rounding
+  // changes result bits — runs under the fma flavor carry a kernel=fma
+  // token so their journals never alias scalar/avx2 ones.
   spec << "sim_rev=2;";
   if (nn::kernel_flavor() == nn::KernelFlavor::kFma) spec << "kernel=fma;";
   spec << store::canonical_train_config(config.train)
@@ -178,8 +177,9 @@ rl::SessionResult train_baseline(const env::TaskDomain& domain,
   rl::SessionConfig sc;
   sc.seeds = config.seeds;
   sc.train = config.train;
-  return rl::run_sessions(domain, original_state, config.baseline_arch, sc,
-                          seed ^ 0x0817b05eULL, pool);
+  const rl::SessionJob baseline{&original_state, &config.baseline_arch,
+                                seed ^ 0x0817b05eULL};
+  return rl::run_sessions(domain, {baseline}, sc, pool).front();
 }
 
 SearchJob::SearchJob(const env::TaskDomain& domain, SearchConfig config,
@@ -568,11 +568,11 @@ void SearchJob::stage_probe() {
                      is_state ? fixed_.arch : &*outcomes_[i].arch,
                      probe_seed(specs_[i], seed_, fps_[i])});
   }
-  // Lockstep blocks run on the pool; results are applied, journaled, and
-  // announced afterwards on this thread, in stream order.
+  // One engine task per probe on the pool; results are applied, journaled,
+  // and announced afterwards on this thread, in stream order.
   const rl::BatchProbeTrainer trainer(
-      *domain_, rl::BatchProbeConfig{probe_config, config_.probe_block,
-                                     options_.metrics});
+      *domain_,
+      rl::BatchProbeConfig{.train = probe_config, .metrics = options_.metrics});
   const auto probe_results = trainer.train(probe_jobs, options_.pool);
   for (std::size_t k = 0; k < probe_set_.size(); ++k) {
     const std::size_t i = probe_set_[k];
@@ -813,7 +813,7 @@ void SearchJob::stage_full_train() {
                        full_train_seed(specs_[i], seed_, fps_[i])});
   }
   const auto sessions =
-      rl::run_session_batch(*domain_, jobs, session_config, options_.pool);
+      rl::run_sessions(*domain_, jobs, session_config, options_.pool);
   apply_session_results(outcomes_, to_train, sessions);
   result_.n_full_trains_run = to_train.size();
   for (std::size_t i : clones) {

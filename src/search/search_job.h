@@ -78,14 +78,15 @@ namespace nada::search {
 /// per-candidate result — training protocol, probe budget, seeds,
 /// normalization check parameters, the job seed, the identity of the
 /// domain's data, and the simulator-semantics revision — feeds the digest;
-/// selection-only knobs (num_candidates, full_train_top) and execution
-/// knobs (probe_block, window_size) do not.
+/// selection-only knobs (num_candidates, full_train_top) and the execution
+/// knob window_size do not.
 [[nodiscard]] store::StoreScope store_scope(const env::TaskDomain& domain,
                                             const SearchConfig& config,
                                             std::uint64_t seed);
 
 /// Trains the domain's original design (state + architecture) under the
-/// funnel's protocol — the comparison baseline.
+/// funnel's protocol — the comparison baseline. Each seed is one task on
+/// `pool`.
 [[nodiscard]] rl::SessionResult train_baseline(const env::TaskDomain& domain,
                                                const SearchConfig& config,
                                                std::uint64_t seed,
@@ -115,7 +116,7 @@ struct JobOptions {
   /// Profiling registry for the hot paths the Observer event stream cannot
   /// see from outside: candidate generation pulls and fingerprinting
   /// (search.generate.pull_seconds / search.generate.fingerprint_seconds),
-  /// probe-block training (rl.probe_block.seconds), and — when a store is
+  /// per-probe training (rl.probe_block.seconds), and — when a store is
   /// attached — store lookup/append (store.*; the job wires the registry
   /// into the store on construction). Pure readout: attaching a registry
   /// never changes rankings or journal bytes. Pair it with an

@@ -28,10 +28,6 @@ void validate_config(const SearchConfig& config) {
         "SearchConfig: seeds must be >= 1 (got 0); the paper's protocol "
         "trains each survivor across independent seeds");
   }
-  if (config.probe_block == 0) {
-    throw std::invalid_argument(
-        "SearchConfig: probe_block must be >= 1 (got 0)");
-  }
   if (config.early_epochs == 0) {
     throw std::invalid_argument(
         "SearchConfig: early_epochs must be >= 1 (got 0); the probe "

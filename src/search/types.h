@@ -33,9 +33,9 @@ struct SearchConfig {
   nn::ArchSpec baseline_arch = nn::ArchSpec::pensieve();
   double normalization_threshold = filter::kNormalizationThreshold;
   std::size_t normalization_fuzz_runs = 16;
-  /// Candidates per rl::BatchProbeTrainer lockstep block in the probe
-  /// stage. An execution knob, not a scope knob: results are bit-identical
-  /// for every block size, so it never feeds store_scope().
+  /// Read by nothing: every probe is its own task on the training engine.
+  /// Kept only because the end-to-end benchmark harness still passes it
+  /// to rl::BatchProbeConfig::block_size, which is unread too.
   std::size_t probe_block = 4;
   /// Rolling-window streaming. 0 (the default) materializes the whole
   /// candidate stream up front — the historical batch mode, byte-for-byte.
@@ -47,16 +47,16 @@ struct SearchConfig {
   /// running selection keeps only the top full_train_top probes across
   /// windows, so SearchResult::outcomes holds just the retained candidates
   /// (see SearchResult). Rankings, journal records, and store keys are
-  /// identical to batch mode for the same seeds; like probe_block this is
-  /// an execution knob and never feeds store_scope().
+  /// identical to batch mode for the same seeds; this is an execution
+  /// knob and never feeds store_scope().
   std::size_t window_size = 0;
 
   [[nodiscard]] bool streaming() const { return window_size > 0; }
 };
 
 /// Up-front validation with descriptive errors: num_candidates >= 1,
-/// 1 <= full_train_top <= num_candidates, seeds >= 1, probe_block >= 1,
-/// early_epochs >= 1. Throws std::invalid_argument.
+/// 1 <= full_train_top <= num_candidates, seeds >= 1, early_epochs >= 1.
+/// Throws std::invalid_argument.
 void validate_config(const SearchConfig& config);
 
 /// Pensieve's architecture with every tower width scaled by `scale.model`

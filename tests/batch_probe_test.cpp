@@ -1,8 +1,9 @@
-// The batched probe engine's headline guarantee: given the same seeds,
-// BatchProbeTrainer is BIT-IDENTICAL to a fresh rl::Trainer per candidate —
-// reward curves, checkpoint scores, failure captures — so the funnel's probe
-// stage, which only ever runs the batched engine, records what serial
-// training would have.
+// The training engine's headline guarantee: given the same seeds,
+// BatchProbeTrainer is BIT-IDENTICAL to a fresh serial oracle trainer
+// (tests/rl_trainer_oracle.h) per candidate — reward curves, checkpoint
+// and emulation scores, failure captures — so every training the library
+// runs (probes, the baseline, full training) records what the
+// straightforward serial loop would have.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -10,7 +11,9 @@
 #include "dsl/state_program.h"
 #include "env/abr_domain.h"
 #include "rl/batch_probe.h"
+#include "rl/session.h"
 #include "rl/trainer.h"
+#include "rl_trainer_oracle.h"
 #include "trace/generator.h"
 #include "util/thread_pool.h"
 #include "video/video.h"
@@ -61,7 +64,7 @@ std::vector<TrainResult> run_serial(const env::TaskDomain& domain,
   std::vector<TrainResult> results;
   results.reserve(jobs.size());
   for (const auto& job : jobs) {
-    Trainer trainer(domain, config, job.seed);
+    test::Trainer trainer(domain, config, job.seed);
     results.push_back(trainer.train(*job.program, *job.spec));
   }
   return results;
@@ -90,9 +93,7 @@ TEST(BatchProbeTrainer, BitIdenticalToSerialTrainer) {
   const auto jobs = make_jobs(programs, arch, 7);
 
   const auto serial = run_serial(domain, config, jobs);
-  // Block size 3 forces blocks that straddle different programs and leave a
-  // ragged tail.
-  const BatchProbeTrainer batched(domain, BatchProbeConfig{config, 3});
+  const BatchProbeTrainer batched(domain, BatchProbeConfig{config});
   const auto batch = batched.train(jobs);
 
   ASSERT_EQ(batch.size(), serial.size());
@@ -116,7 +117,7 @@ TEST(BatchProbeTrainer, BitIdenticalWithCheckpointEvaluation) {
   const auto jobs = make_jobs(programs, arch, 4);
 
   const auto serial = run_serial(domain, config, jobs);
-  const BatchProbeTrainer batched(domain, BatchProbeConfig{config, 4});
+  const BatchProbeTrainer batched(domain, BatchProbeConfig{config});
   const auto batch = batched.train(jobs);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("candidate " + std::to_string(i));
@@ -140,7 +141,7 @@ TEST(BatchProbeTrainer, BitIdenticalUnderEmulationFidelity) {
   const auto jobs = make_jobs(programs, arch, 5);
 
   const auto serial = run_serial(domain, config, jobs);
-  const BatchProbeTrainer batched(domain, BatchProbeConfig{config, 2});
+  const BatchProbeTrainer batched(domain, BatchProbeConfig{config});
   const auto batch = batched.train(jobs);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("candidate " + std::to_string(i));
@@ -148,7 +149,7 @@ TEST(BatchProbeTrainer, BitIdenticalUnderEmulationFidelity) {
   }
 }
 
-TEST(BatchProbeTrainer, FailedCandidateIsolatedFromBlock) {
+TEST(BatchProbeTrainer, FailedCandidateIsolatedFromItsNeighbours) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 8);
   const env::AbrDomain domain(dataset, video);
@@ -160,13 +161,15 @@ TEST(BatchProbeTrainer, FailedCandidateIsolatedFromBlock) {
   config.epochs = 8;
   config.evaluate_checkpoints = false;
 
-  // Fragile candidate in the middle of one block.
+  // Fragile candidate between healthy ones, trained concurrently with
+  // them on the pool.
   std::vector<ProbeJob> jobs = make_jobs(programs, arch, 4);
   jobs.insert(jobs.begin() + 1, ProbeJob{&fragile, &arch, 0xdeadULL});
 
   const auto serial = run_serial(domain, config, jobs);
-  const BatchProbeTrainer batched(domain, BatchProbeConfig{config, 5});
-  const auto batch = batched.train(jobs);
+  util::ThreadPool pool(3);
+  const BatchProbeTrainer batched(domain, BatchProbeConfig{config});
+  const auto batch = batched.train(jobs, &pool);
 
   ASSERT_TRUE(serial[1].failed);
   EXPECT_TRUE(batch[1].failed);
@@ -176,7 +179,7 @@ TEST(BatchProbeTrainer, FailedCandidateIsolatedFromBlock) {
   }
 }
 
-TEST(BatchProbeTrainer, PoolScheduledBlocksMatchSerial) {
+TEST(BatchProbeTrainer, PoolScheduledCandidatesMatchSerial) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 9);
   const env::AbrDomain domain(dataset, video);
@@ -189,11 +192,61 @@ TEST(BatchProbeTrainer, PoolScheduledBlocksMatchSerial) {
 
   const auto serial = run_serial(domain, config, jobs);
   util::ThreadPool pool(3);
-  const BatchProbeTrainer batched(domain, BatchProbeConfig{config, 2});
+  const BatchProbeTrainer batched(domain, BatchProbeConfig{config});
   const auto batch = batched.train(jobs, &pool);
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("candidate " + std::to_string(i));
     expect_identical(serial[i], batch[i]);
+  }
+}
+
+TEST(BatchProbeTrainer, SessionsMatchOraclePerSeedOnTable4Path) {
+  // Table 4's path: full training with checkpoint evaluation and a final
+  // emulation evaluation, several seeds per design, through the merged
+  // run_sessions on a pool — against one oracle per (design, seed) with
+  // the documented seed derivation, aggregated by aggregate_sessions.
+  const auto dataset = tiny_dataset();
+  const auto video = video::make_test_video(video::pensieve_ladder(), 12);
+  const env::AbrDomain domain(dataset, video);
+  const auto programs = candidate_programs();
+  const auto arch = tiny_arch();
+  SessionConfig config;
+  config.seeds = 3;
+  config.train.epochs = 8;
+  config.train.test_interval = 4;
+  config.train.max_eval_traces = 2;
+  config.train.evaluate_checkpoints = true;
+  config.train.emulation_final_eval = true;
+  const std::vector<SessionJob> jobs{{&programs[0], &arch, 0x7ab1e4ULL},
+                                     {&programs[2], &arch, 0x7ab1e5ULL}};
+
+  util::ThreadPool pool(3);
+  const auto merged = run_sessions(domain, jobs, config, &pool);
+  ASSERT_EQ(merged.size(), jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    SCOPED_TRACE("design " + std::to_string(j));
+    std::vector<TrainResult> per_seed;
+    for (std::size_t s = 0; s < config.seeds; ++s) {
+      test::Trainer oracle(domain, config.train,
+                           jobs[j].base_seed + 0x9e3779b9ULL * (s + 1));
+      per_seed.push_back(oracle.train(*jobs[j].program, *jobs[j].spec));
+    }
+    const SessionResult expected =
+        aggregate_sessions(per_seed, /*emulation_eval=*/true);
+    const SessionResult& got = merged[j];
+    ASSERT_FALSE(expected.failed);
+    EXPECT_EQ(got.failed, expected.failed);
+    EXPECT_EQ(got.test_score, expected.test_score);
+    EXPECT_EQ(got.emulation_score, expected.emulation_score);
+    EXPECT_NE(got.emulation_score, 0.0);
+    EXPECT_EQ(got.median_curve, expected.median_curve);
+    EXPECT_EQ(got.curve_epochs, expected.curve_epochs);
+    ASSERT_EQ(got.sessions.size(), config.seeds);
+    for (std::size_t s = 0; s < config.seeds; ++s) {
+      SCOPED_TRACE("seed " + std::to_string(s));
+      ASSERT_EQ(per_seed[s].test_scores.size(), 2u);
+      expect_identical(per_seed[s], got.sessions[s]);
+    }
   }
 }
 
@@ -203,14 +256,13 @@ TEST(BatchProbeTrainer, RejectsDegenerateConfig) {
   const env::AbrDomain domain(dataset, video);
   TrainConfig zero_epochs;
   zero_epochs.epochs = 0;
-  EXPECT_THROW(
-      BatchProbeTrainer(domain, BatchProbeConfig{zero_epochs, 4}),
-      std::invalid_argument);
+  EXPECT_THROW(BatchProbeTrainer(domain, BatchProbeConfig{zero_epochs}),
+               std::invalid_argument);
   const auto programs = candidate_programs();
   const auto arch = tiny_arch();
   TrainConfig config;
   config.epochs = 2;
-  const BatchProbeTrainer trainer(domain, BatchProbeConfig{config, 4});
+  const BatchProbeTrainer trainer(domain, BatchProbeConfig{config});
   std::vector<ProbeJob> null_job{ProbeJob{nullptr, &arch, 1}};
   EXPECT_THROW((void)trainer.train(null_job), std::invalid_argument);
 }

@@ -1,5 +1,6 @@
 // The congestion-control domain through the shared funnel: deterministic
-// episodes, serial-vs-batched probe equivalence on CC candidates, and a
+// episodes, training-engine-vs-serial-oracle equivalence on CC candidates
+// (probes and multi-seed full training), and a
 // tiny end-to-end CC search with store caching/resume — the same
 // guarantees the ABR domain pins in batch_probe_test and store_test, now
 // exercised through env::TaskDomain.
@@ -17,7 +18,9 @@
 #include "env/abr_domain.h"
 #include "gen/state_gen.h"
 #include "rl/batch_probe.h"
+#include "rl/session.h"
 #include "rl/trainer.h"
+#include "rl_trainer_oracle.h"
 #include "search/candidate.h"
 #include "search/search_job.h"
 #include "store/candidate_store.h"
@@ -127,7 +130,7 @@ TEST(CcDeterminism, DomainEpisodesReplayBitwise) {
   EXPECT_TRUE(ep_b->done());
 }
 
-// ---- serial vs batched probe equivalence ------------------------------------
+// ---- serial oracle vs training engine equivalence ---------------------------
 
 void expect_bitwise_equal(const rl::TrainResult& a, const rl::TrainResult& b,
                           const std::string& label) {
@@ -161,16 +164,14 @@ TEST(CcBatchProbe, BitIdenticalToSerialTrainer) {
 
   std::vector<rl::TrainResult> serial;
   for (const auto& job : jobs) {
-    rl::Trainer trainer(domain, config, job.seed);
+    test::Trainer trainer(domain, config, job.seed);
     serial.push_back(trainer.train(*job.program, *job.spec));
   }
-  const rl::BatchProbeTrainer batched(domain,
-                                      rl::BatchProbeConfig{config, 3});
-  const auto lockstep = batched.train(jobs);
-  ASSERT_EQ(lockstep.size(), serial.size());
+  const rl::BatchProbeTrainer engine(domain, rl::BatchProbeConfig{config});
+  const auto fused = engine.train(jobs);
+  ASSERT_EQ(fused.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_bitwise_equal(serial[i], lockstep[i],
-                         "cc job " + std::to_string(i));
+    expect_bitwise_equal(serial[i], fused[i], "cc job " + std::to_string(i));
   }
 }
 
@@ -188,15 +189,64 @@ TEST(CcBatchProbe, BitIdenticalWithCheckpointEvaluation) {
   }
   std::vector<rl::TrainResult> serial;
   for (const auto& job : jobs) {
-    rl::Trainer trainer(domain, config, job.seed);
+    test::Trainer trainer(domain, config, job.seed);
     serial.push_back(trainer.train(*job.program, *job.spec));
   }
-  const rl::BatchProbeTrainer batched(domain,
-                                      rl::BatchProbeConfig{config, 2});
-  const auto lockstep = batched.train(jobs);
+  const rl::BatchProbeTrainer engine(domain, rl::BatchProbeConfig{config});
+  const auto fused = engine.train(jobs);
   for (std::size_t i = 0; i < serial.size(); ++i) {
-    expect_bitwise_equal(serial[i], lockstep[i],
+    expect_bitwise_equal(serial[i], fused[i],
                          "cc ckpt job " + std::to_string(i));
+  }
+}
+
+TEST(CcBatchProbe, SessionsMatchOraclePerSeedOnTable4Path) {
+  // Table 4's path on CC: checkpoint evaluation plus the final emulation
+  // evaluation, three seeds per design, through the merged run_sessions on
+  // a pool — against one oracle per (design, seed) plus aggregate_sessions.
+  const auto dataset = cc_dataset();
+  const cc::CcDomain domain(dataset, tiny_cc_config());
+  const auto programs = cc_probe_programs();
+  const nn::ArchSpec arch = tiny_arch();
+  rl::SessionConfig config;
+  config.seeds = 3;
+  config.train = tiny_train_config();
+  config.train.evaluate_checkpoints = true;
+  config.train.emulation_final_eval = true;
+  const std::vector<rl::SessionJob> jobs{{&programs[0], &arch, 0xcc40},
+                                         {&programs[1], &arch, 0xcc41}};
+
+  util::ThreadPool pool{3};
+  const auto merged = rl::run_sessions(domain, jobs, config, &pool);
+  ASSERT_EQ(merged.size(), jobs.size());
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const std::string label = "cc design " + std::to_string(j);
+    std::vector<rl::TrainResult> per_seed;
+    for (std::size_t s = 0; s < config.seeds; ++s) {
+      test::Trainer oracle(domain, config.train,
+                           jobs[j].base_seed + 0x9e3779b9ULL * (s + 1));
+      per_seed.push_back(oracle.train(*jobs[j].program, *jobs[j].spec));
+    }
+    const rl::SessionResult expected =
+        rl::aggregate_sessions(per_seed, /*emulation_eval=*/true);
+    const rl::SessionResult& got = merged[j];
+    ASSERT_FALSE(expected.failed) << label;
+    EXPECT_EQ(got.failed, expected.failed) << label;
+    EXPECT_EQ(got.test_score, expected.test_score) << label;
+    EXPECT_EQ(got.emulation_score, expected.emulation_score) << label;
+    EXPECT_EQ(got.median_curve, expected.median_curve) << label;
+    EXPECT_EQ(got.curve_epochs, expected.curve_epochs) << label;
+    ASSERT_EQ(got.sessions.size(), config.seeds) << label;
+    for (std::size_t s = 0; s < config.seeds; ++s) {
+      const std::string seed_label = label + " seed " + std::to_string(s);
+      ASSERT_EQ(per_seed[s].test_scores.size(), 2u) << seed_label;
+      expect_bitwise_equal(per_seed[s], got.sessions[s], seed_label);
+      EXPECT_EQ(per_seed[s].test_epochs, got.sessions[s].test_epochs)
+          << seed_label;
+      EXPECT_EQ(per_seed[s].emulation_score, got.sessions[s].emulation_score)
+          << seed_label;
+      EXPECT_EQ(per_seed[s].error, got.sessions[s].error) << seed_label;
+    }
   }
 }
 
@@ -212,7 +262,6 @@ search::SearchConfig tiny_cc_search_config() {
   config.train.epochs = 8;
   config.train.test_interval = 4;
   config.baseline_arch = tiny_arch();
-  config.probe_block = 3;
   return config;
 }
 

@@ -246,10 +246,6 @@ TEST(SearchConfigValidation, DescriptiveErrorsAndLegalBoundaries) {
   no_seeds.seeds = 0;
   expect_rejected(no_seeds, "seeds");
 
-  SearchConfig no_block = tiny_config();
-  no_block.probe_block = 0;
-  expect_rejected(no_block, "probe_block");
-
   SearchConfig no_probe = tiny_config();
   no_probe.early_epochs = 0;
   expect_rejected(no_probe, "early_epochs");
@@ -257,7 +253,6 @@ TEST(SearchConfigValidation, DescriptiveErrorsAndLegalBoundaries) {
   // Boundary cases stay legal.
   SearchConfig exact = tiny_config();
   exact.num_candidates = exact.full_train_top = 3;
-  exact.probe_block = 1;
   EXPECT_NO_THROW(validate_config(exact));
 }
 

@@ -159,10 +159,10 @@ TEST(Integration, EmulationScoresShiftButOrderingHolds) {
   // A deliberately crippled state: constant features carry no information.
   const auto bad = dsl::StateProgram::compile(
       "emit \"nothing\" = 0.5;\nemit \"more_nothing\" = vec(8, 0.5);\n");
-  const auto good_result =
-      rl::run_sessions(domain, good, arch, config, 31, &pool);
-  const auto bad_result =
-      rl::run_sessions(domain, bad, arch, config, 31, &pool);
+  const auto results = rl::run_sessions(
+      domain, {{&good, &arch, 31}, {&bad, &arch, 31}}, config, &pool);
+  const auto& good_result = results[0];
+  const auto& bad_result = results[1];
   ASSERT_FALSE(good_result.failed);
   ASSERT_FALSE(bad_result.failed);
   EXPECT_GT(good_result.test_score, bad_result.test_score);
@@ -192,11 +192,9 @@ TEST(Integration, InformativeStateBeatsBlindState) {
       dsl::StateProgram::compile(dsl::pensieve_state_source());
   const auto blind = dsl::StateProgram::compile(
       "emit \"constant\" = 0.5;\n");
-  const auto sighted_result =
-      rl::run_sessions(domain, sighted, arch, config, 77, &pool);
-  const auto blind_result =
-      rl::run_sessions(domain, blind, arch, config, 77, &pool);
-  EXPECT_GT(sighted_result.test_score, blind_result.test_score);
+  const auto results = rl::run_sessions(
+      domain, {{&sighted, &arch, 77}, {&blind, &arch, 77}}, config, &pool);
+  EXPECT_GT(results[0].test_score, results[1].test_score);
 }
 
 TEST(Integration, TrainedAgentBeatsNaiveBaselinesOnEasyEnv) {
@@ -216,7 +214,7 @@ TEST(Integration, TrainedAgentBeatsNaiveBaselinesOnEasyEnv) {
   const auto program =
       dsl::StateProgram::compile(dsl::pensieve_state_source());
   const auto trained =
-      rl::run_sessions(domain, program, arch, config, 3, &pool);
+      rl::run_sessions(domain, {{&program, &arch, 3}}, config, &pool).front();
 
   abr::FixedPolicy fixed_low(0);
   const double low = abr::evaluate_policy(

@@ -8,6 +8,8 @@
 //   * MetricsObserver: its counters agree exactly with a RecordingObserver
 //     on the same pooled job, batch and streaming — every candidate event
 //     folded, none dropped,
+//   * the training engine's rl.probe_* metrics count probe tasks only:
+//     one per probe the job ran, none for the baseline or full training,
 //   * TraceSink: one valid JSONL line per dispatched event, monotone seq,
 //   * StatusWriter: atomic snapshots with the documented schema, plus the
 //     driver-side read/aggregate path,
@@ -247,6 +249,29 @@ TEST(MetricsObserver, AgreesWithRecordingOnPooledProbes) {
       EXPECT_GT(recording.windows.size(), 1u);
     }
   }
+}
+
+// ---- probe metrics ----------------------------------------------------------
+
+/// Every training runs on the one engine, but only the probe stage hands
+/// it the registry: rl.probe_* count exactly one task per probe run, and
+/// the baseline's and the top-K's full training add nothing. nada_bench's
+/// rl.probe_pool_util divides the histogram's sum by probe stage time, so
+/// this is what keeps it meaning "probe tasks only".
+TEST(ProbeMetrics, CountOneTaskPerProbeRunAndNoneForFullTraining) {
+  Fixture fx;
+  search::SearchConfig config = fast_config(0);
+  config.seeds = 2;
+  MetricsRegistry registry;
+  const auto result = run_observed(fx, config, {}, &registry);
+  ASSERT_GT(result.n_probes_run, 1u);
+  ASSERT_GT(result.n_full_trains_run, 0u);
+  EXPECT_FALSE(result.original.failed);
+  EXPECT_EQ(counter_value(registry, "rl.probe_blocks"), result.n_probes_run);
+  EXPECT_EQ(counter_value(registry, "rl.probe_block_candidates"),
+            result.n_probes_run);
+  EXPECT_EQ(registry.histogram("rl.probe_block.seconds").count(),
+            result.n_probes_run);
 }
 
 // ---- TraceSink --------------------------------------------------------------

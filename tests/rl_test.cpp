@@ -1,10 +1,12 @@
-// Tests for the RL substrate: agent construction, A2C training dynamics,
-// deterministic evaluation, and the multi-seed session protocol.
+// Tests for the RL substrate: agent construction, A2C training dynamics on
+// the library's training engine, deterministic evaluation, and the
+// multi-seed session protocol.
 #include <gtest/gtest.h>
 
 #include "dsl/state_program.h"
 #include "env/abr_domain.h"
 #include "rl/agent.h"
+#include "rl/batch_probe.h"
 #include "rl/session.h"
 #include "rl/trainer.h"
 #include "trace/generator.h"
@@ -38,6 +40,15 @@ dsl::Bindings canned() { return env::abr_catalog().canned(); }
 /// A policy agent over the ABR vocabulary (6 ladder levels).
 PolicyAgent abr_agent(const dsl::StateProgram& program, util::Rng& rng) {
   return PolicyAgent(program, tiny_arch(), 6, env::abr_catalog(), rng);
+}
+
+/// Trains one design as a single job on the training engine.
+TrainResult train_one(const env::TaskDomain& domain, const TrainConfig& config,
+                      const dsl::StateProgram& program,
+                      const nn::ArchSpec& spec, std::uint64_t seed) {
+  const BatchProbeTrainer engine(domain, BatchProbeConfig{config});
+  const ProbeJob job{&program, &spec, seed};
+  return engine.train({&job, 1}).front();
 }
 
 // ---- PolicyAgent ------------------------------------------------------------
@@ -97,9 +108,9 @@ TEST(PolicyAgent, CustomStateShapeBuildsMatchingNet) {
       agent.decide(canned(), /*sample=*/false, rng));
 }
 
-// ---- Trainer ----------------------------------------------------------------
+// ---- training engine --------------------------------------------------------
 
-TEST(Trainer, RewardImprovesOnEasyEnvironment) {
+TEST(TrainingEngine, RewardImprovesOnEasyEnvironment) {
   const auto dataset = tiny_dataset(trace::Environment::kFcc, 21);
   const auto video = video::make_test_video(video::pensieve_ladder(), 5);
   TrainConfig config;
@@ -107,8 +118,8 @@ TEST(Trainer, RewardImprovesOnEasyEnvironment) {
   config.test_interval = 60;
   config.learning_rate = 2e-3;
   const env::AbrDomain domain(dataset, video);
-  Trainer trainer(domain, config, 77);
-  const auto result = trainer.train(pensieve_program(), tiny_arch());
+  const auto result =
+      train_one(domain, config, pensieve_program(), tiny_arch(), 77);
   ASSERT_FALSE(result.failed) << result.error;
   ASSERT_EQ(result.train_rewards.size(), config.epochs);
   const double early = util::mean(
@@ -118,30 +129,30 @@ TEST(Trainer, RewardImprovesOnEasyEnvironment) {
   EXPECT_GT(late, early);
 }
 
-TEST(Trainer, CheckpointCadenceMatchesInterval) {
+TEST(TrainingEngine, CheckpointCadenceMatchesInterval) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 6);
   TrainConfig config;
   config.epochs = 50;
   config.test_interval = 10;
   const env::AbrDomain domain(dataset, video);
-  Trainer trainer(domain, config, 1);
-  const auto result = trainer.train(pensieve_program(), tiny_arch());
+  const auto result =
+      train_one(domain, config, pensieve_program(), tiny_arch(), 1);
   ASSERT_FALSE(result.failed);
   ASSERT_EQ(result.test_scores.size(), 5u);
   EXPECT_EQ(result.test_epochs.front(), 10.0);
   EXPECT_EQ(result.test_epochs.back(), 50.0);
 }
 
-TEST(Trainer, SkippingEvaluationProducesNoCheckpoints) {
+TEST(TrainingEngine, SkippingEvaluationProducesNoCheckpoints) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 7);
   TrainConfig config;
   config.epochs = 30;
   config.evaluate_checkpoints = false;
   const env::AbrDomain domain(dataset, video);
-  Trainer trainer(domain, config, 2);
-  const auto result = trainer.train(pensieve_program(), tiny_arch());
+  const auto result =
+      train_one(domain, config, pensieve_program(), tiny_arch(), 2);
   ASSERT_FALSE(result.failed);
   EXPECT_TRUE(result.test_scores.empty());
   EXPECT_EQ(result.train_rewards.size(), 30u);
@@ -150,7 +161,7 @@ TEST(Trainer, SkippingEvaluationProducesNoCheckpoints) {
               util::tail_mean(result.train_rewards, 10), 1e-12);
 }
 
-TEST(Trainer, FragileProgramCapturedAsFailure) {
+TEST(TrainingEngine, FragileProgramCapturedAsFailure) {
   // Passes the canned trial run but throws on the all-zero first
   // observation of a real episode (log of zero minimum throughput).
   const auto program = dsl::StateProgram::compile(
@@ -161,32 +172,33 @@ TEST(Trainer, FragileProgramCapturedAsFailure) {
   TrainConfig config;
   config.epochs = 10;
   const env::AbrDomain domain(dataset, video);
-  Trainer trainer(domain, config, 3);
-  const auto result = trainer.train(program, tiny_arch());
-  // log(0.0001) = -9.2: fine. This one survives; now the truly fragile one:
+  const auto arch = tiny_arch();
+  // log(0.0001) = -9.2: the first job survives; the second is the truly
+  // fragile one, trained in the same engine call.
   const auto fragile = dsl::StateProgram::compile(
       "emit \"x\" = log(vmin(throughput_mbps));\n");
-  const auto result2 = trainer.train(fragile, tiny_arch());
+  const std::vector<ProbeJob> jobs{{&program, &arch, 3}, {&fragile, &arch, 3}};
+  const auto results =
+      BatchProbeTrainer(domain, BatchProbeConfig{config}).train(jobs);
+  const auto& result2 = results[1];
   EXPECT_TRUE(result2.failed);
   EXPECT_FALSE(result2.error.empty());
   EXPECT_EQ(result2.final_score, -1e9);
-  (void)result;
 }
 
-TEST(Trainer, InvalidArchCapturedAsFailure) {
+TEST(TrainingEngine, InvalidArchCapturedAsFailure) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 9);
   TrainConfig config;
   config.epochs = 5;
   const env::AbrDomain domain(dataset, video);
-  Trainer trainer(domain, config, 4);
   nn::ArchSpec bad = tiny_arch();
   bad.conv_kernel = 7;  // > next-sizes row length 6
-  const auto result = trainer.train(pensieve_program(), bad);
+  const auto result = train_one(domain, config, pensieve_program(), bad, 4);
   EXPECT_TRUE(result.failed);
 }
 
-TEST(Trainer, MaxEvalTracesCapsEvaluation) {
+TEST(TrainingEngine, MaxEvalTracesCapsEvaluation) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 10);
   TrainConfig config;
@@ -194,22 +206,23 @@ TEST(Trainer, MaxEvalTracesCapsEvaluation) {
   config.test_interval = 10;
   config.max_eval_traces = 1;
   const env::AbrDomain domain(dataset, video);
-  Trainer trainer(domain, config, 5);
-  const auto result = trainer.train(pensieve_program(), tiny_arch());
+  const auto result =
+      train_one(domain, config, pensieve_program(), tiny_arch(), 5);
   ASSERT_FALSE(result.failed);
   EXPECT_EQ(result.test_scores.size(), 1u);
 }
 
-TEST(Trainer, RejectsDegenerateConfig) {
+TEST(TrainingEngine, RejectsDegenerateConfig) {
   const auto dataset = tiny_dataset();
   const auto video = video::make_test_video(video::pensieve_ladder(), 11);
   const env::AbrDomain domain(dataset, video);
   TrainConfig zero_epochs;
   zero_epochs.epochs = 0;
-  EXPECT_THROW(Trainer(domain, zero_epochs, 1), std::invalid_argument);
+  EXPECT_THROW(BatchProbeTrainer(domain, BatchProbeConfig{zero_epochs}),
+               std::invalid_argument);
   TrainConfig zero_interval;
   zero_interval.test_interval = 0;
-  EXPECT_THROW(Trainer(domain, zero_interval, 1),
+  EXPECT_THROW(BatchProbeTrainer(domain, BatchProbeConfig{zero_interval}),
                std::invalid_argument);
 }
 
@@ -303,8 +316,9 @@ TEST(RunSessions, MedianAcrossSeeds) {
   config.seeds = 3;
   config.train.epochs = 30;
   config.train.test_interval = 10;
-  const auto result =
-      run_sessions(domain, program, tiny_arch(), config, 123);
+  const auto arch = tiny_arch();
+  const auto result = run_sessions(domain, {{&program, &arch, 123}}, config)
+                          .front();
   ASSERT_EQ(result.sessions.size(), 3u);
   EXPECT_FALSE(result.failed);
   std::vector<double> finals;
@@ -324,11 +338,11 @@ TEST(RunSessions, ParallelMatchesSerial) {
   config.seeds = 2;
   config.train.epochs = 15;
   config.train.test_interval = 15;
-  const auto serial =
-      run_sessions(domain, program, tiny_arch(), config, 55, nullptr);
+  const auto arch = tiny_arch();
+  const std::vector<SessionJob> jobs{{&program, &arch, 55}};
+  const auto serial = run_sessions(domain, jobs, config, nullptr).front();
   util::ThreadPool pool(2);
-  const auto parallel =
-      run_sessions(domain, program, tiny_arch(), config, 55, &pool);
+  const auto parallel = run_sessions(domain, jobs, config, &pool).front();
   EXPECT_DOUBLE_EQ(serial.test_score, parallel.test_score);
 }
 
@@ -341,8 +355,9 @@ TEST(RunSessions, AllSessionsFailingIsReported) {
   SessionConfig config;
   config.seeds = 2;
   config.train.epochs = 5;
+  const auto arch = tiny_arch();
   const auto result =
-      run_sessions(domain, fragile, tiny_arch(), config, 66);
+      run_sessions(domain, {{&fragile, &arch, 66}}, config).front();
   EXPECT_TRUE(result.failed);
   EXPECT_EQ(result.test_score, -1e9);
 }
@@ -353,8 +368,9 @@ TEST(RunSessions, ZeroSeedsRejected) {
   const env::AbrDomain domain(dataset, video);
   SessionConfig config;
   config.seeds = 0;
-  EXPECT_THROW(run_sessions(domain, pensieve_program(), tiny_arch(),
-                            config, 1),
+  const auto program = pensieve_program();
+  const auto arch = tiny_arch();
+  EXPECT_THROW((void)run_sessions(domain, {{&program, &arch, 1}}, config),
                std::invalid_argument);
 }
 
