@@ -24,26 +24,42 @@ CandidateSpec CandidateSpec::architecture(std::string id, nn::ArchSpec arch,
   return spec;
 }
 
+FixedFingerprints FixedFingerprints::of(const FixedDesign& fixed) {
+  FixedFingerprints fps;
+  if (fixed.state != nullptr) {
+    fps.state = store::fingerprint_state_program(fixed.state->program());
+  }
+  if (fixed.arch != nullptr) fps.arch = store::fingerprint_arch(*fixed.arch);
+  return fps;
+}
+
 store::Fingerprint fingerprint_of(const CandidateSpec& spec,
                                   const FixedDesign& fixed) {
+  const bool is_state = spec.kind == CandidateKind::kStateProgram;
+  const FixedDesign half{is_state ? nullptr : fixed.state,
+                         is_state ? fixed.arch : nullptr};
+  return fingerprint_of(spec, FixedFingerprints::of(half));
+}
+
+store::Fingerprint fingerprint_of(const CandidateSpec& spec,
+                                  const FixedFingerprints& fixed,
+                                  bool* parsed) {
   switch (spec.kind) {
     case CandidateKind::kStateProgram:
-      if (fixed.arch == nullptr) {
+      if (!fixed.arch.has_value()) {
         throw std::invalid_argument(
             "fingerprint_of: state-program candidate '" + spec.id +
             "' needs FixedDesign::arch");
       }
-      return store::combine(store::fingerprint_state_source(spec.source),
-                            store::fingerprint_arch(*fixed.arch));
+      return store::combine(
+          store::fingerprint_state_source(spec.source, parsed), *fixed.arch);
     case CandidateKind::kArchitecture:
-      if (fixed.state == nullptr) {
+      if (!fixed.state.has_value()) {
         throw std::invalid_argument(
             "fingerprint_of: architecture candidate '" + spec.id +
             "' needs FixedDesign::state");
       }
-      return store::combine(
-          store::fingerprint_arch(*spec.arch),
-          store::fingerprint_state_source(fixed.state->source()));
+      return store::combine(store::fingerprint_arch(*spec.arch), *fixed.state);
   }
   throw std::logic_error("fingerprint_of: unknown candidate kind");
 }

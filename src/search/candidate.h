@@ -9,7 +9,7 @@
 //
 //   * the content fingerprint (state: combine(state_fp, fixed_arch_fp);
 //     arch: combine(arch_fp, fixed_state_fp) — the historical store keys,
-//     preserved exactly so PR-1..3 journals keep serving),
+//     preserved exactly so journals from every earlier build keep serving),
 //   * the pre-check (state: compile + normalization trial runs; arch: spec
 //     instantiation + forward smoke test, no normalization per §2.2),
 //   * the fingerprint-salted probe / full-train seeds.
@@ -54,16 +54,40 @@ struct CandidateSpec {
 /// The half of the (state, arch) design a candidate does not supply.
 /// `arch` is required while state-program candidates are in the stream;
 /// `state` while architecture candidates are. Pointees must outlive the
-/// job.
+/// job and stay unchanged while it runs: the job hashes them once, at
+/// construction.
 struct FixedDesign {
   const dsl::StateProgram* state = nullptr;
   const nn::ArchSpec* arch = nullptr;
 };
 
+/// The FixedDesign's own component fingerprints: the half every candidate
+/// of the other kind is combined with. The fixed state program hashes from
+/// the AST it already holds, so its source is never re-parsed. A half the
+/// design lacks stays empty.
+struct FixedFingerprints {
+  std::optional<store::Fingerprint> state;
+  std::optional<store::Fingerprint> arch;
+
+  [[nodiscard]] static FixedFingerprints of(const FixedDesign& fixed);
+};
+
 /// Content address of `spec` completed by `fixed` — byte-for-byte the
-/// historical store keys, so existing journals keep serving.
+/// historical store keys, so existing journals keep serving. Hashes only
+/// the fixed half `spec` pairs with, on every call; code fingerprinting a
+/// whole stream (SearchJob) hashes the fixed half once and calls the
+/// overload below. Throws std::invalid_argument when `fixed` lacks the
+/// half `spec` needs.
 [[nodiscard]] store::Fingerprint fingerprint_of(const CandidateSpec& spec,
                                                 const FixedDesign& fixed);
+
+/// fingerprint_of with the fixed half already hashed. `parsed`, when
+/// non-null, receives whether a state candidate's source parsed, which is
+/// exactly whether it compiles (lowering never rejects a parseable program);
+/// it is left untouched for architectures.
+[[nodiscard]] store::Fingerprint fingerprint_of(const CandidateSpec& spec,
+                                                const FixedFingerprints& fixed,
+                                                bool* parsed = nullptr);
 
 /// Fingerprint-derived training seeds (kind-salted, identical to the
 /// historical per-path constants): identical content always trains

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <sstream>
 #include <unordered_map>
 
@@ -103,12 +104,29 @@ void apply_full_train_record(const store::OutcomeRecord& record,
 /// them (content-derived seeds make the results identical anyway).
 std::vector<std::size_t> leaders_by_fingerprint(
     const std::vector<store::Fingerprint>& fps) {
-  std::unordered_map<std::string, std::size_t> first_seen;
+  std::unordered_map<store::Fingerprint, std::size_t, store::FingerprintHash>
+      first_seen;
+  first_seen.reserve(fps.size());
   std::vector<std::size_t> leader(fps.size());
   for (std::size_t i = 0; i < fps.size(); ++i) {
-    leader[i] = first_seen.try_emplace(fps[i].hex(), i).first->second;
+    leader[i] = first_seen.try_emplace(fps[i], i).first->second;
   }
   return leader;
+}
+
+/// Runs fn(i) for every i in [0, n): on the pool in contiguous chunks, a
+/// few per worker so the per-task overhead stays small next to
+/// microsecond-scale items, or inline without a pool.
+void for_each_chunked(util::ThreadPool* pool, std::size_t n,
+                      const std::function<void(std::size_t)>& fn) {
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  const std::size_t tasks = std::min(n, 4 * pool->size());
+  pool->parallel_for(tasks, [&](std::size_t t) {
+    for (std::size_t i = t * n / tasks; i < (t + 1) * n / tasks; ++i) fn(i);
+  });
 }
 
 void copy_probe_result(const CandidateOutcome& from, CandidateOutcome& to) {
@@ -186,7 +204,8 @@ SearchJob::SearchJob(const env::TaskDomain& domain, SearchConfig config,
                      std::uint64_t seed, CandidateSource& source,
                      FixedDesign fixed, Options options)
     : domain_(&domain), config_(std::move(config)), seed_(seed),
-      source_(&source), fixed_(fixed), options_(options) {
+      source_(&source), fixed_(fixed),
+      fixed_fps_(FixedFingerprints::of(fixed)), options_(options) {
   validate_config(config_);
   if (options_.range.has_value() &&
       options_.range->lo > options_.range->hi) {
@@ -303,7 +322,16 @@ bool SearchJob::in_shard(std::size_t i) const {
 
 bool SearchJob::trainable(std::size_t i) const {
   return specs_[i].kind == CandidateKind::kArchitecture ||
-         programs_[i].has_value();
+         programs_[i].has_value() ||
+         (cached_[i].has_value() && cached_[i]->compiled);
+}
+
+void SearchJob::ensure_program(std::size_t i) {
+  if (specs_[i].kind == CandidateKind::kStateProgram &&
+      !programs_[i].has_value()) {
+    programs_[i] =
+        dsl::StateProgram::compile(specs_[i].source, &domain_->catalog());
+  }
 }
 
 void SearchJob::notify_stage_start(StageKind stage) {
@@ -368,13 +396,19 @@ void SearchJob::stage_generate() {
     ++window_index_;
     return;
   }
+  // Fingerprints fill per-candidate slots on the pool; everything that
+  // follows (leaders, events, journal writes) stays on this thread in
+  // stream order.
   fps_.resize(n);
+  parsed_.assign(n, 0);
   {
     obs::ScopedTimer timer(obs::maybe_histogram(
         options_.metrics, "search.generate.fingerprint_seconds"));
-    for (std::size_t i = 0; i < n; ++i) {
-      fps_[i] = fingerprint_of(specs_[i], fixed_);
-    }
+    for_each_chunked(options_.pool, n, [&](std::size_t i) {
+      bool parsed = false;
+      fps_[i] = fingerprint_of(specs_[i], fixed_fps_, &parsed);
+      parsed_[i] = parsed ? 1 : 0;
+    });
   }
   leader_ = leaders_by_fingerprint(fps_);
   // clear-then-resize (not assign): resets the slots left from the
@@ -431,24 +465,6 @@ void SearchJob::precheck_state(std::size_t i) {
   // a fingerprint shared by in-batch clones always carries the leader's id
   // regardless of thread timing.
   CandidateOutcome& outcome = outcomes_[i];
-  if (cached_[i].has_value()) {
-    bool record_usable = true;
-    if (cached_[i]->compiled && cached_[i]->stage < store::Stage::kTrained) {
-      try {
-        programs_[i] = dsl::StateProgram::compile(specs_[i].source);
-      } catch (const dsl::CompileError&) {
-        // The record says this source compiles but it doesn't: a
-        // fingerprint collision (or foreign journal). Fall through to a
-        // genuine miss so the candidate is evaluated on its own merits.
-        record_usable = false;
-      }
-    }
-    if (record_usable) {
-      apply_store_record(*cached_[i], outcome);
-      return;
-    }
-    cached_[i].reset();
-  }
   const auto compile = filter::compilation_check(
       specs_[i].source, domain_->catalog(), &programs_[i]);
   outcome.compiled = compile.passed;
@@ -480,11 +496,12 @@ void SearchJob::stage_precheck() {
     }
   }
   // State-program candidates look up first (all lookups precede any check,
-  // so in-batch clones read as misses and dedup through the leader table),
-  // then compile + fuzz in parallel — cheap and embarrassingly parallel.
-  // Cache hits serve the recorded verdict; compiled sources are still
-  // re-parsed (a cheap parse) so later stages have the program object.
-  std::vector<std::size_t> state_idx;
+  // so in-batch clones read as misses and dedup through the leader table).
+  // A hit serves its recorded verdict right here without compiling the
+  // source: the probe or full-training stage compiles the program if it
+  // ever trains the candidate. Only misses go to the pool, to compile +
+  // fuzz — cheap and embarrassingly parallel.
+  std::vector<std::size_t> misses;
   for (std::size_t i = 0; i < n; ++i) {
     if (!in_shard(i) || specs_[i].kind != CandidateKind::kStateProgram) {
       continue;
@@ -492,19 +509,29 @@ void SearchJob::stage_precheck() {
     if (options_.store != nullptr) {
       cached_[i] = options_.store->lookup(fps_[i]);
     }
-    state_idx.push_back(i);
+    if (cached_[i].has_value() && cached_[i]->compiled &&
+        cached_[i]->stage < store::Stage::kTrained && parsed_[i] == 0) {
+      // The record says this source compiles, and a later stage may train
+      // it, but the source does not parse: a fingerprint collision (or
+      // foreign journal). Treat it as a genuine miss so the candidate is
+      // evaluated on its own merits.
+      cached_[i].reset();
+    }
+    if (cached_[i].has_value()) {
+      apply_store_record(*cached_[i], outcomes_[i]);
+    } else {
+      misses.push_back(i);
+    }
   }
-  auto check = [&](std::size_t k) { precheck_state(state_idx[k]); };
+  auto check = [&](std::size_t k) { precheck_state(misses[k]); };
   if (options_.pool != nullptr) {
-    options_.pool->parallel_for(state_idx.size(), check);
+    options_.pool->parallel_for(misses.size(), check);
   } else {
-    for (std::size_t k = 0; k < state_idx.size(); ++k) check(k);
+    for (std::size_t k = 0; k < misses.size(); ++k) check(k);
   }
-  // Journal the fresh state-candidate verdicts in stream order from this
-  // thread: deterministic journal bytes whatever the pool's scheduling.
-  for (std::size_t i : state_idx) {
-    if (!cached_[i].has_value()) journal(i, store::Stage::kChecked);
-  }
+  // Journal the fresh verdicts in stream order from this thread:
+  // deterministic journal bytes whatever the pool's scheduling.
+  for (std::size_t i : misses) journal(i, store::Stage::kChecked);
   // Accounting and events, on the stepping thread in stream order.
   for (std::size_t i = 0; i < n; ++i) {
     if (!in_shard(i)) continue;
@@ -562,6 +589,7 @@ void SearchJob::stage_probe() {
   std::vector<rl::ProbeJob> probe_jobs;
   probe_jobs.reserve(probe_set_.size());
   for (std::size_t i : probe_set_) {
+    ensure_program(i);
     const bool is_state = specs_[i].kind == CandidateKind::kStateProgram;
     probe_jobs.push_back(
         rl::ProbeJob{is_state ? &*programs_[i] : fixed_.state,
@@ -668,6 +696,7 @@ void SearchJob::fold_window() {
   // allocated once and reused: peak memory stays O(window_size).
   specs_.clear();
   fps_.clear();
+  parsed_.clear();
   leader_.clear();
   cached_.clear();
   programs_.clear();
@@ -806,6 +835,7 @@ void SearchJob::stage_full_train() {
   std::vector<rl::SessionJob> jobs;
   jobs.reserve(to_train.size());
   for (std::size_t i : to_train) {
+    ensure_program(i);
     const bool is_state = specs_[i].kind == CandidateKind::kStateProgram;
     jobs.push_back(
         rl::SessionJob{is_state ? &*programs_[i] : fixed_.state,

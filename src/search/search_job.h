@@ -186,6 +186,7 @@ class SearchJob {
     CandidateSpec spec;
     store::Fingerprint fp;
     std::optional<store::OutcomeRecord> cached;
+    /// Empty until a stage compiles it: a probe the store served left none.
     std::optional<dsl::StateProgram> program;
     CandidateOutcome outcome;
     double score = 0.0;  ///< probe tail score (the selection key)
@@ -212,12 +213,18 @@ class SearchJob {
   /// kProbe loops back to kGenerate while the stream has candidates left.
   [[nodiscard]] StageKind stage_after(StageKind stage) const;
 
+  /// Compile + normalization check of a state candidate the store missed.
   void precheck_state(std::size_t i);
   void precheck_arch(std::size_t i, const nn::StateSignature& signature);
   [[nodiscard]] bool in_shard(std::size_t i) const;
-  /// Candidate i's program half is available for training (state-kind:
-  /// parsed program; arch-kind: always, the fixed program serves).
+  /// Candidate i's program half can be trained (state-kind: it compiled,
+  /// as a fresh program or per a usable store record; arch-kind: always,
+  /// the fixed program serves).
   [[nodiscard]] bool trainable(std::size_t i) const;
+  /// Compiles trainable state candidate i's program unless it has one. A
+  /// store hit's pre-check verdict is served without compiling, so the
+  /// program is built only once a stage is about to train the candidate.
+  void ensure_program(std::size_t i);
   [[nodiscard]] std::vector<std::size_t> select_survivors();
   void notify_stage_start(StageKind stage);
   void notify_stage_finish(const StageEvent& event);
@@ -231,6 +238,7 @@ class SearchJob {
   std::uint64_t seed_;
   CandidateSource* source_;
   FixedDesign fixed_;
+  FixedFingerprints fixed_fps_;  ///< fixed_'s fingerprints, hashed once
   Options options_;
   std::vector<Observer*> observers_;
   std::mutex notify_mutex_;
@@ -245,6 +253,9 @@ class SearchJob {
   // lives in outcomes_[i].stream_index.
   std::vector<CandidateSpec> specs_;
   std::vector<store::Fingerprint> fps_;
+  /// State candidates: whether the source parsed (bytes, not vector<bool>:
+  /// pool threads fill neighbouring slots). Read by pre-check only.
+  std::vector<std::uint8_t> parsed_;
   std::vector<std::size_t> leader_;
   std::vector<std::optional<store::OutcomeRecord>> cached_;
   std::vector<std::optional<dsl::StateProgram>> programs_;

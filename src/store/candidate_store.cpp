@@ -154,8 +154,7 @@ bool CandidateStore::load() {
               return;
             }
             ++decoded_frames_;
-            const std::string key = record->fingerprint.hex();
-            const auto it = delta_.find(key);
+            const auto it = delta_.find(record->fingerprint);
             std::optional<Stage> current;
             if (it != delta_.end()) {
               current = it->second.stage;
@@ -164,7 +163,8 @@ bool CandidateStore::load() {
             }
             if (!current.has_value()) ++distinct_;
             if (!current.has_value() || *current < record->stage) {
-              delta_[key] = DeltaEntry{covered + offset, record->stage};
+              delta_[record->fingerprint] =
+                  DeltaEntry{covered + offset, record->stage};
             }
           });
       line_errors_ += stats.corrupt_frames;
@@ -187,7 +187,7 @@ bool CandidateStore::load() {
 std::size_t CandidateStore::rebuild_index_locked() {
   std::string content = util::read_file_if_exists(path_).value_or("");
   if (content.size() < kMagicBytes) content.clear();
-  std::unordered_map<std::string, MmapIndex::Entry> latest;
+  std::unordered_map<Fingerprint, MmapIndex::Entry, FingerprintHash> latest;
   line_errors_ = 0;
   const std::string_view frames_view =
       content.empty() ? std::string_view{}
@@ -205,8 +205,7 @@ std::size_t CandidateStore::rebuild_index_locked() {
         entry.lo = record->fingerprint.lo;
         entry.offset = kMagicBytes + offset;
         entry.stage = static_cast<std::uint32_t>(record->stage);
-        auto [it, inserted] =
-            latest.emplace(record->fingerprint.hex(), entry);
+        auto [it, inserted] = latest.emplace(record->fingerprint, entry);
         if (!inserted && it->second.stage < entry.stage) it->second = entry;
       });
   line_errors_ += stats.corrupt_frames;
@@ -241,11 +240,10 @@ std::size_t CandidateStore::rebuild_index() {
 void CandidateStore::persist_index_locked() {
   std::vector<MmapIndex::Entry> fresh;
   fresh.reserve(delta_.size());
-  for (const auto& [key, d] : delta_) {
-    const auto fp = Fingerprint::from_hex(key);
+  for (const auto& [fp, d] : delta_) {
     MmapIndex::Entry entry;
-    entry.hi = fp->hi;
-    entry.lo = fp->lo;
+    entry.hi = fp.hi;
+    entry.lo = fp.lo;
     entry.offset = d.offset;
     entry.stage = static_cast<std::uint32_t>(d.stage);
     fresh.push_back(entry);
@@ -287,7 +285,7 @@ void CandidateStore::set_metrics(obs::MetricsRegistry* metrics) {
 
 std::optional<CandidateStore::DeltaEntry> CandidateStore::entry_locked(
     const Fingerprint& fp) const {
-  const auto it = delta_.find(fp.hex());
+  const auto it = delta_.find(fp);
   if (it != delta_.end()) return it->second;
   if (const auto entry = base_.find(fp)) {
     return DeltaEntry{entry->offset, static_cast<Stage>(entry->stage)};
@@ -369,8 +367,7 @@ bool CandidateStore::put(const OutcomeRecord& record) {
     throw std::runtime_error("CandidateStore: append to " + path_ +
                              " failed (disk full or I/O error)");
   }
-  delta_[record.fingerprint.hex()] =
-      DeltaEntry{append_offset_, record.stage};
+  delta_[record.fingerprint] = DeltaEntry{append_offset_, record.stage};
   if (!existing.has_value()) ++distinct_;
   append_offset_ += frame.size();
   index_dirty_ = true;
@@ -387,17 +384,16 @@ std::vector<OutcomeRecord> CandidateStore::scan_records_locked(
   std::vector<OutcomeRecord> out;
   const auto content = util::read_file_if_exists(path_);
   if (!content.has_value() || content->size() < kMagicBytes) return out;
-  std::unordered_map<std::string, std::size_t> by_key;
+  std::unordered_map<Fingerprint, std::size_t, FingerprintHash> by_key;
   const ScanStats stats = scan_binary_journal(
       std::string_view(*content).substr(kMagicBytes),
       [&](std::uint64_t, std::string_view frame) {
         auto record = decode_record(frame, scope_);
         if (!record.has_value()) return;  // snapshot: no error mutation
         ++decoded_frames_;
-        const std::string key = record->fingerprint.hex();
-        const auto it = by_key.find(key);
+        const auto it = by_key.find(record->fingerprint);
         if (it == by_key.end()) {
-          by_key.emplace(key, out.size());
+          by_key.emplace(record->fingerprint, out.size());
           out.push_back(std::move(*record));
         } else if (out[it->second].stage < record->stage) {
           out[it->second] = std::move(*record);

@@ -216,9 +216,9 @@ class CandidateStore {
 
   // Offsets only; frames are read on demand.
   MmapIndex base_;  ///< mmap'd sidecar (may be closed when journal is new)
-  // fingerprint hex -> entry for records appended/upgraded since the
-  // sidecar was built (overrides base_).
-  std::unordered_map<std::string, DeltaEntry> delta_;
+  // fingerprint -> entry for records appended/upgraded since the sidecar
+  // was built (overrides base_).
+  std::unordered_map<Fingerprint, DeltaEntry, FingerprintHash> delta_;
   std::size_t distinct_ = 0;        ///< distinct fingerprints (base + new)
   std::uint64_t append_offset_ = 0; ///< journal byte length
   bool index_dirty_ = false;

@@ -46,17 +46,25 @@ Fingerprint combine(const Fingerprint& a, const Fingerprint& b) {
   return fp;
 }
 
-Fingerprint fingerprint_state_source(const std::string& source) {
+Fingerprint fingerprint_state_source(const std::string& source,
+                                     bool* parsed) {
+  dsl::Program program;
   try {
-    const dsl::Program program = dsl::parse(source);
-    return fingerprint_text("state:" + dsl::canonical_source(program));
+    program = dsl::parse(source);
   } catch (const dsl::CompileError&) {
+    if (parsed != nullptr) *parsed = false;
     // Unparsable candidates still deserve stable identities: byte-identical
     // broken outputs (modulo surrounding whitespace) hash together, in a
     // domain separated from canonical hashes.
     return fingerprint_text(std::string("raw-state:") +
                             std::string(util::trim(source)));
   }
+  if (parsed != nullptr) *parsed = true;
+  return fingerprint_state_program(program);
+}
+
+Fingerprint fingerprint_state_program(const dsl::Program& program) {
+  return fingerprint_text("state:" + dsl::canonical_source(program));
 }
 
 std::string canonical_arch(const nn::ArchSpec& spec) {

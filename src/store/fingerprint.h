@@ -15,11 +15,13 @@
 // two component fingerprints into the store key.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
 
+#include "dsl/ast.h"
 #include "nn/arch.h"
 #include "rl/trainer.h"
 
@@ -40,6 +42,14 @@ struct Fingerprint {
       std::string_view text);
 };
 
+/// Hash for Fingerprint-keyed unordered containers. Both halves are
+/// already avalanched, so folding them is enough.
+struct FingerprintHash {
+  [[nodiscard]] std::size_t operator()(const Fingerprint& fp) const noexcept {
+    return static_cast<std::size_t>(fp.hi ^ fp.lo);
+  }
+};
+
 /// Hashes arbitrary text (two independent seeded FNV-1a streams, each
 /// finished with a splitmix64 avalanche so `hi` is uniform enough for
 /// range sharding).
@@ -49,8 +59,15 @@ struct Fingerprint {
 [[nodiscard]] Fingerprint combine(const Fingerprint& a, const Fingerprint& b);
 
 /// Fingerprint of a state-function source: canonical AST hash when the
-/// source parses, raw-text hash (distinct domain) otherwise.
-[[nodiscard]] Fingerprint fingerprint_state_source(const std::string& source);
+/// source parses, raw-text hash (distinct domain) otherwise. `parsed`, when
+/// non-null, receives which of the two it was.
+[[nodiscard]] Fingerprint fingerprint_state_source(const std::string& source,
+                                                   bool* parsed = nullptr);
+
+/// The canonical-domain hash of an already parsed program: what
+/// fingerprint_state_source returns for every source that parses to it.
+[[nodiscard]] Fingerprint fingerprint_state_program(
+    const dsl::Program& program);
 
 /// Canonical one-line encoding of every ArchSpec field, and its hash.
 [[nodiscard]] std::string canonical_arch(const nn::ArchSpec& spec);

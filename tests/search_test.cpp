@@ -14,7 +14,9 @@
 //   * resume: SearchJob::resume() serves every journaled stage from the
 //     store and reproduces the cold result,
 //   * unified candidates: one job can carry state-program and architecture
-//     candidates in the same stream.
+//     candidates in the same stream,
+//   * store keys: fingerprints of whole generator streams match pinned
+//     digests, and a pooled job journals exactly those keys.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +25,7 @@
 #include <set>
 #include <sstream>
 
+#include "cc/cc_state.h"
 #include "env/abr_domain.h"
 #include "gen/arch_gen.h"
 #include "gen/state_gen.h"
@@ -443,6 +446,106 @@ TEST(CandidateSpecTest, FingerprintsMatchTheHistoricalStoreKeys) {
                std::invalid_argument);
   EXPECT_THROW((void)fingerprint_of(arch_spec, FixedDesign{nullptr, nullptr}),
                std::invalid_argument);
+}
+
+/// The fingerprint_of hex of every candidate in `specs`, one per line.
+std::string fingerprint_lines(const std::vector<CandidateSpec>& specs,
+                              const FixedDesign& fixed) {
+  std::string lines;
+  for (const CandidateSpec& spec : specs) {
+    lines += fingerprint_of(spec, fixed).hex();
+    lines += '\n';
+  }
+  return lines;
+}
+
+TEST(CandidateSpecTest, GeneratorStreamFingerprintsMatchGoldens) {
+  // Fingerprints are the store key: every journal ever written is addressed
+  // by them, so a change to any byte here orphans those journals. The
+  // digests below fold the keys of whole generator streams (state streams
+  // of both domains on the Pensieve arch, arch streams on both domains'
+  // baseline programs, under both profiles).
+  const nn::ArchSpec arch = nn::ArchSpec::pensieve();
+  const auto abr_state =
+      dsl::StateProgram::compile(dsl::pensieve_state_source());
+  const auto cc_state =
+      dsl::StateProgram::compile(cc::default_cc_state_source());
+  const FixedDesign on_arch{nullptr, &arch};
+  struct Golden {
+    gen::LlmProfile profile;
+    const char* abr_states;
+    const char* cc_states;
+    const char* archs_on_abr;
+    const char* archs_on_cc;
+  };
+  const Golden goldens[] = {
+      {gen::gpt4_profile(), "c314ad9a12ef89ee310f1b495353fe0e",
+       "443f51df51fd8bb356b25d6f7ead965e", "541eee5af80b6312e748075a36a4ce6e",
+       "db73ac5006e2f6d4d045039db8e2bbe3"},
+      {gen::gpt35_profile(), "aacb75eca6d5e698bb5f0789b518e902",
+       "bb69fa344cdfb9ebf5b16b7c7ec37cea", "7766210016e0275ab5da821756ad078a",
+       "4cb95f2405af70fcfa7e071d5ee74c47"},
+  };
+  const auto digest = [](const std::string& lines) {
+    return store::fingerprint_text(lines).hex();
+  };
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(golden.profile.name);
+    gen::StateGenerator abr_gen(gen::abr_state_space(), golden.profile,
+                                gen::PromptStrategy{}, 77);
+    gen::StateGenerator cc_gen(gen::cc_state_space(), golden.profile,
+                               gen::PromptStrategy{}, 77);
+    StateCandidateSource abr_source(abr_gen);
+    StateCandidateSource cc_source(cc_gen);
+    EXPECT_EQ(digest(fingerprint_lines(abr_source.generate(256), on_arch)),
+              golden.abr_states);
+    EXPECT_EQ(digest(fingerprint_lines(cc_source.generate(256), on_arch)),
+              golden.cc_states);
+
+    gen::ArchGenerator arch_gen(golden.profile, gen::PromptStrategy{}, 77,
+                                0.125);
+    ArchCandidateSource arch_source(arch_gen);
+    const std::vector<CandidateSpec> archs = arch_source.generate(96);
+    const FixedDesign on_abr{&abr_state, nullptr};
+    const FixedDesign on_cc{&cc_state, nullptr};
+    EXPECT_EQ(digest(fingerprint_lines(archs, on_abr)), golden.archs_on_abr);
+    EXPECT_EQ(digest(fingerprint_lines(archs, on_cc)), golden.archs_on_cc);
+  }
+
+  // A pooled job fingerprints on its pool with the fixed half hashed once;
+  // the keys it journals must be exactly the public function's.
+  Fixture fx;
+  const FixedDesign fixed{&abr_state, &arch};
+  gen::StateGenerator state_gen(gen::gpt4_profile(), gen::PromptStrategy{},
+                                77);
+  gen::ArchGenerator arch_gen(gen::gpt4_profile(), gen::PromptStrategy{}, 77,
+                              0.125);
+  StateCandidateSource states(state_gen);
+  ArchCandidateSource archs(arch_gen);
+  std::vector<CandidateSpec> specs = states.generate(64);
+  for (auto& spec : archs.generate(32)) specs.push_back(std::move(spec));
+  std::set<std::string> standalone;
+  for (const CandidateSpec& spec : specs) {
+    standalone.insert(fingerprint_of(spec, fixed).hex());
+  }
+
+  SearchConfig config = tiny_config();
+  config.num_candidates = specs.size();
+  VectorCandidateSource source(std::move(specs));
+  store::CandidateStore store(fresh_path("pooled_fingerprints"),
+                              store_scope(fx.domain, config, 5150));
+  JobOptions options;
+  options.store = &store;
+  options.pool = &fx.pool;
+  SearchJob job(fx.domain, config, 5150, source, fixed, options);
+  // Every candidate's pre-check verdict is journaled, so the journal holds
+  // the key of every candidate once pre-check has run.
+  (void)job.run_until(StageKind::kProbe);
+  std::set<std::string> journaled;
+  for (const auto& record : store.records()) {
+    journaled.insert(record.fingerprint.hex());
+  }
+  EXPECT_EQ(journaled, standalone);
 }
 
 // ---- degenerate-baseline improvement ---------------------------------------

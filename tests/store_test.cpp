@@ -32,6 +32,8 @@
 #include "util/scale.h"
 #include "util/strings.h"
 
+#include "journal_lines.h"
+
 namespace nada::store {
 namespace {
 
@@ -136,15 +138,22 @@ TEST(Fingerprint, StableAcrossReformattedSources) {
     b += c;
     if (c == ';') b += "   ";
   }
-  EXPECT_EQ(fingerprint_state_source(a), fingerprint_state_source(b));
+  bool parsed = false;
+  EXPECT_EQ(fingerprint_state_source(a, &parsed), fingerprint_state_source(b));
+  EXPECT_TRUE(parsed);
+  // An already parsed program hashes to the same canonical-domain key.
+  EXPECT_EQ(fingerprint_state_program(dsl::parse(b)),
+            fingerprint_state_source(a));
   EXPECT_NE(fingerprint_state_source(a),
             fingerprint_state_source("emit \"x\" = buffer_size_s;"));
 }
 
 TEST(Fingerprint, UnparsableSourcesHashByRawText) {
   const std::string broken = "let ) = 3;";
-  EXPECT_EQ(fingerprint_state_source(broken),
+  bool parsed = true;
+  EXPECT_EQ(fingerprint_state_source(broken, &parsed),
             fingerprint_state_source("  " + broken + "\n"));
+  EXPECT_FALSE(parsed);
   EXPECT_NE(fingerprint_state_source(broken),
             fingerprint_state_source("let ( = 3;"));
 }
@@ -1148,6 +1157,96 @@ TEST(SearchStore, ResumesFromTruncatedCheckpointToSameResult) {
   EXPECT_EQ(resumed_run.n_probes_run, 0u);
   EXPECT_EQ(resumed_run.n_full_trains_run, full_run.n_full_trains_run);
   expect_same_ranked_result(full_run, resumed_run);
+}
+
+TEST(SearchStore, ResumesFromPrecheckOnlyJournalToSameResult) {
+  // A run cut between pre-check and probe leaves only kChecked records.
+  // Resuming serves every pre-check verdict from them, still probes every
+  // passing candidate, and ends with the cold run's result and journal.
+  SearchFixture fx;
+  const std::string cold_path = fresh_path("pipeline_precheck_cold");
+  const std::string cut_path = fresh_path("pipeline_precheck_cut");
+  const search::SearchConfig config = tiny_config();
+  const search::FixedDesign fixed{nullptr, &config.baseline_arch};
+
+  search::SearchResult cold;
+  {
+    CandidateStore store(cold_path, fx.scope(config, 2024));
+    gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                  66);
+    search::StateCandidateSource source(generator);
+    cold = fx.run(config, 2024, source, fixed, &store);
+  }
+  EXPECT_GT(cold.n_probes_run, 0u);
+
+  search::SearchResult resumed;
+  {
+    CandidateStore store(cut_path, fx.scope(config, 2024));
+    gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                  66);
+    search::StateCandidateSource source(generator);
+    search::JobOptions options;
+    options.store = &store;
+    options.pool = &fx.pool;
+    search::SearchJob cut(fx.domain, config, 2024, source, fixed, options);
+    (void)cut.run_until(search::StageKind::kProbe);
+    for (const auto& record : store.records()) {
+      EXPECT_EQ(record.stage, Stage::kChecked);
+    }
+    resumed = fx.run(config, 2024, source, fixed, &store, /*resume=*/true);
+  }
+  EXPECT_EQ(resumed.n_precheck_cache_hits, resumed.n_total);
+  EXPECT_EQ(resumed.n_probes_run, cold.n_probes_run);
+  EXPECT_EQ(resumed.n_full_trains_run, cold.n_full_trains_run);
+  expect_same_ranked_result(cold, resumed);
+  EXPECT_EQ(test::sorted_journal_lines(cut_path),
+            test::sorted_journal_lines(cold_path));
+}
+
+TEST(SearchStore, CompiledRecordForUnparsableSourceIsAMiss) {
+  // A record claiming a source compiled, for a source that does not parse
+  // (a fingerprint collision or a foreign journal), is not served: the
+  // candidate is pre-checked on its own merits instead.
+  SearchFixture fx;
+  const std::string path = fresh_path("pipeline_unparsable_hit");
+  search::SearchConfig config = tiny_config();
+  config.num_candidates = 2;
+  config.full_train_top = 1;
+  const search::FixedDesign fixed{nullptr, &config.baseline_arch};
+  const std::string broken = "emit \"x\" = (buffer_size_s + ;";
+  std::string parse_error;
+  try {
+    (void)dsl::parse(broken);
+  } catch (const dsl::CompileError& e) {
+    parse_error = e.what();
+  }
+  ASSERT_FALSE(parse_error.empty());
+
+  CandidateStore store(path, fx.scope(config, 99));
+  OutcomeRecord planted;
+  planted.fingerprint = search::fingerprint_of(
+      search::CandidateSpec::state_program("planted", broken), fixed);
+  planted.stage = Stage::kProbed;
+  planted.id = "planted";
+  planted.source = broken;
+  planted.compiled = true;
+  planted.normalized = true;
+  planted.early_probed = true;
+  planted.early_rewards = {1.0, 2.0, 3.0, 4.0};
+  ASSERT_TRUE(store.put(planted));
+
+  search::VectorCandidateSource source(
+      {search::CandidateSpec::state_program("broken", broken),
+       search::CandidateSpec::state_program("good",
+                                            dsl::pensieve_state_source())});
+  const auto result = fx.run(config, 99, source, fixed, &store);
+  ASSERT_EQ(result.outcomes.size(), 2u);
+  EXPECT_FALSE(result.outcomes[0].compiled);
+  EXPECT_EQ(result.outcomes[0].compile_error, parse_error);
+  EXPECT_FALSE(result.outcomes[0].early_probed);
+  EXPECT_EQ(result.n_precheck_cache_hits, 0u);
+  EXPECT_EQ(result.n_probes_run, 1u);
+  EXPECT_TRUE(result.outcomes[1].early_probed);
 }
 
 TEST(SearchStore, ArchSearchCachesAcrossRuns) {
