@@ -1,6 +1,6 @@
 // Kernel micro-bench: GFLOP/s of the batched nn kernels (matmul,
-// matmul_nt, add_matmul_tn) per flavor at probe-sized shapes, plus the
-// bit-identity smoke check (avx2 must reproduce scalar results exactly;
+// add_matmul_tn) per flavor at probe-sized shapes, plus the bit-identity
+// smoke check (avx2 must reproduce scalar results exactly;
 // fma is pinned-divergent and only checked for closeness).
 //
 // The shapes mirror the probe hot path: n = episode length (batch rows),
@@ -65,13 +65,12 @@ int main() {
   const nn::KernelFlavor entry_flavor = nn::kernel_flavor();
   util::TextTable table("Batched kernel throughput (GFLOP/s)");
   table.set_header({"kernel shape (n x inner x m)", "flavor", "matmul",
-                    "matmul_nt", "add_matmul_tn", "vs scalar"});
+                    "add_matmul_tn", "vs scalar"});
 
   bool contract_ok = true;
   for (const Shape& s : shapes) {
     const nn::Mat a = random_mat(s.n, s.inner, 11 * s.n + s.m);
     const nn::Mat b = random_mat(s.inner, s.m, 13 * s.n + s.inner);
-    const nn::Mat bt = random_mat(s.m, s.inner, 17 * s.m + s.inner);
     const nn::Mat g = random_mat(s.n, s.m, 19 * s.n + 23 * s.m);
     const double flops = 2.0 * static_cast<double>(s.n) *
                          static_cast<double>(s.inner) *
@@ -80,7 +79,7 @@ int main() {
     const std::size_t reps = std::max<std::size_t>(
         1, static_cast<std::size_t>(4e7 / std::max(flops, 1.0)));
 
-    nn::Mat matmul_ref(1, 1), matmul_nt_ref(1, 1), tn_ref(1, 1);
+    nn::Mat matmul_ref(1, 1), tn_ref(1, 1);
     for (const nn::KernelFlavor f : flavors) {
       nn::set_kernel_flavor(f);
 
@@ -88,11 +87,6 @@ int main() {
       nn::Mat c_mm(1, 1);
       for (std::size_t r = 0; r < reps; ++r) c_mm = nn::matmul(a, b);
       const double mm_gflops = flops * reps / mm_timer.seconds() / 1e9;
-
-      bench::Stopwatch nt_timer;
-      nn::Mat c_nt(1, 1);
-      for (std::size_t r = 0; r < reps; ++r) c_nt = nn::matmul_nt(a, bt);
-      const double nt_gflops = flops * reps / nt_timer.seconds() / 1e9;
 
       bench::Stopwatch tn_timer;
       nn::Mat c_tn = random_mat(s.inner, s.m, 29);
@@ -102,12 +96,10 @@ int main() {
       std::string comparison = "(reference)";
       if (f == nn::KernelFlavor::kScalar) {
         matmul_ref = c_mm;
-        matmul_nt_ref = c_nt;
         tn_ref = c_tn;
       } else if (f == nn::KernelFlavor::kAvx2) {
-        const bool identical = same_bits(c_mm, matmul_ref) &&
-                               same_bits(c_nt, matmul_nt_ref) &&
-                               same_bits(c_tn, tn_ref);
+        const bool identical =
+            same_bits(c_mm, matmul_ref) && same_bits(c_tn, tn_ref);
         comparison = identical ? "bit-identical" : "DIVERGED";
         if (!identical) {
           contract_ok = false;
@@ -122,7 +114,6 @@ int main() {
                          "x" + std::to_string(s.m),
                      nn::kernel_flavor_name(f),
                      util::format_double(mm_gflops, 2),
-                     util::format_double(nt_gflops, 2),
                      util::format_double(tn_gflops, 2), comparison});
     }
   }

@@ -96,7 +96,7 @@ CheckResult arch_compilation_check(const nn::ArchSpec& spec,
     for (std::size_t len : signature.row_lengths) {
       rows.emplace_back(std::max<std::size_t>(len, 1), 0.0);
     }
-    const auto output = net.forward(rows);
+    const auto output = net.forward_inference(rows);
     for (double p : output.probs) {
       if (!std::isfinite(p)) {
         return CheckResult::fail("forward pass produced non-finite output");

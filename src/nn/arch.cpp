@@ -77,93 +77,6 @@ void validate_spec(const ArchSpec& spec, const StateSignature& sig) {
 
 // ---- Tower -----------------------------------------------------------------
 
-Vec ActorCriticNet::Tower::forward(const std::vector<Vec>& rows) {
-  if (rows.size() != branches.size()) {
-    throw std::invalid_argument("Tower::forward: row count mismatch");
-  }
-  branch_offsets.assign(branches.size(), 0);
-  concat_cache.clear();
-  for (std::size_t i = 0; i < branches.size(); ++i) {
-    branch_offsets[i] = concat_cache.size();
-    const Vec out = branches[i]->forward(rows[i]);
-    concat_cache.insert(concat_cache.end(), out.begin(), out.end());
-  }
-  Vec h = concat_cache;
-  for (auto& layer : merge) h = layer->forward(h);
-  if (head) h = head->forward(h);
-  return h;
-}
-
-void ActorCriticNet::Tower::backward(const Vec& dhead) {
-  Vec dh = dhead;
-  if (head) dh = head->backward(dh);
-  for (auto it = merge.rbegin(); it != merge.rend(); ++it) {
-    dh = (*it)->backward(dh);
-  }
-  // Split the concat gradient back into branches (input grads discarded:
-  // upstream is the observation, not a trainable tensor).
-  for (std::size_t i = 0; i < branches.size(); ++i) {
-    const std::size_t begin = branch_offsets[i];
-    const std::size_t end = i + 1 < branches.size() ? branch_offsets[i + 1]
-                                                    : dh.size();
-    const Vec slice(dh.begin() + static_cast<std::ptrdiff_t>(begin),
-                    dh.begin() + static_cast<std::ptrdiff_t>(end));
-    branches[i]->backward(slice);
-  }
-}
-
-Mat ActorCriticNet::Tower::forward_batch(const std::vector<Mat>& rows) {
-  if (rows.size() != branches.size()) {
-    throw std::invalid_argument("Tower::forward_batch: row count mismatch");
-  }
-  const std::size_t batch = rows.empty() ? 0 : rows.front().rows();
-  branch_offsets_batch.assign(branches.size(), 0);
-  std::vector<Mat> outs;
-  outs.reserve(branches.size());
-  std::size_t concat_dim = 0;
-  for (std::size_t i = 0; i < branches.size(); ++i) {
-    branch_offsets_batch[i] = concat_dim;
-    outs.push_back(branches[i]->forward_batch(rows[i]));
-    concat_dim += outs.back().cols();
-  }
-  concat_cols_batch = concat_dim;
-  Mat h(batch, concat_dim);
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    for (std::size_t b = 0; b < batch; ++b) {
-      std::copy(outs[i].row(b).begin(), outs[i].row(b).end(),
-                h.row(b).begin() +
-                    static_cast<std::ptrdiff_t>(branch_offsets_batch[i]));
-    }
-  }
-  for (auto& layer : merge) h = layer->forward_batch(h);
-  if (head) h = head->forward_batch(h);
-  return h;
-}
-
-void ActorCriticNet::Tower::backward_batch(const Mat& dhead) {
-  Mat dh = dhead;
-  if (head) dh = head->backward_batch(dh);
-  for (auto it = merge.rbegin(); it != merge.rend(); ++it) {
-    dh = (*it)->backward_batch(dh);
-  }
-  // Split the concat gradient back into branches (input grads discarded:
-  // upstream is the observation, not a trainable tensor).
-  for (std::size_t i = 0; i < branches.size(); ++i) {
-    const std::size_t begin = branch_offsets_batch[i];
-    const std::size_t end = i + 1 < branches.size()
-                                ? branch_offsets_batch[i + 1]
-                                : concat_cols_batch;
-    Mat slice(dh.rows(), end - begin);
-    for (std::size_t b = 0; b < dh.rows(); ++b) {
-      const auto src = dh.row(b);
-      std::copy(src.begin() + static_cast<std::ptrdiff_t>(begin),
-                src.begin() + static_cast<std::ptrdiff_t>(end),
-                slice.row(b).begin());
-    }
-    branches[i]->backward_batch(slice);
-  }
-}
-
 Vec ActorCriticNet::Tower::infer(const std::vector<Vec>& rows) const {
   if (rows.size() != branches.size()) {
     throw std::invalid_argument("Tower::infer: row count mismatch");
@@ -185,14 +98,7 @@ void ActorCriticNet::Tower::sync_inference_cache() {
 }
 
 void ActorCriticNet::Tower::begin_capture(std::size_t batch) {
-  branch_offsets_batch.assign(branches.size(), 0);
-  std::size_t concat_dim = 0;
-  for (std::size_t i = 0; i < branches.size(); ++i) {
-    branch_offsets_batch[i] = concat_dim;
-    branches[i]->begin_capture(batch);
-    concat_dim += branches[i]->out_dim();
-  }
-  concat_cols_batch = concat_dim;
+  for (auto& b : branches) b->begin_capture(batch);
   for (auto& m : merge) m->begin_capture(batch);
   if (head) head->begin_capture(batch);
 }
@@ -203,7 +109,7 @@ Vec ActorCriticNet::Tower::forward_capture(const std::vector<Vec>& rows,
     throw std::invalid_argument("Tower::forward_capture: row count mismatch");
   }
   Vec h;
-  h.reserve(concat_cols_batch);
+  h.reserve(concat_dim);
   for (std::size_t i = 0; i < branches.size(); ++i) {
     const Vec out = branches[i]->forward_capture(rows[i], row);
     h.insert(h.end(), out.begin(), out.end());
@@ -211,6 +117,29 @@ Vec ActorCriticNet::Tower::forward_capture(const std::vector<Vec>& rows,
   for (auto& layer : merge) h = layer->forward_capture(h, row);
   if (head) h = head->forward_capture(h, row);
   return h;
+}
+
+void ActorCriticNet::Tower::backward_batch(const Mat& dhead) {
+  Mat dh = dhead;
+  if (head) dh = head->backward_batch(dh);
+  for (auto it = merge.rbegin(); it != merge.rend(); ++it) {
+    dh = (*it)->backward_batch(dh);
+  }
+  // Split the concat gradient back into branches (input grads discarded:
+  // upstream is the observation, not a trainable tensor).
+  for (std::size_t i = 0; i < branches.size(); ++i) {
+    const std::size_t begin = branch_offsets[i];
+    const std::size_t end =
+        i + 1 < branches.size() ? branch_offsets[i + 1] : concat_dim;
+    Mat slice(dh.rows(), end - begin);
+    for (std::size_t b = 0; b < dh.rows(); ++b) {
+      const auto src = dh.row(b);
+      std::copy(src.begin() + static_cast<std::ptrdiff_t>(begin),
+                src.begin() + static_cast<std::ptrdiff_t>(end),
+                slice.row(b).begin());
+    }
+    branches[i]->backward_batch(slice);
+  }
 }
 
 void ActorCriticNet::Tower::collect_params(std::vector<ParamRef>& out) {
@@ -231,7 +160,6 @@ ActorCriticNet::Tower ActorCriticNet::build_tower(const StateSignature& sig,
                                                   std::size_t head_dim,
                                                   util::Rng& rng) const {
   Tower tower;
-  std::size_t concat_dim = 0;
   for (std::size_t len : sig.row_lengths) {
     std::unique_ptr<Layer> branch;
     if (len <= 1) {
@@ -256,10 +184,11 @@ ActorCriticNet::Tower ActorCriticNet::build_tower(const StateSignature& sig,
           break;
       }
     }
-    concat_dim += branch->out_dim();
+    tower.branch_offsets.push_back(tower.concat_dim);
+    tower.concat_dim += branch->out_dim();
     tower.branches.push_back(std::move(branch));
   }
-  std::size_t in_dim = concat_dim;
+  std::size_t in_dim = tower.concat_dim;
   for (std::size_t i = 0; i < spec_.merge_layers; ++i) {
     tower.merge.push_back(std::make_unique<Dense>(in_dim, spec_.merge_hidden,
                                                   spec_.activation, rng));
@@ -291,64 +220,25 @@ ActorCriticNet::ActorCriticNet(const ArchSpec& spec, const StateSignature& sig,
   }
 }
 
-ActorCriticNet::Output ActorCriticNet::forward(
-    const std::vector<Vec>& state_rows) {
+void ActorCriticNet::check_state_rows(const std::vector<Vec>& state_rows,
+                                      const char* caller) const {
   if (state_rows.size() != sig_.rows()) {
-    throw std::invalid_argument("ActorCriticNet::forward: row count " +
+    throw std::invalid_argument(std::string(caller) + ": row count " +
                                 std::to_string(state_rows.size()) +
                                 " != signature " + std::to_string(sig_.rows()));
   }
   for (std::size_t i = 0; i < state_rows.size(); ++i) {
     const std::size_t expect = std::max<std::size_t>(sig_.row_lengths[i], 1);
     if (state_rows[i].size() != expect) {
-      throw std::invalid_argument("ActorCriticNet::forward: row " +
+      throw std::invalid_argument(std::string(caller) + ": row " +
                                   std::to_string(i) + " length mismatch");
     }
-  }
-  Output out;
-  if (shared_) {
-    trunk_out_cache_ = trunk_.forward(state_rows);
-    out.logits = actor_head_->forward(trunk_out_cache_);
-    out.value = critic_head_->forward(trunk_out_cache_)[0];
-  } else {
-    out.logits = actor_.forward(state_rows);
-    out.value = critic_.forward(state_rows)[0];
-  }
-  out.probs = softmax(out.logits);
-  return out;
-}
-
-void ActorCriticNet::backward(const Vec& dlogits, double dvalue) {
-  if (dlogits.size() != num_actions_) {
-    throw std::invalid_argument("ActorCriticNet::backward: dlogits size");
-  }
-  const Vec dvalue_vec{dvalue};
-  if (shared_) {
-    Vec dtrunk = actor_head_->backward(dlogits);
-    const Vec dtrunk_v = critic_head_->backward(dvalue_vec);
-    vec_add_inplace(dtrunk, dtrunk_v);
-    trunk_.backward(dtrunk);
-  } else {
-    actor_.backward(dlogits);
-    critic_.backward(dvalue_vec);
   }
 }
 
 ActorCriticNet::Output ActorCriticNet::forward_inference(
     const std::vector<Vec>& state_rows) const {
-  if (state_rows.size() != sig_.rows()) {
-    throw std::invalid_argument(
-        "ActorCriticNet::forward_inference: row count " +
-        std::to_string(state_rows.size()) + " != signature " +
-        std::to_string(sig_.rows()));
-  }
-  for (std::size_t i = 0; i < state_rows.size(); ++i) {
-    const std::size_t expect = std::max<std::size_t>(sig_.row_lengths[i], 1);
-    if (state_rows[i].size() != expect) {
-      throw std::invalid_argument("ActorCriticNet::forward_inference: row " +
-                                  std::to_string(i) + " length mismatch");
-    }
-  }
+  check_state_rows(state_rows, "ActorCriticNet::forward_inference");
   Output out;
   if (shared_) {
     const Vec trunk_out = trunk_.infer(state_rows);
@@ -389,19 +279,7 @@ void ActorCriticNet::begin_batch_capture(std::size_t batch) {
 
 ActorCriticNet::Output ActorCriticNet::forward_capture(
     const std::vector<Vec>& state_rows, std::size_t row) {
-  if (state_rows.size() != sig_.rows()) {
-    throw std::invalid_argument("ActorCriticNet::forward_capture: row count " +
-                                std::to_string(state_rows.size()) +
-                                " != signature " +
-                                std::to_string(sig_.rows()));
-  }
-  for (std::size_t i = 0; i < state_rows.size(); ++i) {
-    const std::size_t expect = std::max<std::size_t>(sig_.row_lengths[i], 1);
-    if (state_rows[i].size() != expect) {
-      throw std::invalid_argument("ActorCriticNet::forward_capture: row " +
-                                  std::to_string(i) + " length mismatch");
-    }
-  }
+  check_state_rows(state_rows, "ActorCriticNet::forward_capture");
   Output out;
   if (shared_) {
     const Vec trunk_out = trunk_.forward_capture(state_rows, row);
@@ -412,59 +290,6 @@ ActorCriticNet::Output ActorCriticNet::forward_capture(
     out.value = critic_.forward_capture(state_rows, row)[0];
   }
   out.probs = softmax(out.logits);
-  return out;
-}
-
-ActorCriticNet::BatchOutput ActorCriticNet::forward_batch(
-    const std::vector<std::vector<Vec>>& state_rows) {
-  const std::size_t batch = state_rows.size();
-  if (batch == 0) {
-    throw std::invalid_argument("ActorCriticNet::forward_batch: empty batch");
-  }
-  for (const auto& sample : state_rows) {
-    if (sample.size() != sig_.rows()) {
-      throw std::invalid_argument(
-          "ActorCriticNet::forward_batch: row count " +
-          std::to_string(sample.size()) + " != signature " +
-          std::to_string(sig_.rows()));
-    }
-    for (std::size_t i = 0; i < sample.size(); ++i) {
-      const std::size_t expect = std::max<std::size_t>(sig_.row_lengths[i], 1);
-      if (sample[i].size() != expect) {
-        throw std::invalid_argument("ActorCriticNet::forward_batch: row " +
-                                    std::to_string(i) + " length mismatch");
-      }
-    }
-  }
-  // One input Mat per state row, shared by every tower that consumes it.
-  std::vector<Mat> inputs;
-  inputs.reserve(sig_.rows());
-  for (std::size_t i = 0; i < sig_.rows(); ++i) {
-    const std::size_t len = std::max<std::size_t>(sig_.row_lengths[i], 1);
-    Mat x(batch, len);
-    for (std::size_t b = 0; b < batch; ++b) {
-      std::copy(state_rows[b][i].begin(), state_rows[b][i].end(),
-                x.row(b).begin());
-    }
-    inputs.push_back(std::move(x));
-  }
-
-  BatchOutput out;
-  out.values.resize(batch);
-  if (shared_) {
-    trunk_batch_cache_ = trunk_.forward_batch(inputs);
-    out.logits = actor_head_->forward_batch(trunk_batch_cache_);
-    const Mat values = critic_head_->forward_batch(trunk_batch_cache_);
-    for (std::size_t b = 0; b < batch; ++b) out.values[b] = values(b, 0);
-  } else {
-    out.logits = actor_.forward_batch(inputs);
-    const Mat values = critic_.forward_batch(inputs);
-    for (std::size_t b = 0; b < batch; ++b) out.values[b] = values(b, 0);
-  }
-  out.probs.reserve(batch);
-  for (std::size_t b = 0; b < batch; ++b) {
-    out.probs.push_back(softmax(out.logits.row(b)));
-  }
   return out;
 }
 

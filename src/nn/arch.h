@@ -64,9 +64,13 @@ void validate_spec(const ArchSpec& spec, const StateSignature& sig);
 
 /// Actor-critic network instantiated from an ArchSpec.
 ///
-/// forward() consumes the state rows; backward() takes the gradient of the
-/// loss with respect to the actor logits and the critic value and
-/// accumulates parameter gradients.
+/// A network runs one of two ways. forward_inference() acts: it touches no
+/// cache and takes the layers' fast paths once sync_inference_cache() has
+/// run. Training captures: begin_batch_capture(n) sizes every layer's
+/// batch caches, forward_capture(rows, row) computes one state into cache
+/// row `row`, and backward_batch() takes one gradient row per captured
+/// state for the actor logits and the critic value and accumulates
+/// parameter gradients. Both forwards compute the same outputs.
 class ActorCriticNet {
  public:
   ActorCriticNet(const ArchSpec& spec, const StateSignature& sig,
@@ -78,50 +82,34 @@ class ActorCriticNet {
     double value = 0.0;
   };
 
-  Output forward(const std::vector<Vec>& state_rows);
-  void backward(const Vec& dlogits, double dvalue);
-
-  /// Inference-only forward: bit-identical outputs to forward(), but
-  /// touches no layer caches (safe to interleave with a pending batched
-  /// backward) and uses the layers' fast inference paths when
-  /// sync_inference_cache() has been called since the last weight change.
-  /// rl::PolicyAgent::decide — i.e. every greedy evaluation rollout —
-  /// runs on this; training rollouts use forward_capture instead so the
-  /// batch caches fill as a side effect.
+  /// Inference-only forward: touches no layer caches (safe to interleave
+  /// with a pending backward_batch) and uses the layers' fast inference
+  /// paths when sync_inference_cache() has been called since the last
+  /// weight change. rl::PolicyAgent::decide — i.e. every greedy evaluation
+  /// rollout — runs on this; training rollouts use forward_capture instead
+  /// so the batch caches fill as a side effect.
   [[nodiscard]] Output forward_inference(
       const std::vector<Vec>& state_rows) const;
 
   /// Refreshes every layer's derived inference state (transposed weights).
   /// Call after construction and after each optimizer step when using
-  /// forward_inference on the fast path.
+  /// the fast path.
   void sync_inference_cache();
 
-  /// Batched actor-critic pass over many states at once (the probe
-  /// trainer's per-epoch update path). Row b of every output is
-  /// bit-identical to forward(state_rows[b]).
-  struct BatchOutput {
-    Mat logits;              ///< batch x num_actions
-    std::vector<Vec> probs;  ///< per-sample softmax(logits row)
-    Vec values;              ///< per-sample critic value
-  };
-
-  BatchOutput forward_batch(const std::vector<std::vector<Vec>>& state_rows);
-
-  /// Batched gradient accumulation for the last forward_batch() or
-  /// completed capture sequence. Parameter gradients accumulate in
-  /// ascending sample order, bit-identical to a loop of single-sample
-  /// forward()+backward() calls.
-  void backward_batch(const Mat& dlogits, const Vec& dvalues);
-
-  /// Row-at-a-time batched forward for rollouts: begin_batch_capture sizes
-  /// every layer's batch caches for `batch` samples; each forward_capture
-  /// computes one sample (bit-identical to forward(), on the fast
-  /// inference path when synced) and fills that sample's cache row, so a
-  /// full episode can go straight to backward_batch with no second
-  /// forward pass.
+  /// Row-at-a-time forward for training: begin_batch_capture sizes every
+  /// layer's batch caches for `batch` states; each forward_capture computes
+  /// one state (on the fast inference path when synced) and fills that
+  /// state's cache row, so a full episode can go straight to
+  /// backward_batch with no second forward pass. forward_capture throws
+  /// std::out_of_range unless `row` is below `batch`.
   void begin_batch_capture(std::size_t batch);
   Output forward_capture(const std::vector<Vec>& state_rows,
                          std::size_t row);
+
+  /// Gradient accumulation for the completed capture: row b of `dlogits`
+  /// and `dvalues[b]` are the loss gradients for captured state b.
+  /// Parameter gradients accumulate in ascending row order.
+  void backward_batch(const Mat& dlogits, const Vec& dvalues);
 
   std::vector<ParamRef> params();
   void zero_grad();
@@ -140,31 +128,26 @@ class ActorCriticNet {
     std::vector<std::unique_ptr<Layer>> branches;
     std::vector<std::unique_ptr<Dense>> merge;
     std::unique_ptr<Dense> head;
-    // forward caches
+    // Where each branch's output starts in the concatenated merge input.
     std::vector<std::size_t> branch_offsets;
-    Vec concat_cache;
-    // batched forward caches (separate so rollout-time single-sample
-    // forwards and the per-epoch batched update never clobber each other)
-    std::vector<std::size_t> branch_offsets_batch;
-    std::size_t concat_cols_batch = 0;
+    std::size_t concat_dim = 0;
 
-    Vec forward(const std::vector<Vec>& rows);
-    /// Returns nothing useful upstream (inputs are the observation).
-    void backward(const Vec& dhead);
-    /// Batched twins: one Mat per branch, rows are samples.
-    Mat forward_batch(const std::vector<Mat>& rows);
-    void backward_batch(const Mat& dhead);
     /// Cache-free forward (same math, no state mutated).
     [[nodiscard]] Vec infer(const std::vector<Vec>& rows) const;
     void sync_inference_cache();
-    /// Row-at-a-time capture twins of forward_batch/backward_batch.
     void begin_capture(std::size_t batch);
     Vec forward_capture(const std::vector<Vec>& rows, std::size_t row);
+    /// Returns nothing useful upstream (inputs are the observation).
+    void backward_batch(const Mat& dhead);
     void collect_params(std::vector<ParamRef>& out);
   };
 
   Tower build_tower(const StateSignature& sig, std::size_t head_dim,
                     util::Rng& rng) const;
+  /// Throws std::invalid_argument unless `state_rows` fits the signature;
+  /// `caller` names the forward in the message.
+  void check_state_rows(const std::vector<Vec>& state_rows,
+                        const char* caller) const;
 
   ArchSpec spec_;
   StateSignature sig_;
@@ -178,8 +161,6 @@ class ActorCriticNet {
   Tower trunk_;
   std::unique_ptr<Dense> actor_head_;
   std::unique_ptr<Dense> critic_head_;
-  Vec trunk_out_cache_;
-  Mat trunk_batch_cache_;
 };
 
 }  // namespace nada::nn

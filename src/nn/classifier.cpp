@@ -2,20 +2,25 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <stdexcept>
 
 namespace nada::nn {
 
 double sigmoid(double z) { return 1.0 / (1.0 + std::exp(-z)); }
 
-namespace detail {
+namespace {
 
+/// Shared training loop: BCE loss, Adam, shuffled mini-batches. Each
+/// mini-batch is one capture over `layers`: `capture(x, row)` returns the
+/// pre-sigmoid logit of one sample captured into `row`, and `backward`
+/// takes d(loss)/d(logit) for every captured row at once.
 void train_bce(const std::vector<Vec>& features,
                const std::vector<double>& labels,
                const ClassifierTrainOptions& options,
-               const std::function<double(const Vec&)>& forward,
-               const std::function<void(double)>& backward,
-               const std::function<std::vector<ParamRef>()>& params,
+               const std::vector<Layer*>& layers,
+               const std::function<double(const Vec&, std::size_t)>& capture,
+               const std::function<void(const Mat&)>& backward,
                util::Rng& rng) {
   if (features.size() != labels.size()) {
     throw std::invalid_argument("train_bce: features/labels size mismatch");
@@ -23,10 +28,17 @@ void train_bce(const std::vector<Vec>& features,
   if (features.empty()) {
     throw std::invalid_argument("train_bce: empty training set");
   }
+  if (options.batch_size == 0) {
+    throw std::invalid_argument("train_bce: batch_size is zero");
+  }
   for (double y : labels) {
     if (y < 0.0 || y > 1.0) {
       throw std::invalid_argument("train_bce: label outside [0, 1]");
     }
+  }
+  std::vector<ParamRef> params;
+  for (Layer* layer : layers) {
+    for (auto p : layer->params()) params.push_back(p);
   }
   Adam optimizer(options.learning_rate);
   std::vector<std::size_t> order(features.size());
@@ -34,38 +46,37 @@ void train_bce(const std::vector<Vec>& features,
 
   for (std::size_t epoch = 0; epoch < options.epochs; ++epoch) {
     rng.shuffle(order);
-    std::size_t in_batch = 0;
-    for (std::size_t idx : order) {
-      const double logit = forward(features[idx]);
-      const double p = sigmoid(logit);
-      // d(BCE)/d(logit) = p - y, averaged over the batch at step time.
-      backward((p - labels[idx]) /
-               static_cast<double>(options.batch_size));
-      if (++in_batch == options.batch_size) {
-        auto ps = params();
-        if (options.l2 > 0.0) {
-          for (auto& pr : ps) {
-            const auto& w = pr.value->data();
-            auto& g = pr.grad->data();
-            for (std::size_t j = 0; j < w.size(); ++j) {
-              g[j] += options.l2 * w[j];
-            }
+    for (std::size_t begin = 0; begin < order.size();) {
+      const std::size_t n = std::min(options.batch_size, order.size() - begin);
+      for (Layer* layer : layers) layer->begin_capture(n);
+      Mat dlogits(n, 1);
+      for (std::size_t row = 0; row < n; ++row) {
+        const std::size_t idx = order[begin + row];
+        const double p = sigmoid(capture(features[idx], row));
+        // d(BCE)/d(logit) = p - y, averaged over a full batch — also on the
+        // trailing partial one.
+        dlogits(row, 0) =
+            (p - labels[idx]) / static_cast<double>(options.batch_size);
+      }
+      backward(dlogits);
+      // Weight decay goes through the gradient of full batches only.
+      if (n == options.batch_size && options.l2 > 0.0) {
+        for (auto& pr : params) {
+          const auto& w = pr.value->data();
+          auto& g = pr.grad->data();
+          for (std::size_t j = 0; j < w.size(); ++j) {
+            g[j] += options.l2 * w[j];
           }
         }
-        Optimizer::clip_global_norm(ps, 5.0);
-        optimizer.step(ps);
-        in_batch = 0;
       }
-    }
-    if (in_batch > 0) {
-      auto ps = params();
-      Optimizer::clip_global_norm(ps, 5.0);
-      optimizer.step(ps);
+      Optimizer::clip_global_norm(params, 5.0);
+      optimizer.step(params);
+      begin += n;
     }
   }
 }
 
-}  // namespace detail
+}  // namespace
 
 // ---- Conv1DClassifier -------------------------------------------------------
 
@@ -84,33 +95,37 @@ Conv1DClassifier::Conv1DClassifier(std::size_t seq_len, std::size_t filters,
   }
 }
 
-double Conv1DClassifier::forward_logit(const Vec& x) {
+Vec Conv1DClassifier::pool(const Vec& conv_out) const {
+  Vec pooled(filters_, 0.0);
+  for (std::size_t t = 0; t < out_len_; ++t) {
+    for (std::size_t f = 0; f < filters_; ++f) {
+      pooled[f] += conv_out[t * filters_ + f];
+    }
+  }
+  for (double& v : pooled) v /= static_cast<double>(out_len_);
+  return pooled;
+}
+
+double Conv1DClassifier::capture_logit(const Vec& x, std::size_t row) {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("Conv1DClassifier: input size mismatch");
   }
-  conv_out_cache_ = conv_.forward(x);
-  // Global average pool over time (conv output is time-major).
-  pooled_cache_.assign(filters_, 0.0);
-  for (std::size_t t = 0; t < out_len_; ++t) {
-    for (std::size_t f = 0; f < filters_; ++f) {
-      pooled_cache_[f] += conv_out_cache_[t * filters_ + f];
-    }
-  }
-  for (double& v : pooled_cache_) v /= static_cast<double>(out_len_);
-  const Vec h = fc1_.forward(pooled_cache_);
-  return fc2_.forward(h)[0];
+  const Vec h = fc1_.forward_capture(pool(conv_.forward_capture(x, row)), row);
+  return fc2_.forward_capture(h, row)[0];
 }
 
-void Conv1DClassifier::backward_logit(double dlogit) {
-  const Vec dh = fc2_.backward(Vec{dlogit});
-  const Vec dpool = fc1_.backward(dh);
-  Vec dconv(out_len_ * filters_, 0.0);
-  for (std::size_t t = 0; t < out_len_; ++t) {
-    for (std::size_t f = 0; f < filters_; ++f) {
-      dconv[t * filters_ + f] = dpool[f] / static_cast<double>(out_len_);
+void Conv1DClassifier::backward_logits(const Mat& dlogits) {
+  const Mat dpool = fc1_.backward_batch(fc2_.backward_batch(dlogits));
+  Mat dconv(dpool.rows(), out_len_ * filters_);
+  for (std::size_t n = 0; n < dpool.rows(); ++n) {
+    for (std::size_t t = 0; t < out_len_; ++t) {
+      for (std::size_t f = 0; f < filters_; ++f) {
+        dconv(n, t * filters_ + f) =
+            dpool(n, f) / static_cast<double>(out_len_);
+      }
     }
   }
-  conv_.backward(dconv);
+  (void)conv_.backward_batch(dconv);
 }
 
 double Conv1DClassifier::predict(const Vec& features) const {
@@ -119,32 +134,16 @@ double Conv1DClassifier::predict(const Vec& features) const {
   }
   // Cache-free inference path, so predict() is const and thread-safe on a
   // fitted model.
-  const Vec conv_out = conv_.infer(features);
-  Vec pooled(filters_, 0.0);
-  for (std::size_t t = 0; t < out_len_; ++t) {
-    for (std::size_t f = 0; f < filters_; ++f) {
-      pooled[f] += conv_out[t * filters_ + f];
-    }
-  }
-  for (double& v : pooled) v /= static_cast<double>(out_len_);
-  return sigmoid(fc2_.infer(fc1_.infer(pooled))[0]);
+  return sigmoid(fc2_.infer(fc1_.infer(pool(conv_.infer(features))))[0]);
 }
 
 void Conv1DClassifier::train(const std::vector<Vec>& features,
                              const std::vector<double>& labels,
                              const ClassifierTrainOptions& options) {
-  detail::train_bce(
-      features, labels, options,
-      [this](const Vec& x) { return forward_logit(x); },
-      [this](double d) { backward_logit(d); },
-      [this] {
-        std::vector<ParamRef> ps;
-        for (auto p : conv_.params()) ps.push_back(p);
-        for (auto p : fc1_.params()) ps.push_back(p);
-        for (auto p : fc2_.params()) ps.push_back(p);
-        return ps;
-      },
-      rng_);
+  train_bce(
+      features, labels, options, {&conv_, &fc1_, &fc2_},
+      [this](const Vec& x, std::size_t row) { return capture_logit(x, row); },
+      [this](const Mat& d) { backward_logits(d); }, rng_);
 }
 
 // ---- MlpClassifier ----------------------------------------------------------
@@ -161,19 +160,19 @@ MlpClassifier::MlpClassifier(std::size_t input_dim,
   layers_.push_back(std::make_unique<Dense>(in, 1, Activation::kLinear, rng));
 }
 
-double MlpClassifier::forward_logit(const Vec& x) {
+double MlpClassifier::capture_logit(const Vec& x, std::size_t row) {
   if (x.size() != input_dim_) {
     throw std::invalid_argument("MlpClassifier: input size mismatch");
   }
   Vec h = x;
-  for (auto& layer : layers_) h = layer->forward(h);
+  for (auto& layer : layers_) h = layer->forward_capture(h, row);
   return h[0];
 }
 
-void MlpClassifier::backward_logit(double dlogit) {
-  Vec d{dlogit};
+void MlpClassifier::backward_logits(const Mat& dlogits) {
+  Mat d = dlogits;
   for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    d = (*it)->backward(d);
+    d = (*it)->backward_batch(d);
   }
 }
 
@@ -189,18 +188,12 @@ double MlpClassifier::predict(const Vec& features) const {
 void MlpClassifier::train(const std::vector<Vec>& features,
                           const std::vector<double>& labels,
                           const ClassifierTrainOptions& options) {
-  detail::train_bce(
-      features, labels, options,
-      [this](const Vec& x) { return forward_logit(x); },
-      [this](double d) { backward_logit(d); },
-      [this] {
-        std::vector<ParamRef> ps;
-        for (auto& layer : layers_) {
-          for (auto p : layer->params()) ps.push_back(p);
-        }
-        return ps;
-      },
-      rng_);
+  std::vector<Layer*> layers;
+  for (auto& layer : layers_) layers.push_back(layer.get());
+  train_bce(
+      features, labels, options, layers,
+      [this](const Vec& x, std::size_t row) { return capture_logit(x, row); },
+      [this](const Mat& d) { backward_logits(d); }, rng_);
 }
 
 }  // namespace nada::nn

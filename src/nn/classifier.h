@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -21,7 +20,7 @@ namespace nada::nn {
 
 struct ClassifierTrainOptions {
   std::size_t epochs = 60;
-  std::size_t batch_size = 16;
+  std::size_t batch_size = 16;  ///< must be positive
   double learning_rate = 1e-3;
   double l2 = 1e-4;  ///< weight decay applied through the gradient
 };
@@ -36,8 +35,9 @@ class BinaryClassifier {
   /// across threads).
   [[nodiscard]] virtual double predict(const Vec& features) const = 0;
 
-  /// Trains with binary cross-entropy. `labels` must be in [0, 1]
-  /// (soft labels are allowed — NADA's label-smoothing variant uses them).
+  /// Trains with binary cross-entropy, one batched backward pass per
+  /// mini-batch. `labels` must be in [0, 1] (soft labels are allowed —
+  /// NADA's label-smoothing variant uses them).
   virtual void train(const std::vector<Vec>& features,
                      const std::vector<double>& labels,
                      const ClassifierTrainOptions& options) = 0;
@@ -59,15 +59,17 @@ class Conv1DClassifier : public BinaryClassifier {
   [[nodiscard]] std::size_t input_dim() const override { return seq_len_; }
 
  private:
-  double forward_logit(const Vec& x);
-  void backward_logit(double dlogit);
+  /// Global average pool over time of a time-major conv output.
+  [[nodiscard]] Vec pool(const Vec& conv_out) const;
+  /// Captures one sample into cache row `row`; returns its logit.
+  double capture_logit(const Vec& x, std::size_t row);
+  /// Backpropagates d(loss)/d(logit), one row per captured sample.
+  void backward_logits(const Mat& dlogits);
 
   std::size_t seq_len_, filters_, out_len_;
   Conv1D conv_;
   Dense fc1_;
   Dense fc2_;
-  Vec conv_out_cache_;
-  Vec pooled_cache_;
   util::Rng rng_;
 };
 
@@ -84,26 +86,13 @@ class MlpClassifier : public BinaryClassifier {
   [[nodiscard]] std::size_t input_dim() const override { return input_dim_; }
 
  private:
-  double forward_logit(const Vec& x);
-  void backward_logit(double dlogit);
+  double capture_logit(const Vec& x, std::size_t row);
+  void backward_logits(const Mat& dlogits);
 
   std::size_t input_dim_;
   std::vector<std::unique_ptr<Dense>> layers_;
   util::Rng rng_;
 };
-
-/// Shared training loop: BCE loss, Adam, shuffled mini-batches.
-/// `forward` returns the pre-sigmoid logit for one sample and must cache
-/// what `backward` needs; `backward` consumes d(loss)/d(logit).
-namespace detail {
-void train_bce(const std::vector<Vec>& features,
-               const std::vector<double>& labels,
-               const ClassifierTrainOptions& options,
-               const std::function<double(const Vec&)>& forward,
-               const std::function<void(double)>& backward,
-               const std::function<std::vector<ParamRef>()>& params,
-               util::Rng& rng);
-}  // namespace detail
 
 /// Logistic transform.
 [[nodiscard]] double sigmoid(double z);

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 #include "nn/mat_kernels.h"
 
@@ -43,6 +44,19 @@ double activate_grad(Activation a, double z, double y) {
   return 1.0;
 }
 
+namespace {
+
+/// forward_capture's row guard: the caches hold `batch` rows.
+void check_capture_row(const char* layer, std::size_t row, std::size_t batch) {
+  if (row >= batch) {
+    throw std::out_of_range(std::string(layer) + "::forward_capture: row " +
+                            std::to_string(row) + " outside a capture of " +
+                            std::to_string(batch));
+  }
+}
+
+}  // namespace
+
 void Layer::zero_grad() {
   for (auto& p : params()) p.grad->zero();
 }
@@ -56,33 +70,6 @@ Dense::Dense(std::size_t in, std::size_t out, Activation act, util::Rng& rng)
   } else {
     w_.init_he(rng);
   }
-}
-
-Vec Dense::forward(const Vec& x) {
-  if (x.size() != w_.cols()) {
-    throw std::invalid_argument("Dense::forward: input size mismatch");
-  }
-  x_cache_ = x;
-  z_cache_ = w_.matvec(x);
-  for (std::size_t i = 0; i < z_cache_.size(); ++i) z_cache_[i] += b_(i, 0);
-  y_cache_.resize(z_cache_.size());
-  for (std::size_t i = 0; i < z_cache_.size(); ++i) {
-    y_cache_[i] = activate(act_, z_cache_[i]);
-  }
-  return y_cache_;
-}
-
-Vec Dense::backward(const Vec& dy) {
-  if (dy.size() != w_.rows()) {
-    throw std::invalid_argument("Dense::backward: grad size mismatch");
-  }
-  Vec dz(dy.size());
-  for (std::size_t i = 0; i < dy.size(); ++i) {
-    dz[i] = dy[i] * activate_grad(act_, z_cache_[i], y_cache_[i]);
-  }
-  dw_.add_outer(dz, x_cache_);
-  for (std::size_t i = 0; i < dz.size(); ++i) db_(i, 0) += dz[i];
-  return w_.matvec_transposed(dz);
 }
 
 Vec Dense::infer(const Vec& x) const {
@@ -122,6 +109,7 @@ Vec Dense::forward_capture(const Vec& x, std::size_t row) {
   if (x.size() != w_.cols()) {
     throw std::invalid_argument("Dense::forward_capture: input mismatch");
   }
+  check_capture_row("Dense", row, xb_cache_.rows());
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
   const std::size_t out = w_.rows();
   const auto zr = zb_cache_.row(row);
@@ -141,25 +129,6 @@ Vec Dense::forward_capture(const Vec& x, std::size_t row) {
     yr[i] = y[i];
   }
   return y;
-}
-
-Mat Dense::forward_batch(const Mat& x) {
-  if (x.cols() != w_.cols()) {
-    throw std::invalid_argument("Dense::forward_batch: input size mismatch");
-  }
-  xb_cache_ = x;
-  // Both kernels produce the same k-ascending accumulation per output
-  // element as matvec (bit-identical); the synced transpose enables the
-  // contiguous axpy form, the unsynced fallback is the register-tiled
-  // dot-product form with no transpose copy.
-  zb_cache_ = wt_cache_.empty() ? matmul_nt(x, w_) : matmul(x, wt_cache_);
-  const std::size_t out = w_.rows();
-  for (std::size_t n = 0; n < x.rows(); ++n) {
-    for (std::size_t i = 0; i < out; ++i) zb_cache_(n, i) += b_(i, 0);
-  }
-  yb_cache_ = zb_cache_;
-  for (double& v : yb_cache_.data()) v = activate(act_, v);
-  return yb_cache_;
 }
 
 Mat Dense::backward_batch(const Mat& dy) {
@@ -247,6 +216,7 @@ Vec Conv1D::forward_capture(const Vec& x, std::size_t row) {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("Conv1D::forward_capture: input mismatch");
   }
+  check_capture_row("Conv1D", row, xb_cache_.rows());
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
   const auto zr = zb_cache_.row(row);
   conv_one(x.data(), zr.data());
@@ -259,51 +229,6 @@ Vec Conv1D::forward_capture(const Vec& x, std::size_t row) {
   return y;
 }
 
-Vec Conv1D::forward(const Vec& x) {
-  if (x.size() != seq_len_) {
-    throw std::invalid_argument("Conv1D::forward: input size mismatch");
-  }
-  x_cache_ = x;
-  z_cache_.assign(out_len_ * filters_, 0.0);
-  // Training forward always reads the live weights directly — never the
-  // synced transpose — so plain forward/backward training loops stay
-  // correct on a layer whose inference cache has gone stale.
-  for (std::size_t t = 0; t < out_len_; ++t) {
-    for (std::size_t f = 0; f < filters_; ++f) {
-      double acc = b_(f, 0);
-      for (std::size_t k = 0; k < kernel_; ++k) {
-        acc += w_(f, k) * x[t + k];
-      }
-      z_cache_[t * filters_ + f] = acc;
-    }
-  }
-  y_cache_.resize(z_cache_.size());
-  for (std::size_t i = 0; i < z_cache_.size(); ++i) {
-    y_cache_[i] = activate(act_, z_cache_[i]);
-  }
-  return y_cache_;
-}
-
-Vec Conv1D::backward(const Vec& dy) {
-  if (dy.size() != out_len_ * filters_) {
-    throw std::invalid_argument("Conv1D::backward: grad size mismatch");
-  }
-  Vec dx(seq_len_, 0.0);
-  for (std::size_t t = 0; t < out_len_; ++t) {
-    for (std::size_t f = 0; f < filters_; ++f) {
-      const std::size_t idx = t * filters_ + f;
-      const double dz = dy[idx] * activate_grad(act_, z_cache_[idx],
-                                                y_cache_[idx]);
-      db_(f, 0) += dz;
-      for (std::size_t k = 0; k < kernel_; ++k) {
-        dw_(f, k) += dz * x_cache_[t + k];
-        dx[t + k] += dz * w_(f, k);
-      }
-    }
-  }
-  return dx;
-}
-
 Vec Conv1D::infer(const Vec& x) const {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("Conv1D::infer: input size mismatch");
@@ -312,20 +237,6 @@ Vec Conv1D::infer(const Vec& x) const {
   conv_one(x.data(), y.data());
   for (double& v : y) v = activate(act_, v);
   return y;
-}
-
-Mat Conv1D::forward_batch(const Mat& x) {
-  if (x.cols() != seq_len_) {
-    throw std::invalid_argument("Conv1D::forward_batch: input size mismatch");
-  }
-  xb_cache_ = x;
-  zb_cache_ = Mat(x.rows(), out_len_ * filters_);
-  for (std::size_t n = 0; n < x.rows(); ++n) {
-    conv_one(x.row(n).data(), zb_cache_.row(n).data());
-  }
-  yb_cache_ = zb_cache_;
-  for (double& v : yb_cache_.data()) v = activate(act_, v);
-  return yb_cache_;
 }
 
 Mat Conv1D::backward_batch(const Mat& dy) {
@@ -373,45 +284,6 @@ SimpleRnn::SimpleRnn(std::size_t seq_len, std::size_t hidden, util::Rng& rng)
   wh_.init_xavier(rng);
 }
 
-Vec SimpleRnn::forward(const Vec& x) {
-  if (x.size() != seq_len_) {
-    throw std::invalid_argument("SimpleRnn::forward: input size mismatch");
-  }
-  x_cache_ = x;
-  h_cache_.assign(seq_len_ + 1, Vec(hidden_, 0.0));
-  for (std::size_t t = 0; t < seq_len_; ++t) {
-    const Vec wh_h = wh_.matvec(h_cache_[t]);
-    for (std::size_t i = 0; i < hidden_; ++i) {
-      h_cache_[t + 1][i] =
-          std::tanh(wx_(i, 0) * x[t] + wh_h[i] + b_(i, 0));
-    }
-  }
-  return h_cache_.back();
-}
-
-Vec SimpleRnn::backward(const Vec& dy) {
-  if (dy.size() != hidden_) {
-    throw std::invalid_argument("SimpleRnn::backward: grad size mismatch");
-  }
-  Vec dx(seq_len_, 0.0);
-  Vec dh = dy;  // gradient flowing into h_t
-  for (std::size_t t = seq_len_; t-- > 0;) {
-    const Vec& h_next = h_cache_[t + 1];
-    Vec dz(hidden_);
-    for (std::size_t i = 0; i < hidden_; ++i) {
-      dz[i] = dh[i] * (1.0 - h_next[i] * h_next[i]);  // tanh'
-    }
-    for (std::size_t i = 0; i < hidden_; ++i) {
-      dwx_(i, 0) += dz[i] * x_cache_[t];
-      db_(i, 0) += dz[i];
-      dx[t] += dz[i] * wx_(i, 0);
-    }
-    dwh_.add_outer(dz, h_cache_[t]);
-    dh = wh_.matvec_transposed(dz);
-  }
-  return dx;
-}
-
 Vec SimpleRnn::infer(const Vec& x) const {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("SimpleRnn::infer: input size mismatch");
@@ -428,30 +300,6 @@ Vec SimpleRnn::infer(const Vec& x) const {
   return h;
 }
 
-Mat SimpleRnn::forward_batch(const Mat& x) {
-  if (x.cols() != seq_len_) {
-    throw std::invalid_argument("SimpleRnn::forward_batch: input mismatch");
-  }
-  xb_cache_ = x;
-  hb_cache_.assign(x.rows(), {});
-  Mat out(x.rows(), hidden_);
-  for (std::size_t n = 0; n < x.rows(); ++n) {
-    const auto xr = x.row(n);
-    auto& h_cache = hb_cache_[n];
-    h_cache.assign(seq_len_ + 1, Vec(hidden_, 0.0));
-    for (std::size_t t = 0; t < seq_len_; ++t) {
-      const Vec wh_h = wh_.matvec(h_cache[t]);
-      for (std::size_t i = 0; i < hidden_; ++i) {
-        h_cache[t + 1][i] =
-            std::tanh(wx_(i, 0) * xr[t] + wh_h[i] + b_(i, 0));
-      }
-    }
-    std::copy(h_cache.back().begin(), h_cache.back().end(),
-              out.row(n).begin());
-  }
-  return out;
-}
-
 void SimpleRnn::begin_capture(std::size_t batch) {
   if (xb_cache_.rows() != batch || xb_cache_.cols() != seq_len_) {
     xb_cache_ = Mat(batch, seq_len_);
@@ -463,6 +311,7 @@ Vec SimpleRnn::forward_capture(const Vec& x, std::size_t row) {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("SimpleRnn::forward_capture: input mismatch");
   }
+  check_capture_row("SimpleRnn", row, xb_cache_.rows());
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
   auto& h_cache = hb_cache_[row];
   h_cache.assign(seq_len_ + 1, Vec(hidden_, 0.0));
@@ -558,14 +407,6 @@ Vec Lstm::forward_one(std::span<const double> x,
   return h;
 }
 
-Vec Lstm::forward(const Vec& x) {
-  if (x.size() != seq_len_) {
-    throw std::invalid_argument("Lstm::forward: input size mismatch");
-  }
-  x_cache_ = x;
-  return forward_one(x, steps_);
-}
-
 void Lstm::backward_one(std::span<const double> x,
                         const std::vector<StepCache>& steps, const Vec& dy,
                         std::span<double> dx) {
@@ -601,35 +442,12 @@ void Lstm::backward_one(std::span<const double> x,
   }
 }
 
-Vec Lstm::backward(const Vec& dy) {
-  if (dy.size() != hidden_) {
-    throw std::invalid_argument("Lstm::backward: grad size mismatch");
-  }
-  Vec dx(seq_len_, 0.0);
-  backward_one(x_cache_, steps_, dy, dx);
-  return dx;
-}
-
 Vec Lstm::infer(const Vec& x) const {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("Lstm::infer: input size mismatch");
   }
   std::vector<StepCache> steps;
   return forward_one(x, steps);
-}
-
-Mat Lstm::forward_batch(const Mat& x) {
-  if (x.cols() != seq_len_) {
-    throw std::invalid_argument("Lstm::forward_batch: input size mismatch");
-  }
-  xb_cache_ = x;
-  steps_batch_.assign(x.rows(), {});
-  Mat out(x.rows(), hidden_);
-  for (std::size_t n = 0; n < x.rows(); ++n) {
-    const Vec h = forward_one(x.row(n), steps_batch_[n]);
-    std::copy(h.begin(), h.end(), out.row(n).begin());
-  }
-  return out;
 }
 
 void Lstm::begin_capture(std::size_t batch) {
@@ -643,6 +461,7 @@ Vec Lstm::forward_capture(const Vec& x, std::size_t row) {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("Lstm::forward_capture: input mismatch");
   }
+  check_capture_row("Lstm", row, xb_cache_.rows());
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
   return forward_one(x, steps_batch_[row]);
 }

@@ -1,10 +1,15 @@
-// Neural network layers with explicit forward/backward passes.
+// Neural network layers with one training pass and one inference pass.
 //
-// Each layer caches its most recent forward inputs; backward() consumes the
-// upstream gradient, accumulates parameter gradients (so multi-step A2C
-// batches sum naturally), and returns the gradient with respect to the
-// layer input. Networks are single-sample — ABR decisions are made one
-// state at a time and batches are accumulated across rollout steps.
+// Training captures a batch row by row and backpropagates it at once:
+// begin_capture(n) sizes a layer's batch caches, forward_capture(x, row)
+// computes one sample and records what the backward pass needs in that
+// row, and backward_batch(dy) takes one gradient row per captured sample,
+// accumulates parameter gradients in ascending row order (so a multi-step
+// A2C update or a classifier mini-batch sums naturally), and returns the
+// per-row input gradients. infer() computes the same outputs without
+// touching any cache. The single-sample form of each layer's math is the
+// test oracle tests/nn_serial_oracle.h; tests/nn_test.cpp pins both
+// passes to it bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -33,46 +38,33 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Computes the layer output, caching what backward needs.
-  virtual Vec forward(const Vec& x) = 0;
+  /// Sizes the batch caches for `batch` rows. forward_capture overwrites
+  /// a row completely, so the caches are reallocated only when the shape
+  /// changes.
+  virtual void begin_capture(std::size_t batch) = 0;
 
-  /// Backpropagates dy (gradient of loss wrt output); accumulates parameter
-  /// gradients and returns gradient wrt the input of the last forward().
-  virtual Vec backward(const Vec& dy) = 0;
+  /// Computes one sample and writes what backward_batch needs into cache
+  /// row `row`. Throws std::out_of_range unless `row` is below the batch
+  /// of the last begin_capture().
+  virtual Vec forward_capture(const Vec& x, std::size_t row) = 0;
 
-  /// Batched forward: each row of `x` is one sample. Row b of the result is
-  /// bit-identical to forward(row b); caches (separately from the
-  /// single-sample caches) what backward_batch needs.
-  virtual Mat forward_batch(const Mat& x) = 0;
-
-  /// Batched backward for the last forward_batch() (or a completed
-  /// begin_capture()/forward_capture() sequence). Accumulates parameter
-  /// gradients in ascending sample order — bit-identical to a loop of
-  /// single-sample forward/backward calls — and returns per-row input
+  /// Backpropagates dy (one row per captured sample): accumulates
+  /// parameter gradients in ascending row order and returns per-row input
   /// gradients.
   virtual Mat backward_batch(const Mat& dy) = 0;
 
-  /// Row-at-a-time batched forward, for callers that produce samples one
-  /// step at a time (a policy rollout) but want the batch caches filled as
-  /// they go so no second forward pass is needed before backward_batch.
-  /// begin_capture sizes the caches; forward_capture computes one sample
-  /// (bit-identical to forward()) and writes its caches into `row`.
-  virtual void begin_capture(std::size_t batch) = 0;
-  virtual Vec forward_capture(const Vec& x, std::size_t row) = 0;
-
-  /// Allocation-light inference: same math as forward() but touches no
-  /// training caches, so it is const and safe on a shared layer.
+  /// Allocation-light inference: the same outputs as forward_capture, but
+  /// touches no cache, so it is const and safe on a shared layer.
   [[nodiscard]] virtual Vec infer(const Vec& x) const = 0;
 
   /// Rebuilds derived read-only state the fast paths use (e.g. Dense's
   /// transposed weights, which turn the latency-bound matvec into a
   /// vectorizable sweep with the same per-element accumulation order).
   /// Contract: once a layer has been synced, it must be re-synced after
-  /// every parameter change before the next infer(), forward_capture(),
-  /// or forward_batch() — those paths read the cached transpose when one
-  /// exists. forward()/backward() always read the live weights, so plain
-  /// single-sample training never needs syncing; a layer that has never
-  /// been synced uses its slow exact path everywhere.
+  /// every parameter change before the next infer() or forward_capture(),
+  /// which read the cached transpose when one exists. A layer that has
+  /// never been synced uses its exact slow path everywhere, so a training
+  /// loop that never syncs never goes stale.
   virtual void sync_inference_cache() {}
 
   virtual std::vector<ParamRef> params() = 0;
@@ -88,9 +80,6 @@ class Dense : public Layer {
  public:
   Dense(std::size_t in, std::size_t out, Activation act, util::Rng& rng);
 
-  Vec forward(const Vec& x) override;
-  Vec backward(const Vec& dy) override;
-  Mat forward_batch(const Mat& x) override;
   Mat backward_batch(const Mat& dy) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
@@ -104,7 +93,6 @@ class Dense : public Layer {
   Mat w_, dw_;
   Mat b_, db_;
   Activation act_;
-  Vec x_cache_, z_cache_, y_cache_;
   Mat xb_cache_, zb_cache_, yb_cache_;
   Mat wt_cache_;  ///< w_^T; empty until sync_inference_cache()
 };
@@ -118,9 +106,6 @@ class Conv1D : public Layer {
   Conv1D(std::size_t seq_len, std::size_t filters, std::size_t kernel,
          Activation act, util::Rng& rng);
 
-  Vec forward(const Vec& x) override;
-  Vec backward(const Vec& dy) override;
-  Mat forward_batch(const Mat& x) override;
   Mat backward_batch(const Mat& dy) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
@@ -142,7 +127,6 @@ class Conv1D : public Layer {
   Mat w_, dw_;  // filters x kernel
   Mat b_, db_;  // filters x 1
   Activation act_;
-  Vec x_cache_, z_cache_, y_cache_;
   Mat xb_cache_, zb_cache_, yb_cache_;
   Mat wt_cache_;  ///< w_^T (kernel x filters); empty until synced
 };
@@ -154,9 +138,6 @@ class SimpleRnn : public Layer {
  public:
   SimpleRnn(std::size_t seq_len, std::size_t hidden, util::Rng& rng);
 
-  Vec forward(const Vec& x) override;
-  Vec backward(const Vec& dy) override;
-  Mat forward_batch(const Mat& x) override;
   Mat backward_batch(const Mat& dy) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
@@ -170,8 +151,6 @@ class SimpleRnn : public Layer {
   Mat wx_, dwx_;  // hidden x 1
   Mat wh_, dwh_;  // hidden x hidden
   Mat b_, db_;    // hidden x 1
-  Vec x_cache_;
-  std::vector<Vec> h_cache_;  // h_0..h_T (h_0 = zeros)
   Mat xb_cache_;
   std::vector<std::vector<Vec>> hb_cache_;  // per sample: h_0..h_T
 };
@@ -182,9 +161,6 @@ class Lstm : public Layer {
  public:
   Lstm(std::size_t seq_len, std::size_t hidden, util::Rng& rng);
 
-  Vec forward(const Vec& x) override;
-  Vec backward(const Vec& dy) override;
-  Mat forward_batch(const Mat& x) override;
   Mat backward_batch(const Mat& dy) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
@@ -211,8 +187,6 @@ class Lstm : public Layer {
   // Gate weights stacked [i; f; g; o]: (4H x (1 + H)) over [x_t, h_{t-1}].
   Mat w_, dw_;
   Mat b_, db_;  // 4H x 1
-  Vec x_cache_;
-  std::vector<StepCache> steps_;
   Mat xb_cache_;
   std::vector<std::vector<StepCache>> steps_batch_;
 };

@@ -102,11 +102,11 @@ double Mat::frobenius_norm() const {
 // The batched kernels are register-tiled: four samples (or four
 // accumulation steps) advance together through independent accumulators,
 // while each OUTPUT ELEMENT still accumulates its own products in exactly
-// the serial order, so results stay bit-identical to the single-sample
-// loops (pinned by tests/nn_test.cpp's bitwise comparisons). The loop
-// bodies live in nn/mat_kernels.* in scalar/avx2/fma flavors; these
-// wrappers shape-check, tally call volume for the nn.matmul.* metrics,
-// and dispatch to the active flavor.
+// the serial order, so results stay bit-identical to the per-sample loops
+// (pinned by tests/nn_test.cpp's bitwise comparisons). The loop bodies
+// live in nn/mat_kernels.* in scalar/avx2/fma flavors; these wrappers
+// shape-check, tally call volume for the nn.matmul.* metrics, and dispatch
+// to the active flavor.
 
 namespace {
 
@@ -118,17 +118,6 @@ inline void tally_matmul(std::size_t n, std::size_t inner, std::size_t m) {
 }
 
 }  // namespace
-
-Mat matmul_nt(const Mat& a, const Mat& b) {
-  if (a.cols() != b.cols()) {
-    throw std::invalid_argument("matmul_nt: inner dimension mismatch");
-  }
-  Mat c(a.rows(), b.rows());
-  tally_matmul(a.rows(), a.cols(), b.rows());
-  active_kernels().matmul_nt(a.ptr(), b.ptr(), c.ptr(), a.rows(), a.cols(),
-                             b.rows());
-  return c;
-}
 
 Mat matmul(const Mat& a, const Mat& b) {
   if (a.cols() != b.rows()) {
@@ -148,17 +137,6 @@ void add_matmul_tn(Mat& c, const Mat& a, const Mat& b) {
   tally_matmul(a.rows(), c.rows(), c.cols());
   active_kernels().add_matmul_tn(a.ptr(), b.ptr(), c.ptr(), a.rows(),
                                  c.rows(), c.cols());
-}
-
-void vec_add_inplace(Vec& a, std::span<const double> b) {
-  if (a.size() != b.size()) {
-    throw std::invalid_argument("vec_add_inplace: size mismatch");
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) a[i] += b[i];
-}
-
-void vec_scale_inplace(Vec& a, double s) {
-  for (double& x : a) x *= s;
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {

@@ -1,8 +1,10 @@
 // Dense matrix/vector math for the from-scratch neural network library.
 //
 // Networks in this repository are small (histories of length 8, hidden
-// sizes <= 256), so a simple row-major double matrix with straightforward
-// loops is both fast enough and easy to verify. All layers build on Mat.
+// sizes <= 256), so a simple row-major double matrix is enough. All layers
+// build on Mat: its matvec is the exact path an unsynced layer computes
+// one sample with, and the batched kernels below carry the batched
+// backward pass.
 #pragma once
 
 #include <cstddef>
@@ -75,9 +77,9 @@ class Mat {
 
   void add_scaled(const Mat& other, double scale);
 
-  /// Transposed copy (cols x rows). The batched Dense forward multiplies
-  /// against W^T so its inner loop runs over contiguous output columns —
-  /// the vectorizable formulation of the same k-ascending dot product.
+  /// Transposed copy (cols x rows). Synced Dense and Conv1D layers sweep
+  /// W^T so their inner loop runs over contiguous output columns — the
+  /// vectorizable formulation of the same k-ascending dot product.
   [[nodiscard]] Mat transposed() const;
 
   [[nodiscard]] double frobenius_norm() const;
@@ -90,20 +92,16 @@ class Mat {
 
 // ---- Batched (matrix-matrix) kernels --------------------------------------
 //
-// These back the batched layer forward/backward passes. Each kernel's
-// per-element accumulation order matches its single-sample counterpart
-// exactly, so batched results are bit-identical to a loop of single-sample
-// calls — the property the batched/serial probe equivalence test pins down.
+// These carry the layers' batched backward pass. Each kernel's per-element
+// accumulation order matches its per-sample counterpart (matvec_transposed,
+// add_outer) exactly, so a batched backward is bit-identical to one sample
+// at a time — the property tests/nn_test.cpp pins against the serial
+// oracle.
 //
-// Since the SIMD flavors landed, these wrappers shape-check, account call
-// volume, and dispatch to the active kernel flavor (nn/mat_kernels.h):
-// scalar and avx2 are bit-identical by contract, fma is pinned-divergent
-// and scoped out of scalar journals via the kernel=fma store-scope token.
-
-/// C = A * B^T with A (n x k) and B (m x k) -> C (n x m). Row i of C is
-/// bit-identical to B.matvec(row i of A): the k-dimension accumulates in
-/// ascending order into a fresh accumulator per element.
-[[nodiscard]] Mat matmul_nt(const Mat& a, const Mat& b);
+// The wrappers shape-check, account call volume, and dispatch to the
+// active kernel flavor (nn/mat_kernels.h): scalar and avx2 are
+// bit-identical by contract, fma is pinned-divergent and scoped out of
+// scalar journals via the kernel=fma store-scope token.
 
 /// C = A * B with A (n x r) and B (r x m) -> C (n x m). Row i of C is
 /// bit-identical to B.matvec_transposed(row i of A): the r-dimension
@@ -117,8 +115,6 @@ void add_matmul_tn(Mat& c, const Mat& a, const Mat& b);
 
 // ---- Vector helpers -------------------------------------------------------
 
-void vec_add_inplace(Vec& a, std::span<const double> b);
-void vec_scale_inplace(Vec& a, double s);
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
 [[nodiscard]] Vec softmax(std::span<const double> logits);
 [[nodiscard]] double l2_norm(std::span<const double> a);

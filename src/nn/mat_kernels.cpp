@@ -99,7 +99,6 @@ KernelFlavor resolve_kernel_flavor(const char* value, bool built_avx2,
 namespace {
 
 constexpr KernelTable kScalarTable = {
-    detail::matmul_nt_scalar,
     detail::matmul_scalar,
     detail::add_matmul_tn_scalar,
     detail::wt_axpy_scalar,
@@ -107,7 +106,6 @@ constexpr KernelTable kScalarTable = {
 
 #if defined(NADA_NN_HAVE_AVX2)
 constexpr KernelTable kAvx2Table = {
-    detail::avx2::matmul_nt,
     detail::avx2::matmul,
     detail::avx2::add_matmul_tn,
     detail::avx2::wt_axpy,
@@ -116,7 +114,6 @@ constexpr KernelTable kAvx2Table = {
 
 #if defined(NADA_NN_HAVE_FMA)
 constexpr KernelTable kFmaTable = {
-    detail::fma::matmul_nt,
     detail::fma::matmul,
     detail::fma::add_matmul_tn,
     detail::fma::wt_axpy,
@@ -196,56 +193,14 @@ KernelCounters& thread_kernel_counters() {
 
 // ---- scalar flavor ---------------------------------------------------------
 //
-// The reference kernels: four samples (or four accumulation steps) advance
-// together through independent accumulators. This breaks the single FMA
-// dependency chain that makes matvec latency-bound and cuts weight-matrix
-// traffic by 4x — while each OUTPUT ELEMENT still accumulates its own
-// products in exactly the serial order, so results stay bit-identical to
-// the single-sample loops (pinned by tests/nn_test.cpp's bitwise
-// comparisons). The vector flavors map these same accumulators onto SIMD
-// lanes; see mat_kernels_simd.inc.
+// The reference kernels: four samples advance together through
+// independent accumulators, which cuts weight-matrix traffic by 4x — while
+// each OUTPUT ELEMENT still accumulates its own products in exactly the
+// serial order, so results stay bit-identical to the per-sample loops
+// (pinned by tests/nn_test.cpp's bitwise comparisons). The vector flavors
+// map these same accumulators onto SIMD lanes; see mat_kernels_simd.inc.
 
 namespace detail {
-
-void matmul_nt_scalar(const double* a, const double* b, double* c,
-                      std::size_t n, std::size_t k_dim, std::size_t m) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const double* a0 = a + i * k_dim;
-    const double* a1 = a0 + k_dim;
-    const double* a2 = a1 + k_dim;
-    const double* a3 = a2 + k_dim;
-    double* c0 = c + i * m;
-    double* c1 = c0 + m;
-    double* c2 = c1 + m;
-    double* c3 = c2 + m;
-    for (std::size_t j = 0; j < m; ++j) {
-      const double* brow = b + j * k_dim;
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (std::size_t k = 0; k < k_dim; ++k) {
-        const double w = brow[k];
-        s0 += w * a0[k];
-        s1 += w * a1[k];
-        s2 += w * a2[k];
-        s3 += w * a3[k];
-      }
-      c0[j] = s0;
-      c1[j] = s1;
-      c2[j] = s2;
-      c3[j] = s3;
-    }
-  }
-  for (; i < n; ++i) {
-    const double* arow = a + i * k_dim;
-    double* crow = c + i * m;
-    for (std::size_t j = 0; j < m; ++j) {
-      const double* brow = b + j * k_dim;
-      double acc = 0.0;
-      for (std::size_t k = 0; k < k_dim; ++k) acc += brow[k] * arow[k];
-      crow[j] = acc;
-    }
-  }
-}
 
 void matmul_scalar(const double* a, const double* b, double* c, std::size_t n,
                    std::size_t r_dim, std::size_t m) {

@@ -1,10 +1,10 @@
 // Runtime-dispatched kernel flavors for the batched `nn` hot path.
 //
-// The register-tiled double kernels behind matmul/matmul_nt/add_matmul_tn
-// and the transposed-weight inference sweep exist in up to three flavors:
+// The register-tiled double kernels behind matmul/add_matmul_tn and the
+// transposed-weight inference sweep exist in up to three flavors:
 //
 //   scalar  portable loops; the reference semantics on every platform
-//   avx2    the same 4-sample accumulator tile mapped onto AVX2 lanes with
+//   avx2    the same 4-sample tile with output columns in AVX2 lanes and
 //           separate multiply and add per step — BIT-IDENTICAL to scalar
 //           by contract (every output element accumulates its products in
 //           exactly the serial order, and an unfused vector lane rounds
@@ -63,9 +63,6 @@ void set_kernel_flavor(KernelFlavor flavor);
 // accounting, then dispatch here. All matrices are row-major and dense.
 
 struct KernelTable {
-  /// C (n x m) = A (n x k) * B^T with B (m x k); fully writes c.
-  void (*matmul_nt)(const double* a, const double* b, double* c,
-                    std::size_t n, std::size_t k, std::size_t m);
   /// C (n x m) += A (n x r) * B with B (r x m); callers zero c first.
   void (*matmul)(const double* a, const double* b, double* c, std::size_t n,
                  std::size_t r, std::size_t m);
@@ -97,8 +94,6 @@ struct KernelCounters {
 namespace detail {
 
 // Scalar flavor (always built).
-void matmul_nt_scalar(const double* a, const double* b, double* c,
-                      std::size_t n, std::size_t k, std::size_t m);
 void matmul_scalar(const double* a, const double* b, double* c, std::size_t n,
                    std::size_t r, std::size_t m);
 void add_matmul_tn_scalar(const double* a, const double* b, double* c,
@@ -110,8 +105,6 @@ void wt_axpy_scalar(const double* wt, const double* x, double* z,
 // is compiled in (see built_with_*_kernels). Declared unconditionally so
 // the dispatch TU can reference them behind its build-capability macros.
 namespace avx2 {
-void matmul_nt(const double* a, const double* b, double* c, std::size_t n,
-               std::size_t k, std::size_t m);
 void matmul(const double* a, const double* b, double* c, std::size_t n,
             std::size_t r, std::size_t m);
 void add_matmul_tn(const double* a, const double* b, double* c, std::size_t n,
@@ -121,8 +114,6 @@ void wt_axpy(const double* wt, const double* x, double* z, std::size_t k,
 }  // namespace avx2
 
 namespace fma {
-void matmul_nt(const double* a, const double* b, double* c, std::size_t n,
-               std::size_t k, std::size_t m);
 void matmul(const double* a, const double* b, double* c, std::size_t n,
             std::size_t r, std::size_t m);
 void add_matmul_tn(const double* a, const double* b, double* c, std::size_t n,

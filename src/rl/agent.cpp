@@ -40,8 +40,8 @@ PolicyAgent::Decision PolicyAgent::decide(const dsl::Bindings& obs,
   if (!matrix.all_finite()) {
     throw dsl::RuntimeError("state program produced non-finite values");
   }
-  // Inference-only forward: bit-identical to net().forward, leaves the
-  // training caches alone, and rides the fast path on a synced net (the
+  // Inference-only forward: bit-identical to net().forward_capture, leaves
+  // the training caches alone, and rides the fast path on a synced net (the
   // training engine's checkpoint evaluations).
   const auto out = net_->forward_inference(network_rows(matrix));
   Decision d;

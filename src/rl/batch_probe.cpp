@@ -44,9 +44,9 @@ void roll_episode(PolicyAgent& agent, env::Episode& episode,
     if (!matrix.all_finite()) {
       throw dsl::RuntimeError("state program produced non-finite values");
     }
-    // Capture forward: bit-identical to net().forward, runs on the synced
-    // fast inference path, and writes this step's row of the batch caches
-    // so the epoch update can go straight to backward_batch.
+    // Capture forward: bit-identical to forward_inference, runs on the
+    // synced fast inference path, and writes this step's row of the batch
+    // caches so the epoch update can go straight to backward_batch.
     auto out = agent.net().forward_capture(agent.network_rows(matrix),
                                            rollout.actions.size());
     const std::size_t action = rng.weighted_index(out.probs);

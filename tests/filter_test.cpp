@@ -261,6 +261,21 @@ TEST(EarlyStopModel, RejectsBadConfig) {
                std::invalid_argument);
 }
 
+// A zero batch size would divide every gradient by zero; both classifier
+// kinds reject it before training.
+TEST(EarlyStopModel, ZeroBatchSizeRejected) {
+  const auto corpus = synthetic_corpus(20, 8);
+  EarlyStopConfig config;
+  config.train.epochs = 3;
+  config.train.batch_size = 0;
+  for (const EarlyStopMethod method :
+       {EarlyStopMethod::kRewardOnly, EarlyStopMethod::kTextOnly}) {
+    EarlyStopModel model(method, config, 1);
+    EXPECT_THROW(model.fit(corpus), std::invalid_argument)
+        << early_stop_method_name(method);
+  }
+}
+
 TEST(EarlyStopModel, TinyCorpusRejected) {
   EarlyStopConfig config;
   EarlyStopModel model(EarlyStopMethod::kRewardOnly, config, 1);

@@ -1,11 +1,16 @@
 // Tests for the neural-network substrate. The crucial ones are numerical
-// gradient checks: every layer's analytic backward pass is compared with
-// finite differences of a scalar loss.
+// gradient checks — every layer's analytic backward pass is compared with
+// finite differences of a scalar loss — and the bitwise pins of the
+// capture + backward_batch pass and infer() against the single-sample
+// oracle in nn_serial_oracle.h.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <iomanip>
+#include <sstream>
 #include <string>
 
 #include "nn/arch.h"
@@ -13,7 +18,9 @@
 #include "nn/layers.h"
 #include "nn/mat.h"
 #include "nn/optimizer.h"
+#include "nn_serial_oracle.h"
 #include "util/rng.h"
+#include "util/strings.h"
 
 namespace nada::nn {
 namespace {
@@ -107,22 +114,22 @@ TEST(VecOps, ResampleFromSingleValue) {
 
 // ---- gradient checks ----------------------------------------------------------
 
-// Scalar loss L = sum(w_out .* layer(x)); checks dL/dx and dL/dparams
-// against central finite differences.
+// Scalar loss L = sum(w_out .* layer(x)); checks a one-row capture's dL/dx
+// and dL/dparams against central finite differences of infer().
 void check_layer_gradients(Layer& layer, const Vec& x, double tol = 1e-5) {
   util::Rng rng(777);
   Vec w_out(layer.out_dim());
   for (double& w : w_out) w = rng.uniform(-1.0, 1.0);
+  Mat dy(1, w_out.size());
+  std::copy(w_out.begin(), w_out.end(), dy.row(0).begin());
 
-  auto loss = [&](const Vec& input) {
-    const Vec y = layer.forward(input);
-    return dot(y, w_out);
-  };
+  auto loss = [&](const Vec& input) { return dot(layer.infer(input), w_out); };
 
-  // Analytic gradients.
+  // Analytic gradients: one captured row, one backward_batch.
   layer.zero_grad();
-  (void)layer.forward(x);
-  const Vec dx = layer.backward(w_out);
+  layer.begin_capture(1);
+  (void)layer.forward_capture(x, 0);
+  const Mat dx = layer.backward_batch(dy);
 
   // Input gradient check.
   const double eps = 1e-6;
@@ -132,14 +139,10 @@ void check_layer_gradients(Layer& layer, const Vec& x, double tol = 1e-5) {
     xp[i] += eps;
     xm[i] -= eps;
     const double numeric = (loss(xp) - loss(xm)) / (2 * eps);
-    EXPECT_NEAR(dx[i], numeric, tol) << "input grad " << i;
+    EXPECT_NEAR(dx(0, i), numeric, tol) << "input grad " << i;
   }
 
-  // Parameter gradient check. Re-run analytic backward because the finite
-  // difference probes disturbed the forward cache.
-  layer.zero_grad();
-  (void)layer.forward(x);
-  (void)layer.backward(w_out);
+  // Parameter gradient check.
   for (auto& p : layer.params()) {
     auto& values = p.value->data();
     auto& grads = p.grad->data();
@@ -221,21 +224,6 @@ TEST(GradCheck, Lstm) {
 
 // ---- batched kernels and batched layer passes --------------------------------
 
-TEST(Mat, MatmulNtMatchesMatvecPerRow) {
-  util::Rng rng(41);
-  Mat a(3, 5);
-  Mat b(4, 5);
-  for (double& v : a.data()) v = rng.uniform(-1.0, 1.0);
-  for (double& v : b.data()) v = rng.uniform(-1.0, 1.0);
-  const Mat c = matmul_nt(a, b);
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const Vec expect = b.matvec(a.row(i));
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      EXPECT_EQ(c(i, j), expect[j]);  // bitwise
-    }
-  }
-}
-
 TEST(Mat, MatmulMatchesMatvecTransposedPerRow) {
   util::Rng rng(42);
   Mat a(3, 4);
@@ -269,7 +257,6 @@ TEST(Mat, AddMatmulTnMatchesSequentialAddOuter) {
 TEST(Mat, BatchedKernelShapeMismatchThrows) {
   Mat a(2, 3);
   Mat b(2, 4);
-  EXPECT_THROW((void)matmul_nt(a, b), std::invalid_argument);
   EXPECT_THROW((void)matmul(a, b), std::invalid_argument);
   Mat c(3, 3);
   EXPECT_THROW(add_matmul_tn(c, a, b), std::invalid_argument);
@@ -290,8 +277,6 @@ TEST(Mat, BatchedKernelMismatchMessages) {
   Mat a(2, 3);
   Mat b(2, 4);
   Mat c(3, 3);
-  EXPECT_EQ(message_of([&] { (void)matmul_nt(a, b); }),
-            "matmul_nt: inner dimension mismatch");
   EXPECT_EQ(message_of([&] { (void)matmul(a, b); }),
             "matmul: inner dimension mismatch");
   EXPECT_EQ(message_of([&] { add_matmul_tn(c, a, b); }),
@@ -310,37 +295,12 @@ Mat random_mat(std::size_t rows, std::size_t cols, std::uint64_t seed) {
   return m;
 }
 
-// Tail-vs-tiled pins: the kernels tile four rows (matmul, matmul_nt) or
-// four samples (add_matmul_tn) per sweep and fall back to a remainder loop
-// for the rest. A row's result must not depend on which path computed it,
-// so every row count around the tile boundary is compared bitwise against
-// the serial single-sample reference — and against the same rows computed
+// Tail-vs-tiled pins: the kernels tile four rows (matmul) or four samples
+// (add_matmul_tn) per sweep and fall back to a remainder loop for the
+// rest. A row's result must not depend on which path computed it, so every
+// row count around the tile boundary is compared bitwise against the
+// serial single-sample reference — and against the same rows computed
 // inside a full tile via a padded operand.
-TEST(Mat, MatmulNtTailRowsMatchTiledBitwise) {
-  const Mat b = random_mat(5, 3, 90);
-  for (const std::size_t rows : {1u, 2u, 3u, 5u, 6u, 7u, 9u}) {
-    const Mat a = random_mat(rows, 3, 100 + rows);
-    const Mat c = matmul_nt(a, b);
-    // Serial reference: row i is exactly b.matvec(row i of a).
-    for (std::size_t i = 0; i < rows; ++i) {
-      const Vec expect = b.matvec(a.row(i));
-      for (std::size_t j = 0; j < b.rows(); ++j) {
-        EXPECT_EQ(c(i, j), expect[j]) << "rows=" << rows << " i=" << i;
-      }
-    }
-    // Padded operand: the same leading rows now run through the 4-row tile.
-    const std::size_t padded_rows = ((rows + 3) / 4) * 4;
-    Mat padded(padded_rows, 3);
-    std::copy(a.data().begin(), a.data().end(), padded.data().begin());
-    const Mat c_padded = matmul_nt(padded, b);
-    for (std::size_t i = 0; i < rows; ++i) {
-      for (std::size_t j = 0; j < b.rows(); ++j) {
-        EXPECT_EQ(c(i, j), c_padded(i, j)) << "rows=" << rows << " i=" << i;
-      }
-    }
-  }
-}
-
 TEST(Mat, MatmulTailRowsMatchTiledBitwise) {
   const Mat b = random_mat(3, 4, 91);
   for (const std::size_t rows : {1u, 2u, 3u, 5u, 6u, 7u, 9u}) {
@@ -384,23 +344,17 @@ TEST(Mat, BatchedKernelsDegenerateShapes) {
   // 1-col outputs, 1-row inputs, and inner dimension 1: every degenerate
   // edge still matches the serial reference bitwise.
   const Mat a1 = random_mat(1, 4, 500);   // single sample
-  const Mat b1 = random_mat(1, 4, 501);   // single output element (nt)
-  const Mat c_nt = matmul_nt(a1, b1);
-  ASSERT_EQ(c_nt.rows(), 1u);
-  ASSERT_EQ(c_nt.cols(), 1u);
-  EXPECT_EQ(c_nt(0, 0), b1.matvec(a1.row(0))[0]);
-
   const Mat bcol = random_mat(4, 1, 502);  // 1-col B
   const Mat c_col = matmul(a1, bcol);
   ASSERT_EQ(c_col.cols(), 1u);
   EXPECT_EQ(c_col(0, 0), bcol.matvec_transposed(a1.row(0))[0]);
 
   const Mat ak1 = random_mat(5, 1, 503);  // inner dimension 1
-  const Mat bk1 = random_mat(3, 1, 504);
-  const Mat c_k1 = matmul_nt(ak1, bk1);
+  const Mat bk1 = random_mat(1, 3, 504);
+  const Mat c_k1 = matmul(ak1, bk1);
   for (std::size_t i = 0; i < 5; ++i) {
     for (std::size_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(c_k1(i, j), bk1.matvec(ak1.row(i))[j]);
+      EXPECT_EQ(c_k1(i, j), bk1.matvec_transposed(ak1.row(i))[j]);
     }
   }
 
@@ -416,94 +370,115 @@ TEST(Mat, BatchedKernelsDegenerateShapes) {
 }
 
 /// Two layers built from the same seed have identical weights; run B
-/// samples through one with single-sample calls and through the other with
-/// one batched call, and demand bitwise-equal outputs, parameter gradients,
-/// and input gradients.
-template <typename MakeLayer>
-void check_batched_matches_single(MakeLayer make, std::size_t in_dim,
-                                  std::size_t batch) {
-  util::Rng rng_single(2024);
-  util::Rng rng_batch(2024);
-  auto single = make(rng_single);
-  auto batched = make(rng_batch);
+/// samples through one with the single-sample oracle and through the other
+/// as one B-row capture + backward_batch, and demand bitwise-equal outputs,
+/// parameter gradients, and input gradients — with the capturing layer
+/// unsynced (exact path) and synced (fast path).
+template <typename MakeLayer, typename MakeOracle>
+void check_capture_matches_oracle(MakeLayer make, MakeOracle oracle_of,
+                                  std::size_t in_dim, std::size_t batch) {
+  for (const bool synced : {false, true}) {
+    SCOPED_TRACE(synced ? "synced" : "unsynced");
+    util::Rng rng_serial(2024);
+    util::Rng rng_capture(2024);
+    auto serial = make(rng_serial);
+    auto captured = make(rng_capture);
+    if (synced) captured->sync_inference_cache();
+    test::nn_serial::Layer oracle = oracle_of(serial->params());
 
-  util::Rng data_rng(7);
-  Mat x(batch, in_dim);
-  for (double& v : x.data()) v = data_rng.uniform(-1.0, 1.0);
-  Mat dy(batch, single->out_dim());
-  for (double& v : dy.data()) v = data_rng.uniform(-1.0, 1.0);
+    util::Rng data_rng(7);
+    Mat x(batch, in_dim);
+    for (double& v : x.data()) v = data_rng.uniform(-1.0, 1.0);
+    Mat dy(batch, serial->out_dim());
+    for (double& v : dy.data()) v = data_rng.uniform(-1.0, 1.0);
 
-  // infer() must agree with forward().
-  {
-    const Vec x0(x.row(0).begin(), x.row(0).end());
-    EXPECT_EQ(single->infer(x0), single->forward(x0));
-  }
-
-  single->zero_grad();
-  batched->zero_grad();
-  Mat dx_single(batch, in_dim);
-  for (std::size_t nidx = 0; nidx < batch; ++nidx) {
-    const Vec xn(x.row(nidx).begin(), x.row(nidx).end());
-    const Vec yn = single->forward(xn);
-    const Vec dyn(dy.row(nidx).begin(), dy.row(nidx).end());
-    const Vec dxn = single->backward(dyn);
-    std::copy(dxn.begin(), dxn.end(), dx_single.row(nidx).begin());
-    (void)yn;
-  }
-  const Mat y_batch = batched->forward_batch(x);
-  const Mat dx_batch = batched->backward_batch(dy);
-
-  // Outputs bitwise-identical to per-sample forward.
-  for (std::size_t nidx = 0; nidx < batch; ++nidx) {
-    const Vec xn(x.row(nidx).begin(), x.row(nidx).end());
-    const Vec yn = single->forward(xn);
-    for (std::size_t j = 0; j < yn.size(); ++j) {
-      EXPECT_EQ(y_batch(nidx, j), yn[j]) << "sample " << nidx;
+    // infer() must agree with the oracle's forward.
+    {
+      const Vec x0(x.row(0).begin(), x.row(0).end());
+      EXPECT_EQ(captured->infer(x0), test::nn_serial::forward(oracle, x0));
     }
-  }
-  EXPECT_EQ(dx_single.data(), dx_batch.data());
-  auto ps = single->params();
-  auto pb = batched->params();
-  ASSERT_EQ(ps.size(), pb.size());
-  for (std::size_t p = 0; p < ps.size(); ++p) {
-    EXPECT_EQ(ps[p].grad->data(), pb[p].grad->data()) << "param " << p;
+
+    serial->zero_grad();
+    captured->zero_grad();
+    Mat y_serial(batch, serial->out_dim());
+    Mat dx_serial(batch, in_dim);
+    for (std::size_t nidx = 0; nidx < batch; ++nidx) {
+      const Vec xn(x.row(nidx).begin(), x.row(nidx).end());
+      const Vec yn = test::nn_serial::forward(oracle, xn);
+      const Vec dyn(dy.row(nidx).begin(), dy.row(nidx).end());
+      const Vec dxn = test::nn_serial::backward(oracle, dyn);
+      std::copy(yn.begin(), yn.end(), y_serial.row(nidx).begin());
+      std::copy(dxn.begin(), dxn.end(), dx_serial.row(nidx).begin());
+    }
+    captured->begin_capture(batch);
+    Mat y_capture(batch, captured->out_dim());
+    for (std::size_t nidx = 0; nidx < batch; ++nidx) {
+      const Vec xn(x.row(nidx).begin(), x.row(nidx).end());
+      const Vec yn = captured->forward_capture(xn, nidx);
+      std::copy(yn.begin(), yn.end(), y_capture.row(nidx).begin());
+    }
+    const Mat dx_capture = captured->backward_batch(dy);
+
+    EXPECT_EQ(y_serial.data(), y_capture.data());
+    EXPECT_EQ(dx_serial.data(), dx_capture.data());
+    auto ps = serial->params();
+    auto pc = captured->params();
+    ASSERT_EQ(ps.size(), pc.size());
+    for (std::size_t p = 0; p < ps.size(); ++p) {
+      EXPECT_EQ(ps[p].grad->data(), pc[p].grad->data()) << "param " << p;
+    }
   }
 }
 
 TEST(BatchedLayers, DenseMatchesSingle) {
-  check_batched_matches_single(
+  check_capture_matches_oracle(
       [](util::Rng& rng) {
         return std::make_unique<Dense>(5, 4, Activation::kTanh, rng);
+      },
+      [](std::vector<ParamRef> ps) {
+        return test::nn_serial::dense(std::move(ps), Activation::kTanh);
       },
       5, 6);
 }
 
 TEST(BatchedLayers, DenseReluMatchesSingle) {
-  check_batched_matches_single(
+  check_capture_matches_oracle(
       [](util::Rng& rng) {
         return std::make_unique<Dense>(6, 3, Activation::kRelu, rng);
+      },
+      [](std::vector<ParamRef> ps) {
+        return test::nn_serial::dense(std::move(ps), Activation::kRelu);
       },
       6, 4);
 }
 
 TEST(BatchedLayers, Conv1DMatchesSingle) {
-  check_batched_matches_single(
+  check_capture_matches_oracle(
       [](util::Rng& rng) {
         return std::make_unique<Conv1D>(8, 3, 4, Activation::kRelu, rng);
+      },
+      [](std::vector<ParamRef> ps) {
+        return test::nn_serial::conv1d(std::move(ps), Activation::kRelu);
       },
       8, 5);
 }
 
 TEST(BatchedLayers, SimpleRnnMatchesSingle) {
-  check_batched_matches_single(
+  check_capture_matches_oracle(
       [](util::Rng& rng) { return std::make_unique<SimpleRnn>(8, 4, rng); },
+      [](std::vector<ParamRef> ps) {
+        return test::nn_serial::rnn(std::move(ps));
+      },
       8, 5);
 }
 
 TEST(BatchedLayers, LstmMatchesSingle) {
-  check_batched_matches_single(
-      [](util::Rng& rng) { return std::make_unique<Lstm>(8, 4, rng); }, 8,
-      5);
+  check_capture_matches_oracle(
+      [](util::Rng& rng) { return std::make_unique<Lstm>(8, 4, rng); },
+      [](std::vector<ParamRef> ps) {
+        return test::nn_serial::lstm(std::move(ps));
+      },
+      8, 5);
 }
 
 TEST(Conv1D, RejectsBadKernel) {
@@ -517,11 +492,35 @@ TEST(Conv1D, RejectsBadKernel) {
 TEST(Layers, ForwardRejectsWrongSize) {
   util::Rng rng(12);
   Dense dense(3, 2, Activation::kRelu, rng);
-  EXPECT_THROW(dense.forward({1.0, 2.0}), std::invalid_argument);
+  dense.begin_capture(1);
+  EXPECT_THROW(dense.forward_capture({1.0, 2.0}, 0), std::invalid_argument);
+  EXPECT_THROW((void)dense.infer({1.0, 2.0}), std::invalid_argument);
   SimpleRnn rnn(4, 3, rng);
-  EXPECT_THROW(rnn.forward({1.0}), std::invalid_argument);
+  rnn.begin_capture(1);
+  EXPECT_THROW(rnn.forward_capture({1.0}, 0), std::invalid_argument);
+  EXPECT_THROW((void)rnn.infer({1.0}), std::invalid_argument);
   Lstm lstm(4, 3, rng);
-  EXPECT_THROW(lstm.forward({1.0}), std::invalid_argument);
+  lstm.begin_capture(1);
+  EXPECT_THROW(lstm.forward_capture({1.0}, 0), std::invalid_argument);
+  EXPECT_THROW((void)lstm.infer({1.0}), std::invalid_argument);
+}
+
+// forward_capture writes cache row `row`: outside the batch of the last
+// begin_capture (or before any) it must throw, not write out of bounds.
+TEST(Layers, ForwardCaptureRejectsRowOutsideBatch) {
+  util::Rng rng(25);
+  std::vector<std::unique_ptr<Layer>> layers;
+  layers.push_back(std::make_unique<Dense>(3, 2, Activation::kRelu, rng));
+  layers.push_back(std::make_unique<Conv1D>(6, 2, 3, Activation::kRelu, rng));
+  layers.push_back(std::make_unique<SimpleRnn>(6, 3, rng));
+  layers.push_back(std::make_unique<Lstm>(6, 3, rng));
+  for (auto& layer : layers) {
+    const Vec x(layer->in_dim(), 0.5);
+    EXPECT_THROW((void)layer->forward_capture(x, 0), std::out_of_range);
+    layer->begin_capture(2);
+    EXPECT_NO_THROW((void)layer->forward_capture(x, 1));
+    EXPECT_THROW((void)layer->forward_capture(x, 2), std::out_of_range);
+  }
 }
 
 // ---- optimizers -----------------------------------------------------------------
@@ -643,7 +642,8 @@ TEST_P(NetVariantTest, ForwardBackwardRuns) {
                            {0.2, 0.2, 0.3, 0.1, 0.4, 0.2, 0.3, 0.2},
                            {0.1, 0.2, 0.4, 0.7, 1.1, 1.7},
                            {0.5}};
-  const auto out = net.forward(rows);
+  net.begin_batch_capture(1);
+  const auto out = net.forward_capture(rows, 0);
   ASSERT_EQ(out.probs.size(), 6u);
   double total = 0.0;
   for (double p : out.probs) {
@@ -653,9 +653,9 @@ TEST_P(NetVariantTest, ForwardBackwardRuns) {
   EXPECT_NEAR(total, 1.0, 1e-9);
   EXPECT_TRUE(std::isfinite(out.value));
 
-  Vec dlogits(6, 0.1);
-  dlogits[2] = -0.5;
-  EXPECT_NO_THROW(net.backward(dlogits, 0.7));
+  Mat dlogits(1, 6, 0.1);
+  dlogits(0, 2) = -0.5;
+  EXPECT_NO_THROW(net.backward_batch(dlogits, {0.7}));
   // Gradients should be nonzero somewhere.
   double grad_norm = 0.0;
   for (auto& p : net.params()) {
@@ -689,10 +689,10 @@ TEST_P(NetBatchedVariantTest, BatchedMatchesSingleBitwise) {
   spec.scalar_hidden = 8;
   spec.merge_hidden = 8;
   util::Rng rng_single(99);
-  util::Rng rng_batch(99);
+  util::Rng rng_unsynced(99);
   util::Rng rng_capture(99);
   ActorCriticNet single(spec, pensieve_signature(), 6, rng_single);
-  ActorCriticNet batched(spec, pensieve_signature(), 6, rng_batch);
+  ActorCriticNet unsynced(spec, pensieve_signature(), 6, rng_unsynced);
   ActorCriticNet captured(spec, pensieve_signature(), 6, rng_capture);
   captured.sync_inference_cache();  // capture runs on the fast path
 
@@ -711,49 +711,52 @@ TEST_P(NetBatchedVariantTest, BatchedMatchesSingleBitwise) {
   Vec dvalues(batch);
   for (double& v : dvalues) v = data_rng.uniform(-0.5, 0.5);
 
-  // Single path: interleaved forward/backward per sample, as the serial
-  // trainer's gradient loop does.
+  // Single path: the serial oracle over `single`'s parameters, interleaved
+  // forward/backward per sample.
   single.zero_grad();
+  test::nn_serial::Net oracle =
+      test::nn_serial::net_of(single, pensieve_signature());
   std::vector<ActorCriticNet::Output> single_outs;
   for (std::size_t b = 0; b < batch; ++b) {
-    single_outs.push_back(single.forward(samples[b]));
+    single_outs.push_back(test::nn_serial::forward(oracle, samples[b]));
     const Vec db(dlogits.row(b).begin(), dlogits.row(b).end());
-    single.backward(db, dvalues[b]);
+    test::nn_serial::backward(oracle, db, dvalues[b]);
   }
-  batched.zero_grad();
-  const auto batch_out = batched.forward_batch(samples);
-  batched.backward_batch(dlogits, dvalues);
 
-  // Capture path: forward one row at a time (as the rollout does), then a
-  // single backward over the captured caches.
-  captured.zero_grad();
-  captured.begin_batch_capture(batch);
-  std::vector<ActorCriticNet::Output> capture_outs;
-  for (std::size_t b = 0; b < batch; ++b) {
-    capture_outs.push_back(captured.forward_capture(samples[b], b));
-  }
-  captured.backward_batch(dlogits, dvalues);
+  // Capture path, on the exact path (unsynced) and the fast path (synced):
+  // forward one row at a time (as the rollout does), then a single
+  // backward over the captured caches.
+  auto run_capture = [&](ActorCriticNet& net) {
+    net.zero_grad();
+    net.begin_batch_capture(batch);
+    std::vector<ActorCriticNet::Output> outs;
+    for (std::size_t b = 0; b < batch; ++b) {
+      outs.push_back(net.forward_capture(samples[b], b));
+    }
+    net.backward_batch(dlogits, dvalues);
+    return outs;
+  };
+  const auto unsynced_outs = run_capture(unsynced);
+  const auto capture_outs = run_capture(captured);
 
   for (std::size_t b = 0; b < batch; ++b) {
-    EXPECT_EQ(batch_out.probs[b], single_outs[b].probs);  // bitwise
-    EXPECT_EQ(batch_out.values[b], single_outs[b].value);
+    EXPECT_EQ(unsynced_outs[b].probs, single_outs[b].probs);  // bitwise
+    EXPECT_EQ(unsynced_outs[b].value, single_outs[b].value);
     EXPECT_EQ(capture_outs[b].probs, single_outs[b].probs);
     EXPECT_EQ(capture_outs[b].value, single_outs[b].value);
     // forward_inference must agree as well (it shares the fast path).
     const auto inference = captured.forward_inference(samples[b]);
     EXPECT_EQ(inference.probs, single_outs[b].probs);
     EXPECT_EQ(inference.value, single_outs[b].value);
-    for (std::size_t j = 0; j < 6; ++j) {
-      EXPECT_EQ(batch_out.logits(b, j), single_outs[b].logits[j]);
-    }
+    EXPECT_EQ(unsynced_outs[b].logits, single_outs[b].logits);
   }
   auto ps = single.params();
-  auto pb = batched.params();
+  auto pu = unsynced.params();
   auto pc = captured.params();
-  ASSERT_EQ(ps.size(), pb.size());
+  ASSERT_EQ(ps.size(), pu.size());
   ASSERT_EQ(ps.size(), pc.size());
   for (std::size_t p = 0; p < ps.size(); ++p) {
-    EXPECT_EQ(ps[p].grad->data(), pb[p].grad->data()) << "param " << p;
+    EXPECT_EQ(ps[p].grad->data(), pu[p].grad->data()) << "param " << p;
     EXPECT_EQ(ps[p].grad->data(), pc[p].grad->data()) << "param " << p;
   }
 }
@@ -779,9 +782,29 @@ TEST(ActorCriticNet, BatchedRejectsEmptyAndMalformedBatches) {
   StateSignature sig;
   sig.row_lengths = {1, 8};
   ActorCriticNet net(spec, sig, 3, rng);
-  EXPECT_THROW((void)net.forward_batch({}), std::invalid_argument);
-  std::vector<std::vector<Vec>> bad_rows = {{{0.1}}};
-  EXPECT_THROW((void)net.forward_batch(bad_rows), std::invalid_argument);
+  EXPECT_THROW(net.begin_batch_capture(0), std::invalid_argument);
+  net.begin_batch_capture(1);
+  const std::vector<Vec> bad_rows = {{0.1}};
+  EXPECT_THROW((void)net.forward_capture(bad_rows, 0), std::invalid_argument);
+}
+
+TEST(ActorCriticNet, ForwardCaptureRejectsRowOutsideBatch) {
+  for (const bool shared : {false, true}) {
+    ArchSpec spec = ArchSpec::pensieve();
+    spec.conv_filters = 4;
+    spec.scalar_hidden = 4;
+    spec.merge_hidden = 4;
+    spec.shared_trunk = shared;
+    util::Rng rng(26);
+    StateSignature sig;
+    sig.row_lengths = {1, 8};
+    ActorCriticNet net(spec, sig, 3, rng);
+    const std::vector<Vec> rows = {{0.4}, Vec(8, 0.1)};
+    net.begin_batch_capture(2);
+    EXPECT_NO_THROW((void)net.forward_capture(rows, 1));
+    EXPECT_THROW((void)net.forward_capture(rows, 2), std::out_of_range)
+        << (shared ? "shared" : "separate");
+  }
 }
 
 TEST(ActorCriticNet, WholeNetGradientCheck) {
@@ -803,13 +826,16 @@ TEST(ActorCriticNet, WholeNetGradientCheck) {
   const Vec w_logit = {0.3, -0.7, 0.5};
   const double w_value = 0.9;
   auto loss = [&] {
-    const auto out = net.forward(rows);
+    const auto out = net.forward_inference(rows);
     return dot(out.logits, w_logit) + w_value * out.value;
   };
 
   net.zero_grad();
-  (void)net.forward(rows);
-  net.backward(w_logit, w_value);
+  net.begin_batch_capture(1);
+  (void)net.forward_capture(rows, 0);
+  Mat dlogits(1, w_logit.size());
+  std::copy(w_logit.begin(), w_logit.end(), dlogits.row(0).begin());
+  net.backward_batch(dlogits, {w_value});
 
   const double eps = 1e-6;
   auto params = net.params();
@@ -851,8 +877,8 @@ TEST(ActorCriticNet, WeightsRoundtrip) {
                                  {0.2, 0.2, 0.3, 0.1, 0.4, 0.2, 0.3, 0.2},
                                  {0.1, 0.2, 0.4, 0.7, 1.1, 1.7},
                                  {0.5}};
-  const auto oa = a.forward(rows);
-  const auto ob = b.forward(rows);
+  const auto oa = a.forward_inference(rows);
+  const auto ob = b.forward_inference(rows);
   for (std::size_t i = 0; i < 6; ++i) {
     EXPECT_DOUBLE_EQ(oa.probs[i], ob.probs[i]);
   }
@@ -877,10 +903,27 @@ TEST(ActorCriticNet, RowMismatchThrows) {
   spec.scalar_hidden = 8;
   spec.merge_hidden = 8;
   ActorCriticNet net(spec, pensieve_signature(), 6, rng);
-  EXPECT_THROW(net.forward({{0.1}}), std::invalid_argument);
+  EXPECT_THROW(net.forward_inference({{0.1}}), std::invalid_argument);
   std::vector<Vec> bad_rows = {{0.3}, {0.9}, {0.1, 0.2}, {0.2},
                                {0.1}, {0.5}};
-  EXPECT_THROW(net.forward(bad_rows), std::invalid_argument);
+  EXPECT_THROW(net.forward_inference(bad_rows), std::invalid_argument);
+  net.begin_batch_capture(1);
+  EXPECT_THROW(net.forward_capture({{0.1}}, 0), std::invalid_argument);
+  EXPECT_THROW(net.forward_capture(bad_rows, 0), std::invalid_argument);
+
+  // Training errors are journaled, so the message text is pinned.
+  auto message_of = [](auto&& fn) -> std::string {
+    try {
+      fn();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "(no throw)";
+  };
+  EXPECT_EQ(message_of([&] { (void)net.forward_inference({{0.1}}); }),
+            "ActorCriticNet::forward_inference: row count 1 != signature 6");
+  EXPECT_EQ(message_of([&] { (void)net.forward_capture(bad_rows, 0); }),
+            "ActorCriticNet::forward_capture: row 2 length mismatch");
 }
 
 TEST(ActorCriticNet, FewerThanTwoActionsRejected) {
@@ -986,6 +1029,46 @@ TEST(Classifier, PredictIsConstAndStable) {
   EXPECT_EQ(c1, cnn_ref.predict(x));
   EXPECT_GT(c1, 0.0);
   EXPECT_LT(c1, 1.0);
+}
+
+// Pins classifier training to the bits it produced when each sample ran
+// its own forward and backward pass: 37 samples at the default batch size
+// of 16 leave a trailing partial mini-batch of 5, which divides its
+// gradients by 16 and gets no L2 term.
+std::uint64_t prediction_digest(const BinaryClassifier& clf,
+                                const std::vector<Vec>& xs) {
+  std::ostringstream hex;
+  hex << std::hex << std::setfill('0');
+  for (const Vec& x : xs) {
+    hex << std::setw(16) << std::bit_cast<std::uint64_t>(clf.predict(x));
+  }
+  return util::fnv1a64(hex.str());
+}
+
+TEST(Classifier, TrainingMatchesPinnedPredictions) {
+  util::Rng data_rng(31);
+  std::vector<Vec> series;
+  std::vector<Vec> features;
+  std::vector<double> labels;
+  for (std::size_t i = 0; i < 37; ++i) {
+    Vec s(12);
+    for (double& v : s) v = data_rng.uniform(-1.0, 1.0);
+    series.push_back(std::move(s));
+    Vec f(5);
+    for (double& v : f) v = data_rng.uniform(-1.0, 1.0);
+    features.push_back(std::move(f));
+    labels.push_back(i % 3 == 0 ? 1.0 : (i % 3 == 1 ? 0.0 : 0.75));
+  }
+  ClassifierTrainOptions opts;
+  opts.epochs = 3;
+  ASSERT_EQ(opts.batch_size, 16u);
+  util::Rng rng(32);
+  Conv1DClassifier cnn(12, 4, 3, 6, rng);
+  cnn.train(series, labels, opts);
+  MlpClassifier mlp(5, {6, 4}, rng);
+  mlp.train(features, labels, opts);
+  EXPECT_EQ(prediction_digest(cnn, series), 0x93b798bccde1d403ULL);
+  EXPECT_EQ(prediction_digest(mlp, features), 0x587cf9d8ab7f3c2cULL);
 }
 
 }  // namespace

@@ -225,7 +225,7 @@ INSTANTIATE_TEST_SUITE_P(AllEnvironments, TraceRoundtrip,
 
 class WidthSweep : public ::testing::TestWithParam<std::size_t> {};
 
-// Property: forward passes are deterministic and produce valid
+// Property: the inference and capture forwards agree and produce valid
 // distributions at every width.
 TEST_P(WidthSweep, ForwardDeterministicAndNormalized) {
   nn::ArchSpec spec = nn::ArchSpec::pensieve();
@@ -238,8 +238,9 @@ TEST_P(WidthSweep, ForwardDeterministicAndNormalized) {
       {0.3}, {0.9}, {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8},
       {0.2, 0.2, 0.3, 0.1, 0.4, 0.2, 0.3, 0.2},
       {0.1, 0.2, 0.4, 0.7, 1.1, 1.7}, {0.5}};
-  const auto a = net.forward(rows);
-  const auto b = net.forward(rows);
+  const auto a = net.forward_inference(rows);
+  net.begin_batch_capture(1);
+  const auto b = net.forward_capture(rows, 0);
   EXPECT_EQ(a.probs, b.probs);
   EXPECT_EQ(a.value, b.value);
   double total = 0.0;
@@ -259,8 +260,8 @@ TEST_P(WidthSweep, RecurrentUnitsAreOrderSensitive) {
   const nn::Vec forward_seq = {0.1, 0.4, 0.2, 0.8, 0.3, 0.9, 0.5, 0.7};
   nn::Vec reversed = forward_seq;
   std::reverse(reversed.begin(), reversed.end());
-  EXPECT_NE(rnn.forward(forward_seq), rnn.forward(reversed));
-  EXPECT_NE(lstm.forward(forward_seq), lstm.forward(reversed));
+  EXPECT_NE(rnn.infer(forward_seq), rnn.infer(reversed));
+  EXPECT_NE(lstm.infer(forward_seq), lstm.infer(reversed));
 }
 
 INSTANTIATE_TEST_SUITE_P(Widths, WidthSweep,

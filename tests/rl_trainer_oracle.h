@@ -5,15 +5,17 @@
 // It is the protocol written the straightforward way: per step it runs
 // the state program and a single-sample forward pass to act; per epoch it
 // reruns both for every step to estimate values, and once more to
-// backpropagate each step on its own. It shares the A2C arithmetic
-// (discounted_returns, condition_advantages, a2c_step_gradient) and the
-// evaluation helpers with the engine through src/rl/trainer.h, so the two
-// cannot drift apart there; everything else is its own. tests/
-// batch_probe_test.cpp (ABR) and tests/cc_funnel_test.cpp (CC) pin the
-// engine bit-identical to it, and bench/probe_batch.cpp times one against
-// the other.
+// backpropagate each step on its own, through a one-row capture. Its
+// network is never synced, so every forward takes the layers' exact path.
+// It shares the A2C arithmetic (discounted_returns, condition_advantages,
+// a2c_step_gradient) and the evaluation helpers with the engine through
+// src/rl/trainer.h, so the two cannot drift apart there; everything else
+// is its own. tests/batch_probe_test.cpp (ABR) and tests/cc_funnel_test.cpp
+// (CC) pin the engine bit-identical to it, and bench/probe_batch.cpp times
+// one against the other.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <stdexcept>
 #include <utility>
@@ -142,7 +144,8 @@ class Trainer {
     matrices.reserve(steps.size());
     for (std::size_t t = 0; t < steps.size(); ++t) {
       matrices.push_back(agent.eval_state(steps[t].obs));
-      const auto out = agent.net().forward(agent.network_rows(matrices[t]));
+      const auto out =
+          agent.net().forward_inference(agent.network_rows(matrices[t]));
       advantages[t] = returns[t] - out.value;
     }
     rl::condition_advantages(config_, advantages);
@@ -154,12 +157,16 @@ class Trainer {
     double reward_sum = 0.0;
     for (std::size_t t = 0; t < steps.size(); ++t) {
       reward_sum += steps[t].reward;
-      const auto out = agent.net().forward(agent.network_rows(matrices[t]));
+      agent.net().begin_batch_capture(1);
+      const auto out =
+          agent.net().forward_capture(agent.network_rows(matrices[t]), 0);
       nn::Vec dlogits(num_actions);
       const double dvalue = rl::a2c_step_gradient(
           config_, out.probs, steps[t].action, advantages[t], returns[t],
           out.value, entropy_weight, scale, dlogits);
-      agent.net().backward(dlogits, dvalue);
+      nn::Mat dlogits_row(1, num_actions);
+      std::copy(dlogits.begin(), dlogits.end(), dlogits_row.row(0).begin());
+      agent.net().backward_batch(dlogits_row, {dvalue});
     }
     auto params = agent.net().params();
     nn::Optimizer::clip_global_norm(params, config_.grad_clip);
