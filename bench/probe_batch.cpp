@@ -12,16 +12,27 @@
 // that decides how many candidates a machine can screen per hour. The
 // bench also verifies the engine's headline guarantee on every row: its
 // reward curves and test scores must be bit-identical to the oracle's.
+//
+// A last section splits one-thread probe time by phase
+// (rl.probe.phase.*.seconds) for an ABR pensieve cohort and a CC cohort of
+// conv, LSTM and RNN designs, and fails unless the phases cover at least
+// 90% of rl.probe_block.seconds.
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <iostream>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "cc/cc_domain.h"
 #include "env/abr_domain.h"
+#include "filter/checks.h"
 #include "gen/state_gen.h"
 #include "nn/mat_kernels.h"
+#include "obs/metrics.h"
 #include "rl/batch_probe.h"
 #include "rl/session.h"
 #include "rl/trainer.h"
@@ -30,8 +41,47 @@
 #include "util/thread_pool.h"
 #include "video/video.h"
 
+using namespace nada;
+
+namespace {
+
+constexpr std::array<const char*, 7> kPhases = {
+    "dsl", "forward", "sample", "env", "backward", "optimizer", "sync"};
+constexpr double kMinPhaseCover = 0.9;
+
+/// Trains `jobs` on one thread with the phase counters on, adds each
+/// phase's share of rl.probe_block.seconds to `table`, and returns the
+/// share all phases cover together.
+double add_phase_split(util::TextTable& table, const std::string& cohort,
+                       const env::TaskDomain& domain,
+                       const rl::TrainConfig& config,
+                       std::span<const rl::ProbeJob> jobs) {
+  obs::MetricsRegistry metrics;
+  const rl::BatchProbeTrainer engine(
+      domain, rl::BatchProbeConfig{.train = config, .metrics = &metrics});
+  (void)engine.train(jobs, nullptr);
+  const double total = metrics.histogram("rl.probe_block.seconds").sum();
+  double covered = 0.0;
+  for (const char* phase : kPhases) {
+    const double seconds =
+        metrics.histogram(std::string("rl.probe.phase.") + phase + ".seconds")
+            .sum();
+    covered += seconds;
+    table.add_row_mixed({cohort, phase},
+                        {seconds * 1e3 / static_cast<double>(jobs.size()),
+                         seconds / std::max(total, 1e-12)},
+                        3);
+  }
+  table.add_row_mixed({cohort, "task (rl.probe_block)"},
+                      {total * 1e3 / static_cast<double>(jobs.size()),
+                       covered / std::max(total, 1e-12)},
+                      3);
+  return covered / std::max(total, 1e-12);
+}
+
+}  // namespace
+
 int main() {
-  using namespace nada;
   const auto scale = util::ScaleConfig::from_env();
   bench::banner("Training engine — candidates/sec vs the serial oracle",
                 scale);
@@ -276,8 +326,94 @@ int main() {
 
   std::cout << table.to_string() << "\n";
   bench::save_csv("probe_batch.csv", table);
+
+  // Phase split: where one-thread probe time goes, per probe task. The
+  // last row of each cohort is the task's wall-clock and the share of it
+  // the phases cover.
+  bool phases_cover = true;
+  {
+    util::TextTable split("Probe phase split (one thread, ms per probe)");
+    split.set_header({"cohort", "phase", "ms/probe", "share"});
+
+    // The ABR cohort is the shape nada_bench's abr-state-stream probes:
+    // pre-check survivors of the ABR state-space stream on pensieve
+    // 32/32/32 with a 64-wide merge.
+    gen::StateGenerator stream(gen::abr_state_space(), gen::gpt4_profile(),
+                               gen::PromptStrategy{}, 77);
+    std::vector<dsl::StateProgram> survivors;
+    for (const auto& candidate : stream.generate_batch(96)) {
+      if (survivors.size() >= 8) break;
+      std::optional<dsl::StateProgram> compiled;
+      if (filter::compilation_check(candidate.source, domain.catalog(),
+                                    &compiled)
+              .passed &&
+          filter::normalization_check(*compiled, domain.catalog()).passed) {
+        survivors.push_back(std::move(*compiled));
+      }
+    }
+    nn::ArchSpec pensieve = nn::ArchSpec::pensieve();
+    pensieve.conv_filters = 32;
+    pensieve.rnn_hidden = 32;
+    pensieve.scalar_hidden = 32;
+    pensieve.merge_hidden = 64;
+    std::vector<rl::ProbeJob> abr_jobs;
+    for (std::size_t i = 0; i < 16 && !survivors.empty(); ++i) {
+      abr_jobs.push_back(rl::ProbeJob{&survivors[i % survivors.size()],
+                                      &pensieve, 0x5bd1e995ULL * (i + 1)});
+    }
+    // The funnel's probe budget (nada_bench's 20 early epochs), whatever
+    // the scale: network construction and weight init are in no phase,
+    // and at a few epochs they would be a large share of a task.
+    rl::TrainConfig split_config = probe_config;
+    split_config.epochs = 20;
+    const double abr_cover = add_phase_split(split, "abr pensieve", domain,
+                                             split_config, abr_jobs);
+
+    const trace::Dataset cc_dataset =
+        trace::build_dataset(trace::Environment::k4G, scale.traces, 7);
+    cc::CcConfig cc_config;
+    cc_config.init_rate_mbps = 2.0;
+    cc_config.steps_per_episode = 60;
+    const cc::CcDomain cc_domain(cc_dataset, cc_config);
+    const dsl::StateProgram cc_program =
+        dsl::StateProgram::compile(cc_domain.baseline_state_source());
+    std::vector<nn::ArchSpec> cc_archs;
+    for (const nn::TemporalUnit unit :
+         {nn::TemporalUnit::kConv1D, nn::TemporalUnit::kLstm,
+          nn::TemporalUnit::kRnn}) {
+      nn::ArchSpec spec = nn::ArchSpec::pensieve();
+      spec.temporal = unit;
+      spec.conv_filters = 16;
+      spec.rnn_hidden = 16;
+      spec.scalar_hidden = 16;
+      spec.merge_hidden = 32;
+      cc_archs.push_back(spec);
+    }
+    std::vector<rl::ProbeJob> cc_jobs;
+    for (std::size_t i = 0; i < 12; ++i) {
+      cc_jobs.push_back(rl::ProbeJob{&cc_program, &cc_archs[i % 3],
+                                     0x27d4eb2fULL * (i + 1)});
+    }
+    const double cc_cover = add_phase_split(
+        split, "cc conv/lstm/rnn", cc_domain, split_config, cc_jobs);
+
+    std::cout << split.to_string() << "\n";
+    bench::save_csv("probe_phases.csv", split);
+    for (const double cover : {abr_cover, cc_cover}) {
+      if (cover < kMinPhaseCover) {
+        phases_cover = false;
+        std::cout << "ERROR: the phases cover " << cover
+                  << " of probe wall-clock, below " << kMinPhaseCover << "\n";
+      }
+    }
+  }
+
   if (!all_identical) {
     std::cout << "FAILED: engine/oracle bit-identity violated\n";
+    return 1;
+  }
+  if (!phases_cover) {
+    std::cout << "FAILED: the probe phase split misses wall-clock\n";
     return 1;
   }
   return 0;

@@ -125,8 +125,9 @@ void ActorCriticNet::Tower::backward_batch(const Mat& dhead) {
   for (auto it = merge.rbegin(); it != merge.rend(); ++it) {
     dh = (*it)->backward_batch(dh);
   }
-  // Split the concat gradient back into branches (input grads discarded:
-  // upstream is the observation, not a trainable tensor).
+  // Split the concat gradient back into branches. Their input is the
+  // observation, not a trainable tensor, so they compute no input
+  // gradient.
   for (std::size_t i = 0; i < branches.size(); ++i) {
     const std::size_t begin = branch_offsets[i];
     const std::size_t end =
@@ -138,7 +139,7 @@ void ActorCriticNet::Tower::backward_batch(const Mat& dhead) {
                 src.begin() + static_cast<std::ptrdiff_t>(end),
                 slice.row(b).begin());
     }
-    branches[i]->backward_batch(slice);
+    branches[i]->backward_params(slice);
   }
 }
 

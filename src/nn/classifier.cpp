@@ -125,7 +125,7 @@ void Conv1DClassifier::backward_logits(const Mat& dlogits) {
       }
     }
   }
-  (void)conv_.backward_batch(dconv);
+  conv_.backward_params(dconv);
 }
 
 double Conv1DClassifier::predict(const Vec& features) const {
@@ -171,9 +171,10 @@ double MlpClassifier::capture_logit(const Vec& x, std::size_t row) {
 
 void MlpClassifier::backward_logits(const Mat& dlogits) {
   Mat d = dlogits;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    d = (*it)->backward_batch(d);
+  for (std::size_t i = layers_.size(); i-- > 1;) {
+    d = layers_[i]->backward_batch(d);
   }
+  layers_.front()->backward_params(d);  // upstream is the features
 }
 
 double MlpClassifier::predict(const Vec& features) const {

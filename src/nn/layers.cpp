@@ -1,5 +1,6 @@
 #include "nn/layers.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
@@ -93,7 +94,17 @@ Vec Dense::infer(const Vec& x) const {
   return z;
 }
 
-void Dense::sync_inference_cache() { wt_cache_ = w_.transposed(); }
+namespace {
+
+/// Writes w^T into `wt`, sizing it on the first sync.
+void sync_transpose(const Mat& w, Mat& wt) {
+  if (wt.empty()) wt = Mat(w.cols(), w.rows());
+  transpose(w, wt);
+}
+
+}  // namespace
+
+void Dense::sync_inference_cache() { sync_transpose(w_, wt_cache_); }
 
 void Dense::begin_capture(std::size_t batch) {
   // Rows are fully overwritten by forward_capture, so the caches are only
@@ -131,7 +142,7 @@ Vec Dense::forward_capture(const Vec& x, std::size_t row) {
   return y;
 }
 
-Mat Dense::backward_batch(const Mat& dy) {
+Mat Dense::backward(const Mat& dy, bool input_grad) {
   if (dy.rows() != zb_cache_.rows() || dy.cols() != w_.rows()) {
     throw std::invalid_argument("Dense::backward_batch: grad shape mismatch");
   }
@@ -147,7 +158,7 @@ Mat Dense::backward_batch(const Mat& dy) {
     for (std::size_t n = 0; n < dy.rows(); ++n) acc += dz(n, i);
     db_(i, 0) = acc;
   }
-  return matmul(dz, w_);
+  return input_grad ? matmul(dz, w_) : Mat();
 }
 
 std::vector<ParamRef> Dense::params() {
@@ -202,7 +213,7 @@ void Conv1D::conv_one(const double* x, double* z) const {
   }
 }
 
-void Conv1D::sync_inference_cache() { wt_cache_ = w_.transposed(); }
+void Conv1D::sync_inference_cache() { sync_transpose(w_, wt_cache_); }
 
 void Conv1D::begin_capture(std::size_t batch) {
   if (xb_cache_.rows() != batch || xb_cache_.cols() != seq_len_) {
@@ -239,27 +250,41 @@ Vec Conv1D::infer(const Vec& x) const {
   return y;
 }
 
-Mat Conv1D::backward_batch(const Mat& dy) {
+Mat Conv1D::backward(const Mat& dy, bool input_grad) {
   if (dy.rows() != zb_cache_.rows() || dy.cols() != out_len_ * filters_) {
     throw std::invalid_argument("Conv1D::backward_batch: grad shape mismatch");
   }
-  Mat dx(dy.rows(), seq_len_);
-  for (std::size_t n = 0; n < dy.rows(); ++n) {
-    const auto xr = xb_cache_.row(n);
-    const auto dyr = dy.row(n);
-    const auto zr = zb_cache_.row(n);
-    const auto yr = yb_cache_.row(n);
-    const auto dxr = dx.row(n);
+  const std::size_t batch = dy.rows();
+  const std::size_t rows = batch * out_len_;  // one per (sample, t)
+  Mat dz(rows, filters_);
+  for (std::size_t j = 0; j < dz.size(); ++j) {
+    dz.data()[j] = dy.data()[j] * activate_grad(act_, zb_cache_.data()[j],
+                                                yb_cache_.data()[j]);
+  }
+  double* db = db_.ptr();
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double* dz_row = dz.ptr() + r * filters_;
+    for (std::size_t f = 0; f < filters_; ++f) db[f] += dz_row[f];
+  }
+  // im2col: row (n, t) holds the kernel window x_n[t .. t + kernel).
+  Mat windows(rows, kernel_);
+  for (std::size_t n = 0; n < batch; ++n) {
+    const double* x = xb_cache_.ptr() + n * seq_len_;
     for (std::size_t t = 0; t < out_len_; ++t) {
-      for (std::size_t f = 0; f < filters_; ++f) {
-        const std::size_t idx = t * filters_ + f;
-        const double dz = dyr[idx] * activate_grad(act_, zr[idx], yr[idx]);
-        db_(f, 0) += dz;
-        for (std::size_t k = 0; k < kernel_; ++k) {
-          dw_(f, k) += dz * xr[t + k];
-          dxr[t + k] += dz * w_(f, k);
-        }
-      }
+      std::copy(x + t, x + t + kernel_,
+                windows.row(n * out_len_ + t).begin());
+    }
+  }
+  add_matmul_tn(dw_, dz, windows);
+  if (!input_grad) return {};
+  // dx_n[t + k] += dz(n, t, f) * W(f, k), t ascending then f ascending:
+  // per (n, t), the sweep over W's rows with the taps as output columns.
+  Mat dx(batch, seq_len_);
+  const KernelTable& kernels = active_kernels();
+  for (std::size_t n = 0; n < batch; ++n) {
+    for (std::size_t t = 0; t < out_len_; ++t) {
+      kernels.wt_axpy(w_.ptr(), dz.ptr() + (n * out_len_ + t) * filters_,
+                      dx.ptr() + n * seq_len_ + t, filters_, kernel_);
     }
   }
   return dx;
@@ -284,27 +309,47 @@ SimpleRnn::SimpleRnn(std::size_t seq_len, std::size_t hidden, util::Rng& rng)
   wh_.init_xavier(rng);
 }
 
+void SimpleRnn::forward_one(const double* x, double* h, double* wh_h) const {
+  std::fill(h, h + hidden_, 0.0);
+  for (std::size_t t = 0; t < seq_len_; ++t) {
+    const double* h_prev = h + t * hidden_;
+    double* h_next = h + (t + 1) * hidden_;
+    if (!wht_cache_.empty()) {
+      std::fill(wh_h, wh_h + hidden_, 0.0);
+      active_kernels().wt_axpy(wht_cache_.ptr(), h_prev, wh_h, hidden_,
+                               hidden_);
+    } else {
+      const Vec z = wh_.matvec({h_prev, hidden_});
+      std::copy(z.begin(), z.end(), wh_h);
+    }
+    for (std::size_t i = 0; i < hidden_; ++i) {
+      h_next[i] = std::tanh(wx_(i, 0) * x[t] + wh_h[i] + b_(i, 0));
+    }
+  }
+}
+
 Vec SimpleRnn::infer(const Vec& x) const {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("SimpleRnn::infer: input size mismatch");
   }
-  Vec h(hidden_, 0.0);
-  Vec h_next(hidden_);
-  for (std::size_t t = 0; t < seq_len_; ++t) {
-    const Vec wh_h = wh_.matvec(h);
-    for (std::size_t i = 0; i < hidden_; ++i) {
-      h_next[i] = std::tanh(wx_(i, 0) * x[t] + wh_h[i] + b_(i, 0));
-    }
-    std::swap(h, h_next);
-  }
-  return h;
+  // One buffer: h_0..h_T, then the matvec scratch.
+  Vec buffer((seq_len_ + 2) * hidden_);
+  forward_one(x.data(), buffer.data(),
+              buffer.data() + (seq_len_ + 1) * hidden_);
+  const double* h = buffer.data() + seq_len_ * hidden_;
+  return Vec(h, h + hidden_);
 }
 
+void SimpleRnn::sync_inference_cache() { sync_transpose(wh_, wht_cache_); }
+
 void SimpleRnn::begin_capture(std::size_t batch) {
+  // forward_capture overwrites a row's whole recurrence, so the caches are
+  // only reallocated when the batch changes.
   if (xb_cache_.rows() != batch || xb_cache_.cols() != seq_len_) {
     xb_cache_ = Mat(batch, seq_len_);
+    hb_cache_ = Mat(batch, (seq_len_ + 1) * hidden_);
   }
-  hb_cache_.resize(batch);  // per-row recurrences overwrite their slot
+  wh_h_.resize(hidden_);
 }
 
 Vec SimpleRnn::forward_capture(const Vec& x, std::size_t row) {
@@ -313,41 +358,52 @@ Vec SimpleRnn::forward_capture(const Vec& x, std::size_t row) {
   }
   check_capture_row("SimpleRnn", row, xb_cache_.rows());
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
-  auto& h_cache = hb_cache_[row];
-  h_cache.assign(seq_len_ + 1, Vec(hidden_, 0.0));
-  for (std::size_t t = 0; t < seq_len_; ++t) {
-    const Vec wh_h = wh_.matvec(h_cache[t]);
-    for (std::size_t i = 0; i < hidden_; ++i) {
-      h_cache[t + 1][i] = std::tanh(wx_(i, 0) * x[t] + wh_h[i] + b_(i, 0));
-    }
-  }
-  return h_cache.back();
+  double* h = hb_cache_.row(row).data();
+  forward_one(x.data(), h, wh_h_.data());
+  return Vec(h + seq_len_ * hidden_, h + (seq_len_ + 1) * hidden_);
 }
 
-Mat SimpleRnn::backward_batch(const Mat& dy) {
+Mat SimpleRnn::backward(const Mat& dy, bool input_grad) {
   if (dy.rows() != xb_cache_.rows() || dy.cols() != hidden_) {
     throw std::invalid_argument("SimpleRnn::backward_batch: grad mismatch");
   }
-  Mat dx(dy.rows(), seq_len_);
+  Mat dx = input_grad ? Mat(dy.rows(), seq_len_) : Mat();
+  const KernelTable& kernels = active_kernels();
+  // dh (the gradient flowing into h_t) and the next dh; one sample's dz
+  // and h_t per step, in the serial (t descending) row order.
+  Vec scratch(2 * hidden_);
+  double* dh = scratch.data();
+  double* dh_prev = dh + hidden_;
+  Mat dz_rows(seq_len_, hidden_);
+  Mat h_rows(seq_len_, hidden_);
   for (std::size_t n = 0; n < dy.rows(); ++n) {
     const auto xr = xb_cache_.row(n);
-    const auto dxr = dx.row(n);
-    const auto& h_cache = hb_cache_[n];
-    Vec dh(dy.row(n).begin(), dy.row(n).end());
+    const double* h = hb_cache_.row(n).data();
+    std::copy(dy.row(n).begin(), dy.row(n).end(), dh);
     for (std::size_t t = seq_len_; t-- > 0;) {
-      const Vec& h_next = h_cache[t + 1];
-      Vec dz(hidden_);
+      const double* h_next = h + (t + 1) * hidden_;
+      double* dz = dz_rows.row(seq_len_ - 1 - t).data();
       for (std::size_t i = 0; i < hidden_; ++i) {
         dz[i] = dh[i] * (1.0 - h_next[i] * h_next[i]);  // tanh'
       }
       for (std::size_t i = 0; i < hidden_; ++i) {
         dwx_(i, 0) += dz[i] * xr[t];
         db_(i, 0) += dz[i];
-        dxr[t] += dz[i] * wx_(i, 0);
       }
-      dwh_.add_outer(dz, h_cache[t]);
-      dh = wh_.matvec_transposed(dz);
+      if (input_grad) {
+        double& dxt = dx(n, t);
+        for (std::size_t i = 0; i < hidden_; ++i) dxt += dz[i] * wx_(i, 0);
+      }
+      std::copy(h + t * hidden_, h + (t + 1) * hidden_,
+                h_rows.row(seq_len_ - 1 - t).begin());
+      // dh_{t-1} = Wh^T dz, the sweep over Wh's rows.
+      std::fill(dh_prev, dh_prev + hidden_, 0.0);
+      kernels.wt_axpy(wh_.ptr(), dz, dh_prev, hidden_, hidden_);
+      std::swap(dh, dh_prev);
     }
+    // dWh += sum over steps of outer(dz_t, h_t): the per-step add_outer
+    // chain as one product.
+    add_matmul_tn(dwh_, dz_rows, h_rows);
   }
   return dx;
 }
@@ -371,90 +427,119 @@ Lstm::Lstm(std::size_t seq_len, std::size_t hidden, util::Rng& rng)
   for (std::size_t i = 0; i < hidden_; ++i) b_(hidden_ + i, 0) = 1.0;
 }
 
-Vec Lstm::forward_one(std::span<const double> x,
-                      std::vector<StepCache>& steps) const {
-  steps.clear();
-  steps.reserve(seq_len_);
-  Vec h(hidden_, 0.0);
-  Vec c(hidden_, 0.0);
+void Lstm::forward_one(const double* x, double* steps,
+                       double* scratch) const {
+  const std::size_t hh = hidden_;
+  double* z = scratch;           // 4H gate pre-activations
+  double* input = scratch + 4 * hh;  // [x_t; h_{t-1}]
   for (std::size_t t = 0; t < seq_len_; ++t) {
+    double* step = steps + t * step_width();
+    const double* prev = t > 0 ? step - step_width() : nullptr;
     // z = W [x_t; h_{t-1}] + b, split into i, f, g, o.
-    Vec input(1 + hidden_);
     input[0] = x[t];
-    for (std::size_t i = 0; i < hidden_; ++i) input[1 + i] = h[i];
-    const Vec z = w_.matvec(input);
-    StepCache sc;
-    sc.i.resize(hidden_);
-    sc.f.resize(hidden_);
-    sc.g.resize(hidden_);
-    sc.o.resize(hidden_);
-    sc.c.resize(hidden_);
-    sc.h.resize(hidden_);
-    for (std::size_t i = 0; i < hidden_; ++i) {
-      sc.i[i] = activate(Activation::kSigmoid, z[i] + b_(i, 0));
-      sc.f[i] = activate(Activation::kSigmoid,
-                         z[hidden_ + i] + b_(hidden_ + i, 0));
-      sc.g[i] = std::tanh(z[2 * hidden_ + i] + b_(2 * hidden_ + i, 0));
-      sc.o[i] = activate(Activation::kSigmoid,
-                         z[3 * hidden_ + i] + b_(3 * hidden_ + i, 0));
-      sc.c[i] = sc.f[i] * c[i] + sc.i[i] * sc.g[i];
-      sc.h[i] = sc.o[i] * std::tanh(sc.c[i]);
+    for (std::size_t i = 0; i < hh; ++i) {
+      input[1 + i] = prev != nullptr ? prev[5 * hh + i] : 0.0;
     }
-    h = sc.h;
-    c = sc.c;
-    steps.push_back(std::move(sc));
+    if (!wt_cache_.empty()) {
+      std::fill(z, z + 4 * hh, 0.0);
+      active_kernels().wt_axpy(wt_cache_.ptr(), input, z, 1 + hh, 4 * hh);
+    } else {
+      const Vec zv = w_.matvec({input, 1 + hh});
+      std::copy(zv.begin(), zv.end(), z);
+    }
+    double* gi = step;
+    double* gf = step + hh;
+    double* gg = step + 2 * hh;
+    double* go = step + 3 * hh;
+    double* c = step + 4 * hh;
+    double* h = step + 5 * hh;
+    for (std::size_t i = 0; i < hh; ++i) {
+      gi[i] = activate(Activation::kSigmoid, z[i] + b_(i, 0));
+      gf[i] = activate(Activation::kSigmoid, z[hh + i] + b_(hh + i, 0));
+      gg[i] = std::tanh(z[2 * hh + i] + b_(2 * hh + i, 0));
+      go[i] = activate(Activation::kSigmoid, z[3 * hh + i] + b_(3 * hh + i, 0));
+      const double c_prev = prev != nullptr ? prev[4 * hh + i] : 0.0;
+      c[i] = gf[i] * c_prev + gi[i] * gg[i];
+      h[i] = go[i] * std::tanh(c[i]);
+    }
   }
-  return h;
 }
 
-void Lstm::backward_one(std::span<const double> x,
-                        const std::vector<StepCache>& steps, const Vec& dy,
-                        std::span<double> dx) {
-  Vec dh = dy;
-  Vec dc(hidden_, 0.0);
-  const Vec zeros(hidden_, 0.0);
+void Lstm::backward_one(const double* x, const double* steps,
+                        const double* dy, double* dx, double* scratch,
+                        Mat& dz_rows, Mat& input_rows) {
+  const std::size_t hh = hidden_;
+  double* dh = scratch;          // H
+  double* dc = dh + hh;          // H
+  double* zeros = dc + hh;       // H: c_0 and h_0
+  double* dinput = zeros + hh;   // 1 + H
+  std::copy(dy, dy + hh, dh);
+  std::fill(dc, dc + hh, 0.0);
+  std::fill(zeros, zeros + hh, 0.0);
+  const KernelTable& kernels = active_kernels();
   for (std::size_t t = seq_len_; t-- > 0;) {
-    const StepCache& sc = steps[t];
-    const Vec& c_prev = t > 0 ? steps[t - 1].c : zeros;
-    const Vec& h_prev = t > 0 ? steps[t - 1].h : zeros;
-    Vec dz(4 * hidden_);
-    for (std::size_t i = 0; i < hidden_; ++i) {
-      const double tanh_c = std::tanh(sc.c[i]);
+    const double* step = steps + t * step_width();
+    const double* si = step;
+    const double* sf = step + hh;
+    const double* sg = step + 2 * hh;
+    const double* so = step + 3 * hh;
+    const double* sc = step + 4 * hh;
+    const double* prev = t > 0 ? step - step_width() : nullptr;
+    const double* c_prev = prev != nullptr ? prev + 4 * hh : zeros;
+    const double* h_prev = prev != nullptr ? prev + 5 * hh : zeros;
+    // Row seq_len - 1 - t: the rows run in the serial (t descending) order.
+    double* dz = dz_rows.row(seq_len_ - 1 - t).data();
+    double* input = input_rows.row(seq_len_ - 1 - t).data();
+    for (std::size_t i = 0; i < hh; ++i) {
+      const double tanh_c = std::tanh(sc[i]);
       const double do_ = dh[i] * tanh_c;
-      const double dct = dh[i] * sc.o[i] * (1.0 - tanh_c * tanh_c) + dc[i];
-      const double di = dct * sc.g[i];
+      const double dct = dh[i] * so[i] * (1.0 - tanh_c * tanh_c) + dc[i];
+      const double di = dct * sg[i];
       const double df = dct * c_prev[i];
-      const double dg = dct * sc.i[i];
-      dz[i] = di * sc.i[i] * (1.0 - sc.i[i]);
-      dz[hidden_ + i] = df * sc.f[i] * (1.0 - sc.f[i]);
-      dz[2 * hidden_ + i] = dg * (1.0 - sc.g[i] * sc.g[i]);
-      dz[3 * hidden_ + i] = do_ * sc.o[i] * (1.0 - sc.o[i]);
-      dc[i] = dct * sc.f[i];
+      const double dg = dct * si[i];
+      dz[i] = di * si[i] * (1.0 - si[i]);
+      dz[hh + i] = df * sf[i] * (1.0 - sf[i]);
+      dz[2 * hh + i] = dg * (1.0 - sg[i] * sg[i]);
+      dz[3 * hh + i] = do_ * so[i] * (1.0 - so[i]);
+      dc[i] = dct * sf[i];
     }
-    Vec input(1 + hidden_);
     input[0] = x[t];
-    for (std::size_t i = 0; i < hidden_; ++i) input[1 + i] = h_prev[i];
-    dw_.add_outer(dz, input);
-    for (std::size_t i = 0; i < 4 * hidden_; ++i) db_(i, 0) += dz[i];
-    const Vec dinput = w_.matvec_transposed(dz);
-    dx[t] += dinput[0];
-    dh.assign(dinput.begin() + 1, dinput.end());
+    std::copy(h_prev, h_prev + hh, input + 1);
+    for (std::size_t i = 0; i < 4 * hh; ++i) db_(i, 0) += dz[i];
+    // [dx_t; dh_{t-1}] = W^T dz, the sweep over W's rows.
+    std::fill(dinput, dinput + 1 + hh, 0.0);
+    kernels.wt_axpy(w_.ptr(), dz, dinput, 4 * hh, 1 + hh);
+    if (dx != nullptr) dx[t] += dinput[0];
+    std::copy(dinput + 1, dinput + 1 + hh, dh);
   }
+  // dW += sum over steps of outer(dz_t, [x_t; h_{t-1}]), t descending: the
+  // per-step add_outer chain as one product.
+  add_matmul_tn(dw_, dz_rows, input_rows);
 }
 
 Vec Lstm::infer(const Vec& x) const {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("Lstm::infer: input size mismatch");
   }
-  std::vector<StepCache> steps;
-  return forward_one(x, steps);
+  // One buffer: the step cache, then forward_one's scratch.
+  Vec buffer(seq_len_ * step_width() + forward_scratch());
+  forward_one(x.data(), buffer.data(),
+              buffer.data() + seq_len_ * step_width());
+  const double* h = buffer.data() + (seq_len_ - 1) * step_width() +
+                    5 * hidden_;
+  return Vec(h, h + hidden_);
 }
 
+void Lstm::sync_inference_cache() { sync_transpose(w_, wt_cache_); }
+
 void Lstm::begin_capture(std::size_t batch) {
+  // forward_capture overwrites a row's whole step cache, so the caches are
+  // only reallocated when the batch changes.
   if (xb_cache_.rows() != batch || xb_cache_.cols() != seq_len_) {
     xb_cache_ = Mat(batch, seq_len_);
+    steps_cache_ = Mat(batch, seq_len_ * step_width());
   }
-  steps_batch_.resize(batch);  // forward_one clears its slot per row
+  scratch_.resize(forward_scratch());
 }
 
 Vec Lstm::forward_capture(const Vec& x, std::size_t row) {
@@ -463,17 +548,24 @@ Vec Lstm::forward_capture(const Vec& x, std::size_t row) {
   }
   check_capture_row("Lstm", row, xb_cache_.rows());
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
-  return forward_one(x, steps_batch_[row]);
+  double* steps = steps_cache_.row(row).data();
+  forward_one(x.data(), steps, scratch_.data());
+  const double* h = steps + (seq_len_ - 1) * step_width() + 5 * hidden_;
+  return Vec(h, h + hidden_);
 }
 
-Mat Lstm::backward_batch(const Mat& dy) {
+Mat Lstm::backward(const Mat& dy, bool input_grad) {
   if (dy.rows() != xb_cache_.rows() || dy.cols() != hidden_) {
     throw std::invalid_argument("Lstm::backward_batch: grad shape mismatch");
   }
-  Mat dx(dy.rows(), seq_len_);
+  Mat dx = input_grad ? Mat(dy.rows(), seq_len_) : Mat();
+  Vec scratch(4 * hidden_ + 1);
+  Mat dz_rows(seq_len_, 4 * hidden_);
+  Mat input_rows(seq_len_, 1 + hidden_);
   for (std::size_t n = 0; n < dy.rows(); ++n) {
-    const Vec dyn(dy.row(n).begin(), dy.row(n).end());
-    backward_one(xb_cache_.row(n), steps_batch_[n], dyn, dx.row(n));
+    backward_one(xb_cache_.row(n).data(), steps_cache_.row(n).data(),
+                 dy.row(n).data(), input_grad ? dx.row(n).data() : nullptr,
+                 scratch.data(), dz_rows, input_rows);
   }
   return dx;
 }

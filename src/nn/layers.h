@@ -6,10 +6,11 @@
 // row, and backward_batch(dy) takes one gradient row per captured sample,
 // accumulates parameter gradients in ascending row order (so a multi-step
 // A2C update or a classifier mini-batch sums naturally), and returns the
-// per-row input gradients. infer() computes the same outputs without
-// touching any cache. The single-sample form of each layer's math is the
-// test oracle tests/nn_serial_oracle.h; tests/nn_test.cpp pins both
-// passes to it bit for bit.
+// per-row input gradients; backward_params(dy) accumulates the same
+// parameter gradients and skips the input gradient. infer() computes the
+// same outputs without touching any cache. The single-sample form of each
+// layer's math is the test oracle tests/nn_serial_oracle.h;
+// tests/nn_test.cpp pins both passes to it bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -51,21 +52,26 @@ class Layer {
   /// Backpropagates dy (one row per captured sample): accumulates
   /// parameter gradients in ascending row order and returns per-row input
   /// gradients.
-  virtual Mat backward_batch(const Mat& dy) = 0;
+  Mat backward_batch(const Mat& dy) { return backward(dy, true); }
+
+  /// backward_batch's parameter gradients, bit for bit, without computing
+  /// the input gradient — for a layer whose input is the observation.
+  void backward_params(const Mat& dy) { (void)backward(dy, false); }
 
   /// Allocation-light inference: the same outputs as forward_capture, but
   /// touches no cache, so it is const and safe on a shared layer.
   [[nodiscard]] virtual Vec infer(const Vec& x) const = 0;
 
-  /// Rebuilds derived read-only state the fast paths use (e.g. Dense's
-  /// transposed weights, which turn the latency-bound matvec into a
-  /// vectorizable sweep with the same per-element accumulation order).
+  /// Rebuilds the transposed weights the fast paths sweep (Dense, Conv1D,
+  /// SimpleRnn's Wh, Lstm's stacked gate weights), in place after the
+  /// first call. The sweep turns each latency-bound matvec into a
+  /// vectorizable pass with the same per-element accumulation order.
   /// Contract: once a layer has been synced, it must be re-synced after
   /// every parameter change before the next infer() or forward_capture(),
   /// which read the cached transpose when one exists. A layer that has
   /// never been synced uses its exact slow path everywhere, so a training
   /// loop that never syncs never goes stale.
-  virtual void sync_inference_cache() {}
+  virtual void sync_inference_cache() = 0;
 
   virtual std::vector<ParamRef> params() = 0;
 
@@ -73,6 +79,12 @@ class Layer {
   [[nodiscard]] virtual std::size_t out_dim() const = 0;
 
   void zero_grad();
+
+ protected:
+  /// The backward pass behind backward_batch and backward_params: returns
+  /// the per-row input gradients when `input_grad`, an empty Mat
+  /// otherwise.
+  virtual Mat backward(const Mat& dy, bool input_grad) = 0;
 };
 
 /// Fully connected layer with optional activation: y = act(Wx + b).
@@ -80,7 +92,6 @@ class Dense : public Layer {
  public:
   Dense(std::size_t in, std::size_t out, Activation act, util::Rng& rng);
 
-  Mat backward_batch(const Mat& dy) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
   [[nodiscard]] Vec infer(const Vec& x) const override;
@@ -88,6 +99,9 @@ class Dense : public Layer {
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::size_t in_dim() const override { return w_.cols(); }
   [[nodiscard]] std::size_t out_dim() const override { return w_.rows(); }
+
+ protected:
+  Mat backward(const Mat& dy, bool input_grad) override;
 
  private:
   Mat w_, dw_;
@@ -106,7 +120,6 @@ class Conv1D : public Layer {
   Conv1D(std::size_t seq_len, std::size_t filters, std::size_t kernel,
          Activation act, util::Rng& rng);
 
-  Mat backward_batch(const Mat& dy) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
   [[nodiscard]] Vec infer(const Vec& x) const override;
@@ -117,6 +130,13 @@ class Conv1D : public Layer {
     return out_len_ * filters_;
   }
   [[nodiscard]] std::size_t out_len() const { return out_len_; }
+
+ protected:
+  /// dZ once for the whole capture, viewed as (batch * out_len) x filters
+  /// (the time-major output layout, one row per (sample, t)); db sums its
+  /// rows, dW accumulates dZ^T times an im2col of the captured inputs
+  /// through add_matmul_tn — both in the serial (sample, t) order.
+  Mat backward(const Mat& dy, bool input_grad) override;
 
  private:
   /// z for one sample, written filter-major per t with the serial
@@ -138,21 +158,30 @@ class SimpleRnn : public Layer {
  public:
   SimpleRnn(std::size_t seq_len, std::size_t hidden, util::Rng& rng);
 
-  Mat backward_batch(const Mat& dy) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
   [[nodiscard]] Vec infer(const Vec& x) const override;
+  void sync_inference_cache() override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::size_t in_dim() const override { return seq_len_; }
   [[nodiscard]] std::size_t out_dim() const override { return hidden_; }
 
+ protected:
+  Mat backward(const Mat& dy, bool input_grad) override;
+
  private:
+  /// One sample's recurrence into h_0..h_T (`h`, (seq_len + 1) * hidden
+  /// doubles; h_0 = 0). `wh_h` is hidden doubles of scratch.
+  void forward_one(const double* x, double* h, double* wh_h) const;
+
   std::size_t seq_len_, hidden_;
   Mat wx_, dwx_;  // hidden x 1
   Mat wh_, dwh_;  // hidden x hidden
   Mat b_, db_;    // hidden x 1
   Mat xb_cache_;
-  std::vector<std::vector<Vec>> hb_cache_;  // per sample: h_0..h_T
+  Mat hb_cache_;    ///< per captured row: h_0..h_T
+  Vec wh_h_;        ///< forward_capture's matvec scratch
+  Mat wht_cache_;   ///< wh_^T; empty until synced
 };
 
 /// LSTM over a scalar sequence; returns the final hidden state. Used by the
@@ -161,34 +190,46 @@ class Lstm : public Layer {
  public:
   Lstm(std::size_t seq_len, std::size_t hidden, util::Rng& rng);
 
-  Mat backward_batch(const Mat& dy) override;
   void begin_capture(std::size_t batch) override;
   Vec forward_capture(const Vec& x, std::size_t row) override;
   [[nodiscard]] Vec infer(const Vec& x) const override;
+  void sync_inference_cache() override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::size_t in_dim() const override { return seq_len_; }
   [[nodiscard]] std::size_t out_dim() const override { return hidden_; }
 
- private:
-  struct StepCache {
-    Vec i, f, g, o;  // gate activations
-    Vec c, h;        // post-step cell and hidden
-  };
+ protected:
+  Mat backward(const Mat& dy, bool input_grad) override;
 
-  /// One sample's forward recurrence; appends per-step caches to `steps`.
-  Vec forward_one(std::span<const double> x, std::vector<StepCache>& steps)
-      const;
-  /// One sample's BPTT; accumulates dw_/db_ and writes the input gradient.
-  void backward_one(std::span<const double> x,
-                    const std::vector<StepCache>& steps, const Vec& dy,
-                    std::span<double> dx);
+ private:
+  /// Doubles one time step occupies in a step cache: the gate activations
+  /// i, f, g, o, then the post-step cell c and hidden h, hidden each.
+  [[nodiscard]] std::size_t step_width() const { return 6 * hidden_; }
+  /// Doubles of scratch forward_one needs: the gate pre-activations and
+  /// the step input [x_t; h_{t-1}].
+  [[nodiscard]] std::size_t forward_scratch() const {
+    return 5 * hidden_ + 1;
+  }
+
+  /// One sample's forward recurrence into `steps` (seq_len * step_width()
+  /// doubles).
+  void forward_one(const double* x, double* steps, double* scratch) const;
+  /// One sample's BPTT from its step cache; accumulates dw_/db_ and, when
+  /// `dx` is non-null, the input gradient. `scratch` holds 4H + 1 doubles;
+  /// `dz_rows` (seq_len x 4H) and `input_rows` (seq_len x (1 + H)) take
+  /// each step's gate gradient and input for the one dW product.
+  void backward_one(const double* x, const double* steps, const double* dy,
+                    double* dx, double* scratch, Mat& dz_rows,
+                    Mat& input_rows);
 
   std::size_t seq_len_, hidden_;
   // Gate weights stacked [i; f; g; o]: (4H x (1 + H)) over [x_t, h_{t-1}].
   Mat w_, dw_;
   Mat b_, db_;  // 4H x 1
   Mat xb_cache_;
-  std::vector<std::vector<StepCache>> steps_batch_;
+  Mat steps_cache_;  ///< per captured row: seq_len steps of step_width()
+  Vec scratch_;      ///< forward_capture's forward_one scratch
+  Mat wt_cache_;     ///< w_^T ((1 + H) x 4H); empty until synced
 };
 
 }  // namespace nada::nn

@@ -84,15 +84,6 @@ void Mat::add_scaled(const Mat& other, double scale) {
   }
 }
 
-Mat Mat::transposed() const {
-  Mat t(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row = data_.data() + r * cols_;
-    for (std::size_t c = 0; c < cols_; ++c) t(c, r) = row[c];
-  }
-  return t;
-}
-
 double Mat::frobenius_norm() const {
   double acc = 0.0;
   for (double w : data_) acc += w * w;
@@ -137,6 +128,31 @@ void add_matmul_tn(Mat& c, const Mat& a, const Mat& b) {
   tally_matmul(a.rows(), c.rows(), c.cols());
   active_kernels().add_matmul_tn(a.ptr(), b.ptr(), c.ptr(), a.rows(),
                                  c.rows(), c.cols());
+}
+
+void transpose(const Mat& a, Mat& out) {
+  if (out.rows() != a.cols() || out.cols() != a.rows()) {
+    throw std::invalid_argument("transpose: shape mismatch");
+  }
+  // 8x8 tiles: each tile reads eight source rows and writes eight
+  // destination rows one cache line wide, instead of striding the whole
+  // destination once per source row.
+  constexpr std::size_t kTile = 8;
+  const std::size_t rows = a.rows();
+  const std::size_t cols = a.cols();
+  const double* src = a.ptr();
+  double* dst = out.ptr();
+  for (std::size_t r0 = 0; r0 < rows; r0 += kTile) {
+    const std::size_t r1 = std::min(r0 + kTile, rows);
+    for (std::size_t c0 = 0; c0 < cols; c0 += kTile) {
+      const std::size_t c1 = std::min(c0 + kTile, cols);
+      for (std::size_t r = r0; r < r1; ++r) {
+        for (std::size_t c = c0; c < c1; ++c) {
+          dst[c * rows + r] = src[r * cols + c];
+        }
+      }
+    }
+  }
 }
 
 double dot(std::span<const double> a, std::span<const double> b) {

@@ -77,11 +77,6 @@ class Mat {
 
   void add_scaled(const Mat& other, double scale);
 
-  /// Transposed copy (cols x rows). Synced Dense and Conv1D layers sweep
-  /// W^T so their inner loop runs over contiguous output columns — the
-  /// vectorizable formulation of the same k-ascending dot product.
-  [[nodiscard]] Mat transposed() const;
-
   [[nodiscard]] double frobenius_norm() const;
 
  private:
@@ -112,6 +107,12 @@ class Mat {
 /// n-dimension in ascending order — bit-identical to n successive
 /// C.add_outer(row i of A, row i of B) calls.
 void add_matmul_tn(Mat& c, const Mat& a, const Mat& b);
+
+/// Writes A^T into `out`, which must already be (A.cols x A.rows), in
+/// cache-sized tiles. Synced layers keep W^T this way so their forward
+/// sweeps contiguous output columns — the vectorizable formulation of the
+/// same k-ascending dot product — without a fresh matrix per sync.
+void transpose(const Mat& a, Mat& out);
 
 // ---- Vector helpers -------------------------------------------------------
 

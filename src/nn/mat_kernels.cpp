@@ -1,6 +1,7 @@
 #include "nn/mat_kernels.h"
 
 #include <atomic>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
@@ -102,6 +103,7 @@ constexpr KernelTable kScalarTable = {
     detail::matmul_scalar,
     detail::add_matmul_tn_scalar,
     detail::wt_axpy_scalar,
+    detail::adam_scalar,
 };
 
 #if defined(NADA_NN_HAVE_AVX2)
@@ -109,6 +111,7 @@ constexpr KernelTable kAvx2Table = {
     detail::avx2::matmul,
     detail::avx2::add_matmul_tn,
     detail::avx2::wt_axpy,
+    detail::avx2::adam,
 };
 #endif
 
@@ -117,6 +120,7 @@ constexpr KernelTable kFmaTable = {
     detail::fma::matmul,
     detail::fma::add_matmul_tn,
     detail::fma::wt_axpy,
+    detail::fma::adam,
 };
 #endif
 
@@ -282,6 +286,20 @@ void wt_axpy_scalar(const double* wt, const double* x, double* z,
     const double xk = x[k];
     const double* wt_row = wt + k * out;
     for (std::size_t j = 0; j < out; ++j) z[j] += wt_row[j] * xk;
+  }
+}
+
+void adam_scalar(double* w, double* g, double* m, double* v, std::size_t n,
+                 const AdamCoeffs& c) {
+  const double one_minus_beta1 = 1.0 - c.beta1;
+  const double one_minus_beta2 = 1.0 - c.beta2;
+  for (std::size_t j = 0; j < n; ++j) {
+    m[j] = c.beta1 * m[j] + one_minus_beta1 * g[j];
+    v[j] = c.beta2 * v[j] + one_minus_beta2 * g[j] * g[j];
+    const double m_hat = m[j] / c.bc1;
+    const double v_hat = v[j] / c.bc2;
+    w[j] -= c.lr * m_hat / (std::sqrt(v_hat) + c.eps);
+    g[j] = 0.0;
   }
 }
 

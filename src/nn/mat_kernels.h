@@ -1,7 +1,8 @@
 // Runtime-dispatched kernel flavors for the batched `nn` hot path.
 //
-// The register-tiled double kernels behind matmul/add_matmul_tn and the
-// transposed-weight inference sweep exist in up to three flavors:
+// The register-tiled double kernels behind matmul/add_matmul_tn, the
+// transposed-weight sweep and the Adam update exist in up to three
+// flavors:
 //
 //   scalar  portable loops; the reference semantics on every platform
 //   avx2    the same 4-sample tile with output columns in AVX2 lanes and
@@ -62,6 +63,12 @@ void set_kernel_flavor(KernelFlavor flavor);
 // Raw-pointer kernels; nn::Mat's wrappers do shape checking and volume
 // accounting, then dispatch here. All matrices are row-major and dense.
 
+/// One Adam step's coefficients (see nn::Adam): bc1 and bc2 are the bias
+/// corrections 1 - beta1^t and 1 - beta2^t of step t.
+struct AdamCoeffs {
+  double lr, beta1, beta2, eps, bc1, bc2;
+};
+
 struct KernelTable {
   /// C (n x m) += A (n x r) * B with B (r x m); callers zero c first.
   void (*matmul)(const double* a, const double* b, double* c, std::size_t n,
@@ -70,9 +77,15 @@ struct KernelTable {
   void (*add_matmul_tn)(const double* a, const double* b, double* c,
                         std::size_t n, std::size_t r, std::size_t m);
   /// z[j] += wt[k * out + j] * x[k] for k ascending — the transposed-weight
-  /// inference sweep behind Dense::infer / forward_capture and Conv1D taps.
+  /// sweep behind every synced layer's forward, and (over W itself) the
+  /// W^T dz products of the Conv1D and recurrent backward passes.
   void (*wt_axpy)(const double* wt, const double* x, double* z,
                   std::size_t k, std::size_t out);
+  /// One Adam step over n parameters, element by element:
+  ///   m = beta1 m + (1 - beta1) g;  v = beta2 v + (1 - beta2) g g;
+  ///   w -= lr (m / bc1) / (sqrt(v / bc2) + eps);  g = 0.
+  void (*adam)(double* w, double* g, double* m, double* v, std::size_t n,
+               const AdamCoeffs& c);
 };
 
 /// The table for the active flavor; resolves kernel_flavor() on first use.
@@ -100,6 +113,8 @@ void add_matmul_tn_scalar(const double* a, const double* b, double* c,
                           std::size_t n, std::size_t r, std::size_t m);
 void wt_axpy_scalar(const double* wt, const double* x, double* z,
                     std::size_t k, std::size_t out);
+void adam_scalar(double* w, double* g, double* m, double* v, std::size_t n,
+                 const AdamCoeffs& c);
 
 // Vector flavors; definitions exist only when the matching object library
 // is compiled in (see built_with_*_kernels). Declared unconditionally so
@@ -111,6 +126,8 @@ void add_matmul_tn(const double* a, const double* b, double* c, std::size_t n,
                    std::size_t r, std::size_t m);
 void wt_axpy(const double* wt, const double* x, double* z, std::size_t k,
              std::size_t out);
+void adam(double* w, double* g, double* m, double* v, std::size_t n,
+          const AdamCoeffs& c);
 }  // namespace avx2
 
 namespace fma {
@@ -120,6 +137,8 @@ void add_matmul_tn(const double* a, const double* b, double* c, std::size_t n,
                    std::size_t r, std::size_t m);
 void wt_axpy(const double* wt, const double* x, double* z, std::size_t k,
              std::size_t out);
+void adam(double* w, double* g, double* m, double* v, std::size_t n,
+          const AdamCoeffs& c);
 }  // namespace fma
 
 }  // namespace detail

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "nn/mat_kernels.h"
+
 namespace nada::nn {
 
 void Optimizer::clip_global_norm(const std::vector<ParamRef>& params,
@@ -25,7 +27,7 @@ void Optimizer::clip_global_norm(const std::vector<ParamRef>& params,
 Adam::Adam(double lr, double beta1, double beta2, double eps)
     : lr_(lr), beta1_(beta1), beta2_(beta2), eps_(eps) {}
 
-void Adam::step(std::vector<ParamRef> params) {
+void Adam::step(const std::vector<ParamRef>& params) {
   if (m_.empty()) {
     m_.resize(params.size());
     v_.resize(params.size());
@@ -38,29 +40,28 @@ void Adam::step(std::vector<ParamRef> params) {
     throw std::invalid_argument("Adam::step: parameter list changed");
   }
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, static_cast<double>(t_));
-  const double bc2 = 1.0 - std::pow(beta2_, static_cast<double>(t_));
+  const AdamCoeffs coeffs{lr_,
+                          beta1_,
+                          beta2_,
+                          eps_,
+                          1.0 - std::pow(beta1_, static_cast<double>(t_)),
+                          1.0 - std::pow(beta2_, static_cast<double>(t_))};
+  const KernelTable& kernels = active_kernels();
   for (std::size_t i = 0; i < params.size(); ++i) {
-    auto& value = params[i].value->data();
-    auto& grad = params[i].grad->data();
-    if (m_[i].size() != value.size()) {
+    Mat& value = *params[i].value;
+    if (m_[i].size() != value.size() ||
+        params[i].grad->size() != value.size()) {
       throw std::invalid_argument("Adam::step: parameter shape changed");
     }
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      m_[i][j] = beta1_ * m_[i][j] + (1.0 - beta1_) * grad[j];
-      v_[i][j] = beta2_ * v_[i][j] + (1.0 - beta2_) * grad[j] * grad[j];
-      const double m_hat = m_[i][j] / bc1;
-      const double v_hat = v_[i][j] / bc2;
-      value[j] -= lr_ * m_hat / (std::sqrt(v_hat) + eps_);
-      grad[j] = 0.0;
-    }
+    kernels.adam(value.ptr(), params[i].grad->ptr(), m_[i].data(),
+                 v_[i].data(), value.size(), coeffs);
   }
 }
 
 RmsProp::RmsProp(double lr, double decay, double eps)
     : lr_(lr), decay_(decay), eps_(eps) {}
 
-void RmsProp::step(std::vector<ParamRef> params) {
+void RmsProp::step(const std::vector<ParamRef>& params) {
   if (cache_.empty()) {
     cache_.resize(params.size());
     for (std::size_t i = 0; i < params.size(); ++i) {

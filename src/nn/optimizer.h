@@ -19,19 +19,21 @@ class Optimizer {
   virtual ~Optimizer() = default;
 
   /// Applies accumulated gradients and zeroes them.
-  virtual void step(std::vector<ParamRef> params) = 0;
+  virtual void step(const std::vector<ParamRef>& params) = 0;
 
   /// Clips the global gradient norm to `max_norm` before stepping.
   static void clip_global_norm(const std::vector<ParamRef>& params,
                                double max_norm);
 };
 
+/// Adam; each parameter's update is the `adam` kernel of the active flavor
+/// (nn/mat_kernels.h), bit-identical across scalar and avx2.
 class Adam : public Optimizer {
  public:
   explicit Adam(double lr = 1e-3, double beta1 = 0.9, double beta2 = 0.999,
                 double eps = 1e-8);
 
-  void step(std::vector<ParamRef> params) override;
+  void step(const std::vector<ParamRef>& params) override;
 
   [[nodiscard]] double learning_rate() const { return lr_; }
   void set_learning_rate(double lr) { lr_ = lr; }
@@ -46,7 +48,7 @@ class RmsProp : public Optimizer {
  public:
   explicit RmsProp(double lr = 1e-3, double decay = 0.99, double eps = 1e-6);
 
-  void step(std::vector<ParamRef> params) override;
+  void step(const std::vector<ParamRef>& params) override;
 
  private:
   double lr_, decay_, eps_;

@@ -1,5 +1,7 @@
 #include "rl/batch_probe.h"
 
+#include <array>
+#include <chrono>
 #include <memory>
 
 #include "nn/mat_kernels.h"
@@ -10,6 +12,54 @@
 namespace nada::rl {
 
 namespace {
+
+/// The phases of a training task that BatchProbeConfig::metrics splits
+/// rl.probe_block.seconds into, published as rl.probe.phase.<name>.seconds.
+enum Phase : std::size_t {
+  kDsl,        ///< state program run, finiteness check, network rows
+  kForward,    ///< capture forward
+  kSample,     ///< action sampling and trajectory bookkeeping
+  kEnv,        ///< episode start, reset and step (with observation lowering)
+  kBackward,   ///< returns, advantages, A2C gradients and backward_batch
+  kOptimizer,  ///< gradient clip and Adam
+  kSync,       ///< transposed-weight refresh after the update
+  kNumPhases
+};
+
+constexpr std::array<const char*, kNumPhases> kPhaseNames = {
+    "rl.probe.phase.dsl.seconds",      "rl.probe.phase.forward.seconds",
+    "rl.probe.phase.sample.seconds",   "rl.probe.phase.env.seconds",
+    "rl.probe.phase.backward.seconds", "rl.probe.phase.optimizer.seconds",
+    "rl.probe.phase.sync.seconds"};
+
+/// Per-phase wall-clock of one task. Disabled, it reads no clock: every
+/// call is one branch.
+class PhaseClock {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  explicit PhaseClock(bool enabled) : enabled_(enabled) { restart(); }
+
+  /// Charges the time since the previous mark (or restart) to `phase`.
+  void mark(Phase phase) {
+    if (!enabled_) return;
+    const Clock::time_point now = Clock::now();
+    seconds_[phase] += std::chrono::duration<double>(now - last_).count();
+    last_ = now;
+  }
+  /// Starts the next phase here, charging the time since the previous
+  /// mark to nothing.
+  void restart() {
+    if (enabled_) last_ = Clock::now();
+  }
+
+  [[nodiscard]] double seconds(Phase phase) const { return seconds_[phase]; }
+
+ private:
+  bool enabled_;
+  Clock::time_point last_{};
+  std::array<double, kNumPhases> seconds_{};
+};
 
 /// One epoch's trajectory, reused across epochs. The rollout's
 /// forward_capture fills the network's batch caches row by row and its
@@ -31,8 +81,9 @@ struct Rollout {
 /// jitter) in the same order.
 void roll_episode(PolicyAgent& agent, env::Episode& episode,
                   std::size_t episode_length, util::Rng& rng,
-                  Rollout& rollout) {
+                  Rollout& rollout, PhaseClock& clock) {
   dsl::Bindings obs = episode.reset();
+  clock.mark(kEnv);
   agent.net().begin_batch_capture(episode_length);
   rollout.probs.clear();
   rollout.values.clear();
@@ -44,19 +95,23 @@ void roll_episode(PolicyAgent& agent, env::Episode& episode,
     if (!matrix.all_finite()) {
       throw dsl::RuntimeError("state program produced non-finite values");
     }
+    const std::vector<nn::Vec>& rows = agent.network_rows(matrix);
+    clock.mark(kDsl);
     // Capture forward: bit-identical to forward_inference, runs on the
     // synced fast inference path, and writes this step's row of the batch
     // caches so the epoch update can go straight to backward_batch.
-    auto out = agent.net().forward_capture(agent.network_rows(matrix),
-                                           rollout.actions.size());
+    auto out = agent.net().forward_capture(rows, rollout.actions.size());
+    clock.mark(kForward);
     const std::size_t action = rng.weighted_index(out.probs);
-    env::DomainStep sr = episode.step(action);
     rollout.probs.push_back(std::move(out.probs));
     rollout.values.push_back(out.value);
     rollout.actions.push_back(action);
+    clock.mark(kSample);
+    env::DomainStep sr = episode.step(action);
     rollout.rewards.push_back(sr.reward);
     obs = std::move(sr.observation);
     done = sr.done;
+    clock.mark(kEnv);
   }
 }
 
@@ -64,7 +119,8 @@ void roll_episode(PolicyAgent& agent, env::Episode& episode,
 /// whole episode; returns the episode's mean step reward.
 double fused_update(const TrainConfig& train, const env::TaskDomain& domain,
                     PolicyAgent& agent, nn::Adam& optimizer,
-                    const Rollout& rollout, double entropy_weight) {
+                    const Rollout& rollout, double entropy_weight,
+                    PhaseClock& clock) {
   const std::size_t steps = rollout.actions.size();
   // The rollout's capture pass already computed every activation this
   // update needs (the weights do not move within an epoch): probs and
@@ -82,7 +138,8 @@ double fused_update(const TrainConfig& train, const env::TaskDomain& domain,
   }
   condition_advantages(train, advantages);
 
-  agent.net().zero_grad();
+  // No zero_grad: the gradients are zero already, from construction or
+  // from the previous update's Adam::step, which zeroes every one.
   const double scale = 1.0 / static_cast<double>(steps);
   double reward_sum = 0.0;
   nn::Mat dlogits(steps, agent.net().num_actions());
@@ -95,13 +152,16 @@ double fused_update(const TrainConfig& train, const env::TaskDomain& domain,
                                    entropy_weight, scale, dlogits.row(t));
   }
   agent.net().backward_batch(dlogits, dvalues);
+  clock.mark(kBackward);
   auto params = agent.net().params();
   nn::Optimizer::clip_global_norm(params, train.grad_clip);
   optimizer.step(params);
+  clock.mark(kOptimizer);
   // Weights moved: refresh the transposed caches the next rollout's
   // forward_capture (and any checkpoint evaluation's forward_inference)
   // reads.
   agent.net().sync_inference_cache();
+  clock.mark(kSync);
   return reward_sum / static_cast<double>(steps);
 }
 
@@ -143,6 +203,7 @@ TrainResult BatchProbeTrainer::train_job(const ProbeJob& job) const {
   // A job runs entirely on one thread, so the delta of this thread's
   // kernel tallies across the job is exactly the job's own mat-mat volume.
   const nn::KernelCounters kernels_before = nn::thread_kernel_counters();
+  PhaseClock clock(config_.metrics != nullptr);
   const TrainConfig& train = config_.train;
   TrainResult result;
   std::unique_ptr<PolicyAgent> agent;
@@ -161,6 +222,7 @@ TrainResult BatchProbeTrainer::train_job(const ProbeJob& job) const {
     util::Rng rng(job.seed);
     Rollout rollout;
     for (std::size_t epoch = 0; epoch < train.epochs; ++epoch) {
+      clock.restart();
       const double progress =
           train.epochs > 1 ? static_cast<double>(epoch) /
                                  static_cast<double>(train.epochs - 1)
@@ -171,9 +233,11 @@ TrainResult BatchProbeTrainer::train_job(const ProbeJob& job) const {
       // Episode choice and start offset come from the job's stream, in
       // the oracle's order (choice, then reset).
       const auto episode = domain_->start_train_episode(train.fidelity, rng);
-      roll_episode(*agent, *episode, domain_->episode_length(), rng, rollout);
-      result.train_rewards.push_back(fused_update(
-          train, *domain_, *agent, optimizer, rollout, entropy_weight));
+      roll_episode(*agent, *episode, domain_->episode_length(), rng, rollout,
+                   clock);
+      result.train_rewards.push_back(fused_update(train, *domain_, *agent,
+                                                  optimizer, rollout,
+                                                  entropy_weight, clock));
 
       if (train.evaluate_checkpoints &&
           (epoch + 1) % train.test_interval == 0) {
@@ -221,6 +285,10 @@ TrainResult BatchProbeTrainer::train_job(const ProbeJob& job) const {
         .add(kernels_after.matmul_calls - kernels_before.matmul_calls);
     metrics.counter("nn.matmul.flops")
         .add(kernels_after.matmul_flops - kernels_before.matmul_flops);
+    for (std::size_t phase = 0; phase < kNumPhases; ++phase) {
+      metrics.histogram(kPhaseNames[phase])
+          .observe(clock.seconds(static_cast<Phase>(phase)));
+    }
   }
   return result;
 }

@@ -48,12 +48,14 @@ struct BatchProbeConfig {
   /// initializes it.
   std::size_t block_size = 4;
   /// Optional profiling registry (pure readout). Per job: wall clock in
-  /// rl.probe_block.seconds, one count each in rl.probe_blocks and
-  /// rl.probe_block_candidates, DSL execution volume in dsl.exec.*, and
-  /// batched mat-mat kernel volume in nn.matmul.calls / nn.matmul.flops,
-  /// plus the active flavor in the nn.kernel.flavor gauge (0=scalar,
-  /// 1=avx2, 2=fma). The funnel passes it for probes only. Must outlive
-  /// the trainer.
+  /// rl.probe_block.seconds and its split by phase in
+  /// rl.probe.phase.<dsl|forward|sample|env|backward|optimizer|sync>.seconds,
+  /// one count each in rl.probe_blocks and rl.probe_block_candidates, DSL
+  /// execution volume in dsl.exec.*, and batched mat-mat kernel volume in
+  /// nn.matmul.calls / nn.matmul.flops, plus the active flavor in the
+  /// nn.kernel.flavor gauge (0=scalar, 1=avx2, 2=fma). Without it the
+  /// trainer reads no clock. The funnel passes it for probes only. Must
+  /// outlive the trainer.
   obs::MetricsRegistry* metrics = nullptr;
 };
 

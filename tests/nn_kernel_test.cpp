@@ -1,17 +1,21 @@
 // Tests for the runtime-dispatched SIMD kernel flavors (nn/mat_kernels.h):
 // strict NADA_NN_KERNEL resolution, the avx2 bit-identity contract, the
-// fma pinned-divergence contract, aligned Mat storage, and the per-thread
+// fma pinned-divergence contract, the adam kernel against the scalar loop
+// in tests/nn_adam_oracle.h, aligned Mat storage, and the per-thread
 // volume counters behind nn.matmul.*.
 #include "nn/mat_kernels.h"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "nn/mat.h"
+#include "nn/optimizer.h"
+#include "nn_adam_oracle.h"
 #include "util/rng.h"
 
 namespace nada::nn {
@@ -201,7 +205,8 @@ TEST(KernelBitIdentity, Avx2WtAxpyMatchesScalarBitwise) {
   if (!avx2_runnable()) GTEST_SKIP() << "avx2 kernels unavailable";
   std::uint64_t seed = 1009;
   for (std::size_t k : {1u, 2u, 5u, 8u}) {
-    for (std::size_t out : {1u, 3u, 4u, 7u, 8u, 12u, 19u, 32u}) {
+    for (std::size_t out :
+         {1u, 3u, 4u, 7u, 8u, 12u, 16u, 19u, 24u, 28u, 32u, 45u}) {
       const Mat wt = random_mat(k, out, seed++);
       const Mat x = random_mat(1, k, seed++);
       std::vector<double> z_vec(out, 0.25);
@@ -235,6 +240,100 @@ TEST(KernelBitIdentity, FmaIsCloseButAllowedToDiverge) {
   ASSERT_EQ(c_fma.rows(), c_ref.rows());
   for (std::size_t i = 0; i < c_fma.size(); ++i) {
     EXPECT_NEAR(c_fma.data()[i], c_ref.data()[i], 1e-9) << i;
+  }
+}
+
+// ---- adam: the pre-kernel loop, over successive steps ----------------------
+
+constexpr std::size_t kAdamSteps = 50;  // the bias correction moves each step
+
+/// One parameter per length (0 is the kernel-level case below), stepped
+/// kAdamSteps times with fresh gradients that span several magnitudes and
+/// include exact zeros. Returns every parameter's weights after every
+/// step, and fails the test if a step leaves a gradient nonzero.
+template <typename Optimizer>
+std::vector<std::vector<double>> adam_trajectory(Optimizer& optimizer) {
+  const std::size_t lengths[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 1025};
+  std::vector<Mat> weights, grads;
+  std::uint64_t seed = 4001;
+  for (std::size_t n : lengths) {
+    weights.push_back(random_mat(1, n, seed++));
+    grads.emplace_back(1, n);
+  }
+  std::vector<ParamRef> params;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    params.push_back({&weights[i], &grads[i]});
+  }
+  util::Rng rng(97);
+  std::vector<std::vector<double>> trajectory;
+  for (std::size_t step = 0; step < kAdamSteps; ++step) {
+    const double magnitude = std::pow(10.0, static_cast<double>(step % 5) - 2);
+    for (Mat& g : grads) {
+      for (double& v : g.data()) {
+        v = rng.bernoulli(0.1) ? 0.0 : rng.uniform(-1.0, 1.0) * magnitude;
+      }
+    }
+    optimizer.step(params);
+    for (std::size_t i = 0; i < weights.size(); ++i) {
+      for (double g : grads[i].data()) EXPECT_EQ(g, 0.0) << "step " << step;
+      trajectory.emplace_back(weights[i].data().begin(),
+                              weights[i].data().end());
+    }
+  }
+  return trajectory;
+}
+
+TEST(KernelAdam, ScalarAndAvx2MatchThePreKernelLoopBitwise) {
+  test::AdamOracle oracle(0.01);
+  const auto expected = adam_trajectory(oracle);
+  std::vector<KernelFlavor> flavors = {KernelFlavor::kScalar};
+  if (avx2_runnable()) flavors.push_back(KernelFlavor::kAvx2);
+  for (const KernelFlavor flavor : flavors) {
+    SCOPED_TRACE(kernel_flavor_name(flavor));
+    FlavorGuard guard;
+    set_kernel_flavor(flavor);
+    Adam adam(0.01);
+    const auto actual = adam_trajectory(adam);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < actual.size(); ++i) {
+      ASSERT_EQ(actual[i], expected[i]) << "entry " << i;  // bitwise
+    }
+  }
+}
+
+// fma contracts the moment updates (one rounding each instead of two), so
+// it may differ from the loop in the last bits, never by more than 1e-12.
+TEST(KernelAdam, FmaStaysWithinToleranceOfThePreKernelLoop) {
+  if (!fma_runnable()) GTEST_SKIP() << "fma kernels unavailable";
+  test::AdamOracle oracle(0.01);
+  const auto expected = adam_trajectory(oracle);
+  FlavorGuard guard;
+  set_kernel_flavor(KernelFlavor::kFma);
+  Adam adam(0.01);
+  const auto actual = adam_trajectory(adam);
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(actual[i].size(), expected[i].size());
+    for (std::size_t j = 0; j < actual[i].size(); ++j) {
+      EXPECT_NEAR(actual[i][j], expected[i][j], 1e-12) << i << "/" << j;
+    }
+  }
+}
+
+TEST(KernelAdam, ZeroLengthTouchesNothing) {
+  std::vector<KernelFlavor> flavors = {KernelFlavor::kScalar};
+  if (avx2_runnable()) flavors.push_back(KernelFlavor::kAvx2);
+  if (fma_runnable()) flavors.push_back(KernelFlavor::kFma);
+  const AdamCoeffs coeffs{0.01, 0.9, 0.999, 1e-8, 0.1, 0.001};
+  for (const KernelFlavor flavor : flavors) {
+    FlavorGuard guard;
+    set_kernel_flavor(flavor);
+    double w = 1.5, g = 2.0, m = 3.0, v = 4.0;
+    active_kernels().adam(&w, &g, &m, &v, 0, coeffs);
+    EXPECT_EQ(w, 1.5) << kernel_flavor_name(flavor);
+    EXPECT_EQ(g, 2.0) << kernel_flavor_name(flavor);
+    EXPECT_EQ(m, 3.0) << kernel_flavor_name(flavor);
+    EXPECT_EQ(v, 4.0) << kernel_flavor_name(flavor);
   }
 }
 

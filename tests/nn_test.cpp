@@ -369,11 +369,13 @@ TEST(Mat, BatchedKernelsDegenerateShapes) {
   EXPECT_EQ(acc(0, 0), acc_serial(0, 0));
 }
 
-/// Two layers built from the same seed have identical weights; run B
-/// samples through one with the single-sample oracle and through the other
-/// as one B-row capture + backward_batch, and demand bitwise-equal outputs,
-/// parameter gradients, and input gradients — with the capturing layer
-/// unsynced (exact path) and synced (fast path).
+/// Layers built from the same seed have identical weights; run B samples
+/// through one with the single-sample oracle, through another as one B-row
+/// capture + backward_batch, and through a third as a capture +
+/// backward_params, and demand bitwise-equal outputs, parameter gradients,
+/// and input gradients — with the capturing layers unsynced (exact path)
+/// and synced (fast path). A synced layer's infer() must also match the
+/// oracle on every row, and again after a weight update and a re-sync.
 template <typename MakeLayer, typename MakeOracle>
 void check_capture_matches_oracle(MakeLayer make, MakeOracle oracle_of,
                                   std::size_t in_dim, std::size_t batch) {
@@ -381,9 +383,14 @@ void check_capture_matches_oracle(MakeLayer make, MakeOracle oracle_of,
     SCOPED_TRACE(synced ? "synced" : "unsynced");
     util::Rng rng_serial(2024);
     util::Rng rng_capture(2024);
+    util::Rng rng_params(2024);
     auto serial = make(rng_serial);
     auto captured = make(rng_capture);
-    if (synced) captured->sync_inference_cache();
+    auto params_only = make(rng_params);
+    if (synced) {
+      captured->sync_inference_cache();
+      params_only->sync_inference_cache();
+    }
     test::nn_serial::Layer oracle = oracle_of(serial->params());
 
     util::Rng data_rng(7);
@@ -418,15 +425,40 @@ void check_capture_matches_oracle(MakeLayer make, MakeOracle oracle_of,
       std::copy(yn.begin(), yn.end(), y_capture.row(nidx).begin());
     }
     const Mat dx_capture = captured->backward_batch(dy);
+    params_only->zero_grad();
+    params_only->begin_capture(batch);
+    for (std::size_t nidx = 0; nidx < batch; ++nidx) {
+      const Vec xn(x.row(nidx).begin(), x.row(nidx).end());
+      (void)params_only->forward_capture(xn, nidx);
+    }
+    params_only->backward_params(dy);
 
     EXPECT_EQ(y_serial.data(), y_capture.data());
     EXPECT_EQ(dx_serial.data(), dx_capture.data());
     auto ps = serial->params();
     auto pc = captured->params();
+    auto pp = params_only->params();
     ASSERT_EQ(ps.size(), pc.size());
+    ASSERT_EQ(ps.size(), pp.size());
     for (std::size_t p = 0; p < ps.size(); ++p) {
       EXPECT_EQ(ps[p].grad->data(), pc[p].grad->data()) << "param " << p;
+      EXPECT_EQ(ps[p].grad->data(), pp[p].grad->data()) << "param " << p;
     }
+    for (std::size_t nidx = 0; nidx < batch; ++nidx) {
+      const Vec xn(x.row(nidx).begin(), x.row(nidx).end());
+      const auto yr = y_serial.row(nidx);
+      EXPECT_EQ(captured->infer(xn), Vec(yr.begin(), yr.end()))
+          << "row " << nidx;
+    }
+
+    // Move the weights, re-sync in place, and infer again.
+    for (std::size_t p = 0; p < ps.size(); ++p) {
+      ps[p].value->add_scaled(*ps[p].grad, -0.5);
+      pc[p].value->add_scaled(*pc[p].grad, -0.5);
+    }
+    if (synced) captured->sync_inference_cache();
+    const Vec x1(x.row(batch - 1).begin(), x.row(batch - 1).end());
+    EXPECT_EQ(captured->infer(x1), test::nn_serial::forward(oracle, x1));
   }
 }
 
@@ -479,6 +511,60 @@ TEST(BatchedLayers, LstmMatchesSingle) {
         return test::nn_serial::lstm(std::move(ps));
       },
       8, 5);
+}
+
+// Every kernel width the generator draws from or that hits a distinct
+// column tail of the dW product (1, 4, 5, 6), narrow to wide filter banks,
+// every activation. At seq_len 10 the captures hold batch * out_len rows;
+// batches 5-7 leave 1-3-row tails of add_matmul_tn's four-row tiles.
+TEST(BatchedLayers, Conv1DMatchesSingleAcrossShapesAndActivations) {
+  constexpr std::size_t kSeqLen = 10;
+  const Activation activations[] = {
+      Activation::kLinear, Activation::kRelu,    Activation::kLeakyRelu,
+      Activation::kTanh,   Activation::kSigmoid, Activation::kElu};
+  for (const std::size_t kernel : {1u, 4u, 5u, 6u}) {
+    for (const std::size_t filters : {3u, 8u, 32u}) {
+      for (const Activation act : activations) {
+        for (const std::size_t batch : {5u, 6u, 7u}) {
+          SCOPED_TRACE("kernel " + std::to_string(kernel) + " filters " +
+                       std::to_string(filters) + " " + activation_name(act) +
+                       " batch " + std::to_string(batch));
+          check_capture_matches_oracle(
+              [&](util::Rng& rng) {
+                return std::make_unique<Conv1D>(kSeqLen, filters, kernel, act,
+                                                rng);
+              },
+              [&](std::vector<ParamRef> ps) {
+                return test::nn_serial::conv1d(std::move(ps), act);
+              },
+              kSeqLen, batch);
+        }
+      }
+    }
+  }
+}
+
+// Hidden 5 puts the gate sweeps (4H = 20 columns) and the W^T dz sweeps
+// (1 + H = 6) on vector-block tails; hidden 16 fills whole 16-column
+// blocks.
+TEST(BatchedLayers, RecurrentLayersMatchSingleAcrossHiddenSizes) {
+  for (const std::size_t hidden : {5u, 16u}) {
+    SCOPED_TRACE("hidden " + std::to_string(hidden));
+    check_capture_matches_oracle(
+        [&](util::Rng& rng) {
+          return std::make_unique<SimpleRnn>(8, hidden, rng);
+        },
+        [](std::vector<ParamRef> ps) {
+          return test::nn_serial::rnn(std::move(ps));
+        },
+        8, 7);
+    check_capture_matches_oracle(
+        [&](util::Rng& rng) { return std::make_unique<Lstm>(8, hidden, rng); },
+        [](std::vector<ParamRef> ps) {
+          return test::nn_serial::lstm(std::move(ps));
+        },
+        8, 7);
+  }
 }
 
 TEST(Conv1D, RejectsBadKernel) {

@@ -272,6 +272,18 @@ TEST(ProbeMetrics, CountOneTaskPerProbeRunAndNoneForFullTraining) {
             result.n_probes_run);
   EXPECT_EQ(registry.histogram("rl.probe_block.seconds").count(),
             result.n_probes_run);
+  // The phase split: one observation per task in every phase, and the
+  // phases never add up to more than the task's own wall-clock.
+  double phase_sum = 0.0;
+  for (const char* phase : {"dsl", "forward", "sample", "env", "backward",
+                            "optimizer", "sync"}) {
+    const auto& h = registry.histogram(std::string("rl.probe.phase.") +
+                                       phase + ".seconds");
+    EXPECT_EQ(h.count(), result.n_probes_run) << phase;
+    EXPECT_GT(h.sum(), 0.0) << phase;
+    phase_sum += h.sum();
+  }
+  EXPECT_LE(phase_sum, registry.histogram("rl.probe_block.seconds").sum());
 }
 
 // ---- TraceSink --------------------------------------------------------------
@@ -537,6 +549,8 @@ TEST(ObservabilityEquivalence, ShardedStreamingSinksMatchSilentRun) {
             static_cast<std::uint64_t>(config.num_candidates) * (kRanges + 1));
   EXPECT_GT(registry.counter("store.lookups").value(), 0u);
   EXPECT_GT(registry.histogram("rl.probe_block.seconds").count(), 0u);
+  EXPECT_EQ(registry.histogram("rl.probe.phase.backward.seconds").count(),
+            registry.histogram("rl.probe_block.seconds").count());
   EXPECT_NO_THROW(util::JsonValue::parse(registry.snapshot().dump()));
   // Trace: non-empty, every line valid JSON.
   const auto trace_lines = sorted_lines(trace_path);
