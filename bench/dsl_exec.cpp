@@ -69,8 +69,7 @@ int main() {
   };
   std::vector<Sample> samples;
   samples.push_back({"pensieve_state_source",
-                     dsl::StateProgram::compile(dsl::pensieve_state_source(),
-                                                &env::abr_catalog()),
+                     dsl::StateProgram::compile(dsl::pensieve_state_source()),
                      &env::abr_catalog()});
   const auto sample_stream = [&](const gen::StateSpace& space,
                                  const dsl::BindingCatalog& catalog,

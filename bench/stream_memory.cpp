@@ -24,8 +24,8 @@
 //
 // Writes bench_results/stream_memory.csv and
 // bench_results/store_open.csv. Args: `store-only` / `funnel-only` run a
-// single table (CI's store-format-smoke job uses store-only at full
-// scale).
+// single table (CI's million-record open-path step uses store-only at
+// full scale).
 #include <iostream>
 #include <string>
 #include <vector>

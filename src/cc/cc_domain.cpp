@@ -15,20 +15,22 @@ class CcEpisode final : public env::Episode {
             util::Rng& rng)
       : env_(capacity, config, rng) {}
 
-  dsl::Bindings reset() override {
-    return bindings_from_cc_observation(env_.reset());
+  const dsl::Bindings& reset() override {
+    fill_cc_frame(env_.reset(), frame_);
+    return frame_;
   }
 
   env::DomainStep step(std::size_t action) override {
-    CcStepResult sr = env_.step(action);
-    return env::DomainStep{bindings_from_cc_observation(sr.observation),
-                           sr.reward, sr.done};
+    const CcStepResult sr = env_.step(action);
+    fill_cc_frame(sr.observation, frame_);
+    return env::DomainStep{sr.reward, sr.done};
   }
 
   [[nodiscard]] bool done() const override { return env_.done(); }
 
  private:
   CcEnv env_;
+  dsl::Bindings frame_{cc_input_variables()};
 };
 
 }  // namespace

@@ -5,9 +5,9 @@
 // steps_per_episode monitor intervals over one capacity trace drawn from a
 // trace::Dataset (the same generators that model FCC/Starlink/4G/5G
 // capacity for ABR model bottleneck capacity here), actions are the
-// Aurora-style rate multipliers, and observations are lowered through
-// cc::bindings_from_cc_observation. With this adapter the entire funnel —
-// generate -> pre-check -> probe -> early-stop -> full train ->
+// Aurora-style rate multipliers, and observations are lowered in place into
+// each episode's frame (cc::fill_cc_frame). With this adapter the entire
+// funnel — generate -> pre-check -> probe -> early-stop -> full train ->
 // rank, store checkpointing included — runs over CC through exactly the
 // code path ABR uses.
 #pragma once

@@ -82,7 +82,6 @@ class CcEnv {
     return rate_actions().size();
   }
   [[nodiscard]] double rate_mbps() const { return rate_mbps_; }
-  [[nodiscard]] double queue_ms() const { return queue_ms_; }
 
  private:
   [[nodiscard]] CcObservation make_observation() const;
@@ -113,20 +112,5 @@ class AimdController {
   double increase_mbps_;
   double decrease_factor_;
 };
-
-/// Runs one episode with a controller callback; returns mean reward.
-template <typename Controller>
-double run_episode(CcEnv& env, Controller&& controller) {
-  CcObservation obs = env.reset();
-  double total = 0.0;
-  std::size_t steps = 0;
-  while (!env.done()) {
-    const CcStepResult r = env.step(controller(obs));
-    total += r.reward;
-    obs = r.observation;
-    ++steps;
-  }
-  return steps > 0 ? total / static_cast<double>(steps) : 0.0;
-}
 
 }  // namespace nada::cc

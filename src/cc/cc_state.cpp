@@ -2,31 +2,30 @@
 
 namespace nada::cc {
 
-dsl::Bindings bindings_from_cc_observation(const CcObservation& obs) {
-  dsl::Bindings b;
-  // One entry per cc_input_variables() slot; reserved up front to spare
-  // per-step rehashing (bucket layout is unobservable — nothing iterates).
-  b.reserve(cc_input_variables().size());
-  b.emplace("send_rate_mbps", dsl::Value(obs.send_rate_mbps));
-  b.emplace("ack_rate_mbps", dsl::Value(obs.ack_rate_mbps));
-  b.emplace("rtt_ms", dsl::Value(obs.rtt_ms));
-  b.emplace("loss_fraction", dsl::Value(obs.loss_fraction));
-  b.emplace("min_rtt_ms", dsl::Value(obs.min_rtt_ms));
-  b.emplace("current_rate_mbps", dsl::Value(obs.current_rate_mbps));
-  return b;
-}
-
-const std::vector<dsl::InputVariable>& cc_input_variables() {
-  // Order is the CC domain's canonical slot numbering (see
-  // dsl::BindingCatalog::slot_index); the bytecode compiler annotates
-  // input references with these positions, so treat the list as
-  // append-only.
-  static const std::vector<dsl::InputVariable> kVars = {
+const dsl::Vocabulary& cc_input_variables() {
+  // Slot order: fill_cc_frame writes the slots in this order, and cc_test
+  // pins every name against its CcObservation field.
+  static const dsl::Vocabulary kVars({
       {"send_rate_mbps", true},   {"ack_rate_mbps", true},
       {"rtt_ms", true},           {"loss_fraction", true},
       {"min_rtt_ms", false},      {"current_rate_mbps", false},
-  };
+  });
   return kVars;
+}
+
+void fill_cc_frame(const CcObservation& obs, dsl::Bindings& frame) {
+  frame[0].mutable_vector() = obs.send_rate_mbps;
+  frame[1].mutable_vector() = obs.ack_rate_mbps;
+  frame[2].mutable_vector() = obs.rtt_ms;
+  frame[3].mutable_vector() = obs.loss_fraction;
+  frame[4].set_scalar(obs.min_rtt_ms);
+  frame[5].set_scalar(obs.current_rate_mbps);
+}
+
+dsl::Bindings bindings_from_cc_observation(const CcObservation& obs) {
+  dsl::Bindings frame(cc_input_variables());
+  fill_cc_frame(obs, frame);
+  return frame;
 }
 
 const std::string& default_cc_state_source() {
@@ -85,8 +84,7 @@ class CcBindingCatalog final : public dsl::BindingCatalog {
     static const std::string kDomain = "cc";
     return kDomain;
   }
-  [[nodiscard]] const std::vector<dsl::InputVariable>& variables()
-      const override {
+  [[nodiscard]] const dsl::Vocabulary& variables() const override {
     return cc_input_variables();
   }
   [[nodiscard]] dsl::Bindings canned() const override {

@@ -17,13 +17,17 @@
 
 namespace nada::cc {
 
-/// DSL input bindings for a CC observation (semantic names, as the
-/// paper's prompting strategy prescribes).
+/// The CC input variables in slot order (semantic names, as the paper's
+/// prompting strategy prescribes).
+[[nodiscard]] const dsl::Vocabulary& cc_input_variables();
+
+/// `obs` written into `frame`, a frame over cc_input_variables(), in
+/// place: vector slots keep their capacity.
+void fill_cc_frame(const CcObservation& obs, dsl::Bindings& frame);
+
+/// `obs` as a new frame over cc_input_variables().
 [[nodiscard]] dsl::Bindings bindings_from_cc_observation(
     const CcObservation& obs);
-
-/// Names/kinds of the CC input variables (generator and docs).
-[[nodiscard]] const std::vector<dsl::InputVariable>& cc_input_variables();
 
 /// A reasonable hand-written CC state (the "original design" for a CC
 /// search): normalized rate, throughput, RTT inflation, and loss history.

@@ -18,8 +18,6 @@ std::uint64_t next_program_id() {
 // names are pure aliases for the defining expression's register.
 class Compiler {
  public:
-  explicit Compiler(const BindingCatalog* catalog) : catalog_(catalog) {}
-
   CompiledProgram compile(const Program& program) {
     for (const auto& stmt : program.statements) {
       const std::uint32_t reg = eval(*stmt.expr);
@@ -58,7 +56,7 @@ class Compiler {
         // Unknown names cannot be rejected here: a reference inside a
         // never-taken ternary branch must not fail, matching the
         // tree-walk's lazy lookup. The load throws when actually executed
-        // against a Bindings map missing the name.
+        // against a frame whose vocabulary lacks the name.
         const std::uint32_t input = input_slot(e.name);
         const std::uint32_t msg =
             message("undefined variable '" + e.name + "' (line " +
@@ -203,15 +201,8 @@ class Compiler {
     if (const auto it = input_ids_.find(name); it != input_ids_.end()) {
       return it->second;
     }
-    InputRef ref;
-    ref.name = name;
-    if (catalog_ != nullptr) {
-      if (const auto slot = catalog_->slot_index(name)) {
-        ref.catalog_slot = static_cast<int>(*slot);
-      }
-    }
     const auto idx = static_cast<std::uint32_t>(out_.inputs.size());
-    out_.inputs.push_back(std::move(ref));
+    out_.inputs.push_back(name);
     input_ids_[name] = idx;
     return idx;
   }
@@ -231,7 +222,6 @@ class Compiler {
     return offset;
   }
 
-  const BindingCatalog* catalog_;
   CompiledProgram out_;
   std::unordered_map<std::string, std::uint32_t> locals_;
   std::unordered_map<std::string, std::uint32_t> input_ids_;
@@ -241,9 +231,8 @@ class Compiler {
 
 }  // namespace
 
-CompiledProgram compile_program(const Program& program,
-                                const BindingCatalog* catalog) {
-  return Compiler(catalog).compile(program);
+CompiledProgram compile_program(const Program& program) {
+  return Compiler().compile(program);
 }
 
 }  // namespace nada::dsl

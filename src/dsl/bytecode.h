@@ -4,12 +4,12 @@
 // allocates fresh Values per AST node, per step — and the state program is
 // the per-step inner loop of precheck, probe, and full training.
 // compile_program() lowers the parsed AST once into straight-line register
-// code: variable references become input/local slot indices
-// (annotated with the domain catalog's canonical slot numbering when a
-// catalog is supplied), builtin calls become direct indices into the flat
-// builtin_table(), numeric literals are pooled and bound to registers up
-// front, and let-bindings are zero-cost register aliases. dsl::Vm (vm.h)
-// executes the result against a reusable register file.
+// code: variable references become indices into the program's input-name
+// table or local registers, builtin calls become direct indices into the
+// flat builtin_table(), numeric literals are pooled and bound to registers
+// up front, and let-bindings are zero-cost register aliases. Compilation
+// needs no domain: dsl::Vm (vm.h) binds the input names to a frame's slots
+// when it runs the result against a reusable register file.
 //
 // Lowering is total: it never rejects a program. Errors the language
 // raises lazily — an undefined variable, an unknown function, a bad arity
@@ -28,14 +28,13 @@
 #include <vector>
 
 #include "dsl/ast.h"
-#include "dsl/binding_catalog.h"
 #include "dsl/builtins.h"
 #include "dsl/value.h"
 
 namespace nada::dsl {
 
 enum class Op : std::uint8_t {
-  kLoadInput,     ///< regs[dst] <- *input_ptrs[a]; throws messages[b] if unbound
+  kLoadInput,     ///< regs[dst] <- frame[slot(inputs[a])]; unbound: messages[b]
   kUnary,         ///< regs[dst] <- UnaryOp(sub)(regs[a])
   kBinary,        ///< regs[dst] <- BinaryOp(sub)(regs[a], regs[b])
   kCall,          ///< regs[dst] <- builtin_table()[a](operands[b..b+c))
@@ -61,17 +60,6 @@ struct Instr {
   std::uint32_t c = 0;
 };
 
-/// One observation input the program reads, resolved against the Bindings
-/// map once per run (not once per reference per step, as the tree does).
-struct InputRef {
-  std::string name;
-  /// Index into the domain catalog's variables() — its canonical slot —
-  /// or -1 when compiled without a catalog / the name is outside the
-  /// vocabulary (which the tree-walk only discovers on evaluation, so the
-  /// VM must too; see kLoadInput).
-  int catalog_slot = -1;
-};
-
 /// A lowered program: straight-line register code plus its pools. Owned by
 /// StateProgram (shared_ptr) and immutable after compilation, so many
 /// threads may execute one CompiledProgram concurrently, each with its own
@@ -83,8 +71,11 @@ struct CompiledProgram {
   /// Pooled numeric literals, deduped by bit pattern; each pair binds a
   /// reserved register to its Value before execution starts.
   std::vector<std::pair<std::uint32_t, Value>> constants;
-  /// Unique observation inputs in first-reference order.
-  std::vector<InputRef> inputs;
+  /// Unique observation input names in first-reference order. The Vm
+  /// resolves them to slots once per frame vocabulary; a name outside the
+  /// vocabulary fails only when its kLoadInput executes, as in the
+  /// tree-walk.
+  std::vector<std::string> inputs;
   /// Emit-row names in emission order; the VM preallocates the
   /// StateMatrix from this.
   std::vector<std::string> emit_names;
@@ -98,9 +89,7 @@ struct CompiledProgram {
 
 /// Lowers a parsed program. Never throws on well-parsed input: semantic
 /// errors are lowered to runtime throws so the VM's failure behaviour
-/// matches the reference tree-walk exactly. `catalog`, when non-null,
-/// only annotates InputRef::catalog_slot — it does not affect execution.
-[[nodiscard]] CompiledProgram compile_program(
-    const Program& program, const BindingCatalog* catalog = nullptr);
+/// matches the reference tree-walk exactly.
+[[nodiscard]] CompiledProgram compile_program(const Program& program);
 
 }  // namespace nada::dsl

@@ -113,10 +113,4 @@ std::string canonical_source(const Program& program) {
   return out;
 }
 
-std::string canonical_expr(const Expr& expr) {
-  std::string out;
-  append_expr(out, expr, RenameMap{});
-  return out;
-}
-
 }  // namespace nada::dsl

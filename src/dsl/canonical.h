@@ -22,8 +22,4 @@ namespace nada::dsl {
 /// One statement per line: `let vN = <expr>;` / `emit "name" = <expr>;`.
 [[nodiscard]] std::string canonical_source(const Program& program);
 
-/// Canonical form of a single expression under an empty rename map (used
-/// by tests; canonical_source applies let-binding renames).
-[[nodiscard]] std::string canonical_expr(const Expr& expr);
-
 }  // namespace nada::dsl

@@ -1,23 +1,20 @@
 #include "dsl/state_program.h"
 
-#include "dsl/binding_catalog.h"
 #include "dsl/parser.h"
 #include "dsl/vm.h"
 
 namespace nada::dsl {
 
-StateProgram::StateProgram(std::string source, Program program,
-                           const BindingCatalog* catalog)
+StateProgram::StateProgram(std::string source, Program program)
     : source_(std::move(source)),
       program_(std::move(program)),
       code_(std::make_shared<const CompiledProgram>(
-          compile_program(program_, catalog))),
+          compile_program(program_))),
       signature_cache_(std::make_shared<SignatureCache>()) {}
 
-StateProgram StateProgram::compile(std::string source,
-                                   const BindingCatalog* catalog) {
+StateProgram StateProgram::compile(std::string source) {
   Program program = parse(source);
-  return StateProgram(std::move(source), std::move(program), catalog);
+  return StateProgram(std::move(source), std::move(program));
 }
 
 StateMatrix StateProgram::run(const Bindings& inputs) const {

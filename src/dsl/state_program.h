@@ -1,19 +1,21 @@
 // StateProgram: a compiled NadaScript state function.
 //
 // This is the unit NADA searches over for the "state representation"
-// component. A program maps a raw observation — expressed as named input
-// bindings, per the domain's BindingCatalog — to the state matrix the
-// actor-critic network consumes. The language itself is domain-agnostic:
-// the same DSL expresses ABR state functions over throughput/buffer
-// histories and CC state functions over rate/RTT/loss histories; only the
-// binding vocabulary changes (src/env and src/cc own those vocabularies).
+// component. A program maps a raw observation — a frame of input bindings
+// over the domain's vocabulary (binding_catalog.h) — to the state matrix
+// the actor-critic network consumes. The language itself is
+// domain-agnostic: the same DSL expresses ABR state functions over
+// throughput/buffer histories and CC state functions over rate/RTT/loss
+// histories; only the binding vocabulary changes (src/env and src/cc own
+// those vocabularies), and a program compiles without one.
 //
 // Execution: compile() parses the source AND lowers it to register
 // bytecode (bytecode.h); run() executes that bytecode on the VM (vm.h),
-// the only engine. The parsed AST stays available through program() for
-// the canonical serializer and for the reference tree-walk oracle in
-// tests/, which the VM is pinned bit-identical to — same matrices, same
-// error messages, hence the same journaled failure reasons.
+// the only engine, which binds the program's inputs to the frame's slots.
+// The parsed AST stays available through program() for the canonical
+// serializer and for the reference tree-walk oracle in tests/, which the
+// VM is pinned bit-identical to — same matrices, same error messages,
+// hence the same journaled failure reasons.
 //
 // The original Pensieve state is provided in this language
 // (pensieve_state_source) and serves as the ABR seed design.
@@ -26,12 +28,11 @@
 #include <vector>
 
 #include "dsl/ast.h"
+#include "dsl/binding_catalog.h"
 #include "dsl/bytecode.h"
 #include "dsl/value.h"
 
 namespace nada::dsl {
-
-class BindingCatalog;
 
 class StateProgram {
  public:
@@ -39,16 +40,11 @@ class StateProgram {
   /// on expressions nested past the parser's depth cap. Lowering never
   /// rejects a parseable program (semantic errors surface at run time;
   /// see bytecode.h).
-  /// `catalog`, when given, annotates the bytecode's input table with the
-  /// domain's canonical slot indices (execution is unaffected; see
-  /// InputRef::catalog_slot).
-  [[nodiscard]] static StateProgram compile(
-      std::string source, const BindingCatalog* catalog = nullptr);
+  [[nodiscard]] static StateProgram compile(std::string source);
 
-  /// Runs against a set of observation bindings (see BindingCatalog);
-  /// throws RuntimeError on evaluation errors, including references to
-  /// variables outside the bound vocabulary, and BudgetError when a run
-  /// exceeds the execution budget.
+  /// Runs against one observation frame; throws RuntimeError on evaluation
+  /// errors, including references to variables outside the frame's
+  /// vocabulary, and BudgetError when a run exceeds the execution budget.
   [[nodiscard]] StateMatrix run(const Bindings& inputs) const;
 
   [[nodiscard]] const std::string& source() const { return source_; }
@@ -57,9 +53,6 @@ class StateProgram {
   /// The lowered bytecode. Immutable and shared_ptr-owned: hot paths that
   /// keep their own Vm (rl::PolicyAgent) execute this directly.
   [[nodiscard]] const CompiledProgram& code() const { return *code_; }
-  [[nodiscard]] std::shared_ptr<const CompiledProgram> code_ptr() const {
-    return code_;
-  }
 
   /// Row lengths of this program's state matrix under `catalog`'s canned
   /// observation — the network input signature. Computed at most once per
@@ -77,8 +70,7 @@ class StateProgram {
                        std::vector<std::size_t> lengths) const;
 
  private:
-  StateProgram(std::string source, Program program,
-               const BindingCatalog* catalog);
+  StateProgram(std::string source, Program program);
 
   // The signature cache outlives moves of the StateProgram (the store
   // pipeline moves compiled programs into per-candidate slots) and must be

@@ -52,11 +52,4 @@ bool StateMatrix::all_finite() const {
   return true;
 }
 
-std::vector<std::vector<double>> StateMatrix::to_network_rows() const {
-  std::vector<std::vector<double>> out;
-  out.reserve(rows.size());
-  for (const auto& row : rows) out.push_back(row.values);
-  return out;
-}
-
 }  // namespace nada::dsl

@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace nada::dsl {
@@ -105,10 +104,6 @@ Value broadcast_binary(const Value& a, const Value& b, Op op,
   return Value(std::move(out));
 }
 
-/// Named input values for one program run: the raw observation, keyed by
-/// the domain's variable names (see BindingCatalog).
-using Bindings = std::unordered_map<std::string, Value>;
-
 /// One emitted state row.
 struct StateRow {
   std::string name;
@@ -128,9 +123,6 @@ struct StateMatrix {
 
   /// True if every value is finite.
   [[nodiscard]] bool all_finite() const;
-
-  /// Flattens to per-row vectors for the network.
-  [[nodiscard]] std::vector<std::vector<double>> to_network_rows() const;
 };
 
 }  // namespace nada::dsl

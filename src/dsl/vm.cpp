@@ -1,13 +1,15 @@
 #include "dsl/vm.h"
 
 #include <cmath>
-#include <cstdlib>
 #include <string>
 
 #include "dsl/builtins.h"
 
 namespace nada::dsl {
 namespace {
+
+/// input_slots_ entry of a name outside the frame's vocabulary.
+constexpr std::size_t kUnbound = static_cast<std::size_t>(-1);
 
 // Mirrors the reference tree-walk's require_scalar exactly (message
 // identity matters: failure reasons are journaled by the store, so a
@@ -129,50 +131,38 @@ struct StatsFlush {
 
 }  // namespace
 
-std::uint64_t instruction_budget() {
-  static const std::uint64_t kBudget = [] {
-    if (const char* env = std::getenv("NADA_DSL_BUDGET")) {
-      char* end = nullptr;
-      const unsigned long long v = std::strtoull(env, &end, 10);
-      if (end != env && *end == '\0' && v > 0) {
-        return static_cast<std::uint64_t>(v);
-      }
+void Vm::prepare(const CompiledProgram& program,
+                 const Vocabulary& vocabulary) {
+  if (prepared_id_ != program.id) {
+    storage_.resize(program.num_registers);
+    view_.assign(program.num_registers, nullptr);
+    // Constant registers point straight into the (immutable, shared_ptr-
+    // owned) CompiledProgram; they stay bound for as long as this program
+    // stays prepared.
+    for (const auto& [reg, value] : program.constants) view_[reg] = &value;
+    matrix_.rows.resize(program.emit_names.size());
+    for (std::size_t i = 0; i < program.emit_names.size(); ++i) {
+      matrix_.rows[i].name = program.emit_names[i];
     }
-    return kDefaultInstructionBudget;
-  }();
-  return kBudget;
-}
-
-void Vm::prepare(const CompiledProgram& program) {
-  if (prepared_id_ == program.id) return;
-  storage_.resize(program.num_registers);
-  view_.assign(program.num_registers, nullptr);
-  // Constant registers point straight into the (immutable, shared_ptr-
-  // owned) CompiledProgram; they stay bound for as long as this program
-  // stays prepared.
-  for (const auto& [reg, value] : program.constants) view_[reg] = &value;
-  input_ptrs_.assign(program.inputs.size(), nullptr);
-  matrix_.rows.resize(program.emit_names.size());
-  for (std::size_t i = 0; i < program.emit_names.size(); ++i) {
-    matrix_.rows[i].name = program.emit_names[i];
+    prepared_id_ = program.id;
+    bound_vocabulary_ = 0;
   }
-  prepared_id_ = program.id;
+  if (bound_vocabulary_ == vocabulary.id()) return;
+  // Names resolve to slots only when the program or the vocabulary
+  // changed; runs bind by index. A name outside the vocabulary is NOT an error yet — the
+  // tree-walk only fails when the reference is evaluated, so a reference
+  // in a never-taken branch must stay silent.
+  input_slots_.resize(program.inputs.size());
+  for (std::size_t i = 0; i < program.inputs.size(); ++i) {
+    input_slots_[i] = vocabulary.slot(program.inputs[i]).value_or(kUnbound);
+  }
+  bound_vocabulary_ = vocabulary.id();
 }
 
 const StateMatrix& Vm::run(const CompiledProgram& program,
                            const Bindings& inputs) {
-  prepare(program);
-  // Inputs resolve once per run (the tree-walk pays a hash lookup per
-  // reference per step). A missing name is NOT an error yet — the
-  // tree-walk only fails when the reference is evaluated, so a reference
-  // in a never-taken branch must stay silent.
-  for (std::size_t i = 0; i < program.inputs.size(); ++i) {
-    const auto it = inputs.find(program.inputs[i].name);
-    input_ptrs_[i] = it == inputs.end() ? nullptr : &it->second;
-  }
-
-  const std::uint64_t budget =
-      budget_override_ != 0 ? budget_override_ : instruction_budget();
+  prepare(program, inputs.vocabulary());
+  const std::uint64_t budget = budget_;
   ++stats_.runs;
   StatsFlush counters{stats_};
 
@@ -187,9 +177,9 @@ const StateMatrix& Vm::run(const CompiledProgram& program,
     ++counters.cost_units;
     switch (in.op) {
       case Op::kLoadInput: {
-        const Value* p = input_ptrs_[in.a];
-        if (p == nullptr) throw RuntimeError(program.messages[in.b]);
-        view[in.dst] = p;
+        const std::size_t slot = input_slots_[in.a];
+        if (slot == kUnbound) throw RuntimeError(program.messages[in.b]);
+        view[in.dst] = &inputs[slot];
         break;
       }
 
@@ -365,11 +355,9 @@ const StateMatrix& Vm::run(const CompiledProgram& program,
         throw RuntimeError(program.messages[in.a]);
     }
     if (counters.cost_units > budget) {
-      throw BudgetError(
-          "instruction budget exceeded: run passed " + std::to_string(budget) +
-          " cost units at line " + std::to_string(in.line) +
-          " (default " + std::to_string(kDefaultInstructionBudget) +
-          "; override with NADA_DSL_BUDGET, see docs/DSL.md)");
+      throw BudgetError("instruction budget exceeded: run passed " +
+                        std::to_string(budget) + " cost units at line " +
+                        std::to_string(in.line));
     }
     ++pc;
   }

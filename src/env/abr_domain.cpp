@@ -7,33 +7,10 @@
 
 namespace nada::env {
 
-dsl::Bindings bindings_from_observation(const Observation& obs) {
-  dsl::Bindings b;
-  // One entry per input_variables() slot; reserving up front spares the
-  // per-step rehash churn (this runs once per env step on every funnel
-  // path). Nothing iterates the map, so bucket layout is unobservable.
-  b.reserve(input_variables().size());
-  b.emplace("throughput_mbps", dsl::Value(obs.throughput_mbps));
-  b.emplace("download_time_s", dsl::Value(obs.download_time_s));
-  b.emplace("buffer_size_s_history", dsl::Value(obs.buffer_s_history));
-  b.emplace("next_chunk_sizes_bytes", dsl::Value(obs.next_chunk_bytes));
-  b.emplace("bitrate_levels_kbps", dsl::Value(obs.ladder_kbps));
-  b.emplace("buffer_size_s", dsl::Value(obs.buffer_s));
-  b.emplace("chunks_remaining", dsl::Value(obs.chunks_remaining));
-  b.emplace("total_chunks", dsl::Value(obs.total_chunks));
-  b.emplace("last_bitrate_kbps", dsl::Value(obs.last_bitrate_kbps));
-  b.emplace("chunk_length_s", dsl::Value(obs.chunk_len_s));
-  b.emplace("max_bitrate_kbps",
-            dsl::Value(obs.ladder_kbps.empty() ? 0.0 : obs.ladder_kbps.back()));
-  return b;
-}
-
-const std::vector<dsl::InputVariable>& input_variables() {
-  // Order is the ABR domain's canonical slot numbering (see
-  // dsl::BindingCatalog::slot_index); the bytecode compiler annotates
-  // input references with these positions, so treat the list as
-  // append-only.
-  static const std::vector<dsl::InputVariable> kVars = {
+const dsl::Vocabulary& input_variables() {
+  // Slot order: fill_frame below writes the slots in this order, and
+  // env_test pins every name against its Observation field.
+  static const dsl::Vocabulary kVars({
       {"throughput_mbps", true},
       {"download_time_s", true},
       {"buffer_size_s_history", true},
@@ -45,8 +22,35 @@ const std::vector<dsl::InputVariable>& input_variables() {
       {"last_bitrate_kbps", false},
       {"chunk_length_s", false},
       {"max_bitrate_kbps", false},
-  };
+  });
   return kVars;
+}
+
+namespace {
+
+/// Writes `obs` into `frame`, a frame over input_variables(), in place:
+/// vector slots keep their capacity.
+void fill_frame(const Observation& obs, dsl::Bindings& frame) {
+  frame[0].mutable_vector() = obs.throughput_mbps;
+  frame[1].mutable_vector() = obs.download_time_s;
+  frame[2].mutable_vector() = obs.buffer_s_history;
+  frame[3].mutable_vector() = obs.next_chunk_bytes;
+  frame[4].mutable_vector() = obs.ladder_kbps;
+  frame[5].set_scalar(obs.buffer_s);
+  frame[6].set_scalar(obs.chunks_remaining);
+  frame[7].set_scalar(obs.total_chunks);
+  frame[8].set_scalar(obs.last_bitrate_kbps);
+  frame[9].set_scalar(obs.chunk_len_s);
+  frame[10].set_scalar(obs.ladder_kbps.empty() ? 0.0
+                                               : obs.ladder_kbps.back());
+}
+
+}  // namespace
+
+dsl::Bindings bindings_from_observation(const Observation& obs) {
+  dsl::Bindings frame(input_variables());
+  fill_frame(obs, frame);
+  return frame;
 }
 
 Observation canned_observation() {
@@ -106,8 +110,7 @@ class AbrBindingCatalog final : public dsl::BindingCatalog {
     static const std::string kDomain = "abr";
     return kDomain;
   }
-  [[nodiscard]] const std::vector<dsl::InputVariable>& variables()
-      const override {
+  [[nodiscard]] const dsl::Vocabulary& variables() const override {
     return input_variables();
   }
   [[nodiscard]] dsl::Bindings canned() const override {
@@ -124,20 +127,22 @@ class AbrEpisode final : public Episode {
              Fidelity fidelity, util::Rng& rng)
       : env_(trace, video, fidelity, rng) {}
 
-  dsl::Bindings reset() override {
-    return bindings_from_observation(env_.reset());
+  const dsl::Bindings& reset() override {
+    fill_frame(env_.reset(), frame_);
+    return frame_;
   }
 
   DomainStep step(std::size_t action) override {
-    StepResult sr = env_.step(action);
-    return DomainStep{bindings_from_observation(sr.observation), sr.reward,
-                      sr.done};
+    const StepResult sr = env_.step(action);
+    fill_frame(sr.observation, frame_);
+    return DomainStep{sr.reward, sr.done};
   }
 
   [[nodiscard]] bool done() const override { return env_.done(); }
 
  private:
   AbrEnv env_;
+  dsl::Bindings frame_{input_variables()};
 };
 
 }  // namespace

@@ -1,13 +1,14 @@
 // The ABR streaming stack as a TaskDomain — the funnel's first domain.
 //
-// This module owns the ABR side of the domain abstraction: the mapping
-// from env::Observation to DSL bindings (the "semantically meaningful
-// names" the paper's prompting strategy introduces, §2.1), the ABR binding
-// catalog (canned + fuzz observations for the pre-checks), and AbrDomain,
-// which adapts (trace::Dataset, video::Video) episodes to the generic
-// funnel. The bindings, canned values, and fuzz draw sequence are the
-// exact ones the pre-domain code used, so fingerprints, check verdicts,
-// and reward curves are unchanged by the abstraction.
+// This module owns the ABR side of the domain abstraction: the ABR input
+// vocabulary (the "semantically meaningful names" the paper's prompting
+// strategy introduces, §2.1) and the lowering of an env::Observation into
+// a frame over it, the ABR binding catalog (canned + fuzz observations for
+// the pre-checks), and AbrDomain, which adapts (trace::Dataset,
+// video::Video) episodes to the generic funnel. The bindings, canned
+// values, and fuzz draw sequence are the exact ones the pre-domain code
+// used, so fingerprints, check verdicts, and reward curves are unchanged
+// by the abstraction.
 #pragma once
 
 #include <cstddef>
@@ -23,11 +24,11 @@
 
 namespace nada::env {
 
-/// Converts an observation into the DSL input bindings.
-[[nodiscard]] dsl::Bindings bindings_from_observation(const Observation& obs);
+/// The ABR observation variables exposed to programs, in slot order.
+[[nodiscard]] const dsl::Vocabulary& input_variables();
 
-/// Names of all ABR observation variables exposed to programs.
-[[nodiscard]] const std::vector<dsl::InputVariable>& input_variables();
+/// `obs` as a frame over input_variables().
+[[nodiscard]] dsl::Bindings bindings_from_observation(const Observation& obs);
 
 /// A synthetic observation with plausible mid-stream values; used as the
 /// canned input for trial runs (the compilation check).

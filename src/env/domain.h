@@ -3,11 +3,11 @@
 // The funnel (generate -> pre-check -> probe -> early-stop -> full train ->
 // rank) is domain-agnostic: the training engine (rl::BatchProbeTrainer)
 // and search::SearchJob only need episodes that step under a discrete action
-// space, observations expressed as DSL bindings, and a handful of scalar
-// hints. A TaskDomain packages those for one task — ABR streaming
-// (env::AbrDomain) and congestion control (cc::CcDomain) today; a third
-// domain is one subclass plus a binding catalog and a generator state
-// space away.
+// space, observations held in a DSL input frame over the domain's
+// vocabulary (dsl::Bindings), and a handful of scalar hints. A TaskDomain
+// packages those for one task — ABR streaming (env::AbrDomain) and
+// congestion control (cc::CcDomain) today; a third domain is one subclass
+// plus a binding catalog and a generator state space away.
 //
 // Determinism contract (the candidate store and the engine/oracle training
 // equivalence both rest on it):
@@ -37,9 +37,8 @@ enum class Fidelity {
   kEmulation,   ///< ABR: slow-start + HTTP overhead model (paper Table 4)
 };
 
-/// One step's outcome, observation already lowered to DSL bindings.
+/// One step's outcome; the observation is in the episode's frame.
 struct DomainStep {
-  dsl::Bindings observation;
   double reward = 0.0;
   bool done = false;
 };
@@ -50,10 +49,13 @@ class Episode {
   virtual ~Episode() = default;
 
   /// Starts the episode (drawing its stochastic start from the Rng the
-  /// episode was created with) and returns the initial observation.
-  [[nodiscard]] virtual dsl::Bindings reset() = 0;
+  /// episode was created with) and returns the episode's own input frame,
+  /// over its domain catalog's variables(), holding the initial
+  /// observation. The reference stays valid for the episode's lifetime.
+  [[nodiscard]] virtual const dsl::Bindings& reset() = 0;
 
-  /// Applies a discrete action and advances one step.
+  /// Applies a discrete action, advances one step, and refills the frame
+  /// reset() returned with the new observation, in place.
   [[nodiscard]] virtual DomainStep step(std::size_t action) = 0;
 
   [[nodiscard]] virtual bool done() const = 0;
@@ -78,9 +80,9 @@ class TaskDomain {
   /// enforces it after each rollout.
   [[nodiscard]] virtual std::size_t episode_length() const = 0;
 
-  /// Resolves rl::TrainConfig::reward_scale == 0 ("auto"): a deterministic
-  /// estimate of the per-step reward magnitude so policy/value gradients
-  /// stay comparable across domains and configurations.
+  /// A deterministic estimate of the per-step reward magnitude; training
+  /// divides rewards by it so policy/value gradients stay comparable
+  /// across domains and configurations.
   [[nodiscard]] virtual double reward_scale_hint() const = 0;
 
   /// The domain's original hand-designed state function — the baseline the

@@ -11,8 +11,7 @@ CheckResult compilation_check(const std::string& source,
                               const dsl::BindingCatalog& catalog,
                               std::optional<dsl::StateProgram>* out) {
   try {
-    dsl::StateProgram program =
-        dsl::StateProgram::compile(source, &catalog);
+    dsl::StateProgram program = dsl::StateProgram::compile(source);
 
     // Trial run (the paper's execution check).
     const dsl::StateMatrix matrix = program.run(catalog.canned());
@@ -39,7 +38,7 @@ CheckResult compilation_check(const std::string& source,
     return CheckResult::ok();
   } catch (const dsl::BudgetError& e) {
     CheckResult result = CheckResult::fail(e.what());
-    result.exceeded_budget = dsl::instruction_budget();
+    result.exceeded_budget = dsl::kDefaultInstructionBudget;
     return result;
   } catch (const std::exception& e) {
     return CheckResult::fail(e.what());
@@ -73,7 +72,7 @@ CheckResult normalization_check(const dsl::StateProgram& program,
   } catch (const dsl::BudgetError& e) {
     CheckResult result =
         CheckResult::fail(std::string("fuzz run raised: ") + e.what());
-    result.exceeded_budget = dsl::instruction_budget();
+    result.exceeded_budget = dsl::kDefaultInstructionBudget;
     return result;
   } catch (const std::exception& e) {
     // A runtime error on fuzz inputs means the program is fragile; the

@@ -28,7 +28,7 @@ struct CheckResult {
   bool passed = false;
   std::string reason;  ///< empty when passed
   /// Nonzero when the failure was the VM's execution budget (the run
-  /// exceeded this many cost units; see dsl::instruction_budget and
+  /// exceeded this many cost units; see dsl::kDefaultInstructionBudget and
   /// docs/DSL.md). Diagnostic only — not journaled.
   std::uint64_t exceeded_budget = 0;
 

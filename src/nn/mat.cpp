@@ -84,12 +84,6 @@ void Mat::add_scaled(const Mat& other, double scale) {
   }
 }
 
-double Mat::frobenius_norm() const {
-  double acc = 0.0;
-  for (double w : data_) acc += w * w;
-  return std::sqrt(acc);
-}
-
 // The batched kernels are register-tiled: four samples (or four
 // accumulation steps) advance together through independent accumulators,
 // while each OUTPUT ELEMENT still accumulates its own products in exactly

@@ -77,8 +77,6 @@ class Mat {
 
   void add_scaled(const Mat& other, double scale);
 
-  [[nodiscard]] double frobenius_norm() const;
-
  private:
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;

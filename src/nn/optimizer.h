@@ -36,7 +36,6 @@ class Adam : public Optimizer {
   void step(const std::vector<ParamRef>& params) override;
 
   [[nodiscard]] double learning_rate() const { return lr_; }
-  void set_learning_rate(double lr) { lr_ = lr; }
 
  private:
   double lr_, beta1_, beta2_, eps_;

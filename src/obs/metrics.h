@@ -12,7 +12,7 @@
 // Everything here is observability-only by design: no instrument feeds any
 // search decision, so a run with a registry attached everywhere is
 // bit-identical (rankings, journal records) to a run with none — the
-// invariant tests/obs_test.cpp and the metrics-smoke CI job pin.
+// invariant tests/obs_test.cpp and CI's observability smoke run pin.
 //
 // Thread-safety: instrument updates are lock-free atomics; instrument
 // creation and snapshot() take one registry mutex. Histogram observations

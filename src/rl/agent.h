@@ -2,8 +2,8 @@
 //
 // A NADA candidate design is the pair (state function, architecture); the
 // agent binds the two together: it runs the state program on each raw
-// observation (expressed as DSL bindings, so any TaskDomain's observations
-// fit) and feeds the resulting matrix to the network. The network's input
+// observation (a DSL input frame, so any TaskDomain's observations fit)
+// and feeds the resulting matrix to the network. The network's input
 // signature is the program's row lengths under the domain catalog's canned
 // observation, served from the signature cache on the compiled program
 // (primed by filter::compilation_check's trial run), so constructing an
@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -44,21 +43,20 @@ class PolicyAgent {
   Decision decide(const dsl::Bindings& obs, bool sample, util::Rng& rng);
 
   /// Runs the state program on `obs` through the agent-owned Vm and
-  /// returns the Vm-owned matrix, valid until the next eval_state call.
-  /// This is the per-step inner loop: scalar ops perform no heap
-  /// allocation, and the matrix/row buffers are reused across steps.
+  /// returns the Vm-owned matrix, valid until the next eval_state call and
+  /// while `obs` lives. This is the per-step inner loop: inputs bind by
+  /// slot, scalar ops perform no heap allocation, and the matrix/row
+  /// buffers are reused across steps.
   const dsl::StateMatrix& eval_state(const dsl::Bindings& obs);
 
-  /// `matrix` flattened into the agent-owned network-row buffers
-  /// (capacity-reusing equivalent of StateMatrix::to_network_rows).
+  /// `matrix`'s rows copied into the agent-owned network-row buffers,
+  /// whose capacity is reused across steps.
   const std::vector<nn::Vec>& network_rows(const dsl::StateMatrix& matrix);
 
   /// Cumulative Vm counters; see obs `dsl.exec.*`.
   [[nodiscard]] const dsl::Vm::Stats& exec_stats() const {
     return vm_.stats();
   }
-  /// State-program runs through eval_state.
-  [[nodiscard]] std::uint64_t exec_runs() const { return vm_.stats().runs; }
 
   [[nodiscard]] nn::ActorCriticNet& net() { return *net_; }
   [[nodiscard]] const dsl::StateProgram& program() const { return *program_; }

@@ -19,7 +19,7 @@ enum Phase : std::size_t {
   kDsl,        ///< state program run, finiteness check, network rows
   kForward,    ///< capture forward
   kSample,     ///< action sampling and trajectory bookkeeping
-  kEnv,        ///< episode start, reset and step (with observation lowering)
+  kEnv,        ///< episode start, reset and step (with the frame refill)
   kBackward,   ///< returns, advantages, A2C gradients and backward_batch
   kOptimizer,  ///< gradient clip and Adam
   kSync,       ///< transposed-weight refresh after the update
@@ -82,7 +82,8 @@ struct Rollout {
 void roll_episode(PolicyAgent& agent, env::Episode& episode,
                   std::size_t episode_length, util::Rng& rng,
                   Rollout& rollout, PhaseClock& clock) {
-  dsl::Bindings obs = episode.reset();
+  // The episode refills this frame in place on every step.
+  const dsl::Bindings& obs = episode.reset();
   clock.mark(kEnv);
   agent.net().begin_batch_capture(episode_length);
   rollout.probs.clear();
@@ -107,9 +108,8 @@ void roll_episode(PolicyAgent& agent, env::Episode& episode,
     rollout.values.push_back(out.value);
     rollout.actions.push_back(action);
     clock.mark(kSample);
-    env::DomainStep sr = episode.step(action);
+    const env::DomainStep sr = episode.step(action);
     rollout.rewards.push_back(sr.reward);
-    obs = std::move(sr.observation);
     done = sr.done;
     clock.mark(kEnv);
   }
@@ -131,12 +131,11 @@ double fused_update(const TrainConfig& train, const env::TaskDomain& domain,
     throw std::logic_error("BatchProbeTrainer: episode/capture length skew");
   }
   const std::vector<double> returns = discounted_returns(
-      rollout.rewards, resolve_reward_scale(train, domain), train.gamma);
+      rollout.rewards, domain.reward_scale_hint(), train.gamma);
   std::vector<double> advantages(steps);
   for (std::size_t t = 0; t < steps; ++t) {
     advantages[t] = returns[t] - rollout.values[t];
   }
-  condition_advantages(train, advantages);
 
   // No zero_grad: the gradients are zero already, from construction or
   // from the previous update's Adam::step, which zeroes every one.
@@ -146,10 +145,10 @@ double fused_update(const TrainConfig& train, const env::TaskDomain& domain,
   nn::Vec dvalues(steps);
   for (std::size_t t = 0; t < steps; ++t) {
     reward_sum += rollout.rewards[t];
-    dvalues[t] = a2c_step_gradient(train, rollout.probs[t],
-                                   rollout.actions[t], advantages[t],
-                                   returns[t], rollout.values[t],
-                                   entropy_weight, scale, dlogits.row(t));
+    dvalues[t] = a2c_step_gradient(rollout.probs[t], rollout.actions[t],
+                                   advantages[t], returns[t],
+                                   rollout.values[t], entropy_weight, scale,
+                                   dlogits.row(t));
   }
   agent.net().backward_batch(dlogits, dvalues);
   clock.mark(kBackward);

@@ -7,6 +7,14 @@
 #include "util/stats.h"
 
 namespace nada::rl {
+namespace {
+
+/// Weight of the critic loss against the policy loss.
+constexpr double kCriticWeight = 0.5;
+/// Huber transition point of the critic loss, in scaled-return units.
+constexpr double kHuberDelta = 1.0;
+
+}  // namespace
 
 double evaluate_agent(PolicyAgent& agent, const env::TaskDomain& domain,
                       std::span<const std::size_t> indices,
@@ -15,12 +23,10 @@ double evaluate_agent(PolicyAgent& agent, const env::TaskDomain& domain,
   util::RunningStats step_rewards;
   for (std::size_t idx : indices) {
     const auto episode = domain.start_eval_episode(idx, fidelity, eval_rng);
-    dsl::Bindings obs = episode->reset();
+    const dsl::Bindings& obs = episode->reset();
     while (!episode->done()) {
       const auto decision = agent.decide(obs, /*sample=*/false, eval_rng);
-      env::DomainStep step = episode->step(decision.action);
-      step_rewards.add(step.reward);
-      obs = std::move(step.observation);
+      step_rewards.add(episode->step(decision.action).reward);
     }
   }
   return step_rewards.mean();
@@ -49,12 +55,6 @@ std::vector<std::size_t> eval_trace_indices(std::size_t num_traces,
   return picked;
 }
 
-double resolve_reward_scale(const TrainConfig& config,
-                            const env::TaskDomain& domain) {
-  return config.reward_scale > 0.0 ? config.reward_scale
-                                   : domain.reward_scale_hint();
-}
-
 std::vector<double> discounted_returns(std::span<const double> rewards,
                                        double reward_scale, double gamma) {
   std::vector<double> returns(rewards.size());
@@ -66,23 +66,8 @@ std::vector<double> discounted_returns(std::span<const double> rewards,
   return returns;
 }
 
-void condition_advantages(const TrainConfig& config,
-                          std::vector<double>& advantages) {
-  if (config.normalize_advantages && advantages.size() > 1) {
-    const double mean_adv = util::mean(advantages);
-    const double sd = std::max(util::stddev(advantages), 1e-6);
-    for (double& a : advantages) a = (a - mean_adv) / sd;
-  }
-  if (config.advantage_clip > 0.0) {
-    for (double& a : advantages) {
-      a = std::clamp(a, -config.advantage_clip, config.advantage_clip);
-    }
-  }
-}
-
-double a2c_step_gradient(const TrainConfig& config, const nn::Vec& probs,
-                         std::size_t action, double advantage,
-                         double step_return, double value,
+double a2c_step_gradient(const nn::Vec& probs, std::size_t action,
+                         double advantage, double step_return, double value,
                          double entropy_weight, double scale,
                          std::span<double> dlogits) {
   const double ent = nn::entropy(probs);
@@ -97,9 +82,8 @@ double a2c_step_gradient(const TrainConfig& config, const nn::Vec& probs,
   // Huber (smooth-L1) critic: bounded gradient so early catastrophic
   // returns cannot dominate the update.
   const double value_error =
-      std::clamp(value - step_return, -config.huber_delta,
-                 config.huber_delta);
-  return 2.0 * config.critic_weight * value_error * scale;
+      std::clamp(value - step_return, -kHuberDelta, kHuberDelta);
+  return 2.0 * kCriticWeight * value_error * scale;
 }
 
 }  // namespace nada::rl

@@ -31,24 +31,7 @@ struct TrainConfig {
   double learning_rate = 1e-3;
   double entropy_start = 1.0;  ///< entropy weight, annealed linearly
   double entropy_end = 0.05;
-  double critic_weight = 0.5;
   double grad_clip = 5.0;
-  /// Rewards are divided by this for gradient computation so policy/value
-  /// gradients have comparable magnitudes across reward regimes (QoE_lin
-  /// on the 53 Mbps YouTube ladder is ~12x Pensieve's). 0 = auto: use the
-  /// domain's reward_scale_hint (ABR: the ladder's top bitrate in Mbps).
-  /// Reported test scores are unscaled.
-  double reward_scale = 0.0;
-  /// Standardize advantages within each episode (zero mean, unit variance)
-  /// before the policy-gradient step. Off by default: with QoE_lin's
-  /// skewed rewards, episodes that are uniformly bad would have half their
-  /// actions pushed up after standardization.
-  bool normalize_advantages = false;
-  /// Symmetric clip on the (scaled) advantage; bounds the gradient of any
-  /// single catastrophic stall. 0 disables.
-  double advantage_clip = 0.0;
-  /// Huber transition point for the critic loss (scaled-return units).
-  double huber_delta = 1.0;
   env::Fidelity fidelity = env::Fidelity::kSimulation;
   /// When false, skips test-set evaluation entirely (early probes only need
   /// the training-reward curve); final_score falls back to the tail of the
@@ -107,23 +90,18 @@ struct TrainResult {
 // oracle structurally incapable of drifting apart (their bit-identity is
 // the engine's core guarantee).
 
-/// TrainConfig::reward_scale with its 0 = "domain hint" default resolved.
-[[nodiscard]] double resolve_reward_scale(const TrainConfig& config,
-                                          const env::TaskDomain& domain);
-
-/// Discounted returns over scaled rewards, newest-to-oldest accumulation.
+/// Discounted returns over rewards divided by `reward_scale`,
+/// newest-to-oldest accumulation. Callers pass the domain's
+/// reward_scale_hint(), so policy/value gradients have comparable
+/// magnitudes across reward regimes (QoE_lin on the 53 Mbps YouTube ladder
+/// is ~12x Pensieve's); reported scores are unscaled.
 [[nodiscard]] std::vector<double> discounted_returns(
     std::span<const double> rewards, double reward_scale, double gamma);
 
-/// In-place advantage standardization and clipping per TrainConfig.
-void condition_advantages(const TrainConfig& config,
-                          std::vector<double>& advantages);
-
 /// One step's policy gradient (entropy-regularized, written into `dlogits`)
 /// and Huber critic gradient (returned).
-double a2c_step_gradient(const TrainConfig& config, const nn::Vec& probs,
-                         std::size_t action, double advantage,
-                         double step_return, double value,
+double a2c_step_gradient(const nn::Vec& probs, std::size_t action,
+                         double advantage, double step_return, double value,
                          double entropy_weight, double scale,
                          std::span<double> dlogits);
 

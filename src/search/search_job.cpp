@@ -329,8 +329,7 @@ bool SearchJob::trainable(std::size_t i) const {
 void SearchJob::ensure_program(std::size_t i) {
   if (specs_[i].kind == CandidateKind::kStateProgram &&
       !programs_[i].has_value()) {
-    programs_[i] =
-        dsl::StateProgram::compile(specs_[i].source, &domain_->catalog());
+    programs_[i] = dsl::StateProgram::compile(specs_[i].source);
   }
 }
 

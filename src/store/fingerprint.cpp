@@ -96,18 +96,13 @@ std::string canonical_train_config(const rl::TrainConfig& c) {
   out << util::shortest_double(c.entropy_start);
   out << ";entropy_end=";
   out << util::shortest_double(c.entropy_end);
-  out << ";critic_weight=";
-  out << util::shortest_double(c.critic_weight);
-  out << ";grad_clip=";
+  // The critic weight, reward scale, advantage conditioning and Huber
+  // delta are fixed by the trainer (src/rl/trainer.cpp), not set here; the
+  // text keeps their tokens so every digest over it stays stable.
+  out << ";critic_weight=0.5;grad_clip=";
   out << util::shortest_double(c.grad_clip);
-  out << ";reward_scale=";
-  out << util::shortest_double(c.reward_scale);
-  out << ";normalize_advantages=" << (c.normalize_advantages ? 1 : 0)
-      << ";advantage_clip=";
-  out << util::shortest_double(c.advantage_clip);
-  out << ";huber_delta=";
-  out << util::shortest_double(c.huber_delta);
-  out << ";fidelity=" << static_cast<int>(c.fidelity)
+  out << ";reward_scale=0;normalize_advantages=0;advantage_clip=0"
+         ";huber_delta=1;fidelity=" << static_cast<int>(c.fidelity)
       << ";evaluate_checkpoints=" << (c.evaluate_checkpoints ? 1 : 0)
       << ";max_eval_traces=" << c.max_eval_traces
       << ";emulation_final_eval=" << (c.emulation_final_eval ? 1 : 0) << "}";

@@ -19,7 +19,7 @@
 // restarted after a crash re-grants exactly the unfinished sub-ranges —
 // their journals are still on disk, so the re-run is mostly cache hits. A
 // split resolves its parent and owes a run to each child. All other event
-// types are operational history (the record the supervisor-smoke CI job
+// types are operational history (the record CI's supervised smoke run
 // asserts restarts and reassignments from) and are ignored by recovery.
 // Torn tails are handled like the candidate store's: skipped on read,
 // newline-terminated on append-open so the next line starts clean.

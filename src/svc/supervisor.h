@@ -35,7 +35,7 @@
 // Equivalence contract: a supervised run with any schedule of crashes,
 // stalls, splits, and restarts produces byte-identical rankings and
 // journal record sets to an uninterrupted single-process run
-// (tests/svc_test.cpp and the supervisor-smoke CI job pin it).
+// (tests/svc_test.cpp and CI's supervised smoke run pin it).
 //
 // The supervisor is itself crash-tolerant: on start it replays an
 // existing lease log and re-grants exactly the unfinished sub-ranges.

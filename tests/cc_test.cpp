@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "cc/cc_domain.h"
 #include "cc/cc_env.h"
 #include "cc/cc_state.h"
 #include "dsl/state_program.h"
@@ -192,8 +193,7 @@ TEST(Aimd, AchievesReasonableUtilizationWithoutStandingQueue) {
 // ---- DSL bindings ----------------------------------------------------------------
 
 TEST(CcState, DefaultStateCompilesAndRuns) {
-  const auto program =
-      dsl::StateProgram::compile(default_cc_state_source(), &cc_catalog());
+  const auto program = dsl::StateProgram::compile(default_cc_state_source());
   util::Rng rng(10);
   const auto cap = constant_capacity(8.0);
   CcEnv env(cap, CcConfig{}, rng);
@@ -211,7 +211,7 @@ TEST(CcState, AllInputVariablesBindable) {
   for (const auto& var : cc_input_variables()) {
     src += "emit \"" + var.name + "\" = " + var.name + " * 0.001;\n";
   }
-  const auto program = dsl::StateProgram::compile(src, &cc_catalog());
+  const auto program = dsl::StateProgram::compile(src);
   CcObservation obs;
   obs.send_rate_mbps.assign(kCcHistoryLen, 1.0);
   obs.ack_rate_mbps.assign(kCcHistoryLen, 1.0);
@@ -224,8 +224,7 @@ TEST(CcState, AllInputVariablesBindable) {
 }
 
 TEST(CcState, StateShapeStableAcrossSteps) {
-  const auto program =
-      dsl::StateProgram::compile(default_cc_state_source(), &cc_catalog());
+  const auto program = dsl::StateProgram::compile(default_cc_state_source());
   util::Rng rng(11);
   const auto cap = constant_capacity(6.0);
   CcEnv env(cap, CcConfig{}, rng);
@@ -238,6 +237,69 @@ TEST(CcState, StateShapeStableAcrossSteps) {
     EXPECT_EQ(program.run(bindings_from_cc_observation(obs)).row_lengths(),
               first);
   }
+}
+
+// Each CC variable's CcObservation field, spelled here independently of
+// cc_input_variables().
+dsl::Value cc_field(const CcObservation& obs, const std::string& name) {
+  if (name == "send_rate_mbps") return obs.send_rate_mbps;
+  if (name == "ack_rate_mbps") return obs.ack_rate_mbps;
+  if (name == "rtt_ms") return obs.rtt_ms;
+  if (name == "loss_fraction") return obs.loss_fraction;
+  if (name == "min_rtt_ms") return obs.min_rtt_ms;
+  if (name == "current_rate_mbps") return obs.current_rate_mbps;
+  ADD_FAILURE() << "no CcObservation field named " << name;
+  return {};
+}
+
+void expect_frame_holds(const dsl::Bindings& frame, const CcObservation& obs,
+                        std::size_t step) {
+  ASSERT_EQ(frame.size(), cc_input_variables().size());
+  for (const auto& var : cc_input_variables()) {
+    const dsl::Value* value = frame.find(var.name);
+    ASSERT_NE(value, nullptr) << var.name;
+    const dsl::Value expected = cc_field(obs, var.name);
+    ASSERT_EQ(value->is_vector(), var.is_vector) << var.name;
+    ASSERT_EQ(expected.is_vector(), var.is_vector) << var.name;
+    if (var.is_vector) {
+      EXPECT_EQ(value->as_vector(), expected.as_vector())
+          << var.name << " at step " << step;
+    } else {
+      EXPECT_EQ(value->as_scalar(), expected.as_scalar())
+          << var.name << " at step " << step;
+    }
+  }
+}
+
+// The frame reset() returns holds, slot by slot, the observation a twin
+// CcEnv on the same trace, seed and actions returns, and step() refills
+// that same frame.
+TEST(CcState, EpisodeFrameHoldsEveryVariableByName) {
+  const trace::Dataset dataset =
+      trace::build_dataset(trace::Environment::k4G, 0.2, 1234);
+  CcConfig config;
+  config.steps_per_episode = 40;
+  const CcDomain domain(dataset, config);
+  util::Rng episode_rng(31);
+  util::Rng twin_rng(31);
+  const auto episode =
+      domain.start_eval_episode(1, env::Fidelity::kSimulation, episode_rng);
+  CcEnv twin(dataset.test.at(1), config, twin_rng);
+
+  const dsl::Bindings& frame = episode->reset();
+  expect_frame_holds(frame, twin.reset(), 0);
+  std::size_t step = 0;
+  while (!episode->done()) {
+    const std::size_t action = (step * 3 + 1) % rate_actions().size();
+    const env::DomainStep result = episode->step(action);
+    const CcStepResult expected = twin.step(action);
+    ++step;
+    EXPECT_EQ(result.reward, expected.reward);
+    EXPECT_EQ(result.done, expected.done);
+    expect_frame_holds(frame, expected.observation, step);
+  }
+  EXPECT_EQ(step, config.steps_per_episode);
+  EXPECT_TRUE(twin.done());
 }
 
 }  // namespace

@@ -16,8 +16,23 @@
 namespace nada::dsl {
 namespace {
 
+/// A frame over an empty vocabulary: a program with no inputs.
+const Bindings& no_inputs() {
+  static const Vocabulary kEmpty({});
+  static const Bindings kFrame(kEmpty);
+  return kFrame;
+}
+
+/// A frame binding one vector input, `v`.
+Bindings frame_with_v(std::vector<double> v) {
+  static const Vocabulary kVocabulary({{"v", true}});
+  Bindings frame(kVocabulary);
+  frame[0] = Value(std::move(v));
+  return frame;
+}
+
 Value eval_source_expr(const std::string& expr_text,
-                       const Bindings& inputs = {}) {
+                       const Bindings& inputs = no_inputs()) {
   // Wrap the expression into a one-emit program, run it, and hand back
   // the emitted row as a value.
   const StateMatrix m =
@@ -29,7 +44,7 @@ Value eval_source_expr(const std::string& expr_text,
 
 // The RuntimeError message `expr_text` fails with, or "" if it runs.
 std::string error_of(const std::string& expr_text,
-                     const Bindings& inputs = {}) {
+                     const Bindings& inputs = no_inputs()) {
   try {
     (void)eval_source_expr(expr_text, inputs);
   } catch (const RuntimeError& e) {
@@ -38,12 +53,13 @@ std::string error_of(const std::string& expr_text,
   return "";
 }
 
-double eval_scalar(const std::string& expr_text, const Bindings& inputs = {}) {
+double eval_scalar(const std::string& expr_text,
+                   const Bindings& inputs = no_inputs()) {
   return eval_source_expr(expr_text, inputs).as_scalar();
 }
 
 std::vector<double> eval_vector(const std::string& expr_text,
-                                const Bindings& inputs = {}) {
+                                const Bindings& inputs = no_inputs()) {
   return eval_source_expr(expr_text, inputs).as_vector();
 }
 
@@ -204,7 +220,7 @@ TEST(Parser, TernarySelectsBranch) {
 TEST(Interp, LetBindingAndReuse) {
   const StateMatrix m =
       StateProgram::compile("let a = 3; let b = a * 2; emit \"x\" = a + b;")
-          .run({});
+          .run(no_inputs());
   ASSERT_EQ(m.rows.size(), 1u);
   EXPECT_DOUBLE_EQ(m.rows[0].values[0], 9.0);
 }
@@ -212,13 +228,13 @@ TEST(Interp, LetBindingAndReuse) {
 TEST(Interp, LetShadowing) {
   const StateMatrix m =
       StateProgram::compile("let a = 1; let a = a + 1; emit \"x\" = a;")
-          .run({});
+          .run(no_inputs());
   EXPECT_DOUBLE_EQ(m.rows[0].values[0], 2.0);
 }
 
 TEST(Interp, UndefinedVariableThrows) {
   const StateProgram p = StateProgram::compile("emit \"x\" = nope;");
-  EXPECT_THROW((void)p.run({}), RuntimeError);
+  EXPECT_THROW((void)p.run(no_inputs()), RuntimeError);
 }
 
 TEST(Interp, VectorScalarBroadcast) {
@@ -249,8 +265,7 @@ TEST(Interp, ModuloSemantics) {
 }
 
 TEST(Interp, IndexingWithNegativeWrap) {
-  Bindings inputs;
-  inputs.emplace("v", Value(std::vector<double>{10, 20, 30}));
+  const Bindings inputs = frame_with_v({10, 20, 30});
   EXPECT_DOUBLE_EQ(eval_scalar("v[0]", inputs), 10.0);
   EXPECT_DOUBLE_EQ(eval_scalar("v[2]", inputs), 30.0);
   EXPECT_DOUBLE_EQ(eval_scalar("v[-1]", inputs), 30.0);
@@ -258,8 +273,7 @@ TEST(Interp, IndexingWithNegativeWrap) {
 }
 
 TEST(Interp, IndexErrors) {
-  Bindings inputs;
-  inputs.emplace("v", Value(std::vector<double>{10, 20, 30}));
+  const Bindings inputs = frame_with_v({10, 20, 30});
   EXPECT_THROW(eval_scalar("v[3]", inputs), RuntimeError);
   EXPECT_THROW(eval_scalar("v[-4]", inputs), RuntimeError);
   EXPECT_THROW(eval_scalar("v[0.5]", inputs), RuntimeError);
@@ -276,7 +290,8 @@ TEST(Interp, EmitLimits) {
   for (int i = 0; i < 25; ++i) {
     many += "emit \"r" + std::to_string(i) + "\" = 1;";
   }
-  EXPECT_THROW((void)StateProgram::compile(many).run({}), RuntimeError);
+  EXPECT_THROW((void)StateProgram::compile(many).run(no_inputs()),
+               RuntimeError);
 }
 
 TEST(Interp, RowLongerThan64Rejected) {
@@ -455,8 +470,7 @@ TEST(Builtins, EmaSeriesMatchesUtil) {
 }
 
 TEST(Builtins, WhereElementwise) {
-  Bindings inputs;
-  inputs.emplace("v", Value(std::vector<double>{1, 5, 2}));
+  const Bindings inputs = frame_with_v({1, 5, 2});
   const auto out = eval_vector("where(v > 2, v, vec(3, 0))", inputs);
   EXPECT_EQ(out, (std::vector<double>{0.0, 5.0, 0.0}));
 }

@@ -1,9 +1,10 @@
 // Test helper: the tree-walk NadaScript interpreter, kept as the reference
 // oracle for the bytecode VM (src/dsl/vm.h), the library's only engine.
 //
-// It evaluates the AST directly: every variable resolves through the
-// Bindings maps, every node allocates a fresh Value, and builtin calls go
-// through the shared registry (src/dsl/builtins.h). tests/dsl_vm_test.cpp
+// It evaluates the AST directly: every variable resolves by name, through
+// its own map of let locals and then the input frame's vocabulary, every
+// node allocates a fresh Value, and builtin calls go through the shared
+// registry (src/dsl/builtins.h). tests/dsl_vm_test.cpp
 // pins the VM bit-identical to it over both generators' candidate streams
 // (values AND error messages), and bench/dsl_exec.cpp times one against the
 // other. The small helpers below are private copies, as in vm.cpp, so the
@@ -14,10 +15,12 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "dsl/ast.h"
+#include "dsl/binding_catalog.h"
 #include "dsl/builtins.h"
 #include "dsl/value.h"
 
@@ -37,6 +40,9 @@ using dsl::UnaryOp;
 using dsl::Value;
 using dsl::broadcast_binary;
 using dsl::builtins;
+
+/// The oracle's let locals, by name.
+using Locals = std::unordered_map<std::string, Value>;
 
 inline double require_scalar(const Value& v, const char* what) {
   if (!v.is_scalar()) {
@@ -60,10 +66,10 @@ inline double checked_div(double a, double b) {
   return a / b;
 }
 
-/// Evaluates one expression. `inputs` are the observation variables;
-/// `locals` are let-bindings accumulated so far.
+/// Evaluates one expression. `inputs` is the observation frame; `locals`
+/// are let-bindings accumulated so far.
 inline Value eval_expr(const Expr& expr, const Bindings& inputs,
-                       const Bindings& locals) {
+                       const Locals& locals) {
   switch (expr.kind) {
     case ExprKind::kNumber:
       return Value(expr.number);
@@ -72,9 +78,7 @@ inline Value eval_expr(const Expr& expr, const Bindings& inputs,
       if (auto it = locals.find(expr.name); it != locals.end()) {
         return it->second;
       }
-      if (auto it = inputs.find(expr.name); it != inputs.end()) {
-        return it->second;
-      }
+      if (const Value* input = inputs.find(expr.name)) return *input;
       throw RuntimeError("undefined variable '" + expr.name + "' (line " +
                          std::to_string(expr.line) + ")");
     }
@@ -218,7 +222,7 @@ inline Value eval_expr(const Expr& expr, const Bindings& inputs,
 /// Runs a full program; throws RuntimeError on any evaluation error.
 inline StateMatrix run_program(const Program& program,
                                const Bindings& inputs) {
-  Bindings locals;
+  Locals locals;
   StateMatrix matrix;
   for (const auto& stmt : program.statements) {
     Value value = eval_expr(*stmt.expr, inputs, locals);

@@ -10,8 +10,10 @@
 // (SNIPPETS.md §2).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -120,7 +122,7 @@ void differential_over_stream(const gen::StateSpace& space,
   for (const auto& candidate : generator.generate_batch(count)) {
     StateProgram program = [&]() -> StateProgram {
       try {
-        return StateProgram::compile(candidate.source, &catalog);
+        return StateProgram::compile(candidate.source);
       } catch (const CompileError&) {
         // Syntax flaws fail in the (shared) parser before either one runs.
         return StateProgram::compile("emit \"x\" = 0.0;");
@@ -139,7 +141,7 @@ void differential_over_stream(const gen::StateSpace& space,
 
 TEST(DslVm, PensieveBitIdenticalToTreeWalk) {
   const StateProgram program =
-      StateProgram::compile(pensieve_state_source(), &env::abr_catalog());
+      StateProgram::compile(pensieve_state_source());
   for (const auto& obs : observations(env::abr_catalog(), 8, 0xabcdULL)) {
     expect_equivalent(program, obs, "pensieve");
   }
@@ -167,7 +169,7 @@ TEST(DslVm, CcPlantedFlawTablesDifferential) {
   for (const auto& variant : flawed) {
     const std::string source = "emit \"row\" = " + variant.expr + ";\n";
     const StateProgram program =
-        StateProgram::compile(source, &cc::cc_catalog());
+        StateProgram::compile(source);
     for (std::size_t i = 0; i < obs.size(); ++i) {
       expect_equivalent(program, obs[i],
                         variant.tag + " obs " + std::to_string(i));
@@ -186,7 +188,7 @@ TEST(DslVm, DeadTernaryBranchNeverFails) {
        {"emit \"x\" = 1.0 ? 2.0 : undefined_var;\n",
         "emit \"x\" = 1.0 ? 2.0 : no_such_fn(3.0);\n",
         "emit \"x\" = 1.0 ? 2.0 : mean(1.0, 2.0, 3.0);\n"}) {
-    const StateProgram program = StateProgram::compile(source, &catalog);
+    const StateProgram program = StateProgram::compile(source);
     expect_equivalent(program, catalog.canned(), source);
     const RunOutcome vm = run_vm(program, catalog.canned());
     EXPECT_TRUE(vm.ok) << source << ": " << vm.error;
@@ -216,7 +218,7 @@ TEST(DslVm, TakenErrorBranchMessagesMatch) {
         "emit \"x\" = throughput_mbps[-1e400];\n",
         "emit \"x\" = smooth(throughput_mbps, 1e30);\n",
         "emit \"x\" = slice(throughput_mbps, 1e30, 1e30);\n"}) {
-    const StateProgram program = StateProgram::compile(source, &catalog);
+    const StateProgram program = StateProgram::compile(source);
     const RunOutcome tree = run_oracle(program, catalog.canned());
     ASSERT_FALSE(tree.ok) << source;
     expect_equivalent(program, catalog.canned(), source);
@@ -233,14 +235,14 @@ TEST(DslVm, AndOrEvaluateBothButShortCircuitTheScalarCheck) {
         "emit \"x\" = 1.0 && throughput_mbps;\n",
         "emit \"x\" = 0.0 || throughput_mbps;\n",
         "emit \"x\" = 0.0 && undefined_var;\n"}) {
-    const StateProgram program = StateProgram::compile(source, &catalog);
+    const StateProgram program = StateProgram::compile(source);
     expect_equivalent(program, catalog.canned(), source);
   }
   // "0 && undefined_var" still throws in the VM and the oracle alike: the
   // operand itself is always evaluated, only its scalar check
   // short-circuits.
   const StateProgram program =
-      StateProgram::compile("emit \"x\" = 0.0 && undefined_var;\n", &catalog);
+      StateProgram::compile("emit \"x\" = 0.0 && undefined_var;\n");
   EXPECT_FALSE(run_vm(program, catalog.canned()).ok);
 }
 
@@ -279,13 +281,13 @@ void round_trip_over_stream(const gen::StateSpace& space,
     }
     const std::string canon = canonical_source(ast);
     const StateProgram reparsed =
-        StateProgram::compile(reparseable_canonical(canon), &catalog);
+        StateProgram::compile(reparseable_canonical(canon));
     // Canonicalization is idempotent across the round trip: serializing
     // the reparsed program fingerprints back to the same canonical text.
     EXPECT_EQ(canonical_source(reparsed.program()), canon) << candidate.id;
     // The canonical program is oracle/VM equivalent on every observation...
     const StateProgram original =
-        StateProgram::compile(candidate.source, &catalog);
+        StateProgram::compile(candidate.source);
     for (std::size_t i = 0; i < obs.size(); ++i) {
       expect_equivalent(reparsed, obs[i], candidate.id + " canonical");
       // ...and equivalent to the original source (error TEXT may cite
@@ -315,26 +317,92 @@ TEST(DslVm, RoundTripCcStream) {
                          0x2025ULL);
 }
 
-// ---- compiled metadata -----------------------------------------------------
+// ---- slot binding ----------------------------------------------------------
 
-TEST(DslVm, InputsCarryCatalogSlots) {
-  const auto& catalog = env::abr_catalog();
-  const StateProgram program =
-      StateProgram::compile(pensieve_state_source(), &catalog);
-  const CompiledProgram& code = program.code();
-  ASSERT_FALSE(code.inputs.empty());
-  for (const auto& input : code.inputs) {
-    const auto slot = catalog.slot_index(input.name);
-    ASSERT_TRUE(slot.has_value()) << input.name;
-    EXPECT_EQ(input.catalog_slot, static_cast<int>(*slot)) << input.name;
+// `frame`'s values copied by name into a new frame over `vocabulary`.
+Bindings rebind(const Bindings& frame, const Vocabulary& vocabulary) {
+  Bindings out(vocabulary);
+  for (std::size_t slot = 0; slot < vocabulary.size(); ++slot) {
+    const Value* value = frame.find(vocabulary[slot].name);
+    if (value != nullptr) out[slot] = *value;
   }
-  // Out-of-vocabulary names stay compilable (they fail at run time, like
-  // the tree-walk) and are marked slot -1.
-  const StateProgram unknown =
-      StateProgram::compile("emit \"x\" = 1.0 ? 2.0 : nope;\n", &catalog);
-  ASSERT_EQ(unknown.code().inputs.size(), 1u);
-  EXPECT_EQ(unknown.code().inputs[0].name, "nope");
-  EXPECT_EQ(unknown.code().inputs[0].catalog_slot, -1);
+  return out;
+}
+
+// A program compiles without a vocabulary: the Vm binds its input names to
+// the slots of each frame's vocabulary. One compiled program over frames
+// of two vocabularies that order the variables differently computes
+// identical matrices, on one Vm alternating between them.
+TEST(DslVm, OneProgramBindsBySlotOfEachFramesVocabulary) {
+  const auto& catalog = env::abr_catalog();
+  std::vector<InputVariable> reversed_order(catalog.variables().begin(),
+                                            catalog.variables().end());
+  std::reverse(reversed_order.begin(), reversed_order.end());
+  const Vocabulary reversed(reversed_order);
+  ASSERT_NE(reversed.id(), catalog.variables().id());
+
+  const StateProgram program = StateProgram::compile(pensieve_state_source());
+  Vm vm;
+  for (const Bindings& frame : observations(catalog, 3, 0x5107ULL)) {
+    const Bindings mirrored = rebind(frame, reversed);
+    const StateMatrix in_order = vm.run(program.code(), frame);
+    const StateMatrix other_order = vm.run(program.code(), mirrored);
+    expect_matrices_identical(in_order, other_order, "reversed vocabulary");
+    expect_matrices_identical(in_order, vm.run(program.code(), frame),
+                              "back to the catalog vocabulary");
+    expect_equivalent(program, mirrored, "oracle, reversed vocabulary");
+  }
+
+  // A vocabulary freed and another built in its place binds afresh, even
+  // at the freed one's address.
+  std::vector<InputVariable> rotated_order(catalog.variables().begin(),
+                                           catalog.variables().end());
+  const StateMatrix expected = vm.run(program.code(), catalog.canned());
+  for (std::size_t i = 0; i < rotated_order.size(); ++i) {
+    std::rotate(rotated_order.begin(), rotated_order.begin() + 1,
+                rotated_order.end());
+    const auto rotated = std::make_unique<Vocabulary>(rotated_order);
+    expect_matrices_identical(
+        expected, vm.run(program.code(), rebind(catalog.canned(), *rotated)),
+        "rotation " + std::to_string(i));
+  }
+}
+
+// A name outside a frame's vocabulary still compiles, stays silent in a
+// dead branch, and fails with the compiler's message only when evaluated;
+// the same program runs on a vocabulary that has the name.
+TEST(DslVm, OutOfVocabularyNameFailsOnlyWhenEvaluated) {
+  const auto& catalog = env::abr_catalog();
+  std::vector<InputVariable> without_buffer;
+  for (const auto& var : catalog.variables()) {
+    if (var.name != "buffer_size_s") without_buffer.push_back(var);
+  }
+  const Vocabulary smaller(without_buffer);
+  const Bindings full = catalog.canned();
+  const Bindings partial = rebind(full, smaller);
+
+  const StateProgram dead =
+      StateProgram::compile("emit \"x\" = 1.0 ? 2.0 : nope;\n");
+  ASSERT_EQ(dead.code().inputs, std::vector<std::string>{"nope"});
+  for (const Bindings* frame : {&full, &partial}) {
+    EXPECT_TRUE(run_vm(dead, *frame).ok);
+    expect_equivalent(dead, *frame, "dead branch");
+  }
+
+  const StateProgram live = StateProgram::compile(
+      "emit \"t\" = mean(throughput_mbps);\n"
+      "emit \"b\" = buffer_size_s / 10.0;\n");
+  Vm vm;
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(vm.run(live.code(), full).rows.size(), 2u);
+    try {
+      (void)vm.run(live.code(), partial);
+      ADD_FAILURE() << "buffer_size_s is outside the smaller vocabulary";
+    } catch (const RuntimeError& e) {
+      EXPECT_STREQ(e.what(), "undefined variable 'buffer_size_s' (line 2)");
+    }
+  }
+  expect_equivalent(live, partial, "live reference");
 }
 
 TEST(DslVm, ConstantsArePooled) {
@@ -404,9 +472,12 @@ TEST(DslVm, BudgetStopsPathologicalPrograms) {
   EXPECT_NE(check.reason.find("instruction budget exceeded"),
             std::string::npos)
       << check.reason;
-  EXPECT_NE(check.reason.find("NADA_DSL_BUDGET"), std::string::npos)
+  EXPECT_NE(check.reason.find("run passed " +
+                              std::to_string(kDefaultInstructionBudget) +
+                              " cost units"),
+            std::string::npos)
       << check.reason;
-  EXPECT_EQ(check.exceeded_budget, instruction_budget());
+  EXPECT_EQ(check.exceeded_budget, kDefaultInstructionBudget);
 }
 
 TEST(DslVm, BudgetErrorIsARuntimeError) {
@@ -422,7 +493,7 @@ TEST(DslVm, PerVmBudgetOverride) {
   vm.set_budget(10);
   EXPECT_THROW((void)vm.run(program.code(), env::abr_catalog().canned()),
                BudgetError);
-  vm.set_budget(0);  // back to the process-wide default
+  vm.set_budget(0);  // back to kDefaultInstructionBudget
   const StateMatrix& matrix =
       vm.run(program.code(), env::abr_catalog().canned());
   EXPECT_EQ(matrix.rows.size(), 1u);
@@ -434,9 +505,9 @@ TEST(DslVm, PerVmBudgetOverride) {
 TEST(DslVm, WellBehavedProgramsCostFarBelowBudget) {
   Vm vm;
   const StateProgram program =
-      StateProgram::compile(pensieve_state_source(), &env::abr_catalog());
+      StateProgram::compile(pensieve_state_source());
   (void)vm.run(program.code(), env::abr_catalog().canned());
-  EXPECT_LT(vm.stats().cost_units, instruction_budget() / 1000);
+  EXPECT_LT(vm.stats().cost_units, kDefaultInstructionBudget / 1000);
 }
 
 // ---- agent through the VM ------------------------------------------------
@@ -454,7 +525,6 @@ TEST(DslVm, AgentCountsVmExecution) {
   for (int i = 0; i < 16; ++i) {
     (void)agent.decide(catalog.fuzz(fuzz), true, rng);
   }
-  EXPECT_EQ(agent.exec_runs(), 16u);
   EXPECT_EQ(agent.exec_stats().runs, 16u);
   EXPECT_GT(agent.exec_stats().instructions, 0u);
 }

@@ -4,8 +4,10 @@
 
 #include <cmath>
 
+#include "env/abr_domain.h"
 #include "env/abr_env.h"
 #include "env/session.h"
+#include "trace/generator.h"
 #include "trace/trace.h"
 #include "util/rng.h"
 #include "video/video.h"
@@ -378,6 +380,77 @@ TEST(AbrEnv, NormalStepNotTruncated) {
   AbrEnv env(tr, vid, Fidelity::kSimulation, rng);
   env.reset();
   EXPECT_FALSE(env.step(2).truncated);
+}
+
+// ---- AbrDomain episode frames -------------------------------------------------
+
+// Each ABR variable's Observation field, spelled here independently of
+// input_variables().
+dsl::Value abr_field(const Observation& obs, const std::string& name) {
+  if (name == "throughput_mbps") return obs.throughput_mbps;
+  if (name == "download_time_s") return obs.download_time_s;
+  if (name == "buffer_size_s_history") return obs.buffer_s_history;
+  if (name == "next_chunk_sizes_bytes") return obs.next_chunk_bytes;
+  if (name == "bitrate_levels_kbps") return obs.ladder_kbps;
+  if (name == "buffer_size_s") return obs.buffer_s;
+  if (name == "chunks_remaining") return obs.chunks_remaining;
+  if (name == "total_chunks") return obs.total_chunks;
+  if (name == "last_bitrate_kbps") return obs.last_bitrate_kbps;
+  if (name == "chunk_length_s") return obs.chunk_len_s;
+  if (name == "max_bitrate_kbps") return obs.ladder_kbps.back();
+  ADD_FAILURE() << "no Observation field named " << name;
+  return {};
+}
+
+void expect_frame_holds(const dsl::Bindings& frame, const Observation& obs,
+                        std::size_t step) {
+  ASSERT_EQ(frame.size(), input_variables().size());
+  for (const auto& var : input_variables()) {
+    const dsl::Value* value = frame.find(var.name);
+    ASSERT_NE(value, nullptr) << var.name;
+    const dsl::Value expected = abr_field(obs, var.name);
+    ASSERT_EQ(value->is_vector(), var.is_vector) << var.name;
+    ASSERT_EQ(expected.is_vector(), var.is_vector) << var.name;
+    if (var.is_vector) {
+      EXPECT_EQ(value->as_vector(), expected.as_vector())
+          << var.name << " at step " << step;
+    } else {
+      EXPECT_EQ(value->as_scalar(), expected.as_scalar())
+          << var.name << " at step " << step;
+    }
+  }
+}
+
+// The frame reset() returns holds, slot by slot, the observation a twin
+// AbrEnv on the same trace, seed and actions returns, and step() refills
+// that same frame, under both fidelities.
+TEST(AbrDomain, EpisodeFrameHoldsEveryVariableByName) {
+  const trace::Dataset dataset =
+      trace::build_dataset(trace::Environment::k4G, 0.2, 1234);
+  const video::Video video = test_video();
+  const AbrDomain domain(dataset, video);
+  for (const Fidelity fidelity :
+       {Fidelity::kSimulation, Fidelity::kEmulation}) {
+    util::Rng episode_rng(41);
+    util::Rng twin_rng(41);
+    const auto episode = domain.start_eval_episode(1, fidelity, episode_rng);
+    AbrEnv twin(dataset.test.at(1), video, fidelity, twin_rng);
+
+    const dsl::Bindings& frame = episode->reset();
+    expect_frame_holds(frame, twin.reset(), 0);
+    std::size_t step = 0;
+    while (!episode->done()) {
+      const std::size_t action = (step * 5 + 2) % domain.num_actions();
+      const DomainStep result = episode->step(action);
+      const StepResult expected = twin.step(action);
+      ++step;
+      EXPECT_EQ(result.reward, expected.reward);
+      EXPECT_EQ(result.done, expected.done);
+      expect_frame_holds(frame, expected.observation, step);
+    }
+    EXPECT_EQ(step, domain.episode_length());
+    EXPECT_TRUE(twin.done());
+  }
 }
 
 }  // namespace

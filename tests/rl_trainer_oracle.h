@@ -7,8 +7,8 @@
 // reruns both for every step to estimate values, and once more to
 // backpropagate each step on its own, through a one-row capture. Its
 // network is never synced, so every forward takes the layers' exact path.
-// It shares the A2C arithmetic (discounted_returns, condition_advantages,
-// a2c_step_gradient) and the evaluation helpers with the engine through
+// It shares the A2C arithmetic (discounted_returns, a2c_step_gradient)
+// and the evaluation helpers with the engine through
 // src/rl/trainer.h, so the two cannot drift apart there; everything else
 // is its own. tests/batch_probe_test.cpp (ABR) and tests/cc_funnel_test.cpp
 // (CC) pin the engine bit-identical to it, and bench/probe_batch.cpp times
@@ -120,17 +120,18 @@ class Trainer {
     std::vector<Step> steps;
     steps.reserve(domain_->episode_length());
 
-    dsl::Bindings obs = episode->reset();
+    // The episode refills this frame in place, so each step keeps a copy.
+    const dsl::Bindings& obs = episode->reset();
     while (!episode->done()) {
       const auto decision = agent.decide(obs, /*sample=*/true, rng_);
-      env::DomainStep sr = episode->step(decision.action);
+      dsl::Bindings kept = obs;
+      const env::DomainStep sr = episode->step(decision.action);
       steps.push_back(
-          Step{std::move(obs), decision.action, sr.reward, decision.value});
-      obs = std::move(sr.observation);
+          Step{std::move(kept), decision.action, sr.reward, decision.value});
     }
 
-    // Discounted returns over scaled rewards (see TrainConfig::reward_scale).
-    const double reward_scale = rl::resolve_reward_scale(config_, *domain_);
+    // Discounted returns over scaled rewards (see rl::discounted_returns).
+    const double reward_scale = domain_->reward_scale_hint();
     std::vector<double> rewards(steps.size());
     for (std::size_t t = 0; t < steps.size(); ++t) {
       rewards[t] = steps[t].reward;
@@ -148,7 +149,6 @@ class Trainer {
           agent.net().forward_inference(agent.network_rows(matrices[t]));
       advantages[t] = returns[t] - out.value;
     }
-    rl::condition_advantages(config_, advantages);
 
     // Accumulate policy + value gradients over the episode.
     agent.net().zero_grad();
@@ -162,8 +162,8 @@ class Trainer {
           agent.net().forward_capture(agent.network_rows(matrices[t]), 0);
       nn::Vec dlogits(num_actions);
       const double dvalue = rl::a2c_step_gradient(
-          config_, out.probs, steps[t].action, advantages[t], returns[t],
-          out.value, entropy_weight, scale, dlogits);
+          out.probs, steps[t].action, advantages[t], returns[t], out.value,
+          entropy_weight, scale, dlogits);
       nn::Mat dlogits_row(1, num_actions);
       std::copy(dlogits.begin(), dlogits.end(), dlogits_row.row(0).begin());
       agent.net().backward_batch(dlogits_row, {dvalue});

@@ -935,7 +935,7 @@ TEST(BinaryStore, MillionRecordOpenIsIndexTimeAndLookupIsLazy) {
   // The acceptance pin for the whole backend: a journal at (scaled)
   // million-candidate size opens in under 100 ms through its sidecar and
   // serves a cache hit after deserializing exactly one frame. Full scale
-  // runs in CI's store-format-smoke job via NADA_SCALE_GEN=1.
+  // runs in CI's million-record open-path step via NADA_SCALE_GEN=1.
   const auto scale = util::ScaleConfig::from_env();
   const std::size_t n = scale.gen_count(1'000'000, 50'000);
   const std::string path = fresh_path("million");

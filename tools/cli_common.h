@@ -2,8 +2,8 @@
 //
 // One supervised search spans several processes — lease workers and the
 // supervisor with its merge driver — and they must agree on three things
-// or the equivalence diffs against a single-process run (CI's
-// supervisor-smoke and metrics-smoke jobs) are meaningless:
+// or the equivalence diffs against a single-process run (CI's supervised
+// and observability smoke runs) are meaningless:
 //
 //   * the SEARCH: domain datasets, funnel config, generator seeds — built
 //     here once (make_search_setup) and flag-for-flag identical across

@@ -13,7 +13,7 @@
 // selection + full-training funnel — printing the same
 // `RANK,<pos>,<id>,<fingerprint>,<score>` lines as shard_worker, because
 // the result is byte-identical to an uninterrupted run by construction
-// (docs/SERVICE.md; the supervisor-smoke CI job diffs exactly that).
+// (docs/SERVICE.md; CI's supervised smoke run diffs exactly that).
 //
 // A static N-way run — one range per worker, no recovery — is the same
 // command with the policies switched off:

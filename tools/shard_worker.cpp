@@ -24,11 +24,11 @@
 // --search state|arch, --candidates N, --seed S, --gen-seed G,
 // --threads T (0 = serial), --window W (0 = batch mode; >= 1 streams the
 // funnel in rolling windows of W candidates — same rankings and journal
-// records, constant memory; the stream-equivalence-smoke CI job diffs the
-// two), --quiet (suppress per-candidate events).
+// records, constant memory; CI's streaming smoke run diffs the two),
+// --quiet (suppress per-candidate events).
 //
-// Fault injection (TEST ONLY — they exist so tests/svc_test.cpp and the
-// supervisor-smoke CI job can exercise the supervisor's restart and
+// Fault injection (TEST ONLY — they exist so tests/svc_test.cpp and CI's
+// supervised smoke run can exercise the supervisor's restart and
 // straggler paths with real processes; never set them in a real run):
 //   --crash-after-candidates N   after N in-range candidate completions,
 //                                append a torn half-frame to the journal
@@ -43,8 +43,8 @@
 // a restart would reproduce it), 42 injected crash.
 //
 // Observability sinks (all pure readout — a run with every sink attached
-// is bit-identical to a silent run; the metrics-smoke CI job diffs the
-// two; see docs/OBSERVABILITY.md):
+// is bit-identical to a silent run; CI's observability smoke run diffs
+// the two; see docs/OBSERVABILITY.md):
 //   --metrics-out F   final MetricsRegistry snapshot as one JSON document
 //   --trace-out F     every search event as one JSONL line
 //   --status-out F    live, atomically-replaced status snapshot
