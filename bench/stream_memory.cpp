@@ -1,13 +1,15 @@
 // stream_memory: the constant-memory claim of the rolling-window funnel.
 //
 // Runs the same seeded congestion-control state search at 1k/5k/20k
-// candidates in batch mode (window_size = 0, the whole stream materialized)
+// candidates in batch mode (window_size = 0, the whole stream one window)
 // and in streaming mode (rolling windows of 64), and records each run's
 // peak RSS and candidates/sec. Every measurement runs in a forked child so
 // ru_maxrss is per-run, not the monotone process-lifetime max. Expected
 // shape: the batch path's peak RSS grows linearly with the candidate count
-// (specs, parsed programs, and outcomes all live until rank); the streaming
-// path stays flat — its 20k run should sit within ~2x of its 1k run.
+// (every spec, parsed program, and outcome lives until the fold, which
+// drops the specs and programs and keeps the outcomes until rank); the
+// streaming path stays flat — its 20k run should sit within ~2x of its 1k
+// run.
 //
 // The probe budget is deliberately tiny (short CC episodes, 2-epoch
 // probes): the bench measures the funnel's memory mechanics, not training

@@ -7,9 +7,10 @@
 //   counters    search.candidates.{entered,out_of_shard,cache_hits,failed,
 //               probed,early_stopped,trained}   (out_of_shard: outside
 //               the job's fingerprint range)
-//               search.stage.<label>.runs      (stage executions — in
-//               streaming mode generate/precheck/probe run once per window)
+//               search.stage.<label>.runs      (stage executions —
+//               generate/precheck/probe run once per window)
 //               search.windows.completed, search.windows.candidates
+//               (a batch job is one window over the whole stream)
 //   histograms  search.stage.<label>.seconds   (per-execution wall-clock)
 //               search.window.seconds
 //   gauges      search.progress.stream_position   (candidates pulled)

@@ -25,13 +25,15 @@
 
 namespace nada::search {
 
-/// The funnel's stages, in execution order. kGenerate pulls the candidate
-/// stream and computes content fingerprints; kPrecheck runs compile /
-/// normalization trial runs; kProbe early-trains the survivors; kBaseline
-/// trains the domain's original design; kSelect applies early stopping and
-/// takes the full-training slots; kFullTrain trains the selected designs
-/// across seeds; kRank computes the final ordering. kDone is the terminal
-/// marker (never executed).
+/// The funnel's stages, in execution order. kGenerate pulls a window of the
+/// candidate stream and computes content fingerprints; kPrecheck runs
+/// compile / normalization trial runs; kProbe early-trains the survivors,
+/// then folds the window into the running selection (early stopping and the
+/// full-training slots); these three repeat per window. kBaseline trains
+/// the domain's original design; kSelect hands the running selection to
+/// full training; kFullTrain trains the selected designs across seeds;
+/// kRank computes the final ordering. kDone is the terminal marker (never
+/// executed).
 enum class StageKind {
   kGenerate = 0,
   kPrecheck,
@@ -63,7 +65,7 @@ enum class CandidateEventType {
   kCacheHit,      ///< stage result served from the candidate store
   kFailed,        ///< failed a pre-check, or blew up during the probe
   kProbed,        ///< early-training probe completed
-  kEarlyStopped,  ///< probed but filtered out before full training
+  kEarlyStopped,  ///< probed but stopped or evicted at the fold (kProbe)
   kTrained,       ///< full-scale training completed
 };
 
@@ -93,10 +95,11 @@ struct StageEvent {
   double seconds = 0.0;  ///< wall-clock spent in the stage
 };
 
-/// One rolling window's trip through generate -> precheck -> probe -> fold
-/// (streaming jobs only; batch jobs never fire window events). `retained`
-/// is the running-selection size after the fold — how many candidates
-/// survive in memory across windows.
+/// One window's trip through generate -> precheck -> probe -> fold. A
+/// batch job is one window over the whole stream; a streaming job rolls
+/// windows of SearchConfig::window_size. `retained` is the
+/// running-selection size after the fold — how many candidates survive in
+/// memory across windows.
 struct WindowEvent {
   std::size_t index = 0;     ///< 0-based window number
   std::size_t first = 0;     ///< stream position of the window's first candidate
@@ -111,8 +114,8 @@ class Observer {
   virtual void on_stage_start(StageKind /*stage*/) {}
   virtual void on_stage_finish(const StageEvent& /*event*/) {}
   virtual void on_candidate(const CandidateEvent& /*event*/) {}
-  /// Streaming jobs only: fired when a window's first candidate is about
-  /// to be pulled / after the window's state has been folded and retired.
+  /// Fired when a window's first candidate is about to be pulled / after
+  /// the window's state has been folded and retired.
   virtual void on_window_start(std::size_t /*index*/, std::size_t /*first*/) {}
   virtual void on_window_finish(const WindowEvent& /*event*/) {}
 };

@@ -6,6 +6,7 @@
 #include <functional>
 #include <sstream>
 #include <unordered_map>
+#include <utility>
 
 #include "filter/checks.h"
 #include "nn/mat_kernels.h"
@@ -79,7 +80,7 @@ void apply_store_record(const store::OutcomeRecord& record,
 }
 
 /// Single point of truth for the full-training output fields: every path
-/// that produces them (fresh session, store record, in-batch clone) funnels
+/// that produces them (fresh session, store record, in-cohort clone) funnels
 /// through here, so a new field cannot be silently dropped on just one.
 void set_full_train_fields(CandidateOutcome& outcome, bool fully_trained,
                            double test_score, double emulation_score,
@@ -97,21 +98,6 @@ void apply_full_train_record(const store::OutcomeRecord& record,
   set_full_train_fields(outcome, record.fully_trained, record.test_score,
                         record.emulation_score, record.median_curve,
                         record.curve_epochs);
-}
-
-/// In-batch dedup: index of the first candidate with each fingerprint.
-/// Clones copy their leader's probe/training results instead of re-running
-/// them (content-derived seeds make the results identical anyway).
-std::vector<std::size_t> leaders_by_fingerprint(
-    const std::vector<store::Fingerprint>& fps) {
-  std::unordered_map<store::Fingerprint, std::size_t, store::FingerprintHash>
-      first_seen;
-  first_seen.reserve(fps.size());
-  std::vector<std::size_t> leader(fps.size());
-  for (std::size_t i = 0; i < fps.size(); ++i) {
-    leader[i] = first_seen.try_emplace(fps[i], i).first->second;
-  }
-  return leader;
 }
 
 /// Runs fn(i) for every i in [0, n): on the pool in contiguous chunks, a
@@ -140,17 +126,6 @@ void copy_full_train_result(const CandidateOutcome& from,
   set_full_train_fields(to, from.fully_trained, from.test_score,
                         from.emulation_score, from.median_curve,
                         from.curve_epochs);
-}
-
-void apply_session_results(std::vector<CandidateOutcome>& outcomes,
-                           const std::vector<std::size_t>& selected,
-                           const std::vector<rl::SessionResult>& sessions) {
-  for (std::size_t k = 0; k < selected.size(); ++k) {
-    const rl::SessionResult& session = sessions[k];
-    set_full_train_fields(outcomes[selected[k]], !session.failed,
-                          session.test_score, session.emulation_score,
-                          session.median_curve, session.curve_epochs);
-  }
 }
 
 }  // namespace
@@ -254,7 +229,7 @@ bool SearchJob::done() const { return next_ == StageKind::kDone; }
 bool SearchJob::next_stage() {
   if (done()) return false;
   const StageKind stage = next_;
-  if (config_.streaming() && stage == StageKind::kGenerate) {
+  if (stage == StageKind::kGenerate) {
     window_start_time_ = std::chrono::steady_clock::now();
     notify_window_start(window_index_, generated_total_);
   }
@@ -279,16 +254,14 @@ bool SearchJob::next_stage() {
 }
 
 StageKind SearchJob::stage_after(StageKind stage) const {
-  if (config_.streaming()) {
-    if (stage == StageKind::kGenerate && specs_.empty()) {
-      // The source ran dry at a window boundary: no per-candidate work
-      // left, move straight to the cohort-global stages.
-      return StageKind::kBaseline;
-    }
-    if (stage == StageKind::kProbe && !stream_exhausted_ &&
-        generated_total_ < config_.num_candidates) {
-      return StageKind::kGenerate;  // next rolling window
-    }
+  if (stage == StageKind::kGenerate && window_.empty()) {
+    // The source ran dry at a window boundary: no per-candidate work
+    // left, move straight to the cohort-global stages.
+    return StageKind::kBaseline;
+  }
+  if (stage == StageKind::kProbe && !stream_exhausted_ &&
+      generated_total_ < config_.num_candidates) {
+    return StageKind::kGenerate;  // next window
   }
   return static_cast<StageKind>(static_cast<int>(stage) + 1);
 }
@@ -316,20 +289,30 @@ SearchResult SearchJob::resume() {
   return run_to_completion();
 }
 
-bool SearchJob::in_shard(std::size_t i) const {
-  return !options_.range.has_value() || options_.range->contains(fps_[i]);
+void SearchJob::index_leaders() {
+  std::unordered_map<store::Fingerprint, std::size_t, store::FingerprintHash>
+      first_seen;
+  first_seen.reserve(window_.size());
+  leader_.resize(window_.size());
+  for (std::size_t i = 0; i < window_.size(); ++i) {
+    leader_[i] = first_seen.try_emplace(window_[i].fp, i).first->second;
+  }
 }
 
-bool SearchJob::trainable(std::size_t i) const {
-  return specs_[i].kind == CandidateKind::kArchitecture ||
-         programs_[i].has_value() ||
-         (cached_[i].has_value() && cached_[i]->compiled);
+bool SearchJob::in_shard(const Candidate& cand) const {
+  return !options_.range.has_value() || options_.range->contains(cand.fp);
 }
 
-void SearchJob::ensure_program(std::size_t i) {
-  if (specs_[i].kind == CandidateKind::kStateProgram &&
-      !programs_[i].has_value()) {
-    programs_[i] = dsl::StateProgram::compile(specs_[i].source);
+bool SearchJob::trainable(const Candidate& cand) {
+  return cand.spec.kind == CandidateKind::kArchitecture ||
+         cand.program.has_value() ||
+         (cand.cached.has_value() && cand.cached->compiled);
+}
+
+void SearchJob::ensure_program(Candidate& cand) {
+  if (cand.spec.kind == CandidateKind::kStateProgram &&
+      !cand.program.has_value()) {
+    cand.program = dsl::StateProgram::compile(cand.spec.source);
   }
 }
 
@@ -358,32 +341,31 @@ void SearchJob::notify_window_finish(const WindowEvent& event) {
   for (Observer* o : observers_) o->on_window_finish(event);
 }
 
-void SearchJob::journal(std::size_t i, store::Stage stage) {
+void SearchJob::journal(const Candidate& cand, store::Stage stage) {
   if (options_.store != nullptr) {
-    options_.store->put(to_store_record(outcomes_[i], fps_[i], stage));
+    options_.store->put(to_store_record(cand.outcome, cand.fp, stage));
   }
 }
 
 void SearchJob::stage_generate() {
-  // Pull the next window from the source: the whole stream in batch mode,
-  // window_size candidates in streaming mode. A short pull marks the
-  // stream exhausted.
+  // Pull the next window from the source: window_size candidates, or the
+  // whole stream in batch mode. A short pull marks the stream exhausted.
   window_base_ = generated_total_;
+  const std::size_t window =
+      config_.streaming() ? config_.window_size : config_.num_candidates;
   const std::size_t ask =
-      config_.streaming()
-          ? std::min(config_.window_size,
-                     config_.num_candidates - generated_total_)
-          : config_.num_candidates;
+      std::min(window, config_.num_candidates - generated_total_);
+  std::vector<CandidateSpec> specs;
   {
     obs::ScopedTimer timer(
         obs::maybe_histogram(options_.metrics, "search.generate.pull_seconds"));
-    specs_ = source_->generate(ask);
+    specs = source_->generate(ask);
   }
-  if (specs_.size() < ask) stream_exhausted_ = true;
-  generated_total_ += specs_.size();
-  const std::size_t n = specs_.size();
+  if (specs.size() < ask) stream_exhausted_ = true;
+  const std::size_t n = specs.size();
+  generated_total_ += n;
   result_.n_total += n;
-  if (config_.streaming() && n == 0) {
+  if (n == 0) {
     // Empty window (the source ran dry exactly at a boundary): nothing to
     // check or probe — close the window here; stage_after() skips ahead.
     const double seconds =
@@ -391,138 +373,131 @@ void SearchJob::stage_generate() {
                                       window_start_time_)
             .count();
     notify_window_finish(WindowEvent{window_index_, window_base_, 0,
-                                     retained_.size(), seconds});
+                                     selection_.size(), seconds});
     ++window_index_;
     return;
   }
+  // The last fold emptied the window; its capacity is reused.
+  window_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) window_[i].spec = std::move(specs[i]);
   // Fingerprints fill per-candidate slots on the pool; everything that
   // follows (leaders, events, journal writes) stays on this thread in
   // stream order.
-  fps_.resize(n);
-  parsed_.assign(n, 0);
   {
     obs::ScopedTimer timer(obs::maybe_histogram(
         options_.metrics, "search.generate.fingerprint_seconds"));
     for_each_chunked(options_.pool, n, [&](std::size_t i) {
-      bool parsed = false;
-      fps_[i] = fingerprint_of(specs_[i], fixed_fps_, &parsed);
-      parsed_[i] = parsed ? 1 : 0;
+      Candidate& cand = window_[i];
+      cand.fp = fingerprint_of(cand.spec, fixed_fps_, &cand.parsed);
     });
   }
-  leader_ = leaders_by_fingerprint(fps_);
-  // clear-then-resize (not assign): resets the slots left from the
-  // previous window without copying, which the move-only programs forbid.
-  cached_.clear();
-  cached_.resize(n);
-  programs_.clear();
-  programs_.resize(n);
-  outcomes_.clear();
-  outcomes_.resize(n);
+  index_leaders();
   for (std::size_t i = 0; i < n; ++i) {
-    outcomes_[i].id = specs_[i].id;
-    outcomes_[i].stream_index = window_base_ + i;
-    outcomes_[i].source = specs_[i].source;
-    if (specs_[i].kind == CandidateKind::kArchitecture) {
-      outcomes_[i].arch = specs_[i].arch;
+    Candidate& cand = window_[i];
+    CandidateOutcome& outcome = cand.outcome;
+    outcome.id = cand.spec.id;
+    outcome.stream_index = window_base_ + i;
+    outcome.source = cand.spec.source;
+    if (cand.spec.kind == CandidateKind::kArchitecture) {
+      outcome.arch = cand.spec.arch;
     }
     if (!observers_.empty()) {
       notify_candidate(CandidateEvent{CandidateEventType::kEntered,
-                                      StageKind::kGenerate, outcomes_[i].stream_index,
-                                      specs_[i].id, ""});
+                                      StageKind::kGenerate,
+                                      outcome.stream_index, outcome.id, ""});
     }
-    if (!in_shard(i)) {
+    if (!in_shard(cand)) {
       ++result_.n_out_of_shard;
       if (!observers_.empty()) {
         notify_candidate(CandidateEvent{CandidateEventType::kOutOfShard,
-                                        StageKind::kGenerate, outcomes_[i].stream_index,
-                                        specs_[i].id, ""});
+                                        StageKind::kGenerate,
+                                        outcome.stream_index, outcome.id, ""});
       }
     }
   }
 }
 
-void SearchJob::precheck_arch(std::size_t i,
+void SearchJob::precheck_arch(Candidate& cand,
                               const nn::StateSignature& signature) {
-  CandidateOutcome& outcome = outcomes_[i];
-  if (options_.store != nullptr) cached_[i] = options_.store->lookup(fps_[i]);
-  if (cached_[i].has_value()) {
-    apply_store_record(*cached_[i], outcome);
+  CandidateOutcome& outcome = cand.outcome;
+  if (options_.store != nullptr) cand.cached = options_.store->lookup(cand.fp);
+  if (cand.cached.has_value()) {
+    apply_store_record(*cand.cached, outcome);
     return;
   }
-  const auto check = filter::arch_compilation_check(*specs_[i].arch, signature,
-                                                    domain_->num_actions());
+  const auto check = filter::arch_compilation_check(
+      *cand.spec.arch, signature, domain_->num_actions());
   outcome.compiled = check.passed;
   outcome.compile_error = check.reason;
   // The normalization check does not apply to architectures (§2.2).
   outcome.normalized = check.passed;
-  journal(i, store::Stage::kChecked);
+  journal(cand, store::Stage::kChecked);
 }
 
-void SearchJob::precheck_state(std::size_t i) {
+void SearchJob::precheck_state(Candidate& cand) {
   // NOTE: runs on pool threads; journaling happens on the stepping thread
   // afterwards (stage_precheck), in stream order, so the journal record for
-  // a fingerprint shared by in-batch clones always carries the leader's id
+  // a fingerprint shared by in-window clones always carries the leader's id
   // regardless of thread timing.
-  CandidateOutcome& outcome = outcomes_[i];
+  CandidateOutcome& outcome = cand.outcome;
   const auto compile = filter::compilation_check(
-      specs_[i].source, domain_->catalog(), &programs_[i]);
+      cand.spec.source, domain_->catalog(), &cand.program);
   outcome.compiled = compile.passed;
   outcome.compile_error = compile.reason;
   if (compile.passed) {
     const auto norm = filter::normalization_check(
-        *programs_[i], domain_->catalog(), config_.normalization_threshold,
+        *cand.program, domain_->catalog(), config_.normalization_threshold,
         config_.normalization_fuzz_runs,
-        seed_ ^ (fps_[i].lo * 0x9e3779b9ULL));
+        seed_ ^ (cand.fp.lo * 0x9e3779b9ULL));
     outcome.normalized = norm.passed;
     outcome.normalization_error = norm.reason;
   }
 }
 
 void SearchJob::stage_precheck() {
-  const std::size_t n = specs_.size();
   // Architecture candidates check serially in stream order with the store
   // lookup interleaved — a clone's lookup sees the record its leader just
   // journaled (the historical arch-path behaviour, preserved for
   // bit-identical journals and counters). The fixed program's input
   // signature is derived once, not per candidate.
   std::optional<nn::StateSignature> signature;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (in_shard(i) && specs_[i].kind == CandidateKind::kArchitecture) {
+  for (Candidate& cand : window_) {
+    if (in_shard(cand) && cand.spec.kind == CandidateKind::kArchitecture) {
       if (!signature.has_value()) {
         signature = rl::derive_signature(*fixed_.state, domain_->catalog());
       }
-      precheck_arch(i, *signature);
+      precheck_arch(cand, *signature);
     }
   }
   // State-program candidates look up first (all lookups precede any check,
-  // so in-batch clones read as misses and dedup through the leader table).
+  // so in-window clones read as misses and dedup through the leader table).
   // A hit serves its recorded verdict right here without compiling the
   // source: the probe or full-training stage compiles the program if it
   // ever trains the candidate. Only misses go to the pool, to compile +
   // fuzz — cheap and embarrassingly parallel.
-  std::vector<std::size_t> misses;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!in_shard(i) || specs_[i].kind != CandidateKind::kStateProgram) {
+  std::vector<Candidate*> misses;
+  for (Candidate& cand : window_) {
+    if (!in_shard(cand) || cand.spec.kind != CandidateKind::kStateProgram) {
       continue;
     }
     if (options_.store != nullptr) {
-      cached_[i] = options_.store->lookup(fps_[i]);
+      cand.cached = options_.store->lookup(cand.fp);
     }
-    if (cached_[i].has_value() && cached_[i]->compiled &&
-        cached_[i]->stage < store::Stage::kTrained && parsed_[i] == 0) {
+    if (cand.cached.has_value() && cand.cached->compiled &&
+        cand.cached->stage < store::Stage::kTrained && !cand.parsed) {
       // The record says this source compiles, and a later stage may train
       // it, but the source does not parse: a fingerprint collision (or
       // foreign journal). Treat it as a genuine miss so the candidate is
       // evaluated on its own merits.
-      cached_[i].reset();
+      cand.cached.reset();
     }
-    if (cached_[i].has_value()) {
-      apply_store_record(*cached_[i], outcomes_[i]);
+    if (cand.cached.has_value()) {
+      apply_store_record(*cand.cached, cand.outcome);
     } else {
-      misses.push_back(i);
+      misses.push_back(&cand);
     }
   }
-  auto check = [&](std::size_t k) { precheck_state(misses[k]); };
+  auto check = [&](std::size_t k) { precheck_state(*misses[k]); };
   if (options_.pool != nullptr) {
     options_.pool->parallel_for(misses.size(), check);
   } else {
@@ -530,70 +505,74 @@ void SearchJob::stage_precheck() {
   }
   // Journal the fresh verdicts in stream order from this thread:
   // deterministic journal bytes whatever the pool's scheduling.
-  for (std::size_t i : misses) journal(i, store::Stage::kChecked);
+  for (const Candidate* cand : misses) journal(*cand, store::Stage::kChecked);
   // Accounting and events, on the stepping thread in stream order.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!in_shard(i)) continue;
-    if (cached_[i].has_value()) {
+  for (const Candidate& cand : window_) {
+    if (!in_shard(cand)) continue;
+    const CandidateOutcome& outcome = cand.outcome;
+    if (cand.cached.has_value()) {
       ++result_.n_precheck_cache_hits;
       if (!observers_.empty()) {
         notify_candidate(CandidateEvent{
             CandidateEventType::kCacheHit, StageKind::kPrecheck,
-            outcomes_[i].stream_index, outcomes_[i].id,
-            store::stage_name(cached_[i]->stage)});
+            outcome.stream_index, outcome.id,
+            store::stage_name(cand.cached->stage)});
       }
-    } else if (!outcomes_[i].compiled) {
+    } else if (!outcome.compiled) {
       if (!observers_.empty()) {
         notify_candidate(CandidateEvent{CandidateEventType::kFailed,
-                                        StageKind::kPrecheck, outcomes_[i].stream_index,
-                                        outcomes_[i].id,
-                                        outcomes_[i].compile_error});
+                                        StageKind::kPrecheck,
+                                        outcome.stream_index, outcome.id,
+                                        outcome.compile_error});
       }
-    } else if (!outcomes_[i].normalized) {
+    } else if (!outcome.normalized) {
       if (!observers_.empty()) {
         notify_candidate(CandidateEvent{CandidateEventType::kFailed,
-                                        StageKind::kPrecheck, outcomes_[i].stream_index,
-                                        outcomes_[i].id,
-                                        outcomes_[i].normalization_error});
+                                        StageKind::kPrecheck,
+                                        outcome.stream_index, outcome.id,
+                                        outcome.normalization_error});
       }
     }
   }
 }
 
 void SearchJob::stage_probe() {
-  const std::size_t n = outcomes_.size();
-  probe_set_.clear();
+  const std::size_t n = window_.size();
+  std::vector<std::size_t> probe_set;
   for (std::size_t i = 0; i < n; ++i) {
-    if (outcomes_[i].compiled) ++result_.n_compiled;
-    if (!outcomes_[i].compiled || !outcomes_[i].normalized) continue;
+    const Candidate& cand = window_[i];
+    const CandidateOutcome& outcome = cand.outcome;
+    if (outcome.compiled) ++result_.n_compiled;
+    if (!outcome.compiled || !outcome.normalized) continue;
     ++result_.n_normalized;
-    if (cached_[i].has_value() &&
-        cached_[i]->stage >= store::Stage::kProbed) {
+    if (cand.cached.has_value() &&
+        cand.cached->stage >= store::Stage::kProbed) {
       ++result_.n_probe_cache_hits;  // probe verdict already applied
       if (!observers_.empty()) {
         notify_candidate(CandidateEvent{CandidateEventType::kCacheHit,
-                                        StageKind::kProbe, outcomes_[i].stream_index,
-                                        outcomes_[i].id,
-                                        store::stage_name(cached_[i]->stage)});
+                                        StageKind::kProbe,
+                                        outcome.stream_index, outcome.id,
+                                        store::stage_name(cand.cached->stage)});
       }
     } else if (leader_[i] != i) {
-      // In-batch clone: copies the leader's probe result after the stage.
-    } else if (trainable(i)) {
-      probe_set_.push_back(i);
+      // In-window clone: copies the leader's probe result after the stage.
+    } else if (trainable(cand)) {
+      probe_set.push_back(i);
     }
   }
   rl::TrainConfig probe_config = config_.train;
   probe_config.epochs = config_.early_epochs;
   probe_config.evaluate_checkpoints = false;
   std::vector<rl::ProbeJob> probe_jobs;
-  probe_jobs.reserve(probe_set_.size());
-  for (std::size_t i : probe_set_) {
-    ensure_program(i);
-    const bool is_state = specs_[i].kind == CandidateKind::kStateProgram;
+  probe_jobs.reserve(probe_set.size());
+  for (std::size_t i : probe_set) {
+    Candidate& cand = window_[i];
+    ensure_program(cand);
+    const bool is_state = cand.spec.kind == CandidateKind::kStateProgram;
     probe_jobs.push_back(
-        rl::ProbeJob{is_state ? &*programs_[i] : fixed_.state,
-                     is_state ? fixed_.arch : &*outcomes_[i].arch,
-                     probe_seed(specs_[i], seed_, fps_[i])});
+        rl::ProbeJob{is_state ? &*cand.program : fixed_.state,
+                     is_state ? fixed_.arch : &*cand.outcome.arch,
+                     probe_seed(cand.spec, seed_, cand.fp)});
   }
   // One engine task per probe on the pool; results are applied, journaled,
   // and announced afterwards on this thread, in stream order.
@@ -601,141 +580,107 @@ void SearchJob::stage_probe() {
       *domain_,
       rl::BatchProbeConfig{.train = probe_config, .metrics = options_.metrics});
   const auto probe_results = trainer.train(probe_jobs, options_.pool);
-  for (std::size_t k = 0; k < probe_set_.size(); ++k) {
-    const std::size_t i = probe_set_[k];
+  for (std::size_t k = 0; k < probe_set.size(); ++k) {
+    Candidate& cand = window_[probe_set[k]];
+    CandidateOutcome& outcome = cand.outcome;
     const rl::TrainResult& probe_result = probe_results[k];
     if (!probe_result.failed) {
-      outcomes_[i].early_probed = true;
-      outcomes_[i].early_rewards = probe_result.train_rewards;
+      outcome.early_probed = true;
+      outcome.early_rewards = probe_result.train_rewards;
       if (!observers_.empty()) {
         notify_candidate(CandidateEvent{CandidateEventType::kProbed,
                                         StageKind::kProbe,
-                                        outcomes_[i].stream_index,
-                                        outcomes_[i].id, ""});
+                                        outcome.stream_index, outcome.id, ""});
       }
     } else {
       // Blew up only under real training inputs; treat as compile-stage
       // failure discovered late.
-      outcomes_[i].compile_error = probe_result.error;
+      outcome.compile_error = probe_result.error;
       if (!observers_.empty()) {
         notify_candidate(CandidateEvent{CandidateEventType::kFailed,
                                         StageKind::kProbe,
-                                        outcomes_[i].stream_index,
-                                        outcomes_[i].id, probe_result.error});
+                                        outcome.stream_index, outcome.id,
+                                        probe_result.error});
       }
     }
-    journal(i, store::Stage::kProbed);
+    journal(cand, store::Stage::kProbed);
   }
-  result_.n_probes_run += probe_set_.size();
+  result_.n_probes_run += probe_set.size();
   for (std::size_t i = 0; i < n; ++i) {
-    if (leader_[i] != i && outcomes_[i].compiled && outcomes_[i].normalized &&
-        !outcomes_[i].early_probed) {
-      copy_probe_result(outcomes_[leader_[i]], outcomes_[i]);
+    CandidateOutcome& outcome = window_[i].outcome;
+    if (leader_[i] != i && outcome.compiled && outcome.normalized &&
+        !outcome.early_probed) {
+      copy_probe_result(window_[leader_[i]].outcome, outcome);
     }
   }
-  if (config_.streaming()) fold_window();
+  fold_window();
 }
 
 void SearchJob::fold_window() {
-  // Streaming end-of-window fold: this window's probes meet the running
-  // selection, then every per-candidate array is retired. Selection here
-  // is element-for-element what batch mode's select stage computes over
-  // the whole cohort — insert by (probe score desc, stream position asc),
-  // evict past full_train_top — so the final retained set is the batch
-  // top-K exactly.
-  const std::size_t n = specs_.size();
-  const auto by_rank = [](const RetainedCandidate& a,
-                          const RetainedCandidate& b) {
+  // End-of-window fold: this window's probes meet the running selection,
+  // then the window is retired. Inserting by (probe score desc, stream
+  // position asc) and evicting past full_train_top leaves, after the last
+  // window, exactly the top full_train_top of every kept probe in the
+  // stream — whatever the window size.
+  const std::size_t n = window_.size();
+  // What leaves the selection (unprobed, stopped or evicted) moves to its
+  // stream position when the result keeps every outcome (batch mode), and
+  // is dropped otherwise.
+  const bool keep_all = !config_.streaming();
+  if (keep_all) released_.resize(generated_total_);
+  const auto release = [&](CandidateOutcome&& outcome) {
+    if (keep_all) released_[outcome.stream_index] = std::move(outcome);
+  };
+  const auto stop = [&](CandidateOutcome&& outcome) {
+    ++result_.n_early_stopped;
+    if (!observers_.empty()) {
+      notify_candidate(CandidateEvent{CandidateEventType::kEarlyStopped,
+                                      StageKind::kProbe, outcome.stream_index,
+                                      outcome.id, ""});
+    }
+    outcome.early_stopped = true;
+    release(std::move(outcome));
+  };
+  const auto by_rank = [](const Candidate& a, const Candidate& b) {
     if (a.score != b.score) return a.score > b.score;
     return a.outcome.stream_index < b.outcome.stream_index;
   };
-  for (std::size_t i = 0; i < n; ++i) {
-    if (!outcomes_[i].early_probed) continue;
-    bool keep = true;
+  for (Candidate& cand : window_) {
+    if (!cand.outcome.early_probed) {
+      release(std::move(cand.outcome));
+      continue;
+    }
     if (options_.early_stop_model != nullptr) {
       // The model normalizes probe curves by the baseline score, so the
       // baseline trains lazily at the first fold that needs it. Its seed
       // stream is independent of the candidates', so training it before
       // the kBaseline stage cannot change any result.
       const double normalizer = original_baseline().test_score;
-      keep = options_.early_stop_model->keep(
-          make_record(outcomes_[i], normalizer));
-    }
-    if (!keep) {
-      ++result_.n_early_stopped;
-      if (!observers_.empty()) {
-        notify_candidate(CandidateEvent{CandidateEventType::kEarlyStopped,
-                                        StageKind::kProbe, outcomes_[i].stream_index,
-                                        outcomes_[i].id, ""});
+      if (!options_.early_stop_model->keep(
+              make_record(cand.outcome, normalizer))) {
+        stop(std::move(cand.outcome));
+        continue;
       }
-      continue;
     }
-    RetainedCandidate cand;
-    cand.spec = std::move(specs_[i]);
-    cand.fp = fps_[i];
-    cand.cached = std::move(cached_[i]);
-    cand.program = std::move(programs_[i]);
-    cand.outcome = std::move(outcomes_[i]);
     cand.score = probe_score(cand.outcome.early_rewards);
-    retained_.insert(
-        std::upper_bound(retained_.begin(), retained_.end(), cand, by_rank),
+    selection_.insert(
+        std::upper_bound(selection_.begin(), selection_.end(), cand, by_rank),
         std::move(cand));
-    if (retained_.size() > config_.full_train_top) {
-      const RetainedCandidate evicted = std::move(retained_.back());
-      retained_.pop_back();
-      ++result_.n_early_stopped;
-      if (!observers_.empty()) {
-        notify_candidate(CandidateEvent{
-            CandidateEventType::kEarlyStopped, StageKind::kProbe,
-            evicted.outcome.stream_index, evicted.outcome.id, ""});
-      }
+    if (selection_.size() > config_.full_train_top) {
+      stop(std::move(selection_.back().outcome));
+      selection_.pop_back();
     }
   }
-  // Retire the window. clear() keeps the capacity, so the arrays are
-  // allocated once and reused: peak memory stays O(window_size).
-  specs_.clear();
-  fps_.clear();
-  parsed_.clear();
-  leader_.clear();
-  cached_.clear();
-  programs_.clear();
-  outcomes_.clear();
-  probe_set_.clear();
+  // Retire the window. clear() keeps the capacity, so a streaming job
+  // allocates its window once: peak memory stays O(window_size).
+  window_.clear();
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     window_start_time_)
           .count();
   notify_window_finish(
-      WindowEvent{window_index_, window_base_, n, retained_.size(), seconds});
+      WindowEvent{window_index_, window_base_, n, selection_.size(), seconds});
   ++window_index_;
-}
-
-void SearchJob::adopt_retained() {
-  // Rebuild the per-candidate arrays from the running selection (already
-  // in selection order) so the batch full-train and rank stages run on
-  // them unchanged. Clone leaders recompute from the adopted fingerprints:
-  // a retained clone always sorts after its leader (equal score, larger
-  // stream position), so leaders precede clones here just as in a batch
-  // cohort.
-  const std::size_t k = retained_.size();
-  specs_.clear();
-  fps_.clear();
-  cached_.clear();
-  programs_.clear();
-  outcomes_.clear();
-  selected_.clear();
-  for (std::size_t i = 0; i < k; ++i) {
-    RetainedCandidate& cand = retained_[i];
-    specs_.push_back(std::move(cand.spec));
-    fps_.push_back(cand.fp);
-    cached_.push_back(std::move(cand.cached));
-    programs_.push_back(std::move(cand.program));
-    outcomes_.push_back(std::move(cand.outcome));
-    selected_.push_back(i);
-  }
-  leader_ = leaders_by_fingerprint(fps_);
-  retained_.clear();
-  retained_.shrink_to_fit();
 }
 
 void SearchJob::stage_baseline() {
@@ -743,88 +688,36 @@ void SearchJob::stage_baseline() {
   result_.original_score = result_.original.test_score;
 }
 
-std::vector<std::size_t> SearchJob::select_survivors() {
-  // Candidates eligible for selection: probed ones.
-  std::vector<std::size_t> probed;
-  for (std::size_t i = 0; i < outcomes_.size(); ++i) {
-    if (outcomes_[i].early_probed) probed.push_back(i);
-  }
-
-  std::vector<std::size_t> kept;
-  if (options_.early_stop_model != nullptr) {
-    const double normalizer = result_.original_score;
-    for (std::size_t i : probed) {
-      const auto record = make_record(outcomes_[i], normalizer);
-      if (options_.early_stop_model->keep(record)) {
-        kept.push_back(i);
-      } else {
-        outcomes_[i].early_stopped = true;
-      }
-    }
-  } else {
-    kept = probed;
-  }
-
-  // Rank the kept probes by tail reward and take the full-training slots.
-  // Ties break by stream position so reruns and resumed runs select
-  // identically even when deduplicated candidates share a reward curve.
-  const auto& outcomes = outcomes_;
-  std::sort(kept.begin(), kept.end(), [&outcomes](std::size_t a,
-                                                  std::size_t b) {
-    const double score_a = probe_score(outcomes[a].early_rewards);
-    const double score_b = probe_score(outcomes[b].early_rewards);
-    if (score_a != score_b) return score_a > score_b;
-    return a < b;
-  });
-  if (kept.size() > config_.full_train_top) {
-    for (std::size_t r = config_.full_train_top; r < kept.size(); ++r) {
-      outcomes_[kept[r]].early_stopped = true;
-    }
-    kept.resize(config_.full_train_top);
-  }
-  return kept;
-}
-
 void SearchJob::stage_select() {
-  if (config_.streaming()) {
-    // Selection already happened incrementally, window fold by window
-    // fold; what is left is exactly the full-training cohort. Early-stop
-    // verdicts and events fired at fold time (stage kProbe).
-    adopt_retained();
-    return;
-  }
-  selected_ = select_survivors();
-  for (std::size_t i = 0; i < outcomes_.size(); ++i) {
-    if (!outcomes_[i].early_stopped) continue;
-    ++result_.n_early_stopped;
-    if (!observers_.empty()) {
-      notify_candidate(CandidateEvent{CandidateEventType::kEarlyStopped,
-                                      StageKind::kSelect, i, outcomes_[i].id,
-                                      ""});
-    }
-  }
+  // The folds already selected: the running selection is the full-training
+  // cohort. Its leader table covers the cohort alone, so a retained clone
+  // whose leader the early-stop model stopped leads itself.
+  window_ = std::exchange(selection_, {});
+  index_leaders();
 }
 
 void SearchJob::stage_full_train() {
-  // Survivors whose full run is journaled reuse it outright; a selected
-  // clone waits for its leader (equal probe score + index tie-break
-  // guarantee the leader is selected whenever a clone is).
+  // Cohort members whose full run is journaled reuse it outright; a clone
+  // waits for its leader, which sorts ahead of it in the cohort (equal
+  // probe score, earlier stream position).
   std::vector<std::size_t> to_train;
   std::vector<std::size_t> clones;
-  for (std::size_t i : selected_) {
-    if (cached_[i].has_value() &&
-        cached_[i]->stage >= store::Stage::kTrained) {
-      apply_full_train_record(*cached_[i], outcomes_[i]);
+  for (std::size_t i = 0; i < window_.size(); ++i) {
+    Candidate& cand = window_[i];
+    if (cand.cached.has_value() &&
+        cand.cached->stage >= store::Stage::kTrained) {
+      apply_full_train_record(*cand.cached, cand.outcome);
       ++result_.n_full_cache_hits;
       if (!observers_.empty()) {
         notify_candidate(CandidateEvent{CandidateEventType::kCacheHit,
                                         StageKind::kFullTrain,
-                                        outcomes_[i].stream_index, outcomes_[i].id,
-                                        store::stage_name(cached_[i]->stage)});
+                                        cand.outcome.stream_index,
+                                        cand.outcome.id,
+                                        store::stage_name(cand.cached->stage)});
       }
     } else if (leader_[i] != i) {
       clones.push_back(i);
-    } else if (trainable(i)) {
+    } else if (trainable(cand)) {
       to_train.push_back(i);
     }
   }
@@ -834,52 +727,75 @@ void SearchJob::stage_full_train() {
   std::vector<rl::SessionJob> jobs;
   jobs.reserve(to_train.size());
   for (std::size_t i : to_train) {
-    ensure_program(i);
-    const bool is_state = specs_[i].kind == CandidateKind::kStateProgram;
+    Candidate& cand = window_[i];
+    ensure_program(cand);
+    const bool is_state = cand.spec.kind == CandidateKind::kStateProgram;
     jobs.push_back(
-        rl::SessionJob{is_state ? &*programs_[i] : fixed_.state,
-                       is_state ? fixed_.arch : &*outcomes_[i].arch,
-                       full_train_seed(specs_[i], seed_, fps_[i])});
+        rl::SessionJob{is_state ? &*cand.program : fixed_.state,
+                       is_state ? fixed_.arch : &*cand.outcome.arch,
+                       full_train_seed(cand.spec, seed_, cand.fp)});
   }
-  const auto sessions =
+  auto sessions =
       rl::run_sessions(*domain_, jobs, session_config, options_.pool);
-  apply_session_results(outcomes_, to_train, sessions);
+  for (std::size_t k = 0; k < to_train.size(); ++k) {
+    rl::SessionResult& session = sessions[k];
+    set_full_train_fields(window_[to_train[k]].outcome, !session.failed,
+                          session.test_score, session.emulation_score,
+                          std::move(session.median_curve),
+                          std::move(session.curve_epochs));
+  }
   result_.n_full_trains_run = to_train.size();
   for (std::size_t i : clones) {
-    copy_full_train_result(outcomes_[leader_[i]], outcomes_[i]);
+    copy_full_train_result(window_[leader_[i]].outcome, window_[i].outcome);
   }
   for (std::size_t i : to_train) {
-    journal(i, store::Stage::kTrained);
+    const CandidateOutcome& outcome = window_[i].outcome;
+    journal(window_[i], store::Stage::kTrained);
     if (!observers_.empty()) {
       notify_candidate(CandidateEvent{
           CandidateEventType::kTrained, StageKind::kFullTrain,
-          outcomes_[i].stream_index, outcomes_[i].id,
-          outcomes_[i].fully_trained
-              ? "test_score=" + std::to_string(outcomes_[i].test_score)
+          outcome.stream_index, outcome.id,
+          outcome.fully_trained
+              ? "test_score=" + std::to_string(outcome.test_score)
               : "every session failed"});
     }
   }
 }
 
 void SearchJob::stage_rank() {
+  // The cohort leaves the window: in batch mode back into place at its
+  // stream positions among every other outcome, in streaming mode alone,
+  // in selection order.
+  if (config_.streaming()) {
+    result_.outcomes.reserve(window_.size());
+    for (Candidate& cand : window_) {
+      result_.outcomes.push_back(std::move(cand.outcome));
+    }
+  } else {
+    for (Candidate& cand : window_) {
+      released_[cand.outcome.stream_index] = std::move(cand.outcome);
+    }
+    result_.outcomes = std::move(released_);
+  }
+  window_.clear();
   // The best-candidate tie-break is by stream position, explicitly: in
   // batch mode the scan order makes the explicit clause a no-op, but in
-  // streaming mode outcomes_ is in selection (probe-score) order, so the
-  // clause is what keeps both modes picking the identical winner.
+  // streaming mode the outcomes are in selection (probe-score) order, so
+  // the clause is what keeps both modes picking the identical winner.
   std::size_t best_stream = SIZE_MAX;
-  for (std::size_t i = 0; i < outcomes_.size(); ++i) {
-    if (!outcomes_[i].fully_trained) continue;
+  for (std::size_t i = 0; i < result_.outcomes.size(); ++i) {
+    const CandidateOutcome& outcome = result_.outcomes[i];
+    if (!outcome.fully_trained) continue;
     ++result_.n_fully_trained;
     const bool tie_earlier = result_.has_best() &&
-                             outcomes_[i].test_score == result_.best_score &&
-                             outcomes_[i].stream_index < best_stream;
-    if (outcomes_[i].test_score > result_.best_score || tie_earlier) {
-      result_.best_score = outcomes_[i].test_score;
+                             outcome.test_score == result_.best_score &&
+                             outcome.stream_index < best_stream;
+    if (outcome.test_score > result_.best_score || tie_earlier) {
+      result_.best_score = outcome.test_score;
       result_.best_index = i;
-      best_stream = outcomes_[i].stream_index;
+      best_stream = outcome.stream_index;
     }
   }
-  result_.outcomes = std::move(outcomes_);
 }
 
 }  // namespace nada::search

@@ -8,42 +8,43 @@
 //     interleave their own work, stop early (range workers run only
 //     through the probe stage), or drive progress UIs,
 //   * streams events: Observers see every stage transition (with timings),
-//     every candidate milestone, and — in streaming mode — every rolling
-//     window as it happens,
+//     every candidate milestone, and every window as it happens,
 //   * is kind-unified: the stream may hold state-program and architecture
 //     candidates in any mix (CandidateSpec), one funnel code path,
 //   * folds resume in: resume() rewinds the source and re-runs against the
 //     attached store, serving every journaled stage from the checkpoint.
 //
-// Candidates are PULLED from the CandidateSource, not materialized up
-// front. SearchConfig::window_size picks between two execution modes:
+// Candidates are PULLED from the CandidateSource in windows. The job pulls
+// a window, pre-checks and probes it (journal writes and candidate events
+// included), then folds it into a running selection — the top
+// full_train_top probes by tail reward that pass the early-stop model —
+// and retires the window's specs, programs, and probe caches. The
+// per-candidate stages cycle generate -> precheck -> probe until the
+// stream is spent; then the cohort-global stages run once, the select
+// stage handing the running selection to full training. The fold is the
+// funnel's only selection. SearchConfig::window_size sets the window and
+// with it what the result keeps:
 //
 //   batch (window_size == 0, the default): one window spans the whole
-//   stream. Every candidate's outcome is kept and returned —
+//   stream, and every candidate's outcome is kept and returned —
 //   SearchResult::outcomes[i] is stream position i. Peak memory is
 //   O(num_candidates).
 //
-//   streaming (window_size >= 1): the per-candidate stages repeat in
-//   rolling windows — the job pulls window_size candidates, pre-checks and
-//   probes them, folds the window into a running selection (top
-//   full_train_top probes by tail reward, candidate events and journal
-//   writes included), and retires the window's specs, programs, and reward
-//   curves before pulling the next. The stage sequence cycles
-//   generate -> precheck -> probe until the stream is spent, then runs the
-//   cohort-global stages once. Peak memory is O(window_size +
-//   full_train_top); SearchResult::outcomes holds only the retained
-//   candidates (stream positions travel in CandidateOutcome::stream_index).
+//   streaming (window_size >= 1): windows of window_size candidates. Peak
+//   memory is O(window_size + full_train_top); SearchResult::outcomes holds
+//   only the full-training cohort (stream positions travel in
+//   CandidateOutcome::stream_index).
 //
 // Determinism contract: per-candidate seeds are fingerprint-derived and
 // every journal write and candidate event happens on the stepping thread in
 // stream order, so a job's results and journal bytes do not depend on its
 // thread pool (tests/integration_test.cpp pins pool-less vs pooled journal
-// bytes). Streaming mode produces the same rankings and the same store
-// journal records as batch mode for the same seeds — where the work runs
-// cannot change what it computes; only the journal's line ORDER differs
-// (windows interleave check/probe records). tests/stream_test.cpp
-// pins batch-vs-streaming equivalence for ABR and CC, serial and split
-// across fingerprint-range workers.
+// bytes). Every window size produces the same rankings and the same store
+// journal records for the same seeds — where the work runs cannot change
+// what it computes; only the journal's line ORDER differs (windows
+// interleave check/probe records). tests/stream_test.cpp pins
+// batch-vs-streaming equivalence for ABR and CC, serial and split across
+// fingerprint-range workers.
 // One caveat: without an attached store, a candidate whose duplicate
 // appeared in an earlier (already retired) window is re-probed rather than
 // copied — the results are identical either way, only n_probes_run grows;
@@ -141,8 +142,8 @@ class SearchJob {
   void add_observer(Observer* observer);
 
   /// The stage the next next_stage() call will execute (kDone when the job
-  /// is complete). In streaming mode the per-candidate stages cycle:
-  /// after kProbe this is kGenerate again until the stream is spent.
+  /// is complete). The per-candidate stages cycle: after kProbe this is
+  /// kGenerate again until the stream is spent.
   [[nodiscard]] StageKind next_stage_kind() const;
   [[nodiscard]] bool done() const;
 
@@ -152,8 +153,8 @@ class SearchJob {
 
   /// Steps until `stop` would be next (or the job completes). Shard
   /// workers use run_until(StageKind::kBaseline) to execute only the
-  /// per-candidate stages — in streaming mode that is every remaining
-  /// window. Returns the (possibly partial) result.
+  /// per-candidate stages of every remaining window. Returns the (possibly
+  /// partial) result.
   const SearchResult& run_until(StageKind stop);
 
   /// Steps every remaining stage and moves the final result out. The job
@@ -179,12 +180,14 @@ class SearchJob {
   const rl::SessionResult& original_baseline();
 
  private:
-  /// One candidate carried across window boundaries by the streaming
-  /// running selection: everything full training and ranking need once the
-  /// window that produced it has been retired.
-  struct RetainedCandidate {
+  /// One candidate from pull to full training: a window slot, then — if
+  /// the fold keeps it — a member of the running selection and at last of
+  /// the full-training cohort.
+  struct Candidate {
     CandidateSpec spec;
     store::Fingerprint fp;
+    /// State candidates: whether the source parsed. Read by pre-check only.
+    bool parsed = false;
     std::optional<store::OutcomeRecord> cached;
     /// Empty until a stage compiles it: a probe the store served left none.
     std::optional<dsl::StateProgram> program;
@@ -200,38 +203,35 @@ class SearchJob {
   void stage_full_train();
   void stage_rank();
 
-  /// Streaming only: end-of-window fold. Applies the early-stop verdicts
-  /// to the window's probes, merges the keepers into the running
-  /// top-full_train_top selection (evictions become early-stopped), and
-  /// retires the window's per-candidate arrays.
+  /// End-of-window fold, the funnel's one selection: applies the
+  /// early-stop verdicts to the window's probes, merges the keepers into
+  /// the running top-full_train_top selection (evictions become
+  /// early-stopped), and retires the window.
   void fold_window();
-  /// Streaming only (select stage): rebuilds the per-candidate arrays from
-  /// the retained selection so the batch full-train/rank code runs on them
-  /// unchanged.
-  void adopt_retained();
-  /// The stage following `stage`: linear in batch mode; in streaming mode
-  /// kProbe loops back to kGenerate while the stream has candidates left.
+  /// The stage following `stage`: linear, except that kProbe loops back to
+  /// kGenerate while the stream has candidates left.
   [[nodiscard]] StageKind stage_after(StageKind stage) const;
+  /// Recomputes leader_ over window_.
+  void index_leaders();
 
   /// Compile + normalization check of a state candidate the store missed.
-  void precheck_state(std::size_t i);
-  void precheck_arch(std::size_t i, const nn::StateSignature& signature);
-  [[nodiscard]] bool in_shard(std::size_t i) const;
-  /// Candidate i's program half can be trained (state-kind: it compiled,
+  void precheck_state(Candidate& cand);
+  void precheck_arch(Candidate& cand, const nn::StateSignature& signature);
+  [[nodiscard]] bool in_shard(const Candidate& cand) const;
+  /// The candidate's program half can be trained (state-kind: it compiled,
   /// as a fresh program or per a usable store record; arch-kind: always,
   /// the fixed program serves).
-  [[nodiscard]] bool trainable(std::size_t i) const;
-  /// Compiles trainable state candidate i's program unless it has one. A
+  [[nodiscard]] static bool trainable(const Candidate& cand);
+  /// Compiles a trainable state candidate's program unless it has one. A
   /// store hit's pre-check verdict is served without compiling, so the
   /// program is built only once a stage is about to train the candidate.
-  void ensure_program(std::size_t i);
-  [[nodiscard]] std::vector<std::size_t> select_survivors();
+  static void ensure_program(Candidate& cand);
   void notify_stage_start(StageKind stage);
   void notify_stage_finish(const StageEvent& event);
   void notify_candidate(CandidateEvent event);
   void notify_window_start(std::size_t index, std::size_t first);
   void notify_window_finish(const WindowEvent& event);
-  void journal(std::size_t i, store::Stage stage);
+  void journal(const Candidate& cand, store::Stage stage);
 
   const env::TaskDomain* domain_;
   SearchConfig config_;
@@ -247,31 +247,25 @@ class SearchJob {
   SearchResult result_;
   std::optional<rl::SessionResult> local_baseline_;
 
-  // Per-candidate working state of the CURRENT window, indexed by window
-  // position (batch mode: one window spanning the whole stream, so window
-  // position == stream position). A window candidate's stream position
-  // lives in outcomes_[i].stream_index.
-  std::vector<CandidateSpec> specs_;
-  std::vector<store::Fingerprint> fps_;
-  /// State candidates: whether the source parsed (bytes, not vector<bool>:
-  /// pool threads fill neighbouring slots). Read by pre-check only.
-  std::vector<std::uint8_t> parsed_;
+  /// The current window, by window position; from the select stage on, the
+  /// full-training cohort in selection order.
+  std::vector<Candidate> window_;
+  /// In-window dedup: leader_[i] is the first position in window_ holding
+  /// window_[i]'s fingerprint. Clones copy their leader's results instead
+  /// of re-running them (content-derived seeds make them identical anyway).
   std::vector<std::size_t> leader_;
-  std::vector<std::optional<store::OutcomeRecord>> cached_;
-  std::vector<std::optional<dsl::StateProgram>> programs_;
-  std::vector<CandidateOutcome> outcomes_;
-  std::vector<std::size_t> probe_set_;
-  std::vector<std::size_t> selected_;
+  /// The running selection: sorted by score desc, stream position asc;
+  /// never larger than full_train_top.
+  std::vector<Candidate> selection_;
+  /// Batch mode: every outcome that left the selection, by stream
+  /// position. The cohort moves back into place at rank.
+  std::vector<CandidateOutcome> released_;
 
-  // Streaming state: stream/window progress and the running selection
-  // (sorted by score desc, stream position asc; never larger than
-  // full_train_top).
   std::size_t generated_total_ = 0;
   bool stream_exhausted_ = false;
   std::size_t window_index_ = 0;
   std::size_t window_base_ = 0;
   std::chrono::steady_clock::time_point window_start_time_{};
-  std::vector<RetainedCandidate> retained_;
 };
 
 }  // namespace nada::search

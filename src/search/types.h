@@ -37,18 +37,17 @@ struct SearchConfig {
   /// Kept only because the end-to-end benchmark harness still passes it
   /// to rl::BatchProbeConfig::block_size, which is unread too.
   std::size_t probe_block = 4;
-  /// Rolling-window streaming. 0 (the default) materializes the whole
-  /// candidate stream up front — the historical batch mode, byte-for-byte.
-  /// >= 1 pulls, pre-checks, and probes the stream in windows of this many
-  /// candidates, retiring each window's per-candidate state (specs,
-  /// programs, reward curves — journaled to the store first when one is
-  /// attached) before the next window is generated: peak memory is
-  /// O(window_size + full_train_top) instead of O(num_candidates). The
-  /// running selection keeps only the top full_train_top probes across
-  /// windows, so SearchResult::outcomes holds just the retained candidates
-  /// (see SearchResult). Rankings, journal records, and store keys are
-  /// identical to batch mode for the same seeds; this is an execution
-  /// knob and never feeds store_scope().
+  /// The funnel pulls, pre-checks, and probes the stream in windows, and
+  /// folds each window into a running selection of the top full_train_top
+  /// probes before retiring its per-candidate state (specs, programs,
+  /// reward curves — journaled to the store first when one is attached).
+  /// 0 (the default, batch mode) makes the whole stream one window and
+  /// keeps every outcome for SearchResult::outcomes: peak memory is
+  /// O(num_candidates). >= 1 (streaming) pulls windows of this many
+  /// candidates and keeps only the full-training cohort: peak memory is
+  /// O(window_size + full_train_top). Rankings, journal records, and
+  /// store keys are identical for every window size and the same seeds;
+  /// this is an execution knob and never feeds store_scope().
   std::size_t window_size = 0;
 
   [[nodiscard]] bool streaming() const { return window_size > 0; }
@@ -74,7 +73,7 @@ struct CandidateOutcome {
   std::string id;
   /// Position in the candidate stream. In batch mode this equals the
   /// outcome's index in SearchResult::outcomes; in streaming mode the
-  /// result holds only the retained candidates, so the stream position
+  /// result holds only the full-training cohort, so the stream position
   /// must travel with the outcome.
   std::size_t stream_index = 0;
   std::string source;            ///< state candidates only
@@ -95,11 +94,12 @@ struct CandidateOutcome {
 
 struct SearchResult {
   /// Batch mode: one outcome per stream position (outcomes[i].stream_index
-  /// == i). Streaming mode: only the candidates the running selection
-  /// retained — the full-training cohort, in selection order (probe score
-  /// desc, stream position asc); everything else was journaled (when a
-  /// store is attached) and retired window by window. The funnel counters
-  /// below always cover the whole stream in both modes.
+  /// == i), the early-stopped ones flagged. Streaming mode: only the
+  /// full-training cohort the running selection retained, in selection
+  /// order (probe score desc, stream position asc); everything else was
+  /// journaled (when a store is attached) and retired window by window.
+  /// The funnel counters below always cover the whole stream in both
+  /// modes.
   std::vector<CandidateOutcome> outcomes;
   std::size_t n_total = 0;
   std::size_t n_compiled = 0;

@@ -8,24 +8,6 @@
 
 namespace nada::util {
 
-double env_double(const char* name, double fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const double value = std::strtod(raw, &end);
-  if (end == raw) return fallback;
-  return value;
-}
-
-long env_long(const char* name, long fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long value = std::strtol(raw, &end, 10);
-  if (end == raw) return fallback;
-  return value;
-}
-
 namespace {
 
 /// A scale factor must parse as a positive finite number. Unparseable,

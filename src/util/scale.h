@@ -48,18 +48,8 @@ struct ScaleConfig {
                                        std::size_t min_value = 1) const {
     return apply(paper_value, seeds, min_value);
   }
-  [[nodiscard]] std::size_t trace_count(std::size_t paper_value,
-                                        std::size_t min_value = 2) const {
-    return apply(paper_value, traces, min_value);
-  }
 
   [[nodiscard]] std::string describe() const;
 };
-
-/// Reads a double env var; returns fallback if unset or unparsable.
-double env_double(const char* name, double fallback);
-
-/// Reads an integer env var; returns fallback if unset or unparsable.
-long env_long(const char* name, long fallback);
 
 }  // namespace nada::util

@@ -11,6 +11,8 @@
 //   * constant-memory mechanics: window events fire with the right
 //     sizes/positions, the per-candidate stages cycle per window, and the
 //     running selection never exceeds full_train_top,
+//   * one selection path: early stops fire at the probe stage's fold in
+//     both modes, and a retained clone whose leader stopped trains itself,
 //   * streaming resume: a run interrupted after the per-candidate stages
 //     finishes on the journal alone (zero re-probes).
 #include <gtest/gtest.h>
@@ -20,9 +22,11 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cc/cc_domain.h"
+#include "dsl/state_program.h"
 #include "env/abr_domain.h"
 #include "filter/earlystop.h"
 #include "gen/state_gen.h"
@@ -229,11 +233,27 @@ TEST(StreamingEquivalence, CcSearchMatchesBatchAndJournalsSameRecords) {
 
 // ---- early-stop model through the fold --------------------------------------
 
+/// Stream positions of the early-stop events, which must all fire at the
+/// probe stage's fold, each candidate at most once.
+std::vector<std::size_t> early_stop_positions(
+    const RecordingObserver& recording) {
+  std::vector<std::size_t> positions;
+  for (const auto& event : recording.candidates) {
+    if (event.type != CandidateEventType::kEarlyStopped) continue;
+    EXPECT_EQ(event.stage, StageKind::kProbe) << event.id;
+    positions.push_back(event.index);
+  }
+  std::sort(positions.begin(), positions.end());
+  EXPECT_EQ(std::adjacent_find(positions.begin(), positions.end()),
+            positions.end());
+  return positions;
+}
+
 TEST(StreamingEquivalence, EarlyStopModelVerdictsMatchBatch) {
-  // Streaming applies the model's keep() verdicts window by window (with
-  // the baseline trained lazily at the first fold); batch applies them in
-  // one pass after the baseline stage. Same model, same seeds => the
-  // verdicts, counters, and rankings must agree.
+  // Both modes apply the model's keep() verdicts at the fold (with the
+  // baseline trained lazily at the first fold that needs it): batch folds
+  // its one window, streaming each of its windows. Same model, same seeds
+  // => the verdicts, counters, and rankings must agree.
   Fixture fx;
   filter::EarlyStopConfig es_config;
   filter::EarlyStopModel model(filter::EarlyStopMethod::kHeuristicMax,
@@ -250,7 +270,7 @@ TEST(StreamingEquivalence, EarlyStopModelVerdictsMatchBatch) {
   }
   model.fit(corpus);
 
-  auto run = [&](std::size_t window) {
+  auto run = [&](std::size_t window, RecordingObserver& recording) {
     SearchConfig config = tiny_config(window);
     gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
                                   77);
@@ -260,13 +280,98 @@ TEST(StreamingEquivalence, EarlyStopModelVerdictsMatchBatch) {
     options.early_stop_model = &model;
     SearchJob job(fx.domain, config, 1234, source,
                   FixedDesign{nullptr, &config.baseline_arch}, options);
+    job.add_observer(&recording);
     return job.run_to_completion();
   };
-  const auto batch = run(0);
-  const auto stream = run(7);
+  RecordingObserver batch_recording;
+  RecordingObserver stream_recording;
+  const auto batch = run(0, batch_recording);
+  const auto stream = run(7, stream_recording);
   expect_equivalent(batch, stream);
   // The model actually discriminated (otherwise this test pins nothing).
   EXPECT_GT(batch.n_early_stopped, 0u);
+
+  // One early-stop event per stopped or evicted candidate, at the probe
+  // stage in both modes, and the same positions in both.
+  const auto batch_stopped = early_stop_positions(batch_recording);
+  const auto stream_stopped = early_stop_positions(stream_recording);
+  EXPECT_EQ(batch_stopped.size(), batch.n_early_stopped);
+  EXPECT_EQ(stream_stopped.size(), stream.n_early_stopped);
+  EXPECT_EQ(batch_stopped, stream_stopped);
+  // Batch mode keeps every outcome: the flagged ones are exactly the
+  // event positions, and none of them trained.
+  std::vector<std::size_t> flagged;
+  for (const auto& outcome : batch.outcomes) {
+    if (!outcome.early_stopped) continue;
+    flagged.push_back(outcome.stream_index);
+    EXPECT_FALSE(outcome.fully_trained) << outcome.id;
+  }
+  EXPECT_EQ(flagged, batch_stopped);
+}
+
+TEST(StreamingEquivalence, RetainedCloneOfAStoppedLeaderIsTrained) {
+  // Comments never reach the canonical form, so the second candidate is an
+  // in-stream clone of the first: one fingerprint, two texts. A text model
+  // can stop the leader and keep the clone; the clone then trains as its
+  // own leader, whatever the window size.
+  Fixture fx;
+  const std::string leader_text = "# leader\n" + dsl::pensieve_state_source();
+  const std::string clone_text = "# clone\n" + dsl::pensieve_state_source();
+  filter::EarlyStopConfig es_config;
+  es_config.train.epochs = 400;
+  es_config.train.learning_rate = 1e-2;
+  es_config.threshold_margin = 0.0;
+  filter::EarlyStopModel model(filter::EarlyStopMethod::kTextOnly, es_config,
+                               1);
+  // The clone's text carries the top designs, the leader's the rest.
+  std::vector<filter::DesignRecord> corpus;
+  for (int i = 0; i < 25; ++i) {
+    filter::DesignRecord record;
+    record.id = std::to_string(i);
+    record.source_text = i < 5 ? clone_text : leader_text;
+    record.early_rewards = {0.0};
+    record.final_score = i < 5 ? 100.0 - i : static_cast<double>(i);
+    corpus.push_back(record);
+  }
+  model.fit(corpus);
+  const auto keeps = [&model](const std::string& text) {
+    filter::DesignRecord record;
+    record.source_text = text;
+    record.early_rewards = {0.0};
+    return model.keep(record);
+  };
+  ASSERT_TRUE(keeps(clone_text));
+  ASSERT_FALSE(keeps(leader_text));
+
+  const std::vector<CandidateSpec> specs = {
+      CandidateSpec::state_program("leader", leader_text),
+      CandidateSpec::state_program("clone", clone_text)};
+  SearchConfig config = tiny_config(0);
+  config.num_candidates = 2;
+  config.full_train_top = 1;
+  const FixedDesign fixed{nullptr, &config.baseline_arch};
+  ASSERT_EQ(fingerprint_of(specs[0], fixed), fingerprint_of(specs[1], fixed));
+
+  auto run = [&](std::size_t window) {
+    config.window_size = window;
+    VectorCandidateSource source(specs);
+    JobOptions options;
+    options.pool = &fx.pool;
+    options.early_stop_model = &model;
+    SearchJob job(fx.domain, config, 1234, source, fixed, options);
+    return job.run_to_completion();
+  };
+  const auto batch = run(0);
+  const auto stream = run(1);
+  for (const SearchResult* result : {&batch, &stream}) {
+    EXPECT_EQ(result->n_early_stopped, 1u);
+    EXPECT_EQ(result->n_full_trains_run, 1u);
+    ASSERT_TRUE(result->has_best());
+    const CandidateOutcome& best = result->outcomes[result->best_index];
+    EXPECT_EQ(best.id, "clone");
+    EXPECT_TRUE(best.fully_trained);
+  }
+  expect_equivalent(batch, stream);
 }
 
 // ---- range-split streaming workers ------------------------------------------
@@ -416,7 +521,7 @@ TEST(StreamingWindows, StagesCycleAndWindowEventsCoverTheStream) {
   EXPECT_EQ(recording.count(CandidateEventType::kTrained),
             job.result().n_full_trains_run);
 
-  // Batch jobs never fire window events.
+  // A batch job is one window spanning the stream.
   const SearchConfig batch_config = tiny_config(0);
   gen::StateGenerator batch_gen(gen::gpt4_profile(), gen::PromptStrategy{},
                                 77);
@@ -427,8 +532,41 @@ TEST(StreamingWindows, StagesCycleAndWindowEventsCoverTheStream) {
   RecordingObserver batch_recording;
   batch_job.add_observer(&batch_recording);
   (void)batch_job.run_to_completion();
-  EXPECT_TRUE(batch_recording.windows.empty());
-  EXPECT_TRUE(batch_recording.window_starts.empty());
+  ASSERT_EQ(batch_recording.window_starts.size(), 1u);
+  EXPECT_EQ(batch_recording.window_starts[0],
+            (std::pair<std::size_t, std::size_t>{0, 0}));
+  ASSERT_EQ(batch_recording.windows.size(), 1u);
+  EXPECT_EQ(batch_recording.windows[0].index, 0u);
+  EXPECT_EQ(batch_recording.windows[0].first, 0u);
+  EXPECT_EQ(batch_recording.windows[0].size, batch_config.num_candidates);
+  EXPECT_LE(batch_recording.windows[0].retained, batch_config.full_train_top);
+}
+
+TEST(StreamingWindows, BatchJobOverAnEmptySourceIsOneEmptyWindow) {
+  Fixture fx;
+  const SearchConfig config = tiny_config(0);
+  VectorCandidateSource source({});
+  JobOptions options;
+  options.pool = &fx.pool;
+  SearchJob job(fx.domain, config, 3, source,
+                FixedDesign{nullptr, &config.baseline_arch}, options);
+  RecordingObserver recording;
+  job.add_observer(&recording);
+  std::vector<StageKind> stages;
+  while (!job.done()) {
+    stages.push_back(job.next_stage_kind());
+    job.next_stage();
+  }
+  EXPECT_EQ(stages, (std::vector<StageKind>{
+                        StageKind::kGenerate, StageKind::kBaseline,
+                        StageKind::kSelect, StageKind::kFullTrain,
+                        StageKind::kRank}));
+  ASSERT_EQ(recording.windows.size(), 1u);
+  EXPECT_EQ(recording.windows[0].index, 0u);
+  EXPECT_EQ(recording.windows[0].size, 0u);
+  EXPECT_EQ(job.result().n_total, 0u);
+  EXPECT_TRUE(job.result().outcomes.empty());
+  EXPECT_FALSE(job.result().has_best());
 }
 
 TEST(StreamingWindows, ShortSourceExhaustsCleanly) {

@@ -481,16 +481,6 @@ TEST(Scale, IdentityAtFull) {
   EXPECT_EQ(s.seed_count(5), 5u);
 }
 
-TEST(Scale, EnvDoubleFallback) {
-  ::unsetenv("NADA_TEST_ENV_VAR");
-  EXPECT_DOUBLE_EQ(env_double("NADA_TEST_ENV_VAR", 2.5), 2.5);
-  ::setenv("NADA_TEST_ENV_VAR", "0.125", 1);
-  EXPECT_DOUBLE_EQ(env_double("NADA_TEST_ENV_VAR", 2.5), 0.125);
-  ::setenv("NADA_TEST_ENV_VAR", "garbage", 1);
-  EXPECT_DOUBLE_EQ(env_double("NADA_TEST_ENV_VAR", 2.5), 2.5);
-  ::unsetenv("NADA_TEST_ENV_VAR");
-}
-
 TEST(Scale, DescribeMentionsFactors) {
   ScaleConfig s;
   s.gen = 0.25;
