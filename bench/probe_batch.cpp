@@ -131,10 +131,8 @@ int main() {
   };
 
   // Every row is labeled with the NN kernel flavor it ran under: scalar
-  // and avx2 rows are mutually comparable (bit-identical results), fma
-  // rows are a different numeric universe (pinned-divergent) and must
-  // never be diffed against scalar/avx2 rows — the label is what makes a
-  // cross-flavor CSV comparison an explicit choice instead of an accident.
+  // and avx2 compute the same bits at different speeds, so a throughput
+  // comparison across CSVs is only meaningful within one flavor.
   const std::string flavor = nn::kernel_flavor_name(nn::kernel_flavor());
   std::cout << "nn kernel flavor: " << flavor << "\n";
 
@@ -266,19 +264,14 @@ int main() {
     }
   }
 
-  // Kernel-flavor sweep: the same cohort under each runnable flavor.
-  // Cross-flavor comparisons follow the contract: avx2 must reproduce the
-  // scalar curves bit-for-bit (a divergence fails the bench), while fma is
-  // pinned-divergent — its rows are labeled so, never silently compared.
+  // Kernel-flavor sweep: the same cohort under each runnable flavor. avx2
+  // must reproduce the scalar curves bit-for-bit (a divergence fails the
+  // bench).
   {
     const nn::KernelFlavor entry_flavor = nn::kernel_flavor();
     std::vector<nn::KernelFlavor> flavors = {nn::KernelFlavor::kScalar};
     if (nn::built_with_avx2_kernels() && nn::cpu_supports_avx2()) {
       flavors.push_back(nn::KernelFlavor::kAvx2);
-    }
-    if (nn::built_with_fma_kernels() && nn::cpu_supports_avx2() &&
-        nn::cpu_supports_fma()) {
-      flavors.push_back(nn::KernelFlavor::kFma);
     }
 
     const std::size_t cohort = 16;
@@ -301,20 +294,11 @@ int main() {
           identical &= flavor_results[i].train_rewards ==
                        scalar_results[i].train_rewards;
         }
-        if (f == nn::KernelFlavor::kAvx2) {
-          comparison = identical ? "bit-identical" : "DIVERGED";
-          if (!identical) {
-            all_identical = false;
-            std::cout << "ERROR: avx2 curves diverged from scalar — the "
-                         "bit-identity contract is broken\n";
-          }
-        } else {
-          // fma may diverge from scalar (fused rounding) — that is the
-          // documented contract. Curves CAN still match bitwise: rewards
-          // are quantized by env dynamics, so low-order logit changes
-          // only surface when they flip a sampled action.
-          comparison = identical ? "curves match (divergence allowed)"
-                                 : "divergent (pinned, kernel=fma)";
+        comparison = identical ? "bit-identical" : "DIVERGED";
+        if (!identical) {
+          all_identical = false;
+          std::cout << "ERROR: avx2 curves diverged from scalar — the "
+                       "bit-identity contract is broken\n";
         }
       }
       sweep.add_row({nn::kernel_flavor_name(f), util::format_double(rate, 2),

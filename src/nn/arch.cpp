@@ -332,38 +332,4 @@ void ActorCriticNet::zero_grad() {
   for (auto& p : params()) p.grad->zero();
 }
 
-Vec ActorCriticNet::get_weights() const {
-  Vec flat;
-  auto* self = const_cast<ActorCriticNet*>(this);
-  for (const auto& p : self->params()) {
-    const auto& d = p.value->data();
-    flat.insert(flat.end(), d.begin(), d.end());
-  }
-  return flat;
-}
-
-void ActorCriticNet::set_weights(const Vec& weights) {
-  std::size_t offset = 0;
-  for (auto& p : params()) {
-    auto& d = p.value->data();
-    if (offset + d.size() > weights.size()) {
-      throw std::invalid_argument("set_weights: vector too short");
-    }
-    std::copy(weights.begin() + static_cast<std::ptrdiff_t>(offset),
-              weights.begin() + static_cast<std::ptrdiff_t>(offset + d.size()),
-              d.begin());
-    offset += d.size();
-  }
-  if (offset != weights.size()) {
-    throw std::invalid_argument("set_weights: vector too long");
-  }
-}
-
-std::size_t ActorCriticNet::num_params() const {
-  auto* self = const_cast<ActorCriticNet*>(this);
-  std::size_t total = 0;
-  for (const auto& p : self->params()) total += p.value->size();
-  return total;
-}
-
 }  // namespace nada::nn

@@ -114,11 +114,6 @@ class ActorCriticNet {
   std::vector<ParamRef> params();
   void zero_grad();
 
-  /// Flat weight vector (checkpointing / cloning across seeds).
-  [[nodiscard]] Vec get_weights() const;
-  void set_weights(const Vec& weights);
-  [[nodiscard]] std::size_t num_params() const;
-
   [[nodiscard]] const ArchSpec& spec() const { return spec_; }
   [[nodiscard]] std::size_t num_actions() const { return num_actions_; }
 

@@ -69,7 +69,7 @@ void train_bce(const std::vector<Vec>& features,
           }
         }
       }
-      Optimizer::clip_global_norm(params, 5.0);
+      clip_global_norm(params, 5.0);
       optimizer.step(params);
       begin += n;
     }

@@ -89,7 +89,7 @@ void Mat::add_scaled(const Mat& other, double scale) {
 // while each OUTPUT ELEMENT still accumulates its own products in exactly
 // the serial order, so results stay bit-identical to the per-sample loops
 // (pinned by tests/nn_test.cpp's bitwise comparisons). The loop bodies
-// live in nn/mat_kernels.* in scalar/avx2/fma flavors; these wrappers
+// live in nn/mat_kernels.* in scalar and avx2 flavors; these wrappers
 // shape-check, tally call volume for the nn.matmul.* metrics, and dispatch
 // to the active flavor.
 

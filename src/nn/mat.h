@@ -19,8 +19,8 @@ namespace nada::nn {
 
 using Vec = std::vector<double>;
 
-/// Matrix element storage: 32-byte aligned so the SIMD kernel flavors (see
-/// nn/mat_kernels.h) always see a register-aligned base pointer. Rows at an
+/// Matrix element storage: 32-byte aligned so the avx2 kernel flavor (see
+/// nn/mat_kernels.h) always sees a register-aligned base pointer. Rows at an
 /// arbitrary column count are not individually aligned — the kernels use
 /// unaligned loads — but whole-matrix sweeps start on a vector boundary.
 using AlignedVec = std::vector<double, util::AlignedAlloc<double, 32>>;
@@ -92,9 +92,8 @@ class Mat {
 // oracle.
 //
 // The wrappers shape-check, account call volume, and dispatch to the
-// active kernel flavor (nn/mat_kernels.h): scalar and avx2 are
-// bit-identical by contract, fma is pinned-divergent and scoped out of
-// scalar journals via the kernel=fma store-scope token.
+// active kernel flavor (nn/mat_kernels.h): scalar or avx2, bit-identical
+// by contract.
 
 /// C = A * B with A (n x r) and B (r x m) -> C (n x m). Row i of C is
 /// bit-identical to B.matvec_transposed(row i of A): the r-dimension

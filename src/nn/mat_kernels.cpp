@@ -6,10 +6,9 @@
 #include <stdexcept>
 #include <string>
 
-// NADA_NN_HAVE_AVX2 / NADA_NN_HAVE_FMA are set on this translation unit by
-// CMake exactly when the matching per-flavor object library is compiled in,
-// so the dispatch table can only ever point at code that exists in the
-// binary.
+// NADA_NN_HAVE_AVX2 is set on this translation unit by CMake exactly when
+// the avx2 object library is compiled in, so the dispatch table can only
+// ever point at code that exists in the binary.
 
 namespace nada::nn {
 
@@ -30,14 +29,6 @@ bool cpu_supports_avx2() {
 #endif
 }
 
-bool cpu_supports_fma() {
-#if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
 bool built_with_avx2_kernels() {
 #if defined(NADA_NN_HAVE_AVX2)
   return true;
@@ -46,20 +37,9 @@ bool built_with_avx2_kernels() {
 #endif
 }
 
-bool built_with_fma_kernels() {
-#if defined(NADA_NN_HAVE_FMA)
-  return true;
-#else
-  return false;
-#endif
-}
-
 KernelFlavor resolve_kernel_flavor(const char* value, bool built_avx2,
-                                   bool built_fma, bool cpu_avx2,
-                                   bool cpu_fma) {
+                                   bool cpu_avx2) {
   if (value == nullptr || *value == '\0') {
-    // Default: the fastest BIT-IDENTICAL flavor available. fma is never a
-    // default — it changes result bits and must be an explicit opt-in.
     return built_avx2 && cpu_avx2 ? KernelFlavor::kAvx2
                                   : KernelFlavor::kScalar;
   }
@@ -79,22 +59,8 @@ KernelFlavor resolve_kernel_flavor(const char* value, bool built_avx2,
     }
     return KernelFlavor::kAvx2;
   }
-  if (v == "fma") {
-    if (!built_fma) {
-      throw std::runtime_error(
-          "NADA_NN_KERNEL=fma requested but this binary was built without "
-          "the FMA kernel objects (non-x86 target or compiler lacking "
-          "-mfma)");
-    }
-    if (!cpu_avx2 || !cpu_fma) {
-      throw std::runtime_error(
-          "NADA_NN_KERNEL=fma requested but this CPU does not report "
-          "AVX2+FMA support");
-    }
-    return KernelFlavor::kFma;
-  }
   throw std::runtime_error(
-      "NADA_NN_KERNEL must be one of scalar|avx2|fma, got \"" + v + "\"");
+      "NADA_NN_KERNEL must be one of scalar|avx2, got \"" + v + "\"");
 }
 
 namespace {
@@ -115,31 +81,11 @@ constexpr KernelTable kAvx2Table = {
 };
 #endif
 
-#if defined(NADA_NN_HAVE_FMA)
-constexpr KernelTable kFmaTable = {
-    detail::fma::matmul,
-    detail::fma::add_matmul_tn,
-    detail::fma::wt_axpy,
-    detail::fma::adam,
-};
-#endif
-
 const KernelTable& table_for(KernelFlavor flavor) {
-  switch (flavor) {
-    case KernelFlavor::kScalar: return kScalarTable;
-    case KernelFlavor::kAvx2:
+  if (flavor == KernelFlavor::kScalar) return kScalarTable;
 #if defined(NADA_NN_HAVE_AVX2)
-      return kAvx2Table;
-#else
-      break;
+  if (flavor == KernelFlavor::kAvx2) return kAvx2Table;
 #endif
-    case KernelFlavor::kFma:
-#if defined(NADA_NN_HAVE_FMA)
-      return kFmaTable;
-#else
-      break;
-#endif
-  }
   throw std::logic_error(std::string("kernel flavor ") +
                          kernel_flavor_name(flavor) +
                          " is not compiled into this binary");
@@ -151,9 +97,9 @@ std::atomic<const KernelTable*> g_table{nullptr};
 std::atomic<int> g_flavor{-1};
 
 const KernelTable* resolve_and_publish() {
-  const KernelFlavor flavor = resolve_kernel_flavor(
-      std::getenv("NADA_NN_KERNEL"), built_with_avx2_kernels(),
-      built_with_fma_kernels(), cpu_supports_avx2(), cpu_supports_fma());
+  const KernelFlavor flavor =
+      resolve_kernel_flavor(std::getenv("NADA_NN_KERNEL"),
+                            built_with_avx2_kernels(), cpu_supports_avx2());
   const KernelTable* table = &table_for(flavor);
   g_flavor.store(static_cast<int>(flavor), std::memory_order_relaxed);
   g_table.store(table, std::memory_order_release);
@@ -174,11 +120,6 @@ void set_kernel_flavor(KernelFlavor flavor) {
   if (flavor == KernelFlavor::kAvx2 && !cpu_supports_avx2()) {
     throw std::runtime_error(
         "set_kernel_flavor(avx2): this CPU does not report AVX2 support");
-  }
-  if (flavor == KernelFlavor::kFma &&
-      (!cpu_supports_avx2() || !cpu_supports_fma())) {
-    throw std::runtime_error(
-        "set_kernel_flavor(fma): this CPU does not report AVX2+FMA support");
   }
   g_flavor.store(static_cast<int>(flavor), std::memory_order_relaxed);
   g_table.store(table, std::memory_order_release);
@@ -201,8 +142,8 @@ KernelCounters& thread_kernel_counters() {
 // independent accumulators, which cuts weight-matrix traffic by 4x — while
 // each OUTPUT ELEMENT still accumulates its own products in exactly the
 // serial order, so results stay bit-identical to the per-sample loops
-// (pinned by tests/nn_test.cpp's bitwise comparisons). The vector flavors
-// map these same accumulators onto SIMD lanes; see mat_kernels_simd.inc.
+// (pinned by tests/nn_test.cpp's bitwise comparisons). The avx2 flavor
+// maps these same accumulators onto SIMD lanes; see mat_kernels_avx2.cpp.
 
 namespace detail {
 

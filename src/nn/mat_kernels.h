@@ -1,8 +1,7 @@
 // Runtime-dispatched kernel flavors for the batched `nn` hot path.
 //
 // The register-tiled double kernels behind matmul/add_matmul_tn, the
-// transposed-weight sweep and the Adam update exist in up to three
-// flavors:
+// transposed-weight sweep and the Adam update exist in two flavors:
 //
 //   scalar  portable loops; the reference semantics on every platform
 //   avx2    the same 4-sample tile with output columns in AVX2 lanes and
@@ -10,18 +9,14 @@
 //           by contract (every output element accumulates its products in
 //           exactly the serial order, and an unfused vector lane rounds
 //           exactly like the scalar ALU)
-//   fma     the avx2 tile with fused multiply-add — one rounding per
-//           product-accumulate, so results are PINNED-DIVERGENT: faster
-//           and usually slightly more accurate, but not the scalar bits.
-//           Enabling it folds a `kernel=fma` token into store scopes (the
-//           `sim_rev` convention) so FMA journals never alias scalar ones.
 //
-// The flavor is chosen once per process: `NADA_NN_KERNEL=scalar|avx2|fma`
-// overrides, otherwise the best bit-identical flavor the build and the CPU
-// support (avx2 when available, else scalar — fma is never a default
-// because it changes result bits). An unknown value, or requesting a
-// flavor the build lacks or the CPU cannot run, throws at first dispatch
-// rather than silently falling back. docs/KERNELS.md is the full contract.
+// Because the two are the same bits, the flavor never feeds a store scope.
+// It is chosen once per process: `NADA_NN_KERNEL=scalar|avx2` overrides,
+// otherwise avx2 when the build and the CPU both support it, else scalar.
+// An unknown value, or requesting avx2 where the build lacks it or the CPU
+// cannot run it, throws at first dispatch rather than silently falling
+// back; rl::BatchProbeTrainer's constructor dispatches first, so the error
+// fails the run instead of a design. docs/KERNELS.md is the full contract.
 #pragma once
 
 #include <cstddef>
@@ -29,19 +24,20 @@
 
 namespace nada::nn {
 
+/// kFma names the retired fused multiply-add flavor: nothing resolves to it
+/// and set_kernel_flavor rejects it. It is kept only while the end-to-end
+/// benchmark's golden check (nada_bench/nada_bench.cpp) names it; delete
+/// both together.
 enum class KernelFlavor : int { kScalar = 0, kAvx2 = 1, kFma = 2 };
 
 [[nodiscard]] const char* kernel_flavor_name(KernelFlavor flavor);
 
-/// CPUID feature probes (false on non-x86 builds).
+/// CPUID feature probe (false on non-x86 builds).
 [[nodiscard]] bool cpu_supports_avx2();
-[[nodiscard]] bool cpu_supports_fma();
 
-/// Whether this binary was compiled with the AVX2 / FMA kernel objects
-/// (CMake builds them only when the toolchain targets x86 and accepts
-/// -mavx2 / -mfma).
+/// Whether this binary was compiled with the AVX2 kernel objects (CMake
+/// builds them only when the toolchain targets x86 and accepts -mavx2).
 [[nodiscard]] bool built_with_avx2_kernels();
-[[nodiscard]] bool built_with_fma_kernels();
 
 /// The process-wide active flavor. Resolved from NADA_NN_KERNEL on first
 /// call (strict: unknown values and unsatisfiable requests throw) and
@@ -51,12 +47,10 @@ void set_kernel_flavor(KernelFlavor flavor);
 
 /// Pure resolution logic, separated from CPUID/getenv so tests can drive
 /// every branch: `value` is the NADA_NN_KERNEL string (nullptr/empty =
-/// unset), the four booleans are the build and CPU capabilities.
+/// unset), the booleans are the build and CPU capabilities.
 [[nodiscard]] KernelFlavor resolve_kernel_flavor(const char* value,
                                                  bool built_avx2,
-                                                 bool built_fma,
-                                                 bool cpu_avx2,
-                                                 bool cpu_fma);
+                                                 bool cpu_avx2);
 
 // ---- kernel entry points ---------------------------------------------------
 //
@@ -116,9 +110,9 @@ void wt_axpy_scalar(const double* wt, const double* x, double* z,
 void adam_scalar(double* w, double* g, double* m, double* v, std::size_t n,
                  const AdamCoeffs& c);
 
-// Vector flavors; definitions exist only when the matching object library
-// is compiled in (see built_with_*_kernels). Declared unconditionally so
-// the dispatch TU can reference them behind its build-capability macros.
+// AVX2 flavor; the definitions exist only when its object library is
+// compiled in (see built_with_avx2_kernels). Declared unconditionally so
+// the dispatch TU can reference them behind its build-capability macro.
 namespace avx2 {
 void matmul(const double* a, const double* b, double* c, std::size_t n,
             std::size_t r, std::size_t m);
@@ -129,17 +123,6 @@ void wt_axpy(const double* wt, const double* x, double* z, std::size_t k,
 void adam(double* w, double* g, double* m, double* v, std::size_t n,
           const AdamCoeffs& c);
 }  // namespace avx2
-
-namespace fma {
-void matmul(const double* a, const double* b, double* c, std::size_t n,
-            std::size_t r, std::size_t m);
-void add_matmul_tn(const double* a, const double* b, double* c, std::size_t n,
-                   std::size_t r, std::size_t m);
-void wt_axpy(const double* wt, const double* x, double* z, std::size_t k,
-             std::size_t out);
-void adam(double* w, double* g, double* m, double* v, std::size_t n,
-          const AdamCoeffs& c);
-}  // namespace fma
 
 }  // namespace detail
 

@@ -7,8 +7,7 @@
 
 namespace nada::nn {
 
-void Optimizer::clip_global_norm(const std::vector<ParamRef>& params,
-                                 double max_norm) {
+void clip_global_norm(const std::vector<ParamRef>& params, double max_norm) {
   if (max_norm <= 0.0) {
     throw std::invalid_argument("clip_global_norm: max_norm <= 0");
   }
@@ -55,30 +54,6 @@ void Adam::step(const std::vector<ParamRef>& params) {
     }
     kernels.adam(value.ptr(), params[i].grad->ptr(), m_[i].data(),
                  v_[i].data(), value.size(), coeffs);
-  }
-}
-
-RmsProp::RmsProp(double lr, double decay, double eps)
-    : lr_(lr), decay_(decay), eps_(eps) {}
-
-void RmsProp::step(const std::vector<ParamRef>& params) {
-  if (cache_.empty()) {
-    cache_.resize(params.size());
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      cache_[i].assign(params[i].value->size(), 0.0);
-    }
-  }
-  if (cache_.size() != params.size()) {
-    throw std::invalid_argument("RmsProp::step: parameter list changed");
-  }
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    auto& value = params[i].value->data();
-    auto& grad = params[i].grad->data();
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      cache_[i][j] = decay_ * cache_[i][j] + (1.0 - decay_) * grad[j] * grad[j];
-      value[j] -= lr_ * grad[j] / (std::sqrt(cache_[i][j]) + eps_);
-      grad[j] = 0.0;
-    }
   }
 }
 

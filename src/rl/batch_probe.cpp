@@ -153,7 +153,7 @@ double fused_update(const TrainConfig& train, const env::TaskDomain& domain,
   agent.net().backward_batch(dlogits, dvalues);
   clock.mark(kBackward);
   auto params = agent.net().params();
-  nn::Optimizer::clip_global_norm(params, train.grad_clip);
+  nn::clip_global_norm(params, train.grad_clip);
   optimizer.step(params);
   clock.mark(kOptimizer);
   // Weights moved: refresh the transposed caches the next rollout's
@@ -177,6 +177,10 @@ BatchProbeTrainer::BatchProbeTrainer(const env::TaskDomain& domain,
   }
   eval_indices_ = eval_trace_indices(domain_->num_eval_units(),
                                      config_.train.max_eval_traces);
+  // Resolve the kernel table here, outside train_job's per-job catch: a bad
+  // NADA_NN_KERNEL is a configuration error that must fail the run, not be
+  // recorded (and journaled) as every design's training failure.
+  (void)nn::active_kernels();
 }
 
 std::vector<TrainResult> BatchProbeTrainer::train(

@@ -53,7 +53,7 @@ struct BatchProbeConfig {
   /// one count each in rl.probe_blocks and rl.probe_block_candidates, DSL
   /// execution volume in dsl.exec.*, and batched mat-mat kernel volume in
   /// nn.matmul.calls / nn.matmul.flops, plus the active flavor in the
-  /// nn.kernel.flavor gauge (0=scalar, 1=avx2, 2=fma). Without it the
+  /// nn.kernel.flavor gauge (0=scalar, 1=avx2). Without it the
   /// trainer reads no clock. The funnel passes it for probes only. Must
   /// outlive the trainer.
   obs::MetricsRegistry* metrics = nullptr;
@@ -66,7 +66,10 @@ struct BatchProbeConfig {
 class BatchProbeTrainer {
  public:
   /// Domain-generic; `domain` must outlive the trainer. Throws
-  /// std::invalid_argument on zero epochs or a zero test interval.
+  /// std::invalid_argument on zero epochs or a zero test interval, and
+  /// std::runtime_error when NADA_NN_KERNEL names no usable kernel flavor
+  /// (the table is resolved here, so the error fails the caller's run
+  /// rather than each job).
   BatchProbeTrainer(const env::TaskDomain& domain, BatchProbeConfig config);
 
   /// Trains all jobs, scheduled on `pool` when non-null. Results are in

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "filter/checks.h"
-#include "nn/mat_kernels.h"
 #include "obs/scoped_timer.h"
 #include "rl/agent.h"
 #include "rl/batch_probe.h"
@@ -141,13 +140,9 @@ store::StoreScope store_scope(const env::TaskDomain& domain,
   // older revision are scoped out rather than silently mixed with
   // incomparable fresh results. The execution-only knob window_size never
   // feeds the digest: every window size computes the same records and
-  // shares journals. The NN kernel flavor is such a knob for scalar and
-  // avx2 (bit-identical by contract) but NOT for fma, whose fused rounding
-  // changes result bits — runs under the fma flavor carry a kernel=fma
-  // token so their journals never alias scalar/avx2 ones.
-  spec << "sim_rev=2;";
-  if (nn::kernel_flavor() == nn::KernelFlavor::kFma) spec << "kernel=fma;";
-  spec << store::canonical_train_config(config.train)
+  // shares journals. Neither does the NN kernel flavor: scalar and avx2
+  // are bit-identical by contract (docs/KERNELS.md).
+  spec << "sim_rev=2;" << store::canonical_train_config(config.train)
        << ";seeds=" << config.seeds
        << ";early_epochs=" << config.early_epochs
        << ";norm_threshold=" << config.normalization_threshold

@@ -37,12 +37,8 @@ Supervisor::Supervisor(SupervisorConfig config, CommandBuilder command)
     throw std::invalid_argument("Supervisor: command builder must be set");
   }
   if (config_.initial_leases == 0) config_.initial_leases = config_.num_workers;
-  if (config_.event_log_path.empty()) {
-    config_.event_log_path = default_path(config_, "supervisor.jsonl");
-  }
-  if (config_.cluster_status_path.empty()) {
-    config_.cluster_status_path = default_path(config_, "cluster.json");
-  }
+  report_.event_log_path = default_path(config_, "supervisor.jsonl");
+  report_.cluster_status_path = default_path(config_, "cluster.json");
 }
 
 std::string Supervisor::lease_journal_path(std::uint64_t id) const {
@@ -72,9 +68,9 @@ void Supervisor::track_journal(const std::string& path) {
 
 void Supervisor::plan_or_recover() {
   const auto recovered =
-      config_.resume ? LeaseLog::recover(config_.event_log_path)
+      config_.resume ? LeaseLog::recover(report_.event_log_path)
                      : LeaseLog::Recovered{};
-  log_.emplace(config_.event_log_path);
+  log_.emplace(report_.event_log_path);
 
   if (!recovered.outstanding.empty() || !recovered.revoked.empty() ||
       !recovered.completed.empty()) {
@@ -138,7 +134,7 @@ bool Supervisor::handle_exit(Slot& slot, const ExitStatus& status) {
   }
   log_->revoke(slot.lease.id, "crash: " + status.describe());
   if (status.kind == ExitStatus::Kind::kExited &&
-      status.exit_code == config_.fail_fast_exit_code) {
+      status.exit_code == kFailFastExitCode) {
     // The worker says its arguments are wrong. Restarting would reproduce
     // the same failure max_restarts times and then fail anyway — abort now
     // with the root cause front and center.
@@ -296,7 +292,7 @@ void Supervisor::write_cluster_status() {
     return;
   }
   last_status_write_ = now;
-  util::write_file_atomic(config_.cluster_status_path,
+  util::write_file_atomic(report_.cluster_status_path,
                           cluster_status().dump() + "\n");
 }
 
@@ -306,8 +302,6 @@ SupervisorReport Supervisor::run() {
   }
   started_ = true;
   util::ensure_directories(config_.dir);
-  report_.event_log_path = config_.event_log_path;
-  report_.cluster_status_path = config_.cluster_status_path;
   plan_or_recover();
 
   while (!failed_ && (!pending_.empty() || !slots_.empty())) {

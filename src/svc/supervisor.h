@@ -57,6 +57,11 @@
 
 namespace nada::svc {
 
+/// Worker exit code that means "config bug, every restart would fail the
+/// same way": the supervisor aborts the run instead of restarting. The
+/// worker CLIs exit with it on bad arguments (tools::kExitUsage).
+inline constexpr int kFailFastExitCode = 2;
+
 struct SupervisorConfig {
   /// Concurrent worker processes (slots). >= 1.
   std::size_t num_workers = 2;
@@ -79,18 +84,11 @@ struct SupervisorConfig {
   std::string dir = "nada_svc";
   /// File-name prefix inside `dir` (derive it from the store scope so
   /// concurrent searches never collide): lease journals are
-  /// "<dir>/<prefix>lease-<id>.nsb".
+  /// "<dir>/<prefix>lease-<id>.nsb", the lease/event log is
+  /// "<dir>/<prefix>supervisor.jsonl" and the live cluster status JSON
+  /// (atomically replaced each refresh) is "<dir>/<prefix>cluster.json".
   std::string prefix;
-  /// Lease/event log path; "" = "<dir>/<prefix>supervisor.jsonl".
-  std::string event_log_path;
-  /// Live cluster status JSON (atomically replaced each refresh);
-  /// "" = "<dir>/<prefix>cluster.json".
-  std::string cluster_status_path;
   double cluster_status_interval_seconds = 1.0;
-  /// Worker exit code that means "config bug, every restart would fail
-  /// the same way": abort the run instead of restarting. Matches
-  /// shard_worker's bad-arguments code.
-  int fail_fast_exit_code = 2;
   /// Replay an existing event log and resume its unfinished leases
   /// instead of planning afresh.
   bool resume = true;
@@ -121,8 +119,8 @@ struct SupervisorReport {
   /// Partial journals of failed attempts included — merging them is how
   /// killed workers' finished candidates avoid re-execution downstream.
   std::vector<std::string> journal_paths;
-  std::string event_log_path;
-  std::string cluster_status_path;
+  std::string event_log_path;       ///< "<dir>/<prefix>supervisor.jsonl"
+  std::string cluster_status_path;  ///< "<dir>/<prefix>cluster.json"
 };
 
 class Supervisor {

@@ -6,8 +6,10 @@
 // exercised through env::TaskDomain.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "cc/cc_env.h"
 #include "cc/cc_state.h"
 #include "env/abr_domain.h"
+#include "gen/arch_gen.h"
 #include "gen/state_gen.h"
 #include "rl/batch_probe.h"
 #include "rl/session.h"
@@ -401,6 +404,44 @@ TEST(CcSearch, ResumeAfterTruncatedJournalMatchesFullRun) {
   }
   EXPECT_EQ(want.best_index, got.best_index);
   EXPECT_EQ(want.best_score, got.best_score);
+}
+
+// A bad NADA_NN_KERNEL is a configuration error: it must fail the search
+// rather than be recorded as every design's training failure, which a
+// store-backed run would journal and every later run would serve from
+// cache. The kernel table resolves once per process, so the search runs in
+// a child that re-executes this binary and resolves it afresh.
+TEST(CcSearchDeathTest, BadKernelFlavorFailsTheRunNotADesign) {
+#ifdef GTEST_FLAG_SET
+  GTEST_FLAG_SET(death_test_style, "threadsafe");
+#else  // googletest before 1.12
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+#endif
+  EXPECT_EXIT(
+      {
+        setenv("NADA_NN_KERNEL", "bogus", 1);
+        const auto dataset = cc_dataset();
+        const cc::CcDomain domain(dataset, tiny_cc_config());
+        search::SearchConfig config = tiny_cc_search_config();
+        config.num_candidates = 12;
+        const dsl::StateProgram state =
+            dsl::StateProgram::compile(domain.baseline_state_source());
+        gen::ArchGenerator generator(gen::gpt4_profile(),
+                                     gen::PromptStrategy{}, 3, 0.25);
+        search::ArchCandidateSource source(generator);
+        search::SearchJob job(domain, config, 1, source,
+                              search::FixedDesign{&state, nullptr}, {});
+        try {
+          (void)job.run_to_completion();
+        } catch (const std::exception& e) {
+          std::cerr << e.what() << "\n";
+          std::exit(0);
+        }
+        std::cerr << "the search completed\n";
+        std::exit(1);
+      },
+      ::testing::ExitedWithCode(0),
+      "NADA_NN_KERNEL must be one of scalar[|]avx2, got \"bogus\"");
 }
 
 // ---- CC generator sanity ----------------------------------------------------

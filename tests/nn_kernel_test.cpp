@@ -1,8 +1,7 @@
 // Tests for the runtime-dispatched SIMD kernel flavors (nn/mat_kernels.h):
 // strict NADA_NN_KERNEL resolution, the avx2 bit-identity contract, the
-// fma pinned-divergence contract, the adam kernel against the scalar loop
-// in tests/nn_adam_oracle.h, aligned Mat storage, and the per-thread
-// volume counters behind nn.matmul.*.
+// adam kernel against the scalar loop in tests/nn_adam_oracle.h, aligned
+// Mat storage, and the per-thread volume counters behind nn.matmul.*.
 #include "nn/mat_kernels.h"
 
 #include <gtest/gtest.h>
@@ -51,73 +50,56 @@ bool avx2_runnable() {
   return built_with_avx2_kernels() && cpu_supports_avx2();
 }
 
-bool fma_runnable() {
-  return built_with_fma_kernels() && cpu_supports_avx2() &&
-         cpu_supports_fma();
-}
-
 // ---- resolve_kernel_flavor: the strict-validation contract ----------------
 
 TEST(KernelResolve, UnsetPicksBestBitIdenticalFlavor) {
   // Default is avx2 exactly when both the build and the CPU have it...
-  EXPECT_EQ(resolve_kernel_flavor(nullptr, true, true, true, true),
-            KernelFlavor::kAvx2);
-  EXPECT_EQ(resolve_kernel_flavor("", true, true, true, true),
-            KernelFlavor::kAvx2);
-  // ...and never fma, which changes result bits.
-  EXPECT_EQ(resolve_kernel_flavor(nullptr, true, false, true, true),
-            KernelFlavor::kAvx2);
-  // Missing build support or missing CPU support each fall back to scalar.
-  EXPECT_EQ(resolve_kernel_flavor(nullptr, false, false, true, true),
+  EXPECT_EQ(resolve_kernel_flavor(nullptr, true, true), KernelFlavor::kAvx2);
+  EXPECT_EQ(resolve_kernel_flavor("", true, true), KernelFlavor::kAvx2);
+  // ...and missing build or CPU support each fall back to scalar.
+  EXPECT_EQ(resolve_kernel_flavor(nullptr, false, true),
             KernelFlavor::kScalar);
-  EXPECT_EQ(resolve_kernel_flavor(nullptr, true, true, false, false),
+  EXPECT_EQ(resolve_kernel_flavor(nullptr, true, false),
             KernelFlavor::kScalar);
 }
 
 TEST(KernelResolve, ExplicitRequestsResolve) {
-  EXPECT_EQ(resolve_kernel_flavor("scalar", true, true, true, true),
+  EXPECT_EQ(resolve_kernel_flavor("scalar", true, true),
             KernelFlavor::kScalar);
   // scalar works even with nothing else available.
-  EXPECT_EQ(resolve_kernel_flavor("scalar", false, false, false, false),
+  EXPECT_EQ(resolve_kernel_flavor("scalar", false, false),
             KernelFlavor::kScalar);
-  EXPECT_EQ(resolve_kernel_flavor("avx2", true, true, true, true),
-            KernelFlavor::kAvx2);
-  EXPECT_EQ(resolve_kernel_flavor("fma", true, true, true, true),
-            KernelFlavor::kFma);
+  EXPECT_EQ(resolve_kernel_flavor("avx2", true, true), KernelFlavor::kAvx2);
 }
 
 TEST(KernelResolve, UnknownValueThrowsDescriptively) {
-  try {
-    resolve_kernel_flavor("sse9", true, true, true, true);
-    FAIL() << "expected throw";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("NADA_NN_KERNEL"), std::string::npos) << what;
-    EXPECT_NE(what.find("scalar|avx2|fma"), std::string::npos) << what;
-    EXPECT_NE(what.find("sse9"), std::string::npos) << what;
+  // The retired fma flavor is an unknown value like any other.
+  for (const char* value : {"sse9", "fma"}) {
+    try {
+      (void)resolve_kernel_flavor(value, true, true);
+      FAIL() << "expected throw for " << value;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("NADA_NN_KERNEL must be one of scalar|avx2, "
+                            "got \"") +
+                    value + "\"");
+    }
   }
   // Near-misses are not corrected silently.
-  EXPECT_THROW(resolve_kernel_flavor("AVX2", true, true, true, true),
+  EXPECT_THROW((void)resolve_kernel_flavor("AVX2", true, true),
                std::runtime_error);
-  EXPECT_THROW(resolve_kernel_flavor(" avx2", true, true, true, true),
+  EXPECT_THROW((void)resolve_kernel_flavor(" avx2", true, true),
                std::runtime_error);
 }
 
 TEST(KernelResolve, UnsatisfiableRequestsFailLoudly) {
   // avx2 requested but not built / not supported by the CPU.
-  EXPECT_THROW(resolve_kernel_flavor("avx2", false, false, true, true),
+  EXPECT_THROW((void)resolve_kernel_flavor("avx2", false, true),
                std::runtime_error);
-  EXPECT_THROW(resolve_kernel_flavor("avx2", true, true, false, false),
-               std::runtime_error);
-  // fma requested but not built / CPU lacks either AVX2 or FMA.
-  EXPECT_THROW(resolve_kernel_flavor("fma", true, false, true, true),
-               std::runtime_error);
-  EXPECT_THROW(resolve_kernel_flavor("fma", true, true, false, true),
-               std::runtime_error);
-  EXPECT_THROW(resolve_kernel_flavor("fma", true, true, true, false),
+  EXPECT_THROW((void)resolve_kernel_flavor("avx2", true, false),
                std::runtime_error);
   try {
-    resolve_kernel_flavor("avx2", true, true, false, false);
+    (void)resolve_kernel_flavor("avx2", true, false);
     FAIL() << "expected throw";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("CPU"), std::string::npos)
@@ -132,17 +114,21 @@ TEST(KernelDispatch, SetKernelFlavorRejectsUnrunnableFlavors) {
   EXPECT_THROW(set_kernel_flavor(KernelFlavor::kAvx2), std::exception);
 }
 
+TEST(KernelDispatch, RetiredFmaFlavorIsRejected) {
+  FlavorGuard guard;
+  EXPECT_THROW(set_kernel_flavor(KernelFlavor::kFma), std::exception);
+  EXPECT_NE(kernel_flavor(), KernelFlavor::kFma);
+}
+
 TEST(KernelDispatch, FlavorNamesAreStable) {
   EXPECT_STREQ(kernel_flavor_name(KernelFlavor::kScalar), "scalar");
   EXPECT_STREQ(kernel_flavor_name(KernelFlavor::kAvx2), "avx2");
-  EXPECT_STREQ(kernel_flavor_name(KernelFlavor::kFma), "fma");
 }
 
 TEST(KernelDispatch, BuildImpliesCoherentDefault) {
   // Whatever the environment chose, the active flavor must be runnable.
   const KernelFlavor flavor = kernel_flavor();
   if (flavor == KernelFlavor::kAvx2) EXPECT_TRUE(avx2_runnable());
-  if (flavor == KernelFlavor::kFma) EXPECT_TRUE(fma_runnable());
 }
 
 // ---- storage alignment -----------------------------------------------------
@@ -226,23 +212,6 @@ TEST(KernelBitIdentity, Avx2WtAxpyMatchesScalarBitwise) {
   }
 }
 
-// ---- fma: pinned-divergent -------------------------------------------------
-
-TEST(KernelBitIdentity, FmaIsCloseButAllowedToDiverge) {
-  if (!fma_runnable()) GTEST_SKIP() << "fma kernels unavailable";
-  const Mat a = random_mat(8, 16, 4242);
-  const Mat b = random_mat(16, 8, 4343);
-  auto [c_fma, c_ref] =
-      under_both(KernelFlavor::kFma, [&] { return matmul(a, b); });
-  // The contract is numerical closeness, NOT bit equality: fused rounding
-  // may (and in practice does) change low-order bits. Journals under fma
-  // are scoped by the kernel=fma token instead.
-  ASSERT_EQ(c_fma.rows(), c_ref.rows());
-  for (std::size_t i = 0; i < c_fma.size(); ++i) {
-    EXPECT_NEAR(c_fma.data()[i], c_ref.data()[i], 1e-9) << i;
-  }
-}
-
 // ---- adam: the pre-kernel loop, over successive steps ----------------------
 
 constexpr std::size_t kAdamSteps = 50;  // the bias correction moves each step
@@ -301,29 +270,9 @@ TEST(KernelAdam, ScalarAndAvx2MatchThePreKernelLoopBitwise) {
   }
 }
 
-// fma contracts the moment updates (one rounding each instead of two), so
-// it may differ from the loop in the last bits, never by more than 1e-12.
-TEST(KernelAdam, FmaStaysWithinToleranceOfThePreKernelLoop) {
-  if (!fma_runnable()) GTEST_SKIP() << "fma kernels unavailable";
-  test::AdamOracle oracle(0.01);
-  const auto expected = adam_trajectory(oracle);
-  FlavorGuard guard;
-  set_kernel_flavor(KernelFlavor::kFma);
-  Adam adam(0.01);
-  const auto actual = adam_trajectory(adam);
-  ASSERT_EQ(actual.size(), expected.size());
-  for (std::size_t i = 0; i < actual.size(); ++i) {
-    ASSERT_EQ(actual[i].size(), expected[i].size());
-    for (std::size_t j = 0; j < actual[i].size(); ++j) {
-      EXPECT_NEAR(actual[i][j], expected[i][j], 1e-12) << i << "/" << j;
-    }
-  }
-}
-
 TEST(KernelAdam, ZeroLengthTouchesNothing) {
   std::vector<KernelFlavor> flavors = {KernelFlavor::kScalar};
   if (avx2_runnable()) flavors.push_back(KernelFlavor::kAvx2);
-  if (fma_runnable()) flavors.push_back(KernelFlavor::kFma);
   const AdamCoeffs coeffs{0.01, 0.9, 0.999, 1e-8, 0.1, 0.001};
   for (const KernelFlavor flavor : flavors) {
     FlavorGuard guard;

@@ -169,7 +169,7 @@ class Trainer {
       agent.net().backward_batch(dlogits_row, {dvalue});
     }
     auto params = agent.net().params();
-    nn::Optimizer::clip_global_norm(params, config_.grad_clip);
+    nn::clip_global_norm(params, config_.grad_clip);
     optimizer.step(params);
 
     result.train_rewards.push_back(reward_sum /

@@ -16,11 +16,13 @@
 #include <string_view>
 #include <vector>
 
+#include "cc/cc_domain.h"
 #include "dsl/canonical.h"
 #include "dsl/parser.h"
 #include "env/abr_domain.h"
 #include "gen/arch_gen.h"
 #include "gen/state_gen.h"
+#include "nn/mat_kernels.h"
 #include "search/candidate.h"
 #include "search/search_job.h"
 #include "store/candidate_store.h"
@@ -1329,6 +1331,46 @@ TEST(SearchStore, JobRejectsMismatchedScope) {
   const env::AbrDomain other_env(other_data, fx.video);
   EXPECT_NE(fx.scope(config, 1).config_digest,
             search::store_scope(other_env, config, 1).config_digest);
+}
+
+// The scope digest is the key every journal is filed under, so a change to
+// search::store_scope that moves it silently orphans every journal on disk
+// (the tests above compare digests only with each other). Both configs are
+// literals, unscaled by NADA_SCALE_*; the kernel flavor never feeds the
+// digest, so scalar and avx2 read the same values.
+TEST(SearchStore, ScopeDigestsArePinned) {
+  SearchFixture fx;
+  const trace::Dataset cc_data =
+      trace::build_dataset(trace::Environment::k4G, 0.2, 1234);
+  cc::CcConfig cc_config;
+  cc_config.steps_per_episode = 30;
+  cc_config.init_rate_mbps = 2.0;
+  const cc::CcDomain cc_domain(cc_data, cc_config);
+  search::SearchConfig cc_search;
+  cc_search.num_candidates = 20;
+  cc_search.early_epochs = 4;
+  cc_search.full_train_top = 2;
+  cc_search.seeds = 2;
+  cc_search.train.epochs = 8;
+  cc_search.train.test_interval = 4;
+  cc_search.train.max_eval_traces = 2;
+
+  std::vector<nn::KernelFlavor> flavors = {nn::KernelFlavor::kScalar};
+  if (nn::built_with_avx2_kernels() && nn::cpu_supports_avx2()) {
+    flavors.push_back(nn::KernelFlavor::kAvx2);
+  }
+  const nn::KernelFlavor entry_flavor = nn::kernel_flavor();
+  for (const nn::KernelFlavor flavor : flavors) {
+    SCOPED_TRACE(nn::kernel_flavor_name(flavor));
+    nn::set_kernel_flavor(flavor);
+    const StoreScope abr = fx.scope(tiny_config(), 1234);
+    EXPECT_EQ(abr.env, "Starlink");
+    EXPECT_EQ(abr.config_digest, "94057cee4656a27bddc01abffac69c4f");
+    const StoreScope cc = search::store_scope(cc_domain, cc_search, 7);
+    EXPECT_EQ(cc.env, "cc-4G");
+    EXPECT_EQ(cc.config_digest, "be3ac34433f71ddcb60877923febcca7");
+  }
+  nn::set_kernel_flavor(entry_flavor);
 }
 
 TEST(SearchStore, ResumeWithoutStoreThrows) {

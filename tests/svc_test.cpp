@@ -453,9 +453,7 @@ TEST(Supervisor, ResumeRegrantsUnfinishedLeasesFromAPriorLog) {
   // A previous supervisor's log: lease 1 finished, lease 2 was running
   // when it died, lease 3 was revoked and never re-granted.
   {
-    LeaseLog log(config.event_log_path.empty()
-                     ? dir + "/" + config.prefix + "supervisor.jsonl"
-                     : config.event_log_path);
+    LeaseLog log(dir + "/" + config.prefix + "supervisor.jsonl");
     log.grant(test_lease(1, 0, 99, dir));
     log.grant(test_lease(2, 100, 199, dir));
     log.grant(test_lease(3, 200, 299, dir));

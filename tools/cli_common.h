@@ -37,6 +37,7 @@
 #include "gen/state_gen.h"
 #include "search/candidate.h"
 #include "search/search_job.h"
+#include "svc/supervisor.h"
 #include "trace/generator.h"
 #include "video/video.h"
 
@@ -49,8 +50,9 @@ inline constexpr int kExitOk = 0;
 /// Unhandled exception during the run (I/O error, bad store, ...).
 inline constexpr int kExitRuntime = 1;
 /// Bad command-line arguments. A supervisor restart would rebuild the same
-/// argv and fail identically, so this code aborts the whole run instead.
-inline constexpr int kExitUsage = 2;
+/// argv and fail identically, so this is the supervisor's fail-fast code:
+/// it aborts the whole run instead.
+inline constexpr int kExitUsage = svc::kFailFastExitCode;
 /// Test-only: --crash-after-candidates fired (hard _exit mid-append). A
 /// deliberate value far from the conventional small codes so a real
 /// failure is never mistaken for an injected one in CI assertions.

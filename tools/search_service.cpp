@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/mat_kernels.h"
 #include "search/shard_runner.h"
 #include "svc/lease_log.h"
 #include "svc/supervisor.h"
@@ -145,6 +146,11 @@ Args parse_args(int argc, char** argv) {
 }
 
 int run(const Args& args) {
+  // Every worker inherits this environment and fails the same way on a bad
+  // NADA_NN_KERNEL, which the supervisor would read as restartable crashes.
+  // This process trains the baseline and the top-K after supervision, so
+  // resolve the kernel table first and fail here, before any worker runs.
+  (void)nn::active_kernels();
   const auto setup = tools::make_search_setup(
       args.domain, args.search, args.candidates, args.gen_seed, args.window);
   std::unique_ptr<util::ThreadPool> pool;
