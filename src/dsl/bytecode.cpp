@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <string_view>
 #include <unordered_map>
 
 namespace nada::dsl {
@@ -12,20 +13,26 @@ std::uint64_t next_program_id() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-// Single-pass AST walk. Registers are SSA-style: every value-producing
-// node gets a fresh register, so no instruction's operand can alias its
-// destination and the VM may compute vector results in place. Let-bound
-// names are pure aliases for the defining expression's register.
+// Single-pass walk over the program's nodes. Registers are SSA-style:
+// every value-producing node gets a fresh register, so no instruction's
+// operand can alias its destination and the VM may compute vector results
+// in place. Let-bound names are pure aliases for the defining expression's
+// register.
 class Compiler {
  public:
-  CompiledProgram compile(const Program& program) {
-    for (const auto& stmt : program.statements) {
-      const std::uint32_t reg = eval(*stmt.expr);
+  explicit Compiler(const Program& program) : program_(program) {}
+
+  CompiledProgram compile() {
+    const auto& statements = program_.statements();
+    for (std::size_t i = 0; i < statements.size(); ++i) {
+      const Statement& stmt = statements[i];
+      statement_ = i;
+      const std::uint32_t reg = eval(program_.expr(stmt.expr));
       if (stmt.kind == StatementKind::kLet) {
-        locals_[stmt.name] = reg;
+        let_regs_.push_back(reg);  // index: the let's ordinal
       } else {
         const auto row = static_cast<std::uint32_t>(out_.emit_names.size());
-        out_.emit_names.push_back(stmt.name);
+        out_.emit_names.emplace_back(program_.text(stmt.name));
         emit_instr({Op::kEmit, 0, line32(stmt.line), 0, reg, row, 0});
       }
     }
@@ -50,16 +57,17 @@ class Compiler {
         return const_reg(e.number);
 
       case ExprKind::kVariable: {
-        if (const auto it = locals_.find(e.name); it != locals_.end()) {
-          return it->second;
+        const std::string_view name = program_.text(e.name);
+        if (const Statement* let = program_.binding(statement_, name)) {
+          return let_regs_[let->ordinal];
         }
         // Unknown names cannot be rejected here: a reference inside a
         // never-taken ternary branch must not fail, matching the
         // tree-walk's lazy lookup. The load throws when actually executed
         // against a frame whose vocabulary lacks the name.
-        const std::uint32_t input = input_slot(e.name);
+        const std::uint32_t input = input_slot(name);
         const std::uint32_t msg =
-            message("undefined variable '" + e.name + "' (line " +
+            message("undefined variable '" + std::string(name) + "' (line " +
                     std::to_string(e.line) + ")");
         const std::uint32_t dst = alloc_reg();
         emit_instr({Op::kLoadInput, 0, line32(e.line), dst, input, msg, 0});
@@ -67,7 +75,7 @@ class Compiler {
       }
 
       case ExprKind::kUnary: {
-        const std::uint32_t a = eval(*e.children[0]);
+        const std::uint32_t a = eval(program_.child(e, 0));
         const std::uint32_t dst = alloc_reg();
         emit_instr({Op::kUnary, static_cast<std::uint8_t>(e.unary_op),
                     line32(e.line), dst, a, 0, 0});
@@ -75,8 +83,8 @@ class Compiler {
       }
 
       case ExprKind::kBinary: {
-        const std::uint32_t a = eval(*e.children[0]);
-        const std::uint32_t b = eval(*e.children[1]);
+        const std::uint32_t a = eval(program_.child(e, 0));
+        const std::uint32_t b = eval(program_.child(e, 1));
         const std::uint32_t dst = alloc_reg();
         emit_instr({Op::kBinary, static_cast<std::uint8_t>(e.binary_op),
                     line32(e.line), dst, a, b, 0});
@@ -84,16 +92,16 @@ class Compiler {
       }
 
       case ExprKind::kTernary: {
-        const std::uint32_t cond = eval(*e.children[0]);
+        const std::uint32_t cond = eval(program_.child(e, 0));
         const std::uint32_t dst = alloc_reg();
         const std::size_t branch =
             emit_instr({Op::kBranchIfZero, 0, line32(e.line), 0, cond, 0, 0});
-        const std::uint32_t then_reg = eval(*e.children[1]);
+        const std::uint32_t then_reg = eval(program_.child(e, 1));
         emit_instr({Op::kCopy, 0, line32(e.line), dst, then_reg, 0, 0});
         const std::size_t jump =
             emit_instr({Op::kJump, 0, line32(e.line), 0, 0, 0, 0});
         out_.code[branch].b = static_cast<std::uint32_t>(out_.code.size());
-        const std::uint32_t else_reg = eval(*e.children[2]);
+        const std::uint32_t else_reg = eval(program_.child(e, 2));
         emit_instr({Op::kCopy, 0, line32(e.line), dst, else_reg, 0, 0});
         out_.code[jump].b = static_cast<std::uint32_t>(out_.code.size());
         return dst;
@@ -102,28 +110,31 @@ class Compiler {
       case ExprKind::kCall: {
         // The tree-walk validates name and arity BEFORE evaluating any
         // argument, so both lower to a throw that skips the children.
-        const int idx = builtin_index(e.name);
+        const std::string name(program_.text(e.name));
+        const int idx = builtin_index(name);
         if (idx < 0) {
-          return throw_expr("unknown function '" + e.name + "' (line " +
+          return throw_expr("unknown function '" + name + "' (line " +
                                 std::to_string(e.line) + ")",
                             e.line);
         }
         const Builtin& builtin = *builtin_table()[idx].builtin;
-        if (e.children.size() < builtin.min_args ||
-            e.children.size() > builtin.max_args) {
+        if (e.child_count < builtin.min_args ||
+            e.child_count > builtin.max_args) {
           return throw_expr(
-              "function '" + e.name + "' expects " +
+              "function '" + name + "' expects " +
                   std::to_string(builtin.min_args) +
                   (builtin.max_args != builtin.min_args
                        ? ".." + std::to_string(builtin.max_args)
                        : "") +
-                  " arguments, got " + std::to_string(e.children.size()) +
+                  " arguments, got " + std::to_string(e.child_count) +
                   " (line " + std::to_string(e.line) + ")",
               e.line);
         }
         std::vector<std::uint32_t> args;
-        args.reserve(e.children.size());
-        for (const auto& child : e.children) args.push_back(eval(*child));
+        args.reserve(e.child_count);
+        for (const ExprId child : program_.children(e)) {
+          args.push_back(eval(program_.expr(child)));
+        }
         const std::uint32_t offset = pool(args);
         const std::uint32_t dst = alloc_reg();
         emit_instr({Op::kCall, 0, line32(e.line), dst,
@@ -133,8 +144,8 @@ class Compiler {
       }
 
       case ExprKind::kIndex: {
-        const std::uint32_t base = eval(*e.children[0]);
-        const std::uint32_t index = eval(*e.children[1]);
+        const std::uint32_t base = eval(program_.child(e, 0));
+        const std::uint32_t index = eval(program_.child(e, 1));
         const std::uint32_t dst = alloc_reg();
         emit_instr({Op::kIndex, 0, line32(e.line), dst, base, index, 0});
         return dst;
@@ -145,13 +156,14 @@ class Compiler {
         // evaluated, interleaved with the evaluation of the next element,
         // so the check must sit right after each element's code.
         std::vector<std::uint32_t> elems;
-        elems.reserve(e.children.size());
+        elems.reserve(e.child_count);
         const std::uint32_t msg =
             message("vector literal element must be a scalar");
-        for (const auto& child : e.children) {
-          const std::uint32_t reg = eval(*child);
+        for (const ExprId id : program_.children(e)) {
+          const Expr& child = program_.expr(id);
+          const std::uint32_t reg = eval(child);
           emit_instr(
-              {Op::kCheckScalar, 0, line32(child->line), 0, reg, msg, 0});
+              {Op::kCheckScalar, 0, line32(child.line), 0, reg, msg, 0});
           elems.push_back(reg);
         }
         const std::uint32_t offset = pool(elems);
@@ -197,12 +209,12 @@ class Compiler {
     return reg;
   }
 
-  std::uint32_t input_slot(const std::string& name) {
+  std::uint32_t input_slot(std::string_view name) {
     if (const auto it = input_ids_.find(name); it != input_ids_.end()) {
       return it->second;
     }
     const auto idx = static_cast<std::uint32_t>(out_.inputs.size());
-    out_.inputs.push_back(name);
+    out_.inputs.emplace_back(name);
     input_ids_[name] = idx;
     return idx;
   }
@@ -222,9 +234,12 @@ class Compiler {
     return offset;
   }
 
+  const Program& program_;
+  std::size_t statement_ = 0;  ///< the statement being lowered
+  std::vector<std::uint32_t> let_regs_;  ///< by let ordinal
   CompiledProgram out_;
-  std::unordered_map<std::string, std::uint32_t> locals_;
-  std::unordered_map<std::string, std::uint32_t> input_ids_;
+  /// Keys view the program's source, which outlives the compiler.
+  std::unordered_map<std::string_view, std::uint32_t> input_ids_;
   std::unordered_map<std::string, std::uint32_t> message_ids_;
   std::unordered_map<std::uint64_t, std::uint32_t> const_regs_;
 };
@@ -232,7 +247,7 @@ class Compiler {
 }  // namespace
 
 CompiledProgram compile_program(const Program& program) {
-  return Compiler().compile(program);
+  return Compiler(program).compile();
 }
 
 }  // namespace nada::dsl

@@ -1,9 +1,10 @@
 #include "dsl/parser.h"
 
-#include <string>
+#include <initializer_list>
+#include <limits>
 #include <utility>
+#include <vector>
 
-#include "dsl/lexer.h"
 #include "dsl/value.h"
 
 namespace nada::dsl {
@@ -29,44 +30,75 @@ const char* binary_op_name(BinaryOp op) {
 
 namespace {
 
-// Deepest expression nesting the parser accepts. Every later pass over the
-// AST — the canonical serializer, the bytecode compiler, the reference
-// tree-walk, ~Expr — recurses once per level, so hostile source nested
-// thousands deep would overflow the stack. Generated programs nest a
-// handful of levels.
-constexpr std::size_t kMaxNesting = 256;
+/// What a parse function returns once an error is recorded.
+constexpr ExprId kNoExpr = std::numeric_limits<ExprId>::max();
 
+/// Operands of the calls and vector literals being parsed, innermost last.
+/// One per thread and kept across parses, like the fingerprint path's
+/// Program, so a warm parse allocates nothing.
+std::vector<ExprId>& operand_stack() {
+  thread_local std::vector<ExprId> stack;
+  return stack;
+}
+
+}  // namespace
+
+// The parser core. It pulls tokens from the Lexer one at a time and stops
+// at the first error, which it records instead of throwing. The source is
+// tokenized in full before it is parsed in the error contract, so after a
+// parse error the rest is lexed too, and a lexical error found there wins.
+//
+// Nesting is capped at kMaxNesting: every later pass over a program (the
+// canonical serializer, the bytecode compiler, the test oracle's
+// tree-walk) recurses once per level, so hostile source nested thousands
+// deep would overflow the stack. Generated programs nest a handful of
+// levels.
 class Parser {
  public:
-  explicit Parser(std::vector<Token> tokens) : tokens_(std::move(tokens)) {}
+  Parser(Program& out, std::string source) : out_(out) {
+    out_.source_ = std::move(source);
+  }
+  Parser(Program& out, std::string_view source) : out_(out) {
+    out_.source_.assign(source.data(), source.size());
+  }
 
-  Program parse_program() {
-    Program program;
+  std::optional<SyntaxError> run() {
+    out_.statements_.clear();
+    out_.exprs_.clear();
+    out_.children_.clear();
+    operands_.clear();
+    lexer_ = Lexer(out_.source_);
+    advance();
     while (!check(TokenType::kEof)) {
-      program.statements.push_back(parse_statement());
+      if (!parse_statement()) break;
     }
-    if (program.statements.empty()) {
-      throw CompileError("empty program", 1);
+    if (parse_error_.has_value() && !lex_error_.has_value()) {
+      Token token;
+      SyntaxError error;
+      bool lexed = true;
+      while ((lexed = lexer_.next(token, error)) &&
+             token.type != TokenType::kEof) {
+      }
+      if (!lexed) lex_error_ = error;
     }
-    if (program.emit_count() == 0) {
-      throw CompileError("program never emits a state row", current().line);
+    if (lex_error_.has_value()) return lex_error_;
+    if (parse_error_.has_value()) return parse_error_;
+    if (out_.statements_.empty()) {
+      return error_at(SyntaxError::Kind::kEmptyProgram, 1);
     }
-    return program;
+    if (out_.emit_count() == 0) {
+      return error_at(SyntaxError::Kind::kNoEmit, current_.line);
+    }
+    return std::nullopt;
   }
 
  private:
-  const Token& current() const { return tokens_[pos_]; }
-
-  bool check(TokenType t) const { return current().type == t; }
-
-  Token advance() { return tokens_[pos_++]; }
-
   // Nesting levels held by one parse frame, released when it returns.
-  // Parentheses add no AST node, so levels are counted as the parser
-  // descends, not from the tree: one per parse_expr (parentheses, index
-  // brackets, call arguments, vector elements, ternary arms), one per
-  // unary operator, and one per operand an operator chain appends, since
-  // a left-associative chain builds a left-deep tree.
+  // Parentheses add no node, so levels are counted as the parser descends,
+  // not from the tree: one per parse_expr (parentheses, index brackets,
+  // call arguments, vector elements, ternary arms), one per unary
+  // operator, and one per operand an operator chain appends, since a
+  // left-associative chain builds a left-deep tree.
   class Nesting {
    public:
     explicit Nesting(Parser& parser) : parser_(parser) {}
@@ -74,14 +106,13 @@ class Parser {
     Nesting& operator=(const Nesting&) = delete;
     ~Nesting() { parser_.depth_ -= levels_; }
 
-    void deeper() {
+    bool deeper() {
       if (parser_.depth_ >= kMaxNesting) {
-        throw CompileError("expression nested deeper than " +
-                               std::to_string(kMaxNesting) + " levels",
-                           parser_.current().line);
+        return parser_.fail(SyntaxError::Kind::kTooDeep);
       }
       ++parser_.depth_;
       ++levels_;
+      return true;
     }
 
    private:
@@ -89,249 +120,332 @@ class Parser {
     std::size_t levels_ = 0;
   };
 
-  Token expect(TokenType t, const char* context) {
-    if (!check(t)) {
-      throw CompileError(std::string("expected ") + token_type_name(t) +
-                             " " + context + ", found " +
-                             token_type_name(current().type),
-                         current().line);
-    }
-    return advance();
+  static SyntaxError error_at(SyntaxError::Kind kind, std::size_t line) {
+    SyntaxError error;
+    error.kind = kind;
+    error.line = line;
+    return error;
   }
 
-  Statement parse_statement() {
-    Statement stmt;
-    stmt.line = current().line;
-    if (check(TokenType::kLet)) {
-      advance();
-      stmt.kind = StatementKind::kLet;
-      stmt.name = expect(TokenType::kIdentifier, "after 'let'").text;
-      expect(TokenType::kAssign, "in let binding");
-      stmt.expr = parse_expr();
-      expect(TokenType::kSemicolon, "after let binding");
-    } else if (check(TokenType::kEmit)) {
-      advance();
-      stmt.kind = StatementKind::kEmit;
-      stmt.name = expect(TokenType::kString, "after 'emit'").text;
-      if (stmt.name.empty()) {
-        throw CompileError("emit row name is empty", stmt.line);
+  /// Records a parse error at the current token; always false.
+  bool fail(SyntaxError::Kind kind, const char* context = "",
+            TokenType expected = TokenType::kEof) {
+    if (!parse_error_.has_value()) {
+      SyntaxError error = error_at(kind, current_.line);
+      error.context = context;
+      error.expected = expected;
+      error.found = current_.type;
+      parse_error_ = error;
+    }
+    return false;
+  }
+
+  bool check(TokenType t) const { return current_.type == t; }
+
+  /// Consumes the current token and scans the next. After a lexical error
+  /// the current token stays end of input, so every parse function
+  /// unwinds.
+  Token advance() {
+    const Token consumed = current_;
+    if (!lex_error_.has_value()) {
+      SyntaxError error;
+      if (!lexer_.next(current_, error)) {
+        lex_error_ = error;
+        current_ = Token{TokenType::kEof, {}, 0.0, error.line};
       }
-      expect(TokenType::kAssign, "in emit statement");
-      stmt.expr = parse_expr();
-      expect(TokenType::kSemicolon, "after emit statement");
-    } else {
-      throw CompileError(std::string("expected 'let' or 'emit', found ") +
-                             token_type_name(current().type),
-                         current().line);
     }
-    return stmt;
+    return consumed;
   }
 
-  ExprPtr parse_expr() {
-    Nesting nesting(*this);
-    nesting.deeper();
-    return parse_ternary();
+  bool expect(TokenType t, const char* context, Token* consumed = nullptr) {
+    if (!check(t)) return fail(SyntaxError::Kind::kExpected, context, t);
+    const Token token = advance();
+    if (consumed != nullptr) *consumed = token;
+    return true;
   }
 
-  ExprPtr parse_ternary() {
-    ExprPtr cond = parse_or();
-    if (!check(TokenType::kQuestion)) return cond;
-    const std::size_t line = advance().line;
-    ExprPtr then_branch = parse_expr();
-    expect(TokenType::kColon, "in ternary expression");
-    ExprPtr else_branch = parse_expr();
-    auto node = std::make_unique<Expr>();
-    node->kind = ExprKind::kTernary;
-    node->line = line;
-    node->children.push_back(std::move(cond));
-    node->children.push_back(std::move(then_branch));
-    node->children.push_back(std::move(else_branch));
+  TextSpan span_of(std::string_view text) const {
+    return {static_cast<std::size_t>(text.data() - out_.source_.data()),
+            text.size()};
+  }
+
+  ExprId add(Expr node, std::initializer_list<ExprId> children) {
+    node.first_child = static_cast<std::uint32_t>(out_.children_.size());
+    node.child_count = static_cast<std::uint32_t>(children.size());
+    out_.children_.insert(out_.children_.end(), children);
+    out_.exprs_.push_back(node);
+    return static_cast<ExprId>(out_.exprs_.size() - 1);
+  }
+
+  /// Adds `node` with the operands pushed since `mark` as its children.
+  ExprId add_operands(Expr node, std::size_t mark) {
+    node.first_child = static_cast<std::uint32_t>(out_.children_.size());
+    node.child_count = static_cast<std::uint32_t>(operands_.size() - mark);
+    out_.children_.insert(out_.children_.end(), operands_.begin() + mark,
+                          operands_.end());
+    operands_.resize(mark);
+    out_.exprs_.push_back(node);
+    return static_cast<ExprId>(out_.exprs_.size() - 1);
+  }
+
+  static Expr node_of(ExprKind kind, std::size_t line) {
+    Expr node;
+    node.kind = kind;
+    node.line = line;
     return node;
   }
 
-  ExprPtr parse_or() {
-    ExprPtr left = parse_and();
+  bool parse_statement() {
+    Statement stmt;
+    stmt.line = current_.line;
+    Token name;
+    if (check(TokenType::kLet)) {
+      advance();
+      stmt.kind = StatementKind::kLet;
+      if (!expect(TokenType::kIdentifier, "after 'let'", &name)) return false;
+      stmt.name = span_of(name.text);
+      if (!expect(TokenType::kAssign, "in let binding")) return false;
+      stmt.expr = parse_expr();
+      if (stmt.expr == kNoExpr) return false;
+      if (!expect(TokenType::kSemicolon, "after let binding")) return false;
+      stmt.ordinal = lets_++;
+    } else if (check(TokenType::kEmit)) {
+      advance();
+      stmt.kind = StatementKind::kEmit;
+      if (!expect(TokenType::kString, "after 'emit'", &name)) return false;
+      stmt.name = span_of(name.text);
+      if (name.text.empty()) {
+        // Reported at the statement's line, not the name's.
+        parse_error_ = error_at(SyntaxError::Kind::kEmptyRowName, stmt.line);
+        return false;
+      }
+      if (!expect(TokenType::kAssign, "in emit statement")) return false;
+      stmt.expr = parse_expr();
+      if (stmt.expr == kNoExpr) return false;
+      if (!expect(TokenType::kSemicolon, "after emit statement")) return false;
+    } else {
+      return fail(SyntaxError::Kind::kExpectedStatement);
+    }
+    out_.statements_.push_back(stmt);
+    return true;
+  }
+
+  ExprId parse_expr() {
+    Nesting nesting(*this);
+    if (!nesting.deeper()) return kNoExpr;
+    return parse_ternary();
+  }
+
+  ExprId parse_ternary() {
+    const ExprId cond = parse_or();
+    if (cond == kNoExpr || !check(TokenType::kQuestion)) return cond;
+    const std::size_t line = advance().line;
+    const ExprId then_branch = parse_expr();
+    if (then_branch == kNoExpr) return kNoExpr;
+    if (!expect(TokenType::kColon, "in ternary expression")) return kNoExpr;
+    const ExprId else_branch = parse_expr();
+    if (else_branch == kNoExpr) return kNoExpr;
+    return add(node_of(ExprKind::kTernary, line),
+               {cond, then_branch, else_branch});
+  }
+
+  ExprId binary(BinaryOp op, ExprId left, ExprId right, std::size_t line) {
+    Expr node = node_of(ExprKind::kBinary, line);
+    node.binary_op = op;
+    return add(node, {left, right});
+  }
+
+  ExprId parse_or() {
+    ExprId left = parse_and();
     Nesting chain(*this);
-    while (check(TokenType::kOrOr)) {
-      chain.deeper();
+    while (left != kNoExpr && check(TokenType::kOrOr)) {
+      if (!chain.deeper()) return kNoExpr;
       const std::size_t line = advance().line;
-      left = make_binary(BinaryOp::kOr, std::move(left), parse_and(), line);
+      const ExprId right = parse_and();
+      if (right == kNoExpr) return kNoExpr;
+      left = binary(BinaryOp::kOr, left, right, line);
     }
     return left;
   }
 
-  ExprPtr parse_and() {
-    ExprPtr left = parse_comparison();
+  ExprId parse_and() {
+    ExprId left = parse_comparison();
     Nesting chain(*this);
-    while (check(TokenType::kAndAnd)) {
-      chain.deeper();
+    while (left != kNoExpr && check(TokenType::kAndAnd)) {
+      if (!chain.deeper()) return kNoExpr;
       const std::size_t line = advance().line;
-      left = make_binary(BinaryOp::kAnd, std::move(left), parse_comparison(),
-                         line);
+      const ExprId right = parse_comparison();
+      if (right == kNoExpr) return kNoExpr;
+      left = binary(BinaryOp::kAnd, left, right, line);
     }
     return left;
   }
 
-  ExprPtr parse_comparison() {
-    ExprPtr left = parse_additive();
+  ExprId parse_comparison() {
+    const ExprId left = parse_additive();
+    if (left == kNoExpr) return kNoExpr;
     BinaryOp op{};
-    bool has_op = true;
-    switch (current().type) {
+    switch (current_.type) {
       case TokenType::kLess: op = BinaryOp::kLess; break;
       case TokenType::kGreater: op = BinaryOp::kGreater; break;
       case TokenType::kLessEq: op = BinaryOp::kLessEq; break;
       case TokenType::kGreaterEq: op = BinaryOp::kGreaterEq; break;
       case TokenType::kEqEq: op = BinaryOp::kEq; break;
       case TokenType::kNotEq: op = BinaryOp::kNotEq; break;
-      default: has_op = false; break;
+      default: return left;
     }
-    if (!has_op) return left;
     const std::size_t line = advance().line;
-    return make_binary(op, std::move(left), parse_additive(), line);
+    const ExprId right = parse_additive();
+    if (right == kNoExpr) return kNoExpr;
+    return binary(op, left, right, line);
   }
 
-  ExprPtr parse_additive() {
-    ExprPtr left = parse_multiplicative();
+  ExprId parse_additive() {
+    ExprId left = parse_multiplicative();
     Nesting chain(*this);
-    while (check(TokenType::kPlus) || check(TokenType::kMinus)) {
-      chain.deeper();
+    while (left != kNoExpr &&
+           (check(TokenType::kPlus) || check(TokenType::kMinus))) {
+      if (!chain.deeper()) return kNoExpr;
       const BinaryOp op = check(TokenType::kPlus) ? BinaryOp::kAdd
                                                   : BinaryOp::kSub;
       const std::size_t line = advance().line;
-      left = make_binary(op, std::move(left), parse_multiplicative(), line);
+      const ExprId right = parse_multiplicative();
+      if (right == kNoExpr) return kNoExpr;
+      left = binary(op, left, right, line);
     }
     return left;
   }
 
-  ExprPtr parse_multiplicative() {
-    ExprPtr left = parse_unary();
+  ExprId parse_multiplicative() {
+    ExprId left = parse_unary();
     Nesting chain(*this);
-    while (check(TokenType::kStar) || check(TokenType::kSlash) ||
-           check(TokenType::kPercent)) {
-      chain.deeper();
+    while (left != kNoExpr &&
+           (check(TokenType::kStar) || check(TokenType::kSlash) ||
+            check(TokenType::kPercent))) {
+      if (!chain.deeper()) return kNoExpr;
       BinaryOp op = BinaryOp::kMul;
       if (check(TokenType::kSlash)) op = BinaryOp::kDiv;
       if (check(TokenType::kPercent)) op = BinaryOp::kMod;
       const std::size_t line = advance().line;
-      left = make_binary(op, std::move(left), parse_unary(), line);
+      const ExprId right = parse_unary();
+      if (right == kNoExpr) return kNoExpr;
+      left = binary(op, left, right, line);
     }
     return left;
   }
 
-  ExprPtr parse_unary() {
-    if (check(TokenType::kMinus) || check(TokenType::kBang)) {
-      const UnaryOp op =
-          check(TokenType::kMinus) ? UnaryOp::kNeg : UnaryOp::kNot;
-      const std::size_t line = advance().line;
-      auto node = std::make_unique<Expr>();
-      node->kind = ExprKind::kUnary;
-      node->unary_op = op;
-      node->line = line;
-      Nesting nesting(*this);
-      nesting.deeper();
-      node->children.push_back(parse_unary());
-      return node;
+  ExprId parse_unary() {
+    if (!check(TokenType::kMinus) && !check(TokenType::kBang)) {
+      return parse_postfix();
     }
-    return parse_postfix();
+    Expr node = node_of(ExprKind::kUnary, 0);
+    node.unary_op = check(TokenType::kMinus) ? UnaryOp::kNeg : UnaryOp::kNot;
+    node.line = advance().line;
+    Nesting nesting(*this);
+    if (!nesting.deeper()) return kNoExpr;
+    const ExprId operand = parse_unary();
+    if (operand == kNoExpr) return kNoExpr;
+    return add(node, {operand});
   }
 
-  ExprPtr parse_postfix() {
-    ExprPtr base = parse_primary();
+  ExprId parse_postfix() {
+    ExprId base = parse_primary();
     Nesting chain(*this);
-    while (check(TokenType::kLBracket)) {
-      chain.deeper();
+    while (base != kNoExpr && check(TokenType::kLBracket)) {
+      if (!chain.deeper()) return kNoExpr;
       const std::size_t line = advance().line;
-      auto node = std::make_unique<Expr>();
-      node->kind = ExprKind::kIndex;
-      node->line = line;
-      node->children.push_back(std::move(base));
-      node->children.push_back(parse_expr());
-      expect(TokenType::kRBracket, "after index expression");
-      base = std::move(node);
+      const ExprId index = parse_expr();
+      if (index == kNoExpr) return kNoExpr;
+      if (!expect(TokenType::kRBracket, "after index expression")) {
+        return kNoExpr;
+      }
+      base = add(node_of(ExprKind::kIndex, line), {base, index});
     }
     return base;
   }
 
-  ExprPtr parse_primary() {
+  /// Parses `close`-terminated, comma-separated expressions onto the
+  /// operand stack; false once an error is recorded.
+  bool parse_operands(TokenType close) {
+    if (check(close)) return true;
+    ExprId operand = parse_expr();
+    if (operand == kNoExpr) return false;
+    operands_.push_back(operand);
+    while (check(TokenType::kComma)) {
+      advance();
+      operand = parse_expr();
+      if (operand == kNoExpr) return false;
+      operands_.push_back(operand);
+    }
+    return true;
+  }
+
+  ExprId parse_primary() {
     if (check(TokenType::kNumber)) {
       const Token tok = advance();
-      auto node = std::make_unique<Expr>();
-      node->kind = ExprKind::kNumber;
-      node->number = tok.number;
-      node->line = tok.line;
-      return node;
+      Expr node = node_of(ExprKind::kNumber, tok.line);
+      node.number = tok.number;
+      return add(node, {});
     }
     if (check(TokenType::kIdentifier)) {
       const Token tok = advance();
       if (check(TokenType::kLParen)) {
         advance();
-        auto node = std::make_unique<Expr>();
-        node->kind = ExprKind::kCall;
-        node->name = tok.text;
-        node->line = tok.line;
-        if (!check(TokenType::kRParen)) {
-          node->children.push_back(parse_expr());
-          while (check(TokenType::kComma)) {
-            advance();
-            node->children.push_back(parse_expr());
-          }
+        Expr node = node_of(ExprKind::kCall, tok.line);
+        node.name = span_of(tok.text);
+        const std::size_t mark = operands_.size();
+        if (!parse_operands(TokenType::kRParen) ||
+            !expect(TokenType::kRParen, "to close argument list")) {
+          return kNoExpr;
         }
-        expect(TokenType::kRParen, "to close argument list");
-        return node;
+        return add_operands(node, mark);
       }
-      auto node = std::make_unique<Expr>();
-      node->kind = ExprKind::kVariable;
-      node->name = tok.text;
-      node->line = tok.line;
-      return node;
+      Expr node = node_of(ExprKind::kVariable, tok.line);
+      node.name = span_of(tok.text);
+      return add(node, {});
     }
     if (check(TokenType::kLParen)) {
       advance();
-      ExprPtr inner = parse_expr();
-      expect(TokenType::kRParen, "to close parenthesized expression");
+      const ExprId inner = parse_expr();
+      if (inner == kNoExpr) return kNoExpr;
+      if (!expect(TokenType::kRParen, "to close parenthesized expression")) {
+        return kNoExpr;
+      }
       return inner;
     }
     if (check(TokenType::kLBracket)) {
-      const std::size_t line = advance().line;
-      auto node = std::make_unique<Expr>();
-      node->kind = ExprKind::kVectorLiteral;
-      node->line = line;
-      if (!check(TokenType::kRBracket)) {
-        node->children.push_back(parse_expr());
-        while (check(TokenType::kComma)) {
-          advance();
-          node->children.push_back(parse_expr());
-        }
+      const Expr node = node_of(ExprKind::kVectorLiteral, advance().line);
+      const std::size_t mark = operands_.size();
+      if (!parse_operands(TokenType::kRBracket) ||
+          !expect(TokenType::kRBracket, "to close vector literal")) {
+        return kNoExpr;
       }
-      expect(TokenType::kRBracket, "to close vector literal");
-      return node;
+      return add_operands(node, mark);
     }
-    throw CompileError(std::string("unexpected ") +
-                           token_type_name(current().type) +
-                           " in expression",
-                       current().line);
+    fail(SyntaxError::Kind::kUnexpectedToken);
+    return kNoExpr;
   }
 
-  static ExprPtr make_binary(BinaryOp op, ExprPtr left, ExprPtr right,
-                             std::size_t line) {
-    auto node = std::make_unique<Expr>();
-    node->kind = ExprKind::kBinary;
-    node->binary_op = op;
-    node->line = line;
-    node->children.push_back(std::move(left));
-    node->children.push_back(std::move(right));
-    return node;
-  }
-
-  std::vector<Token> tokens_;
-  std::size_t pos_ = 0;
+  Program& out_;
+  Lexer lexer_{{}};  ///< set by run(), once out_ holds the source
+  std::vector<ExprId>& operands_ = operand_stack();
+  Token current_;
+  std::optional<SyntaxError> lex_error_;
+  std::optional<SyntaxError> parse_error_;
   std::size_t depth_ = 0;  ///< nesting levels currently held; see Nesting
+  std::uint32_t lets_ = 0;
 };
 
-}  // namespace
+std::optional<SyntaxError> parse_into(std::string_view source, Program& out) {
+  return Parser(out, source).run();
+}
 
-Program parse(std::string_view source) {
-  return Parser(tokenize(source)).parse_program();
+Program parse(std::string source) {
+  Program program;
+  if (const auto error = Parser(program, std::move(source)).run()) {
+    throw CompileError(error->message(), error->line);
+  }
+  return program;
 }
 
 }  // namespace nada::dsl

@@ -5,16 +5,14 @@
 
 namespace nada::dsl {
 
-StateProgram::StateProgram(std::string source, Program program)
-    : source_(std::move(source)),
-      program_(std::move(program)),
+StateProgram::StateProgram(Program program)
+    : program_(std::move(program)),
       code_(std::make_shared<const CompiledProgram>(
           compile_program(program_))),
       signature_cache_(std::make_shared<SignatureCache>()) {}
 
 StateProgram StateProgram::compile(std::string source) {
-  Program program = parse(source);
-  return StateProgram(std::move(source), std::move(program));
+  return StateProgram(parse(std::move(source)));
 }
 
 StateMatrix StateProgram::run(const Bindings& inputs) const {

@@ -12,10 +12,10 @@
 // Execution: compile() parses the source AND lowers it to register
 // bytecode (bytecode.h); run() executes that bytecode on the VM (vm.h),
 // the only engine, which binds the program's inputs to the frame's slots.
-// The parsed AST stays available through program() for the canonical
-// serializer and for the reference tree-walk oracle in tests/, which the
-// VM is pinned bit-identical to — same matrices, same error messages,
-// hence the same journaled failure reasons.
+// The parsed Program, which owns the source text, stays available through
+// program() for the canonical serializer and for the reference tree-walk
+// oracle in tests/, which the VM is pinned bit-identical to — same
+// matrices, same error messages, hence the same journaled failure reasons.
 //
 // The original Pensieve state is provided in this language
 // (pensieve_state_source) and serves as the ABR seed design.
@@ -47,7 +47,9 @@ class StateProgram {
   /// vocabulary, and BudgetError when a run exceeds the execution budget.
   [[nodiscard]] StateMatrix run(const Bindings& inputs) const;
 
-  [[nodiscard]] const std::string& source() const { return source_; }
+  [[nodiscard]] const std::string& source() const {
+    return program_.source();
+  }
   [[nodiscard]] const Program& program() const { return program_; }
 
   /// The lowered bytecode. Immutable and shared_ptr-owned: hot paths that
@@ -70,7 +72,7 @@ class StateProgram {
                        std::vector<std::size_t> lengths) const;
 
  private:
-  StateProgram(std::string source, Program program);
+  explicit StateProgram(Program program);
 
   // The signature cache outlives moves of the StateProgram (the store
   // pipeline moves compiled programs into per-candidate slots) and must be
@@ -82,7 +84,6 @@ class StateProgram {
     std::vector<std::size_t> lengths;
   };
 
-  std::string source_;
   Program program_;
   std::shared_ptr<const CompiledProgram> code_;
   std::shared_ptr<SignatureCache> signature_cache_;

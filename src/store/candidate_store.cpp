@@ -1,6 +1,10 @@
 #include "store/candidate_store.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +22,25 @@ constexpr std::uint64_t kMagicBytes = 8;
 
 bool entry_less(const MmapIndex::Entry& a, const MmapIndex::Entry& b) {
   return a.hi != b.hi ? a.hi < b.hi : a.lo < b.lo;
+}
+
+/// A frame read starts with this many bytes: enough for the header and
+/// the body of a typical record (a warm ABR state frame averages ~626
+/// bytes), so most hits take one pread.
+constexpr std::size_t kFirstReadBytes = 1024;
+
+/// pread until `n` bytes or end of file; the bytes read, or -1 on error.
+ssize_t read_at(int fd, char* buf, std::size_t n, std::uint64_t offset) {
+  std::size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::pread(fd, buf + got, n - got,
+                              static_cast<off_t>(offset + got));
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0) return -1;
+    if (r == 0) break;
+    got += static_cast<std::size_t>(r);
+  }
+  return static_cast<ssize_t>(got);
 }
 
 void resize_journal(const std::string& path, std::uint64_t bytes) {
@@ -57,6 +80,7 @@ CandidateStore::CandidateStore(std::string path, StoreScope scope)
 }
 
 CandidateStore::~CandidateStore() {
+  if (read_fd_ >= 0) ::close(read_fd_);
   if (index_dirty_) {
     // Best-effort: the sidecar is a cache, and a failed write here only
     // costs the next open a tail scan.
@@ -89,11 +113,16 @@ void CandidateStore::open_append_handle() {
     }
     append_offset_ = kMagicBytes;
   }
-  in_.open(path_, std::ios::binary);
-  if (!in_) {
+  if (!open_read_handle()) {
     throw std::runtime_error("CandidateStore: cannot open " + path_ +
                              " for reading");
   }
+}
+
+bool CandidateStore::open_read_handle() {
+  if (read_fd_ >= 0) ::close(read_fd_);
+  read_fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  return read_fd_ >= 0;
 }
 
 bool CandidateStore::load() {
@@ -295,18 +324,18 @@ std::optional<CandidateStore::DeltaEntry> CandidateStore::entry_locked(
 
 std::optional<OutcomeRecord> CandidateStore::read_frame_locked(
     std::uint64_t offset) const {
-  if (!in_.is_open()) return std::nullopt;
-  in_.clear();
-  in_.seekg(static_cast<std::streamoff>(offset));
-  std::string header(kFrameHeaderBytes, '\0');
-  in_.read(header.data(), static_cast<std::streamsize>(header.size()));
-  if (static_cast<std::size_t>(in_.gcount()) != header.size()) {
+  if (read_fd_ < 0) return std::nullopt;
+  if (read_buf_.size() < kFirstReadBytes) read_buf_.resize(kFirstReadBytes);
+  const ssize_t first =
+      read_at(read_fd_, read_buf_.data(), kFirstReadBytes, offset);
+  if (first < static_cast<ssize_t>(kFrameHeaderBytes)) {
     ++line_errors_;
     return std::nullopt;
   }
   std::uint32_t len = 0;
   for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(static_cast<unsigned char>(header[i]))
+    len |= static_cast<std::uint32_t>(
+               static_cast<unsigned char>(read_buf_[i]))
            << (8 * i);
   }
   if (len > kMaxFrameBodyBytes ||
@@ -314,14 +343,20 @@ std::optional<OutcomeRecord> CandidateStore::read_frame_locked(
     ++line_errors_;
     return std::nullopt;
   }
-  std::string frame = std::move(header);
-  frame.resize(kFrameHeaderBytes + len);
-  in_.read(frame.data() + kFrameHeaderBytes, static_cast<std::streamsize>(len));
-  if (static_cast<std::size_t>(in_.gcount()) != len) {
-    ++line_errors_;
-    return std::nullopt;
+  const std::size_t frame_bytes = kFrameHeaderBytes + len;
+  const auto have = static_cast<std::size_t>(first);
+  if (frame_bytes > have) {
+    // A long frame: read the rest behind what the first read brought.
+    if (read_buf_.size() < frame_bytes) read_buf_.resize(frame_bytes);
+    const std::size_t rest = frame_bytes - have;
+    if (read_at(read_fd_, read_buf_.data() + have, rest, offset + have) !=
+        static_cast<ssize_t>(rest)) {
+      ++line_errors_;
+      return std::nullopt;
+    }
   }
-  auto record = decode_record(frame, scope_);
+  auto record =
+      decode_record(std::string_view(read_buf_.data(), frame_bytes), scope_);
   if (!record.has_value()) {
     // The index pointed here but the bytes no longer decode (flipped bit,
     // partial overwrite): surface as a miss + recovery count, never as a
@@ -465,19 +500,18 @@ std::size_t CandidateStore::compact() {
   // either way: after a rename the old ones point at an unlinked inode and
   // further puts would checkpoint into the void.
   out_.close();
-  in_.close();
   if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
     // Leave the original journal intact; reopen it before surfacing the
     // failure.
     out_.open(path_, std::ios::binary | std::ios::app);
-    in_.open(path_, std::ios::binary);
+    open_read_handle();
     throw std::runtime_error("CandidateStore::compact: rename " + tmp_path +
                              " -> " + path_ + " failed");
   }
   append_offset_ = offset;
   out_.open(path_, std::ios::binary | std::ios::app);
-  in_.open(path_, std::ios::binary);
-  if (!out_ || !in_) {
+  const bool readable = open_read_handle();
+  if (!out_ || !readable) {
     throw std::runtime_error("CandidateStore::compact: cannot reopen " +
                              path_);
   }

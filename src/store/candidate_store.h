@@ -202,6 +202,8 @@ class CandidateStore {
   std::string index_path() const { return path_ + ".idx"; }
   std::uint64_t scope_hash() const;
   void open_append_handle();
+  /// (Re)opens read_fd_ on the journal; false when it cannot be opened.
+  bool open_read_handle();
 
   mutable std::mutex mutex_;
   // atomic, not mutex-guarded: lookup/put read it before taking mutex_ so
@@ -210,9 +212,13 @@ class CandidateStore {
   std::string path_;
   StoreScope scope_;
   std::ofstream out_;  ///< append handle, kept open for the store's life
-  /// Read handle for on-demand frame loads (seek + read under mutex_;
-  /// reopened after compaction swaps the inode).
-  mutable std::ifstream in_;
+  /// Read-only descriptor for on-demand frame loads: pread at a frame's
+  /// offset, under mutex_, into read_buf_. Reopened after compaction swaps
+  /// the inode.
+  int read_fd_ = -1;
+  /// Frame bytes of the last lookup; reused, so a hit reads into memory
+  /// the store already holds.
+  mutable std::vector<char> read_buf_;
 
   // Offsets only; frames are read on demand.
   MmapIndex base_;  ///< mmap'd sidecar (may be closed when journal is new)

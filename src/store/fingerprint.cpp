@@ -6,7 +6,6 @@
 
 #include "dsl/canonical.h"
 #include "dsl/parser.h"
-#include "dsl/value.h"
 #include "util/strings.h"
 
 namespace nada::store {
@@ -32,11 +31,21 @@ std::optional<Fingerprint> Fingerprint::from_hex(std::string_view text) {
   return fp;
 }
 
+namespace {
+
+// fingerprint_text's two hash streams, fed piece by piece.
+util::Fnv1a64Pair text_hasher() { return {0x51a7e5ULL, 0xa9c4edULL}; }
+
+Fingerprint finish(const util::Fnv1a64Pair& hasher) {
+  return {util::mix64(hasher.first()), util::mix64(hasher.second())};
+}
+
+}  // namespace
+
 Fingerprint fingerprint_text(std::string_view text) {
-  Fingerprint fp;
-  fp.hi = util::mix64(util::fnv1a64(text, 0x51a7e5ULL));
-  fp.lo = util::mix64(util::fnv1a64(text, 0xa9c4edULL));
-  return fp;
+  util::Fnv1a64Pair hasher = text_hasher();
+  hasher(text);
+  return finish(hasher);
 }
 
 Fingerprint combine(const Fingerprint& a, const Fingerprint& b) {
@@ -48,23 +57,30 @@ Fingerprint combine(const Fingerprint& a, const Fingerprint& b) {
 
 Fingerprint fingerprint_state_source(const std::string& source,
                                      bool* parsed) {
-  dsl::Program program;
-  try {
-    program = dsl::parse(source);
-  } catch (const dsl::CompileError&) {
-    if (parsed != nullptr) *parsed = false;
-    // Unparsable candidates still deserve stable identities: byte-identical
-    // broken outputs (modulo surrounding whitespace) hash together, in a
-    // domain separated from canonical hashes.
-    return fingerprint_text(std::string("raw-state:") +
-                            std::string(util::trim(source)));
-  }
-  if (parsed != nullptr) *parsed = true;
-  return fingerprint_state_program(program);
+  // One program per thread, refilled in place: once its buffers have grown
+  // to the thread's largest source, a fingerprint allocates nothing, and a
+  // source that does not parse returns its error by value, unformatted.
+  thread_local dsl::Program program;
+  const bool ok = !dsl::parse_into(source, program).has_value();
+  if (parsed != nullptr) *parsed = ok;
+  if (ok) return fingerprint_state_program(program);
+  // Unparsable candidates still deserve stable identities: byte-identical
+  // broken outputs (modulo surrounding whitespace) hash together, in a
+  // domain separated from canonical hashes. The prefix and the text go
+  // through the hasher in turn, so nothing is concatenated.
+  util::Fnv1a64Pair hasher = text_hasher();
+  hasher("raw-state:");
+  hasher(util::trim(source));
+  return finish(hasher);
 }
 
 Fingerprint fingerprint_state_program(const dsl::Program& program) {
-  return fingerprint_text("state:" + dsl::canonical_source(program));
+  // fingerprint_text("state:" + canonical_source(program)), in one pass and
+  // without building either string.
+  util::Fnv1a64Pair hasher = text_hasher();
+  hasher("state:");
+  dsl::hash_canonical(program, hasher);
+  return finish(hasher);
 }
 
 std::string canonical_arch(const nn::ArchSpec& spec) {

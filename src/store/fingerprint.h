@@ -60,7 +60,9 @@ struct FingerprintHash {
 
 /// Fingerprint of a state-function source: canonical AST hash when the
 /// source parses, raw-text hash (distinct domain) otherwise. `parsed`, when
-/// non-null, receives which of the two it was.
+/// non-null, receives which of the two it was. Parses into a per-thread
+/// Program and hashes as it serializes, so a warm call allocates nothing
+/// (tests/fingerprint_alloc_test.cpp).
 [[nodiscard]] Fingerprint fingerprint_state_source(const std::string& source,
                                                    bool* parsed = nullptr);
 

@@ -54,30 +54,36 @@ std::string to_lower(std::string_view text) {
 }
 
 std::uint64_t fnv1a64(std::string_view text) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  std::uint64_t hash = kFnv1a64Offset;
   for (char c : text) {
     hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ULL;
+    hash *= kFnv1a64Prime;
   }
   return hash;
 }
 
 std::uint64_t fnv1a64(std::string_view text, std::uint64_t seed) {
-  std::uint64_t hash = 0xcbf29ce484222325ULL ^ mix64(seed);
+  std::uint64_t hash = kFnv1a64Offset ^ mix64(seed);
   for (char c : text) {
     hash ^= static_cast<std::uint8_t>(c);
-    hash *= 0x100000001b3ULL;
+    hash *= kFnv1a64Prime;
   }
   return hash;
 }
 
 std::string shortest_double(double value) {
+  char buf[kShortestDoubleChars];
+  return std::string(shortest_double(value, buf));
+}
+
+std::string_view shortest_double(double value,
+                                 std::span<char, kShortestDoubleChars> buf) {
   if (std::isnan(value)) return "nan";
   if (std::isinf(value)) return value > 0 ? "inf" : "-inf";
-  char buf[64];
-  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  const auto [end, ec] = std::to_chars(buf.data(), buf.data() + buf.size(),
+                                       value);
   if (ec != std::errc()) return "?";
-  return std::string(buf, end);
+  return {buf.data(), static_cast<std::size_t>(end - buf.data())};
 }
 
 std::uint64_t mix64(std::uint64_t x) {
@@ -89,7 +95,11 @@ std::uint64_t mix64(std::uint64_t x) {
 
 std::string format_duration(double seconds) {
   if (std::isnan(seconds)) return "nan";
-  if (seconds < 0) return "-" + format_duration(-seconds);
+  if (seconds < 0) {
+    std::string out = format_duration(-seconds);
+    out.insert(out.begin(), '-');
+    return out;
+  }
   if (std::isinf(seconds)) return "inf";
   char buf[64];
   if (seconds < 0.001) {

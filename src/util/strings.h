@@ -1,6 +1,7 @@
 // Small string helpers shared by the DSL front end and the report writers.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -23,6 +24,9 @@ std::string join(std::span<const std::string> parts, std::string_view sep);
 /// Lowercases ASCII.
 std::string to_lower(std::string_view text);
 
+inline constexpr std::uint64_t kFnv1a64Offset = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnv1a64Prime = 0x100000001b3ULL;
+
 /// FNV-1a 64-bit hash; used for the hashed n-gram "text embedding".
 std::uint64_t fnv1a64(std::string_view text);
 
@@ -34,6 +38,31 @@ std::uint64_t fnv1a64(std::string_view text, std::uint64_t seed);
 /// splitmix64 finalizer: full-avalanche bijective mixer, applied to FNV
 /// outputs so fingerprint bits are uniform enough for range sharding.
 [[nodiscard]] std::uint64_t mix64(std::uint64_t x);
+
+/// Two seeded FNV-1a streams over one text, fed its consecutive pieces and
+/// updated in one pass: after the pieces of `text`, first() and second()
+/// equal fnv1a64(text, seed_a) and fnv1a64(text, seed_b). The two multiply
+/// chains are independent, so hashing both costs about one.
+class Fnv1a64Pair {
+ public:
+  Fnv1a64Pair(std::uint64_t seed_a, std::uint64_t seed_b)
+      : a_(kFnv1a64Offset ^ mix64(seed_a)),
+        b_(kFnv1a64Offset ^ mix64(seed_b)) {}
+
+  void operator()(std::string_view piece) {
+    for (const char c : piece) {
+      a_ = (a_ ^ static_cast<std::uint8_t>(c)) * kFnv1a64Prime;
+      b_ = (b_ ^ static_cast<std::uint8_t>(c)) * kFnv1a64Prime;
+    }
+  }
+
+  [[nodiscard]] std::uint64_t first() const { return a_; }
+  [[nodiscard]] std::uint64_t second() const { return b_; }
+
+ private:
+  std::uint64_t a_;
+  std::uint64_t b_;
+};
 
 /// Replaces every occurrence of `from` (non-empty) with `to`.
 std::string replace_all(std::string text, std::string_view from,
@@ -52,5 +81,13 @@ std::string format_duration(double seconds);
 /// Canonical encodings (fingerprints, store records) depend on this being
 /// the single source of number formatting.
 std::string shortest_double(double value);
+
+/// Room for any shortest_double text.
+inline constexpr std::size_t kShortestDoubleChars = 32;
+
+/// shortest_double written into `buf` instead of a new string; the result
+/// views `buf` or a literal.
+std::string_view shortest_double(double value,
+                                 std::span<char, kShortestDoubleChars> buf);
 
 }  // namespace nada::util

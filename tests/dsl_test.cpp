@@ -5,12 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "dsl/builtins.h"
+#include "dsl/bytecode.h"
+#include "dsl/canonical.h"
 #include "dsl/lexer.h"
 #include "dsl/parser.h"
 #include "dsl/state_program.h"
 #include "env/abr_domain.h"
+#include "gen/profile.h"
+#include "gen/state_gen.h"
+#include "store/fingerprint.h"
 #include "util/rng.h"
 
 namespace nada::dsl {
@@ -561,6 +567,237 @@ TEST(StateProgram, MaxAbsComputesLargestMagnitude) {
   const StateMatrix m = p.run(env::abr_catalog().canned());
   EXPECT_DOUBLE_EQ(m.max_abs(), 9.0);
   EXPECT_TRUE(m.all_finite());
+}
+
+// ---- front-end goldens ---------------------------------------------------------
+
+// Every lowered field but the process-unique id, in a fixed text form.
+void append_compiled(std::string& out, const CompiledProgram& code) {
+  const auto num = [&out](std::uint64_t v) {
+    out += std::to_string(v);
+    out += ' ';
+  };
+  const auto text = [&](const std::string& s) {
+    num(s.size());
+    out += s;
+    out += ' ';
+  };
+  out += "\ncode ";
+  for (const Instr& instr : code.code) {
+    num(static_cast<std::uint64_t>(instr.op));
+    num(instr.sub);
+    num(instr.line);
+    num(instr.dst);
+    num(instr.a);
+    num(instr.b);
+    num(instr.c);
+  }
+  out += "\noperands ";
+  for (const std::uint32_t reg : code.operands) num(reg);
+  out += "\nconstants ";
+  for (const auto& [reg, value] : code.constants) {
+    num(reg);
+    num(value.is_vector() ? 1 : 0);
+    for (std::size_t i = 0; i < value.size(); ++i) {
+      const double element = value.element(i);
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &element, sizeof(bits));
+      num(bits);
+    }
+  }
+  out += "\ninputs ";
+  for (const std::string& name : code.inputs) text(name);
+  out += "\nemits ";
+  for (const std::string& name : code.emit_names) text(name);
+  out += "\nmessages ";
+  for (const std::string& message : code.messages) text(message);
+  out += "\nregisters ";
+  num(code.num_registers);
+}
+
+// One source's front-end output: its fingerprint and whether it parsed,
+// then the exact CompileError text, or the canonical form and the lowered
+// program. Parse errors are journaled as compile errors, so their text is
+// pinned along with the fingerprint.
+std::string front_end_line(const std::string& source) {
+  bool parsed = false;
+  const store::Fingerprint fp =
+      store::fingerprint_state_source(source, &parsed);
+  std::string line = fp.hex() + (parsed ? " parsed\n" : " raw\n");
+  bool parses = true;
+  try {
+    const Program program = parse(source);
+    line += canonical_source(program);
+    append_compiled(line, compile_program(program));
+  } catch (const CompileError& e) {
+    parses = false;
+    line += "error: ";
+    line += e.what();
+  }
+  EXPECT_EQ(parsed, parses) << source;
+  return line;
+}
+
+// Folds each source's line into one digest.
+std::string front_end_digest(const std::vector<std::string>& sources) {
+  store::Fingerprint digest;
+  for (const std::string& source : sources) {
+    digest = store::combine(digest,
+                            store::fingerprint_text(front_end_line(source)));
+  }
+  return digest.hex();
+}
+
+std::vector<std::string> stream_sources(const gen::StateSpace& space,
+                                        const gen::LlmProfile& profile,
+                                        std::size_t count) {
+  gen::StateGenerator generator(space, profile, gen::PromptStrategy{}, 77);
+  std::vector<std::string> sources;
+  sources.reserve(count);
+  for (auto& candidate : generator.generate_batch(count)) {
+    sources.push_back(std::move(candidate.source));
+  }
+  return sources;
+}
+
+// One to three byte edits per source: an insert, a delete or a replace,
+// with a byte the lexer treats specially or rejects.
+std::vector<std::string> byte_mutants(const std::vector<std::string>& sources,
+                                      std::uint64_t seed) {
+  static const std::string kAlphabet =
+      "+-*/%()[],;=<>!&|?:.0123456789\"#e_ \t\n\v\f\r";
+  util::Rng rng(seed);
+  const auto pick = [&rng]() -> char {
+    if (rng.bernoulli(0.1)) {
+      return static_cast<char>(rng.uniform_int(0x80, 0xff));
+    }
+    return rng.choice(kAlphabet);
+  };
+  std::vector<std::string> mutants;
+  mutants.reserve(sources.size());
+  for (const std::string& source : sources) {
+    std::string mutant = source;
+    const std::int64_t edits = rng.uniform_int(1, 3);
+    for (std::int64_t k = 0; k < edits; ++k) {
+      const auto at = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(mutant.size())));
+      const std::int64_t kind = rng.uniform_int(0, 2);
+      if (kind == 0 || mutant.empty() || at == mutant.size()) {
+        mutant.insert(at, 1, pick());
+      } else if (kind == 1) {
+        mutant.erase(at, 1);
+      } else {
+        mutant[at] = pick();
+      }
+    }
+    mutants.push_back(std::move(mutant));
+  }
+  return mutants;
+}
+
+// Edge cases of the lexer and parser, each next to its neighbours.
+std::vector<std::string> hand_sources() {
+  const auto emit = [](const std::string& expr) {
+    return "emit \"x\" = " + expr + ";";
+  };
+  const auto repeat = [](std::size_t n, const std::string& unit) {
+    std::string out;
+    for (std::size_t i = 0; i < n; ++i) out += unit;
+    return out;
+  };
+  std::vector<std::string> sources = {
+      emit("1e999"), emit("1e-999"), emit("-1e999"), emit(".5"), emit("5."),
+      emit("1.2.3"), emit("1e"), emit("1e+"), emit("1e-"), emit("1E+5"),
+      emit("1e5e5"), emit("00012"), emit("0x1A"), emit("1.5e6"),
+      emit("123456789012345678901234567890"),
+      emit("0.1234567890123456789012345e-5"), emit("4.9e-324"),
+      emit("2e-324"), emit("3e-324"), emit("2.2250738585072011e-308"),
+      emit("1.7976931348623157e308"), emit("1.7976931348623159e308"),
+      emit("0.1 + 0.2"), emit("1/3"),
+      "emit \"\" = 1;", "emit\t\"x\"\v=\f1\r;\n", "\t\v\f\r",
+      std::string("emit \"x\" = 1;\0", 14), std::string("\0", 1),
+      std::string("emit \"x\" = \0 1;", 15), emit("1 & 2"), emit("1 | 2"),
+      "&", "|", "emit \"x\" = a &", "emit \"x\" = a |",
+      "emit \"x\ny\" = 1;", "emit \"x", "emit \"x\" = 1; emit \"",
+      "let a = 1;", "", "# only a comment", "\n\n\n", emit("1") + " 17",
+      emit("(1"), emit("[1, 2"), emit("1 ? 2"), emit("a[]"),
+      emit("min(1,, 2)"), emit("f()"), emit("frobnicate(1)"),
+      emit("mean([1], 2)"), emit("[]"), emit("1 @ 2"), "emti \"x\" = 1;",
+      "let = 4; emit \"x\" = 1;", "emit 42 = 1;", "emit \"x\" 1;",
+      "let a = 1; let a = a + 1; let b = a; emit \"x\" = a + b + v0;",
+      "let v0 = 2; let v1 = v0; emit \"v0\" = v1 * v0;",
+      "emit \"\xc3\xbc\" = 1; # \xff comment",
+      emit("buffer_size_s / 10.0 \xe2\x80\x94 1"),
+      emit("x[0][1][-1]"), emit("!!-!1"), emit("1 < 2 < 3"),
+      emit("1 == 2 != 3"), emit("a ? b ? c : d : e ? f : g"),
+      emit("clip(throughput_mbps / 8, 0, 1)"),
+  };
+  std::string many;
+  for (int i = 0; i < 25; ++i) {
+    many += "emit \"r" + std::to_string(i) + "\" = 1;";
+  }
+  sources.push_back(many);
+  // At, one past and two past the 256-level nesting cap, for each way of
+  // nesting, and far past it.
+  for (const std::size_t depth : {254, 255, 256, 257}) {
+    sources.push_back(emit(std::string(depth, '(') + "1" +
+                           std::string(depth, ')')));
+    sources.push_back(emit(std::string(depth, '-') + "1"));
+    sources.push_back(emit("1" + repeat(depth, " + 1")));
+    sources.push_back(emit("1" + repeat(depth, " * 2")));
+    sources.push_back(emit("v" + repeat(depth, "[0]")));
+    sources.push_back(emit(repeat(depth, "[") + "1" + repeat(depth, "]")));
+    sources.push_back(emit(repeat(depth, "abs(") + "1" +
+                           std::string(depth, ')')));
+    sources.push_back(emit(repeat(depth, "1 ? ") + "1" +
+                           repeat(depth, " : 0")));
+    sources.push_back(emit("1" + repeat(depth, " && 1")));
+    sources.push_back(emit("1" + repeat(depth, " || 0")));
+  }
+  sources.push_back(emit(std::string(20000, '(') + "1" +
+                         std::string(20000, ')')));
+  sources.push_back(emit(std::string(20000, '-') + "1"));
+  // A lexer error past a parser error: the lexer's wins.
+  sources.push_back(emit("1 / / 2") + " @");
+  sources.push_back(emit(std::string(300, '(')) + " \"");
+  return sources;
+}
+
+TEST(FrontEnd, StreamAndMutantGoldens) {
+  // The front end's whole output, frozen: fingerprints (the store's keys),
+  // compile-error text (journaled as compile_error), canonical forms and
+  // lowered programs, over both generator streams under both profiles,
+  // byte mutants of them and hand-picked edge cases.
+  struct Stream {
+    const char* name;
+    const gen::StateSpace* space;
+    gen::LlmProfile profile;
+    const char* golden;
+  };
+  const Stream streams[] = {
+      {"abr gpt-4", &gen::abr_state_space(), gen::gpt4_profile(),
+       "d260a556a5eeaa5560d7a603dceb8b6e"},
+      {"cc gpt-4", &gen::cc_state_space(), gen::gpt4_profile(),
+       "5f7e9e5134212e04168bb6766e825971"},
+      {"abr gpt-3.5", &gen::abr_state_space(), gen::gpt35_profile(),
+       "864b26aeb0bffde37af65534f3178d2d"},
+      {"cc gpt-3.5", &gen::cc_state_space(), gen::gpt35_profile(),
+       "b27fad04da0395b26370adec67c0ee01"},
+  };
+  const char* const kMutantGolden = "5a1b12a4e6639ecf8d6fa8bc5525cc9f";
+  const char* const kHandGolden = "68b6e1b72837a787f10e78f6fcfcc6dd";
+
+  std::vector<std::string> all;
+  for (const Stream& stream : streams) {
+    SCOPED_TRACE(stream.name);
+    std::vector<std::string> sources =
+        stream_sources(*stream.space, stream.profile, 5000);
+    EXPECT_EQ(front_end_digest(sources), stream.golden);
+    all.insert(all.end(), std::make_move_iterator(sources.begin()),
+               std::make_move_iterator(sources.end()));
+  }
+  EXPECT_EQ(front_end_digest(byte_mutants(all, 0xf0e5ULL)), kMutantGolden);
+  EXPECT_EQ(front_end_digest(hand_sources()), kHandGolden);
 }
 
 }  // namespace

@@ -1,10 +1,10 @@
 // Test helper: the tree-walk NadaScript interpreter, kept as the reference
 // oracle for the bytecode VM (src/dsl/vm.h), the library's only engine.
 //
-// It evaluates the AST directly: every variable resolves by name, through
-// its own map of let locals and then the input frame's vocabulary, every
-// node allocates a fresh Value, and builtin calls go through the shared
-// registry (src/dsl/builtins.h). tests/dsl_vm_test.cpp
+// It walks the parsed program's nodes directly: every variable resolves by
+// name, through its own map of let locals and then the input frame's
+// vocabulary, every node allocates a fresh Value, and builtin calls go
+// through the shared registry (src/dsl/builtins.h). tests/dsl_vm_test.cpp
 // pins the VM bit-identical to it over both generators' candidate streams
 // (values AND error messages), and bench/dsl_exec.cpp times one against the
 // other. The small helpers below are private copies, as in vm.cpp, so the
@@ -15,6 +15,7 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -41,8 +42,17 @@ using dsl::Value;
 using dsl::broadcast_binary;
 using dsl::builtins;
 
+/// Hashes names by view, so a lookup builds no std::string.
+struct NameHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view name) const {
+    return std::hash<std::string_view>{}(name);
+  }
+};
+
 /// The oracle's let locals, by name.
-using Locals = std::unordered_map<std::string, Value>;
+using Locals =
+    std::unordered_map<std::string, Value, NameHash, std::equal_to<>>;
 
 inline double require_scalar(const Value& v, const char* what) {
   if (!v.is_scalar()) {
@@ -66,25 +76,29 @@ inline double checked_div(double a, double b) {
   return a / b;
 }
 
-/// Evaluates one expression. `inputs` is the observation frame; `locals`
-/// are let-bindings accumulated so far.
-inline Value eval_expr(const Expr& expr, const Bindings& inputs,
-                       const Locals& locals) {
+/// Evaluates one expression of `program`. `inputs` is the observation
+/// frame; `locals` are let-bindings accumulated so far.
+inline Value eval_expr(const Program& program, const Expr& expr,
+                       const Bindings& inputs, const Locals& locals) {
+  const auto child = [&](std::size_t i) {
+    return eval_expr(program, program.child(expr, i), inputs, locals);
+  };
   switch (expr.kind) {
     case ExprKind::kNumber:
       return Value(expr.number);
 
     case ExprKind::kVariable: {
-      if (auto it = locals.find(expr.name); it != locals.end()) {
+      const std::string_view name = program.text(expr.name);
+      if (auto it = locals.find(name); it != locals.end()) {
         return it->second;
       }
-      if (const Value* input = inputs.find(expr.name)) return *input;
-      throw RuntimeError("undefined variable '" + expr.name + "' (line " +
-                         std::to_string(expr.line) + ")");
+      if (const Value* input = inputs.find(name)) return *input;
+      throw RuntimeError("undefined variable '" + std::string(name) +
+                         "' (line " + std::to_string(expr.line) + ")");
     }
 
     case ExprKind::kUnary: {
-      const Value operand = eval_expr(*expr.children[0], inputs, locals);
+      const Value operand = child(0);
       if (expr.unary_op == UnaryOp::kNeg) {
         return map_unary(operand, [](double x) { return -x; });
       }
@@ -92,8 +106,8 @@ inline Value eval_expr(const Expr& expr, const Bindings& inputs,
     }
 
     case ExprKind::kBinary: {
-      const Value lhs = eval_expr(*expr.children[0], inputs, locals);
-      const Value rhs = eval_expr(*expr.children[1], inputs, locals);
+      const Value lhs = child(0);
+      const Value rhs = child(1);
       switch (expr.binary_op) {
         case BinaryOp::kAdd:
           return broadcast_binary(
@@ -150,41 +164,41 @@ inline Value eval_expr(const Expr& expr, const Bindings& inputs,
     }
 
     case ExprKind::kTernary: {
-      const Value cond = eval_expr(*expr.children[0], inputs, locals);
+      const Value cond = child(0);
       const double c = require_scalar(cond, "ternary condition");
-      return c != 0.0 ? eval_expr(*expr.children[1], inputs, locals)
-                      : eval_expr(*expr.children[2], inputs, locals);
+      return c != 0.0 ? child(1) : child(2);
     }
 
     case ExprKind::kCall: {
-      const auto it = builtins().find(expr.name);
+      const std::string name(program.text(expr.name));
+      const auto it = builtins().find(name);
       if (it == builtins().end()) {
-        throw RuntimeError("unknown function '" + expr.name + "' (line " +
+        throw RuntimeError("unknown function '" + name + "' (line " +
                            std::to_string(expr.line) + ")");
       }
       const Builtin& builtin = it->second;
-      if (expr.children.size() < builtin.min_args ||
-          expr.children.size() > builtin.max_args) {
-        throw RuntimeError("function '" + expr.name + "' expects " +
+      if (expr.child_count < builtin.min_args ||
+          expr.child_count > builtin.max_args) {
+        throw RuntimeError("function '" + name + "' expects " +
                            std::to_string(builtin.min_args) +
                            (builtin.max_args != builtin.min_args
                                 ? ".." + std::to_string(builtin.max_args)
                                 : "") +
                            " arguments, got " +
-                           std::to_string(expr.children.size()) + " (line " +
+                           std::to_string(expr.child_count) + " (line " +
                            std::to_string(expr.line) + ")");
       }
       std::vector<Value> args;
-      args.reserve(expr.children.size());
-      for (const auto& child : expr.children) {
-        args.push_back(eval_expr(*child, inputs, locals));
+      args.reserve(expr.child_count);
+      for (std::size_t i = 0; i < expr.child_count; ++i) {
+        args.push_back(child(i));
       }
       return builtin.fn(args);
     }
 
     case ExprKind::kIndex: {
-      const Value base = eval_expr(*expr.children[0], inputs, locals);
-      const Value index = eval_expr(*expr.children[1], inputs, locals);
+      const Value base = child(0);
+      const Value index = child(1);
       if (!base.is_vector()) {
         throw RuntimeError("cannot index a scalar (line " +
                            std::to_string(expr.line) + ")");
@@ -207,10 +221,9 @@ inline Value eval_expr(const Expr& expr, const Bindings& inputs,
 
     case ExprKind::kVectorLiteral: {
       std::vector<double> out;
-      out.reserve(expr.children.size());
-      for (const auto& child : expr.children) {
-        out.push_back(require_scalar(
-            eval_expr(*child, inputs, locals), "vector literal element"));
+      out.reserve(expr.child_count);
+      for (std::size_t i = 0; i < expr.child_count; ++i) {
+        out.push_back(require_scalar(child(i), "vector literal element"));
       }
       if (out.empty()) throw RuntimeError("empty vector literal");
       return Value(std::move(out));
@@ -224,24 +237,26 @@ inline StateMatrix run_program(const Program& program,
                                const Bindings& inputs) {
   Locals locals;
   StateMatrix matrix;
-  for (const auto& stmt : program.statements) {
-    Value value = eval_expr(*stmt.expr, inputs, locals);
+  for (const auto& stmt : program.statements()) {
+    Value value =
+        eval_expr(program, program.expr(stmt.expr), inputs, locals);
+    const std::string name(program.text(stmt.name));
     if (stmt.kind == StatementKind::kLet) {
-      locals[stmt.name] = std::move(value);
+      locals[name] = std::move(value);
     } else {
       StateRow row;
-      row.name = stmt.name;
+      row.name = name;
       row.is_vector = value.is_vector();
       if (value.is_vector()) {
         row.values = value.as_vector();
         if (row.values.empty()) {
-          throw RuntimeError("emit '" + stmt.name + "': empty vector");
+          throw RuntimeError("emit '" + name + "': empty vector");
         }
       } else {
         row.values = {value.as_scalar()};
       }
       if (row.values.size() > 64) {
-        throw RuntimeError("emit '" + stmt.name + "': row longer than 64");
+        throw RuntimeError("emit '" + name + "': row longer than 64");
       }
       matrix.rows.push_back(std::move(row));
     }

@@ -235,7 +235,7 @@ TEST(EarlyStopModel, HeuristicsNeedNoFit) {
   EarlyStopConfig config;
   EarlyStopModel max_model(EarlyStopMethod::kHeuristicMax, config, 1);
   max_model.fit(corpus);
-  EXPECT_NO_THROW(max_model.score(corpus[0]));
+  EXPECT_NO_THROW((void)max_model.score(corpus[0]));
   EarlyStopModel last_model(EarlyStopMethod::kHeuristicLast, config, 1);
   last_model.fit(corpus);
   EXPECT_DOUBLE_EQ(last_model.score(corpus[0]),
@@ -247,7 +247,7 @@ TEST(EarlyStopModel, ScoreBeforeFitThrowsForClassifier) {
   EarlyStopModel model(EarlyStopMethod::kRewardOnly, config, 1);
   DesignRecord r;
   r.early_rewards = {0.1, 0.2};
-  EXPECT_THROW(model.score(r), std::logic_error);
+  EXPECT_THROW((void)model.score(r), std::logic_error);
 }
 
 TEST(EarlyStopModel, RejectsBadConfig) {
@@ -374,7 +374,7 @@ TEST(EvaluateEarlyStop, MetricsComputedCorrectly) {
 TEST(EvaluateEarlyStop, SizeMismatchThrows) {
   EarlyStopConfig config;
   EarlyStopModel model(EarlyStopMethod::kHeuristicMax, config, 1);
-  EXPECT_THROW(evaluate_early_stop(model, {}, {true}),
+  EXPECT_THROW((void)evaluate_early_stop(model, {}, {true}),
                std::invalid_argument);
 }
 

@@ -1,0 +1,88 @@
+// Allocation pin for the replay path's fingerprint.
+//
+// Every rerun, resume and supervised worker replays its candidate stream
+// against the store, and each replayed state candidate costs one
+// fingerprint (search::fingerprint_of). The front end parses it into a
+// per-thread program that keeps its capacity and hashes the canonical form
+// through a sink, so a steady-state fingerprint allocates almost nothing.
+// This binary replaces the global non-aligned operator new/delete with
+// counting versions (as nada_bench does) to hold that.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <vector>
+
+#include "gen/profile.h"
+#include "gen/state_gen.h"
+#include "nn/arch.h"
+#include "search/candidate.h"
+
+namespace {
+
+std::atomic<bool> g_counting{false};
+std::atomic<std::uint64_t> g_allocs{0};
+
+void* counted_alloc(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  return p;
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace nada::search {
+namespace {
+
+TEST(FingerprintAlloc, StateFingerprintAllocatesAtMostFive) {
+  constexpr std::size_t kWarm = 1000;
+  constexpr std::size_t kCounted = 20000;
+  gen::StateGenerator generator(gen::abr_state_space(), gen::gpt4_profile(),
+                                gen::PromptStrategy{}, 77);
+  StateCandidateSource source(generator);
+  const std::vector<CandidateSpec> specs = source.generate(kWarm + kCounted);
+  ASSERT_EQ(specs.size(), kWarm + kCounted);
+
+  // Built once, as SearchJob builds it.
+  const nn::ArchSpec arch = nn::ArchSpec::pensieve();
+  const FixedFingerprints fixed =
+      FixedFingerprints::of(FixedDesign{nullptr, &arch});
+
+  std::uint64_t sink = 0;
+  bool parsed = false;
+  for (std::size_t i = 0; i < kWarm; ++i) {
+    sink ^= fingerprint_of(specs[i], fixed, &parsed).lo;
+  }
+
+  std::size_t parsed_count = 0;
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  for (std::size_t i = kWarm; i < kWarm + kCounted; ++i) {
+    sink ^= fingerprint_of(specs[i], fixed, &parsed).lo;
+    if (parsed) ++parsed_count;
+  }
+  g_counting.store(false, std::memory_order_relaxed);
+
+  const double per_fingerprint =
+      static_cast<double>(g_allocs.load(std::memory_order_relaxed)) /
+      static_cast<double>(kCounted);
+  EXPECT_LE(per_fingerprint, 5.0) << "sink " << sink;
+  // Both exits are exercised: the stream plants syntax flaws.
+  EXPECT_GT(parsed_count, kCounted / 2);
+  EXPECT_LT(parsed_count, kCounted);
+}
+
+}  // namespace
+}  // namespace nada::search

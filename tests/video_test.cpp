@@ -30,7 +30,7 @@ TEST(BitrateLadder, RejectsBadLadders) {
 }
 
 TEST(BitrateLadder, OutOfRangeLevelThrows) {
-  EXPECT_THROW(pensieve_ladder().kbps(6), std::out_of_range);
+  EXPECT_THROW((void)pensieve_ladder().kbps(6), std::out_of_range);
 }
 
 TEST(Video, SizesScaleWithBitrate) {
@@ -86,7 +86,7 @@ TEST(Video, InvalidConstructionThrows) {
 TEST(Video, ChunkIndexOutOfRangeThrows) {
   util::Rng rng(6);
   const Video v("v", pensieve_ladder(), 10, 4.0, rng);
-  EXPECT_THROW(v.chunk_bytes(10, 0), std::out_of_range);
+  EXPECT_THROW((void)v.chunk_bytes(10, 0), std::out_of_range);
 }
 
 TEST(Video, DurationIsChunksTimesLength) {
@@ -137,7 +137,7 @@ TEST(QoELin, RebufferDominates) {
 
 TEST(QoELin, NegativeRebufferThrows) {
   const QoELin qoe(pensieve_ladder());
-  EXPECT_THROW(qoe.chunk_reward(0, 0, -0.1), std::invalid_argument);
+  EXPECT_THROW((void)qoe.chunk_reward(0, 0, -0.1), std::invalid_argument);
 }
 
 }  // namespace
