@@ -87,17 +87,12 @@ int main() {
       rl::eval_trace_indices(domain.num_eval_units(),
                              config.train.max_eval_traces);
   util::Rng aimd_rng(23);
-  cc::AimdController aimd;
+  const cc::AimdController aimd;
   util::RunningStats aimd_rewards;
   for (std::size_t unit : eval_units) {
     cc::CcEnv env(dataset.test[unit], cc_config, aimd_rng);
-    aimd.reset();
-    cc::CcObservation obs = env.reset();
-    while (!env.done()) {
-      const auto r = env.step(aimd.act(obs));
-      aimd_rewards.add(r.reward);
-      obs = r.observation;
-    }
+    const dsl::Bindings& frame = env.reset();
+    while (!env.done()) aimd_rewards.add(env.step(aimd.act(frame)).reward);
   }
 
   util::TextTable table(

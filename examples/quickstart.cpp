@@ -34,13 +34,12 @@ int main() {
   const video::Video video = video::make_test_video(video::youtube_ladder(),
                                                     42);
   env::AbrEnv env(tr, video, env::Fidelity::kSimulation, rng);
-  env.reset();
+  (void)env.reset();  // returns the observation frame, unused by this policy
   double fixed_total = 0.0;
   std::size_t stalls = 0;
   while (!env.done()) {
-    const auto step = env.step(2);  // always 4.3 Mbps
-    fixed_total += step.reward;
-    if (step.rebuffer_s > 0.0) ++stalls;
+    fixed_total += env.step(2).reward;  // always 4.3 Mbps
+    if (env.last_download().rebuffer_s > 0.0) ++stalls;
   }
   std::cout << "Fixed 4.3 Mbps policy: total QoE "
             << util::format_double(fixed_total, 1) << " over "
@@ -82,7 +81,7 @@ int main() {
     util::RunningStats rs;
     for (const auto& test_trace : dataset.test) {
       env::AbrEnv e(test_trace, video, env::Fidelity::kSimulation, eval_rng);
-      e.reset();
+      (void)e.reset();
       while (!e.done()) rs.add(e.step(2).reward);
     }
     fixed_eval = rs.mean();

@@ -9,9 +9,10 @@
 namespace nada::abr {
 namespace {
 
-std::size_t level_index_of_kbps(const env::Observation& obs, double kbps) {
-  for (std::size_t i = 0; i < obs.ladder_kbps.size(); ++i) {
-    if (obs.ladder_kbps[i] == kbps) return i;
+std::size_t level_index_of_kbps(std::span<const double> ladder_kbps,
+                                double kbps) {
+  for (std::size_t i = 0; i < ladder_kbps.size(); ++i) {
+    if (ladder_kbps[i] == kbps) return i;
   }
   return 0;
 }
@@ -30,8 +31,8 @@ double harmonic_mean_positive(std::span<const double> xs) {
   return n > 0 ? static_cast<double>(n) / inv_sum : 0.0;
 }
 
-std::size_t FixedPolicy::choose(const env::Observation& obs) {
-  if (level_ >= obs.ladder_kbps.size()) {
+std::size_t FixedPolicy::choose(const dsl::Bindings& frame) {
+  if (level_ >= frame[env::kBitrateLevelsKbps].as_vector().size()) {
     throw std::out_of_range("FixedPolicy: level outside ladder");
   }
   return level_;
@@ -44,11 +45,12 @@ BufferBasedPolicy::BufferBasedPolicy(double reservoir_s, double cushion_s)
   }
 }
 
-std::size_t BufferBasedPolicy::choose(const env::Observation& obs) {
-  const std::size_t levels = obs.ladder_kbps.size();
-  if (obs.buffer_s <= reservoir_s_) return 0;
-  if (obs.buffer_s >= reservoir_s_ + cushion_s_) return levels - 1;
-  const double fraction = (obs.buffer_s - reservoir_s_) / cushion_s_;
+std::size_t BufferBasedPolicy::choose(const dsl::Bindings& frame) {
+  const std::size_t levels = frame[env::kBitrateLevelsKbps].as_vector().size();
+  const double buffer_s = frame[env::kBufferSizeS].as_scalar();
+  if (buffer_s <= reservoir_s_) return 0;
+  if (buffer_s >= reservoir_s_ + cushion_s_) return levels - 1;
+  const double fraction = (buffer_s - reservoir_s_) / cushion_s_;
   return static_cast<std::size_t>(fraction * static_cast<double>(levels - 1) +
                                   0.5);
 }
@@ -60,14 +62,19 @@ RateBasedPolicy::RateBasedPolicy(double safety, double startup_buffer_s)
   }
 }
 
-std::size_t RateBasedPolicy::choose(const env::Observation& obs) {
+std::size_t RateBasedPolicy::choose(const dsl::Bindings& frame) {
   const double predicted_mbps =
-      harmonic_mean_positive(obs.throughput_mbps);
-  if (predicted_mbps <= 0.0 || obs.buffer_s < startup_buffer_s_) return 0;
+      harmonic_mean_positive(frame[env::kThroughputMbps].as_vector());
+  if (predicted_mbps <= 0.0 ||
+      frame[env::kBufferSizeS].as_scalar() < startup_buffer_s_) {
+    return 0;
+  }
   const double budget_kbps = predicted_mbps * 1000.0 * safety_;
+  const std::vector<double>& ladder =
+      frame[env::kBitrateLevelsKbps].as_vector();
   std::size_t level = 0;
-  for (std::size_t i = 0; i < obs.ladder_kbps.size(); ++i) {
-    if (obs.ladder_kbps[i] <= budget_kbps) level = i;
+  for (std::size_t i = 0; i < ladder.size(); ++i) {
+    if (ladder[i] <= budget_kbps) level = i;
   }
   return level;
 }
@@ -83,31 +90,37 @@ void RobustMpcPolicy::reset() {
   max_error_ = 0.0;
 }
 
-double RobustMpcPolicy::forecast_mbps(const env::Observation& obs) {
-  const double actual = obs.throughput_mbps.empty()
-                            ? 0.0
-                            : obs.throughput_mbps.back();
+double RobustMpcPolicy::forecast_mbps(const dsl::Bindings& frame) {
+  const std::vector<double>& throughput =
+      frame[env::kThroughputMbps].as_vector();
+  const double actual = throughput.empty() ? 0.0 : throughput.back();
   if (last_forecast_mbps_ > 0.0 && actual > 0.0) {
     const double error =
         std::abs(last_forecast_mbps_ - actual) / actual;
     // Track the recent worst error with slow decay.
     max_error_ = std::max(error, max_error_ * 0.9);
   }
-  const double harmonic = harmonic_mean_positive(obs.throughput_mbps);
+  const double harmonic = harmonic_mean_positive(throughput);
   last_forecast_mbps_ = harmonic;
   return harmonic / (1.0 + max_error_);
 }
 
-std::size_t RobustMpcPolicy::choose(const env::Observation& obs) {
-  const std::size_t levels = obs.ladder_kbps.size();
-  const double forecast = forecast_mbps(obs);
+std::size_t RobustMpcPolicy::choose(const dsl::Bindings& frame) {
+  const std::vector<double>& ladder =
+      frame[env::kBitrateLevelsKbps].as_vector();
+  const std::vector<double>& next_bytes =
+      frame[env::kNextChunkSizesBytes].as_vector();
+  const std::size_t levels = ladder.size();
+  const double forecast = forecast_mbps(frame);
   if (forecast <= 0.0) return 0;
 
-  const double chunk_s = obs.chunk_len_s;
-  const double mu = obs.ladder_kbps.back() / 1000.0;  // QoE_lin penalty
-  const std::size_t last_level =
-      level_index_of_kbps(obs, obs.last_bitrate_kbps);
-  const auto chunks_left = static_cast<std::size_t>(obs.chunks_remaining);
+  const double buffer_s = frame[env::kBufferSizeS].as_scalar();
+  const double chunk_s = frame[env::kChunkLengthS].as_scalar();
+  const double mu = ladder.back() / 1000.0;  // QoE_lin penalty
+  const std::size_t last_level = level_index_of_kbps(
+      ladder, frame[env::kLastBitrateKbps].as_scalar());
+  const auto chunks_left =
+      static_cast<std::size_t>(frame[env::kChunksRemaining].as_scalar());
   const std::size_t steps = std::min(horizon_, std::max<std::size_t>(
                                                    chunks_left, 1));
 
@@ -118,7 +131,7 @@ std::size_t RobustMpcPolicy::choose(const env::Observation& obs) {
   double best_value = -1e18;
   std::size_t best_first = 0;
   for (std::size_t plan = 0; plan < plan_count; ++plan) {
-    double buffer = obs.buffer_s;
+    double buffer = buffer_s;
     double value = 0.0;
     std::size_t prev = last_level;
     std::size_t code = plan;
@@ -129,15 +142,14 @@ std::size_t RobustMpcPolicy::choose(const env::Observation& obs) {
       // Future chunk sizes approximated by nominal encode size; the next
       // chunk uses the observation's exact sizes.
       const double bytes =
-          step == 0 && level < obs.next_chunk_bytes.size() &&
-                  obs.next_chunk_bytes[level] > 0.0
-              ? obs.next_chunk_bytes[level]
-              : obs.ladder_kbps[level] * 1000.0 / 8.0 * chunk_s;
+          step == 0 && level < next_bytes.size() && next_bytes[level] > 0.0
+              ? next_bytes[level]
+              : ladder[level] * 1000.0 / 8.0 * chunk_s;
       const double download_s = bytes * 8.0 / 1e6 / forecast;
       const double rebuffer = std::max(download_s - buffer, 0.0);
       buffer = std::max(buffer - download_s, 0.0) + chunk_s;
-      const double quality = obs.ladder_kbps[level] / 1000.0;
-      const double prev_quality = obs.ladder_kbps[prev] / 1000.0;
+      const double quality = ladder[level] / 1000.0;
+      const double prev_quality = ladder[prev] / 1000.0;
       value += quality - mu * rebuffer - std::abs(quality - prev_quality);
       prev = level;
     }
@@ -157,14 +169,9 @@ double evaluate_policy(AbrPolicy& policy,
   util::RunningStats rewards;
   for (const auto& tr : traces) {
     env::AbrEnv env(tr, video, fidelity, rng);
-    env::Observation obs = env.reset();
+    const dsl::Bindings& frame = env.reset();
     policy.reset();
-    while (!env.done()) {
-      const std::size_t level = policy.choose(obs);
-      const env::StepResult step = env.step(level);
-      rewards.add(step.reward);
-      obs = step.observation;
-    }
+    while (!env.done()) rewards.add(env.step(policy.choose(frame)).reward);
   }
   return rewards.mean();
 }

@@ -14,8 +14,10 @@
 //                      conservative (error-discounted) throughput forecast
 //                      and pick the plan maximizing QoE_lin
 //
-// All consume the same env::Observation the RL agents see, so every
-// policy runs on both the simulator and the emulation-fidelity session.
+// All read the frame env::AbrEnv writes, over env::input_variables(), by
+// env::AbrSlot — the same frame the RL agents' state programs read — so
+// every policy runs on both the simulator and the emulation-fidelity
+// session.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "dsl/binding_catalog.h"
 #include "env/abr_env.h"
 #include "video/video.h"
 
@@ -33,8 +36,9 @@ class AbrPolicy {
  public:
   virtual ~AbrPolicy() = default;
 
-  /// Chooses the bitrate index for the next chunk.
-  [[nodiscard]] virtual std::size_t choose(const env::Observation& obs) = 0;
+  /// Chooses the bitrate index for the next chunk from `frame`, a frame
+  /// over env::input_variables().
+  [[nodiscard]] virtual std::size_t choose(const dsl::Bindings& frame) = 0;
 
   /// Clears per-episode state (throughput estimators etc.).
   virtual void reset() {}
@@ -46,7 +50,7 @@ class AbrPolicy {
 class FixedPolicy : public AbrPolicy {
  public:
   explicit FixedPolicy(std::size_t level) : level_(level) {}
-  std::size_t choose(const env::Observation& obs) override;
+  std::size_t choose(const dsl::Bindings& frame) override;
   [[nodiscard]] std::string name() const override {
     return "fixed-" + std::to_string(level_);
   }
@@ -60,7 +64,7 @@ class FixedPolicy : public AbrPolicy {
 class BufferBasedPolicy : public AbrPolicy {
  public:
   explicit BufferBasedPolicy(double reservoir_s = 5.0, double cushion_s = 40.0);
-  std::size_t choose(const env::Observation& obs) override;
+  std::size_t choose(const dsl::Bindings& frame) override;
   [[nodiscard]] std::string name() const override { return "buffer-based"; }
 
  private:
@@ -73,7 +77,7 @@ class BufferBasedPolicy : public AbrPolicy {
 class RateBasedPolicy : public AbrPolicy {
  public:
   explicit RateBasedPolicy(double safety = 0.85, double startup_buffer_s = 4.0);
-  std::size_t choose(const env::Observation& obs) override;
+  std::size_t choose(const dsl::Bindings& frame) override;
   [[nodiscard]] std::string name() const override { return "rate-based"; }
 
  private:
@@ -85,14 +89,14 @@ class RateBasedPolicy : public AbrPolicy {
 class RobustMpcPolicy : public AbrPolicy {
  public:
   explicit RobustMpcPolicy(std::size_t horizon = 3);
-  std::size_t choose(const env::Observation& obs) override;
+  std::size_t choose(const dsl::Bindings& frame) override;
   void reset() override;
   [[nodiscard]] std::string name() const override { return "robust-mpc"; }
 
  private:
   /// Conservative forecast: harmonic mean discounted by the recent maximum
   /// relative prediction error (the "robust" part of RobustMPC).
-  [[nodiscard]] double forecast_mbps(const env::Observation& obs);
+  [[nodiscard]] double forecast_mbps(const dsl::Bindings& frame);
 
   std::size_t horizon_;
   double last_forecast_mbps_ = 0.0;

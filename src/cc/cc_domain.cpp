@@ -7,34 +7,6 @@
 
 namespace nada::cc {
 
-namespace {
-
-class CcEpisode final : public env::Episode {
- public:
-  CcEpisode(const trace::Trace& capacity, const CcConfig& config,
-            util::Rng& rng)
-      : env_(capacity, config, rng) {}
-
-  const dsl::Bindings& reset() override {
-    fill_cc_frame(env_.reset(), frame_);
-    return frame_;
-  }
-
-  env::DomainStep step(std::size_t action) override {
-    const CcStepResult sr = env_.step(action);
-    fill_cc_frame(sr.observation, frame_);
-    return env::DomainStep{sr.reward, sr.done};
-  }
-
-  [[nodiscard]] bool done() const override { return env_.done(); }
-
- private:
-  CcEnv env_;
-  dsl::Bindings frame_{cc_input_variables()};
-};
-
-}  // namespace
-
 CcDomain::CcDomain(const trace::Dataset& dataset, CcConfig config)
     : dataset_(&dataset), config_(config) {
   if (dataset_->train.empty() || dataset_->test.empty()) {
@@ -77,14 +49,14 @@ const std::string& CcDomain::baseline_state_source() const {
 std::unique_ptr<env::Episode> CcDomain::start_train_episode(
     env::Fidelity /*fidelity*/, util::Rng& rng) const {
   const trace::Trace& tr = rng.choice(dataset_->train);
-  return std::make_unique<CcEpisode>(tr, config_, rng);
+  return std::make_unique<CcEnv>(tr, config_, rng);
 }
 
 std::size_t CcDomain::num_eval_units() const { return dataset_->test.size(); }
 
 std::unique_ptr<env::Episode> CcDomain::start_eval_episode(
     std::size_t unit, env::Fidelity /*fidelity*/, util::Rng& rng) const {
-  return std::make_unique<CcEpisode>(dataset_->test.at(unit), config_, rng);
+  return std::make_unique<CcEnv>(dataset_->test.at(unit), config_, rng);
 }
 
 std::string CcDomain::scope_env() const {

@@ -1,12 +1,12 @@
 // Congestion control as a first-class TaskDomain — the funnel's second
 // domain, realizing the paper's §5 extension plan.
 //
-// CcDomain adapts cc::CcEnv to env::TaskDomain: episodes are
-// steps_per_episode monitor intervals over one capacity trace drawn from a
-// trace::Dataset (the same generators that model FCC/Starlink/4G/5G
-// capacity for ABR model bottleneck capacity here), actions are the
-// Aurora-style rate multipliers, and observations are lowered in place into
-// each episode's frame (cc::fill_cc_frame). With this adapter the entire
+// CcDomain hands out cc::CcEnv episodes to env::TaskDomain's callers:
+// episodes are steps_per_episode monitor intervals over one capacity trace
+// drawn from a trace::Dataset (the same generators that model
+// FCC/Starlink/4G/5G capacity for ABR model bottleneck capacity here),
+// actions are the Aurora-style rate multipliers, and each CcEnv writes its
+// observation in place into the frame it owns. With this domain the entire
 // funnel — generate -> pre-check -> probe -> early-stop -> full train ->
 // rank, store checkpointing included — runs over CC through exactly the
 // code path ABR uses.

@@ -6,6 +6,17 @@
 
 namespace nada::cc {
 
+const dsl::Vocabulary& cc_input_variables() {
+  // Slot order: CcSlot names these slots, and cc_test pins every name
+  // against it.
+  static const dsl::Vocabulary kVars({
+      {"send_rate_mbps", true},   {"ack_rate_mbps", true},
+      {"rtt_ms", true},           {"loss_fraction", true},
+      {"min_rtt_ms", false},      {"current_rate_mbps", false},
+  });
+  return kVars;
+}
+
 const std::vector<double>& rate_actions() {
   static const std::vector<double> kActions = {0.6, 0.85, 1.0, 1.15, 1.5};
   return kActions;
@@ -22,25 +33,22 @@ CcEnv::CcEnv(const trace::Trace& capacity, CcConfig config, util::Rng& rng)
   }
 }
 
-CcObservation CcEnv::reset() {
+const dsl::Bindings& CcEnv::reset() {
   started_ = true;
   clock_s_ = rng_->uniform(0.0, std::max(capacity_->duration_s() - 1.0, 0.0));
   rate_mbps_ = config_.init_rate_mbps;
   queue_ms_ = 0.0;
   step_ = 0;
-  send_hist_.assign(kCcHistoryLen, 0.0);
-  ack_hist_.assign(kCcHistoryLen, 0.0);
-  rtt_hist_.assign(kCcHistoryLen, config_.base_rtt_ms);
-  loss_hist_.assign(kCcHistoryLen, 0.0);
-  return make_observation();
+  frame_[kSendRateMbps].mutable_vector().assign(kCcHistoryLen, 0.0);
+  frame_[kAckRateMbps].mutable_vector().assign(kCcHistoryLen, 0.0);
+  frame_[kRttMs].mutable_vector().assign(kCcHistoryLen, config_.base_rtt_ms);
+  frame_[kLossFraction].mutable_vector().assign(kCcHistoryLen, 0.0);
+  frame_[kMinRttMs].set_scalar(config_.base_rtt_ms);
+  frame_[kCurrentRateMbps].set_scalar(rate_mbps_);
+  return frame_;
 }
 
-void CcEnv::push(std::vector<double>& hist, double v) {
-  hist.erase(hist.begin());
-  hist.push_back(v);
-}
-
-CcStepResult CcEnv::step(std::size_t action) {
+env::DomainStep CcEnv::step(std::size_t action) {
   if (!started_) throw std::logic_error("CcEnv::step before reset");
   if (done()) throw std::logic_error("CcEnv::step after episode end");
   if (action >= rate_actions().size()) {
@@ -82,33 +90,17 @@ CcStepResult CcEnv::step(std::size_t action) {
       offered_mbit > 0.0 ? std::clamp(lost_mbit / offered_mbit, 0.0, 1.0)
                          : 0.0;
 
-  push(send_hist_, rate_mbps_);
-  push(ack_hist_, throughput_mbps);
-  push(rtt_hist_, rtt_ms);
-  push(loss_hist_, loss);
+  env::shift_in(frame_[kSendRateMbps], rate_mbps_);
+  env::shift_in(frame_[kAckRateMbps], throughput_mbps);
+  env::shift_in(frame_[kRttMs], rtt_ms);
+  env::shift_in(frame_[kLossFraction], loss);
+  frame_[kCurrentRateMbps].set_scalar(rate_mbps_);
 
-  CcStepResult result;
-  result.throughput_mbps = throughput_mbps;
-  result.rtt_ms = rtt_ms;
-  result.loss = loss;
-  result.reward = throughput_mbps -
-                  config_.latency_penalty * (queue_ms_ / 1000.0) *
-                      throughput_mbps -
-                  config_.loss_penalty * loss;
-  result.done = done();
-  result.observation = make_observation();
-  return result;
-}
-
-CcObservation CcEnv::make_observation() const {
-  CcObservation obs;
-  obs.send_rate_mbps = send_hist_;
-  obs.ack_rate_mbps = ack_hist_;
-  obs.rtt_ms = rtt_hist_;
-  obs.loss_fraction = loss_hist_;
-  obs.min_rtt_ms = config_.base_rtt_ms;
-  obs.current_rate_mbps = rate_mbps_;
-  return obs;
+  const double reward = throughput_mbps -
+                        config_.latency_penalty * (queue_ms_ / 1000.0) *
+                            throughput_mbps -
+                        config_.loss_penalty * loss;
+  return env::DomainStep{reward, done()};
 }
 
 AimdController::AimdController(double increase_mbps, double decrease_factor)
@@ -119,12 +111,11 @@ AimdController::AimdController(double increase_mbps, double decrease_factor)
   }
 }
 
-void AimdController::reset() {}
-
-std::size_t AimdController::act(const CcObservation& obs) {
-  const double rate = std::max(obs.current_rate_mbps, 1e-6);
+std::size_t AimdController::act(const dsl::Bindings& frame) const {
+  const double rate = std::max(frame[kCurrentRateMbps].as_scalar(), 1e-6);
+  const std::vector<double>& loss = frame[kLossFraction].as_vector();
   const auto& actions = rate_actions();
-  if (!obs.loss_fraction.empty() && obs.loss_fraction.back() > 0.0) {
+  if (!loss.empty() && loss.back() > 0.0) {
     // Multiplicative decrease: the action nearest the decrease factor.
     std::size_t best = 0;
     for (std::size_t i = 1; i < actions.size(); ++i) {

@@ -4,9 +4,12 @@
 // congestion control. This module provides that substrate: a rate-based CC
 // environment in the Aurora/PCC-RL mold. A sender picks a rate action each
 // monitor interval; the bottleneck has trace-driven capacity (reusing the
-// same trace generators), a FIFO queue, and a base RTT. Observations are
-// histories of achieved throughput, RTT, loss, and sending rate — the
-// quantities a CC state function (NadaScript over cc::bindings) consumes.
+// same trace generators), a FIFO queue, and a base RTT. CcEnv is the CC
+// domain's env::Episode: it owns one frame over cc_input_variables() and
+// writes its observation there in place — histories of achieved
+// throughput, RTT, loss, and sending rate, the quantities a CC state
+// function (NadaScript over the same vocabulary) consumes. AIMD reads the
+// same frame.
 //
 // Reward follows the throughput-latency-loss shape used by RL-CC work
 // (Jay et al., ICML'19): reward = throughput − a·queue_delay − b·loss.
@@ -15,12 +18,29 @@
 #include <cstddef>
 #include <vector>
 
+#include "dsl/binding_catalog.h"
+#include "env/domain.h"
 #include "trace/trace.h"
 #include "util/rng.h"
 
 namespace nada::cc {
 
 inline constexpr std::size_t kCcHistoryLen = 8;
+
+/// The CC input variables in slot order (semantic names, as the paper's
+/// prompting strategy prescribes).
+[[nodiscard]] const dsl::Vocabulary& cc_input_variables();
+
+/// The slot of each variable of cc_input_variables(), in its order.
+/// Histories hold the last kCcHistoryLen monitor intervals, oldest-first.
+enum CcSlot : std::size_t {
+  kSendRateMbps,     ///< sent rates
+  kAckRateMbps,      ///< achieved throughput
+  kRttMs,            ///< RTT samples
+  kLossFraction,     ///< per-interval loss
+  kMinRttMs,         ///< the path's base RTT
+  kCurrentRateMbps,  ///< the rate the next interval starts from
+};
 
 struct CcConfig {
   double base_rtt_ms = 40.0;
@@ -37,24 +57,6 @@ struct CcConfig {
 /// Multiplicative rate actions (Aurora-style discrete control).
 [[nodiscard]] const std::vector<double>& rate_actions();
 
-struct CcObservation {
-  std::vector<double> send_rate_mbps;   ///< last kCcHistoryLen sent rates
-  std::vector<double> ack_rate_mbps;    ///< achieved throughput history
-  std::vector<double> rtt_ms;           ///< RTT sample history
-  std::vector<double> loss_fraction;    ///< per-interval loss history
-  double min_rtt_ms = 0.0;
-  double current_rate_mbps = 0.0;
-};
-
-struct CcStepResult {
-  CcObservation observation;
-  double reward = 0.0;
-  double throughput_mbps = 0.0;
-  double rtt_ms = 0.0;
-  double loss = 0.0;
-  bool done = false;
-};
-
 /// One episode = steps_per_episode monitor intervals over one capacity
 /// trace (wrapping like the ABR simulator).
 ///
@@ -63,30 +65,26 @@ struct CcStepResult {
 /// so the caller's seed stream is a pure function of the episodes it
 /// actually runs — the property the batched/serial probe equivalence
 /// guarantee rests on. reset() must be called before step().
-class CcEnv {
+class CcEnv final : public env::Episode {
  public:
   CcEnv(const trace::Trace& capacity, CcConfig config, util::Rng& rng);
 
-  /// Starts a fresh episode (new random trace offset); returns the initial
-  /// observation.
-  CcObservation reset();
+  /// Starts a fresh episode (new random trace offset) and writes the
+  /// initial observation.
+  [[nodiscard]] const dsl::Bindings& reset() override;
 
   /// Applies rate action index (see rate_actions()) and advances one
-  /// monitor interval. Throws std::logic_error before the first reset().
-  CcStepResult step(std::size_t action);
+  /// monitor interval. The interval's throughput, RTT and loss are the
+  /// newest entries of the frame's ack_rate_mbps, rtt_ms and
+  /// loss_fraction. Throws std::logic_error before the first reset().
+  [[nodiscard]] env::DomainStep step(std::size_t action) override;
 
-  [[nodiscard]] bool done() const {
+  [[nodiscard]] bool done() const override {
     return started_ && step_ >= config_.steps_per_episode;
-  }
-  [[nodiscard]] std::size_t num_actions() const {
-    return rate_actions().size();
   }
   [[nodiscard]] double rate_mbps() const { return rate_mbps_; }
 
  private:
-  [[nodiscard]] CcObservation make_observation() const;
-  void push(std::vector<double>& hist, double v);
-
   const trace::Trace* capacity_;
   CcConfig config_;
   util::Rng* rng_;
@@ -95,7 +93,7 @@ class CcEnv {
   double queue_ms_ = 0.0;  ///< queue occupancy expressed as drain time
   std::size_t step_ = 0;
   bool started_ = false;
-  std::vector<double> send_hist_, ack_hist_, rtt_hist_, loss_hist_;
+  dsl::Bindings frame_{cc_input_variables()};
 };
 
 /// Classic AIMD (Reno-flavoured, per monitor interval): additive increase
@@ -104,9 +102,9 @@ class AimdController {
  public:
   AimdController(double increase_mbps = 0.2, double decrease_factor = 0.5);
 
-  /// Maps the desired rate change to the nearest discrete action.
-  [[nodiscard]] std::size_t act(const CcObservation& obs);
-  void reset();
+  /// Maps the desired rate change for `frame`, a frame over
+  /// cc_input_variables(), to the nearest discrete action.
+  [[nodiscard]] std::size_t act(const dsl::Bindings& frame) const;
 
  private:
   double increase_mbps_;

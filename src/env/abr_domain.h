@@ -1,14 +1,11 @@
 // The ABR streaming stack as a TaskDomain — the funnel's first domain.
 //
-// This module owns the ABR side of the domain abstraction: the ABR input
-// vocabulary (the "semantically meaningful names" the paper's prompting
-// strategy introduces, §2.1) and the lowering of an env::Observation into
-// a frame over it, the ABR binding catalog (canned + fuzz observations for
-// the pre-checks), and AbrDomain, which adapts (trace::Dataset,
-// video::Video) episodes to the generic funnel. The bindings, canned
-// values, and fuzz draw sequence are the exact ones the pre-domain code
-// used, so fingerprints, check verdicts, and reward curves are unchanged
-// by the abstraction.
+// This module owns the ABR binding catalog (the canned and fuzz frames the
+// pre-checks run programs on, over the vocabulary abr_env.h declares) and
+// AbrDomain, which hands out AbrEnv episodes over (trace::Dataset,
+// video::Video) to the generic funnel. The canned values and the fuzz draw
+// sequence are the exact ones the pre-domain code used, so fingerprints,
+// check verdicts, and reward curves are unchanged by the abstraction.
 #pragma once
 
 #include <cstddef>
@@ -24,22 +21,10 @@
 
 namespace nada::env {
 
-/// The ABR observation variables exposed to programs, in slot order.
-[[nodiscard]] const dsl::Vocabulary& input_variables();
-
-/// `obs` as a frame over input_variables().
-[[nodiscard]] dsl::Bindings bindings_from_observation(const Observation& obs);
-
-/// A synthetic observation with plausible mid-stream values; used as the
-/// canned input for trial runs (the compilation check).
-[[nodiscard]] Observation canned_observation();
-
-/// A randomized observation for the normalization fuzz check. Values are
-/// drawn from wide but physically meaningful ranges (throughput up to
-/// hundreds of Mbps, chunk sizes up to tens of MB).
-[[nodiscard]] Observation fuzz_observation(util::Rng& rng);
-
-/// The ABR binding catalog (vocabulary + canned/fuzz inputs, as bindings).
+/// The ABR binding catalog over input_variables(). canned() holds
+/// plausible mid-stream values; fuzz() draws from wide but physically
+/// meaningful ranges (throughput up to hundreds of Mbps, chunk sizes up to
+/// tens of MB).
 [[nodiscard]] const dsl::BindingCatalog& abr_catalog();
 
 /// One video streamed over one trace dataset, funnel-facing. Episodes are

@@ -2,8 +2,28 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 namespace nada::env {
+
+const dsl::Vocabulary& input_variables() {
+  // Slot order: AbrSlot names these slots, and env_test pins every name
+  // against it.
+  static const dsl::Vocabulary kVars({
+      {"throughput_mbps", true},
+      {"download_time_s", true},
+      {"buffer_size_s_history", true},
+      {"next_chunk_sizes_bytes", true},
+      {"bitrate_levels_kbps", true},
+      {"buffer_size_s", false},
+      {"chunks_remaining", false},
+      {"total_chunks", false},
+      {"last_bitrate_kbps", false},
+      {"chunk_length_s", false},
+      {"max_bitrate_kbps", false},
+  });
+  return kVars;
+}
 
 AbrEnv::AbrEnv(const trace::Trace& trace, const video::Video& video,
                Fidelity fidelity, util::Rng& rng)
@@ -13,40 +33,46 @@ AbrEnv::AbrEnv(const trace::Trace& trace, const video::Video& video,
       rng_(&rng),
       qoe_(video.ladder()) {}
 
-Observation AbrEnv::reset() {
+const dsl::Bindings& AbrEnv::reset() {
   // Random offset so different episodes see different trace regions; leave
   // at least a second of slack inside the trace.
   const double offset =
       rng_->uniform(0.0, std::max(trace_->duration_s() - 1.0, 0.0));
   if (fidelity_ == Fidelity::kSimulation) {
-    session_ = std::make_unique<StreamingSession>(*trace_, *video_,
-                                                  SimConfig{}, offset);
+    session_ = std::make_unique<StreamingSession>(*trace_, *video_, offset);
   } else {
-    session_ =
-        std::make_unique<EmuSession>(*trace_, *video_, *rng_, EmuConfig{},
-                                     offset);
+    session_ = std::make_unique<EmuSession>(*trace_, *video_, *rng_, offset);
   }
-  throughput_hist_.assign(kHistoryLen, 0.0);
-  download_hist_.assign(kHistoryLen, 0.0);
-  buffer_hist_.assign(kHistoryLen, 0.0);
-  hist_head_ = 0;
+  last_download_ = DownloadResult{};
   last_level_ = 0;  // Pensieve starts at the lowest quality
-  return make_observation();
-}
 
-void AbrEnv::push_history(std::vector<double>& hist, double value) {
-  // The slot at hist_head_ holds the oldest sample; overwrite it in place.
-  // hist_head_ itself advances once per step, in step().
-  hist[hist_head_] = value;
-}
-
-std::vector<double> AbrEnv::history_in_order(
-    const std::vector<double>& hist) const {
-  std::vector<double> ordered(kHistoryLen);
-  for (std::size_t i = 0; i < kHistoryLen; ++i) {
-    ordered[i] = hist[(hist_head_ + i) % kHistoryLen];
+  for (const AbrSlot slot :
+       {kThroughputMbps, kDownloadTimeS, kBufferSizeSHistory}) {
+    frame_[slot].mutable_vector().assign(kHistoryLen, 0.0);
   }
-  return ordered;
+  const auto ladder = video_->ladder().all_kbps();
+  frame_[kNextChunkSizesBytes].mutable_vector().resize(ladder.size());
+  frame_[kBitrateLevelsKbps].mutable_vector().assign(ladder.begin(),
+                                                     ladder.end());
+  frame_[kTotalChunks].set_scalar(static_cast<double>(video_->num_chunks()));
+  frame_[kChunkLengthS].set_scalar(video_->chunk_len_s());
+  frame_[kMaxBitrateKbps].set_scalar(ladder.back());
+  write_step_slots();
+  return frame_;
+}
+
+void AbrEnv::write_step_slots() {
+  frame_[kBufferSizeS].set_scalar(session_->buffer_s());
+  frame_[kChunksRemaining].set_scalar(
+      static_cast<double>(session_->chunks_remaining()));
+  frame_[kLastBitrateKbps].set_scalar(video_->ladder().kbps(last_level_));
+  std::vector<double>& next = frame_[kNextChunkSizesBytes].mutable_vector();
+  for (std::size_t level = 0; level < next.size(); ++level) {
+    next[level] = session_->finished()
+                      ? 0.0
+                      : video_->chunk_bytes(session_->next_chunk_index(),
+                                            level);
+  }
 }
 
 void AbrEnv::require_session() const {
@@ -55,56 +81,29 @@ void AbrEnv::require_session() const {
   }
 }
 
-StepResult AbrEnv::step(std::size_t level) {
+DomainStep AbrEnv::step(std::size_t level) {
   require_session();
   if (done()) throw std::logic_error("AbrEnv::step after episode end");
-  const DownloadResult dl = session_->download_chunk(level);
+  last_download_ = session_->download_chunk(level);
+  const DownloadResult& dl = last_download_;
 
-  push_history(throughput_hist_, dl.throughput_mbps);
-  push_history(download_hist_, dl.download_time_s);
-  push_history(buffer_hist_, dl.buffer_s);
-  hist_head_ = (hist_head_ + 1) % kHistoryLen;
-
-  StepResult result;
-  result.reward = qoe_.chunk_reward(level, last_level_, dl.rebuffer_s);
-  result.truncated = dl.truncated;
+  double reward = qoe_.chunk_reward(level, last_level_, dl.rebuffer_s);
   if (dl.truncated) {
     // The transfer died at the stall deadline: whatever the QoE terms say,
     // a dead download must never score positively.
-    result.reward = std::min(result.reward, 0.0);
+    reward = std::min(reward, 0.0);
   }
-  result.rebuffer_s = dl.rebuffer_s;
-  result.download_time_s = dl.download_time_s;
-  result.done = dl.video_finished;
   last_level_ = level;
-  result.observation = make_observation();
-  return result;
+  shift_in(frame_[kThroughputMbps], dl.throughput_mbps);
+  shift_in(frame_[kDownloadTimeS], dl.download_time_s);
+  shift_in(frame_[kBufferSizeSHistory], dl.buffer_s);
+  write_step_slots();
+  return DomainStep{reward, dl.video_finished};
 }
 
 bool AbrEnv::done() const {
   require_session();
   return session_->finished();
-}
-
-Observation AbrEnv::make_observation() const {
-  Observation obs;
-  obs.throughput_mbps = history_in_order(throughput_hist_);
-  obs.download_time_s = history_in_order(download_hist_);
-  obs.buffer_s_history = history_in_order(buffer_hist_);
-  obs.buffer_s = session_->buffer_s();
-  obs.chunks_remaining = static_cast<double>(session_->chunks_remaining());
-  obs.total_chunks = static_cast<double>(video_->num_chunks());
-  obs.last_bitrate_kbps = video_->ladder().kbps(last_level_);
-  obs.chunk_len_s = video_->chunk_len_s();
-  const auto ladder = video_->ladder().all_kbps();
-  obs.ladder_kbps.assign(ladder.begin(), ladder.end());
-  if (!session_->finished()) {
-    obs.next_chunk_bytes =
-        video_->chunk_bytes_all_levels(session_->next_chunk_index());
-  } else {
-    obs.next_chunk_bytes.assign(video_->ladder().levels(), 0.0);
-  }
-  return obs;
 }
 
 }  // namespace nada::env

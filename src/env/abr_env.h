@@ -1,20 +1,22 @@
 // RL-facing ABR environment.
 //
-// AbrEnv runs a StreamingSession (or EmuSession) and exposes the *raw*
-// observation quantities Pensieve's state function consumes: throughput and
-// download-time histories, next-chunk sizes per bitrate, buffer level,
-// chunks remaining, and the last selected bitrate. It also tracks a buffer
-// history — unused by the original design, but exactly the signal the
-// paper reports LLM-generated states exploiting (§4).
+// AbrEnv runs a StreamingSession (or EmuSession) and is the ABR domain's
+// env::Episode: it owns one frame over input_variables() and writes the
+// *raw* observation quantities Pensieve's state function consumes into it,
+// in place — throughput and download-time histories, next-chunk sizes per
+// bitrate, buffer level, chunks remaining, and the last selected bitrate.
+// It also tracks a buffer history — unused by the original design, but
+// exactly the signal the paper reports LLM-generated states exploiting
+// (§4). The classic policies in src/abr/ read the same frame.
 //
-// The mapping from Observation to the network's input tensor is the *state
+// The mapping from the frame to the network's input tensor is the *state
 // function* — the component NADA searches over — and lives in src/dsl.
 #pragma once
 
 #include <cstddef>
 #include <memory>
-#include <vector>
 
+#include "dsl/binding_catalog.h"
 #include "env/domain.h"
 #include "env/session.h"
 #include "trace/trace.h"
@@ -26,32 +28,24 @@ namespace nada::env {
 /// Number of past samples kept for every history (Pensieve's S_LEN).
 inline constexpr std::size_t kHistoryLen = 8;
 
-/// Raw inputs available to a state function. Histories are oldest-first and
-/// zero-padded until enough chunks have been downloaded.
-struct Observation {
-  std::vector<double> throughput_mbps;   ///< last kHistoryLen measurements
-  std::vector<double> download_time_s;   ///< last kHistoryLen download times
-  std::vector<double> buffer_s_history;  ///< last kHistoryLen buffer levels
-  std::vector<double> next_chunk_bytes;  ///< next chunk's size per level
-  double buffer_s = 0.0;                 ///< current playback buffer
-  double chunks_remaining = 0.0;
-  double total_chunks = 0.0;
-  double last_bitrate_kbps = 0.0;
-  double chunk_len_s = 4.0;
-  std::vector<double> ladder_kbps;       ///< the bitrate ladder
-};
+/// The ABR observation variables exposed to programs, in slot order.
+[[nodiscard]] const dsl::Vocabulary& input_variables();
 
-/// Step outcome.
-struct StepResult {
-  Observation observation;
-  double reward = 0.0;       ///< QoE_lin for the downloaded chunk
-  double rebuffer_s = 0.0;
-  double download_time_s = 0.0;
-  /// The chunk's transfer hit the session's stall deadline before the last
-  /// byte arrived; the reward is capped at zero and the reported throughput
-  /// reflects only the bytes actually delivered.
-  bool truncated = false;
-  bool done = false;
+/// The slot of each variable of input_variables(), in its order. Histories
+/// are oldest-first and zero-padded until enough chunks have been
+/// downloaded.
+enum AbrSlot : std::size_t {
+  kThroughputMbps,       ///< last kHistoryLen measured throughputs
+  kDownloadTimeS,        ///< last kHistoryLen download times
+  kBufferSizeSHistory,   ///< last kHistoryLen buffer levels
+  kNextChunkSizesBytes,  ///< next chunk's size per level (0 after the last)
+  kBitrateLevelsKbps,    ///< the bitrate ladder
+  kBufferSizeS,          ///< current playback buffer
+  kChunksRemaining,
+  kTotalChunks,
+  kLastBitrateKbps,
+  kChunkLengthS,
+  kMaxBitrateKbps,       ///< the ladder's top rung
 };
 
 // Fidelity (kSimulation: paper Tables 3/5, Figures 3/4; kEmulation: paper
@@ -64,30 +58,34 @@ struct StepResult {
 /// starts an episode, so the caller's seed stream is a pure function of the
 /// episodes it actually runs — the property the batched/serial probe
 /// equivalence guarantee rests on. reset() must be called before step().
-class AbrEnv {
+class AbrEnv final : public Episode {
  public:
   AbrEnv(const trace::Trace& trace, const video::Video& video,
          Fidelity fidelity, util::Rng& rng);
 
-  /// Starts a fresh episode (new random trace offset); returns the initial
-  /// observation. The first chunk has not been downloaded yet, so histories
-  /// are zeros and last_bitrate is the lowest level, as in Pensieve.
-  Observation reset();
+  /// Starts a fresh episode (new random trace offset) and writes the
+  /// initial observation, per-episode constants included. The first chunk
+  /// has not been downloaded yet, so histories are zeros and last_bitrate
+  /// is the lowest level, as in Pensieve.
+  [[nodiscard]] const dsl::Bindings& reset() override;
 
-  /// Downloads the next chunk at bitrate index `level`.
-  StepResult step(std::size_t level);
+  /// Downloads the next chunk at bitrate index `level`. The reward is
+  /// QoE_lin for the chunk, capped at zero when its transfer hit the
+  /// session's stall deadline (see last_download()).
+  [[nodiscard]] DomainStep step(std::size_t level) override;
 
-  [[nodiscard]] bool done() const;
-  [[nodiscard]] std::size_t num_levels() const {
-    return video_->ladder().levels();
+  [[nodiscard]] bool done() const override;
+
+  /// The chunk download of the last step(): rebuffer and download time,
+  /// and whether it was truncated at the stall deadline (its throughput
+  /// then reflects only the bytes actually delivered).
+  [[nodiscard]] const DownloadResult& last_download() const {
+    return last_download_;
   }
 
  private:
-  [[nodiscard]] Observation make_observation() const;
-  void push_history(std::vector<double>& hist, double value);
-  /// Unrolls a ring-buffer history into an oldest-first vector.
-  [[nodiscard]] std::vector<double> history_in_order(
-      const std::vector<double>& hist) const;
+  /// Writes the slots a step changes besides the histories.
+  void write_step_slots();
   void require_session() const;
 
   const trace::Trace* trace_;
@@ -96,15 +94,9 @@ class AbrEnv {
   util::Rng* rng_;
   video::QoELin qoe_;
   std::unique_ptr<StreamingSession> session_;
-  // Histories are fixed-size ring buffers indexed by head_: the oldest
-  // sample lives at head_, so a push is O(1) instead of an O(n)
-  // erase-from-front. They are materialized oldest-first only when an
-  // observation is built.
-  std::vector<double> throughput_hist_;
-  std::vector<double> download_hist_;
-  std::vector<double> buffer_hist_;
-  std::size_t hist_head_ = 0;
+  DownloadResult last_download_;
   std::size_t last_level_ = 0;
+  dsl::Bindings frame_{input_variables()};
 };
 
 }  // namespace nada::env

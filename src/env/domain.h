@@ -7,7 +7,9 @@
 // vocabulary (dsl::Bindings), and a handful of scalar hints. A TaskDomain
 // packages those for one task — ABR streaming (env::AbrDomain) and
 // congestion control (cc::CcDomain) today; a third domain is one subclass
-// plus a binding catalog and a generator state space away.
+// plus a binding catalog and a generator state space away. Each domain's
+// simulator is its Episode (env::AbrEnv, cc::CcEnv): it owns the frame and
+// writes each observation into it in place, so the frame is the only copy.
 //
 // Determinism contract (the candidate store and the engine/oracle training
 // equivalence both rest on it):
@@ -20,10 +22,12 @@
 // outlive the episode.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <vector>
 
 #include "dsl/binding_catalog.h"
 #include "util/rng.h"
@@ -60,6 +64,14 @@ class Episode {
 
   [[nodiscard]] virtual bool done() const = 0;
 };
+
+/// Appends `sample` to the oldest-first history held in the vector slot
+/// `history`, dropping its oldest entry, in place.
+inline void shift_in(dsl::Value& history, double sample) {
+  std::vector<double>& values = history.mutable_vector();
+  std::shift_left(values.begin(), values.end(), 1);
+  values.back() = sample;
+}
 
 class TaskDomain {
  public:

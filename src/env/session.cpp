@@ -61,17 +61,9 @@ IntegrateResult integrate_transfer(const trace::Trace& tr, double wire_bytes,
 }  // namespace
 
 StreamingSession::StreamingSession(const trace::Trace& trace,
-                                   const video::Video& video, SimConfig config,
+                                   const video::Video& video,
                                    double start_offset_s)
-    : trace_(&trace),
-      video_(&video),
-      config_(config),
-      clock_s_(start_offset_s) {
-  if (config_.packet_payload_ratio <= 0.0 ||
-      config_.packet_payload_ratio > 1.0) {
-    throw std::invalid_argument("SimConfig: bad packet_payload_ratio");
-  }
-}
+    : trace_(&trace), video_(&video), clock_s_(start_offset_s) {}
 
 std::size_t StreamingSession::chunks_remaining() const {
   return video_->num_chunks() - next_chunk_;
@@ -106,10 +98,9 @@ DownloadResult StreamingSession::download_chunk(std::size_t level) {
 
   // Client pauses requests while the buffer is above the cap (Pensieve
   // drains in fixed quanta while wall-clock time advances).
-  if (buffer_s_ > config_.buffer_cap_s) {
-    const double excess = buffer_s_ - config_.buffer_cap_s;
-    const double quanta =
-        std::ceil(excess / config_.drain_quantum_s) * config_.drain_quantum_s;
+  if (buffer_s_ > kBufferCapS) {
+    const double excess = buffer_s_ - kBufferCapS;
+    const double quanta = std::ceil(excess / kDrainQuantumS) * kDrainQuantumS;
     result.sleep_s = quanta;
     buffer_s_ -= quanta;
     clock_s_ += quanta;
@@ -123,43 +114,37 @@ DownloadResult StreamingSession::download_chunk(std::size_t level) {
 
 StreamingSession::TransferResult StreamingSession::transfer(double bytes,
                                                             double start_s) {
-  const double wire_bytes = bytes / config_.packet_payload_ratio;
+  const double wire_bytes = bytes / kPacketPayloadRatio;
   const IntegrateResult integrated =
       integrate_transfer(*trace_, wire_bytes, start_s);
   TransferResult result;
-  result.elapsed_s = config_.link_rtt_s + integrated.elapsed_s;
+  result.elapsed_s = kLinkRttS + integrated.elapsed_s;
   result.completed = integrated.completed;
   // Report exact chunk bytes on completion so the payload round-trip through
   // the wire ratio cannot drift by a rounding error.
   result.delivered_bytes =
       integrated.completed
           ? bytes
-          : integrated.delivered_wire_bytes * config_.packet_payload_ratio;
+          : integrated.delivered_wire_bytes * kPacketPayloadRatio;
   return result;
 }
 
 EmuSession::EmuSession(const trace::Trace& trace, const video::Video& video,
-                       util::Rng& rng, EmuConfig config, double start_offset_s)
-    : StreamingSession(trace, video,
-                       SimConfig{config.base_rtt_s, 1.0, config.buffer_cap_s,
-                                 config.drain_quantum_s},
-                       start_offset_s),
-      emu_config_(config),
-      rng_(&rng) {}
+                       util::Rng& rng, double start_offset_s)
+    : StreamingSession(trace, video, start_offset_s), rng_(&rng) {}
 
 StreamingSession::TransferResult EmuSession::transfer(double bytes,
                                                       double start_s) {
   // Per-request overhead: request RTT with jitter plus server think time.
-  const double rtt =
-      emu_config_.base_rtt_s + rng_->uniform(0.0, emu_config_.rtt_jitter_s);
-  double t = start_s + rtt + emu_config_.server_delay_s;
+  const double rtt = kBaseRttS + rng_->uniform(0.0, kRttJitterS);
+  double t = start_s + rtt + kServerDelayS;
 
   // TCP slow start: the connection's allowed rate doubles every RTT from an
   // initial window until it reaches the trace's available bandwidth. We
   // integrate in small steps, applying min(cwnd rate, link rate).
-  const double total_wire_bytes = bytes / emu_config_.header_overhead_ratio;
+  const double total_wire_bytes = bytes / kHeaderOverheadRatio;
   double wire_bytes = total_wire_bytes;
-  double window_bytes = emu_config_.slow_start_init_bytes;
+  double window_bytes = kSlowStartInitBytes;
   const double step = std::max(rtt / 4.0, 0.005);
   const double deadline = t + kStallDeadlineS;
   while (wire_bytes > 0.0 && t < deadline) {
@@ -188,7 +173,7 @@ StreamingSession::TransferResult EmuSession::transfer(double bytes,
   result.delivered_bytes =
       result.completed ? bytes
                        : (total_wire_bytes - wire_bytes) *
-                             emu_config_.header_overhead_ratio;
+                             kHeaderOverheadRatio;
   return result;
 }
 

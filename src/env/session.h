@@ -38,18 +38,16 @@ struct DownloadResult {
   bool video_finished = false;   ///< this was the last chunk
 };
 
-struct SimConfig {
-  double link_rtt_s = 0.08;        ///< per-request latency
-  double packet_payload_ratio = 0.95;  ///< header overhead on the wire
-  double buffer_cap_s = 60.0;      ///< client pauses above this level
-  double drain_quantum_s = 0.5;    ///< sleep granularity when buffer full
-};
-
 /// Pensieve-style simulator session over one trace and one video.
 class StreamingSession {
  public:
+  static constexpr double kLinkRttS = 0.08;  ///< per-request latency
+  static constexpr double kPacketPayloadRatio = 0.95;  ///< header overhead
+  static constexpr double kBufferCapS = 60.0;  ///< client pauses above this
+  static constexpr double kDrainQuantumS = 0.5;  ///< sleep granularity
+
   StreamingSession(const trace::Trace& trace, const video::Video& video,
-                   SimConfig config = {}, double start_offset_s = 0.0);
+                   double start_offset_s = 0.0);
 
   /// Downloads the next chunk at `level`; advances simulated time.
   DownloadResult download_chunk(std::size_t level);
@@ -85,7 +83,6 @@ class StreamingSession {
 
   const trace::Trace* trace_;
   const video::Video* video_;
-  SimConfig config_;
 
  private:
   std::size_t next_chunk_ = 0;
@@ -93,31 +90,26 @@ class StreamingSession {
   double clock_s_ = 0.0;
 };
 
-struct EmuConfig {
-  double base_rtt_s = 0.08;
-  double rtt_jitter_s = 0.02;      ///< uniform jitter added per request
-  double server_delay_s = 0.05;    ///< HTTP request processing time
-  double slow_start_init_bytes = 14600.0;  ///< IW10 (10 x 1460B)
-  double header_overhead_ratio = 0.92;     ///< TCP/IP+TLS framing efficiency
-  double buffer_cap_s = 60.0;
-  double drain_quantum_s = 0.5;
-};
-
 /// Emulation-fidelity session. Each chunk is fetched over a fresh
 /// HTTP request whose effective rate ramps with TCP slow start before
 /// tracking the trace bandwidth; per-request overheads and RTT jitter give
-/// it systematically different absolute scores than StreamingSession.
+/// it systematically different absolute scores than StreamingSession. The
+/// buffer cap and drain quantum are the simulator's.
 class EmuSession : public StreamingSession {
  public:
+  static constexpr double kBaseRttS = 0.08;
+  static constexpr double kRttJitterS = 0.02;  ///< uniform, per request
+  static constexpr double kServerDelayS = 0.05;  ///< HTTP request processing
+  static constexpr double kSlowStartInitBytes = 14600.0;  ///< IW10
+  static constexpr double kHeaderOverheadRatio = 0.92;  ///< TCP/IP+TLS framing
+
   EmuSession(const trace::Trace& trace, const video::Video& video,
-             util::Rng& rng, EmuConfig config = {},
-             double start_offset_s = 0.0);
+             util::Rng& rng, double start_offset_s = 0.0);
 
  protected:
   [[nodiscard]] TransferResult transfer(double bytes, double start_s) override;
 
  private:
-  EmuConfig emu_config_;
   util::Rng* rng_;
 };
 

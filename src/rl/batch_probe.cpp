@@ -117,10 +117,9 @@ void roll_episode(PolicyAgent& agent, env::Episode& episode,
 
 /// The epoch's policy/value update as one fused backward pass over the
 /// whole episode; returns the episode's mean step reward.
-double fused_update(const TrainConfig& train, const env::TaskDomain& domain,
-                    PolicyAgent& agent, nn::Adam& optimizer,
-                    const Rollout& rollout, double entropy_weight,
-                    PhaseClock& clock) {
+double fused_update(const env::TaskDomain& domain, PolicyAgent& agent,
+                    nn::Adam& optimizer, const Rollout& rollout,
+                    double entropy_weight, PhaseClock& clock) {
   const std::size_t steps = rollout.actions.size();
   // The rollout's capture pass already computed every activation this
   // update needs (the weights do not move within an epoch): probs and
@@ -130,8 +129,8 @@ double fused_update(const TrainConfig& train, const env::TaskDomain& domain,
   if (steps != domain.episode_length()) {
     throw std::logic_error("BatchProbeTrainer: episode/capture length skew");
   }
-  const std::vector<double> returns = discounted_returns(
-      rollout.rewards, domain.reward_scale_hint(), train.gamma);
+  const std::vector<double> returns =
+      discounted_returns(rollout.rewards, domain.reward_scale_hint());
   std::vector<double> advantages(steps);
   for (std::size_t t = 0; t < steps; ++t) {
     advantages[t] = returns[t] - rollout.values[t];
@@ -153,7 +152,7 @@ double fused_update(const TrainConfig& train, const env::TaskDomain& domain,
   agent.net().backward_batch(dlogits, dvalues);
   clock.mark(kBackward);
   auto params = agent.net().params();
-  nn::clip_global_norm(params, train.grad_clip);
+  nn::clip_global_norm(params, kGradClip);
   optimizer.step(params);
   clock.mark(kOptimizer);
   // Weights moved: refresh the transposed caches the next rollout's
@@ -231,16 +230,14 @@ TrainResult BatchProbeTrainer::train_job(const ProbeJob& job) const {
                                  static_cast<double>(train.epochs - 1)
                            : 1.0;
       const double entropy_weight =
-          train.entropy_start +
-          (train.entropy_end - train.entropy_start) * progress;
+          kEntropyStart + (kEntropyEnd - kEntropyStart) * progress;
       // Episode choice and start offset come from the job's stream, in
       // the oracle's order (choice, then reset).
       const auto episode = domain_->start_train_episode(train.fidelity, rng);
       roll_episode(*agent, *episode, domain_->episode_length(), rng, rollout,
                    clock);
-      result.train_rewards.push_back(fused_update(train, *domain_, *agent,
-                                                  optimizer, rollout,
-                                                  entropy_weight, clock));
+      result.train_rewards.push_back(fused_update(
+          *domain_, *agent, optimizer, rollout, entropy_weight, clock));
 
       if (train.evaluate_checkpoints &&
           (epoch + 1) % train.test_interval == 0) {

@@ -56,11 +56,11 @@ std::vector<std::size_t> eval_trace_indices(std::size_t num_traces,
 }
 
 std::vector<double> discounted_returns(std::span<const double> rewards,
-                                       double reward_scale, double gamma) {
+                                       double reward_scale) {
   std::vector<double> returns(rewards.size());
   double running = 0.0;
   for (std::size_t t = rewards.size(); t-- > 0;) {
-    running = rewards[t] / reward_scale + gamma * running;
+    running = rewards[t] / reward_scale + kGamma * running;
     returns[t] = running;
   }
   return returns;

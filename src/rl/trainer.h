@@ -24,14 +24,19 @@
 
 namespace nada::rl {
 
+/// Discount factor of the returns.
+inline constexpr double kGamma = 0.99;
+/// Entropy weight, annealed linearly from kEntropyStart at the first epoch
+/// to kEntropyEnd at the last.
+inline constexpr double kEntropyStart = 1.0;
+inline constexpr double kEntropyEnd = 0.05;
+/// Global gradient-norm clip applied before every optimizer step.
+inline constexpr double kGradClip = 5.0;
+
 struct TrainConfig {
   std::size_t epochs = 400;
   std::size_t test_interval = 10;  ///< evaluate a checkpoint every N epochs
-  double gamma = 0.99;
   double learning_rate = 1e-3;
-  double entropy_start = 1.0;  ///< entropy weight, annealed linearly
-  double entropy_end = 0.05;
-  double grad_clip = 5.0;
   env::Fidelity fidelity = env::Fidelity::kSimulation;
   /// When false, skips test-set evaluation entirely (early probes only need
   /// the training-reward curve); final_score falls back to the tail of the
@@ -90,13 +95,13 @@ struct TrainResult {
 // oracle structurally incapable of drifting apart (their bit-identity is
 // the engine's core guarantee).
 
-/// Discounted returns over rewards divided by `reward_scale`,
+/// Returns discounted by kGamma over rewards divided by `reward_scale`,
 /// newest-to-oldest accumulation. Callers pass the domain's
 /// reward_scale_hint(), so policy/value gradients have comparable
 /// magnitudes across reward regimes (QoE_lin on the 53 Mbps YouTube ladder
 /// is ~12x Pensieve's); reported scores are unscaled.
 [[nodiscard]] std::vector<double> discounted_returns(
-    std::span<const double> rewards, double reward_scale, double gamma);
+    std::span<const double> rewards, double reward_scale);
 
 /// One step's policy gradient (entropy-regularized, written into `dlogits`)
 /// and Huber critic gradient (returned).

@@ -103,21 +103,15 @@ Fingerprint fingerprint_arch(const nn::ArchSpec& spec) {
 
 std::string canonical_train_config(const rl::TrainConfig& c) {
   std::ostringstream out;
+  // The discount, entropy schedule, critic weight, gradient clip, reward
+  // scale, advantage conditioning and Huber delta are fixed by the trainer
+  // (src/rl/trainer.h and trainer.cpp), not set here; the text keeps their
+  // tokens so every digest over it stays stable.
   out << "train{epochs=" << c.epochs << ";test_interval=" << c.test_interval
-      << ";gamma=";
-  out << util::shortest_double(c.gamma);
-  out << ";lr=";
+      << ";gamma=0.99;lr=";
   out << util::shortest_double(c.learning_rate);
-  out << ";entropy_start=";
-  out << util::shortest_double(c.entropy_start);
-  out << ";entropy_end=";
-  out << util::shortest_double(c.entropy_end);
-  // The critic weight, reward scale, advantage conditioning and Huber
-  // delta are fixed by the trainer (src/rl/trainer.cpp), not set here; the
-  // text keeps their tokens so every digest over it stays stable.
-  out << ";critic_weight=0.5;grad_clip=";
-  out << util::shortest_double(c.grad_clip);
-  out << ";reward_scale=0;normalize_advantages=0;advantage_clip=0"
+  out << ";entropy_start=1;entropy_end=0.05;critic_weight=0.5;grad_clip=5"
+         ";reward_scale=0;normalize_advantages=0;advantage_clip=0"
          ";huber_delta=1;fidelity=" << static_cast<int>(c.fidelity)
       << ";evaluate_checkpoints=" << (c.evaluate_checkpoints ? 1 : 0)
       << ";max_eval_traces=" << c.max_eval_traces

@@ -4,25 +4,23 @@
 #include <cmath>
 
 #include "abr/policies.h"
+#include "env/abr_domain.h"
 #include "trace/generator.h"
 #include "video/video.h"
 
 namespace nada::abr {
 namespace {
 
-env::Observation mid_stream_obs() {
-  env::Observation obs;
-  obs.throughput_mbps = {2.0, 2.2, 1.8, 2.1, 2.0, 1.9, 2.3, 2.0};
-  obs.download_time_s = {1.5, 1.4, 1.7, 1.5, 1.5, 1.6, 1.3, 1.5};
-  obs.buffer_s_history = {8, 10, 12, 13, 15, 16, 18, 20};
-  obs.ladder_kbps = {300, 750, 1200, 1850, 2850, 4300};
-  obs.next_chunk_bytes = {150000, 375000, 600000, 925000, 1425000, 2150000};
-  obs.buffer_s = 20.0;
-  obs.chunks_remaining = 30;
-  obs.total_chunks = 48;
-  obs.last_bitrate_kbps = 1200;
-  obs.chunk_len_s = 4.0;
-  return obs;
+// The catalog's canned mid-stream frame: ~2.1 Mbps of throughput history,
+// a 14.8 s buffer and Pensieve's ladder, last at 1200 kbps.
+dsl::Bindings mid_stream_frame() { return env::abr_catalog().canned(); }
+
+void set(dsl::Bindings& frame, env::AbrSlot slot, double value) {
+  frame[slot].set_scalar(value);
+}
+
+void fill_throughput(dsl::Bindings& frame, double mbps) {
+  frame[env::kThroughputMbps].mutable_vector().assign(env::kHistoryLen, mbps);
 }
 
 trace::Trace constant_trace(double mbps) {
@@ -37,37 +35,37 @@ trace::Trace constant_trace(double mbps) {
 
 TEST(FixedPolicy, ReturnsItsLevel) {
   FixedPolicy p(3);
-  EXPECT_EQ(p.choose(mid_stream_obs()), 3u);
+  EXPECT_EQ(p.choose(mid_stream_frame()), 3u);
 }
 
 TEST(FixedPolicy, OutOfLadderThrows) {
   FixedPolicy p(9);
-  EXPECT_THROW(p.choose(mid_stream_obs()), std::out_of_range);
+  EXPECT_THROW(p.choose(mid_stream_frame()), std::out_of_range);
 }
 
 // ---- BufferBasedPolicy ----------------------------------------------------------
 
 TEST(BufferBased, LowBufferPicksLowest) {
   BufferBasedPolicy p(5.0, 40.0);
-  auto obs = mid_stream_obs();
-  obs.buffer_s = 3.0;
-  EXPECT_EQ(p.choose(obs), 0u);
+  dsl::Bindings frame = mid_stream_frame();
+  set(frame, env::kBufferSizeS, 3.0);
+  EXPECT_EQ(p.choose(frame), 0u);
 }
 
 TEST(BufferBased, FullCushionPicksHighest) {
   BufferBasedPolicy p(5.0, 40.0);
-  auto obs = mid_stream_obs();
-  obs.buffer_s = 50.0;
-  EXPECT_EQ(p.choose(obs), 5u);
+  dsl::Bindings frame = mid_stream_frame();
+  set(frame, env::kBufferSizeS, 50.0);
+  EXPECT_EQ(p.choose(frame), 5u);
 }
 
 TEST(BufferBased, MonotoneInBuffer) {
   BufferBasedPolicy p(5.0, 40.0);
-  auto obs = mid_stream_obs();
+  dsl::Bindings frame = mid_stream_frame();
   std::size_t prev = 0;
   for (double b = 0.0; b <= 60.0; b += 2.0) {
-    obs.buffer_s = b;
-    const std::size_t level = p.choose(obs);
+    set(frame, env::kBufferSizeS, b);
+    const std::size_t level = p.choose(frame);
     EXPECT_GE(level, prev);
     prev = level;
   }
@@ -83,23 +81,23 @@ TEST(BufferBased, RejectsBadParameters) {
 
 TEST(RateBased, PicksTopRungBelowBudget) {
   RateBasedPolicy p(0.85, 4.0);
-  auto obs = mid_stream_obs();
-  // Harmonic mean ~2.0 Mbps, budget ~1700 kbps -> level 2 (1200 kbps).
-  EXPECT_EQ(p.choose(obs), 2u);
+  dsl::Bindings frame = mid_stream_frame();
+  // Harmonic mean ~2.1 Mbps, budget ~1800 kbps -> level 2 (1200 kbps).
+  EXPECT_EQ(p.choose(frame), 2u);
 }
 
 TEST(RateBased, StartupUsesLowest) {
   RateBasedPolicy p(0.85, 4.0);
-  auto obs = mid_stream_obs();
-  obs.buffer_s = 1.0;
-  EXPECT_EQ(p.choose(obs), 0u);
+  dsl::Bindings frame = mid_stream_frame();
+  set(frame, env::kBufferSizeS, 1.0);
+  EXPECT_EQ(p.choose(frame), 0u);
 }
 
 TEST(RateBased, ZeroHistoryUsesLowest) {
   RateBasedPolicy p;
-  auto obs = mid_stream_obs();
-  obs.throughput_mbps.assign(8, 0.0);
-  EXPECT_EQ(p.choose(obs), 0u);
+  dsl::Bindings frame = mid_stream_frame();
+  fill_throughput(frame, 0.0);
+  EXPECT_EQ(p.choose(frame), 0u);
 }
 
 TEST(RateBased, RejectsBadSafety) {
@@ -111,48 +109,48 @@ TEST(RateBased, RejectsBadSafety) {
 
 TEST(RobustMpc, StableConditionsPickSustainableRate) {
   RobustMpcPolicy p(3);
-  auto obs = mid_stream_obs();  // ~2 Mbps forecast
+  dsl::Bindings frame = mid_stream_frame();  // ~2 Mbps forecast
   // With only a modest buffer there is no slack to burn: the plan must be
   // sustainable at the forecast rate. (With a large buffer MPC will
   // rationally spend it on higher quality within its horizon.)
-  obs.buffer_s = 6.0;
-  const std::size_t level = p.choose(obs);
+  set(frame, env::kBufferSizeS, 6.0);
+  const std::size_t level = p.choose(frame);
   EXPECT_GE(level, 1u);
   EXPECT_LE(level, 3u);
 }
 
 TEST(RobustMpc, EmptyBufferConservative) {
   RobustMpcPolicy p(3);
-  auto obs = mid_stream_obs();
-  obs.buffer_s = 0.5;
-  obs.last_bitrate_kbps = 300;
-  const std::size_t level = p.choose(obs);
+  dsl::Bindings frame = mid_stream_frame();
+  set(frame, env::kBufferSizeS, 0.5);
+  set(frame, env::kLastBitrateKbps, 300);
+  const std::size_t level = p.choose(frame);
   EXPECT_LE(level, 1u);
 }
 
 TEST(RobustMpc, HighBandwidthPicksHigh) {
   RobustMpcPolicy p(3);
-  auto obs = mid_stream_obs();
-  obs.throughput_mbps.assign(8, 50.0);
-  obs.last_bitrate_kbps = 4300;
-  obs.buffer_s = 30.0;
-  EXPECT_EQ(p.choose(obs), 5u);
+  dsl::Bindings frame = mid_stream_frame();
+  fill_throughput(frame, 50.0);
+  set(frame, env::kLastBitrateKbps, 4300);
+  set(frame, env::kBufferSizeS, 30.0);
+  EXPECT_EQ(p.choose(frame), 5u);
 }
 
 TEST(RobustMpc, ErrorDiscountLowersForecast) {
   RobustMpcPolicy p(2);
-  auto varying = mid_stream_obs();
+  dsl::Bindings varying = mid_stream_frame();
   // Feed wildly wrong history twice so the tracked error grows; the pick
   // should not exceed what a discounted forecast supports.
-  varying.throughput_mbps.assign(8, 10.0);
+  fill_throughput(varying, 10.0);
   (void)p.choose(varying);
-  varying.throughput_mbps.assign(8, 1.0);
+  fill_throughput(varying, 1.0);
   (void)p.choose(varying);
-  varying.throughput_mbps.assign(8, 10.0);
-  varying.buffer_s = 6.0;
+  fill_throughput(varying, 10.0);
+  set(varying, env::kBufferSizeS, 6.0);
   const std::size_t level = p.choose(varying);
   RobustMpcPolicy fresh(2);
-  auto stable = varying;
+  const dsl::Bindings stable = varying;
   const std::size_t fresh_level = fresh.choose(stable);
   EXPECT_LE(level, fresh_level);
 }
@@ -164,15 +162,15 @@ TEST(RobustMpc, RejectsBadHorizon) {
 
 TEST(RobustMpc, ResetClearsErrorTracking) {
   RobustMpcPolicy p(2);
-  auto obs = mid_stream_obs();
-  obs.throughput_mbps.assign(8, 10.0);
-  (void)p.choose(obs);
-  obs.throughput_mbps.assign(8, 1.0);
-  (void)p.choose(obs);
+  dsl::Bindings frame = mid_stream_frame();
+  fill_throughput(frame, 10.0);
+  (void)p.choose(frame);
+  fill_throughput(frame, 1.0);
+  (void)p.choose(frame);
   p.reset();
   // After reset the first decision has no error memory: same as fresh.
   RobustMpcPolicy fresh(2);
-  EXPECT_EQ(p.choose(obs), fresh.choose(obs));
+  EXPECT_EQ(p.choose(frame), fresh.choose(frame));
 }
 
 // ---- evaluate / integration ---------------------------------------------------------

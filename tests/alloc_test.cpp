@@ -1,12 +1,17 @@
-// Allocation pin for the replay path's fingerprint.
+// Allocation pins for per-candidate and per-step hot paths.
 //
 // Every rerun, resume and supervised worker replays its candidate stream
 // against the store, and each replayed state candidate costs one
 // fingerprint (search::fingerprint_of). The front end parses it into a
 // per-thread program that keeps its capacity and hashes the canonical form
 // through a sink, so a steady-state fingerprint allocates almost nothing.
+//
+// Every training step steps one env::Episode, which writes its observation
+// into the frame it owns, in place; a steady-state step allocates nothing
+// in either domain or fidelity (reset() may).
+//
 // This binary replaces the global non-aligned operator new/delete with
-// counting versions (as nada_bench does) to hold that.
+// counting versions (as nada_bench does) to hold both.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,10 +20,15 @@
 #include <new>
 #include <vector>
 
+#include "cc/cc_domain.h"
+#include "env/abr_domain.h"
 #include "gen/profile.h"
 #include "gen/state_gen.h"
 #include "nn/arch.h"
 #include "search/candidate.h"
+#include "trace/generator.h"
+#include "util/rng.h"
+#include "video/video.h"
 
 namespace {
 
@@ -42,6 +52,49 @@ void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace nada {
+namespace {
+
+/// Allocations per step over the steps after the first of one eval episode.
+double allocs_per_steady_step(const env::TaskDomain& domain,
+                              env::Fidelity fidelity) {
+  util::Rng rng(5);
+  const auto episode = domain.start_eval_episode(0, fidelity, rng);
+  (void)episode->reset();
+  (void)episode->step(0);
+  std::size_t steps = 0;
+  g_allocs.store(0, std::memory_order_relaxed);
+  g_counting.store(true, std::memory_order_relaxed);
+  while (!episode->done()) {
+    (void)episode->step(steps % domain.num_actions());
+    ++steps;
+  }
+  g_counting.store(false, std::memory_order_relaxed);
+  EXPECT_GT(steps, 10u);
+  return static_cast<double>(g_allocs.load(std::memory_order_relaxed)) /
+         static_cast<double>(steps);
+}
+
+TEST(EpisodeAlloc, AbrStepAllocatesNothingUnderBothFidelities) {
+  const trace::Dataset dataset =
+      trace::build_dataset(trace::Environment::k4G, 0.1, 1234);
+  const video::Video video =
+      video::make_test_video(video::youtube_ladder(), 42);
+  const env::AbrDomain domain(dataset, video);
+  EXPECT_EQ(allocs_per_steady_step(domain, env::Fidelity::kSimulation), 0.0);
+  EXPECT_EQ(allocs_per_steady_step(domain, env::Fidelity::kEmulation), 0.0);
+}
+
+TEST(EpisodeAlloc, CcStepAllocatesNothing) {
+  const trace::Dataset dataset =
+      trace::build_dataset(trace::Environment::k4G, 0.1, 1234);
+  const cc::CcDomain domain(dataset, cc::CcConfig{});
+  EXPECT_EQ(allocs_per_steady_step(domain, env::Fidelity::kSimulation), 0.0);
+}
+
+}  // namespace
+}  // namespace nada
 
 namespace nada::search {
 namespace {

@@ -85,9 +85,10 @@ TEST(CcDeterminism, SameSeedSameEpisodeBitwise) {
   util::Rng rng_a(42), rng_b(42);
   cc::CcEnv env_a(dataset.train[0], config, rng_a);
   cc::CcEnv env_b(dataset.train[0], config, rng_b);
-  cc::CcObservation obs_a = env_a.reset();
-  cc::CcObservation obs_b = env_b.reset();
-  EXPECT_EQ(obs_a.current_rate_mbps, obs_b.current_rate_mbps);
+  const dsl::Bindings& obs_a = env_a.reset();
+  const dsl::Bindings& obs_b = env_b.reset();
+  EXPECT_EQ(obs_a[cc::kCurrentRateMbps].as_scalar(),
+            obs_b[cc::kCurrentRateMbps].as_scalar());
   std::size_t step = 0;
   while (!env_a.done()) {
     const auto ra = env_a.step(step % cc::rate_actions().size());
@@ -95,10 +96,11 @@ TEST(CcDeterminism, SameSeedSameEpisodeBitwise) {
     // Bitwise: the whole simulator (queue, loss, jitter draws) must be a
     // pure function of (trace, config, seed).
     EXPECT_EQ(ra.reward, rb.reward) << "step " << step;
-    EXPECT_EQ(ra.rtt_ms, rb.rtt_ms) << "step " << step;
-    EXPECT_EQ(ra.loss, rb.loss) << "step " << step;
-    EXPECT_EQ(ra.observation.ack_rate_mbps, rb.observation.ack_rate_mbps);
-    EXPECT_EQ(ra.observation.rtt_ms, rb.observation.rtt_ms);
+    for (const cc::CcSlot slot :
+         {cc::kAckRateMbps, cc::kRttMs, cc::kLossFraction}) {
+      EXPECT_EQ(obs_a[slot].as_vector(), obs_b[slot].as_vector())
+          << "step " << step;
+    }
     ++step;
   }
   EXPECT_EQ(step, config.steps_per_episode);

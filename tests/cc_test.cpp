@@ -2,11 +2,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <optional>
+#include <utility>
+#include <vector>
 
 #include "cc/cc_domain.h"
 #include "cc/cc_env.h"
 #include "cc/cc_state.h"
 #include "dsl/state_program.h"
+#include "frame_golden.h"
 #include "trace/generator.h"
 
 namespace nada::cc {
@@ -18,6 +23,11 @@ trace::Trace constant_capacity(double mbps, double duration_s = 300.0) {
     pts.push_back({static_cast<double>(t), mbps * 1000.0});
   }
   return trace::Trace("cap", std::move(pts));
+}
+
+// The newest entry of history slot `slot`: the last interval's sample.
+double newest(const dsl::Bindings& frame, CcSlot slot) {
+  return frame[slot].as_vector().back();
 }
 
 TEST(CcEnv, RejectsDegenerateConfig) {
@@ -38,11 +48,11 @@ TEST(CcEnv, UnderloadDeliversOfferedRate) {
   CcConfig config;
   config.init_rate_mbps = 2.0;
   CcEnv env(cap, config, rng);
-  env.reset();
-  const auto r = env.step(2);  // x1.0 -> keep 2 Mbps
-  EXPECT_NEAR(r.throughput_mbps, 2.0, 0.01);
-  EXPECT_NEAR(r.loss, 0.0, 1e-12);
-  EXPECT_NEAR(r.rtt_ms, config.base_rtt_ms, 2.0);
+  const dsl::Bindings& frame = env.reset();
+  (void)env.step(2);  // x1.0 -> keep 2 Mbps
+  EXPECT_NEAR(newest(frame, kAckRateMbps), 2.0, 0.01);
+  EXPECT_NEAR(newest(frame, kLossFraction), 0.0, 1e-12);
+  EXPECT_NEAR(newest(frame, kRttMs), config.base_rtt_ms, 2.0);
 }
 
 TEST(CcEnv, OverloadBuildsQueueThenLoses) {
@@ -51,13 +61,13 @@ TEST(CcEnv, OverloadBuildsQueueThenLoses) {
   CcConfig config;
   config.init_rate_mbps = 40.0;
   CcEnv env(cap, config, rng);
-  env.reset();
+  const dsl::Bindings& frame = env.reset();
   double max_rtt = 0.0;
   double total_loss = 0.0;
   for (int i = 0; i < 20; ++i) {
-    const auto r = env.step(2);  // hold 40 Mbps over a 5 Mbps link
-    max_rtt = std::max(max_rtt, r.rtt_ms);
-    total_loss += r.loss;
+    (void)env.step(2);  // hold 40 Mbps over a 5 Mbps link
+    max_rtt = std::max(max_rtt, newest(frame, kRttMs));
+    total_loss += newest(frame, kLossFraction);
   }
   // Queue fills to capacity, adding queuing delay; then drops appear.
   EXPECT_GT(max_rtt, config.base_rtt_ms + config.queue_capacity_ms * 0.9);
@@ -70,10 +80,10 @@ TEST(CcEnv, ActionsScaleRateMultiplicatively) {
   CcConfig config;
   config.init_rate_mbps = 10.0;
   CcEnv env(cap, config, rng);
-  env.reset();
-  env.step(4);  // x1.5
+  (void)env.reset();
+  (void)env.step(4);  // x1.5
   EXPECT_NEAR(env.rate_mbps(), 15.0, 1e-9);
-  env.step(0);  // x0.6
+  (void)env.step(0);  // x0.6
   EXPECT_NEAR(env.rate_mbps(), 9.0, 1e-9);
 }
 
@@ -84,10 +94,10 @@ TEST(CcEnv, RateStaysWithinBounds) {
   config.min_rate_mbps = 0.5;
   config.max_rate_mbps = 20.0;
   CcEnv env(cap, config, rng);
-  env.reset();
-  for (int i = 0; i < 50; ++i) env.step(0);  // keep decreasing
+  (void)env.reset();
+  for (int i = 0; i < 50; ++i) (void)env.step(0);  // keep decreasing
   EXPECT_GE(env.rate_mbps(), config.min_rate_mbps);
-  for (int i = 0; i < 50; ++i) env.step(4);  // keep increasing
+  for (int i = 0; i < 50; ++i) (void)env.step(4);  // keep increasing
   EXPECT_LE(env.rate_mbps(), config.max_rate_mbps);
 }
 
@@ -97,25 +107,26 @@ TEST(CcEnv, EpisodeEndsAfterConfiguredSteps) {
   CcConfig config;
   config.steps_per_episode = 25;
   CcEnv env(cap, config, rng);
-  env.reset();
+  (void)env.reset();
   std::size_t steps = 0;
   while (!env.done()) {
-    env.step(2);
+    (void)env.step(2);
     ++steps;
   }
   EXPECT_EQ(steps, 25u);
-  EXPECT_THROW(env.step(2), std::logic_error);
+  EXPECT_THROW((void)env.step(2), std::logic_error);
 }
 
 TEST(CcEnv, ObservationHistoriesShift) {
   const auto cap = constant_capacity(10.0);
   util::Rng rng(7);
   CcEnv env(cap, CcConfig{}, rng);
-  env.reset();
-  const auto r1 = env.step(4);
-  const auto r2 = env.step(4);
-  EXPECT_DOUBLE_EQ(r2.observation.send_rate_mbps[kCcHistoryLen - 2],
-                   r1.observation.send_rate_mbps[kCcHistoryLen - 1]);
+  const dsl::Bindings& frame = env.reset();
+  (void)env.step(4);
+  const double first = newest(frame, kSendRateMbps);
+  (void)env.step(4);
+  EXPECT_DOUBLE_EQ(frame[kSendRateMbps].as_vector()[kCcHistoryLen - 2],
+                   first);
 }
 
 TEST(CcEnv, RewardPenalizesQueueAndLoss) {
@@ -124,14 +135,14 @@ TEST(CcEnv, RewardPenalizesQueueAndLoss) {
   CcConfig config;
   config.init_rate_mbps = 4.0;
   CcEnv fair(cap, config, rng);
-  fair.reset();
+  (void)fair.reset();
   const double fair_reward = fair.step(2).reward;
 
   CcConfig greedy_config = config;
   greedy_config.init_rate_mbps = 60.0;
   util::Rng rng2(8);
   CcEnv greedy(cap, greedy_config, rng2);
-  greedy.reset();
+  (void)greedy.reset();
   double greedy_reward = 0.0;
   for (int i = 0; i < 10; ++i) greedy_reward = greedy.step(2).reward;
   // Saturating the queue with drops must score below polite utilization.
@@ -141,21 +152,21 @@ TEST(CcEnv, RewardPenalizesQueueAndLoss) {
 // ---- AIMD ---------------------------------------------------------------------
 
 TEST(Aimd, ProbesUpWhenLossFree) {
-  AimdController aimd;
-  CcObservation obs;
-  obs.current_rate_mbps = 2.0;
-  obs.loss_fraction.assign(kCcHistoryLen, 0.0);
-  const std::size_t action = aimd.act(obs);
+  const AimdController aimd;
+  dsl::Bindings frame = cc_catalog().canned();
+  frame[kCurrentRateMbps].set_scalar(2.0);
+  frame[kLossFraction].mutable_vector().assign(kCcHistoryLen, 0.0);
+  const std::size_t action = aimd.act(frame);
   EXPECT_GT(rate_actions()[action], 1.0);
 }
 
 TEST(Aimd, BacksOffOnLoss) {
-  AimdController aimd;
-  CcObservation obs;
-  obs.current_rate_mbps = 10.0;
-  obs.loss_fraction.assign(kCcHistoryLen, 0.0);
-  obs.loss_fraction.back() = 0.2;
-  const std::size_t action = aimd.act(obs);
+  const AimdController aimd;
+  dsl::Bindings frame = cc_catalog().canned();
+  frame[kCurrentRateMbps].set_scalar(10.0);
+  frame[kLossFraction].mutable_vector().assign(kCcHistoryLen, 0.0);
+  frame[kLossFraction].mutable_vector().back() = 0.2;
+  const std::size_t action = aimd.act(frame);
   EXPECT_LT(rate_actions()[action], 1.0);
 }
 
@@ -168,18 +179,17 @@ TEST(Aimd, AchievesReasonableUtilizationWithoutStandingQueue) {
   util::Rng rng(9);
   const auto cap = constant_capacity(10.0);
   CcEnv env(cap, CcConfig{}, rng);
-  AimdController aimd;
-  CcObservation obs = env.reset();
+  const AimdController aimd;
+  const dsl::Bindings& frame = env.reset();
   double throughput = 0.0;
   double rtt = 0.0;
   std::size_t n = 0;
   while (!env.done()) {
-    const auto r = env.step(aimd.act(obs));
-    obs = r.observation;
+    (void)env.step(aimd.act(frame));
     // Skip the ramp-up.
     if (n > 100) {
-      throughput += r.throughput_mbps;
-      rtt += r.rtt_ms;
+      throughput += newest(frame, kAckRateMbps);
+      rtt += newest(frame, kRttMs);
     }
     ++n;
   }
@@ -197,10 +207,9 @@ TEST(CcState, DefaultStateCompilesAndRuns) {
   util::Rng rng(10);
   const auto cap = constant_capacity(8.0);
   CcEnv env(cap, CcConfig{}, rng);
-  env.reset();
-  const auto r = env.step(3);
-  const dsl::StateMatrix matrix =
-      program.run(bindings_from_cc_observation(r.observation));
+  const dsl::Bindings& frame = env.reset();
+  (void)env.step(3);
+  const dsl::StateMatrix matrix = program.run(frame);
   EXPECT_GE(matrix.rows.size(), 5u);
   EXPECT_TRUE(matrix.all_finite());
   EXPECT_LT(matrix.max_abs(), 100.0);  // passes the normalization bar
@@ -212,14 +221,7 @@ TEST(CcState, AllInputVariablesBindable) {
     src += "emit \"" + var.name + "\" = " + var.name + " * 0.001;\n";
   }
   const auto program = dsl::StateProgram::compile(src);
-  CcObservation obs;
-  obs.send_rate_mbps.assign(kCcHistoryLen, 1.0);
-  obs.ack_rate_mbps.assign(kCcHistoryLen, 1.0);
-  obs.rtt_ms.assign(kCcHistoryLen, 40.0);
-  obs.loss_fraction.assign(kCcHistoryLen, 0.0);
-  obs.min_rtt_ms = 40.0;
-  obs.current_rate_mbps = 1.0;
-  const auto matrix = program.run(bindings_from_cc_observation(obs));
+  const auto matrix = program.run(cc_catalog().canned());
   EXPECT_EQ(matrix.rows.size(), cc_input_variables().size());
 }
 
@@ -228,78 +230,107 @@ TEST(CcState, StateShapeStableAcrossSteps) {
   util::Rng rng(11);
   const auto cap = constant_capacity(6.0);
   CcEnv env(cap, CcConfig{}, rng);
-  CcObservation obs = env.reset();
-  const auto first =
-      program.run(bindings_from_cc_observation(obs)).row_lengths();
+  const dsl::Bindings& frame = env.reset();
+  const auto first = program.run(frame).row_lengths();
   for (int i = 0; i < 30; ++i) {
-    const auto r = env.step(static_cast<std::size_t>(rng.uniform_int(0, 4)));
-    obs = r.observation;
-    EXPECT_EQ(program.run(bindings_from_cc_observation(obs)).row_lengths(),
-              first);
+    (void)env.step(static_cast<std::size_t>(rng.uniform_int(0, 4)));
+    EXPECT_EQ(program.run(frame).row_lengths(), first);
   }
 }
 
-// Each CC variable's CcObservation field, spelled here independently of
-// cc_input_variables().
-dsl::Value cc_field(const CcObservation& obs, const std::string& name) {
-  if (name == "send_rate_mbps") return obs.send_rate_mbps;
-  if (name == "ack_rate_mbps") return obs.ack_rate_mbps;
-  if (name == "rtt_ms") return obs.rtt_ms;
-  if (name == "loss_fraction") return obs.loss_fraction;
-  if (name == "min_rtt_ms") return obs.min_rtt_ms;
-  if (name == "current_rate_mbps") return obs.current_rate_mbps;
-  ADD_FAILURE() << "no CcObservation field named " << name;
-  return {};
-}
-
-void expect_frame_holds(const dsl::Bindings& frame, const CcObservation& obs,
-                        std::size_t step) {
-  ASSERT_EQ(frame.size(), cc_input_variables().size());
-  for (const auto& var : cc_input_variables()) {
-    const dsl::Value* value = frame.find(var.name);
-    ASSERT_NE(value, nullptr) << var.name;
-    const dsl::Value expected = cc_field(obs, var.name);
-    ASSERT_EQ(value->is_vector(), var.is_vector) << var.name;
-    ASSERT_EQ(expected.is_vector(), var.is_vector) << var.name;
-    if (var.is_vector) {
-      EXPECT_EQ(value->as_vector(), expected.as_vector())
-          << var.name << " at step " << step;
-    } else {
-      EXPECT_EQ(value->as_scalar(), expected.as_scalar())
-          << var.name << " at step " << step;
-    }
+TEST(CcState, SlotEnumNamesEveryVariableInOrder) {
+  const std::pair<const char*, CcSlot> slots[] = {
+      {"send_rate_mbps", kSendRateMbps},
+      {"ack_rate_mbps", kAckRateMbps},
+      {"rtt_ms", kRttMs},
+      {"loss_fraction", kLossFraction},
+      {"min_rtt_ms", kMinRttMs},
+      {"current_rate_mbps", kCurrentRateMbps},
+  };
+  ASSERT_EQ(std::size(slots), cc_input_variables().size());
+  for (const auto& [name, slot] : slots) {
+    EXPECT_EQ(cc_input_variables().slot(name),
+              std::optional<std::size_t>(slot))
+        << name;
   }
 }
 
-// The frame reset() returns holds, slot by slot, the observation a twin
-// CcEnv on the same trace, seed and actions returns, and step() refills
-// that same frame.
+const dsl::Value& by_name(const dsl::Bindings& frame, const char* name) {
+  const dsl::Value* value = frame.find(name);
+  EXPECT_NE(value, nullptr) << name;
+  static const dsl::Value kMissing;
+  return value != nullptr ? *value : kMissing;
+}
+
+// The frame reset() returns holds, by name, the config's start state, and
+// each step() refills that same frame: every history is the previous frame
+// shifted by one with the interval's sample appended (the send rate is
+// rate_mbps()), the min RTT stays the config's base RTT, and the current
+// rate is rate_mbps(). The domain's episode is the CcEnv itself.
 TEST(CcState, EpisodeFrameHoldsEveryVariableByName) {
   const trace::Dataset dataset =
       trace::build_dataset(trace::Environment::k4G, 0.2, 1234);
   CcConfig config;
   config.steps_per_episode = 40;
   const CcDomain domain(dataset, config);
-  util::Rng episode_rng(31);
-  util::Rng twin_rng(31);
+  util::Rng rng(31);
   const auto episode =
-      domain.start_eval_episode(1, env::Fidelity::kSimulation, episode_rng);
-  CcEnv twin(dataset.test.at(1), config, twin_rng);
+      domain.start_eval_episode(1, env::Fidelity::kSimulation, rng);
+  const auto& cc_env = dynamic_cast<const CcEnv&>(*episode);
 
   const dsl::Bindings& frame = episode->reset();
-  expect_frame_holds(frame, twin.reset(), 0);
+  ASSERT_EQ(frame.size(), cc_input_variables().size());
+  const std::vector<double> zeros(kCcHistoryLen, 0.0);
+  EXPECT_EQ(by_name(frame, "send_rate_mbps").as_vector(), zeros);
+  EXPECT_EQ(by_name(frame, "ack_rate_mbps").as_vector(), zeros);
+  EXPECT_EQ(by_name(frame, "rtt_ms").as_vector(),
+            std::vector<double>(kCcHistoryLen, config.base_rtt_ms));
+  EXPECT_EQ(by_name(frame, "loss_fraction").as_vector(), zeros);
+  EXPECT_EQ(by_name(frame, "min_rtt_ms").as_scalar(), config.base_rtt_ms);
+  EXPECT_EQ(by_name(frame, "current_rate_mbps").as_scalar(),
+            config.init_rate_mbps);
+
+  const char* const histories[] = {"send_rate_mbps", "ack_rate_mbps",
+                                   "rtt_ms", "loss_fraction"};
   std::size_t step = 0;
   while (!episode->done()) {
+    const dsl::Bindings previous = frame;
     const std::size_t action = (step * 3 + 1) % rate_actions().size();
-    const env::DomainStep result = episode->step(action);
-    const CcStepResult expected = twin.step(action);
+    (void)episode->step(action);
     ++step;
-    EXPECT_EQ(result.reward, expected.reward);
-    EXPECT_EQ(result.done, expected.done);
-    expect_frame_holds(frame, expected.observation, step);
+    for (const char* name : histories) {
+      const std::vector<double>& before = by_name(previous, name).as_vector();
+      const std::vector<double>& after = by_name(frame, name).as_vector();
+      ASSERT_EQ(after.size(), kCcHistoryLen) << name;
+      EXPECT_TRUE(std::equal(before.begin() + 1, before.end(), after.begin()))
+          << name << " at step " << step;
+    }
+    EXPECT_EQ(by_name(frame, "send_rate_mbps").as_vector().back(),
+              cc_env.rate_mbps());
+    EXPECT_GE(by_name(frame, "rtt_ms").as_vector().back(),
+              config.base_rtt_ms);
+    const double loss = by_name(frame, "loss_fraction").as_vector().back();
+    EXPECT_GE(loss, 0.0);
+    EXPECT_LE(loss, 1.0);
+    EXPECT_EQ(by_name(frame, "min_rtt_ms").as_scalar(), config.base_rtt_ms);
+    EXPECT_EQ(by_name(frame, "current_rate_mbps").as_scalar(),
+              cc_env.rate_mbps());
   }
   EXPECT_EQ(step, config.steps_per_episode);
-  EXPECT_TRUE(twin.done());
+}
+
+// The CC frames, frozen: every slot after reset() and after every step of
+// three training and three eval episodes, with each step's reward and done
+// flag, and the catalog's canned and fuzz frames. Computed before CcEnv
+// wrote its frame in place.
+TEST(CcState, FrameGoldens) {
+  const trace::Dataset dataset =
+      trace::build_dataset(trace::Environment::k4G, 0.2, 1234);
+  const CcDomain domain(dataset, CcConfig{});
+  test::FrameDigest digest;
+  test::fold_domain(digest, domain, env::Fidelity::kSimulation, 31, 3);
+  test::fold_catalog(digest, cc_catalog(), 7);
+  EXPECT_EQ(digest.hex(), "b81701dcb5f0969dd19fd8255ebbf849");
 }
 
 }  // namespace

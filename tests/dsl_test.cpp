@@ -493,8 +493,7 @@ TEST(Builtins, RegistryExposesSignatures) {
 
 TEST(StateProgram, PensieveCompilesAndMatchesHandComputation) {
   const StateProgram p = StateProgram::compile(pensieve_state_source());
-  const env::Observation obs = env::canned_observation();
-  const StateMatrix m = p.run(env::bindings_from_observation(obs));
+  const StateMatrix m = p.run(env::abr_catalog().canned());
   ASSERT_EQ(m.rows.size(), 6u);
 
   EXPECT_EQ(m.rows[0].name, "last_quality");
@@ -549,15 +548,18 @@ TEST(StateProgram, AllInputVariablesBindable) {
 TEST(StateProgram, FuzzObservationWithinDocumentedRanges) {
   util::Rng rng(55);
   for (int i = 0; i < 50; ++i) {
-    const env::Observation obs = env::fuzz_observation(rng);
-    ASSERT_EQ(obs.throughput_mbps.size(), env::kHistoryLen);
-    for (double t : obs.throughput_mbps) {
+    const Bindings frame = env::abr_catalog().fuzz(rng);
+    const std::vector<double>& throughput =
+        frame[env::kThroughputMbps].as_vector();
+    ASSERT_EQ(throughput.size(), env::kHistoryLen);
+    for (double t : throughput) {
       EXPECT_GT(t, 0.0);
       EXPECT_LE(t, 400.0);
     }
-    EXPECT_GE(obs.buffer_s, 0.0);
-    EXPECT_LE(obs.buffer_s, 60.0);
-    EXPECT_EQ(obs.next_chunk_bytes.size(), obs.ladder_kbps.size());
+    EXPECT_GE(frame[env::kBufferSizeS].as_scalar(), 0.0);
+    EXPECT_LE(frame[env::kBufferSizeS].as_scalar(), 60.0);
+    EXPECT_EQ(frame[env::kNextChunkSizesBytes].as_vector().size(),
+              frame[env::kBitrateLevelsKbps].as_vector().size());
   }
 }
 

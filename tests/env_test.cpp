@@ -1,12 +1,21 @@
 // Tests for the streaming environment: simulator mechanics, emulation
-// fidelity differences, and the RL observation interface.
+// fidelity differences, and the RL observation frame.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "abr/policies.h"
 #include "env/abr_domain.h"
 #include "env/abr_env.h"
 #include "env/session.h"
+#include "frame_golden.h"
 #include "trace/generator.h"
 #include "trace/trace.h"
 #include "util/rng.h"
@@ -35,9 +44,8 @@ TEST(StreamingSession, DownloadTimeMatchesBandwidthMath) {
   StreamingSession session(tr, vid);
   const double bytes = vid.chunk_bytes(0, 2);
   const auto result = session.download_chunk(2);
-  const SimConfig config;
-  const double expected =
-      config.link_rtt_s + bytes / config.packet_payload_ratio / 1e6;
+  const double expected = StreamingSession::kLinkRttS +
+                          bytes / StreamingSession::kPacketPayloadRatio / 1e6;
   EXPECT_NEAR(result.download_time_s, expected, 1e-6);
   EXPECT_DOUBLE_EQ(result.chunk_bytes, bytes);
 }
@@ -82,7 +90,7 @@ TEST(StreamingSession, BufferCapTriggersSleep) {
   while (!session.finished()) {
     if (session.download_chunk(0).sleep_s > 0.0) {
       slept = true;
-      EXPECT_LE(session.buffer_s(), 60.0 + 1e-9);
+      EXPECT_LE(session.buffer_s(), StreamingSession::kBufferCapS + 1e-9);
     }
   }
   EXPECT_TRUE(slept);
@@ -128,8 +136,8 @@ TEST(StreamingSession, VariableTraceSlowsDownload) {
   }
   const trace::Trace tr("twophase", std::move(pts));
   const auto vid = test_video();
-  StreamingSession fast(tr, vid, SimConfig{}, 0.0);
-  StreamingSession slow(tr, vid, SimConfig{}, 61.0);
+  StreamingSession fast(tr, vid, 0.0);
+  StreamingSession slow(tr, vid, 61.0);
   const double fast_time = fast.download_chunk(5).download_time_s;
   const double slow_time = slow.download_chunk(5).download_time_s;
   EXPECT_GT(slow_time, fast_time * 3.0);
@@ -179,14 +187,16 @@ TEST(AbrEnv, InitialObservationIsZeroHistory) {
   const auto vid = test_video();
   util::Rng rng(9);
   AbrEnv env(tr, vid, Fidelity::kSimulation, rng);
-  const Observation obs = env.reset();
-  ASSERT_EQ(obs.throughput_mbps.size(), kHistoryLen);
-  for (double v : obs.throughput_mbps) EXPECT_DOUBLE_EQ(v, 0.0);
-  EXPECT_DOUBLE_EQ(obs.buffer_s, 0.0);
-  EXPECT_DOUBLE_EQ(obs.chunks_remaining, 48.0);
-  EXPECT_DOUBLE_EQ(obs.last_bitrate_kbps, 300.0);
-  ASSERT_EQ(obs.next_chunk_bytes.size(), 6u);
-  EXPECT_GT(obs.next_chunk_bytes[0], 0.0);
+  const dsl::Bindings& frame = env.reset();
+  const std::vector<double>& throughput = frame[kThroughputMbps].as_vector();
+  ASSERT_EQ(throughput.size(), kHistoryLen);
+  for (double v : throughput) EXPECT_DOUBLE_EQ(v, 0.0);
+  EXPECT_DOUBLE_EQ(frame[kBufferSizeS].as_scalar(), 0.0);
+  EXPECT_DOUBLE_EQ(frame[kChunksRemaining].as_scalar(), 48.0);
+  EXPECT_DOUBLE_EQ(frame[kLastBitrateKbps].as_scalar(), 300.0);
+  const std::vector<double>& next = frame[kNextChunkSizesBytes].as_vector();
+  ASSERT_EQ(next.size(), 6u);
+  EXPECT_GT(next[0], 0.0);
 }
 
 TEST(AbrEnv, HistoriesShiftAfterSteps) {
@@ -194,16 +204,16 @@ TEST(AbrEnv, HistoriesShiftAfterSteps) {
   const auto vid = test_video();
   util::Rng rng(10);
   AbrEnv env(tr, vid, Fidelity::kSimulation, rng);
-  env.reset();
-  const auto s1 = env.step(2);
-  EXPECT_GT(s1.observation.throughput_mbps.back(), 0.0);
-  EXPECT_DOUBLE_EQ(s1.observation.last_bitrate_kbps, 1200.0);
-  const auto s2 = env.step(3);
+  const dsl::Bindings& frame = env.reset();
+  (void)env.step(2);
+  const std::vector<double> first = frame[kThroughputMbps].as_vector();
+  EXPECT_GT(first.back(), 0.0);
+  EXPECT_DOUBLE_EQ(frame[kLastBitrateKbps].as_scalar(), 1200.0);
+  (void)env.step(3);
   // Oldest-first: the previous sample moved one slot left.
-  EXPECT_DOUBLE_EQ(
-      s2.observation.throughput_mbps[kHistoryLen - 2],
-      s1.observation.throughput_mbps[kHistoryLen - 1]);
-  EXPECT_DOUBLE_EQ(s2.observation.chunks_remaining, 46.0);
+  EXPECT_DOUBLE_EQ(frame[kThroughputMbps].as_vector()[kHistoryLen - 2],
+                   first[kHistoryLen - 1]);
+  EXPECT_DOUBLE_EQ(frame[kChunksRemaining].as_scalar(), 46.0);
 }
 
 TEST(AbrEnv, EpisodeEndsAfterAllChunks) {
@@ -211,7 +221,7 @@ TEST(AbrEnv, EpisodeEndsAfterAllChunks) {
   const auto vid = test_video();
   util::Rng rng(11);
   AbrEnv env(tr, vid, Fidelity::kSimulation, rng);
-  env.reset();
+  (void)env.reset();
   std::size_t steps = 0;
   while (!env.done()) {
     const auto r = env.step(0);
@@ -219,7 +229,7 @@ TEST(AbrEnv, EpisodeEndsAfterAllChunks) {
     if (steps == vid.num_chunks()) EXPECT_TRUE(r.done);
   }
   EXPECT_EQ(steps, vid.num_chunks());
-  EXPECT_THROW(env.step(0), std::logic_error);
+  EXPECT_THROW((void)env.step(0), std::logic_error);
 }
 
 TEST(AbrEnv, RewardMatchesQoEDefinition) {
@@ -227,8 +237,8 @@ TEST(AbrEnv, RewardMatchesQoEDefinition) {
   const auto vid = test_video();
   util::Rng rng(12);
   AbrEnv env(tr, vid, Fidelity::kSimulation, rng);
-  env.reset();
-  env.step(2);
+  (void)env.reset();
+  (void)env.step(2);
   // Steady selection at level 2 with no stall: reward == 1.2 Mbps.
   const auto r = env.step(2);
   EXPECT_NEAR(r.reward, 1.2, 0.05);
@@ -239,10 +249,10 @@ TEST(AbrEnv, BufferHistoryTracksBuffer) {
   const auto vid = test_video();
   util::Rng rng(13);
   AbrEnv env(tr, vid, Fidelity::kSimulation, rng);
-  env.reset();
-  const auto s1 = env.step(0);
-  EXPECT_DOUBLE_EQ(s1.observation.buffer_s_history.back(),
-                   s1.observation.buffer_s);
+  const dsl::Bindings& frame = env.reset();
+  (void)env.step(0);
+  EXPECT_DOUBLE_EQ(frame[kBufferSizeSHistory].as_vector().back(),
+                   frame[kBufferSizeS].as_scalar());
 }
 
 TEST(AbrEnv, EmulationFidelityProducesLowerScores) {
@@ -254,7 +264,7 @@ TEST(AbrEnv, EmulationFidelityProducesLowerScores) {
   auto total_reward = [&](Fidelity f) {
     util::Rng local(99);
     AbrEnv env(tr, vid, f, local);
-    env.reset();
+    (void)env.reset();
     double total = 0.0;
     while (!env.done()) total += env.step(3).reward;
     return total;
@@ -268,13 +278,13 @@ TEST(AbrEnv, ResetStartsFreshEpisode) {
   const auto vid = test_video();
   util::Rng rng(15);
   AbrEnv env(tr, vid, Fidelity::kSimulation, rng);
-  env.reset();
-  env.step(0);
-  env.step(0);
-  const Observation obs = env.reset();
-  EXPECT_DOUBLE_EQ(obs.chunks_remaining, 48.0);
-  EXPECT_DOUBLE_EQ(obs.buffer_s, 0.0);
-  for (double v : obs.throughput_mbps) EXPECT_DOUBLE_EQ(v, 0.0);
+  const dsl::Bindings& frame = env.reset();
+  (void)env.step(0);
+  (void)env.step(0);
+  EXPECT_EQ(&env.reset(), &frame);
+  EXPECT_DOUBLE_EQ(frame[kChunksRemaining].as_scalar(), 48.0);
+  EXPECT_DOUBLE_EQ(frame[kBufferSizeS].as_scalar(), 0.0);
+  for (double v : frame[kThroughputMbps].as_vector()) EXPECT_DOUBLE_EQ(v, 0.0);
 }
 
 TEST(AbrEnv, ConstructionConsumesNoRandomness) {
@@ -296,9 +306,9 @@ TEST(AbrEnv, UseBeforeResetThrows) {
   const auto vid = test_video();
   util::Rng rng(16);
   AbrEnv env(tr, vid, Fidelity::kSimulation, rng);
-  EXPECT_THROW(env.step(0), std::logic_error);
+  EXPECT_THROW((void)env.step(0), std::logic_error);
   EXPECT_THROW((void)env.done(), std::logic_error);
-  EXPECT_NO_THROW(env.reset());
+  EXPECT_NO_THROW((void)env.reset());
   EXPECT_FALSE(env.done());
 }
 
@@ -310,14 +320,12 @@ TEST(AbrEnv, FreshAndReusedEnvSeeSameEpisodes) {
   AbrEnv reused(tr, vid, Fidelity::kSimulation, reused_rng);
   for (int episode = 0; episode < 3; ++episode) {
     AbrEnv fresh(tr, vid, Fidelity::kSimulation, fresh_rng);
-    Observation a = fresh.reset();
-    Observation b = reused.reset();
+    const dsl::Bindings& a = fresh.reset();
+    const dsl::Bindings& b = reused.reset();
     while (!fresh.done()) {
-      const auto sa = fresh.step(2);
-      const auto sb = reused.step(2);
-      EXPECT_EQ(sa.reward, sb.reward);
-      EXPECT_EQ(sa.observation.throughput_mbps,
-                sb.observation.throughput_mbps);
+      EXPECT_EQ(fresh.step(2).reward, reused.step(2).reward);
+      EXPECT_EQ(a[kThroughputMbps].as_vector(),
+                b[kThroughputMbps].as_vector());
     }
     EXPECT_TRUE(reused.done());
   }
@@ -367,9 +375,9 @@ TEST(AbrEnv, TruncatedStepSurfacedAndRewardCapped) {
   const auto vid = test_video();
   util::Rng rng(17);
   AbrEnv env(tr, vid, Fidelity::kSimulation, rng);
-  env.reset();
-  const StepResult step = env.step(5);
-  EXPECT_TRUE(step.truncated);
+  (void)env.reset();
+  const DomainStep step = env.step(5);
+  EXPECT_TRUE(env.last_download().truncated);
   EXPECT_LE(step.reward, 0.0);
 }
 
@@ -378,37 +386,111 @@ TEST(AbrEnv, NormalStepNotTruncated) {
   const auto vid = test_video();
   util::Rng rng(18);
   AbrEnv env(tr, vid, Fidelity::kSimulation, rng);
-  env.reset();
-  EXPECT_FALSE(env.step(2).truncated);
+  (void)env.reset();
+  (void)env.step(2);
+  EXPECT_FALSE(env.last_download().truncated);
 }
 
 // ---- AbrDomain episode frames -------------------------------------------------
 
-// Each ABR variable's Observation field, spelled here independently of
-// input_variables().
-dsl::Value abr_field(const Observation& obs, const std::string& name) {
-  if (name == "throughput_mbps") return obs.throughput_mbps;
-  if (name == "download_time_s") return obs.download_time_s;
-  if (name == "buffer_size_s_history") return obs.buffer_s_history;
-  if (name == "next_chunk_sizes_bytes") return obs.next_chunk_bytes;
-  if (name == "bitrate_levels_kbps") return obs.ladder_kbps;
-  if (name == "buffer_size_s") return obs.buffer_s;
-  if (name == "chunks_remaining") return obs.chunks_remaining;
-  if (name == "total_chunks") return obs.total_chunks;
-  if (name == "last_bitrate_kbps") return obs.last_bitrate_kbps;
-  if (name == "chunk_length_s") return obs.chunk_len_s;
-  if (name == "max_bitrate_kbps") return obs.ladder_kbps.back();
-  ADD_FAILURE() << "no Observation field named " << name;
-  return {};
+TEST(AbrDomain, SlotEnumNamesEveryVariableInOrder) {
+  const std::pair<const char*, AbrSlot> slots[] = {
+      {"throughput_mbps", kThroughputMbps},
+      {"download_time_s", kDownloadTimeS},
+      {"buffer_size_s_history", kBufferSizeSHistory},
+      {"next_chunk_sizes_bytes", kNextChunkSizesBytes},
+      {"bitrate_levels_kbps", kBitrateLevelsKbps},
+      {"buffer_size_s", kBufferSizeS},
+      {"chunks_remaining", kChunksRemaining},
+      {"total_chunks", kTotalChunks},
+      {"last_bitrate_kbps", kLastBitrateKbps},
+      {"chunk_length_s", kChunkLengthS},
+      {"max_bitrate_kbps", kMaxBitrateKbps},
+  };
+  ASSERT_EQ(std::size(slots), input_variables().size());
+  for (const auto& [name, slot] : slots) {
+    EXPECT_EQ(input_variables().slot(name), std::optional<std::size_t>(slot))
+        << name;
+  }
 }
 
-void expect_frame_holds(const dsl::Bindings& frame, const Observation& obs,
-                        std::size_t step) {
+// Every ABR variable, computed here from a twin session on the same trace,
+// offset and levels, and from the video — independently of AbrEnv and of
+// input_variables()' order.
+class AbrReference {
+ public:
+  AbrReference(const trace::Trace& trace, const video::Video& video,
+               Fidelity fidelity, util::Rng& rng)
+      : video_(&video) {
+    const double offset =
+        rng.uniform(0.0, std::max(trace.duration_s() - 1.0, 0.0));
+    if (fidelity == Fidelity::kSimulation) {
+      session_ = std::make_unique<StreamingSession>(trace, video, offset);
+    } else {
+      session_ = std::make_unique<EmuSession>(trace, video, rng, offset);
+    }
+  }
+
+  DownloadResult download(std::size_t level) {
+    const DownloadResult dl = session_->download_chunk(level);
+    push(throughput_, dl.throughput_mbps);
+    push(download_time_, dl.download_time_s);
+    push(buffer_history_, dl.buffer_s);
+    last_level_ = level;
+    return dl;
+  }
+
+  [[nodiscard]] dsl::Value value(const std::string& name) const {
+    const video::BitrateLadder& ladder = video_->ladder();
+    if (name == "throughput_mbps") return throughput_;
+    if (name == "download_time_s") return download_time_;
+    if (name == "buffer_size_s_history") return buffer_history_;
+    if (name == "next_chunk_sizes_bytes") {
+      return session_->finished() ? std::vector<double>(ladder.levels(), 0.0)
+                                  : video_->chunk_bytes_all_levels(
+                                        session_->next_chunk_index());
+    }
+    if (name == "bitrate_levels_kbps") {
+      return std::vector<double>(ladder.all_kbps().begin(),
+                                 ladder.all_kbps().end());
+    }
+    if (name == "buffer_size_s") return session_->buffer_s();
+    if (name == "chunks_remaining") {
+      return static_cast<double>(session_->chunks_remaining());
+    }
+    if (name == "total_chunks") {
+      return static_cast<double>(video_->num_chunks());
+    }
+    if (name == "last_bitrate_kbps") return ladder.kbps(last_level_);
+    if (name == "chunk_length_s") return video_->chunk_len_s();
+    if (name == "max_bitrate_kbps") return ladder.max_kbps();
+    ADD_FAILURE() << "no reference for " << name;
+    return {};
+  }
+
+  [[nodiscard]] bool finished() const { return session_->finished(); }
+
+ private:
+  static void push(std::vector<double>& history, double sample) {
+    history.erase(history.begin());
+    history.push_back(sample);
+  }
+
+  const video::Video* video_;
+  std::unique_ptr<StreamingSession> session_;
+  std::vector<double> throughput_ = std::vector<double>(kHistoryLen, 0.0);
+  std::vector<double> download_time_ = std::vector<double>(kHistoryLen, 0.0);
+  std::vector<double> buffer_history_ = std::vector<double>(kHistoryLen, 0.0);
+  std::size_t last_level_ = 0;
+};
+
+void expect_frame_holds(const dsl::Bindings& frame,
+                        const AbrReference& reference, std::size_t step) {
   ASSERT_EQ(frame.size(), input_variables().size());
   for (const auto& var : input_variables()) {
     const dsl::Value* value = frame.find(var.name);
     ASSERT_NE(value, nullptr) << var.name;
-    const dsl::Value expected = abr_field(obs, var.name);
+    const dsl::Value expected = reference.value(var.name);
     ASSERT_EQ(value->is_vector(), var.is_vector) << var.name;
     ASSERT_EQ(expected.is_vector(), var.is_vector) << var.name;
     if (var.is_vector) {
@@ -421,36 +503,70 @@ void expect_frame_holds(const dsl::Bindings& frame, const Observation& obs,
   }
 }
 
-// The frame reset() returns holds, slot by slot, the observation a twin
-// AbrEnv on the same trace, seed and actions returns, and step() refills
-// that same frame, under both fidelities.
+// The frame reset() returns holds, slot by slot, what a twin session on
+// the same trace, offset and levels reports, and step() refills that same
+// frame, under both fidelities. The domain's episode is the AbrEnv itself,
+// and its last_download() is the twin's chunk.
 TEST(AbrDomain, EpisodeFrameHoldsEveryVariableByName) {
   const trace::Dataset dataset =
       trace::build_dataset(trace::Environment::k4G, 0.2, 1234);
   const video::Video video = test_video();
   const AbrDomain domain(dataset, video);
+  const video::QoELin qoe(video.ladder());
   for (const Fidelity fidelity :
        {Fidelity::kSimulation, Fidelity::kEmulation}) {
     util::Rng episode_rng(41);
     util::Rng twin_rng(41);
     const auto episode = domain.start_eval_episode(1, fidelity, episode_rng);
-    AbrEnv twin(dataset.test.at(1), video, fidelity, twin_rng);
+    const auto& env = dynamic_cast<const AbrEnv&>(*episode);
 
     const dsl::Bindings& frame = episode->reset();
-    expect_frame_holds(frame, twin.reset(), 0);
+    AbrReference twin(dataset.test.at(1), video, fidelity, twin_rng);
+    expect_frame_holds(frame, twin, 0);
     std::size_t step = 0;
+    std::size_t last_level = 0;
     while (!episode->done()) {
       const std::size_t action = (step * 5 + 2) % domain.num_actions();
       const DomainStep result = episode->step(action);
-      const StepResult expected = twin.step(action);
+      const DownloadResult dl = twin.download(action);
       ++step;
-      EXPECT_EQ(result.reward, expected.reward);
-      EXPECT_EQ(result.done, expected.done);
-      expect_frame_holds(frame, expected.observation, step);
+      const double qoe_reward =
+          qoe.chunk_reward(action, last_level, dl.rebuffer_s);
+      EXPECT_EQ(result.reward,
+                dl.truncated ? std::min(qoe_reward, 0.0) : qoe_reward);
+      EXPECT_EQ(result.done, twin.finished());
+      EXPECT_EQ(env.last_download().rebuffer_s, dl.rebuffer_s);
+      EXPECT_EQ(env.last_download().download_time_s, dl.download_time_s);
+      EXPECT_EQ(env.last_download().truncated, dl.truncated);
+      expect_frame_holds(frame, twin, step);
+      last_level = action;
     }
     EXPECT_EQ(step, domain.episode_length());
-    EXPECT_TRUE(twin.done());
+    EXPECT_TRUE(twin.finished());
   }
+}
+
+// The ABR frames, frozen: every slot after reset() and after every step of
+// three training and three eval episodes under both fidelities, with each
+// step's reward and done flag; the catalog's canned and fuzz frames; and
+// the classic policies' scores under both fidelities, which reach no other
+// pin. Computed before AbrEnv wrote its frame in place.
+TEST(AbrDomain, FrameGoldens) {
+  const trace::Dataset dataset =
+      trace::build_dataset(trace::Environment::k4G, 0.2, 1234);
+  const video::Video video = test_video();
+  const AbrDomain domain(dataset, video);
+  test::FrameDigest digest;
+  for (const Fidelity fidelity :
+       {Fidelity::kSimulation, Fidelity::kEmulation}) {
+    test::fold_domain(digest, domain, fidelity, 41, 3);
+    for (const auto& policy : abr::standard_baselines()) {
+      digest.add_double(
+          abr::evaluate_policy(*policy, dataset.test, video, fidelity, 5));
+    }
+  }
+  test::fold_catalog(digest, abr_catalog(), 7);
+  EXPECT_EQ(digest.hex(), "f7db65a43e64d2d0a79bf17b4633d9d4");
 }
 
 }  // namespace

@@ -41,8 +41,7 @@ TEST(Property, CompiledProgramsAreDeterministic) {
     const auto cand = generator.generate();
     std::optional<dsl::StateProgram> program;
     if (!filter::compilation_check(cand.source, env::abr_catalog(), &program).passed) continue;
-    const dsl::Bindings obs =
-        env::bindings_from_observation(env::fuzz_observation(rng));
+    const dsl::Bindings obs = env::abr_catalog().fuzz(rng);
     try {
       const auto a = program->run(obs);
       const auto b = program->run(obs);
@@ -100,7 +99,7 @@ TEST(Property, NormalizedProgramsStayBounded) {
     ++checked;
     for (int run = 0; run < 50; ++run) {
       try {
-        const auto matrix = program->run(env::bindings_from_observation(env::fuzz_observation(rng)));
+        const auto matrix = program->run(env::abr_catalog().fuzz(rng));
         // Allow a small multiple: the 16-draw check is statistical.
         EXPECT_LT(matrix.max_abs(), 100.0 * 4)
             << cand.source;
@@ -143,27 +142,31 @@ TEST_P(EnvironmentProperty, SessionInvariantsHold) {
   }
 }
 
-// Property: the observation's histories always have the documented shapes
-// and non-negative values, at every step of every environment.
+// Property: the frame's histories always have the documented shapes and
+// non-negative values, at every step of every environment.
 TEST_P(EnvironmentProperty, ObservationShapesStable) {
   util::Rng rng(23);
   const auto tr = trace::generate_trace(GetParam(), 200.0, rng);
   const auto video = video::make_test_video(video::pensieve_ladder(), 10);
-  env::AbrEnv env(tr, video, env::Fidelity::kSimulation, rng);
-  env::Observation obs = env.reset();
-  while (!env.done()) {
-    ASSERT_EQ(obs.throughput_mbps.size(), env::kHistoryLen);
-    ASSERT_EQ(obs.download_time_s.size(), env::kHistoryLen);
-    ASSERT_EQ(obs.buffer_s_history.size(), env::kHistoryLen);
-    ASSERT_EQ(obs.next_chunk_bytes.size(), 6u);
-    for (double v : obs.throughput_mbps) EXPECT_GE(v, 0.0);
-    for (double v : obs.download_time_s) EXPECT_GE(v, 0.0);
-    EXPECT_GE(obs.buffer_s, 0.0);
-    EXPECT_GE(obs.chunks_remaining, 0.0);
+  env::AbrEnv abr(tr, video, env::Fidelity::kSimulation, rng);
+  const dsl::Bindings& frame = abr.reset();
+  while (!abr.done()) {
+    const std::vector<double>& throughput =
+        frame[env::kThroughputMbps].as_vector();
+    const std::vector<double>& download =
+        frame[env::kDownloadTimeS].as_vector();
+    ASSERT_EQ(throughput.size(), env::kHistoryLen);
+    ASSERT_EQ(download.size(), env::kHistoryLen);
+    ASSERT_EQ(frame[env::kBufferSizeSHistory].as_vector().size(),
+              env::kHistoryLen);
+    ASSERT_EQ(frame[env::kNextChunkSizesBytes].as_vector().size(), 6u);
+    for (double v : throughput) EXPECT_GE(v, 0.0);
+    for (double v : download) EXPECT_GE(v, 0.0);
+    EXPECT_GE(frame[env::kBufferSizeS].as_scalar(), 0.0);
+    EXPECT_GE(frame[env::kChunksRemaining].as_scalar(), 0.0);
     const auto step =
-        env.step(static_cast<std::size_t>(rng.uniform_int(0, 5)));
+        abr.step(static_cast<std::size_t>(rng.uniform_int(0, 5)));
     EXPECT_TRUE(std::isfinite(step.reward));
-    obs = step.observation;
   }
 }
 

@@ -72,8 +72,8 @@ class Trainer {
                       static_cast<double>(config_.epochs - 1)
                 : 1.0;
         const double entropy_weight =
-            config_.entropy_start +
-            (config_.entropy_end - config_.entropy_start) * progress;
+            rl::kEntropyStart +
+            (rl::kEntropyEnd - rl::kEntropyStart) * progress;
         run_epoch(agent, optimizer, entropy_weight, result);
 
         if (config_.evaluate_checkpoints &&
@@ -137,7 +137,7 @@ class Trainer {
       rewards[t] = steps[t].reward;
     }
     const std::vector<double> returns =
-        rl::discounted_returns(rewards, reward_scale, config_.gamma);
+        rl::discounted_returns(rewards, reward_scale);
 
     // First pass: fresh values for the advantage estimates.
     std::vector<double> advantages(steps.size());
@@ -169,7 +169,7 @@ class Trainer {
       agent.net().backward_batch(dlogits_row, {dvalue});
     }
     auto params = agent.net().params();
-    nn::clip_global_norm(params, config_.grad_clip);
+    nn::clip_global_norm(params, rl::kGradClip);
     optimizer.step(params);
 
     result.train_rewards.push_back(reward_sum /
