@@ -102,6 +102,11 @@ struct FixedFingerprints {
 
 /// A replayable stream of candidates. generate() advances the stream;
 /// reset() rewinds it to the start for an exact replay (resume support).
+///
+/// Threads: a SearchJob with a pool calls generate() from its puller
+/// thread, one window ahead of the window it screens (search_job.h, the
+/// pull contract), and never concurrently with another generate() or with
+/// reset(). A source must therefore not depend on the calling thread.
 class CandidateSource {
  public:
   virtual ~CandidateSource() = default;

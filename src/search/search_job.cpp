@@ -114,6 +114,14 @@ void for_each_chunked(util::ThreadPool* pool, std::size_t n,
   });
 }
 
+/// One pull from the source, timed into search.generate.pull_seconds
+/// (`seconds`, null when metrics are off) on whichever thread runs it.
+std::vector<CandidateSpec> pull(CandidateSource& source, std::size_t n,
+                                obs::Histogram* seconds) {
+  obs::ScopedTimer timer(seconds);
+  return source.generate(n);
+}
+
 void copy_probe_result(const CandidateOutcome& from, CandidateOutcome& to) {
   to.early_probed = from.early_probed;
   to.early_rewards = from.early_rewards;
@@ -223,6 +231,7 @@ bool SearchJob::done() const { return next_ == StageKind::kDone; }
 
 bool SearchJob::next_stage() {
   if (done()) return false;
+  started_ = true;
   const StageKind stage = next_;
   if (stage == StageKind::kGenerate) {
     window_start_time_ = std::chrono::steady_clock::now();
@@ -261,6 +270,12 @@ StageKind SearchJob::stage_after(StageKind stage) const {
   return static_cast<StageKind>(static_cast<int>(stage) + 1);
 }
 
+std::size_t SearchJob::next_ask() const {
+  const std::size_t window =
+      config_.streaming() ? config_.window_size : config_.num_candidates;
+  return std::min(window, config_.num_candidates - generated_total_);
+}
+
 const SearchResult& SearchJob::run_until(StageKind stop) {
   while (!done() && next_ != stop) next_stage();
   return result_;
@@ -273,7 +288,10 @@ SearchResult SearchJob::run_to_completion() {
 }
 
 SearchResult SearchJob::resume() {
-  if (next_ != StageKind::kGenerate) {
+  // A streaming job is back at kGenerate at every window boundary, so the
+  // stage alone cannot tell a fresh job; and with a look-ahead in flight,
+  // reset() would race the puller.
+  if (started_) {
     throw std::logic_error(
         "SearchJob::resume: job already started; resume() needs a fresh job");
   }
@@ -343,23 +361,33 @@ void SearchJob::journal(const Candidate& cand, store::Stage stage) {
 }
 
 void SearchJob::stage_generate() {
-  // Pull the next window from the source: window_size candidates, or the
-  // whole stream in batch mode. A short pull marks the stream exhausted.
+  // Take the next window: the look-ahead's pull when one is in flight, else
+  // an inline pull. A short pull marks the stream exhausted.
   window_base_ = generated_total_;
-  const std::size_t window =
-      config_.streaming() ? config_.window_size : config_.num_candidates;
-  const std::size_t ask =
-      std::min(window, config_.num_candidates - generated_total_);
+  const std::size_t ask = next_ask();
+  obs::Histogram* const pull_seconds =
+      obs::maybe_histogram(options_.metrics, "search.generate.pull_seconds");
   std::vector<CandidateSpec> specs;
   {
-    obs::ScopedTimer timer(
-        obs::maybe_histogram(options_.metrics, "search.generate.pull_seconds"));
-    specs = source_->generate(ask);
+    obs::ScopedTimer wait(obs::maybe_histogram(
+        options_.metrics, "search.generate.pull_wait_seconds"));
+    specs = ahead_.valid() ? ahead_.get() : pull(*source_, ask, pull_seconds);
   }
   if (specs.size() < ask) stream_exhausted_ = true;
   const std::size_t n = specs.size();
   generated_total_ += n;
   result_.n_total += n;
+  if (options_.pool != nullptr && !stream_exhausted_ &&
+      generated_total_ < config_.num_candidates) {
+    // Look one window ahead: ask now exactly what the next generate stage
+    // would ask, on the puller, while this window is screened. The pull
+    // runs off the pool so that its allocations stay in one thread's arena.
+    if (!puller_.has_value()) puller_.emplace(1);
+    ahead_ = puller_->submit(
+        [source = source_, next = next_ask(), pull_seconds] {
+          return pull(*source, next, pull_seconds);
+        });
+  }
   if (n == 0) {
     // Empty window (the source ran dry exactly at a boundary): nothing to
     // check or probe — close the window here; stage_after() skips ahead.

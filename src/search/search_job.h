@@ -31,9 +31,24 @@
 //   O(num_candidates).
 //
 //   streaming (window_size >= 1): windows of window_size candidates. Peak
-//   memory is O(window_size + full_train_top); SearchResult::outcomes holds
-//   only the full-training cohort (stream positions travel in
-//   CandidateOutcome::stream_index).
+//   memory is O(2·window_size + full_train_top): the window being screened,
+//   the next one when it was pulled ahead (below), and the running
+//   selection. SearchResult::outcomes holds only the full-training cohort
+//   (stream positions travel in CandidateOutcome::stream_index).
+//
+// Pull contract: every window asks the source for
+// min(window size, num_candidates - candidates pulled so far), and no pull
+// follows a short one. A job with a pool looks one window ahead: once
+// window k's pull came back full and candidates remain, it asks for window
+// k+1 on a puller thread of its own (started at the first look-ahead)
+// while window k is screened, and window k+1's generate stage takes that
+// result instead of pulling. The first window, and every window of a job
+// without a pool, is pulled inline on the stepping thread. Either way the
+// source sees the same calls in the same order, never two at once. A pull
+// that throws surfaces from the next_stage() that runs its window's
+// generate stage (next_stage_kind() stays kGenerate). The destructor waits
+// for a pull in flight, so a job abandoned mid-stream may have pulled one
+// window it never screens.
 //
 // Determinism contract: per-candidate seeds are fingerprint-derived and
 // every journal write and candidate event happens on the stepping thread in
@@ -57,6 +72,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -101,6 +117,11 @@ struct JobOptions {
   /// Persistent checkpoint store. Must match store_scope(domain, config,
   /// seed) (std::invalid_argument otherwise) and outlive the job.
   store::CandidateStore* store = nullptr;
+  /// Runs the fingerprint, pre-check, probe and training passes. A
+  /// streaming job with a pool also pulls each window after the first one
+  /// window ahead, on one puller thread of its own (the pull contract
+  /// above); without a pool the job starts no thread. Results and journal
+  /// bytes do not depend on it.
   util::ThreadPool* pool = nullptr;
   /// Shared baseline slot: lets several jobs (say a state search and an
   /// architecture search over one domain) train the original design once.
@@ -115,8 +136,9 @@ struct JobOptions {
   /// run.
   std::optional<store::ShardPlan::Range> range;
   /// Profiling registry for the hot paths the Observer event stream cannot
-  /// see from outside: candidate generation pulls and fingerprinting
-  /// (search.generate.pull_seconds / search.generate.fingerprint_seconds),
+  /// see from outside: candidate generation pulls, the stepping thread's
+  /// wait for them, and fingerprinting (search.generate.pull_seconds /
+  /// .pull_wait_seconds / .fingerprint_seconds),
   /// per-probe training (rl.probe_block.seconds), and — when a store is
   /// attached — store lookup/append (store.*; the job wires the registry
   /// into the store on construction). Pure readout: attaching a registry
@@ -166,7 +188,9 @@ class SearchJob {
   /// every stage journaled before the interruption is served from the
   /// checkpoint and only the remaining work executes. Requires an attached
   /// store (std::logic_error otherwise) and a fresh job (std::logic_error
-  /// after stepping began).
+  /// once any stage has run). No other live job may pull from the source:
+  /// one abandoned mid-stream may still be pulling a window ahead until it
+  /// is destroyed.
   [[nodiscard]] SearchResult resume();
 
   /// Result so far: counters and outcomes of completed stages only. The
@@ -211,6 +235,9 @@ class SearchJob {
   /// The stage following `stage`: linear, except that kProbe loops back to
   /// kGenerate while the stream has candidates left.
   [[nodiscard]] StageKind stage_after(StageKind stage) const;
+  /// What the next window asks the source for: window_size candidates (the
+  /// whole stream in batch mode), capped by what num_candidates leaves.
+  [[nodiscard]] std::size_t next_ask() const;
   /// Recomputes leader_ over window_.
   void index_leaders();
 
@@ -244,6 +271,7 @@ class SearchJob {
   std::mutex notify_mutex_;
 
   StageKind next_ = StageKind::kGenerate;
+  bool started_ = false;  ///< a stage has run: resume() refuses the job
   SearchResult result_;
   std::optional<rl::SessionResult> local_baseline_;
 
@@ -266,6 +294,13 @@ class SearchJob {
   std::size_t window_index_ = 0;
   std::size_t window_base_ = 0;
   std::chrono::steady_clock::time_point window_start_time_{};
+
+  /// The next window's specs while they are pulled ahead; invalid when the
+  /// next window is pulled inline.
+  std::future<std::vector<CandidateSpec>> ahead_;
+  /// The puller thread, started at the first look-ahead. Declared last so
+  /// that it is destroyed first: its destructor waits for a pull in flight.
+  std::optional<util::ThreadPool> puller_;
 };
 
 }  // namespace nada::search

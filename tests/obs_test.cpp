@@ -10,6 +10,9 @@
 //     folded, none dropped,
 //   * the training engine's rl.probe_* metrics count probe tasks only:
 //     one per probe the job ran, none for the baseline or full training,
+//   * the generate stage's pull metrics: a pooled streaming job observes
+//     the pull and the stepping thread's wait for it once per window, even
+//     though the pull runs one window ahead on the job's puller thread,
 //   * TraceSink: one valid JSONL line per dispatched event, monotone seq,
 //   * StatusWriter: atomic snapshots with the documented schema, plus the
 //     driver-side read/aggregate path,
@@ -579,6 +582,30 @@ TEST(ObservabilityEquivalence, ShardedStreamingSinksMatchSilentRun) {
   ASSERT_TRUE(driver.has_value());
   EXPECT_EQ(driver->label, "driver");
   EXPECT_TRUE(driver->done());
+}
+
+// ---- generation metrics -----------------------------------------------------
+
+TEST(PullMetrics, PooledStreamingJobObservesPullAndWaitOncePerWindow) {
+  Fixture fx;
+  const search::SearchConfig config = fast_config(5);  // windows 5,5,5,5,4
+  MetricsRegistry registry;
+  search::RecordingObserver recording;
+  const auto observed = run_observed(fx, config, {&recording}, &registry);
+  ASSERT_EQ(recording.windows.size(), 5u);
+  for (const char* name : {"search.generate.pull_seconds",
+                           "search.generate.pull_wait_seconds",
+                           "search.generate.fingerprint_seconds"}) {
+    EXPECT_EQ(registry.histogram(name).count(), recording.windows.size())
+        << name;
+  }
+  // Pure readout: the instrumented run is the silent run.
+  const auto silent = run_observed(fx, config, {});
+  EXPECT_EQ(silent.n_total, observed.n_total);
+  EXPECT_EQ(silent.n_probes_run, observed.n_probes_run);
+  EXPECT_EQ(silent.best_index, observed.best_index);
+  EXPECT_DOUBLE_EQ(silent.best_score, observed.best_score);
+  EXPECT_EQ(trained_rows(silent), trained_rows(observed));
 }
 
 }  // namespace

@@ -382,6 +382,49 @@ TEST(SearchJobResume, ResumeWithoutStoreThrows) {
   EXPECT_THROW((void)job.resume(), std::logic_error);
 }
 
+TEST(SearchJobResume, ResumeAfterSteppingThrows) {
+  // A streaming job is back at kGenerate at every window boundary. Resuming
+  // there would rewind the source under the job: it would screen window 0
+  // again and never screen the rest of the stream.
+  Fixture fx;
+  SearchConfig config = tiny_config();
+  config.num_candidates = 8;
+  config.full_train_top = 2;
+  config.window_size = 4;
+  const std::string path = fresh_path("resume_stepped");
+  store::CandidateStore store(path, store_scope(fx.domain, config, 4321));
+  gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                88);
+  StateCandidateSource source(generator);
+  JobOptions options;
+  options.store = &store;
+  options.pool = &fx.pool;
+  SearchJob job(fx.domain, config, 4321, source,
+                FixedDesign{nullptr, &config.baseline_arch}, options);
+  for (const StageKind stage :
+       {StageKind::kGenerate, StageKind::kPrecheck, StageKind::kProbe}) {
+    ASSERT_EQ(job.next_stage_kind(), stage);
+    job.next_stage();
+  }
+  ASSERT_EQ(job.next_stage_kind(), StageKind::kGenerate);
+  EXPECT_THROW((void)job.resume(), std::logic_error);
+
+  // The store holds window 0's records and nothing else.
+  gen::StateGenerator replay(gen::gpt4_profile(), gen::PromptStrategy{}, 88);
+  StateCandidateSource replay_source(replay);
+  std::set<std::string> window0;
+  for (const CandidateSpec& spec : replay_source.generate(4)) {
+    window0.insert(
+        fingerprint_of(spec, FixedDesign{nullptr, &config.baseline_arch})
+            .hex());
+  }
+  std::set<std::string> journaled;
+  for (const store::OutcomeRecord& record : store.records()) {
+    journaled.insert(record.fingerprint.hex());
+  }
+  EXPECT_EQ(journaled, window0);
+}
+
 // ---- unified candidate stream ----------------------------------------------
 
 TEST(CandidateSpecTest, MixedKindStreamRunsThroughOneFunnel) {

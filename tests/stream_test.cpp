@@ -14,13 +14,24 @@
 //   * one selection path: early stops fire at the probe stage's fold in
 //     both modes, and a retained clone whose leader stopped trains itself,
 //   * streaming resume: a run interrupted after the per-candidate stages
-//     finishes on the journal alone (zero re-probes).
+//     finishes on the journal alone (zero re-probes),
+//   * the pull contract: a pooled job asks its source exactly what a
+//     pool-less job asks, in the same order, with every pull after the
+//     first on one puller thread of its own; a pull's error surfaces from
+//     its own window's generate stage, and the destructor waits for a
+//     pull in flight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <optional>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -628,6 +639,170 @@ TEST(StreamingResume, InterruptedStreamingRunFinishesFromTheJournal) {
   expect_equivalent(batch, warm);
   EXPECT_EQ(test::sorted_journal_lines(batch_path),
             test::sorted_journal_lines(path));
+}
+
+// ---- the pull contract ------------------------------------------------------
+
+/// A StateCandidateSource that logs every generate() call (the calling
+/// thread and the n asked). It can run dry after `available` candidates,
+/// throw on one call, or sleep in every call after the first.
+class RecordingSource final : public CandidateSource {
+ public:
+  explicit RecordingSource(std::size_t available = SIZE_MAX)
+      : available_(available) {}
+
+  [[nodiscard]] std::vector<CandidateSpec> generate(std::size_t n) override {
+    calls.emplace_back(std::this_thread::get_id(), n);
+    if (calls.size() - 1 == throw_on_call) {
+      throw std::runtime_error("source failed on call " +
+                               std::to_string(throw_on_call));
+    }
+    if (calls.size() > 1) std::this_thread::sleep_for(delay);
+    const std::size_t give = std::min(n, available_ - handed);
+    handed += give;
+    auto specs = inner_.generate(give);
+    ++returned;
+    return specs;
+  }
+  void reset() override {
+    inner_.reset();
+    handed = 0;
+  }
+
+  std::size_t throw_on_call = SIZE_MAX;  ///< 0-based index of the call
+  std::chrono::milliseconds delay{0};
+  std::vector<std::pair<std::thread::id, std::size_t>> calls;
+  std::size_t returned = 0;  ///< calls that came back with specs
+  std::size_t handed = 0;    ///< candidates handed out
+
+ private:
+  gen::StateGenerator generator_{gen::gpt4_profile(), gen::PromptStrategy{},
+                                 77};
+  StateCandidateSource inner_{generator_};
+  std::size_t available_;
+};
+
+/// This process's threads (Linux): how a test sees a job start one.
+std::size_t thread_count() {
+  using std::filesystem::directory_iterator;
+  return static_cast<std::size_t>(std::distance(
+      directory_iterator("/proc/self/task"), directory_iterator{}));
+}
+
+/// A config whose probes are as cheap as they come: these tests pin the
+/// pulls, not what the funnel computes from them.
+SearchConfig pull_config(std::size_t num_candidates, std::size_t window) {
+  SearchConfig config = tiny_config(window);
+  config.num_candidates = num_candidates;
+  config.full_train_top = 2;
+  config.early_epochs = 2;
+  return config;
+}
+
+TEST(StreamingPulls, PooledJobAsksWhatAPoolLessJobAsksFromOnePuller) {
+  Fixture fx;
+  struct Case {
+    const char* name;
+    std::size_t num_candidates;
+    std::size_t window;
+    std::size_t available;
+    std::vector<std::size_t> asks;
+    std::size_t pulled;
+  };
+  const Case cases[] = {
+      {"window divides the stream", 12, 4, SIZE_MAX, {4, 4, 4}, 12},
+      {"window does not divide it", 12, 5, SIZE_MAX, {5, 5, 2}, 12},
+      {"source runs dry mid-window", 20, 4, 10, {4, 4, 4}, 10},
+      {"source runs dry at a boundary", 20, 4, 8, {4, 4, 4}, 8},
+  };
+  const std::thread::id stepping = std::this_thread::get_id();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const SearchConfig config = pull_config(c.num_candidates, c.window);
+    // The asks of one job, and how many threads it started.
+    auto run = [&](util::ThreadPool* pool, RecordingSource& source) {
+      JobOptions options;
+      options.pool = pool;
+      const std::size_t threads_before = thread_count();
+      SearchJob job(fx.domain, config, 5, source,
+                    FixedDesign{nullptr, &config.baseline_arch}, options);
+      (void)job.run_until(StageKind::kBaseline);
+      EXPECT_EQ(job.result().n_total, c.pulled);
+      std::vector<std::size_t> asks;
+      for (const auto& call : source.calls) asks.push_back(call.second);
+      return std::make_pair(asks, thread_count() - threads_before);
+    };
+
+    RecordingSource inline_source(c.available);
+    const auto [inline_asks, inline_threads] = run(nullptr, inline_source);
+    EXPECT_EQ(inline_asks, c.asks);
+    EXPECT_EQ(inline_source.handed, c.pulled);
+    EXPECT_EQ(inline_threads, 0u);
+    for (const auto& call : inline_source.calls) {
+      EXPECT_EQ(call.first, stepping);
+    }
+
+    RecordingSource pooled_source(c.available);
+    const auto [pooled_asks, pooled_threads] = run(&fx.pool, pooled_source);
+    EXPECT_EQ(pooled_asks, inline_asks);
+    EXPECT_EQ(pooled_source.handed, inline_source.handed);
+    EXPECT_EQ(pooled_threads, 1u);
+    ASSERT_GE(pooled_source.calls.size(), 2u);
+    EXPECT_EQ(pooled_source.calls[0].first, stepping);
+    const std::thread::id puller = pooled_source.calls[1].first;
+    EXPECT_NE(puller, stepping);
+    for (std::size_t i = 1; i < pooled_source.calls.size(); ++i) {
+      EXPECT_EQ(pooled_source.calls[i].first, puller) << "call " << i;
+    }
+  }
+}
+
+TEST(StreamingPulls, APullThatThrowsSurfacesFromItsOwnWindow) {
+  // With a pool, window 2 is pulled while window 1 is screened; its error
+  // must still come from window 2's generate stage, as without a pool.
+  Fixture fx;
+  for (util::ThreadPool* pool : {static_cast<util::ThreadPool*>(nullptr),
+                                 &fx.pool}) {
+    SCOPED_TRACE(pool == nullptr ? "pool-less" : "pooled");
+    const SearchConfig config = pull_config(8, 2);
+    RecordingSource source;
+    source.throw_on_call = 2;
+    JobOptions options;
+    options.pool = pool;
+    SearchJob job(fx.domain, config, 5, source,
+                  FixedDesign{nullptr, &config.baseline_arch}, options);
+    for (int window = 0; window < 2; ++window) {
+      for (const StageKind stage : {StageKind::kGenerate,
+                                    StageKind::kPrecheck, StageKind::kProbe}) {
+        ASSERT_EQ(job.next_stage_kind(), stage) << "window " << window;
+        ASSERT_NO_THROW(job.next_stage()) << "window " << window;
+      }
+    }
+    ASSERT_EQ(job.next_stage_kind(), StageKind::kGenerate);
+    EXPECT_THROW(job.next_stage(), std::runtime_error);
+    EXPECT_EQ(job.next_stage_kind(), StageKind::kGenerate);
+    EXPECT_EQ(job.result().n_total, 4u);
+    EXPECT_EQ(source.calls.size(), 3u);
+  }
+}
+
+TEST(StreamingPulls, DestroyingAJobWaitsForThePullInFlight) {
+  Fixture fx;
+  const SearchConfig config = pull_config(12, 4);
+  RecordingSource source;
+  source.delay = std::chrono::milliseconds(200);
+  {
+    JobOptions options;
+    options.pool = &fx.pool;
+    SearchJob job(fx.domain, config, 5, source,
+                  FixedDesign{nullptr, &config.baseline_arch}, options);
+    job.next_stage();  // window 0's generate: window 1 is now pulled ahead
+  }
+  // The abandoned job pulled one window it never screened, and its
+  // destructor waited for that pull to come back.
+  EXPECT_EQ(source.calls.size(), 2u);
+  EXPECT_EQ(source.returned, 2u);
+  EXPECT_EQ(source.handed, 8u);
 }
 
 }  // namespace
