@@ -28,6 +28,15 @@
 // bench_results/store_open.csv. Args: `store-only` / `funnel-only` run a
 // single table (CI's million-record open-path step uses store-only at
 // full scale).
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -40,27 +49,8 @@
 #include "store/candidate_store.h"
 #include "store/record_codec.h"
 #include "trace/generator.h"
-#include "util/table.h"
-
-#if defined(_WIN32)
-int main() {
-  std::cout << "stream_memory: per-run peak-RSS accounting needs "
-               "fork()/wait4(); bench skipped on this platform\n";
-  return 0;
-}
-#else
-
-#include <sys/resource.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-
 #include "util/strings.h"
+#include "util/table.h"
 
 namespace {
 
@@ -372,4 +362,3 @@ int main(int argc, char** argv) {
   if (mode != "funnel-only") return run_store_table(scale);
   return 0;
 }
-#endif

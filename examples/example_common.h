@@ -9,6 +9,8 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.h"
 #include "obs/metrics_observer.h"
@@ -66,29 +68,54 @@ inline std::unique_ptr<store::CandidateStore> open_default_store(
   return cache;
 }
 
-/// Environment-variable-driven observability sinks for the example
-/// binaries (no flag parsing in the examples):
+/// The observability sinks selected by three output paths; an empty path
+/// selects nothing and costs nothing:
 ///
-///   NADA_METRICS_OUT=metrics.json  final registry snapshot on finish()
-///   NADA_TRACE_OUT=trace.jsonl     every search event, one JSONL line
-///   NADA_STATUS_OUT=status.json    live atomic status snapshot
+///   metrics  final registry snapshot, written by finish()
+///   trace    every search event, one JSONL line
+///   status   live atomic status snapshot (`label`, `total_candidates`)
 ///
-/// Unset variables cost nothing. All sinks are pure readout — results are
-/// bit-identical with and without them (see docs/OBSERVABILITY.md).
-struct EnvSinks {
+/// All sinks are pure readout — results are bit-identical with and without
+/// them (see docs/OBSERVABILITY.md).
+struct Sinks {
+  Sinks(std::string metrics_out, const std::string& trace_out,
+        const std::string& status_out, const std::string& label,
+        std::size_t total_candidates)
+      : metrics_path(std::move(metrics_out)) {
+    if (!metrics_path.empty()) {
+      registry = std::make_unique<obs::MetricsRegistry>();
+      metrics = std::make_unique<obs::MetricsObserver>(*registry);
+    }
+    if (!trace_out.empty()) {
+      util::ensure_directories(util::parent_directory(trace_out));
+      trace = std::make_unique<obs::TraceSink>(trace_out);
+    }
+    if (!status_out.empty()) {
+      util::ensure_directories(util::parent_directory(status_out));
+      status = std::make_unique<obs::StatusWriter>(
+          obs::StatusConfig{status_out, label, total_candidates});
+    }
+  }
+
   std::unique_ptr<obs::MetricsRegistry> registry;
   std::unique_ptr<obs::MetricsObserver> metrics;
   std::unique_ptr<obs::TraceSink> trace;
   std::unique_ptr<obs::StatusWriter> status;
   std::string metrics_path;
 
-  /// Registers the active sinks on a job. Pair with
+  /// The active sinks as job observers. Pair with
   /// `options.metrics = sinks.registry.get()` before constructing the job
   /// to also capture the hot-path profiling histograms.
-  void attach(search::SearchJob& job) {
-    if (metrics != nullptr) job.add_observer(metrics.get());
-    if (trace != nullptr) job.add_observer(trace.get());
-    if (status != nullptr) job.add_observer(status.get());
+  [[nodiscard]] std::vector<search::Observer*> observers() const {
+    std::vector<search::Observer*> out;
+    if (metrics != nullptr) out.push_back(metrics.get());
+    if (trace != nullptr) out.push_back(trace.get());
+    if (status != nullptr) out.push_back(status.get());
+    return out;
+  }
+
+  void attach(search::SearchJob& job) const {
+    for (search::Observer* o : observers()) job.add_observer(o);
   }
 
   /// Terminal status snapshot + the metrics dump. Call once, after the
@@ -104,30 +131,16 @@ struct EnvSinks {
   }
 };
 
-/// Builds the sinks selected by the NADA_*_OUT environment variables.
-/// `label` and `total_candidates` feed the status snapshot.
-inline EnvSinks env_sinks(const std::string& label,
-                          std::size_t total_candidates) {
+/// The sinks selected by the NADA_METRICS_OUT, NADA_TRACE_OUT and
+/// NADA_STATUS_OUT environment variables (the examples parse no flags).
+inline Sinks env_sinks(const std::string& label,
+                       std::size_t total_candidates) {
   const auto env_path = [](const char* name) {
     const char* value = std::getenv(name);
     return std::string(value != nullptr ? value : "");
   };
-  EnvSinks sinks;
-  if (const std::string path = env_path("NADA_METRICS_OUT"); !path.empty()) {
-    sinks.registry = std::make_unique<obs::MetricsRegistry>();
-    sinks.metrics = std::make_unique<obs::MetricsObserver>(*sinks.registry);
-    sinks.metrics_path = path;
-  }
-  if (const std::string path = env_path("NADA_TRACE_OUT"); !path.empty()) {
-    util::ensure_directories(util::parent_directory(path));
-    sinks.trace = std::make_unique<obs::TraceSink>(path);
-  }
-  if (const std::string path = env_path("NADA_STATUS_OUT"); !path.empty()) {
-    util::ensure_directories(util::parent_directory(path));
-    sinks.status = std::make_unique<obs::StatusWriter>(
-        obs::StatusConfig{path, label, total_candidates});
-  }
-  return sinks;
+  return Sinks(env_path("NADA_METRICS_OUT"), env_path("NADA_TRACE_OUT"),
+               env_path("NADA_STATUS_OUT"), label, total_candidates);
 }
 
 /// The funnel-counts summary every search example prints.

@@ -40,34 +40,12 @@ filter::DesignRecord make_record(const CandidateOutcome& outcome,
   return record;
 }
 
-/// Snapshot of a candidate's work products for the persistent store.
-store::OutcomeRecord to_store_record(const CandidateOutcome& outcome,
-                                     const store::Fingerprint& fp,
-                                     store::Stage stage) {
-  store::OutcomeRecord record;
-  record.fingerprint = fp;
-  record.stage = stage;
-  record.id = outcome.id;
-  record.source = outcome.source;
-  record.arch = outcome.arch;
-  record.compiled = outcome.compiled;
-  record.compile_error = outcome.compile_error;
-  record.normalized = outcome.normalized;
-  record.normalization_error = outcome.normalization_error;
-  record.early_probed = outcome.early_probed;
-  record.early_rewards = outcome.early_rewards;
-  record.fully_trained = outcome.fully_trained;
-  record.test_score = outcome.test_score;
-  record.emulation_score = outcome.emulation_score;
-  record.curve_epochs = outcome.curve_epochs;
-  record.median_curve = outcome.median_curve;
-  return record;
-}
-
-/// Restores the store's work products onto a fresh outcome (everything but
-/// the per-run selection verdict).
+/// Serves a store hit's check and probe results on a fresh outcome. Its
+/// training results apply only once the candidate is selected
+/// (copy_full_train_result), so the outcome's stage stops at kProbed.
 void apply_store_record(const store::OutcomeRecord& record,
                         CandidateOutcome& outcome) {
+  outcome.stage = std::min(record.stage, store::Stage::kProbed);
   outcome.compiled = record.compiled;
   outcome.compile_error = record.compile_error;
   outcome.normalized = record.normalized;
@@ -76,27 +54,6 @@ void apply_store_record(const store::OutcomeRecord& record,
     outcome.early_probed = record.early_probed;
     outcome.early_rewards = record.early_rewards;
   }
-}
-
-/// Single point of truth for the full-training output fields: every path
-/// that produces them (fresh session, store record, in-cohort clone) funnels
-/// through here, so a new field cannot be silently dropped on just one.
-void set_full_train_fields(CandidateOutcome& outcome, bool fully_trained,
-                           double test_score, double emulation_score,
-                           std::vector<double> median_curve,
-                           std::vector<double> curve_epochs) {
-  outcome.fully_trained = fully_trained;
-  outcome.test_score = test_score;
-  outcome.emulation_score = emulation_score;
-  outcome.median_curve = std::move(median_curve);
-  outcome.curve_epochs = std::move(curve_epochs);
-}
-
-void apply_full_train_record(const store::OutcomeRecord& record,
-                             CandidateOutcome& outcome) {
-  set_full_train_fields(outcome, record.fully_trained, record.test_score,
-                        record.emulation_score, record.median_curve,
-                        record.curve_epochs);
 }
 
 /// Runs fn(i) for every i in [0, n): on the pool in contiguous chunks, a
@@ -122,17 +79,24 @@ std::vector<CandidateSpec> pull(CandidateSource& source, std::size_t n,
   return source.generate(n);
 }
 
+/// An in-window clone takes its leader's probe result.
 void copy_probe_result(const CandidateOutcome& from, CandidateOutcome& to) {
+  to.stage = from.stage;
   to.early_probed = from.early_probed;
   to.early_rewards = from.early_rewards;
   if (!from.early_probed) to.compile_error = from.compile_error;
 }
 
-void copy_full_train_result(const CandidateOutcome& from,
+/// A selected candidate takes the training results of its store hit or of
+/// its cohort leader.
+void copy_full_train_result(const store::OutcomeRecord& from,
                             CandidateOutcome& to) {
-  set_full_train_fields(to, from.fully_trained, from.test_score,
-                        from.emulation_score, from.median_curve,
-                        from.curve_epochs);
+  to.stage = from.stage;
+  to.fully_trained = from.fully_trained;
+  to.test_score = from.test_score;
+  to.emulation_score = from.emulation_score;
+  to.curve_epochs = from.curve_epochs;
+  to.median_curve = from.median_curve;
 }
 
 }  // namespace
@@ -308,12 +272,14 @@ void SearchJob::index_leaders() {
   first_seen.reserve(window_.size());
   leader_.resize(window_.size());
   for (std::size_t i = 0; i < window_.size(); ++i) {
-    leader_[i] = first_seen.try_emplace(window_[i].fp, i).first->second;
+    leader_[i] =
+        first_seen.try_emplace(window_[i].outcome.fingerprint, i).first->second;
   }
 }
 
 bool SearchJob::in_shard(const Candidate& cand) const {
-  return !options_.range.has_value() || options_.range->contains(cand.fp);
+  return !options_.range.has_value() ||
+         options_.range->contains(cand.outcome.fingerprint);
 }
 
 bool SearchJob::trainable(const Candidate& cand) {
@@ -354,10 +320,9 @@ void SearchJob::notify_window_finish(const WindowEvent& event) {
   for (Observer* o : observers_) o->on_window_finish(event);
 }
 
-void SearchJob::journal(const Candidate& cand, store::Stage stage) {
-  if (options_.store != nullptr) {
-    options_.store->put(to_store_record(cand.outcome, cand.fp, stage));
-  }
+void SearchJob::journal(Candidate& cand, store::Stage stage) {
+  cand.outcome.stage = stage;
+  if (options_.store != nullptr) options_.store->put(cand.outcome);
 }
 
 void SearchJob::stage_generate() {
@@ -411,7 +376,8 @@ void SearchJob::stage_generate() {
         options_.metrics, "search.generate.fingerprint_seconds"));
     for_each_chunked(options_.pool, n, [&](std::size_t i) {
       Candidate& cand = window_[i];
-      cand.fp = fingerprint_of(cand.spec, fixed_fps_, &cand.parsed);
+      cand.outcome.fingerprint =
+          fingerprint_of(cand.spec, fixed_fps_, &cand.parsed);
     });
   }
   index_leaders();
@@ -443,7 +409,9 @@ void SearchJob::stage_generate() {
 void SearchJob::precheck_arch(Candidate& cand,
                               const nn::StateSignature& signature) {
   CandidateOutcome& outcome = cand.outcome;
-  if (options_.store != nullptr) cand.cached = options_.store->lookup(cand.fp);
+  if (options_.store != nullptr) {
+    cand.cached = options_.store->lookup(outcome.fingerprint);
+  }
   if (cand.cached.has_value()) {
     apply_store_record(*cand.cached, outcome);
     return;
@@ -471,7 +439,7 @@ void SearchJob::precheck_state(Candidate& cand) {
     const auto norm = filter::normalization_check(
         *cand.program, domain_->catalog(), config_.normalization_threshold,
         config_.normalization_fuzz_runs,
-        seed_ ^ (cand.fp.lo * 0x9e3779b9ULL));
+        seed_ ^ (outcome.fingerprint.lo * 0x9e3779b9ULL));
     outcome.normalized = norm.passed;
     outcome.normalization_error = norm.reason;
   }
@@ -504,7 +472,7 @@ void SearchJob::stage_precheck() {
       continue;
     }
     if (options_.store != nullptr) {
-      cand.cached = options_.store->lookup(cand.fp);
+      cand.cached = options_.store->lookup(cand.outcome.fingerprint);
     }
     if (cand.cached.has_value() && cand.cached->compiled &&
         cand.cached->stage < store::Stage::kTrained && !cand.parsed) {
@@ -528,7 +496,7 @@ void SearchJob::stage_precheck() {
   }
   // Journal the fresh verdicts in stream order from this thread:
   // deterministic journal bytes whatever the pool's scheduling.
-  for (const Candidate* cand : misses) journal(*cand, store::Stage::kChecked);
+  for (Candidate* cand : misses) journal(*cand, store::Stage::kChecked);
   // Accounting and events, on the stepping thread in stream order.
   for (const Candidate& cand : window_) {
     if (!in_shard(cand)) continue;
@@ -595,7 +563,7 @@ void SearchJob::stage_probe() {
     probe_jobs.push_back(
         rl::ProbeJob{is_state ? &*cand.program : fixed_.state,
                      is_state ? fixed_.arch : &*cand.outcome.arch,
-                     probe_seed(cand.spec, seed_, cand.fp)});
+                     probe_seed(cand.spec, seed_, cand.outcome.fingerprint)});
   }
   // One engine task per probe on the pool; results are applied, journaled,
   // and announced afterwards on this thread, in stream order.
@@ -729,7 +697,7 @@ void SearchJob::stage_full_train() {
     Candidate& cand = window_[i];
     if (cand.cached.has_value() &&
         cand.cached->stage >= store::Stage::kTrained) {
-      apply_full_train_record(*cand.cached, cand.outcome);
+      copy_full_train_result(*cand.cached, cand.outcome);
       ++result_.n_full_cache_hits;
       if (!observers_.empty()) {
         notify_candidate(CandidateEvent{CandidateEventType::kCacheHit,
@@ -753,27 +721,24 @@ void SearchJob::stage_full_train() {
     Candidate& cand = window_[i];
     ensure_program(cand);
     const bool is_state = cand.spec.kind == CandidateKind::kStateProgram;
-    jobs.push_back(
-        rl::SessionJob{is_state ? &*cand.program : fixed_.state,
-                       is_state ? fixed_.arch : &*cand.outcome.arch,
-                       full_train_seed(cand.spec, seed_, cand.fp)});
+    jobs.push_back(rl::SessionJob{
+        is_state ? &*cand.program : fixed_.state,
+        is_state ? fixed_.arch : &*cand.outcome.arch,
+        full_train_seed(cand.spec, seed_, cand.outcome.fingerprint)});
   }
   auto sessions =
       rl::run_sessions(*domain_, jobs, session_config, options_.pool);
-  for (std::size_t k = 0; k < to_train.size(); ++k) {
-    rl::SessionResult& session = sessions[k];
-    set_full_train_fields(window_[to_train[k]].outcome, !session.failed,
-                          session.test_score, session.emulation_score,
-                          std::move(session.median_curve),
-                          std::move(session.curve_epochs));
-  }
   result_.n_full_trains_run = to_train.size();
-  for (std::size_t i : clones) {
-    copy_full_train_result(window_[leader_[i]].outcome, window_[i].outcome);
-  }
-  for (std::size_t i : to_train) {
-    const CandidateOutcome& outcome = window_[i].outcome;
-    journal(window_[i], store::Stage::kTrained);
+  for (std::size_t k = 0; k < to_train.size(); ++k) {
+    Candidate& cand = window_[to_train[k]];
+    CandidateOutcome& outcome = cand.outcome;
+    rl::SessionResult& session = sessions[k];
+    outcome.fully_trained = !session.failed;
+    outcome.test_score = session.test_score;
+    outcome.emulation_score = session.emulation_score;
+    outcome.curve_epochs = std::move(session.curve_epochs);
+    outcome.median_curve = std::move(session.median_curve);
+    journal(cand, store::Stage::kTrained);
     if (!observers_.empty()) {
       notify_candidate(CandidateEvent{
           CandidateEventType::kTrained, StageKind::kFullTrain,
@@ -782,6 +747,10 @@ void SearchJob::stage_full_train() {
               ? "test_score=" + std::to_string(outcome.test_score)
               : "every session failed"});
     }
+  }
+  // Clones copy once their leaders are journaled, stage included.
+  for (std::size_t i : clones) {
+    copy_full_train_result(window_[leader_[i]].outcome, window_[i].outcome);
   }
 }
 

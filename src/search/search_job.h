@@ -206,10 +206,9 @@ class SearchJob {
  private:
   /// One candidate from pull to full training: a window slot, then — if
   /// the fold keeps it — a member of the running selection and at last of
-  /// the full-training cohort.
+  /// the full-training cohort. Its fingerprint is outcome.fingerprint.
   struct Candidate {
     CandidateSpec spec;
-    store::Fingerprint fp;
     /// State candidates: whether the source parsed. Read by pre-check only.
     bool parsed = false;
     std::optional<store::OutcomeRecord> cached;
@@ -258,7 +257,8 @@ class SearchJob {
   void notify_candidate(CandidateEvent event);
   void notify_window_start(std::size_t index, std::size_t first);
   void notify_window_finish(const WindowEvent& event);
-  void journal(const Candidate& cand, store::Stage stage);
+  /// Sets the outcome's stage and journals the outcome as its store record.
+  void journal(Candidate& cand, store::Stage stage);
 
   const env::TaskDomain* domain_;
   SearchConfig config_;

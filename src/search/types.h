@@ -5,14 +5,13 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "filter/checks.h"
 #include "nn/arch.h"
 #include "rl/session.h"
 #include "rl/trainer.h"
+#include "store/candidate_store.h"
 #include "trace/generator.h"
 #include "util/scale.h"
 
@@ -68,28 +67,17 @@ void validate_config(const SearchConfig& config);
 [[nodiscard]] SearchConfig scaled_config(trace::Environment env,
                                          const util::ScaleConfig& scale);
 
-/// Everything that happened to one candidate on its way through the funnel.
-struct CandidateOutcome {
-  std::string id;
+/// Everything that happened to one candidate on its way through the funnel:
+/// its store record (fingerprint, check, probe and training results; `stage`
+/// says how far they go, as on a journaled record) plus what only this run
+/// knows.
+struct CandidateOutcome : store::OutcomeRecord {
   /// Position in the candidate stream. In batch mode this equals the
   /// outcome's index in SearchResult::outcomes; in streaming mode the
   /// result holds only the full-training cohort, so the stream position
   /// must travel with the outcome.
   std::size_t stream_index = 0;
-  std::string source;            ///< state candidates only
-  std::optional<nn::ArchSpec> arch;  ///< architecture candidates only
-  bool compiled = false;
-  std::string compile_error;
-  bool normalized = false;       ///< always true for architecture candidates
-  std::string normalization_error;
-  bool early_probed = false;
-  std::vector<double> early_rewards;
-  bool early_stopped = false;    ///< filtered out after the probe
-  bool fully_trained = false;
-  double test_score = -1e9;      ///< paper's test score (median over seeds)
-  double emulation_score = 0.0;  ///< Table-4 style emulation score, if asked
-  std::vector<double> curve_epochs;  ///< checkpoint curve of the full run
-  std::vector<double> median_curve;
+  bool early_stopped = false;  ///< filtered out after the probe
 };
 
 struct SearchResult {

@@ -445,20 +445,6 @@ std::vector<OutcomeRecord> CandidateStore::records() const {
   return scan_records_locked();
 }
 
-std::size_t CandidateStore::merge_from(const CandidateStore& other) {
-  if (!(other.scope() == scope_)) {
-    throw std::invalid_argument(
-        "CandidateStore::merge_from: scope mismatch (" + other.scope().env +
-        "/" + other.scope().config_digest + " vs " + scope_.env + "/" +
-        scope_.config_digest + ")");
-  }
-  std::size_t accepted = 0;
-  for (const auto& record : other.records()) {
-    if (put(record)) ++accepted;
-  }
-  return accepted;
-}
-
 std::size_t CandidateStore::compact() {
   std::lock_guard lock(mutex_);
   // Count live journal units (frames, corrupt frames, a torn fragment) so

@@ -54,9 +54,10 @@ enum class Stage : int {
 
 [[nodiscard]] const char* stage_name(Stage stage);
 
-/// The work products of one candidate's trip through the funnel. Field for
-/// field this mirrors search::CandidateOutcome minus the per-run selection
-/// verdict (early_stopped), which depends on the cohort, not the candidate.
+/// The work products of one candidate's trip through the funnel. A
+/// search::CandidateOutcome is this record plus its stream position and the
+/// per-run selection verdict (early_stopped), which depends on the cohort,
+/// not the candidate; the funnel journals the outcome itself.
 struct OutcomeRecord {
   Fingerprint fingerprint;
   Stage stage = Stage::kChecked;
@@ -124,10 +125,6 @@ class CandidateStore {
   /// (merge paths and tests want the full set; the funnel itself never
   /// calls it).
   [[nodiscard]] std::vector<OutcomeRecord> records() const;
-
-  /// Unions another store's records into this one (same-scope only;
-  /// throws std::invalid_argument otherwise). Returns records accepted.
-  std::size_t merge_from(const CandidateStore& other);
 
   /// Rewrites the journal to exactly one frame per fingerprint — the
   /// latest-stage record — dropping superseded-stage duplicates, torn

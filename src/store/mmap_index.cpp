@@ -7,15 +7,12 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/fs.h"
-#include "util/strings.h"
-
-#if !defined(_WIN32)
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include "util/strings.h"
 
 namespace nada::store {
 namespace {
@@ -86,11 +83,7 @@ MmapIndex& MmapIndex::operator=(MmapIndex&& other) noexcept {
 }
 
 void MmapIndex::close() {
-#if !defined(_WIN32)
   if (map_ != nullptr) ::munmap(map_, map_bytes_);
-#else
-  delete[] static_cast<char*>(map_);
-#endif
   map_ = nullptr;
   map_bytes_ = 0;
   entries_ = nullptr;
@@ -100,7 +93,6 @@ void MmapIndex::close() {
 
 bool MmapIndex::open(const std::string& path, std::uint64_t scope_hash) {
   close();
-#if !defined(_WIN32)
   const int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return false;
   struct stat st{};
@@ -115,17 +107,6 @@ bool MmapIndex::open(const std::string& path, std::uint64_t scope_hash) {
   if (map == MAP_FAILED) return false;
   map_ = map;
   map_bytes_ = bytes;
-#else
-  // Portability fallback: plain read into heap memory.
-  const auto content = util::read_file_if_exists(path);
-  if (!content.has_value() || content->size() < sizeof(IndexHeader)) {
-    return false;
-  }
-  char* buffer = new char[content->size()];
-  std::memcpy(buffer, content->data(), content->size());
-  map_ = buffer;
-  map_bytes_ = content->size();
-#endif
 
   IndexHeader header{};
   std::memcpy(&header, map_, sizeof(header));

@@ -1,13 +1,11 @@
 #include "svc/process.h"
 
-#include <stdexcept>
-#include <utility>
-
-#ifndef _WIN32
 #include <signal.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
+
+#include <stdexcept>
+#include <utility>
 
 namespace nada::svc {
 
@@ -36,8 +34,6 @@ ChildProcess& ChildProcess::operator=(ChildProcess&& other) noexcept {
   }
   return *this;
 }
-
-#ifndef _WIN32
 
 ChildProcess ChildProcess::spawn(const std::vector<std::string>& argv) {
   if (argv.empty()) {
@@ -95,19 +91,5 @@ void ChildProcess::terminate(int signum) {
   if (reaped_ || !valid()) return;
   ::kill(pid_, signum);
 }
-
-#else  // _WIN32: the svc layer needs POSIX process control.
-
-ChildProcess ChildProcess::spawn(const std::vector<std::string>&) {
-  throw std::runtime_error(
-      "ChildProcess::spawn: process supervision requires POSIX");
-}
-
-ExitStatus ChildProcess::wait_impl(bool) { return last_; }
-ExitStatus ChildProcess::poll() { return last_; }
-ExitStatus ChildProcess::wait() { return last_; }
-void ChildProcess::terminate(int) {}
-
-#endif
 
 }  // namespace nada::svc

@@ -4,8 +4,7 @@
 // nothing more. The supervisor never talks to its workers through pipes or
 // shared memory: the per-worker journal files and obs::StatusWriter
 // heartbeat snapshots are the only coupling, exactly as in the multi-
-// process sharded search this subsystem productionizes. Non-POSIX builds
-// get a stub that throws on spawn (the svc layer is gated the same way).
+// process sharded search this subsystem productionizes.
 #pragma once
 
 #include <string>

@@ -13,6 +13,9 @@
 //     lost range journal is recomputed by the driver to the same result,
 //   * resume: SearchJob::resume() serves every journaled stage from the
 //     store and reproduces the cold result,
+//   * one record: an outcome is its store record plus its stream position —
+//     same fingerprint as its spec, same JSONL export as its journal record,
+//     and a stage that covers its results, cold and warm,
 //   * unified candidates: one job can carry state-program and architecture
 //     candidates in the same stream,
 //   * store keys: fingerprints of whole generator streams match pinned
@@ -25,6 +28,7 @@
 #include <set>
 #include <sstream>
 
+#include "cc/cc_domain.h"
 #include "cc/cc_state.h"
 #include "env/abr_domain.h"
 #include "gen/arch_gen.h"
@@ -423,6 +427,120 @@ TEST(SearchJobResume, ResumeAfterSteppingThrows) {
     journaled.insert(record.fingerprint.hex());
   }
   EXPECT_EQ(journaled, window0);
+}
+
+// ---- one candidate record ---------------------------------------------------
+
+/// `n` candidates: the generator's first n/2, then each of them again under
+/// a new id. In batch mode every clone shares its leader's window; short
+/// windows meet the clone as a store hit. The best candidate and its clone
+/// tie on probe score, so the full-training cohort always holds a clone.
+VectorCandidateSource with_clones(CandidateSource& generated, std::size_t n) {
+  std::vector<CandidateSpec> specs = generated.generate(n / 2);
+  for (std::size_t i = 0, half = specs.size(); i < half; ++i) {
+    CandidateSpec clone = specs[i];
+    clone.id += "-clone";
+    specs.push_back(std::move(clone));
+  }
+  return VectorCandidateSource(std::move(specs));
+}
+
+/// An outcome is its store record plus its stream position: it carries the
+/// fingerprint of the spec at that position, it exports the same JSONL line
+/// as the journal record it first sighted (a clone's record is its
+/// leader's), and its stage covers its results, reaching kTrained exactly
+/// for the selected. The runs here have no range, so every outcome is in
+/// range.
+void expect_outcomes_are_records(const SearchResult& result,
+                                 CandidateSource& source,
+                                 const FixedDesign& fixed, std::size_t n,
+                                 const store::CandidateStore& store) {
+  source.reset();
+  const std::vector<CandidateSpec> specs = source.generate(n);
+  ASSERT_FALSE(result.outcomes.empty());
+  std::size_t own_records = 0;
+  std::size_t trained_clones = 0;
+  for (const CandidateOutcome& o : result.outcomes) {
+    SCOPED_TRACE(o.id);
+    ASSERT_LT(o.stream_index, specs.size());
+    EXPECT_EQ(o.fingerprint, fingerprint_of(specs[o.stream_index], fixed));
+    if (o.fully_trained) EXPECT_EQ(o.stage, store::Stage::kTrained);
+    if (o.early_probed) EXPECT_GE(o.stage, store::Stage::kProbed);
+    EXPECT_EQ(o.stage == store::Stage::kTrained,
+              o.early_probed && !o.early_stopped);
+    const auto record = store.lookup(o.fingerprint);
+    ASSERT_TRUE(record.has_value());
+    if (record->id != o.id) {
+      if (o.fully_trained) ++trained_clones;
+      continue;
+    }
+    ++own_records;
+    EXPECT_EQ(store::CandidateStore::encode_line(*record, store.scope()),
+              store::CandidateStore::encode_line(o, store.scope()));
+  }
+  EXPECT_GT(own_records, 0u);
+  EXPECT_GT(trained_clones, 0u);
+}
+
+/// A cold store-backed search, then a warm rerun of it on the same store;
+/// both checked by expect_outcomes_are_records.
+void expect_cold_and_warm_records(const env::TaskDomain& domain,
+                                  const SearchConfig& config,
+                                  CandidateSource& source,
+                                  const FixedDesign& fixed,
+                                  util::ThreadPool& pool,
+                                  const std::string& tag) {
+  const std::string path = fresh_path(tag);
+  std::remove((path + ".idx").c_str());
+  store::CandidateStore store(path, store_scope(domain, config, 2024));
+  JobOptions options;
+  options.store = &store;
+  options.pool = &pool;
+  for (const bool warm : {false, true}) {
+    SCOPED_TRACE(tag + (warm ? " warm" : " cold"));
+    source.reset();
+    SearchJob job(domain, config, 2024, source, fixed, options);
+    const SearchResult result = job.run_to_completion();
+    EXPECT_EQ(result.n_probes_run == 0, warm);
+    EXPECT_GT(result.n_fully_trained, 0u);
+    expect_outcomes_are_records(result, source, fixed, config.num_candidates,
+                                store);
+  }
+}
+
+TEST(OneRecord, OutcomesAreTheirStoreRecords) {
+  Fixture fx;
+  SearchConfig config = tiny_config();
+  const FixedDesign state_fixed{nullptr, &config.baseline_arch};
+  gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                77);
+  StateCandidateSource generated_states(generator);
+  VectorCandidateSource states =
+      with_clones(generated_states, config.num_candidates);
+  expect_cold_and_warm_records(fx.domain, config, states, state_fixed,
+                               fx.pool, "record_abr_batch");
+  config.window_size = 7;
+  expect_cold_and_warm_records(fx.domain, config, states, state_fixed,
+                               fx.pool, "record_abr_window");
+
+  const trace::Dataset dataset =
+      trace::build_dataset(trace::Environment::k4G, 0.2, 7);
+  cc::CcConfig cc_config;
+  cc_config.steps_per_episode = 30;
+  cc_config.init_rate_mbps = 2.0;
+  const cc::CcDomain cc_domain(dataset, cc_config);
+  SearchConfig cc_search = tiny_config();
+  cc_search.num_candidates = 16;
+  const auto fixed_state =
+      dsl::StateProgram::compile(cc_domain.baseline_state_source());
+  gen::ArchGenerator arch_gen(gen::gpt4_profile(), gen::PromptStrategy{}, 77,
+                              0.25);
+  ArchCandidateSource generated_archs(arch_gen);
+  VectorCandidateSource archs =
+      with_clones(generated_archs, cc_search.num_candidates);
+  expect_cold_and_warm_records(cc_domain, cc_search, archs,
+                               FixedDesign{&fixed_state, nullptr}, fx.pool,
+                               "record_cc_arch");
 }
 
 // ---- unified candidate stream ----------------------------------------------

@@ -250,26 +250,6 @@ TEST(CandidateStore, PutIsMonotonePerFingerprint) {
   EXPECT_EQ(got->stage, Stage::kProbed);
 }
 
-TEST(CandidateStore, MergeUnionsAndKeepsFurthestStage) {
-  const std::string path_a = fresh_path("merge_a");
-  const std::string path_b = fresh_path("merge_b");
-  CandidateStore a(path_a, test_scope());
-  CandidateStore b(path_b, test_scope());
-  a.put(make_test_record(1, Stage::kChecked));
-  a.put(make_test_record(2, Stage::kProbed));
-  b.put(make_test_record(2, Stage::kTrained));  // same candidate, further
-  b.put(make_test_record(3, Stage::kChecked));
-  EXPECT_EQ(a.merge_from(b), 2u);
-  EXPECT_EQ(a.size(), 3u);
-  const auto got = a.lookup(make_test_record(2, Stage::kProbed).fingerprint);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->stage, Stage::kTrained);
-
-  CandidateStore mismatched(fresh_path("merge_c"),
-                            StoreScope{"fcc", "other"});
-  EXPECT_THROW((void)a.merge_from(mismatched), std::invalid_argument);
-}
-
 TEST(CandidateStore, DefaultPathHonorsEnvDir) {
   ::setenv("NADA_STORE_DIR", "/tmp/nada-test-stores", 1);
   const std::string path = default_store_path(test_scope());
@@ -354,6 +334,38 @@ TEST(ShardPlan, MergeShardFilesUnionsWorkerStores) {
   const std::vector<std::string> with_foreign = {paths[0], foreign};
   EXPECT_THROW((void)merge_shard_files(with_foreign, merged),
                std::runtime_error);
+}
+
+TEST(ShardPlan, MergeShardFilesKeepsFurthestStage) {
+  // Two journals hold one fingerprint at kProbed and at kTrained: the merge
+  // unions all three fingerprints and keeps the trained record, whichever
+  // journal it reads first.
+  const std::vector<std::string> paths = {fresh_path("furthest_a"),
+                                          fresh_path("furthest_b")};
+  {
+    CandidateStore a(paths[0], test_scope());
+    CandidateStore b(paths[1], test_scope());
+    a.put(make_test_record(1, Stage::kChecked));
+    a.put(make_test_record(2, Stage::kProbed));
+    b.put(make_test_record(2, Stage::kTrained));  // same candidate, further
+    b.put(make_test_record(3, Stage::kChecked));
+  }
+  const Fingerprint shared = make_test_record(2, Stage::kProbed).fingerprint;
+  for (const bool reversed : {false, true}) {
+    const std::vector<std::string> order =
+        reversed ? std::vector<std::string>{paths[1], paths[0]} : paths;
+    CandidateStore merged(
+        fresh_path(reversed ? "furthest_merged_ba" : "furthest_merged_ab"),
+        test_scope());
+    // Read in order, the kProbed record is accepted and then superseded; in
+    // reverse, the monotone put refuses it.
+    EXPECT_EQ(merge_shard_files(order, merged), reversed ? 3u : 4u);
+    EXPECT_EQ(merged.size(), 3u);
+    const auto got = merged.lookup(shared);
+    ASSERT_TRUE(got.has_value());
+    EXPECT_EQ(got->stage, Stage::kTrained);
+    EXPECT_TRUE(got->fully_trained);
+  }
 }
 
 TEST(ShardPlan, MergeShardFilesFiltersMixedDomainJournals) {

@@ -20,11 +20,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <ostream>
-#include <set>
 #include <string>
 #include <system_error>
 #include <type_traits>
@@ -158,43 +156,13 @@ inline std::unique_ptr<SearchSetup> make_search_setup(
   return setup;
 }
 
-/// Fingerprints of the ranked outcomes only, pulled by replaying the
-/// stream in small windows and keeping just the wanted positions — the
-/// ranking printout must not hold O(num_candidates) specs when the search
-/// itself ran at O(window) memory.
-inline std::map<std::size_t, std::string> ranked_fingerprints(
-    search::CandidateSource& source, const search::FixedDesign& fixed,
-    const search::SearchResult& result, std::size_t num_candidates) {
-  std::set<std::size_t> wanted;
-  for (const auto& outcome : result.outcomes) {
-    if (outcome.fully_trained) wanted.insert(outcome.stream_index);
-  }
-  std::map<std::size_t, std::string> out;
-  source.reset();
-  std::size_t position = 0;
-  while (!wanted.empty() && position < num_candidates) {
-    const auto window = source.generate(
-        std::min<std::size_t>(64, num_candidates - position));
-    if (window.empty()) break;
-    for (const auto& spec : window) {
-      if (wanted.erase(position) > 0) {
-        out[position] = search::fingerprint_of(spec, fixed).hex();
-      }
-      ++position;
-    }
-  }
-  return out;
-}
-
 /// `RANK,<position>,<id>,<fingerprint>,<score>` lines, best first; ties by
 /// stream position (the funnel's own tie-break), so the listing is
-/// deterministic. Outcomes are addressed through stream_index rather than
-/// their result position: in streaming mode the result holds only the
-/// retained candidates, and the ranking must still diff cleanly against a
-/// batch run.
-inline void print_ranking(
-    std::ostream& out, const search::SearchResult& result,
-    const std::map<std::size_t, std::string>& fingerprints) {
+/// deterministic. Outcomes are ordered by stream_index rather than their
+/// result position: in streaming mode the result holds only the retained
+/// candidates, and the ranking must still diff cleanly against a batch run.
+inline void print_ranking(std::ostream& out,
+                          const search::SearchResult& result) {
   std::vector<std::size_t> ranked;
   for (std::size_t i = 0; i < result.outcomes.size(); ++i) {
     if (result.outcomes[i].fully_trained) ranked.push_back(i);
@@ -209,8 +177,7 @@ inline void print_ranking(
   for (std::size_t r = 0; r < ranked.size(); ++r) {
     const auto& outcome = result.outcomes[ranked[r]];
     out << "RANK," << r + 1 << "," << outcome.id << ","
-        << fingerprints.at(outcome.stream_index) << ","
-        << outcome.test_score << "\n";
+        << outcome.fingerprint.hex() << "," << outcome.test_score << "\n";
   }
 }
 

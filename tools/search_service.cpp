@@ -228,10 +228,7 @@ int run(const Args& args) {
             << " probes and " << result.n_full_trains_run
             << " full trainings executed by the driver\n"
             << "journal: " << runner.merged_store_path() << "\n";
-  tools::print_ranking(
-      std::cout, result,
-      tools::ranked_fingerprints(*setup->source, setup->fixed, result,
-                                 setup->config.num_candidates));
+  tools::print_ranking(std::cout, result);
   return tools::kExitOk;
 }
 

@@ -60,10 +60,6 @@
 #include <thread>
 #include <vector>
 
-#include "obs/metrics.h"
-#include "obs/metrics_observer.h"
-#include "obs/status.h"
-#include "obs/trace_sink.h"
 #include "search/observer.h"
 #include "search/shard_runner.h"
 #include "store/candidate_store.h"
@@ -227,42 +223,14 @@ int run(const Args& args) {
   // Optional observability sinks. All of them are pure readout; building
   // them up front keeps the modes identical in what they attach.
   search::StreamObserver observer(std::cout, !args.quiet);
-  std::unique_ptr<obs::MetricsRegistry> registry;
-  std::unique_ptr<obs::MetricsObserver> metrics_observer;
-  std::unique_ptr<obs::TraceSink> trace;
-  std::unique_ptr<obs::StatusWriter> status;
+  examples::Sinks sinks(args.metrics_out, args.trace_out, args.status_out,
+                        args.mode, args.candidates);
   std::vector<search::Observer*> observers{&observer};
-  if (!args.metrics_out.empty()) {
-    registry = std::make_unique<obs::MetricsRegistry>();
-    metrics_observer = std::make_unique<obs::MetricsObserver>(*registry);
-    observers.push_back(metrics_observer.get());
-  }
-  if (!args.trace_out.empty()) {
-    util::ensure_directories(util::parent_directory(args.trace_out));
-    trace = std::make_unique<obs::TraceSink>(args.trace_out);
-    observers.push_back(trace.get());
-  }
-  if (!args.status_out.empty()) {
-    util::ensure_directories(util::parent_directory(args.status_out));
-    status = std::make_unique<obs::StatusWriter>(
-        obs::StatusConfig{args.status_out, args.mode, args.candidates});
-    observers.push_back(status.get());
-  }
-  // Final sink writes shared by every mode: terminal status snapshot, then
-  // the metrics snapshot (one JSON document, atomically replaced).
-  const auto finish_sinks = [&] {
-    if (status != nullptr) status->finish();
-    if (registry != nullptr) {
-      util::ensure_directories(util::parent_directory(args.metrics_out));
-      util::write_file_atomic(args.metrics_out,
-                              registry->snapshot().dump() + "\n");
-      std::cout << "metrics: " << args.metrics_out << "\n";
-    }
-  };
+  for (search::Observer* o : sinks.observers()) observers.push_back(o);
 
   if (args.mode == "worker") {
     search::ShardRunnerConfig runner_config;
-    runner_config.metrics = registry.get();
+    runner_config.metrics = sinks.registry.get();
     search::ShardRunner runner(*setup->domain, setup->config, args.seed,
                                runner_config, pool.get());
     std::unique_ptr<FaultInjector> fault;
@@ -280,7 +248,7 @@ int run(const Args& args) {
               << result.n_probes_run << " probes run, "
               << result.cache_hits() << " cache hits\n"
               << "journal: " << args.journal << "\n";
-    finish_sinks();
+    sinks.finish();
     return tools::kExitOk;
   }
 
@@ -295,7 +263,7 @@ int run(const Args& args) {
   search::JobOptions options;
   options.store = &store;
   options.pool = pool.get();
-  options.metrics = registry.get();
+  options.metrics = sinks.registry.get();
   search::SearchJob job(*setup->domain, setup->config, args.seed,
                         *setup->source, setup->fixed, options);
   for (search::Observer* o : observers) job.add_observer(o);
@@ -303,11 +271,8 @@ int run(const Args& args) {
   std::cout << "single: " << result.n_probes_run << " probes and "
             << result.n_full_trains_run << " full trainings executed\n"
             << "journal: " << store.path() << "\n";
-  tools::print_ranking(
-      std::cout, result,
-      tools::ranked_fingerprints(*setup->source, setup->fixed, result,
-                                 setup->config.num_candidates));
-  finish_sinks();
+  tools::print_ranking(std::cout, result);
+  sinks.finish();
   return tools::kExitOk;
 }
 
