@@ -11,8 +11,7 @@
 // Threading: every event — stage start/finish, window, and candidate —
 // fires on the thread stepping the job, in stream order, whatever the
 // job's thread pool (pool threads only compute; the stepping thread
-// applies and announces their results). Dispatch is additionally guarded
-// by the job's mutex.
+// applies and announces their results).
 #pragma once
 
 #include <cstddef>

@@ -199,9 +199,11 @@ bool SearchJob::next_stage() {
   const StageKind stage = next_;
   if (stage == StageKind::kGenerate) {
     window_start_time_ = std::chrono::steady_clock::now();
-    notify_window_start(window_index_, generated_total_);
+    for (Observer* o : observers_) {
+      o->on_window_start(window_index_, generated_total_);
+    }
   }
-  notify_stage_start(stage);
+  for (Observer* o : observers_) o->on_stage_start(stage);
   const auto start = std::chrono::steady_clock::now();
   switch (stage) {
     case StageKind::kGenerate: stage_generate(); break;
@@ -217,7 +219,8 @@ bool SearchJob::next_stage() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   next_ = stage_after(stage);
-  notify_stage_finish(StageEvent{stage, seconds});
+  const StageEvent event{stage, seconds};
+  for (Observer* o : observers_) o->on_stage_finish(event);
   return !done();
 }
 
@@ -295,29 +298,13 @@ void SearchJob::ensure_program(Candidate& cand) {
   }
 }
 
-void SearchJob::notify_stage_start(StageKind stage) {
-  std::lock_guard lock(notify_mutex_);
-  for (Observer* o : observers_) o->on_stage_start(stage);
-}
-
-void SearchJob::notify_stage_finish(const StageEvent& event) {
-  std::lock_guard lock(notify_mutex_);
-  for (Observer* o : observers_) o->on_stage_finish(event);
-}
-
-void SearchJob::notify_candidate(CandidateEvent event) {
-  std::lock_guard lock(notify_mutex_);
+void SearchJob::announce(CandidateEventType type, StageKind stage,
+                         const CandidateOutcome& outcome,
+                         std::string_view detail) const {
+  if (observers_.empty()) return;
+  const CandidateEvent event{type, stage, outcome.stream_index, outcome.id,
+                             std::string(detail)};
   for (Observer* o : observers_) o->on_candidate(event);
-}
-
-void SearchJob::notify_window_start(std::size_t index, std::size_t first) {
-  std::lock_guard lock(notify_mutex_);
-  for (Observer* o : observers_) o->on_window_start(index, first);
-}
-
-void SearchJob::notify_window_finish(const WindowEvent& event) {
-  std::lock_guard lock(notify_mutex_);
-  for (Observer* o : observers_) o->on_window_finish(event);
 }
 
 void SearchJob::journal(Candidate& cand, store::Stage stage) {
@@ -360,8 +347,9 @@ void SearchJob::stage_generate() {
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       window_start_time_)
             .count();
-    notify_window_finish(WindowEvent{window_index_, window_base_, 0,
-                                     selection_.size(), seconds});
+    const WindowEvent event{window_index_, window_base_, 0,
+                            selection_.size(), seconds};
+    for (Observer* o : observers_) o->on_window_finish(event);
     ++window_index_;
     return;
   }
@@ -390,18 +378,11 @@ void SearchJob::stage_generate() {
     if (cand.spec.kind == CandidateKind::kArchitecture) {
       outcome.arch = cand.spec.arch;
     }
-    if (!observers_.empty()) {
-      notify_candidate(CandidateEvent{CandidateEventType::kEntered,
-                                      StageKind::kGenerate,
-                                      outcome.stream_index, outcome.id, ""});
-    }
+    announce(CandidateEventType::kEntered, StageKind::kGenerate, outcome);
     if (!in_shard(cand)) {
       ++result_.n_out_of_shard;
-      if (!observers_.empty()) {
-        notify_candidate(CandidateEvent{CandidateEventType::kOutOfShard,
-                                        StageKind::kGenerate,
-                                        outcome.stream_index, outcome.id, ""});
-      }
+      announce(CandidateEventType::kOutOfShard, StageKind::kGenerate,
+               outcome);
     }
   }
 }
@@ -503,26 +484,14 @@ void SearchJob::stage_precheck() {
     const CandidateOutcome& outcome = cand.outcome;
     if (cand.cached.has_value()) {
       ++result_.n_precheck_cache_hits;
-      if (!observers_.empty()) {
-        notify_candidate(CandidateEvent{
-            CandidateEventType::kCacheHit, StageKind::kPrecheck,
-            outcome.stream_index, outcome.id,
-            store::stage_name(cand.cached->stage)});
-      }
+      announce(CandidateEventType::kCacheHit, StageKind::kPrecheck, outcome,
+               store::stage_name(cand.cached->stage));
     } else if (!outcome.compiled) {
-      if (!observers_.empty()) {
-        notify_candidate(CandidateEvent{CandidateEventType::kFailed,
-                                        StageKind::kPrecheck,
-                                        outcome.stream_index, outcome.id,
-                                        outcome.compile_error});
-      }
+      announce(CandidateEventType::kFailed, StageKind::kPrecheck, outcome,
+               outcome.compile_error);
     } else if (!outcome.normalized) {
-      if (!observers_.empty()) {
-        notify_candidate(CandidateEvent{CandidateEventType::kFailed,
-                                        StageKind::kPrecheck,
-                                        outcome.stream_index, outcome.id,
-                                        outcome.normalization_error});
-      }
+      announce(CandidateEventType::kFailed, StageKind::kPrecheck, outcome,
+               outcome.normalization_error);
     }
   }
 }
@@ -539,12 +508,8 @@ void SearchJob::stage_probe() {
     if (cand.cached.has_value() &&
         cand.cached->stage >= store::Stage::kProbed) {
       ++result_.n_probe_cache_hits;  // probe verdict already applied
-      if (!observers_.empty()) {
-        notify_candidate(CandidateEvent{CandidateEventType::kCacheHit,
-                                        StageKind::kProbe,
-                                        outcome.stream_index, outcome.id,
-                                        store::stage_name(cand.cached->stage)});
-      }
+      announce(CandidateEventType::kCacheHit, StageKind::kProbe, outcome,
+               store::stage_name(cand.cached->stage));
     } else if (leader_[i] != i) {
       // In-window clone: copies the leader's probe result after the stage.
     } else if (trainable(cand)) {
@@ -578,21 +543,13 @@ void SearchJob::stage_probe() {
     if (!probe_result.failed) {
       outcome.early_probed = true;
       outcome.early_rewards = probe_result.train_rewards;
-      if (!observers_.empty()) {
-        notify_candidate(CandidateEvent{CandidateEventType::kProbed,
-                                        StageKind::kProbe,
-                                        outcome.stream_index, outcome.id, ""});
-      }
+      announce(CandidateEventType::kProbed, StageKind::kProbe, outcome);
     } else {
       // Blew up only under real training inputs; treat as compile-stage
       // failure discovered late.
       outcome.compile_error = probe_result.error;
-      if (!observers_.empty()) {
-        notify_candidate(CandidateEvent{CandidateEventType::kFailed,
-                                        StageKind::kProbe,
-                                        outcome.stream_index, outcome.id,
-                                        probe_result.error});
-      }
+      announce(CandidateEventType::kFailed, StageKind::kProbe, outcome,
+               probe_result.error);
     }
     journal(cand, store::Stage::kProbed);
   }
@@ -624,11 +581,7 @@ void SearchJob::fold_window() {
   };
   const auto stop = [&](CandidateOutcome&& outcome) {
     ++result_.n_early_stopped;
-    if (!observers_.empty()) {
-      notify_candidate(CandidateEvent{CandidateEventType::kEarlyStopped,
-                                      StageKind::kProbe, outcome.stream_index,
-                                      outcome.id, ""});
-    }
+    announce(CandidateEventType::kEarlyStopped, StageKind::kProbe, outcome);
     outcome.early_stopped = true;
     release(std::move(outcome));
   };
@@ -669,8 +622,9 @@ void SearchJob::fold_window() {
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     window_start_time_)
           .count();
-  notify_window_finish(
-      WindowEvent{window_index_, window_base_, n, selection_.size(), seconds});
+  const WindowEvent event{window_index_, window_base_, n, selection_.size(),
+                          seconds};
+  for (Observer* o : observers_) o->on_window_finish(event);
   ++window_index_;
 }
 
@@ -699,13 +653,8 @@ void SearchJob::stage_full_train() {
         cand.cached->stage >= store::Stage::kTrained) {
       copy_full_train_result(*cand.cached, cand.outcome);
       ++result_.n_full_cache_hits;
-      if (!observers_.empty()) {
-        notify_candidate(CandidateEvent{CandidateEventType::kCacheHit,
-                                        StageKind::kFullTrain,
-                                        cand.outcome.stream_index,
-                                        cand.outcome.id,
-                                        store::stage_name(cand.cached->stage)});
-      }
+      announce(CandidateEventType::kCacheHit, StageKind::kFullTrain,
+               cand.outcome, store::stage_name(cand.cached->stage));
     } else if (leader_[i] != i) {
       clones.push_back(i);
     } else if (trainable(cand)) {
@@ -739,14 +688,10 @@ void SearchJob::stage_full_train() {
     outcome.curve_epochs = std::move(session.curve_epochs);
     outcome.median_curve = std::move(session.median_curve);
     journal(cand, store::Stage::kTrained);
-    if (!observers_.empty()) {
-      notify_candidate(CandidateEvent{
-          CandidateEventType::kTrained, StageKind::kFullTrain,
-          outcome.stream_index, outcome.id,
-          outcome.fully_trained
-              ? "test_score=" + std::to_string(outcome.test_score)
-              : "every session failed"});
-    }
+    announce(CandidateEventType::kTrained, StageKind::kFullTrain, outcome,
+             outcome.fully_trained
+                 ? "test_score=" + std::to_string(outcome.test_score)
+                 : "every session failed");
   }
   // Clones copy once their leaders are journaled, stage included.
   for (std::size_t i : clones) {

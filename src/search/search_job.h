@@ -74,8 +74,8 @@
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "env/domain.h"
@@ -252,11 +252,11 @@ class SearchJob {
   /// store hit's pre-check verdict is served without compiling, so the
   /// program is built only once a stage is about to train the candidate.
   static void ensure_program(Candidate& cand);
-  void notify_stage_start(StageKind stage);
-  void notify_stage_finish(const StageEvent& event);
-  void notify_candidate(CandidateEvent event);
-  void notify_window_start(std::size_t index, std::size_t first);
-  void notify_window_finish(const WindowEvent& event);
+  /// Fires a candidate event at every observer; returns at once when there
+  /// are none.
+  void announce(CandidateEventType type, StageKind stage,
+                const CandidateOutcome& outcome,
+                std::string_view detail = {}) const;
   /// Sets the outcome's stage and journals the outcome as its store record.
   void journal(Candidate& cand, store::Stage stage);
 
@@ -268,7 +268,6 @@ class SearchJob {
   FixedFingerprints fixed_fps_;  ///< fixed_'s fingerprints, hashed once
   Options options_;
   std::vector<Observer*> observers_;
-  std::mutex notify_mutex_;
 
   StageKind next_ = StageKind::kGenerate;
   bool started_ = false;  ///< a stage has run: resume() refuses the job

@@ -4,10 +4,7 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 
@@ -28,20 +25,6 @@ bool entry_less(const MmapIndex::Entry& a, const MmapIndex::Entry& b) {
 /// the body of a typical record (a warm ABR state frame averages ~626
 /// bytes), so most hits take one pread.
 constexpr std::size_t kFirstReadBytes = 1024;
-
-/// pread until `n` bytes or end of file; the bytes read, or -1 on error.
-ssize_t read_at(int fd, char* buf, std::size_t n, std::uint64_t offset) {
-  std::size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::pread(fd, buf + got, n - got,
-                              static_cast<off_t>(offset + got));
-    if (r < 0 && errno == EINTR) continue;
-    if (r < 0) return -1;
-    if (r == 0) break;
-    got += static_cast<std::size_t>(r);
-  }
-  return static_cast<ssize_t>(got);
-}
 
 void resize_journal(const std::string& path, std::uint64_t bytes) {
   std::error_code ec;
@@ -69,12 +52,12 @@ CandidateStore::CandidateStore(std::string path, StoreScope scope)
     throw std::invalid_argument("CandidateStore: empty scope");
   }
   util::ensure_directories(util::parent_directory(path_));
-  const bool recovered = load();
+  const bool scanned = load();
   open_append_handle();
-  if (recovered) {
-    // Recovery scanned records the sidecar did not cover; persist so the
+  if (scanned) {
+    // The open indexed frames the sidecar did not cover; persist so the
     // next open is O(index) again. Loud: an unwritable sidecar here means
-    // every future open pays a full rescan.
+    // every future open pays a scan.
     persist_index_locked();
   }
 }
@@ -113,157 +96,60 @@ void CandidateStore::open_append_handle() {
     }
     append_offset_ = kMagicBytes;
   }
-  if (!open_read_handle()) {
+  read_fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (read_fd_ < 0) {
     throw std::runtime_error("CandidateStore: cannot open " + path_ +
                              " for reading");
   }
 }
 
-bool CandidateStore::open_read_handle() {
-  if (read_fd_ >= 0) ::close(read_fd_);
-  read_fd_ = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
-  return read_fd_ >= 0;
+bool CandidateStore::load() {
+  if (!util::file_exists(path_)) return false;  // open_append_handle creates it
+  if (base_.open(index_path(), scope_hash()) &&
+      base_.covered_bytes() < kMagicBytes) {
+    base_.close();
+  }
+  if (!index_from(base_.is_open() ? base_.covered_bytes() : kMagicBytes)) {
+    // No intact frame starts where the sidecar's entries end: the journal
+    // was replaced or cut under them. Index it from the magic.
+    base_.close();
+    index_from(kMagicBytes);
+  }
+  return !base_.is_open() || base_.covered_bytes() != append_offset_;
 }
 
-bool CandidateStore::load() {
-  std::error_code ec;
-  const auto raw_size = std::filesystem::file_size(path_, ec);
-  if (ec) return false;  // missing: open_append_handle creates it
-  std::uint64_t file_size = raw_size;
-
-  {
-    std::ifstream probe(path_, std::ios::binary);
-    char magic[kMagicBytes] = {};
-    probe.read(magic, sizeof(magic));
-    const auto got = static_cast<std::size_t>(probe.gcount());
-    if (std::memcmp(magic, kBinaryJournalMagic.data(), got) != 0) {
-      // Refused before anything opens it for writing, so the file stays
-      // byte-identical for the converter.
-      throw std::runtime_error(
-          "CandidateStore: " + path_ +
-          " is not a binary store journal (bad magic); a legacy JSONL "
-          "journal must be migrated: use tools/store_convert");
-    }
-    if (got < kMagicBytes) {
-      // Crash during journal creation: nothing durable existed yet.
-      resize_journal(path_, 0);
-      return false;
-    }
-  }
-  append_offset_ = file_size;
-
-  // Fast path: a sidecar that covers the journal exactly - O(index) open,
-  // no record ever touched.
-  if (base_.open(index_path(), scope_hash())) {
-    if (base_.covered_bytes() == file_size) {
-      distinct_ = base_.size();
-      return false;
-    }
-    if (base_.covered_bytes() >= kMagicBytes &&
-        base_.covered_bytes() < file_size) {
-      // The journal grew past the sidecar (appends after the last clean
-      // close, or a crash before the sidecar flush): scan only the tail.
-      const std::uint64_t covered = base_.covered_bytes();
-      std::string tail;
-      {
-        std::ifstream in(path_, std::ios::binary);
-        in.seekg(static_cast<std::streamoff>(covered));
-        tail.resize(static_cast<std::size_t>(file_size - covered));
-        in.read(tail.data(), static_cast<std::streamsize>(tail.size()));
-        if (static_cast<std::uint64_t>(in.gcount()) != tail.size()) {
-          throw std::runtime_error("CandidateStore: short read of " + path_);
-        }
-      }
-      distinct_ = base_.size();
-      const ScanStats stats = scan_binary_journal(
-          tail, [&](std::uint64_t offset, std::string_view frame) {
-            auto record = decode_record(frame, scope_);
-            if (!record.has_value()) {
-              ++line_errors_;  // foreign scope or malformed body
+bool CandidateStore::index_from(std::uint64_t from) {
+  // The sidecar's entries hold only if an intact frame (under any scope)
+  // starts at `from`, or the journal ends there.
+  bool trusted = !base_.is_open();
+  distinct_ = base_.size();
+  const ScanStats stats =
+      scan_journal_file(
+          path_, from,
+          [&](std::uint64_t offset, std::string_view frame) {
+            auto scoped = decode_record_any(frame);
+            if (offset == from) trusted = trusted || scoped.has_value();
+            if (!trusted) return;
+            if (!scoped.has_value() || !(scoped->scope == scope_)) {
+              ++line_errors_;  // checksum mismatch, malformed or foreign
               return;
             }
             ++decoded_frames_;
-            const auto it = delta_.find(record->fingerprint);
-            std::optional<Stage> current;
-            if (it != delta_.end()) {
-              current = it->second.stage;
-            } else if (const auto entry = base_.find(record->fingerprint)) {
-              current = static_cast<Stage>(entry->stage);
-            }
+            const OutcomeRecord& record = scoped->record;
+            const auto current = entry_locked(record.fingerprint);
             if (!current.has_value()) ++distinct_;
-            if (!current.has_value() || *current < record->stage) {
-              delta_[record->fingerprint] =
-                  DeltaEntry{covered + offset, record->stage};
+            if (!current.has_value() || current->stage < record.stage) {
+              delta_[record.fingerprint] = DeltaEntry{offset, record.stage};
             }
-          });
-      line_errors_ += stats.corrupt_frames;
-      if (stats.torn_tail) {
-        ++line_errors_;
-        file_size = covered + stats.clean_end;
-        resize_journal(path_, file_size);
-        append_offset_ = file_size;
-      }
-      return true;
-    }
-    // covered > file_size: the journal shrank under the sidecar (external
-    // rewrite); the entries point past EOF. Rebuild from scratch.
-    base_.close();
-  }
-  rebuild_index_locked();
-  return false;  // rebuild_index_locked already persisted the sidecar
-}
-
-std::size_t CandidateStore::rebuild_index_locked() {
-  std::string content = util::read_file_if_exists(path_).value_or("");
-  if (content.size() < kMagicBytes) content.clear();
-  std::unordered_map<Fingerprint, MmapIndex::Entry, FingerprintHash> latest;
-  line_errors_ = 0;
-  const std::string_view frames_view =
-      content.empty() ? std::string_view{}
-                      : std::string_view(content).substr(kMagicBytes);
-  const ScanStats stats = scan_binary_journal(
-      frames_view, [&](std::uint64_t offset, std::string_view frame) {
-        auto record = decode_record(frame, scope_);
-        if (!record.has_value()) {
-          ++line_errors_;
-          return;
-        }
-        ++decoded_frames_;
-        MmapIndex::Entry entry;
-        entry.hi = record->fingerprint.hi;
-        entry.lo = record->fingerprint.lo;
-        entry.offset = kMagicBytes + offset;
-        entry.stage = static_cast<std::uint32_t>(record->stage);
-        auto [it, inserted] = latest.emplace(record->fingerprint, entry);
-        if (!inserted && it->second.stage < entry.stage) it->second = entry;
-      });
-  line_errors_ += stats.corrupt_frames;
-  std::uint64_t covered = content.empty() ? kMagicBytes
-                                          : kMagicBytes + stats.clean_end;
+          })
+          .value_or(ScanStats{});
+  if (!trusted && (stats.clean_end != from || stats.torn_tail)) return false;
   if (stats.torn_tail) {
     ++line_errors_;
-    resize_journal(path_, covered);
+    resize_journal(path_, stats.clean_end);
   }
-  append_offset_ = covered;
-
-  std::vector<MmapIndex::Entry> entries;
-  entries.reserve(latest.size());
-  for (auto& [key, entry] : latest) entries.push_back(entry);
-  std::sort(entries.begin(), entries.end(), entry_less);
-  MmapIndex::write(index_path(), entries, covered, scope_hash());
-  if (!base_.open(index_path(), scope_hash())) {
-    throw std::runtime_error("CandidateStore: cannot map rebuilt index " +
-                             index_path());
-  }
-  delta_.clear();
-  distinct_ = base_.size();
-  index_dirty_ = false;
-  return distinct_;
-}
-
-std::size_t CandidateStore::rebuild_index() {
-  std::lock_guard lock(mutex_);
-  return rebuild_index_locked();
+  append_offset_ = stats.clean_end;
+  return true;
 }
 
 void CandidateStore::persist_index_locked() {
@@ -323,11 +209,11 @@ std::optional<CandidateStore::DeltaEntry> CandidateStore::entry_locked(
 }
 
 std::optional<OutcomeRecord> CandidateStore::read_frame_locked(
-    std::uint64_t offset) const {
+    const Fingerprint& fp, std::uint64_t offset) const {
   if (read_fd_ < 0) return std::nullopt;
   if (read_buf_.size() < kFirstReadBytes) read_buf_.resize(kFirstReadBytes);
   const ssize_t first =
-      read_at(read_fd_, read_buf_.data(), kFirstReadBytes, offset);
+      util::read_at(read_fd_, read_buf_.data(), kFirstReadBytes, offset);
   if (first < static_cast<ssize_t>(kFrameHeaderBytes)) {
     ++line_errors_;
     return std::nullopt;
@@ -349,18 +235,19 @@ std::optional<OutcomeRecord> CandidateStore::read_frame_locked(
     // A long frame: read the rest behind what the first read brought.
     if (read_buf_.size() < frame_bytes) read_buf_.resize(frame_bytes);
     const std::size_t rest = frame_bytes - have;
-    if (read_at(read_fd_, read_buf_.data() + have, rest, offset + have) !=
-        static_cast<ssize_t>(rest)) {
+    if (util::read_at(read_fd_, read_buf_.data() + have, rest,
+                      offset + have) != static_cast<ssize_t>(rest)) {
       ++line_errors_;
       return std::nullopt;
     }
   }
   auto record =
       decode_record(std::string_view(read_buf_.data(), frame_bytes), scope_);
-  if (!record.has_value()) {
+  if (!record.has_value() || !(record->fingerprint == fp)) {
     // The index pointed here but the bytes no longer decode (flipped bit,
-    // partial overwrite): surface as a miss + recovery count, never as a
-    // crash — the funnel recomputes the candidate instead.
+    // partial overwrite) or hold another record (a journal replaced under
+    // its sidecar): surface as a miss + recovery count, never as a crash
+    // or another candidate's results — the funnel recomputes instead.
     ++line_errors_;
     return std::nullopt;
   }
@@ -375,7 +262,7 @@ std::optional<OutcomeRecord> CandidateStore::lookup(
   std::lock_guard lock(mutex_);
   std::optional<OutcomeRecord> result;
   if (const auto entry = entry_locked(fp)) {
-    result = read_frame_locked(entry->offset);
+    result = read_frame_locked(fp, entry->offset);
   }
   if (metrics != nullptr) {
     metrics->counter("store.lookups").add();
@@ -414,15 +301,12 @@ std::size_t CandidateStore::size() const {
   return distinct_;
 }
 
-std::vector<OutcomeRecord> CandidateStore::scan_records_locked(
-    std::size_t* units) const {
+std::vector<OutcomeRecord> CandidateStore::records() const {
+  std::lock_guard lock(mutex_);
   std::vector<OutcomeRecord> out;
-  const auto content = util::read_file_if_exists(path_);
-  if (!content.has_value() || content->size() < kMagicBytes) return out;
   std::unordered_map<Fingerprint, std::size_t, FingerprintHash> by_key;
-  const ScanStats stats = scan_binary_journal(
-      std::string_view(*content).substr(kMagicBytes),
-      [&](std::uint64_t, std::string_view frame) {
+  scan_journal_file(
+      path_, kMagicBytes, [&](std::uint64_t, std::string_view frame) {
         auto record = decode_record(frame, scope_);
         if (!record.has_value()) return;  // snapshot: no error mutation
         ++decoded_frames_;
@@ -434,84 +318,7 @@ std::vector<OutcomeRecord> CandidateStore::scan_records_locked(
           out[it->second] = std::move(*record);
         }
       });
-  if (units != nullptr) {
-    *units = stats.frames + stats.corrupt_frames + (stats.torn_tail ? 1 : 0);
-  }
   return out;
-}
-
-std::vector<OutcomeRecord> CandidateStore::records() const {
-  std::lock_guard lock(mutex_);
-  return scan_records_locked();
-}
-
-std::size_t CandidateStore::compact() {
-  std::lock_guard lock(mutex_);
-  // Count live journal units (frames, corrupt frames, a torn fragment) so
-  // the caller learns how much was reclaimed.
-  std::size_t old_units = 0;
-  const std::vector<OutcomeRecord> keep = scan_records_locked(&old_units);
-
-  const std::string tmp_path = path_ + ".compact.tmp";
-  std::vector<MmapIndex::Entry> entries;
-  entries.reserve(keep.size());
-  std::uint64_t offset = kMagicBytes;
-  {
-    std::ofstream tmp(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!tmp) {
-      throw std::runtime_error("CandidateStore::compact: cannot open " +
-                               tmp_path);
-    }
-    tmp.write(kBinaryJournalMagic.data(),
-              static_cast<std::streamsize>(kBinaryJournalMagic.size()));
-    for (const auto& record : keep) {
-      const std::string frame = encode_record(record, scope_);
-      tmp.write(frame.data(), static_cast<std::streamsize>(frame.size()));
-      MmapIndex::Entry entry;
-      entry.hi = record.fingerprint.hi;
-      entry.lo = record.fingerprint.lo;
-      entry.offset = offset;
-      entry.stage = static_cast<std::uint32_t>(record.stage);
-      entries.push_back(entry);
-      offset += frame.size();
-    }
-    tmp.flush();
-    if (!tmp) {
-      throw std::runtime_error("CandidateStore::compact: write to " +
-                               tmp_path + " failed");
-    }
-  }
-
-  // Swap the compacted file in atomically. The handles must be re-opened
-  // either way: after a rename the old ones point at an unlinked inode and
-  // further puts would checkpoint into the void.
-  out_.close();
-  if (std::rename(tmp_path.c_str(), path_.c_str()) != 0) {
-    // Leave the original journal intact; reopen it before surfacing the
-    // failure.
-    out_.open(path_, std::ios::binary | std::ios::app);
-    open_read_handle();
-    throw std::runtime_error("CandidateStore::compact: rename " + tmp_path +
-                             " -> " + path_ + " failed");
-  }
-  append_offset_ = offset;
-  out_.open(path_, std::ios::binary | std::ios::app);
-  const bool readable = open_read_handle();
-  if (!out_ || !readable) {
-    throw std::runtime_error("CandidateStore::compact: cannot reopen " +
-                             path_);
-  }
-  std::sort(entries.begin(), entries.end(), entry_less);
-  MmapIndex::write(index_path(), entries, append_offset_, scope_hash());
-  if (!base_.open(index_path(), scope_hash())) {
-    throw std::runtime_error("CandidateStore::compact: cannot map index " +
-                             index_path());
-  }
-  delta_.clear();
-  distinct_ = keep.size();
-  index_dirty_ = false;
-  line_errors_ = 0;
-  return old_units > keep.size() ? old_units - keep.size() : 0;
 }
 
 std::string CandidateStore::encode_line(const OutcomeRecord& record,

@@ -16,9 +16,12 @@
 // The journal is binary (docs/STORE_FORMAT.md): length-prefixed,
 // checksummed frames behind an "NSBJRNL1" magic, plus an mmap'd
 // fingerprint->offset sidecar ("<journal>.idx"), so open() costs O(index)
-// instead of O(records) and lookup() deserializes exactly one frame. A file
-// without the magic (such as a legacy JSONL journal) is refused; JSONL
-// lives on only as the export/import format of tools/store_convert.
+// instead of O(records) and lookup() deserializes exactly one frame. The
+// open indexes whatever the sidecar does not cover through one scan
+// (store::scan_journal_file), and trusts the sidecar's entries only where
+// an intact frame starts at their end. A file without the magic (such as a
+// legacy JSONL journal) is refused; JSONL lives on only as the
+// export/import format of tools/store_convert.
 //
 // Records carry a Stage marking how far through the funnel the work
 // products go; `put` is append-only and monotone (a record never regresses
@@ -92,11 +95,13 @@ class CandidateStore {
   /// Opens (creating if absent) the binary journal at `path`, whatever its
   /// extension. Records from a different scope or with corrupt/torn
   /// encodings are skipped and counted in `recovered_line_errors()`. The
-  /// journal opens through its mmap'd sidecar index when fresh; a stale
-  /// sidecar triggers a scan of only the un-indexed tail, a missing/corrupt
-  /// one a full rebuild. Throws std::runtime_error when the file exists but
-  /// lacks the binary magic (a legacy JSONL journal: tools/store_convert
-  /// migrates it), leaving the file untouched.
+  /// journal opens through its mmap'd sidecar index when that covers it; a
+  /// sidecar that is behind, with an intact frame where it stops, costs a
+  /// scan of only the un-indexed tail, and any other sidecar (missing,
+  /// corrupt, foreign, or under a replaced journal) a scan from the magic.
+  /// Throws std::runtime_error when the file exists but lacks the binary
+  /// magic (a legacy JSONL journal: tools/store_convert migrates it),
+  /// leaving the file untouched.
   CandidateStore(std::string path, StoreScope scope);
   ~CandidateStore();
 
@@ -104,8 +109,8 @@ class CandidateStore {
   CandidateStore& operator=(const CandidateStore&) = delete;
 
   /// Latest-stage record for a fingerprint. Reads exactly one frame from
-  /// disk; a frame that fails its checksum is counted in
-  /// recovered_line_errors() and reported as a miss.
+  /// disk; a frame that fails its checksum or holds another fingerprint's
+  /// record is counted in recovered_line_errors() and reported as a miss.
   [[nodiscard]] std::optional<OutcomeRecord> lookup(
       const Fingerprint& fp) const;
 
@@ -126,23 +131,6 @@ class CandidateStore {
   /// calls it).
   [[nodiscard]] std::vector<OutcomeRecord> records() const;
 
-  /// Rewrites the journal to exactly one frame per fingerprint — the
-  /// latest-stage record — dropping superseded-stage duplicates, torn
-  /// fragments, and foreign/corrupt frames accumulated across runs, and
-  /// rebuilds the sidecar index. Crash-safe: the compacted journal is
-  /// written to "<path>.compact.tmp", flushed, and atomically renamed over
-  /// the original, so a crash at any point leaves either the old journal
-  /// or the new one, never a mix. Returns the number of journal
-  /// frames/fragments dropped. Resets recovered_line_errors() to zero (the
-  /// rewritten file is clean).
-  std::size_t compact();
-
-  /// Rescans the journal and rewrites the sidecar index from scratch.
-  /// Returns the number of indexed fingerprints. The sidecar is also
-  /// persisted automatically on clean destruction and after open-time
-  /// recovery.
-  std::size_t rebuild_index();
-
   /// Attaches a profiling registry (pure readout, never changes journal
   /// bytes): lookup()/put() latencies land in store.lookup.seconds /
   /// store.append.seconds, volumes in store.lookups, store.lookup_hits,
@@ -158,8 +146,8 @@ class CandidateStore {
     return line_errors_;
   }
 
-  /// Frames deserialized on demand since open (lookup, records() and
-  /// compact() reads). The allocation guard for "open() materializes nothing": after
+  /// Frames deserialized since open (the open's scan, lookup and records()
+  /// reads). The allocation guard for "open() materializes nothing": after
   /// an indexed open this is 0, and a cache-hit lookup raises it by
   /// exactly 1.
   [[nodiscard]] std::size_t decoded_frames() const {
@@ -179,28 +167,29 @@ class CandidateStore {
     Stage stage = Stage::kChecked;
   };
 
-  /// Returns true when open-time recovery scanned frames the sidecar did
-  /// not cover (the sidecar then needs persisting).
+  /// Indexes the journal through the one scan, from the validated
+  /// sidecar's covered_bytes or from the magic. Returns true when the
+  /// sidecar needs persisting (the scan indexed what it did not cover).
   bool load();
+  /// Scans the journal from byte `from` into delta_, counting failed
+  /// decodes and truncating a torn tail. Returns false, indexing nothing,
+  /// when base_ is open but no intact frame starts at `from` and the
+  /// journal does not end there.
+  bool index_from(std::uint64_t from);
   /// Latest stage for a fingerprint (delta wins over the sidecar).
   std::optional<DeltaEntry> entry_locked(const Fingerprint& fp) const;
   /// Reads + decodes the frame at `offset`; counts a line error and
-  /// returns nullopt on checksum/decode failure.
-  std::optional<OutcomeRecord> read_frame_locked(std::uint64_t offset) const;
-  /// Latest record per fingerprint in first-sighting order; `units`, when
-  /// non-null, receives the journal's frame + corrupt + torn count.
-  std::vector<OutcomeRecord> scan_records_locked(
-      std::size_t* units = nullptr) const;
-  /// Full journal rescan + sidecar rewrite; returns distinct fingerprints.
-  std::size_t rebuild_index_locked();
+  /// returns nullopt on checksum/decode failure or a record other than
+  /// `fp`'s.
+  std::optional<OutcomeRecord> read_frame_locked(const Fingerprint& fp,
+                                                 std::uint64_t offset) const;
   /// Merges the mmap'd base index with the in-memory delta and persists
   /// the sidecar. Best-effort in the destructor, loud elsewhere.
   void persist_index_locked();
   std::string index_path() const { return path_ + ".idx"; }
   std::uint64_t scope_hash() const;
+  /// Opens out_ (writing the magic into a new journal) and read_fd_.
   void open_append_handle();
-  /// (Re)opens read_fd_ on the journal; false when it cannot be opened.
-  bool open_read_handle();
 
   mutable std::mutex mutex_;
   // atomic, not mutex-guarded: lookup/put read it before taking mutex_ so
@@ -210,8 +199,7 @@ class CandidateStore {
   StoreScope scope_;
   std::ofstream out_;  ///< append handle, kept open for the store's life
   /// Read-only descriptor for on-demand frame loads: pread at a frame's
-  /// offset, under mutex_, into read_buf_. Reopened after compaction swaps
-  /// the inode.
+  /// offset, under mutex_, into read_buf_.
   int read_fd_ = -1;
   /// Frame bytes of the last lookup; reused, so a hit reads into memory
   /// the store already holds.

@@ -1,7 +1,7 @@
 #include "store/convert.h"
 
 #include <cstdio>
-#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <optional>
 #include <stdexcept>
@@ -24,19 +24,10 @@ bool is_binary_path(std::string_view path) { return path.ends_with(".nsb"); }
 // counting what open-time recovery would have skipped.
 std::vector<ScopedRecord> read_journal(const std::string& path,
                                        std::size_t* skipped) {
-  const auto content = util::read_file_if_exists(path);
-  if (!content.has_value()) {
-    throw std::runtime_error("store_convert: cannot read " + path);
-  }
   std::vector<ScopedRecord> out;
   if (is_binary_path(path)) {
-    std::string_view view(*content);
-    if (!view.starts_with(kBinaryJournalMagic)) {
-      throw std::runtime_error("store_convert: " + path +
-                               " is not a binary store journal (bad magic)");
-    }
-    const ScanStats stats = scan_binary_journal(
-        view.substr(kBinaryJournalMagic.size()),
+    const auto stats = scan_journal_file(
+        path, kBinaryJournalMagic.size(),
         [&](std::uint64_t, std::string_view frame) {
           if (auto scoped = decode_record_any(frame)) {
             out.push_back(std::move(*scoped));
@@ -44,8 +35,15 @@ std::vector<ScopedRecord> read_journal(const std::string& path,
             ++*skipped;
           }
         });
-    *skipped += stats.corrupt_frames + (stats.torn_tail ? 1 : 0);
+    if (!stats.has_value()) {
+      throw std::runtime_error("store_convert: cannot read " + path);
+    }
+    if (stats->torn_tail) ++*skipped;
     return out;
+  }
+  const auto content = util::read_file_if_exists(path);
+  if (!content.has_value()) {
+    throw std::runtime_error("store_convert: cannot read " + path);
   }
   std::size_t start = 0;
   while (start < content->size()) {
@@ -95,6 +93,15 @@ ConvertStats convert_journal(const std::string& in_path,
     if (!out) {
       throw std::runtime_error("store_convert: write to " + tmp_path +
                                " failed");
+    }
+  }
+  if (is_binary_path(out_path)) {
+    // A sidecar left by the journal being replaced indexes other frames.
+    std::error_code ec;
+    std::filesystem::remove(out_path + ".idx", ec);
+    if (ec) {
+      throw std::runtime_error("store_convert: cannot remove " + out_path +
+                               ".idx: " + ec.message());
     }
   }
   if (std::rename(tmp_path.c_str(), out_path.c_str()) != 0) {

@@ -9,9 +9,10 @@
 // not collapse it). Torn tails and corrupt frames/lines are skipped and
 // counted, exactly as CandidateStore's open-time recovery would skip them.
 //
-// A converted binary journal carries no sidecar index — CandidateStore
-// rebuilds one on first open (and scopes it to its own filter), so the
-// converter stays scope-agnostic and can migrate mixed-scope journals.
+// A converted binary journal carries no sidecar index — the converter
+// removes one left at "<out>.idx", and CandidateStore builds a fresh one on
+// first open (scoped to its own filter), so the converter stays
+// scope-agnostic and can migrate mixed-scope journals.
 #pragma once
 
 #include <cstddef>

@@ -12,9 +12,10 @@
 // stale or foreign sidecar without touching the journal's records:
 //
 //   * `covered_bytes` — the journal length the entries describe. Journal
-//     longer: the index is merely behind; only the tail needs scanning.
-//     Journal shorter: the journal was rewritten (compaction, manual
-//     surgery); full rebuild.
+//     longer, with an intact frame starting at covered_bytes: the index is
+//     merely behind; only the tail needs scanning. Journal longer with no
+//     frame there, or shorter: the journal was replaced or rewritten under
+//     the sidecar (a copy, an import, manual surgery); full scan.
 //   * `scope_hash` — hash of the owning scope (env + config digest), so a
 //     store never trusts entries built under someone else's scope filter.
 //   * `entries_hash` — word-wise mix hash over the entry bytes; a corrupt

@@ -1,8 +1,16 @@
 #include "store/record_codec.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <stdexcept>
+#include <system_error>
 
+#include "util/fs.h"
 #include "util/json.h"
 #include "util/strings.h"
 
@@ -104,6 +112,29 @@ class Reader {
   std::string_view data_;
   std::size_t pos_ = 0;
 };
+
+/// Closes a descriptor on scope exit.
+class FdCloser {
+ public:
+  explicit FdCloser(int fd) : fd_(fd) {}
+  ~FdCloser() { ::close(fd_); }
+  FdCloser(const FdCloser&) = delete;
+  FdCloser& operator=(const FdCloser&) = delete;
+
+ private:
+  int fd_;
+};
+
+/// The `n` bytes of `path` at `offset`; throws when they cannot be read.
+std::string read_range(int fd, std::uint64_t offset, std::uint64_t n,
+                       const std::string& path) {
+  std::string out(static_cast<std::size_t>(n), '\0');
+  if (util::read_at(fd, out.data(), out.size(), offset) !=
+      static_cast<ssize_t>(out.size())) {
+    throw std::runtime_error("scan_journal_file: cannot read " + path);
+  }
+  return out;
+}
 
 // Record flags (body byte 17). Unknown bits reject the frame: a flipped
 // flag bit must read as corruption, not as silently-dropped data.
@@ -334,9 +365,8 @@ std::optional<ScopedRecord> decode_record_any(std::string_view frame) {
   return scoped;
 }
 
-ScanStats scan_binary_journal(
-    std::string_view content,
-    const std::function<void(std::uint64_t, std::string_view)>& frame_fn) {
+ScanStats scan_binary_journal(std::string_view content,
+                              const FrameFn& frame_fn) {
   ScanStats stats;
   std::uint64_t offset = 0;
   while (offset < content.size()) {
@@ -345,11 +375,8 @@ ScanStats scan_binary_journal(
       stats.torn_tail = true;
       break;
     }
-    Reader header(rest.substr(0, kFrameHeaderBytes));
     std::uint32_t len = 0;
-    std::uint64_t checksum = 0;
-    header.u32(len);
-    header.u64(checksum);
+    Reader(rest).u32(len);
     if (len > kMaxFrameBodyBytes) {
       // A corrupt length field loses frame sync: everything from here on
       // is undecodable, exactly like a torn tail.
@@ -362,16 +389,53 @@ ScanStats scan_binary_journal(
       stats.torn_tail = true;  // partial final append
       break;
     }
-    const std::string_view frame = rest.substr(0, frame_bytes);
-    if (util::fnv1a64(frame.substr(kFrameHeaderBytes)) == checksum) {
-      ++stats.frames;
-      if (frame_fn) frame_fn(offset, frame);
-    } else {
-      ++stats.corrupt_frames;
-    }
+    ++stats.frames;
+    if (frame_fn) frame_fn(offset, rest.substr(0, frame_bytes));
     offset += frame_bytes;
     stats.clean_end = offset;
   }
+  return stats;
+}
+
+std::optional<ScanStats> scan_journal_file(const std::string& path,
+                                           std::uint64_t from,
+                                           const FrameFn& frame_fn) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    const int err = errno;
+    if (err == ENOENT || err == ENOTDIR) return std::nullopt;
+    throw std::runtime_error("scan_journal_file: cannot open " + path + ": " +
+                             std::generic_category().message(err));
+  }
+  const FdCloser closer(fd);
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) {
+    throw std::runtime_error("scan_journal_file: cannot stat " + path);
+  }
+  const auto size = static_cast<std::uint64_t>(st.st_size);
+  const std::uint64_t magic_bytes = kBinaryJournalMagic.size();
+  const std::string head =
+      read_range(fd, 0, std::min(size, magic_bytes), path);
+  if (!kBinaryJournalMagic.starts_with(head)) {
+    // Refused before anything opens it for writing, so the file stays
+    // byte-identical for the converter.
+    throw std::runtime_error(
+        path + " is not a binary store journal (bad magic); a legacy JSONL "
+               "journal must be migrated: use tools/store_convert");
+  }
+  ScanStats stats;
+  if (head.size() < magic_bytes) {
+    // A crash while the journal was created: nothing durable existed yet.
+    stats.torn_tail = !head.empty();
+    return stats;
+  }
+  from = std::clamp(from, magic_bytes, size);
+  const std::string body = read_range(fd, from, size - from, path);
+  stats = scan_binary_journal(
+      body, [&](std::uint64_t offset, std::string_view frame) {
+        if (frame_fn) frame_fn(from + offset, frame);
+      });
+  stats.clean_end += from;
   return stats;
 }
 

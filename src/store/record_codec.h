@@ -63,25 +63,42 @@ inline constexpr std::uint32_t kMaxFrameBodyBytes = 64u << 20;
 [[nodiscard]] std::optional<ScopedRecord> decode_record_any(
     std::string_view frame);
 
-/// Result of walking a journal buffer frame by frame.
+/// Result of walking a journal frame by frame.
 struct ScanStats {
-  /// Offset (relative to the scanned buffer) where intact framing ends.
-  /// Bytes past this point are a torn tail.
+  /// Offset where intact framing ends. Bytes past this point are a torn
+  /// tail.
   std::uint64_t clean_end = 0;
-  std::size_t frames = 0;          ///< checksum-valid frames delivered
-  std::size_t corrupt_frames = 0;  ///< checksum-mismatch frames skipped
-  bool torn_tail = false;          ///< trailing bytes formed no frame
+  std::size_t frames = 0;   ///< frames delivered
+  bool torn_tail = false;   ///< trailing bytes formed no frame
 };
 
+/// Receives each frame's offset and bytes (header + body).
+using FrameFn = std::function<void(std::uint64_t, std::string_view)>;
+
 /// Walks `content` — journal bytes AFTER the 8-byte magic — and calls
-/// `frame_fn(offset, frame)` for every checksum-valid frame, where `offset`
-/// is relative to the start of `content` and `frame` spans header + body.
-/// Checksum-mismatch frames with an intact, sane length are skipped and
-/// counted (framing survives a flipped body byte); an impossible length or
-/// a trailing partial frame ends the scan as a torn tail.
-ScanStats scan_binary_journal(
-    std::string_view content,
-    const std::function<void(std::uint64_t, std::string_view)>& frame_fn);
+/// `frame_fn(offset, frame)` for every frame, where `offset` is relative to
+/// the start of `content`. Checks framing only: a frame whose length is
+/// sane and which fits is delivered, and its checksum is checked where it
+/// is decoded (decode_record and decode_record_any), so a flipped body byte
+/// costs that frame alone. An impossible length or a trailing partial frame
+/// ends the scan as a torn tail.
+ScanStats scan_binary_journal(std::string_view content,
+                              const FrameFn& frame_fn);
+
+/// The one reader of a journal file (the store's open and records(), the
+/// shard merge and the converter): reads the binary journal at `path` from
+/// byte `from` (at least the magic's 8 bytes) to its end and walks its
+/// frames as scan_binary_journal does, handing `frame_fn` offsets from the
+/// start of the file; the returned clean_end counts from there too, and is
+/// the file's size when `from` lies past its end. A file shorter than the
+/// magic whose bytes begin it (a crash while the journal was created) holds
+/// no frame: clean_end is 0, and any bytes it has are a torn tail. nullopt
+/// when the file does not exist. Throws std::runtime_error naming the path
+/// and tools/store_convert when the magic is missing (a legacy JSONL
+/// journal, say), and on a read error.
+std::optional<ScanStats> scan_journal_file(const std::string& path,
+                                           std::uint64_t from,
+                                           const FrameFn& frame_fn);
 
 // ---- JSONL export codec (CandidateStore::encode_line and the converter) ---
 

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "store/record_codec.h"
-#include "util/fs.h"
 
 namespace nada::store {
 
@@ -71,24 +70,13 @@ std::size_t merge_shard_files(std::span<const std::string> shard_paths,
   for (const auto& path : shard_paths) {
     // Read-only decode (never open merge sources for append). Torn/foreign
     // records are skipped, as on any journal load.
-    const auto content = util::read_file_if_exists(path);
-    if (!content.has_value()) {
-      ++absent;
-      continue;
-    }
-    std::string_view view(*content);
-    if (!view.starts_with(kBinaryJournalMagic)) {
-      throw std::runtime_error("merge_shard_files: " + path +
-                               " is not a binary store journal");
-    }
-    scan_binary_journal(view.substr(kBinaryJournalMagic.size()),
-                        [&](std::uint64_t, std::string_view frame) {
-                          const auto record =
-                              decode_record(frame, dest.scope());
-                          if (record.has_value() && dest.put(*record)) {
-                            ++accepted;
-                          }
-                        });
+    const auto scanned = scan_journal_file(
+        path, kBinaryJournalMagic.size(),
+        [&](std::uint64_t, std::string_view frame) {
+          const auto record = decode_record(frame, dest.scope());
+          if (record.has_value() && dest.put(*record)) ++accepted;
+        });
+    if (!scanned.has_value()) ++absent;
   }
   if (missing != nullptr) *missing = absent;
   return accepted;

@@ -56,6 +56,19 @@ std::string read_file(const std::string& path) {
   return *std::move(content);
 }
 
+ssize_t read_at(int fd, char* buf, std::size_t n, std::uint64_t offset) {
+  std::size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::pread(fd, buf + got, n - got,
+                              static_cast<off_t>(offset + got));
+    if (r < 0 && errno == EINTR) continue;
+    if (r < 0) return -1;
+    if (r == 0) break;
+    got += static_cast<std::size_t>(r);
+  }
+  return static_cast<ssize_t>(got);
+}
+
 void write_file_atomic(const std::string& path, const std::string& content) {
   ensure_directories(parent_directory(path));
   const std::string tmp = path + ".tmp";

@@ -4,6 +4,10 @@
 // UTF-8 narrow strings, as everywhere else in the codebase.
 #pragma once
 
+#include <sys/types.h>
+
+#include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -20,6 +24,11 @@ namespace nada::util {
 
 /// Reads a whole file; throws std::runtime_error when missing/unreadable.
 [[nodiscard]] std::string read_file(const std::string& path);
+
+/// pread()s `n` bytes of `fd` at `offset` into `buf`, retrying short reads
+/// and EINTR: the bytes read (fewer only at end of file), or -1 on error.
+[[nodiscard]] ssize_t read_at(int fd, char* buf, std::size_t n,
+                              std::uint64_t offset);
 
 /// Atomically replaces `path` with `content`: the bytes land in
 /// `path + ".tmp"` first and are renamed over the target, so readers never

@@ -14,6 +14,8 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cc/cc_domain.h"
@@ -46,7 +48,7 @@ std::string fresh_path(const std::string& name) {
       (std::filesystem::path(::testing::TempDir()) /
        ("nada_store_test_" + name + ".nsb"))
           .string();
-  for (const char* suffix : {"", ".tmp", ".idx", ".idx.tmp", ".compact.tmp"}) {
+  for (const char* suffix : {"", ".tmp", ".idx", ".idx.tmp"}) {
     std::filesystem::remove(path + suffix);
   }
   return path;
@@ -610,6 +612,37 @@ TEST(StoreConvert, LegacyJsonlJournalIsRefusedThenMigrates) {
   EXPECT_EQ(got, expected);
 }
 
+TEST(StoreConvert, ImportOverAJournalLeavesNoStaleSidecar) {
+  // An import onto the path of an existing journal replaces the journal;
+  // the sidecar that indexed the old one must not outlive it.
+  const std::string path = fresh_path("import_over");
+  {
+    CandidateStore store(path, test_scope());
+    store.put(make_test_record(99, Stage::kTrained));
+  }
+  ASSERT_TRUE(util::file_exists(path + ".idx"));
+  const std::string jsonl = fresh_jsonl_path("import_over");
+  std::string content;
+  for (std::uint64_t salt = 0; salt < 10; ++salt) {
+    content += CandidateStore::encode_line(
+                   make_test_record(salt, Stage::kChecked), test_scope()) +
+               "\n";
+  }
+  util::write_file_atomic(jsonl, content);
+
+  EXPECT_EQ(convert_journal(jsonl, path).records, 10u);
+  EXPECT_FALSE(util::file_exists(path + ".idx"));
+  CandidateStore store(path, test_scope());
+  EXPECT_EQ(store.size(), 10u);
+  EXPECT_EQ(store.recovered_line_errors(), 0u);
+  for (std::uint64_t salt = 0; salt < 10; ++salt) {
+    const auto want = make_test_record(salt, Stage::kChecked);
+    const auto got = store.lookup(want.fingerprint);
+    ASSERT_TRUE(got.has_value()) << salt;
+    EXPECT_EQ(got->id, want.id);
+  }
+}
+
 // ---- binary store backend --------------------------------------------------
 
 TEST(BinaryStore, RoundTripAllStagesThroughIndexedReopen) {
@@ -793,6 +826,57 @@ TEST(BinaryStore, FlippedByteUnderValidSidecarIsDetectedAtLookup) {
                   .has_value());
 }
 
+TEST(BinaryStore, CorruptFrameIsSkippedOnceByEveryReader) {
+  // One flipped body byte: the scan keeps framing, and each reader drops
+  // that frame alone where it decodes it — the store's open, records(),
+  // the converter and the shard merge agree.
+  const std::string path = fresh_path("flip_readers");
+  std::uint64_t second_frame_start = 0;
+  {
+    CandidateStore store(path, test_scope());
+    store.put(make_test_record(1, Stage::kProbed));
+    second_frame_start = std::filesystem::file_size(path);
+    store.put(make_test_record(2, Stage::kTrained));
+    store.put(make_test_record(3, Stage::kChecked));
+    store.put(make_test_record(4, Stage::kProbed));
+  }
+  std::string content = util::read_file(path);
+  const std::size_t victim = second_frame_start + kFrameHeaderBytes + 3;
+  content[victim] = static_cast<char>(content[victim] ^ 0x40);
+  util::write_file_atomic(path, content);
+  std::filesystem::remove(path + ".idx");
+  const Fingerprint corrupt = make_test_record(2, Stage::kTrained).fingerprint;
+
+  {
+    CandidateStore store(path, test_scope());
+    EXPECT_EQ(store.recovered_line_errors(), 1u);
+    EXPECT_EQ(store.size(), 3u);
+    for (const std::uint64_t salt : {1, 3, 4}) {
+      EXPECT_TRUE(store.lookup(make_test_record(salt, Stage::kChecked)
+                                   .fingerprint)
+                      .has_value())
+          << salt;
+    }
+    EXPECT_FALSE(store.lookup(corrupt).has_value());
+
+    const auto records = store.records();
+    ASSERT_EQ(records.size(), 3u);
+    for (const auto& record : records) {
+      EXPECT_NE(record.fingerprint.hex(), corrupt.hex());
+    }
+  }
+
+  const auto exported = convert_journal(path, fresh_jsonl_path("flip_readers"));
+  EXPECT_EQ(exported.skipped, 1u);
+  EXPECT_EQ(exported.records, 3u);
+
+  const std::vector<std::string> shards = {path};
+  CandidateStore merged(fresh_path("flip_readers_merged"), test_scope());
+  EXPECT_EQ(merge_shard_files(shards, merged), 3u);
+  EXPECT_EQ(merged.size(), 3u);
+  EXPECT_FALSE(merged.lookup(corrupt).has_value());
+}
+
 TEST(BinaryStore, CorruptOrMissingSidecarIsRebuilt) {
   const std::string path = fresh_path("sidecar");
   {
@@ -833,9 +917,10 @@ TEST(BinaryStore, CorruptOrMissingSidecarIsRebuilt) {
   // A sidecar built under a different scope is never trusted.
   {
     const std::string foreign = fresh_path("sidecar_foreign");
-    CandidateStore other(foreign, StoreScope{"other", "digest"});
-    other.put(make_test_record(50, Stage::kProbed));
-    other.rebuild_index();
+    {
+      CandidateStore other(foreign, StoreScope{"other", "digest"});
+      other.put(make_test_record(50, Stage::kProbed));
+    }  // its clean close persists a sidecar under its own scope
     std::filesystem::copy_file(
         foreign + ".idx", path + ".idx",
         std::filesystem::copy_options::overwrite_existing);
@@ -896,6 +981,137 @@ TEST(BinaryStore, StaleSidecarTriggersTailScanOnly) {
   EXPECT_EQ(store.decoded_frames(), 2u + 1u /* the lookup */);
 }
 
+TEST(BinaryStore, JournalReplacedUnderItsSidecarIsIndexedAfresh) {
+  // A journal copied or imported over an older one keeps the old sidecar,
+  // whose covered_bytes is shorter than the new journal and lands inside
+  // one of its frames. The open must not read that as a tail to scan (and
+  // truncate at the impossible length it finds there), nor serve the old
+  // entries: it indexes the new journal from the magic.
+  const std::string path = fresh_path("replaced");
+  const std::string donor = fresh_path("replaced_donor");
+  {
+    CandidateStore store(path, test_scope());
+    for (std::uint64_t salt = 0; salt < 4; ++salt) {
+      store.put(make_test_record(salt, Stage::kTrained));
+    }
+  }
+  const auto old_covered = std::filesystem::file_size(path);
+  {
+    CandidateStore store(donor, test_scope());
+    for (std::uint64_t salt = 100; salt < 116; ++salt) {
+      store.put(make_test_record(salt, Stage::kChecked));
+    }
+  }
+  const std::string replacement = util::read_file(donor);
+  ASSERT_GT(replacement.size(), old_covered);
+  bool boundary = false;
+  scan_binary_journal(
+      std::string_view(replacement).substr(kBinaryJournalMagic.size()),
+      [&](std::uint64_t offset, std::string_view) {
+        boundary = boundary ||
+                   kBinaryJournalMagic.size() + offset == old_covered;
+      });
+  ASSERT_FALSE(boundary) << "the old sidecar must end inside a frame";
+  util::write_file_atomic(path, replacement);  // the old .idx stays
+
+  CandidateStore store(path, test_scope());
+  EXPECT_TRUE(util::read_file(path) == replacement)
+      << "the open changed the journal: " << std::filesystem::file_size(path)
+      << " bytes, not " << replacement.size();
+  EXPECT_EQ(store.size(), 16u);
+  EXPECT_EQ(store.recovered_line_errors(), 0u);
+  for (std::uint64_t salt = 100; salt < 116; ++salt) {
+    const auto want = make_test_record(salt, Stage::kChecked);
+    const auto got = store.lookup(want.fingerprint);
+    ASSERT_TRUE(got.has_value()) << salt;
+    EXPECT_EQ(got->fingerprint.hex(), want.fingerprint.hex());
+    EXPECT_EQ(got->id, want.id);
+  }
+  for (std::uint64_t salt = 0; salt < 4; ++salt) {
+    EXPECT_FALSE(store.lookup(make_test_record(salt, Stage::kTrained)
+                                  .fingerprint)
+                     .has_value());
+  }
+  EXPECT_EQ(store.recovered_line_errors(), 0u);
+}
+
+TEST(BinaryStore, CorruptFrameWhereTheSidecarEndsIsIndexedAfresh) {
+  // A frame starts where the old sidecar ends but fails its checksum, so
+  // nothing shows that the journal before it is the one the sidecar
+  // indexed: the open indexes from the magic instead of trusting entries
+  // that point at other records.
+  const std::string path = fresh_path("corrupt_at_covered");
+  const std::string donor = fresh_path("corrupt_at_covered_donor");
+  for (const auto& [journal, first, last] :
+       {std::tuple{path, std::uint64_t{1}, std::uint64_t{4}},
+        std::tuple{donor, std::uint64_t{4}, std::uint64_t{10}}}) {
+    CandidateStore store(journal, test_scope());
+    for (std::uint64_t salt = first; salt < last; ++salt) {
+      store.put(make_test_record(salt, Stage::kProbed));
+    }
+  }
+  const auto old_covered = std::filesystem::file_size(path);
+  std::string replacement = util::read_file(donor);
+  // cand-4..6 frame exactly like cand-1..3, so cand-7's frame starts at
+  // the old covered_bytes.
+  bool boundary = false;
+  scan_binary_journal(
+      std::string_view(replacement).substr(kBinaryJournalMagic.size()),
+      [&](std::uint64_t offset, std::string_view) {
+        boundary = boundary ||
+                   kBinaryJournalMagic.size() + offset == old_covered;
+      });
+  ASSERT_TRUE(boundary);
+  const std::size_t victim = old_covered + kFrameHeaderBytes + 3;
+  replacement[victim] = static_cast<char>(replacement[victim] ^ 0x40);
+  util::write_file_atomic(path, replacement);  // the old .idx stays
+
+  CandidateStore store(path, test_scope());
+  EXPECT_EQ(store.size(), 5u);
+  EXPECT_EQ(store.recovered_line_errors(), 1u);  // cand-7's frame
+  for (std::uint64_t salt = 1; salt < 10; ++salt) {
+    const auto want = make_test_record(salt, Stage::kProbed);
+    const auto got = store.lookup(want.fingerprint);
+    EXPECT_EQ(got.has_value(), salt >= 4 && salt != 7) << salt;
+    if (got.has_value()) EXPECT_EQ(got->id, want.id);
+  }
+  EXPECT_EQ(store.recovered_line_errors(), 1u);
+}
+
+TEST(BinaryStore, LookupNeverServesAnotherFingerprintsFrame) {
+  // A same-length replacement with the same frame boundaries: the old
+  // sidecar covers the new journal exactly, so the open trusts it, and its
+  // entries point at the new journal's frames of other records. Each such
+  // lookup is a counted miss, never another candidate's results.
+  const std::string path = fresh_path("same_length");
+  const std::string donor = fresh_path("same_length_donor");
+  for (const auto& [journal, first] :
+       {std::pair{path, std::uint64_t{1}}, std::pair{donor, std::uint64_t{4}}}) {
+    CandidateStore store(journal, test_scope());
+    for (std::uint64_t salt = first; salt < first + 3; ++salt) {
+      store.put(make_test_record(salt, Stage::kProbed));
+    }
+  }
+  const std::string replacement = util::read_file(donor);
+  ASSERT_EQ(replacement.size(), std::filesystem::file_size(path));
+  util::write_file_atomic(path, replacement);  // the old .idx stays
+
+  CandidateStore store(path, test_scope());
+  std::size_t misses = 0;
+  for (std::uint64_t salt = 1; salt < 7; ++salt) {
+    const Fingerprint fp = make_test_record(salt, Stage::kProbed).fingerprint;
+    const auto got = store.lookup(fp);
+    if (got.has_value()) {
+      EXPECT_EQ(got->fingerprint.hex(), fp.hex())
+          << "lookup of cand-" << salt << " returned " << got->id;
+    } else {
+      ++misses;
+    }
+  }
+  EXPECT_EQ(misses, 6u);  // the old entries miss; the new records are unindexed
+  EXPECT_EQ(store.recovered_line_errors(), 3u);
+}
+
 TEST(BinaryStore, ForeignScopeFramesAreSkipped) {
   const std::string path = fresh_path("foreign");
   {
@@ -909,40 +1125,6 @@ TEST(BinaryStore, ForeignScopeFramesAreSkipped) {
   EXPECT_EQ(store.recovered_line_errors(), 2u);
   EXPECT_TRUE(store.put(make_test_record(3, Stage::kChecked)));
   EXPECT_EQ(store.size(), 1u);
-}
-
-TEST(BinaryStore, CompactDropsSupersededAndIsIdempotent) {
-  const std::string path = fresh_path("compact");
-  {
-    // Stage history journaling: 3 + 2 + 1 = 6 frames for 3 fingerprints.
-    CandidateStore store(path, test_scope());
-    for (int stage = 0; stage <= 2; ++stage) {
-      store.put(make_test_record(1, static_cast<Stage>(stage)));
-    }
-    for (int stage = 0; stage <= 1; ++stage) {
-      store.put(make_test_record(2, static_cast<Stage>(stage)));
-    }
-    store.put(make_test_record(3, Stage::kChecked));
-  }
-  CandidateStore store(path, test_scope());
-  const auto before = std::filesystem::file_size(path);
-  EXPECT_EQ(store.compact(), 3u);  // 6 frames -> 3 records
-  EXPECT_LT(std::filesystem::file_size(path), before);
-  EXPECT_EQ(store.size(), 3u);
-  const auto got = store.lookup(make_test_record(1, Stage::kTrained).fingerprint);
-  ASSERT_TRUE(got.has_value());
-  EXPECT_EQ(got->stage, Stage::kTrained);
-
-  // Idempotence: a second compact drops nothing and rewrites identical
-  // bytes (journal and record set are already canonical).
-  const std::string first_pass = util::read_file(path);
-  EXPECT_EQ(store.compact(), 0u);
-  EXPECT_EQ(util::read_file(path), first_pass);
-
-  // The store stays writable and durable across compaction.
-  EXPECT_TRUE(store.put(make_test_record(9, Stage::kProbed)));
-  CandidateStore reopened(path, test_scope());
-  EXPECT_EQ(reopened.size(), 4u);
 }
 
 TEST(BinaryStore, MillionRecordOpenIsIndexTimeAndLookupIsLazy) {

@@ -27,8 +27,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <iterator>
 #include <optional>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -682,11 +682,16 @@ class RecordingSource final : public CandidateSource {
   std::size_t available_;
 };
 
-/// This process's threads (Linux): how a test sees a job start one.
-std::size_t thread_count() {
-  using std::filesystem::directory_iterator;
-  return static_cast<std::size_t>(std::distance(
-      directory_iterator("/proc/self/task"), directory_iterator{}));
+/// This process's thread ids (Linux): how a test sees a job start one.
+/// Compared as sets, so a thread that exits during a run (one a previous
+/// job joined, still listed) cannot cancel out one the run started.
+std::set<std::string> thread_ids() {
+  std::set<std::string> ids;
+  for (const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ids.insert(task.path().filename().string());
+  }
+  return ids;
 }
 
 /// A config whose probes are as cheap as they come: these tests pin the
@@ -719,18 +724,23 @@ TEST(StreamingPulls, PooledJobAsksWhatAPoolLessJobAsksFromOnePuller) {
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     const SearchConfig config = pull_config(c.num_candidates, c.window);
-    // The asks of one job, and how many threads it started.
+    // The asks of one job, and how many threads it started: the ids
+    // present after it that were absent before.
     auto run = [&](util::ThreadPool* pool, RecordingSource& source) {
       JobOptions options;
       options.pool = pool;
-      const std::size_t threads_before = thread_count();
+      const std::set<std::string> threads_before = thread_ids();
       SearchJob job(fx.domain, config, 5, source,
                     FixedDesign{nullptr, &config.baseline_arch}, options);
       (void)job.run_until(StageKind::kBaseline);
       EXPECT_EQ(job.result().n_total, c.pulled);
       std::vector<std::size_t> asks;
       for (const auto& call : source.calls) asks.push_back(call.second);
-      return std::make_pair(asks, thread_count() - threads_before);
+      std::size_t started = 0;
+      for (const std::string& id : thread_ids()) {
+        if (!threads_before.contains(id)) ++started;
+      }
+      return std::make_pair(asks, started);
     };
 
     RecordingSource inline_source(c.available);
