@@ -1,9 +1,13 @@
 #include "search/search_job.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <exception>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <sstream>
 #include <unordered_map>
 #include <utility>
@@ -40,35 +44,75 @@ filter::DesignRecord make_record(const CandidateOutcome& outcome,
   return record;
 }
 
-/// Serves a store hit's check and probe results on a fresh outcome. Its
-/// training results apply only once the candidate is selected
-/// (copy_full_train_result), so the outcome's stage stops at kProbed.
-void apply_store_record(const store::OutcomeRecord& record,
+/// Serves a store hit's check and probe results on a fresh outcome, moving
+/// them out of the record: the job reads the record afterwards only for its
+/// stage, its compiled flag and its training results. Those training results
+/// apply only once the candidate is selected (copy_full_train_result), so
+/// the outcome's stage stops at kProbed.
+void apply_store_record(store::OutcomeRecord& record,
                         CandidateOutcome& outcome) {
   outcome.stage = std::min(record.stage, store::Stage::kProbed);
   outcome.compiled = record.compiled;
-  outcome.compile_error = record.compile_error;
+  outcome.compile_error = std::move(record.compile_error);
   outcome.normalized = record.normalized;
-  outcome.normalization_error = record.normalization_error;
+  outcome.normalization_error = std::move(record.normalization_error);
   if (record.stage >= store::Stage::kProbed) {
     outcome.early_probed = record.early_probed;
-    outcome.early_rewards = record.early_rewards;
+    outcome.early_rewards = std::move(record.early_rewards);
   }
 }
 
-/// Runs fn(i) for every i in [0, n): on the pool in contiguous chunks, a
-/// few per worker so the per-task overhead stays small next to
-/// microsecond-scale items, or inline without a pool.
+/// Runs fn(i) for every i in [0, n) in contiguous chunks, a few per thread
+/// so that the per-chunk overhead stays small next to microsecond-scale
+/// items. The calling thread claims chunks beside the pool's workers, from
+/// one counter, and returns once every chunk is done: a worker that wakes
+/// late (or is busy elsewhere) leaves its share to the others. Without a
+/// pool every item runs inline. If fn throws, the rest of its chunk is
+/// skipped, every other chunk still runs, and the first exception is
+/// rethrown here.
 void for_each_chunked(util::ThreadPool* pool, std::size_t n,
                       const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr) {
+  const std::size_t chunks =
+      pool != nullptr ? std::min(n, 4 * (pool->size() + 1)) : 1;
+  if (chunks <= 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
-  const std::size_t tasks = std::min(n, 4 * pool->size());
-  pool->parallel_for(tasks, [&](std::size_t t) {
-    for (std::size_t i = t * n / tasks; i < (t + 1) * n / tasks; ++i) fn(i);
-  });
+  // Shared with the helper tasks: one that starts after the last chunk was
+  // claimed (and after this call returned) finds none left and returns
+  // without touching fn.
+  struct Pass {
+    std::atomic<std::size_t> next{0};
+    std::atomic<std::size_t> done{0};
+    std::mutex error_mutex;
+    std::exception_ptr error;
+  };
+  const auto pass = std::make_shared<Pass>();
+  const auto work = [pass, &fn, n, chunks] {
+    for (std::size_t c = pass->next.fetch_add(1); c < chunks;
+         c = pass->next.fetch_add(1)) {
+      try {
+        for (std::size_t i = c * n / chunks; i < (c + 1) * n / chunks; ++i) {
+          fn(i);
+        }
+      } catch (...) {
+        std::lock_guard lock(pass->error_mutex);
+        if (!pass->error) pass->error = std::current_exception();
+      }
+      if (pass->done.fetch_add(1, std::memory_order_acq_rel) + 1 == chunks) {
+        pass->done.notify_all();
+      }
+    }
+  };
+  for (std::size_t h = 0; h < std::min(pool->size(), chunks - 1); ++h) {
+    pool->submit(work);
+  }
+  work();
+  for (std::size_t done = pass->done.load(std::memory_order_acquire);
+       done < chunks; done = pass->done.load(std::memory_order_acquire)) {
+    pass->done.wait(done, std::memory_order_acquire);
+  }
+  if (pass->error) std::rethrow_exception(pass->error);
 }
 
 /// One pull from the source, timed into search.generate.pull_seconds
@@ -294,7 +338,7 @@ bool SearchJob::trainable(const Candidate& cand) {
 void SearchJob::ensure_program(Candidate& cand) {
   if (cand.spec.kind == CandidateKind::kStateProgram &&
       !cand.program.has_value()) {
-    cand.program = dsl::StateProgram::compile(cand.spec.source);
+    cand.program = dsl::StateProgram::compile(cand.outcome.source);
   }
 }
 
@@ -356,28 +400,22 @@ void SearchJob::stage_generate() {
   // The last fold emptied the window; its capacity is reused.
   window_.resize(n);
   for (std::size_t i = 0; i < n; ++i) window_[i].spec = std::move(specs[i]);
-  // Fingerprints fill per-candidate slots on the pool; everything that
-  // follows (leaders, events, journal writes) stays on this thread in
-  // stream order.
+  // Per-candidate slots fill on the pool, this thread working beside it:
+  // the fingerprint, and for an in-shard state candidate its store hit.
+  // Every lookup of the window precedes every journal write of the window
+  // (pre-check and probe), so in-window clones read as misses and dedup
+  // through the leader table. Everything else (leaders, events, journal
+  // writes) stays on this thread in stream order.
   {
     obs::ScopedTimer timer(obs::maybe_histogram(
         options_.metrics, "search.generate.fingerprint_seconds"));
-    for_each_chunked(options_.pool, n, [&](std::size_t i) {
-      Candidate& cand = window_[i];
-      cand.outcome.fingerprint =
-          fingerprint_of(cand.spec, fixed_fps_, &cand.parsed);
-    });
+    for_each_chunked(options_.pool, n,
+                     [&](std::size_t i) { fill_slot(window_[i], i); });
   }
   index_leaders();
   for (std::size_t i = 0; i < n; ++i) {
-    Candidate& cand = window_[i];
-    CandidateOutcome& outcome = cand.outcome;
-    outcome.id = cand.spec.id;
-    outcome.stream_index = window_base_ + i;
-    outcome.source = cand.spec.source;
-    if (cand.spec.kind == CandidateKind::kArchitecture) {
-      outcome.arch = cand.spec.arch;
-    }
+    const Candidate& cand = window_[i];
+    const CandidateOutcome& outcome = cand.outcome;
     announce(CandidateEventType::kEntered, StageKind::kGenerate, outcome);
     if (!in_shard(cand)) {
       ++result_.n_out_of_shard;
@@ -385,6 +423,37 @@ void SearchJob::stage_generate() {
                outcome);
     }
   }
+}
+
+void SearchJob::fill_slot(Candidate& cand, std::size_t position) {
+  // NOTE: runs on pool threads, one slot per call.
+  CandidateOutcome& outcome = cand.outcome;
+  bool parsed = false;  // state candidates: whether the source parsed
+  outcome.fingerprint = fingerprint_of(cand.spec, fixed_fps_, &parsed);
+  outcome.stream_index = window_base_ + position;
+  outcome.id = std::move(cand.spec.id);
+  outcome.source = std::move(cand.spec.source);
+  if (cand.spec.kind == CandidateKind::kArchitecture) {
+    outcome.arch = cand.spec.arch;
+    return;  // looked up in pre-check, in stream order with its checks
+  }
+  if (options_.store == nullptr || !in_shard(cand)) return;
+  cand.cached = options_.store->lookup(outcome.fingerprint);
+  if (!cand.cached.has_value()) return;
+  if (cand.cached->compiled && cand.cached->stage < store::Stage::kTrained &&
+      !parsed) {
+    // The record says this source compiles, and a later stage may train
+    // it, but the source does not parse: a fingerprint collision (or
+    // foreign journal). Treat it as a genuine miss so the candidate is
+    // evaluated on its own merits.
+    cand.cached.reset();
+    return;
+  }
+  apply_store_record(*cand.cached, outcome);
+  // No stage reads the hit's id or source (the outcome keeps the spec's):
+  // free them here, on the thread that decoded them.
+  std::string().swap(cand.cached->id);
+  std::string().swap(cand.cached->source);
 }
 
 void SearchJob::precheck_arch(Candidate& cand,
@@ -413,7 +482,7 @@ void SearchJob::precheck_state(Candidate& cand) {
   // regardless of thread timing.
   CandidateOutcome& outcome = cand.outcome;
   const auto compile = filter::compilation_check(
-      cand.spec.source, domain_->catalog(), &cand.program);
+      outcome.source, domain_->catalog(), &cand.program);
   outcome.compiled = compile.passed;
   outcome.compile_error = compile.reason;
   if (compile.passed) {
@@ -441,31 +510,15 @@ void SearchJob::stage_precheck() {
       precheck_arch(cand, *signature);
     }
   }
-  // State-program candidates look up first (all lookups precede any check,
-  // so in-window clones read as misses and dedup through the leader table).
-  // A hit serves its recorded verdict right here without compiling the
+  // State-program candidates were looked up in the generate stage's pass,
+  // and a hit's recorded verdict is already served without compiling the
   // source: the probe or full-training stage compiles the program if it
   // ever trains the candidate. Only misses go to the pool, to compile +
   // fuzz — cheap and embarrassingly parallel.
   std::vector<Candidate*> misses;
   for (Candidate& cand : window_) {
-    if (!in_shard(cand) || cand.spec.kind != CandidateKind::kStateProgram) {
-      continue;
-    }
-    if (options_.store != nullptr) {
-      cand.cached = options_.store->lookup(cand.outcome.fingerprint);
-    }
-    if (cand.cached.has_value() && cand.cached->compiled &&
-        cand.cached->stage < store::Stage::kTrained && !cand.parsed) {
-      // The record says this source compiles, and a later stage may train
-      // it, but the source does not parse: a fingerprint collision (or
-      // foreign journal). Treat it as a genuine miss so the candidate is
-      // evaluated on its own merits.
-      cand.cached.reset();
-    }
-    if (cand.cached.has_value()) {
-      apply_store_record(*cand.cached, cand.outcome);
-    } else {
+    if (in_shard(cand) && cand.spec.kind == CandidateKind::kStateProgram &&
+        !cand.cached.has_value()) {
       misses.push_back(&cand);
     }
   }

@@ -117,10 +117,13 @@ struct JobOptions {
   /// Persistent checkpoint store. Must match store_scope(domain, config,
   /// seed) (std::invalid_argument otherwise) and outlive the job.
   store::CandidateStore* store = nullptr;
-  /// Runs the fingerprint, pre-check, probe and training passes. A
-  /// streaming job with a pool also pulls each window after the first one
-  /// window ahead, on one puller thread of its own (the pull contract
-  /// above); without a pool the job starts no thread. Results and journal
+  /// Runs the fingerprint pass (each window's fingerprints and state
+  /// candidates' store lookups, the stepping thread claiming chunks beside
+  /// the workers, so the pass never waits for a busy worker), and the
+  /// pre-check, probe and training passes. A streaming job with a pool also
+  /// pulls each window after the first one window ahead, on one puller
+  /// thread of its own (the pull contract above); without a pool the job
+  /// starts no thread and runs the same passes inline. Results and journal
   /// bytes do not depend on it.
   util::ThreadPool* pool = nullptr;
   /// Shared baseline slot: lets several jobs (say a state search and an
@@ -137,8 +140,9 @@ struct JobOptions {
   std::optional<store::ShardPlan::Range> range;
   /// Profiling registry for the hot paths the Observer event stream cannot
   /// see from outside: candidate generation pulls, the stepping thread's
-  /// wait for them, and fingerprinting (search.generate.pull_seconds /
-  /// .pull_wait_seconds / .fingerprint_seconds),
+  /// wait for them, and the fingerprint and lookup pass
+  /// (search.generate.pull_seconds / .pull_wait_seconds /
+  /// .fingerprint_seconds),
   /// per-probe training (rl.probe_block.seconds), and — when a store is
   /// attached — store lookup/append (store.*; the job wires the registry
   /// into the store on construction). Pure readout: attaching a registry
@@ -208,9 +212,13 @@ class SearchJob {
   /// the fold keeps it — a member of the running selection and at last of
   /// the full-training cohort. Its fingerprint is outcome.fingerprint.
   struct Candidate {
+    /// The pulled spec. Its id and source move into the outcome in the
+    /// fingerprint pass; the kind (and an architecture) stay.
     CandidateSpec spec;
-    /// State candidates: whether the source parsed. Read by pre-check only.
-    bool parsed = false;
+    /// The store hit: a state candidate's from the fingerprint pass (which
+    /// frees the hit's id and source), an architecture's from pre-check.
+    /// Its check and probe results move into the outcome; later stages read
+    /// its stage, compiled flag and training results.
     std::optional<store::OutcomeRecord> cached;
     /// Empty until a stage compiles it: a probe the store served left none.
     std::optional<dsl::StateProgram> program;
@@ -240,6 +248,12 @@ class SearchJob {
   /// Recomputes leader_ over window_.
   void index_leaders();
 
+  /// One slot of the generate stage's pooled pass, for the candidate at
+  /// window position `position`: its fingerprint, stream position, id and
+  /// source, and for an in-shard state candidate its store hit, applied to
+  /// the outcome (a compiled record for a source that does not parse reads
+  /// as a miss).
+  void fill_slot(Candidate& cand, std::size_t position);
   /// Compile + normalization check of a state candidate the store missed.
   void precheck_state(Candidate& cand);
   void precheck_arch(Candidate& cand, const nn::StateSignature& signature);

@@ -202,30 +202,34 @@ std::optional<CandidateStore::DeltaEntry> CandidateStore::entry_locked(
     const Fingerprint& fp) const {
   const auto it = delta_.find(fp);
   if (it != delta_.end()) return it->second;
+  return base_entry(fp);
+}
+
+std::optional<CandidateStore::DeltaEntry> CandidateStore::base_entry(
+    const Fingerprint& fp) const {
   if (const auto entry = base_.find(fp)) {
     return DeltaEntry{entry->offset, static_cast<Stage>(entry->stage)};
   }
   return std::nullopt;
 }
 
-std::optional<OutcomeRecord> CandidateStore::read_frame_locked(
-    const Fingerprint& fp, std::uint64_t offset) const {
-  if (read_fd_ < 0) return std::nullopt;
-  if (read_buf_.size() < kFirstReadBytes) read_buf_.resize(kFirstReadBytes);
+std::optional<OutcomeRecord> CandidateStore::read_frame(
+    const Fingerprint& fp, std::uint64_t offset, std::uint64_t end) const {
+  // The calling thread's frame bytes, reused, so a hit reads into memory the
+  // thread already holds.
+  thread_local std::vector<char> buffer(kFirstReadBytes);
   const ssize_t first =
-      util::read_at(read_fd_, read_buf_.data(), kFirstReadBytes, offset);
+      util::read_at(read_fd_, buffer.data(), kFirstReadBytes, offset);
   if (first < static_cast<ssize_t>(kFrameHeaderBytes)) {
     ++line_errors_;
     return std::nullopt;
   }
   std::uint32_t len = 0;
   for (int i = 0; i < 4; ++i) {
-    len |= static_cast<std::uint32_t>(
-               static_cast<unsigned char>(read_buf_[i]))
+    len |= static_cast<std::uint32_t>(static_cast<unsigned char>(buffer[i]))
            << (8 * i);
   }
-  if (len > kMaxFrameBodyBytes ||
-      offset + kFrameHeaderBytes + len > append_offset_) {
+  if (len > kMaxFrameBodyBytes || offset + kFrameHeaderBytes + len > end) {
     ++line_errors_;
     return std::nullopt;
   }
@@ -233,16 +237,16 @@ std::optional<OutcomeRecord> CandidateStore::read_frame_locked(
   const auto have = static_cast<std::size_t>(first);
   if (frame_bytes > have) {
     // A long frame: read the rest behind what the first read brought.
-    if (read_buf_.size() < frame_bytes) read_buf_.resize(frame_bytes);
+    if (buffer.size() < frame_bytes) buffer.resize(frame_bytes);
     const std::size_t rest = frame_bytes - have;
-    if (util::read_at(read_fd_, read_buf_.data() + have, rest,
-                      offset + have) != static_cast<ssize_t>(rest)) {
+    if (util::read_at(read_fd_, buffer.data() + have, rest, offset + have) !=
+        static_cast<ssize_t>(rest)) {
       ++line_errors_;
       return std::nullopt;
     }
   }
   auto record =
-      decode_record(std::string_view(read_buf_.data(), frame_bytes), scope_);
+      decode_record(std::string_view(buffer.data(), frame_bytes), scope_);
   if (!record.has_value() || !(record->fingerprint == fp)) {
     // The index pointed here but the bytes no longer decode (flipped bit,
     // partial overwrite) or hold another record (a journal replaced under
@@ -259,11 +263,23 @@ std::optional<OutcomeRecord> CandidateStore::lookup(
     const Fingerprint& fp) const {
   obs::MetricsRegistry* metrics = metrics_.load(std::memory_order_acquire);
   obs::ScopedTimer timer(obs::maybe_histogram(metrics, "store.lookup.seconds"));
-  std::lock_guard lock(mutex_);
-  std::optional<OutcomeRecord> result;
-  if (const auto entry = entry_locked(fp)) {
-    result = read_frame_locked(fp, entry->offset);
+  std::optional<DeltaEntry> entry;
+  std::uint64_t end = 0;
+  {
+    // The mutex covers the delta alone. The sidecar's entries change only
+    // in the constructor and the destructor, so a delta miss searches them
+    // outside it; and the frame an entry points at is read outside it too:
+    // the journal is append-only, and put() flushes a frame before it
+    // publishes the frame's entry.
+    std::lock_guard lock(mutex_);
+    if (const auto it = delta_.find(fp); it != delta_.end()) {
+      entry = it->second;
+    }
+    end = append_offset_;
   }
+  if (!entry.has_value()) entry = base_entry(fp);
+  std::optional<OutcomeRecord> result;
+  if (entry.has_value()) result = read_frame(fp, entry->offset, end);
   if (metrics != nullptr) {
     metrics->counter("store.lookups").add();
     if (result.has_value()) metrics->counter("store.lookup_hits").add();

@@ -27,8 +27,13 @@
 // products go; `put` is append-only and monotone (a record never regresses
 // the stage already journaled for its fingerprint, and same-stage
 // duplicates are not re-appended, so steady-state reruns do not grow the
-// file). All public methods are thread-safe: probe/training workers
-// checkpoint concurrently from the pool.
+// file). All public methods are thread-safe. Lookups run concurrently: one
+// holds the store's mutex only to search the entries indexed since open,
+// then searches the sidecar (which does not change while the store is open)
+// and reads and decodes the frame outside it, into a buffer of the calling
+// thread (an indexed frame's bytes never change, since put() flushes a
+// frame before it publishes the frame's index entry). A job's fingerprint
+// pass looks up a whole window this way on its pool.
 #pragma once
 
 #include <atomic>
@@ -109,8 +114,10 @@ class CandidateStore {
   CandidateStore& operator=(const CandidateStore&) = delete;
 
   /// Latest-stage record for a fingerprint. Reads exactly one frame from
-  /// disk; a frame that fails its checksum or holds another fingerprint's
-  /// record is counted in recovered_line_errors() and reported as a miss.
+  /// disk, outside the store's mutex, so lookups from several threads run
+  /// side by side (and beside put()); a frame that fails its checksum or
+  /// holds another fingerprint's record is counted in
+  /// recovered_line_errors() and reported as a miss.
   [[nodiscard]] std::optional<OutcomeRecord> lookup(
       const Fingerprint& fp) const;
 
@@ -142,8 +149,7 @@ class CandidateStore {
   [[nodiscard]] const std::string& path() const { return path_; }
   [[nodiscard]] const StoreScope& scope() const { return scope_; }
   [[nodiscard]] std::size_t recovered_line_errors() const {
-    std::lock_guard lock(mutex_);
-    return line_errors_;
+    return line_errors_.load(std::memory_order_relaxed);
   }
 
   /// Frames deserialized since open (the open's scan, lookup and records()
@@ -151,8 +157,7 @@ class CandidateStore {
   /// an indexed open this is 0, and a cache-hit lookup raises it by
   /// exactly 1.
   [[nodiscard]] std::size_t decoded_frames() const {
-    std::lock_guard lock(mutex_);
-    return decoded_frames_;
+    return decoded_frames_.load(std::memory_order_relaxed);
   }
 
   /// The JSONL export encoding of one record (a thin wrapper over
@@ -178,11 +183,16 @@ class CandidateStore {
   bool index_from(std::uint64_t from);
   /// Latest stage for a fingerprint (delta wins over the sidecar).
   std::optional<DeltaEntry> entry_locked(const Fingerprint& fp) const;
-  /// Reads + decodes the frame at `offset`; counts a line error and
-  /// returns nullopt on checksum/decode failure or a record other than
-  /// `fp`'s.
-  std::optional<OutcomeRecord> read_frame_locked(const Fingerprint& fp,
-                                                 std::uint64_t offset) const;
+  /// The sidecar's entry for a fingerprint. Needs no lock: base_ is mapped
+  /// and remapped only by the constructor and the destructor.
+  std::optional<DeltaEntry> base_entry(const Fingerprint& fp) const;
+  /// Reads + decodes the frame at `offset`, which must end by `end` (the
+  /// journal length when its index entry was found); counts a line error
+  /// and returns nullopt on a short read, checksum/decode failure or a
+  /// record other than `fp`'s. Runs outside mutex_.
+  std::optional<OutcomeRecord> read_frame(const Fingerprint& fp,
+                                          std::uint64_t offset,
+                                          std::uint64_t end) const;
   /// Merges the mmap'd base index with the in-memory delta and persists
   /// the sidecar. Best-effort in the destructor, loud elsewhere.
   void persist_index_locked();
@@ -199,14 +209,15 @@ class CandidateStore {
   StoreScope scope_;
   std::ofstream out_;  ///< append handle, kept open for the store's life
   /// Read-only descriptor for on-demand frame loads: pread at a frame's
-  /// offset, under mutex_, into read_buf_.
+  /// offset, outside mutex_, into a buffer of the calling thread. Opened in
+  /// the constructor and closed only in the destructor.
   int read_fd_ = -1;
-  /// Frame bytes of the last lookup; reused, so a hit reads into memory
-  /// the store already holds.
-  mutable std::vector<char> read_buf_;
 
   // Offsets only; frames are read on demand.
-  MmapIndex base_;  ///< mmap'd sidecar (may be closed when journal is new)
+  /// mmap'd sidecar (may be closed when journal is new). Mapped by the
+  /// constructor and remapped only by persist_index_locked, which runs in
+  /// the constructor and the destructor alone: lookups read it unlocked.
+  MmapIndex base_;
   // fingerprint -> entry for records appended/upgraded since the sidecar
   // was built (overrides base_).
   std::unordered_map<Fingerprint, DeltaEntry, FingerprintHash> delta_;
@@ -214,8 +225,8 @@ class CandidateStore {
   std::uint64_t append_offset_ = 0; ///< journal byte length
   bool index_dirty_ = false;
 
-  mutable std::size_t line_errors_ = 0;
-  mutable std::size_t decoded_frames_ = 0;
+  mutable std::atomic<std::size_t> line_errors_{0};
+  mutable std::atomic<std::size_t> decoded_frames_{0};
 };
 
 /// Default journal location: $NADA_STORE_DIR (default "nada_store")

@@ -2,7 +2,9 @@
 // fingerprint stability, journal round-trip and crash recovery, shard
 // planning, and cache/resume behaviour of store-backed search jobs.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -14,6 +16,7 @@
 #include <set>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -41,13 +44,31 @@
 namespace nada::store {
 namespace {
 
-// A fresh journal path per test, cleaned of any previous run's leftovers
+// This process's directory for the files its tests write, named with its
+// pid: two store_test processes at once (a Release and a sanitizer build,
+// say) never touch each other's journals. Removed when the tests end.
+const std::filesystem::path& process_dir() {
+  static const std::filesystem::path dir = [] {
+    std::filesystem::path path = std::filesystem::path(::testing::TempDir()) /
+                                 ("nada_store_test_" +
+                                  std::to_string(::getpid()));
+    std::filesystem::create_directories(path);
+    return path;
+  }();
+  return dir;
+}
+
+class RemoveProcessDir : public ::testing::Environment {
+ public:
+  void TearDown() override { std::filesystem::remove_all(process_dir()); }
+};
+[[maybe_unused]] const ::testing::Environment* const kRemoveProcessDir =
+    ::testing::AddGlobalTestEnvironment(new RemoveProcessDir);
+
+// A fresh journal path per test, cleaned of any earlier test's leftovers
 // (journal, sidecar, and tmp files).
 std::string fresh_path(const std::string& name) {
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) /
-       ("nada_store_test_" + name + ".nsb"))
-          .string();
+  const std::string path = (process_dir() / (name + ".nsb")).string();
   for (const char* suffix : {"", ".tmp", ".idx", ".idx.tmp"}) {
     std::filesystem::remove(path + suffix);
   }
@@ -56,10 +77,7 @@ std::string fresh_path(const std::string& name) {
 
 // A fresh path for a JSONL export/import file.
 std::string fresh_jsonl_path(const std::string& name) {
-  const std::string path =
-      (std::filesystem::path(::testing::TempDir()) /
-       ("nada_store_test_" + name + ".jsonl"))
-          .string();
+  const std::string path = (process_dir() / (name + ".jsonl")).string();
   std::filesystem::remove(path);
   return path;
 }
@@ -1125,6 +1143,89 @@ TEST(BinaryStore, ForeignScopeFramesAreSkipped) {
   EXPECT_EQ(store.recovered_line_errors(), 2u);
   EXPECT_TRUE(store.put(make_test_record(3, Stage::kChecked)));
   EXPECT_EQ(store.size(), 1u);
+}
+
+TEST(BinaryStore, ConcurrentLookupsWhileAppending) {
+  // Lookups search the sidecar and read their frames outside the store's
+  // mutex. Four readers look up journaled fingerprints (some of which the
+  // writer upgrades meanwhile) and absent ones, while this thread appends
+  // new records and upgrades: every lookup returns its own fingerprint's
+  // record, at no lower stage than the reader saw before, or misses only
+  // what was never journaled.
+  const std::string path = fresh_path("concurrent_lookups");
+  constexpr std::uint64_t kJournaled = 48;  // salts [0, 48): kChecked
+  constexpr std::uint64_t kUpgraded = 16;   // salts [0, 16) move up twice
+  constexpr std::uint64_t kAbsent = 16;     // salts [48, 64): never put
+  {
+    CandidateStore first(path, test_scope());
+    for (std::uint64_t salt = 0; salt < kJournaled; ++salt) {
+      ASSERT_TRUE(first.put(make_test_record(salt, Stage::kChecked)));
+    }
+  }
+  // Reopened: the journaled records are the sidecar's, the upgrades below
+  // go to the in-memory delta.
+  CandidateStore store(path, test_scope());
+  ASSERT_EQ(store.size(), kJournaled);
+  ASSERT_EQ(store.decoded_frames(), 0u);
+
+  std::atomic<bool> writing{true};
+  std::atomic<std::size_t> returned{0};
+  std::vector<std::string> failures[4];
+  auto reader = [&](std::size_t r) {
+    std::vector<Stage> seen(kJournaled, Stage::kChecked);
+    std::size_t got_records = 0;
+    for (int pass = 0; writing.load() || pass < 20; ++pass) {
+      for (std::uint64_t salt = 0; salt < kJournaled + kAbsent; ++salt) {
+        const Fingerprint fp =
+            make_test_record(salt, Stage::kChecked).fingerprint;
+        const auto got = store.lookup(fp);
+        if (!got.has_value()) {
+          if (salt < kJournaled) {
+            failures[r].push_back("miss of journaled cand-" +
+                                  std::to_string(salt));
+          }
+          continue;
+        }
+        ++got_records;
+        if (salt >= kJournaled || got->stage < seen[salt] ||
+            CandidateStore::encode_line(*got, test_scope()) !=
+                CandidateStore::encode_line(
+                    make_test_record(salt, got->stage), test_scope())) {
+          failures[r].push_back("lookup of cand-" + std::to_string(salt) +
+                                " returned " + got->id + " at stage " +
+                                stage_name(got->stage));
+          continue;
+        }
+        seen[salt] = got->stage;
+      }
+    }
+    returned += got_records;
+  };
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < 4; ++r) readers.emplace_back(reader, r);
+  for (std::uint64_t salt = 1000; salt < 1200; ++salt) {
+    EXPECT_TRUE(store.put(make_test_record(salt, Stage::kProbed)));
+    if (salt % 25 == 0) {
+      for (std::uint64_t up = 0; up < kUpgraded; ++up) {
+        const Stage stage = salt < 1100 ? Stage::kProbed : Stage::kTrained;
+        store.put(make_test_record(up, stage));
+      }
+    }
+  }
+  writing = false;
+  for (std::thread& t : readers) t.join();
+
+  for (const auto& thread_failures : failures) {
+    for (const std::string& failure : thread_failures) ADD_FAILURE() << failure;
+  }
+  EXPECT_GT(returned.load(), 0u);
+  EXPECT_EQ(store.decoded_frames(), returned.load());
+  EXPECT_EQ(store.recovered_line_errors(), 0u);
+  EXPECT_EQ(store.size(), kJournaled + 200);
+  const auto upgraded =
+      store.lookup(make_test_record(0, Stage::kChecked).fingerprint);
+  ASSERT_TRUE(upgraded.has_value());
+  EXPECT_EQ(upgraded->stage, Stage::kTrained);
 }
 
 TEST(BinaryStore, MillionRecordOpenIsIndexTimeAndLookupIsLazy) {

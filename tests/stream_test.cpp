@@ -19,14 +19,17 @@
 //     pool-less job asks, in the same order, with every pull after the
 //     first on one puller thread of its own; a pull's error surfaces from
 //     its own window's generate stage, and the destructor waits for a
-//     pull in flight.
+//     pull in flight; a warm window screens (fingerprints and store hits)
+//     while every worker of the job's pool is busy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <mutex>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -813,6 +816,89 @@ TEST(StreamingPulls, DestroyingAJobWaitsForThePullInFlight) {
   EXPECT_EQ(source.calls.size(), 2u);
   EXPECT_EQ(source.returned, 2u);
   EXPECT_EQ(source.handed, 8u);
+}
+
+/// Holds every worker of a pool until the gate opens, or at most until a
+/// deadline: a test sees what a job does while the workers are busy, and
+/// fails instead of hanging when the job waits for them.
+class Gate {
+ public:
+  void hold(util::ThreadPool& pool, std::chrono::seconds timeout) {
+    const auto deadline = std::chrono::steady_clock::now() + timeout;
+    for (std::size_t w = 0; w < pool.size(); ++w) {
+      (void)pool.submit([this, deadline] {
+        std::unique_lock lock(mutex_);
+        ++held_;
+        cv_.notify_all();
+        cv_.wait_until(lock, deadline, [this] { return open_; });
+        open_ = true;  // a timeout opens the gate for every worker
+        cv_.notify_all();
+      });
+    }
+    std::unique_lock lock(mutex_);
+    cv_.wait(lock, [&] { return held_ == pool.size(); });
+  }
+  void open() {
+    {
+      std::lock_guard lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  [[nodiscard]] bool is_open() {
+    std::lock_guard lock(mutex_);
+    return open_;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  std::size_t held_ = 0;
+  bool open_ = false;
+};
+
+TEST(StreamingPulls, WarmWindowScreensWhileEveryPoolWorkerIsBusy) {
+  // A warm window's fingerprints and store hits come from the generate
+  // stage's pass, which the stepping thread works itself: with every worker
+  // of the job's pool held, generate and pre-check still finish, and every
+  // candidate of the window is served from the store.
+  Fixture fx;
+  const SearchConfig config = pull_config(16, 8);
+  const std::string path = fresh_path("warm_busy_pool");
+  store::CandidateStore store(path, store_scope(fx.domain, config, 5));
+  {
+    RecordingSource source;
+    JobOptions options;
+    options.store = &store;
+    options.pool = &fx.pool;
+    SearchJob cold(fx.domain, config, 5, source,
+                   FixedDesign{nullptr, &config.baseline_arch}, options);
+    (void)cold.run_until(StageKind::kBaseline);
+  }
+
+  Gate gate;  // declared before the pool, which waits for its workers
+  util::ThreadPool pool(2);
+  gate.hold(pool, std::chrono::seconds(5));
+  RecordingSource source;
+  JobOptions options;
+  options.store = &store;
+  options.pool = &pool;
+  SearchJob warm(fx.domain, config, 5, source,
+                 FixedDesign{nullptr, &config.baseline_arch}, options);
+  const auto start = std::chrono::steady_clock::now();
+  for (const StageKind stage : {StageKind::kGenerate, StageKind::kPrecheck}) {
+    EXPECT_EQ(warm.next_stage_kind(), stage);
+    warm.next_stage();
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  EXPECT_FALSE(gate.is_open())
+      << "generate and pre-check waited " << seconds
+      << " s for the held workers";
+  EXPECT_EQ(warm.result().n_total, 8u);
+  EXPECT_EQ(warm.result().n_precheck_cache_hits, 8u);
+  gate.open();
 }
 
 }  // namespace
