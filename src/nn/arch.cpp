@@ -75,6 +75,47 @@ void validate_spec(const ArchSpec& spec, const StateSignature& sig) {
   }
 }
 
+std::uint64_t step_cost(const ArchSpec& spec, const StateSignature& sig,
+                        std::size_t num_actions) {
+  validate_spec(spec, sig);
+  // One tower's branches and merge stack, as build_tower lays them out.
+  std::uint64_t tower = 0;
+  std::uint64_t concat_dim = 0;
+  for (std::size_t len : sig.row_lengths) {
+    std::uint64_t out_dim = spec.scalar_hidden;
+    if (len <= 1) {
+      tower += spec.scalar_hidden;
+    } else {
+      switch (spec.temporal) {
+        case TemporalUnit::kConv1D: {
+          const std::uint64_t out_len = len - spec.conv_kernel + 1;
+          out_dim = out_len * spec.conv_filters;
+          tower += out_dim * spec.conv_kernel;
+          break;
+        }
+        case TemporalUnit::kRnn:
+          // Wx x_t + Wh h_{t-1} per step.
+          out_dim = spec.rnn_hidden;
+          tower += len * spec.rnn_hidden * (1 + spec.rnn_hidden);
+          break;
+        case TemporalUnit::kLstm:
+          // Four gates over [x_t; h_{t-1}] per step.
+          out_dim = spec.rnn_hidden;
+          tower += len * 4 * spec.rnn_hidden * (1 + spec.rnn_hidden);
+          break;
+        case TemporalUnit::kDense:
+          tower += len * spec.scalar_hidden;
+          break;
+      }
+    }
+    concat_dim += out_dim;
+  }
+  tower += concat_dim * spec.merge_hidden;
+  tower += (spec.merge_layers - 1) * spec.merge_hidden * spec.merge_hidden;
+  const std::uint64_t heads = spec.merge_hidden * (num_actions + 1);
+  return (spec.shared_trunk ? tower : 2 * tower) + heads;
+}
+
 // ---- Tower -----------------------------------------------------------------
 
 Vec ActorCriticNet::Tower::infer(const std::vector<Vec>& rows) const {

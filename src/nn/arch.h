@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -61,6 +62,17 @@ class ArchError : public std::runtime_error {
 /// Validates a spec against a signature; throws ArchError explaining the
 /// first problem found.
 void validate_spec(const ArchSpec& spec, const StateSignature& sig);
+
+/// The multiply-adds of one forward pass of the network `spec` builds for
+/// `sig` with `num_actions` actions: every branch (a scalar row's dense
+/// units, a conv's taps x outputs x filters, an RNN's or LSTM's recurrence
+/// x row length, a dense temporal unit's row x units), the merge layers and
+/// both heads, over both towers unless the trunk is shared. Activations
+/// and softmax are not counted. A static cost for ordering training jobs
+/// of one config; throws ArchError where validate_spec does.
+[[nodiscard]] std::uint64_t step_cost(const ArchSpec& spec,
+                                      const StateSignature& sig,
+                                      std::size_t num_actions);
 
 /// Actor-critic network instantiated from an ArchSpec.
 ///

@@ -1,8 +1,10 @@
 #include "rl/batch_probe.h"
 
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <memory>
+#include <numeric>
 
 #include "nn/mat_kernels.h"
 #include "nn/optimizer.h"
@@ -182,6 +184,29 @@ BatchProbeTrainer::BatchProbeTrainer(const env::TaskDomain& domain,
   (void)nn::active_kernels();
 }
 
+std::vector<std::size_t> dispatch_order(std::span<const ProbeJob> jobs,
+                                        const env::TaskDomain& domain) {
+  // A valid network costs at least its heads, so 0 sorts a job that
+  // cannot be costed after every other.
+  std::vector<std::uint64_t> cost(jobs.size(), 0);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    try {
+      cost[i] = nn::step_cost(*jobs[i].spec,
+                              derive_signature(*jobs[i].program,
+                                               domain.catalog()),
+                              domain.num_actions());
+    } catch (const std::exception&) {
+    }
+  }
+  std::vector<std::size_t> order(jobs.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&cost](std::size_t a, std::size_t b) {
+                     return cost[a] > cost[b];
+                   });
+  return order;
+}
+
 std::vector<TrainResult> BatchProbeTrainer::train(
     std::span<const ProbeJob> jobs, util::ThreadPool* pool) const {
   for (const auto& job : jobs) {
@@ -192,7 +217,10 @@ std::vector<TrainResult> BatchProbeTrainer::train(
   std::vector<TrainResult> results(jobs.size());
   auto run_job = [&](std::size_t i) { results[i] = train_job(jobs[i]); };
   if (pool != nullptr && jobs.size() > 1) {
-    pool->parallel_for(jobs.size(), run_job);
+    // The pool's queue is FIFO: submission order is dispatch order.
+    const std::vector<std::size_t> order = dispatch_order(jobs, *domain_);
+    pool->parallel_for(order.size(),
+                       [&](std::size_t k) { run_job(order[k]); });
   } else {
     for (std::size_t i = 0; i < jobs.size(); ++i) run_job(i);
   }

@@ -2,10 +2,11 @@
 // BatchProbeTrainer — the funnel's early probes, the original design's
 // baseline sessions, and the top-K's full training (rl::run_sessions).
 //
-// Each job is one (design, seed) training run and one pool task. A job
-// keeps its own RNG stream, agent and optimizer, and runs its epochs as
-// straight-line code: roll one episode through the network's capture
-// forward, then apply the epoch's policy/value update as one fused
+// Each job is one (design, seed) training run and one pool task; a pool
+// starts the costliest jobs first (dispatch_order), and results stay in job
+// order. A job keeps its own RNG stream, agent and optimizer, and runs its
+// epochs as straight-line code: roll one episode through the network's
+// capture forward, then apply the epoch's policy/value update as one fused
 // matrix-matrix backward pass over the whole episode
 // (nn::Layer::backward_batch). The rollout already recorded every
 // activation the update needs, so the update runs no forward pass and no
@@ -59,6 +60,15 @@ struct BatchProbeConfig {
   obs::MetricsRegistry* metrics = nullptr;
 };
 
+/// The order a pool runs `jobs` in: longest first, by nn::step_cost of
+/// each job's architecture over its program's signature (the jobs of one
+/// train() call share a TrainConfig, so the per-step cost ranks their
+/// whole runs). Ties keep job order. A job that cannot be costed (its
+/// signature does not derive or its spec is invalid) fails at once when
+/// trained, and goes last.
+[[nodiscard]] std::vector<std::size_t> dispatch_order(
+    std::span<const ProbeJob> jobs, const env::TaskDomain& domain);
+
 /// Trains each job to the serial oracle's result, one job per pool task.
 /// Failures (runtime errors in the state program, invalid architectures,
 /// non-finite values) are captured in that job's result rather than
@@ -72,8 +82,10 @@ class BatchProbeTrainer {
   /// rather than each job).
   BatchProbeTrainer(const env::TaskDomain& domain, BatchProbeConfig config);
 
-  /// Trains all jobs, scheduled on `pool` when non-null. Results are in
-  /// job order and independent of the pool.
+  /// Trains all jobs. With a pool and more than one job, they are
+  /// submitted in dispatch_order, so the costliest start first and the
+  /// cheap ones fill the tail; otherwise they run inline in job order.
+  /// Results are in job order and independent of the pool and the order.
   [[nodiscard]] std::vector<TrainResult> train(std::span<const ProbeJob> jobs,
                                                util::ThreadPool* pool =
                                                    nullptr) const;

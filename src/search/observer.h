@@ -28,11 +28,13 @@ namespace nada::search {
 /// candidate stream and computes content fingerprints; kPrecheck runs
 /// compile / normalization trial runs; kProbe early-trains the survivors,
 /// then folds the window into the running selection (early stopping and the
-/// full-training slots); these three repeat per window. kBaseline trains
-/// the domain's original design; kSelect hands the running selection to
-/// full training; kFullTrain trains the selected designs across seeds;
-/// kRank computes the final ordering. kDone is the terminal marker (never
-/// executed).
+/// full-training slots); these three repeat per window. kBaseline serves
+/// the domain's original design's training when it is already known (a
+/// shared cache holds it, or an early-stop model needed it at a fold);
+/// kSelect hands the running selection to full training; kFullTrain trains
+/// the selected designs across seeds and, unless it is known, the
+/// baseline beside them in one pass; kRank computes the final ordering.
+/// kDone is the terminal marker (never executed).
 enum class StageKind {
   kGenerate = 0,
   kPrecheck,

@@ -143,6 +143,24 @@ void copy_full_train_result(const store::OutcomeRecord& from,
   to.median_curve = from.median_curve;
 }
 
+/// Full training's protocol: the funnel's seeds and training budget.
+rl::SessionConfig session_config(const SearchConfig& config) {
+  rl::SessionConfig session;
+  session.seeds = config.seeds;
+  session.train = config.train;
+  return session;
+}
+
+/// The original design's training job: `original_state` (the domain's
+/// baseline state, compiled) under config.baseline_arch, on a seed stream
+/// of its own.
+rl::SessionJob baseline_job(const SearchConfig& config,
+                            const dsl::StateProgram& original_state,
+                            std::uint64_t seed) {
+  return rl::SessionJob{&original_state, &config.baseline_arch,
+                        seed ^ 0x0817b05eULL};
+}
+
 }  // namespace
 
 store::StoreScope store_scope(const env::TaskDomain& domain,
@@ -178,12 +196,10 @@ rl::SessionResult train_baseline(const env::TaskDomain& domain,
                                  std::uint64_t seed, util::ThreadPool* pool) {
   const dsl::StateProgram original_state =
       dsl::StateProgram::compile(domain.baseline_state_source());
-  rl::SessionConfig sc;
-  sc.seeds = config.seeds;
-  sc.train = config.train;
-  const rl::SessionJob baseline{&original_state, &config.baseline_arch,
-                                seed ^ 0x0817b05eULL};
-  return rl::run_sessions(domain, {baseline}, sc, pool).front();
+  return rl::run_sessions(domain,
+                          {baseline_job(config, original_state, seed)},
+                          session_config(config), pool)
+      .front();
 }
 
 SearchJob::SearchJob(const env::TaskDomain& domain, SearchConfig config,
@@ -224,13 +240,22 @@ store::StoreScope SearchJob::scope() const {
   return store_scope(*domain_, config_, seed_);
 }
 
+std::optional<rl::SessionResult>& SearchJob::baseline_slot() {
+  return options_.baseline_cache != nullptr ? *options_.baseline_cache
+                                            : local_baseline_;
+}
+
 const rl::SessionResult& SearchJob::original_baseline() {
-  auto* cache = options_.baseline_cache != nullptr ? options_.baseline_cache
-                                                   : &local_baseline_;
-  if (!cache->has_value()) {
-    *cache = train_baseline(*domain_, config_, seed_, options_.pool);
+  std::optional<rl::SessionResult>& baseline = baseline_slot();
+  if (!baseline.has_value()) {
+    baseline = train_baseline(*domain_, config_, seed_, options_.pool);
   }
-  return **cache;
+  return *baseline;
+}
+
+void SearchJob::serve_baseline() {
+  result_.original = *baseline_slot();
+  result_.original_score = result_.original.test_score;
 }
 
 StageKind SearchJob::next_stage_kind() const { return next_; }
@@ -650,8 +675,8 @@ void SearchJob::fold_window() {
     if (options_.early_stop_model != nullptr) {
       // The model normalizes probe curves by the baseline score, so the
       // baseline trains lazily at the first fold that needs it. Its seed
-      // stream is independent of the candidates', so training it before
-      // the kBaseline stage cannot change any result.
+      // stream is independent of the candidates', so training it here
+      // rather than beside the cohort cannot change any result.
       const double normalizer = original_baseline().test_score;
       if (!options_.early_stop_model->keep(
               make_record(cand.outcome, normalizer))) {
@@ -682,8 +707,11 @@ void SearchJob::fold_window() {
 }
 
 void SearchJob::stage_baseline() {
-  result_.original = original_baseline();
-  result_.original_score = result_.original.test_score;
+  // A baseline trained earlier (by a job sharing the cache, or for a
+  // fold's early-stop model) is served here. Otherwise it trains beside the
+  // cohort in the full-training stage, where its sessions keep the pool's
+  // threads busy instead of running alone.
+  if (baseline_slot().has_value()) serve_baseline();
 }
 
 void SearchJob::stage_select() {
@@ -714,11 +742,8 @@ void SearchJob::stage_full_train() {
       to_train.push_back(i);
     }
   }
-  rl::SessionConfig session_config;
-  session_config.seeds = config_.seeds;
-  session_config.train = config_.train;
   std::vector<rl::SessionJob> jobs;
-  jobs.reserve(to_train.size());
+  jobs.reserve(to_train.size() + 1);
   for (std::size_t i : to_train) {
     Candidate& cand = window_[i];
     ensure_program(cand);
@@ -728,8 +753,20 @@ void SearchJob::stage_full_train() {
         is_state ? fixed_.arch : &*cand.outcome.arch,
         full_train_seed(cand.spec, seed_, cand.outcome.fingerprint)});
   }
-  auto sessions =
-      rl::run_sessions(*domain_, jobs, session_config, options_.pool);
+  // The baseline, unless already known, is one more job of the same call:
+  // its seed stream is its own, so training it here computes exactly what
+  // train_baseline() would.
+  std::optional<rl::SessionResult>& baseline = baseline_slot();
+  std::optional<dsl::StateProgram> original_state;
+  if (!baseline.has_value()) {
+    original_state =
+        dsl::StateProgram::compile(domain_->baseline_state_source());
+    jobs.push_back(baseline_job(config_, *original_state, seed_));
+  }
+  auto sessions = rl::run_sessions(*domain_, jobs, session_config(config_),
+                                   options_.pool);
+  if (original_state.has_value()) baseline = std::move(sessions.back());
+  serve_baseline();
   result_.n_full_trains_run = to_train.size();
   for (std::size_t k = 0; k < to_train.size(); ++k) {
     Candidate& cand = window_[to_train[k]];

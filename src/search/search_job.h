@@ -1,8 +1,10 @@
 // SearchJob: the NADA funnel (Figure 1) as an incrementally steppable job.
 //
 // One job pulls one candidate stream through generate -> pre-check ->
-// probe -> baseline -> select -> full-train -> rank. It is the funnel's one
-// driver; a job
+// probe -> baseline -> select -> full-train -> rank. The original design's
+// baseline trains in the full-training stage, as one more job beside the
+// cohort, unless it is known by then (the baseline stage serves a known
+// one). It is the funnel's one driver; a job
 //
 //   * is steppable: next_stage() executes exactly one stage, so callers
 //     interleave their own work, stop early (range workers run only
@@ -103,7 +105,8 @@ namespace nada::search {
 
 /// Trains the domain's original design (state + architecture) under the
 /// funnel's protocol — the comparison baseline. Each seed is one task on
-/// `pool`.
+/// `pool`. A SearchJob's full-training stage computes the same result
+/// beside its cohort.
 [[nodiscard]] rl::SessionResult train_baseline(const env::TaskDomain& domain,
                                                const SearchConfig& config,
                                                std::uint64_t seed,
@@ -128,7 +131,9 @@ struct JobOptions {
   util::ThreadPool* pool = nullptr;
   /// Shared baseline slot: lets several jobs (say a state search and an
   /// architecture search over one domain) train the original design once.
-  /// Must outlive the job.
+  /// A filled slot is served as is; an empty one is filled by the job that
+  /// first needs the baseline (its full-training stage, or a fold's
+  /// early-stop model). Must outlive the job.
   std::optional<rl::SessionResult>* baseline_cache = nullptr;
   /// Restrict execution to a fingerprint sub-range (inclusive bounds on
   /// Fingerprint::hi): candidates outside the range are skipped and counted
@@ -179,8 +184,9 @@ class SearchJob {
 
   /// Steps until `stop` would be next (or the job completes). Shard
   /// workers use run_until(StageKind::kBaseline) to execute only the
-  /// per-candidate stages of every remaining window. Returns the (possibly
-  /// partial) result.
+  /// per-candidate stages of every remaining window; they never train the
+  /// baseline. Returns the (possibly partial) result: its baseline
+  /// (original, original_score) is final once kFullTrain has run.
   const SearchResult& run_until(StageKind stop);
 
   /// Steps every remaining stage and moves the final result out. The job
@@ -203,8 +209,10 @@ class SearchJob {
 
   [[nodiscard]] store::StoreScope scope() const;
 
-  /// The trained baseline (computing it now if the baseline stage has not
-  /// run yet); cached in Options::baseline_cache when provided.
+  /// The trained baseline, training it now (alone, through
+  /// train_baseline) unless it is known; cached in Options::baseline_cache
+  /// when provided. A job that runs to completion never needs this: its
+  /// full-training stage trains an unknown baseline beside the cohort.
   const rl::SessionResult& original_baseline();
 
  private:
@@ -233,6 +241,11 @@ class SearchJob {
   void stage_select();
   void stage_full_train();
   void stage_rank();
+
+  /// Options::baseline_cache when provided, else the job's own slot.
+  [[nodiscard]] std::optional<rl::SessionResult>& baseline_slot();
+  /// Copies the known baseline into the result.
+  void serve_baseline();
 
   /// End-of-window fold, the funnel's one selection: applies the
   /// early-stop verdicts to the window's probes, merges the keepers into

@@ -1,6 +1,7 @@
 #include "svc/process.h"
 
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -19,20 +20,27 @@ std::string ExitStatus::describe() const {
 }
 
 ChildProcess::ChildProcess(ChildProcess&& other) noexcept
-    : pid_(other.pid_), last_(other.last_), reaped_(other.reaped_) {
-  other.pid_ = -1;
-  other.reaped_ = false;
-}
+    : pid_(std::exchange(other.pid_, -1)),
+      pidfd_(std::exchange(other.pidfd_, -1)),
+      last_(other.last_),
+      reaped_(std::exchange(other.reaped_, false)) {}
 
 ChildProcess& ChildProcess::operator=(ChildProcess&& other) noexcept {
   if (this != &other) {
-    pid_ = other.pid_;
+    close_pidfd();
+    pid_ = std::exchange(other.pid_, -1);
+    pidfd_ = std::exchange(other.pidfd_, -1);
     last_ = other.last_;
-    reaped_ = other.reaped_;
-    other.pid_ = -1;
-    other.reaped_ = false;
+    reaped_ = std::exchange(other.reaped_, false);
   }
   return *this;
+}
+
+ChildProcess::~ChildProcess() { close_pidfd(); }
+
+void ChildProcess::close_pidfd() {
+  if (pidfd_ >= 0) ::close(pidfd_);
+  pidfd_ = -1;
 }
 
 ChildProcess ChildProcess::spawn(const std::vector<std::string>& argv) {
@@ -58,6 +66,10 @@ ChildProcess ChildProcess::spawn(const std::vector<std::string>& argv) {
   }
   ChildProcess child;
   child.pid_ = pid;
+  // The child cannot be reaped before this (only its handle reaps it), so
+  // the pidfd names it even if it has already exited. pidfd_open's
+  // descriptors are always close-on-exec.
+  child.pidfd_ = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
   return child;
 }
 
@@ -71,6 +83,7 @@ ExitStatus ChildProcess::wait_impl(bool block) {
     // the supervisor's restart path handles a state we cannot explain.
     last_ = ExitStatus{ExitStatus::Kind::kSignaled, 0, SIGKILL};
     reaped_ = true;
+    close_pidfd();
     return last_;
   }
   if (WIFEXITED(status)) {
@@ -80,6 +93,7 @@ ExitStatus ChildProcess::wait_impl(bool block) {
     last_ = ExitStatus{ExitStatus::Kind::kSignaled, 0, WTERMSIG(status)};
     reaped_ = true;
   }
+  if (reaped_) close_pidfd();
   return reaped_ ? last_ : ExitStatus{};
 }
 

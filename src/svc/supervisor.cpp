@@ -1,10 +1,12 @@
 #include "svc/supervisor.h"
 
-#include <algorithm>
-#include <chrono>
+#include <poll.h>
 #include <signal.h>
+
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
-#include <thread>
 #include <utility>
 
 #include "obs/status.h"
@@ -30,8 +32,18 @@ Supervisor::Supervisor(SupervisorConfig config, CommandBuilder command)
   if (config_.dir.empty()) {
     throw std::invalid_argument("Supervisor: dir must be set");
   }
-  if (config_.poll_interval_seconds <= 0.0) {
-    throw std::invalid_argument("Supervisor: poll interval must be > 0");
+  if (!(std::isfinite(config_.poll_interval_seconds) &&
+        config_.poll_interval_seconds > 0.0)) {
+    throw std::invalid_argument(
+        "Supervisor: poll interval must be finite and > 0");
+  }
+  // +infinity is valid in both ("never stale", "never write the status");
+  // NaN compares false both ways and would read as "always".
+  if (std::isnan(config_.heartbeat_timeout_seconds)) {
+    throw std::invalid_argument("Supervisor: heartbeat timeout is NaN");
+  }
+  if (std::isnan(config_.cluster_status_interval_seconds)) {
+    throw std::invalid_argument("Supervisor: cluster status interval is NaN");
   }
   if (!command_) {
     throw std::invalid_argument("Supervisor: command builder must be set");
@@ -233,6 +245,23 @@ void Supervisor::check_staleness() {
   }
 }
 
+void Supervisor::wait_for_exit() const {
+  std::vector<pollfd> fds;
+  fds.reserve(slots_.size());
+  for (const Slot& slot : slots_) {
+    if (slot.process.pidfd() >= 0) {
+      fds.push_back(pollfd{slot.process.pidfd(), POLLIN, 0});
+    }
+  }
+  // poll(2) takes int milliseconds: round up, so that a sub-millisecond
+  // interval still sleeps, and clamp a huge one.
+  const double ms = std::ceil(config_.poll_interval_seconds * 1000.0);
+  const int timeout_ms = static_cast<int>(
+      std::min(ms, static_cast<double>(std::numeric_limits<int>::max())));
+  // An interrupted or failed wait only ends the round early.
+  (void)::poll(fds.data(), fds.size(), timeout_ms);
+}
+
 void Supervisor::fail(const std::string& error) {
   failed_ = true;
   report_.error = error;
@@ -317,8 +346,10 @@ SupervisorReport Supervisor::run() {
     check_staleness();
     write_cluster_status();
     if (pending_.empty() && slots_.empty()) break;
-    std::this_thread::sleep_for(std::chrono::duration<double>(
-        config_.poll_interval_seconds));
+    // A slot freed this round (a worker exited or a straggler was killed)
+    // while leases wait: refill it now.
+    if (!pending_.empty() && slots_.size() < config_.num_workers) continue;
+    wait_for_exit();
   }
 
   report_.success = !failed_;

@@ -11,7 +11,8 @@
 //   * each idle worker slot is granted the next pending lease — a
 //     store::ShardPlan::Range plus its own journal file — recorded in a
 //     crash-tolerant JSONL LeaseLog before the worker process spawns,
-//   * the supervisor owns its workers (fork/exec + waitpid) and watches
+//   * the supervisor owns its workers (fork/exec, waking in poll(2) on
+//     their pidfds when one exits, then waitpid) and watches
 //     the obs::StatusWriter heartbeat file every worker already writes,
 //   * a worker that DIES (nonzero exit, signal) has its lease re-granted
 //     with the SAME journal: the partial journal is intact (torn tail
@@ -78,7 +79,9 @@ struct SupervisorConfig {
   /// reference point is max(spawn time, last heartbeat), so a stale file
   /// left by a previous attempt never condemns a fresh worker.
   double heartbeat_timeout_seconds = 30.0;
-  /// Supervision loop cadence.
+  /// The supervision loop's longest wait: it wakes when a worker exits
+  /// (on the workers' pidfds) or after this long, which sets how often
+  /// staleness and the cluster status are checked. Finite and > 0.
   double poll_interval_seconds = 0.05;
   /// Directory for lease journals, the lease log, and the cluster status.
   std::string dir = "nada_svc";
@@ -126,7 +129,8 @@ struct SupervisorReport {
 class Supervisor {
  public:
   /// Throws std::invalid_argument on a degenerate config (zero workers,
-  /// empty dir, non-positive poll interval).
+  /// empty dir, a poll interval that is not finite and positive, NaN in
+  /// any other seconds field).
   Supervisor(SupervisorConfig config, CommandBuilder command);
 
   /// Runs the whole schedule to completion (or failure): plans/recovers
@@ -159,6 +163,9 @@ class Supervisor {
   /// Handles one dead worker; returns false when the run must abort.
   [[nodiscard]] bool handle_exit(Slot& slot, const ExitStatus& status);
   void check_staleness();
+  /// Blocks until a live worker with a pidfd exits or
+  /// poll_interval_seconds pass, whichever is first.
+  void wait_for_exit() const;
   void write_cluster_status();
   void fail(const std::string& error);
   void track_journal(const std::string& path);

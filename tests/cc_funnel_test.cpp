@@ -6,6 +6,8 @@
 // exercised through env::TaskDomain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -253,6 +255,165 @@ TEST(CcBatchProbe, SessionsMatchOraclePerSeedOnTable4Path) {
       EXPECT_EQ(per_seed[s].error, got.sessions[s].error) << seed_label;
     }
   }
+}
+
+// ---- longest-first dispatch -------------------------------------------------
+
+/// One CC architecture cohort: every temporal unit, shared and separate
+/// trunks, and one spec no network can be built from.
+std::vector<nn::ArchSpec> mixed_cc_archs() {
+  std::vector<nn::ArchSpec> archs;
+  const auto add = [&archs](nn::TemporalUnit unit, std::size_t hidden,
+                            bool shared) {
+    nn::ArchSpec arch = tiny_arch();
+    arch.temporal = unit;
+    arch.rnn_hidden = hidden;
+    arch.shared_trunk = shared;
+    archs.push_back(arch);
+  };
+  add(nn::TemporalUnit::kConv1D, 8, false);
+  add(nn::TemporalUnit::kRnn, 8, true);
+  add(nn::TemporalUnit::kLstm, 16, false);
+  add(nn::TemporalUnit::kDense, 8, false);
+  add(nn::TemporalUnit::kConv1D, 8, true);
+  add(nn::TemporalUnit::kLstm, 8, true);
+  add(nn::TemporalUnit::kRnn, 16, false);
+  nn::ArchSpec invalid = tiny_arch();
+  invalid.conv_kernel = 64;  // longer than every CC history row
+  archs.push_back(invalid);
+  return archs;
+}
+
+TEST(CcBatchProbe, LongestFirstDispatchMatchesOracleAcrossArchitectures) {
+  // A pool reorders a mixed cohort's jobs by cost; the results must still
+  // be the serial oracle's, bit for bit and in job order.
+  const auto dataset = cc_dataset();
+  const cc::CcDomain domain(dataset, tiny_cc_config());
+  const auto programs = cc_probe_programs();
+  const auto archs = mixed_cc_archs();
+  rl::TrainConfig config = tiny_train_config();
+  config.epochs = 4;
+  config.evaluate_checkpoints = false;  // the funnel's probe shape
+
+  std::vector<rl::ProbeJob> jobs;
+  for (std::size_t i = 0; i < archs.size(); ++i) {
+    jobs.push_back(rl::ProbeJob{&programs[i % programs.size()], &archs[i],
+                                0xcc60 + 13 * i});
+  }
+  // The pool does reorder this cohort.
+  const auto order = rl::dispatch_order(jobs, domain);
+  ASSERT_FALSE(std::is_sorted(order.begin(), order.end()));
+
+  util::ThreadPool pool{3};
+  const rl::BatchProbeTrainer engine(domain, rl::BatchProbeConfig{config});
+  const auto pooled = engine.train(jobs, &pool);
+  ASSERT_EQ(pooled.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    test::Trainer oracle(domain, config, jobs[i].seed);
+    expect_bitwise_equal(oracle.train(*jobs[i].program, *jobs[i].spec),
+                         pooled[i], "cc arch job " + std::to_string(i));
+    EXPECT_EQ(pooled[i].failed, i + 1 == jobs.size()) << pooled[i].error;
+  }
+}
+
+TEST(CcBatchProbe, DispatchOrderIsDescendingStepCost) {
+  const auto dataset = cc_dataset();
+  const cc::CcDomain domain(dataset, tiny_cc_config());
+  const auto programs = cc_probe_programs();
+  // Runs into a runtime error on every frame: no signature derives.
+  const dsl::StateProgram broken =
+      dsl::StateProgram::compile("emit \"x\" = log(0.0 - 1.0 - loss_fraction);\n");
+  ASSERT_THROW((void)rl::derive_signature(broken, domain.catalog()),
+               dsl::RuntimeError);
+  const auto archs = mixed_cc_archs();
+
+  std::vector<rl::ProbeJob> jobs;
+  jobs.push_back(rl::ProbeJob{&broken, &archs[2], 1});
+  for (std::size_t i = 0; i < archs.size(); ++i) {
+    jobs.push_back(rl::ProbeJob{&programs[0], &archs[i], 2});
+  }
+  jobs.push_back(rl::ProbeJob{&programs[0], &archs[2], 3});  // ties job 3
+
+  const auto cost = [&](std::size_t i) -> std::uint64_t {
+    try {
+      return nn::step_cost(*jobs[i].spec,
+                           rl::derive_signature(*jobs[i].program,
+                                                domain.catalog()),
+                           domain.num_actions());
+    } catch (const std::exception&) {
+      return 0;
+    }
+  };
+  const auto order = rl::dispatch_order(jobs, domain);
+  ASSERT_EQ(order.size(), jobs.size());
+  // The broken signature (job 0) and the invalid spec (job 8) cost
+  // nothing, and go last in job order.
+  EXPECT_EQ(order[order.size() - 2], 0u);
+  EXPECT_EQ(order.back(), 8u);
+  for (std::size_t k = 0; k + 1 < order.size(); ++k) {
+    const std::uint64_t a = cost(order[k]);
+    const std::uint64_t b = cost(order[k + 1]);
+    EXPECT_GE(a, b) << "position " << k;
+    if (a == b) EXPECT_LT(order[k], order[k + 1]) << "position " << k;
+  }
+  // The LSTM(h=16) is the costliest; its twin, job 9, follows it.
+  EXPECT_EQ(order[0], 3u);
+  EXPECT_EQ(order[1], 9u);
+
+  // One architecture over one signature: the order is the job order.
+  const std::vector<rl::ProbeJob> uniform(4, rl::ProbeJob{&programs[0],
+                                                           &archs[0], 5});
+  EXPECT_EQ(rl::dispatch_order(uniform, domain),
+            (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+TEST(NnStepCost, CountsEveryLayerOfTheForwardPass) {
+  const nn::StateSignature sig{{1, 8, 8, 1}};
+  const std::size_t actions = 4;
+  const auto cost = [&](const nn::ArchSpec& spec) {
+    return nn::step_cost(spec, sig, actions);
+  };
+  // Pensieve-shaped conv network, counted by hand: two scalar rows
+  // (1 x 8 each), two conv rows ((8 - 4 + 1) outputs x 8 filters x 4
+  // taps each), the merge layer over the 2 * 8 + 2 * 40 = 96 concatenated
+  // outputs, times two towers, plus the actor and critic heads.
+  nn::ArchSpec conv = tiny_arch();
+  const std::uint64_t tower = 2 * 8 + 2 * (5 * 8 * 4) + 96 * 16;
+  EXPECT_EQ(cost(conv), 2 * tower + 16 * (actions + 1));
+
+  // Every width raises the cost.
+  const auto grows = [&](nn::ArchSpec spec, std::size_t nn::ArchSpec::*width) {
+    const std::uint64_t before = cost(spec);
+    spec.*width *= 2;
+    EXPECT_GT(cost(spec), before);
+  };
+  grows(conv, &nn::ArchSpec::conv_filters);
+  grows(conv, &nn::ArchSpec::scalar_hidden);
+  grows(conv, &nn::ArchSpec::merge_hidden);
+  nn::ArchSpec rnn = conv;
+  rnn.temporal = nn::TemporalUnit::kRnn;
+  grows(rnn, &nn::ArchSpec::rnn_hidden);
+  nn::ArchSpec dense = conv;
+  dense.temporal = nn::TemporalUnit::kDense;
+  grows(dense, &nn::ArchSpec::scalar_hidden);
+  nn::ArchSpec deeper = conv;
+  deeper.merge_layers = 2;
+  EXPECT_GT(cost(deeper), cost(conv));
+
+  // An LSTM's four gates cost more than an RNN of the same hidden size.
+  nn::ArchSpec lstm = rnn;
+  lstm.temporal = nn::TemporalUnit::kLstm;
+  EXPECT_GT(cost(lstm), cost(rnn));
+  // A shared trunk runs one tower instead of two.
+  for (nn::ArchSpec spec : {conv, rnn, lstm, dense}) {
+    const std::uint64_t separate = cost(spec);
+    spec.shared_trunk = true;
+    EXPECT_LT(cost(spec), separate) << spec.describe();
+  }
+  // Where no network can be built, there is no cost.
+  nn::ArchSpec invalid = conv;
+  invalid.conv_kernel = 9;
+  EXPECT_THROW((void)cost(invalid), nn::ArchError);
 }
 
 // ---- end-to-end CC search ---------------------------------------------------

@@ -23,14 +23,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "cc/cc_domain.h"
 #include "cc/cc_state.h"
 #include "env/abr_domain.h"
+#include "filter/earlystop.h"
 #include "gen/arch_gen.h"
 #include "gen/state_gen.h"
 #include "search/candidate.h"
@@ -707,6 +711,134 @@ TEST(CandidateSpecTest, GeneratorStreamFingerprintsMatchGoldens) {
     journaled.insert(record.fingerprint.hex());
   }
   EXPECT_EQ(journaled, standalone);
+}
+
+// ---- the baseline trains beside the cohort ---------------------------------
+
+/// Bit-identical baselines: the test score's bits, the median curve, and
+/// each session's rewards.
+void expect_same_baseline(const rl::SessionResult& got,
+                          const rl::SessionResult& want,
+                          const std::string& label) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.test_score),
+            std::bit_cast<std::uint64_t>(want.test_score))
+      << label;
+  EXPECT_EQ(got.failed, want.failed) << label;
+  EXPECT_EQ(got.median_curve, want.median_curve) << label;
+  EXPECT_EQ(got.curve_epochs, want.curve_epochs) << label;
+  ASSERT_EQ(got.sessions.size(), want.sessions.size()) << label;
+  for (std::size_t s = 0; s < want.sessions.size(); ++s) {
+    EXPECT_EQ(got.sessions[s].train_rewards, want.sessions[s].train_rewards)
+        << label << " session " << s;
+    EXPECT_EQ(got.sessions[s].test_scores, want.sessions[s].test_scores)
+        << label << " session " << s;
+  }
+}
+
+SearchConfig baseline_config() {
+  SearchConfig config = tiny_config();
+  config.num_candidates = 10;
+  return config;
+}
+
+TEST(BaselineBesideCohort, EqualsTrainBaselinePooledAndPoolless) {
+  Fixture fx;
+  const SearchConfig config = baseline_config();
+  const rl::SessionResult expected =
+      train_baseline(fx.domain, config, 4321, &fx.pool);
+  ASSERT_FALSE(expected.failed);
+  for (util::ThreadPool* pool : {&fx.pool, static_cast<util::ThreadPool*>(
+                                               nullptr)}) {
+    const std::string label = pool != nullptr ? "pooled" : "pool-less";
+    gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                  61);
+    StateCandidateSource source(generator);
+    std::optional<rl::SessionResult> cache;
+    JobOptions options;
+    options.pool = pool;
+    options.baseline_cache = &cache;
+    SearchJob job(fx.domain, config, 4321, source,
+                  FixedDesign{nullptr, &config.baseline_arch}, options);
+    // Unknown at the baseline stage: nothing trains there.
+    (void)job.run_until(StageKind::kSelect);
+    EXPECT_FALSE(cache.has_value()) << label;
+    const SearchResult result = job.run_to_completion();
+    EXPECT_GT(result.n_full_trains_run, 0u) << label;
+    expect_same_baseline(result.original, expected, label);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.original_score),
+              std::bit_cast<std::uint64_t>(expected.test_score))
+        << label;
+    // The full-training stage filled the shared slot.
+    ASSERT_TRUE(cache.has_value()) << label;
+    expect_same_baseline(*cache, expected, label + " cache");
+  }
+}
+
+TEST(BaselineBesideCohort, AKnownBaselineIsServedNotRetrained) {
+  Fixture fx;
+  const SearchConfig config = baseline_config();
+  gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                61);
+  StateCandidateSource source(generator);
+  std::optional<rl::SessionResult> cache = rl::SessionResult{};
+  cache->test_score = 12345.0;  // no training computes this
+  JobOptions options;
+  options.pool = &fx.pool;
+  options.baseline_cache = &cache;
+  SearchJob job(fx.domain, config, 4321, source,
+                FixedDesign{nullptr, &config.baseline_arch}, options);
+  (void)job.run_until(StageKind::kSelect);
+  EXPECT_EQ(job.result().original_score, 12345.0);  // served at kBaseline
+  const SearchResult result = job.run_to_completion();
+  EXPECT_GT(result.n_full_trains_run, 0u);
+  EXPECT_EQ(result.original_score, 12345.0);
+  EXPECT_EQ(result.original.test_score, 12345.0);
+  EXPECT_TRUE(result.original.sessions.empty());
+  EXPECT_EQ(cache->test_score, 12345.0);
+}
+
+TEST(BaselineBesideCohort, AnEarlyStopModelTrainsItAtTheFirstFold) {
+  Fixture fx;
+  const SearchConfig config = baseline_config();
+  const rl::SessionResult expected =
+      train_baseline(fx.domain, config, 4321, &fx.pool);
+  // The model normalizes probe curves by the baseline's score, so the
+  // first fold that judges a probe needs it.
+  const filter::EarlyStopModel model(filter::EarlyStopMethod::kHeuristicMax,
+                                     filter::EarlyStopConfig{}, 1);
+  gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                61);
+  StateCandidateSource source(generator);
+  std::optional<rl::SessionResult> cache;
+  JobOptions options;
+  options.pool = &fx.pool;
+  options.baseline_cache = &cache;
+  options.early_stop_model = &model;
+  SearchJob job(fx.domain, config, 4321, source,
+                FixedDesign{nullptr, &config.baseline_arch}, options);
+  (void)job.run_until(StageKind::kFullTrain);
+  ASSERT_GT(job.result().n_probes_run, 0u);
+  ASSERT_TRUE(cache.has_value());
+  expect_same_baseline(*cache, expected, "after the folds");
+  const SearchResult result = job.run_to_completion();
+  expect_same_baseline(result.original, expected, "result");
+}
+
+TEST(BaselineBesideCohort, LeaseWorkersNeverTrainIt) {
+  Fixture fx;
+  const SearchConfig config = baseline_config();
+  gen::StateGenerator generator(gen::gpt4_profile(), gen::PromptStrategy{},
+                                61);
+  StateCandidateSource source(generator);
+  std::optional<rl::SessionResult> cache;
+  JobOptions options;
+  options.pool = &fx.pool;
+  options.baseline_cache = &cache;
+  SearchJob job(fx.domain, config, 4321, source,
+                FixedDesign{nullptr, &config.baseline_arch}, options);
+  const SearchResult& partial = job.run_until(StageKind::kBaseline);
+  EXPECT_GT(partial.n_probes_run, 0u);
+  EXPECT_FALSE(cache.has_value());
 }
 
 // ---- degenerate-baseline improvement ---------------------------------------

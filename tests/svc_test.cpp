@@ -8,11 +8,13 @@
 //     durable state, torn tails and out-of-range numbers are skipped on
 //     read (torn tails also neutralized on append), hex range bounds
 //     round-trip at full 64-bit precision,
-//   * Supervisor (scripted /bin/sh workers): drains the queue, re-grants a
-//     crashed lease with the same journal, fails fast on the usage exit
-//     code, gives up after max_restarts, kills + splits + reassigns a
-//     stale straggler (and a resume after that re-runs nothing), and
-//     resumes unfinished leases from a prior log,
+//   * Supervisor (scripted /bin/sh workers): drains the queue, refills a
+//     slot the moment its worker exits (closing every worker's pidfd),
+//     re-grants a crashed lease with the same journal, fails fast on the
+//     usage exit code, gives up after max_restarts, kills + splits +
+//     reassigns a stale straggler (and a resume after that re-runs
+//     nothing), resumes unfinished leases from a prior log, and rejects
+//     NaN seconds,
 //   * shard_worker exit codes: 0 ok / 1 runtime / 2 usage (malformed
 //     numbers included) / 42 injected crash — pinned, because the
 //     supervisor's restart policy branches on them,
@@ -23,9 +25,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <string>
 #include <tuple>
@@ -329,6 +333,86 @@ TEST(Supervisor, DrainsTheQueueAndLogsEveryLease) {
       util::JsonValue::parse(util::read_file(report.cluster_status_path));
   EXPECT_EQ(status.get("supervisor").get("pending_leases").as_number(), 0.0);
   EXPECT_EQ(status.get("supervisor").get("leases_completed").as_number(), 4.0);
+}
+
+/// Open descriptors of this process.
+std::size_t open_fds() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++n;
+  }
+  return n;
+}
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
+
+TEST(Supervisor, RefillsASlotTheMomentItsWorkerExits) {
+  // Four instant leases over two slots, with a poll interval far longer
+  // than the run may take: the loop must wake on each exit and spawn the
+  // next lease at once, never waiting out the interval.
+  const std::string dir = fresh_dir("sup_refill");
+  const std::size_t fds_before = open_fds();
+  {
+    SupervisorConfig config = fast_config(dir);
+    config.num_workers = 2;
+    config.initial_leases = 4;
+    config.poll_interval_seconds = 5.0;
+    Supervisor supervisor(config, sh_command("exit 0"));
+    const auto start = std::chrono::steady_clock::now();
+    const auto report = supervisor.run();
+    EXPECT_LT(seconds_since(start), 2.5);
+    EXPECT_TRUE(report.success) << report.error;
+    EXPECT_EQ(report.leases_completed, 4u);
+    EXPECT_EQ(report.spawned, 4u);
+  }
+  // Every worker's pidfd was closed.
+  EXPECT_EQ(open_fds(), fds_before);
+}
+
+TEST(Supervisor, HugePollIntervalIsClampedNotOverflowed) {
+  const std::string dir = fresh_dir("sup_huge_poll");
+  SupervisorConfig config = fast_config(dir);
+  config.num_workers = 2;
+  config.initial_leases = 2;
+  config.poll_interval_seconds = 1e12;
+  Supervisor supervisor(config, sh_command("exit 0"));
+  const auto start = std::chrono::steady_clock::now();
+  const auto report = supervisor.run();
+  EXPECT_LT(seconds_since(start), 5.0);
+  EXPECT_TRUE(report.success) << report.error;
+  EXPECT_EQ(report.leases_completed, 2u);
+}
+
+TEST(Supervisor, RejectsNaNSeconds) {
+  const std::string dir = fresh_dir("sup_nan");
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto make = [&dir](double SupervisorConfig::*field, double value) {
+    SupervisorConfig config = fast_config(dir);
+    config.*field = value;
+    return Supervisor(config, sh_command("exit 0"));
+  };
+  // A NaN heartbeat timeout would read every worker as stale, a NaN poll
+  // interval would reach the wait.
+  EXPECT_THROW(make(&SupervisorConfig::poll_interval_seconds, nan),
+               std::invalid_argument);
+  EXPECT_THROW(make(&SupervisorConfig::poll_interval_seconds, inf),
+               std::invalid_argument);
+  EXPECT_THROW(make(&SupervisorConfig::poll_interval_seconds, 0.0),
+               std::invalid_argument);
+  EXPECT_THROW(make(&SupervisorConfig::heartbeat_timeout_seconds, nan),
+               std::invalid_argument);
+  EXPECT_THROW(make(&SupervisorConfig::cluster_status_interval_seconds, nan),
+               std::invalid_argument);
+  // +infinity means "never" in both.
+  EXPECT_NO_THROW(make(&SupervisorConfig::heartbeat_timeout_seconds, inf));
+  EXPECT_NO_THROW(
+      make(&SupervisorConfig::cluster_status_interval_seconds, inf));
 }
 
 TEST(Supervisor, CrashedLeaseIsRegrantedWithTheSameJournal) {

@@ -32,7 +32,8 @@
 //   --leases N              initial sub-range leases (default: --workers)
 //   --max-restarts N        re-grants per lease before giving up (3)
 //   --heartbeat-timeout S   staleness threshold, seconds; 0 disables (30)
-//   --poll-interval S       supervision loop cadence (0.05)
+//   --poll-interval S       longest wait between staleness checks; a
+//                           worker's exit wakes the loop at once (0.05)
 //   --store-dir DIR         journals, lease log, cluster status (required)
 //   --worker-bin PATH       shard_worker binary to exec
 //   --fresh                 ignore an existing lease log (default resumes)
