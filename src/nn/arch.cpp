@@ -118,17 +118,26 @@ std::uint64_t step_cost(const ArchSpec& spec, const StateSignature& sig,
 
 // ---- Tower -----------------------------------------------------------------
 
-Vec ActorCriticNet::Tower::infer(const std::vector<Vec>& rows) const {
+std::span<const double> ActorCriticNet::Tower::infer(
+    const std::vector<Vec>& rows) {
   if (rows.size() != branches.size()) {
     throw std::invalid_argument("Tower::infer: row count mismatch");
   }
-  Vec h;
+  const std::span<double> merge_input(concat);
   for (std::size_t i = 0; i < branches.size(); ++i) {
-    const Vec out = branches[i]->infer(rows[i]);
-    h.insert(h.end(), out.begin(), out.end());
+    branches[i]->infer_into(
+        rows[i], merge_input.subspan(branch_offsets[i], branches[i]->out_dim()),
+        infer_scratch);
   }
-  for (const auto& layer : merge) h = layer->infer(h);
-  if (head) h = head->infer(h);
+  std::span<const double> h = concat;
+  for (std::size_t i = 0; i < merge.size(); ++i) {
+    merge[i]->infer_into(h, infer_rows[i], {});
+    h = infer_rows[i];
+  }
+  if (head) {
+    head->infer_into(h, infer_rows.back(), {});
+    h = infer_rows.back();
+  }
   return h;
 }
 
@@ -144,19 +153,19 @@ void ActorCriticNet::Tower::begin_capture(std::size_t batch) {
   if (head) head->begin_capture(batch);
 }
 
-Vec ActorCriticNet::Tower::forward_capture(const std::vector<Vec>& rows,
-                                           std::size_t row) {
+std::span<const double> ActorCriticNet::Tower::capture(
+    const std::vector<Vec>& rows, std::size_t row) {
   if (rows.size() != branches.size()) {
     throw std::invalid_argument("Tower::forward_capture: row count mismatch");
   }
-  Vec h;
-  h.reserve(concat_dim);
   for (std::size_t i = 0; i < branches.size(); ++i) {
-    const Vec out = branches[i]->forward_capture(rows[i], row);
-    h.insert(h.end(), out.begin(), out.end());
+    const auto out = branches[i]->capture(rows[i], row);
+    std::copy(out.begin(), out.end(),
+              concat.begin() + static_cast<std::ptrdiff_t>(branch_offsets[i]));
   }
-  for (auto& layer : merge) h = layer->forward_capture(h, row);
-  if (head) h = head->forward_capture(h, row);
+  std::span<const double> h = concat;
+  for (auto& layer : merge) h = layer->capture(h, row);
+  if (head) h = head->capture(h, row);
   return h;
 }
 
@@ -234,12 +243,20 @@ ActorCriticNet::Tower ActorCriticNet::build_tower(const StateSignature& sig,
   for (std::size_t i = 0; i < spec_.merge_layers; ++i) {
     tower.merge.push_back(std::make_unique<Dense>(in_dim, spec_.merge_hidden,
                                                   spec_.activation, rng));
+    tower.infer_rows.emplace_back(spec_.merge_hidden);
     in_dim = spec_.merge_hidden;
   }
   if (head_dim > 0) {
     tower.head =
         std::make_unique<Dense>(in_dim, head_dim, Activation::kLinear, rng);
+    tower.infer_rows.emplace_back(head_dim);
   }
+  tower.concat.resize(tower.concat_dim);
+  std::size_t scratch = 0;
+  for (const auto& branch : tower.branches) {
+    scratch = std::max(scratch, branch->infer_scratch());
+  }
+  tower.infer_scratch.resize(scratch);
   return tower;
 }
 
@@ -256,6 +273,7 @@ ActorCriticNet::ActorCriticNet(const ArchSpec& spec, const StateSignature& sig,
     critic_head_ =
         std::make_unique<Dense>(spec_.merge_hidden, 1, Activation::kLinear,
                                 rng);
+    shared_logits_.resize(num_actions_);
   } else {
     actor_ = build_tower(sig_, num_actions_, rng);
     critic_ = build_tower(sig_, 1, rng);
@@ -278,20 +296,39 @@ void ActorCriticNet::check_state_rows(const std::vector<Vec>& state_rows,
   }
 }
 
-ActorCriticNet::Output ActorCriticNet::forward_inference(
-    const std::vector<Vec>& state_rows) const {
+ActorCriticNet::Heads ActorCriticNet::infer_heads(
+    const std::vector<Vec>& state_rows) {
   check_state_rows(state_rows, "ActorCriticNet::forward_inference");
-  Output out;
   if (shared_) {
-    const Vec trunk_out = trunk_.infer(state_rows);
-    out.logits = actor_head_->infer(trunk_out);
-    out.value = critic_head_->infer(trunk_out)[0];
-  } else {
-    out.logits = actor_.infer(state_rows);
-    out.value = critic_.infer(state_rows)[0];
+    const auto trunk_out = trunk_.infer(state_rows);
+    double value = 0.0;
+    actor_head_->infer_into(trunk_out, shared_logits_, {});
+    critic_head_->infer_into(trunk_out, {&value, 1}, {});
+    return {shared_logits_, value};
   }
-  out.probs = softmax(out.logits);
+  const auto logits = actor_.infer(state_rows);
+  return {logits, critic_.infer(state_rows)[0]};
+}
+
+double ActorCriticNet::Heads::finish(std::span<double> probs) const {
+  softmax(logits, probs);
+  return value;
+}
+
+ActorCriticNet::Output ActorCriticNet::Heads::output() const {
+  Output out{Vec(logits.begin(), logits.end()), Vec(logits.size()), 0.0};
+  out.value = finish(out.probs);
   return out;
+}
+
+double ActorCriticNet::infer(const std::vector<Vec>& state_rows,
+                             std::span<double> probs) {
+  return infer_heads(state_rows).finish(probs);
+}
+
+ActorCriticNet::Output ActorCriticNet::forward_inference(
+    const std::vector<Vec>& state_rows) {
+  return infer_heads(state_rows).output();
 }
 
 void ActorCriticNet::sync_inference_cache() {
@@ -319,20 +356,26 @@ void ActorCriticNet::begin_batch_capture(std::size_t batch) {
   }
 }
 
-ActorCriticNet::Output ActorCriticNet::forward_capture(
+ActorCriticNet::Heads ActorCriticNet::capture_heads(
     const std::vector<Vec>& state_rows, std::size_t row) {
   check_state_rows(state_rows, "ActorCriticNet::forward_capture");
-  Output out;
   if (shared_) {
-    const Vec trunk_out = trunk_.forward_capture(state_rows, row);
-    out.logits = actor_head_->forward_capture(trunk_out, row);
-    out.value = critic_head_->forward_capture(trunk_out, row)[0];
-  } else {
-    out.logits = actor_.forward_capture(state_rows, row);
-    out.value = critic_.forward_capture(state_rows, row)[0];
+    const auto trunk_out = trunk_.capture(state_rows, row);
+    const auto logits = actor_head_->capture(trunk_out, row);
+    return {logits, critic_head_->capture(trunk_out, row)[0]};
   }
-  out.probs = softmax(out.logits);
-  return out;
+  const auto logits = actor_.capture(state_rows, row);
+  return {logits, critic_.capture(state_rows, row)[0]};
+}
+
+double ActorCriticNet::capture(const std::vector<Vec>& state_rows,
+                               std::size_t row, std::span<double> probs) {
+  return capture_heads(state_rows, row).finish(probs);
+}
+
+ActorCriticNet::Output ActorCriticNet::forward_capture(
+    const std::vector<Vec>& state_rows, std::size_t row) {
+  return capture_heads(state_rows, row).output();
 }
 
 void ActorCriticNet::backward_batch(const Mat& dlogits, const Vec& dvalues) {

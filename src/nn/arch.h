@@ -14,6 +14,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -76,32 +77,43 @@ void validate_spec(const ArchSpec& spec, const StateSignature& sig);
 
 /// Actor-critic network instantiated from an ArchSpec.
 ///
-/// A network runs one of two ways. forward_inference() acts: it touches no
-/// cache and takes the layers' fast paths once sync_inference_cache() has
-/// run. Training captures: begin_batch_capture(n) sizes every layer's
-/// batch caches, forward_capture(rows, row) computes one state into cache
-/// row `row`, and backward_batch() takes one gradient row per captured
-/// state for the actor logits and the critic value and accumulates
-/// parameter gradients. Both forwards compute the same outputs.
+/// A network runs one of two ways, both through one step that writes
+/// softmax(logits) into a row the caller gives and returns the critic's
+/// value. infer() acts: it touches no capture cache and takes the layers'
+/// fast paths once sync_inference_cache() has run. Training captures:
+/// begin_batch_capture(n) sizes every layer's batch caches, capture(rows,
+/// row, probs) computes one state into cache row `row`, and
+/// backward_batch() takes one gradient row per captured state for the
+/// actor logits and the critic value and accumulates parameter gradients.
+/// Both compute the same outputs, bit for bit, and neither allocates: each
+/// layer hands the next a span of its own output row, each tower
+/// assembles its merge input in one row it reuses, and inference writes
+/// into one-row buffers the network owns (so a network serves one thread
+/// at a time).
 class ActorCriticNet {
  public:
   ActorCriticNet(const ArchSpec& spec, const StateSignature& sig,
                  std::size_t num_actions, util::Rng& rng);
 
+  /// One step's outputs as fresh vectors, for callers that keep them
+  /// (tests, the arch pre-check's smoke pass, nada_bench).
   struct Output {
     Vec logits;
     Vec probs;      ///< softmax(logits)
     double value = 0.0;
   };
 
-  /// Inference-only forward: touches no layer caches (safe to interleave
-  /// with a pending backward_batch) and uses the layers' fast inference
+  /// Inference step: writes softmax(logits) into `probs` (num_actions()
+  /// doubles) and returns the value. Touches no capture cache (safe to
+  /// interleave with a pending backward_batch) and uses the layers' fast
   /// paths when sync_inference_cache() has been called since the last
-  /// weight change. rl::PolicyAgent::decide — i.e. every greedy evaluation
-  /// rollout — runs on this; training rollouts use forward_capture instead
-  /// so the batch caches fill as a side effect.
-  [[nodiscard]] Output forward_inference(
-      const std::vector<Vec>& state_rows) const;
+  /// weight change. rl::PolicyAgent::decide — i.e. every greedy
+  /// evaluation rollout — runs on this; training rollouts use capture()
+  /// instead so the batch caches fill as a side effect. Throws
+  /// std::invalid_argument unless `state_rows` fits the signature.
+  double infer(const std::vector<Vec>& state_rows, std::span<double> probs);
+  /// infer() as an Output.
+  [[nodiscard]] Output forward_inference(const std::vector<Vec>& state_rows);
 
   /// Refreshes every layer's derived inference state (transposed weights).
   /// Call after construction and after each optimizer step when using
@@ -109,12 +121,17 @@ class ActorCriticNet {
   void sync_inference_cache();
 
   /// Row-at-a-time forward for training: begin_batch_capture sizes every
-  /// layer's batch caches for `batch` states; each forward_capture computes
-  /// one state (on the fast inference path when synced) and fills that
+  /// layer's batch caches for `batch` states; each capture computes one
+  /// state (on the fast inference path when synced), writes
+  /// softmax(logits) into `probs` and returns the value, and fills that
   /// state's cache row, so a full episode can go straight to
-  /// backward_batch with no second forward pass. forward_capture throws
+  /// backward_batch with no second forward pass. capture throws
+  /// std::invalid_argument unless `state_rows` fits the signature and
   /// std::out_of_range unless `row` is below `batch`.
   void begin_batch_capture(std::size_t batch);
+  double capture(const std::vector<Vec>& state_rows, std::size_t row,
+                 std::span<double> probs);
+  /// capture() as an Output.
   Output forward_capture(const std::vector<Vec>& state_rows,
                          std::size_t row);
 
@@ -138,16 +155,40 @@ class ActorCriticNet {
     // Where each branch's output starts in the concatenated merge input.
     std::vector<std::size_t> branch_offsets;
     std::size_t concat_dim = 0;
+    /// The merge input (concat_dim doubles): every branch's output side by
+    /// side, reassembled by each step of either kind.
+    Vec concat;
+    /// infer()'s one-row outputs: one per merge layer, then the head's.
+    std::vector<Vec> infer_rows;
+    /// infer()'s layer scratch: the widest branch's infer_scratch().
+    Vec infer_scratch;
 
-    /// Cache-free forward (same math, no state mutated).
-    [[nodiscard]] Vec infer(const std::vector<Vec>& rows) const;
+    /// Each layer captures into cache row `row`; returns the top layer's
+    /// output, a span of its cache row.
+    std::span<const double> capture(const std::vector<Vec>& rows,
+                                    std::size_t row);
+    /// The same outputs through the layers' inference into the tower's
+    /// own rows; touches no capture cache.
+    std::span<const double> infer(const std::vector<Vec>& rows);
     void sync_inference_cache();
     void begin_capture(std::size_t batch);
-    Vec forward_capture(const std::vector<Vec>& rows, std::size_t row);
     /// Returns nothing useful upstream (inputs are the observation).
     void backward_batch(const Mat& dhead);
     void collect_params(std::vector<ParamRef>& out);
   };
+
+  /// One step's logits (a span of the actor head's output row) and value.
+  struct Heads {
+    std::span<const double> logits;
+    double value = 0.0;
+
+    /// The network step both kinds share: writes softmax(logits) into
+    /// `probs` and returns the value.
+    double finish(std::span<double> probs) const;
+    [[nodiscard]] Output output() const;
+  };
+  Heads capture_heads(const std::vector<Vec>& state_rows, std::size_t row);
+  Heads infer_heads(const std::vector<Vec>& state_rows);
 
   Tower build_tower(const StateSignature& sig, std::size_t head_dim,
                     util::Rng& rng) const;
@@ -168,6 +209,7 @@ class ActorCriticNet {
   Tower trunk_;
   std::unique_ptr<Dense> actor_head_;
   std::unique_ptr<Dense> critic_head_;
+  Vec shared_logits_;  ///< actor_head_'s inference row (shared trunk only)
 };
 
 }  // namespace nada::nn

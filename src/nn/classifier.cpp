@@ -89,29 +89,30 @@ Conv1DClassifier::Conv1DClassifier(std::size_t seq_len, std::size_t filters,
       conv_(seq_len, filters, kernel, Activation::kRelu, rng),
       fc1_(filters, hidden, Activation::kRelu, rng),
       fc2_(hidden, 1, Activation::kLinear, rng),
+      pooled_(filters),
       rng_(rng.fork()) {
   if (kernel > seq_len) {
     throw std::invalid_argument("Conv1DClassifier: kernel > seq_len");
   }
 }
 
-Vec Conv1DClassifier::pool(const Vec& conv_out) const {
-  Vec pooled(filters_, 0.0);
+void Conv1DClassifier::pool(std::span<const double> conv_out,
+                            std::span<double> pooled) const {
+  std::fill(pooled.begin(), pooled.end(), 0.0);
   for (std::size_t t = 0; t < out_len_; ++t) {
     for (std::size_t f = 0; f < filters_; ++f) {
       pooled[f] += conv_out[t * filters_ + f];
     }
   }
   for (double& v : pooled) v /= static_cast<double>(out_len_);
-  return pooled;
 }
 
 double Conv1DClassifier::capture_logit(const Vec& x, std::size_t row) {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("Conv1DClassifier: input size mismatch");
   }
-  const Vec h = fc1_.forward_capture(pool(conv_.forward_capture(x, row)), row);
-  return fc2_.forward_capture(h, row)[0];
+  pool(conv_.capture(x, row), pooled_);
+  return fc2_.capture(fc1_.capture(pooled_, row), row)[0];
 }
 
 void Conv1DClassifier::backward_logits(const Mat& dlogits) {
@@ -132,9 +133,17 @@ double Conv1DClassifier::predict(const Vec& features) const {
   if (features.size() != seq_len_) {
     throw std::invalid_argument("Conv1DClassifier: input size mismatch");
   }
-  // Cache-free inference path, so predict() is const and thread-safe on a
+  // Inference into local rows, so predict() is const and thread-safe on a
   // fitted model.
-  return sigmoid(fc2_.infer(fc1_.infer(pool(conv_.infer(features))))[0]);
+  Vec conv_out(conv_.out_dim());
+  Vec pooled(filters_);
+  Vec hidden(fc1_.out_dim());
+  double logit = 0.0;
+  conv_.infer_into(features, conv_out, {});
+  pool(conv_out, pooled);
+  fc1_.infer_into(pooled, hidden, {});
+  fc2_.infer_into(hidden, {&logit, 1}, {});
+  return sigmoid(logit);
 }
 
 void Conv1DClassifier::train(const std::vector<Vec>& features,
@@ -164,8 +173,8 @@ double MlpClassifier::capture_logit(const Vec& x, std::size_t row) {
   if (x.size() != input_dim_) {
     throw std::invalid_argument("MlpClassifier: input size mismatch");
   }
-  Vec h = x;
-  for (auto& layer : layers_) h = layer->forward_capture(h, row);
+  std::span<const double> h = x;
+  for (auto& layer : layers_) h = layer->capture(h, row);
   return h[0];
 }
 
@@ -181,8 +190,13 @@ double MlpClassifier::predict(const Vec& features) const {
   if (features.size() != input_dim_) {
     throw std::invalid_argument("MlpClassifier: input size mismatch");
   }
+  // Inference into local rows, so predict() is const and thread-safe.
   Vec h = features;
-  for (const auto& layer : layers_) h = layer->infer(h);
+  for (const auto& layer : layers_) {
+    Vec y(layer->out_dim());
+    layer->infer_into(h, y, {});
+    h = std::move(y);
+  }
   return sigmoid(h[0]);
 }
 

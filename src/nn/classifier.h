@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/layers.h"
@@ -59,8 +60,9 @@ class Conv1DClassifier : public BinaryClassifier {
   [[nodiscard]] std::size_t input_dim() const override { return seq_len_; }
 
  private:
-  /// Global average pool over time of a time-major conv output.
-  [[nodiscard]] Vec pool(const Vec& conv_out) const;
+  /// Global average pool over time of a time-major conv output, written
+  /// into `pooled` (filters doubles).
+  void pool(std::span<const double> conv_out, std::span<double> pooled) const;
   /// Captures one sample into cache row `row`; returns its logit.
   double capture_logit(const Vec& x, std::size_t row);
   /// Backpropagates d(loss)/d(logit), one row per captured sample.
@@ -70,6 +72,7 @@ class Conv1DClassifier : public BinaryClassifier {
   Conv1D conv_;
   Dense fc1_;
   Dense fc2_;
+  Vec pooled_;  ///< capture_logit's pooled row (fc1_'s input)
   util::Rng rng_;
 };
 

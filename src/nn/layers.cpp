@@ -21,33 +21,82 @@ const char* activation_name(Activation a) {
   return "?";
 }
 
-double activate(Activation a, double z) {
+namespace {
+
+// One definition of each activation's value f(z) and derivative df(z, y)
+// with respect to z, given y = f(z). activate() and activate_grad() pick
+// one per element, the row forms once per row.
+struct Linear {
+  static double f(double z) { return z; }
+  static double df(double, double) { return 1.0; }
+};
+struct Relu {
+  static double f(double z) { return z > 0.0 ? z : 0.0; }
+  static double df(double z, double) { return z > 0.0 ? 1.0 : 0.0; }
+};
+struct LeakyRelu {
+  static double f(double z) { return z > 0.0 ? z : 0.01 * z; }
+  static double df(double z, double) { return z > 0.0 ? 1.0 : 0.01; }
+};
+struct Tanh {
+  static double f(double z) { return std::tanh(z); }
+  static double df(double, double y) { return 1.0 - y * y; }
+};
+struct Sigmoid {
+  static double f(double z) { return 1.0 / (1.0 + std::exp(-z)); }
+  static double df(double, double y) { return y * (1.0 - y); }
+};
+struct Elu {
+  static double f(double z) { return z > 0.0 ? z : std::expm1(z); }
+  static double df(double z, double y) { return z > 0.0 ? 1.0 : y + 1.0; }
+};
+
+/// Calls `fn` with the tag of activation `a`; a value outside the enum
+/// acts as linear.
+template <typename Fn>
+decltype(auto) with_activation(Activation a, Fn&& fn) {
   switch (a) {
-    case Activation::kLinear: return z;
-    case Activation::kRelu: return z > 0.0 ? z : 0.0;
-    case Activation::kLeakyRelu: return z > 0.0 ? z : 0.01 * z;
-    case Activation::kTanh: return std::tanh(z);
-    case Activation::kSigmoid: return 1.0 / (1.0 + std::exp(-z));
-    case Activation::kElu: return z > 0.0 ? z : std::expm1(z);
+    case Activation::kLinear: return fn(Linear{});
+    case Activation::kRelu: return fn(Relu{});
+    case Activation::kLeakyRelu: return fn(LeakyRelu{});
+    case Activation::kTanh: return fn(Tanh{});
+    case Activation::kSigmoid: return fn(Sigmoid{});
+    case Activation::kElu: return fn(Elu{});
   }
-  return z;
+  return fn(Linear{});
+}
+
+}  // namespace
+
+double activate(Activation a, double z) {
+  return with_activation(a, [z](auto act) { return decltype(act)::f(z); });
 }
 
 double activate_grad(Activation a, double z, double y) {
-  switch (a) {
-    case Activation::kLinear: return 1.0;
-    case Activation::kRelu: return z > 0.0 ? 1.0 : 0.0;
-    case Activation::kLeakyRelu: return z > 0.0 ? 1.0 : 0.01;
-    case Activation::kTanh: return 1.0 - y * y;
-    case Activation::kSigmoid: return y * (1.0 - y);
-    case Activation::kElu: return z > 0.0 ? 1.0 : y + 1.0;
-  }
-  return 1.0;
+  return with_activation(
+      a, [z, y](auto act) { return decltype(act)::df(z, y); });
+}
+
+void activate_row(Activation a, std::span<const double> z,
+                  std::span<double> y) {
+  with_activation(a, [&](auto act) {
+    for (std::size_t i = 0; i < z.size(); ++i) y[i] = decltype(act)::f(z[i]);
+  });
+}
+
+void activate_grad_row(Activation a, std::span<const double> dy,
+                       std::span<const double> z, std::span<const double> y,
+                       std::span<double> dz) {
+  with_activation(a, [&](auto act) {
+    for (std::size_t i = 0; i < dy.size(); ++i) {
+      dz[i] = dy[i] * decltype(act)::df(z[i], y[i]);
+    }
+  });
 }
 
 namespace {
 
-/// forward_capture's row guard: the caches hold `batch` rows.
+/// capture's row guard: the caches hold `batch` rows.
 void check_capture_row(const char* layer, std::size_t row, std::size_t batch) {
   if (row >= batch) {
     throw std::out_of_range(std::string(layer) + "::forward_capture: row " +
@@ -56,10 +105,38 @@ void check_capture_row(const char* layer, std::size_t row, std::size_t batch) {
   }
 }
 
+/// infer_into's guard: `x` holds `in` doubles, `y` `out`, and `scratch` at
+/// least `need`.
+void check_infer(const char* layer, std::span<const double> x, std::size_t in,
+                 std::span<double> y, std::size_t out,
+                 std::span<double> scratch, std::size_t need) {
+  if (x.size() != in) {
+    throw std::invalid_argument(std::string(layer) +
+                                "::infer: input size mismatch");
+  }
+  if (y.size() != out || scratch.size() < need) {
+    throw std::invalid_argument(std::string(layer) +
+                                "::infer: buffer size mismatch");
+  }
+}
+
+/// Writes w^T into `wt`, sizing it on the first sync.
+void sync_transpose(const Mat& w, Mat& wt) {
+  if (wt.empty()) wt = Mat(w.cols(), w.rows());
+  transpose(w, wt);
+}
+
 }  // namespace
 
 void Layer::zero_grad() {
   for (auto& p : params()) p.grad->zero();
+}
+
+Vec Layer::infer(const Vec& x) const {
+  Vec y(out_dim());
+  Vec scratch(infer_scratch());
+  infer_into(x, y, scratch);
+  return y;
 }
 
 // ---- Dense ----------------------------------------------------------------
@@ -73,41 +150,33 @@ Dense::Dense(std::size_t in, std::size_t out, Activation act, util::Rng& rng)
   }
 }
 
-Vec Dense::infer(const Vec& x) const {
-  if (x.size() != w_.cols()) {
-    throw std::invalid_argument("Dense::infer: input size mismatch");
-  }
-  Vec z;
+void Dense::forward_row(const double* x, double* z, double* y) const {
+  const std::size_t in = w_.cols();
+  const std::size_t out = w_.rows();
   if (!wt_cache_.empty()) {
     // Fast path over W^T: z[j] accumulates the k-th product at sweep k —
     // the same k-ascending chain as matvec, with a contiguous inner loop
     // dispatched to the active kernel flavor.
-    z.assign(w_.rows(), 0.0);
-    active_kernels().wt_axpy(wt_cache_.ptr(), x.data(), z.data(), x.size(),
-                             w_.rows());
+    std::fill(z, z + out, 0.0);
+    active_kernels().wt_axpy(wt_cache_.ptr(), x, z, in, out);
   } else {
-    z = w_.matvec(x);
+    w_.matvec({x, in}, {z, out});
   }
-  for (std::size_t i = 0; i < z.size(); ++i) {
-    z[i] = activate(act_, z[i] + b_(i, 0));
-  }
-  return z;
+  const double* b = b_.ptr();
+  for (std::size_t i = 0; i < out; ++i) z[i] += b[i];
+  activate_row(act_, {z, out}, {y, out});
 }
 
-namespace {
-
-/// Writes w^T into `wt`, sizing it on the first sync.
-void sync_transpose(const Mat& w, Mat& wt) {
-  if (wt.empty()) wt = Mat(w.cols(), w.rows());
-  transpose(w, wt);
+void Dense::infer_into(std::span<const double> x, std::span<double> y,
+                       std::span<double> scratch) const {
+  check_infer("Dense", x, w_.cols(), y, w_.rows(), scratch, 0);
+  forward_row(x.data(), y.data(), y.data());
 }
-
-}  // namespace
 
 void Dense::sync_inference_cache() { sync_transpose(w_, wt_cache_); }
 
 void Dense::begin_capture(std::size_t batch) {
-  // Rows are fully overwritten by forward_capture, so the caches are only
+  // Rows are fully overwritten by capture, so the caches are only
   // reallocated when the episode length changes.
   if (xb_cache_.rows() != batch || xb_cache_.cols() != w_.cols()) {
     xb_cache_ = Mat(batch, w_.cols());
@@ -116,29 +185,15 @@ void Dense::begin_capture(std::size_t batch) {
   }
 }
 
-Vec Dense::forward_capture(const Vec& x, std::size_t row) {
+std::span<const double> Dense::capture(std::span<const double> x,
+                                       std::size_t row) {
   if (x.size() != w_.cols()) {
     throw std::invalid_argument("Dense::forward_capture: input mismatch");
   }
   check_capture_row("Dense", row, xb_cache_.rows());
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
-  const std::size_t out = w_.rows();
-  const auto zr = zb_cache_.row(row);
-  if (!wt_cache_.empty()) {
-    std::fill(zr.begin(), zr.end(), 0.0);
-    active_kernels().wt_axpy(wt_cache_.ptr(), x.data(), zr.data(), x.size(),
-                             out);
-  } else {
-    const Vec z = w_.matvec(x);
-    std::copy(z.begin(), z.end(), zr.begin());
-  }
-  Vec y(out);
-  const auto yr = yb_cache_.row(row);
-  for (std::size_t i = 0; i < out; ++i) {
-    zr[i] += b_(i, 0);
-    y[i] = activate(act_, zr[i]);
-    yr[i] = y[i];
-  }
+  const auto y = yb_cache_.row(row);
+  forward_row(x.data(), zb_cache_.row(row).data(), y.data());
   return y;
 }
 
@@ -147,11 +202,8 @@ Mat Dense::backward(const Mat& dy, bool input_grad) {
     throw std::invalid_argument("Dense::backward_batch: grad shape mismatch");
   }
   Mat dz(dy.rows(), dy.cols());
-  for (std::size_t j = 0; j < dz.size(); ++j) {
-    dz.data()[j] =
-        dy.data()[j] * activate_grad(act_, zb_cache_.data()[j],
-                                     yb_cache_.data()[j]);
-  }
+  activate_grad_row(act_, dy.data(), zb_cache_.data(), yb_cache_.data(),
+                    dz.data());
   add_matmul_tn(dw_, dz, xb_cache_);
   for (std::size_t i = 0; i < dy.cols(); ++i) {
     double acc = db_(i, 0);
@@ -189,7 +241,7 @@ Conv1D::Conv1D(std::size_t seq_len, std::size_t filters, std::size_t kernel,
   }
 }
 
-void Conv1D::conv_one(const double* x, double* z) const {
+void Conv1D::forward_row(const double* x, double* z, double* y) const {
   if (!wt_cache_.empty()) {
     // Vectorized form over W^T: initialize with the bias, then add the
     // kernel taps k-ascending — the identical per-element chain as the
@@ -200,17 +252,18 @@ void Conv1D::conv_one(const double* x, double* z) const {
       for (std::size_t f = 0; f < filters_; ++f) zt[f] = b_(f, 0);
       kernels.wt_axpy(wt_cache_.ptr(), x + t, zt, kernel_, filters_);
     }
-    return;
-  }
-  for (std::size_t t = 0; t < out_len_; ++t) {
-    for (std::size_t f = 0; f < filters_; ++f) {
-      double acc = b_(f, 0);
-      for (std::size_t k = 0; k < kernel_; ++k) {
-        acc += w_(f, k) * x[t + k];
+  } else {
+    for (std::size_t t = 0; t < out_len_; ++t) {
+      for (std::size_t f = 0; f < filters_; ++f) {
+        double acc = b_(f, 0);
+        for (std::size_t k = 0; k < kernel_; ++k) {
+          acc += w_(f, k) * x[t + k];
+        }
+        z[t * filters_ + f] = acc;
       }
-      z[t * filters_ + f] = acc;
     }
   }
+  activate_row(act_, {z, out_dim()}, {y, out_dim()});
 }
 
 void Conv1D::sync_inference_cache() { sync_transpose(w_, wt_cache_); }
@@ -223,31 +276,22 @@ void Conv1D::begin_capture(std::size_t batch) {
   }
 }
 
-Vec Conv1D::forward_capture(const Vec& x, std::size_t row) {
+std::span<const double> Conv1D::capture(std::span<const double> x,
+                                        std::size_t row) {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("Conv1D::forward_capture: input mismatch");
   }
   check_capture_row("Conv1D", row, xb_cache_.rows());
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
-  const auto zr = zb_cache_.row(row);
-  conv_one(x.data(), zr.data());
-  Vec y(out_len_ * filters_);
-  const auto yr = yb_cache_.row(row);
-  for (std::size_t i = 0; i < y.size(); ++i) {
-    y[i] = activate(act_, zr[i]);
-    yr[i] = y[i];
-  }
+  const auto y = yb_cache_.row(row);
+  forward_row(x.data(), zb_cache_.row(row).data(), y.data());
   return y;
 }
 
-Vec Conv1D::infer(const Vec& x) const {
-  if (x.size() != seq_len_) {
-    throw std::invalid_argument("Conv1D::infer: input size mismatch");
-  }
-  Vec y(out_len_ * filters_);
-  conv_one(x.data(), y.data());
-  for (double& v : y) v = activate(act_, v);
-  return y;
+void Conv1D::infer_into(std::span<const double> x, std::span<double> y,
+                        std::span<double> scratch) const {
+  check_infer("Conv1D", x, seq_len_, y, out_dim(), scratch, 0);
+  forward_row(x.data(), y.data(), y.data());
 }
 
 Mat Conv1D::backward(const Mat& dy, bool input_grad) {
@@ -257,10 +301,8 @@ Mat Conv1D::backward(const Mat& dy, bool input_grad) {
   const std::size_t batch = dy.rows();
   const std::size_t rows = batch * out_len_;  // one per (sample, t)
   Mat dz(rows, filters_);
-  for (std::size_t j = 0; j < dz.size(); ++j) {
-    dz.data()[j] = dy.data()[j] * activate_grad(act_, zb_cache_.data()[j],
-                                                yb_cache_.data()[j]);
-  }
+  activate_grad_row(act_, dy.data(), zb_cache_.data(), yb_cache_.data(),
+                    dz.data());
   double* db = db_.ptr();
   for (std::size_t r = 0; r < rows; ++r) {
     const double* dz_row = dz.ptr() + r * filters_;
@@ -319,8 +361,7 @@ void SimpleRnn::forward_one(const double* x, double* h, double* wh_h) const {
       active_kernels().wt_axpy(wht_cache_.ptr(), h_prev, wh_h, hidden_,
                                hidden_);
     } else {
-      const Vec z = wh_.matvec({h_prev, hidden_});
-      std::copy(z.begin(), z.end(), wh_h);
+      wh_.matvec({h_prev, hidden_}, {wh_h, hidden_});
     }
     for (std::size_t i = 0; i < hidden_; ++i) {
       h_next[i] = std::tanh(wx_(i, 0) * x[t] + wh_h[i] + b_(i, 0));
@@ -328,22 +369,19 @@ void SimpleRnn::forward_one(const double* x, double* h, double* wh_h) const {
   }
 }
 
-Vec SimpleRnn::infer(const Vec& x) const {
-  if (x.size() != seq_len_) {
-    throw std::invalid_argument("SimpleRnn::infer: input size mismatch");
-  }
-  // One buffer: h_0..h_T, then the matvec scratch.
-  Vec buffer((seq_len_ + 2) * hidden_);
-  forward_one(x.data(), buffer.data(),
-              buffer.data() + (seq_len_ + 1) * hidden_);
-  const double* h = buffer.data() + seq_len_ * hidden_;
-  return Vec(h, h + hidden_);
+void SimpleRnn::infer_into(std::span<const double> x, std::span<double> y,
+                           std::span<double> scratch) const {
+  check_infer("SimpleRnn", x, seq_len_, y, hidden_, scratch,
+              infer_scratch());
+  double* h = scratch.data();
+  forward_one(x.data(), h, h + (seq_len_ + 1) * hidden_);
+  std::copy_n(h + seq_len_ * hidden_, hidden_, y.begin());
 }
 
 void SimpleRnn::sync_inference_cache() { sync_transpose(wh_, wht_cache_); }
 
 void SimpleRnn::begin_capture(std::size_t batch) {
-  // forward_capture overwrites a row's whole recurrence, so the caches are
+  // capture overwrites a row's whole recurrence, so the caches are
   // only reallocated when the batch changes.
   if (xb_cache_.rows() != batch || xb_cache_.cols() != seq_len_) {
     xb_cache_ = Mat(batch, seq_len_);
@@ -352,7 +390,8 @@ void SimpleRnn::begin_capture(std::size_t batch) {
   wh_h_.resize(hidden_);
 }
 
-Vec SimpleRnn::forward_capture(const Vec& x, std::size_t row) {
+std::span<const double> SimpleRnn::capture(std::span<const double> x,
+                                           std::size_t row) {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("SimpleRnn::forward_capture: input mismatch");
   }
@@ -360,7 +399,7 @@ Vec SimpleRnn::forward_capture(const Vec& x, std::size_t row) {
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
   double* h = hb_cache_.row(row).data();
   forward_one(x.data(), h, wh_h_.data());
-  return Vec(h + seq_len_ * hidden_, h + (seq_len_ + 1) * hidden_);
+  return {h + seq_len_ * hidden_, hidden_};
 }
 
 Mat SimpleRnn::backward(const Mat& dy, bool input_grad) {
@@ -444,8 +483,7 @@ void Lstm::forward_one(const double* x, double* steps,
       std::fill(z, z + 4 * hh, 0.0);
       active_kernels().wt_axpy(wt_cache_.ptr(), input, z, 1 + hh, 4 * hh);
     } else {
-      const Vec zv = w_.matvec({input, 1 + hh});
-      std::copy(zv.begin(), zv.end(), z);
+      w_.matvec({input, 1 + hh}, {z, 4 * hh});
     }
     double* gi = step;
     double* gf = step + hh;
@@ -454,10 +492,10 @@ void Lstm::forward_one(const double* x, double* steps,
     double* c = step + 4 * hh;
     double* h = step + 5 * hh;
     for (std::size_t i = 0; i < hh; ++i) {
-      gi[i] = activate(Activation::kSigmoid, z[i] + b_(i, 0));
-      gf[i] = activate(Activation::kSigmoid, z[hh + i] + b_(hh + i, 0));
+      gi[i] = Sigmoid::f(z[i] + b_(i, 0));
+      gf[i] = Sigmoid::f(z[hh + i] + b_(hh + i, 0));
       gg[i] = std::tanh(z[2 * hh + i] + b_(2 * hh + i, 0));
-      go[i] = activate(Activation::kSigmoid, z[3 * hh + i] + b_(3 * hh + i, 0));
+      go[i] = Sigmoid::f(z[3 * hh + i] + b_(3 * hh + i, 0));
       const double c_prev = prev != nullptr ? prev[4 * hh + i] : 0.0;
       c[i] = gf[i] * c_prev + gi[i] * gg[i];
       h[i] = go[i] * std::tanh(c[i]);
@@ -517,23 +555,19 @@ void Lstm::backward_one(const double* x, const double* steps,
   add_matmul_tn(dw_, dz_rows, input_rows);
 }
 
-Vec Lstm::infer(const Vec& x) const {
-  if (x.size() != seq_len_) {
-    throw std::invalid_argument("Lstm::infer: input size mismatch");
-  }
-  // One buffer: the step cache, then forward_one's scratch.
-  Vec buffer(seq_len_ * step_width() + forward_scratch());
-  forward_one(x.data(), buffer.data(),
-              buffer.data() + seq_len_ * step_width());
-  const double* h = buffer.data() + (seq_len_ - 1) * step_width() +
-                    5 * hidden_;
-  return Vec(h, h + hidden_);
+void Lstm::infer_into(std::span<const double> x, std::span<double> y,
+                      std::span<double> scratch) const {
+  check_infer("Lstm", x, seq_len_, y, hidden_, scratch, infer_scratch());
+  double* steps = scratch.data();
+  forward_one(x.data(), steps, steps + seq_len_ * step_width());
+  std::copy_n(steps + (seq_len_ - 1) * step_width() + 5 * hidden_, hidden_,
+              y.begin());
 }
 
 void Lstm::sync_inference_cache() { sync_transpose(w_, wt_cache_); }
 
 void Lstm::begin_capture(std::size_t batch) {
-  // forward_capture overwrites a row's whole step cache, so the caches are
+  // capture overwrites a row's whole step cache, so the caches are
   // only reallocated when the batch changes.
   if (xb_cache_.rows() != batch || xb_cache_.cols() != seq_len_) {
     xb_cache_ = Mat(batch, seq_len_);
@@ -542,7 +576,8 @@ void Lstm::begin_capture(std::size_t batch) {
   scratch_.resize(forward_scratch());
 }
 
-Vec Lstm::forward_capture(const Vec& x, std::size_t row) {
+std::span<const double> Lstm::capture(std::span<const double> x,
+                                      std::size_t row) {
   if (x.size() != seq_len_) {
     throw std::invalid_argument("Lstm::forward_capture: input mismatch");
   }
@@ -550,8 +585,7 @@ Vec Lstm::forward_capture(const Vec& x, std::size_t row) {
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
   double* steps = steps_cache_.row(row).data();
   forward_one(x.data(), steps, scratch_.data());
-  const double* h = steps + (seq_len_ - 1) * step_width() + 5 * hidden_;
-  return Vec(h, h + hidden_);
+  return {steps + (seq_len_ - 1) * step_width() + 5 * hidden_, hidden_};
 }
 
 Mat Lstm::backward(const Mat& dy, bool input_grad) {

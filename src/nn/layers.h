@@ -1,20 +1,22 @@
-// Neural network layers with one training pass and one inference pass.
+// Neural network layers with one forward body, run two ways.
 //
 // Training captures a batch row by row and backpropagates it at once:
-// begin_capture(n) sizes a layer's batch caches, forward_capture(x, row)
-// computes one sample and records what the backward pass needs in that
-// row, and backward_batch(dy) takes one gradient row per captured sample,
-// accumulates parameter gradients in ascending row order (so a multi-step
-// A2C update or a classifier mini-batch sums naturally), and returns the
-// per-row input gradients; backward_params(dy) accumulates the same
-// parameter gradients and skips the input gradient. infer() computes the
-// same outputs without touching any cache. The single-sample form of each
-// layer's math is the test oracle tests/nn_serial_oracle.h;
+// begin_capture(n) sizes a layer's batch caches, capture(x, row) computes
+// one sample into cache row `row` and returns the layer's output as a span
+// of that row, and backward_batch(dy) takes one gradient row per captured
+// sample, accumulates parameter gradients in ascending row order (so a
+// multi-step A2C update or a classifier mini-batch sums naturally), and
+// returns the per-row input gradients; backward_params(dy) accumulates the
+// same parameter gradients and skips the input gradient. infer_into()
+// runs the same forward body into one-row buffers its caller provides and
+// touches no cache. Neither forward allocates. The single-sample form of
+// each layer's math is the test oracle tests/nn_serial_oracle.h;
 // tests/nn_test.cpp pins both passes to it bit for bit.
 #pragma once
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "nn/mat.h"
@@ -28,6 +30,14 @@ enum class Activation { kLinear, kRelu, kLeakyRelu, kTanh, kSigmoid, kElu };
 [[nodiscard]] double activate(Activation a, double z);
 /// Derivative with respect to pre-activation z, given z and y=activate(z).
 [[nodiscard]] double activate_grad(Activation a, double z, double y);
+/// y[i] = activate(a, z[i]) over a row (y may be z): the switch runs once
+/// per row, each element's expression is activate()'s.
+void activate_row(Activation a, std::span<const double> z,
+                  std::span<double> y);
+/// dz[i] = dy[i] * activate_grad(a, z[i], y[i]) over a row, likewise.
+void activate_grad_row(Activation a, std::span<const double> dy,
+                       std::span<const double> z, std::span<const double> y,
+                       std::span<double> dz);
 
 /// A trainable parameter and its gradient accumulator.
 struct ParamRef {
@@ -39,15 +49,37 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Sizes the batch caches for `batch` rows. forward_capture overwrites
-  /// a row completely, so the caches are reallocated only when the shape
+  /// Sizes the batch caches for `batch` rows. capture overwrites a row
+  /// completely, so the caches are reallocated only when the shape
   /// changes.
   virtual void begin_capture(std::size_t batch) = 0;
 
-  /// Computes one sample and writes what backward_batch needs into cache
-  /// row `row`. Throws std::out_of_range unless `row` is below the batch
-  /// of the last begin_capture().
-  virtual Vec forward_capture(const Vec& x, std::size_t row) = 0;
+  /// Computes one sample (in_dim() doubles, which may be a span of another
+  /// layer's row) and writes what backward_batch needs into cache row
+  /// `row`. Returns the output, out_dim() doubles: a span of this layer's
+  /// own cache row, valid until that row is captured again or
+  /// begin_capture reshapes the caches. Throws std::invalid_argument on a
+  /// wrong-size input and std::out_of_range unless `row` is below the
+  /// batch of the last begin_capture().
+  virtual std::span<const double> capture(std::span<const double> x,
+                                          std::size_t row) = 0;
+
+  /// Inference: capture's forward body, writing the output into `y`
+  /// (out_dim() doubles) with `scratch` (at least infer_scratch() doubles)
+  /// as working space. Touches no cache, so it is const and safe on a
+  /// shared layer whose callers each bring their own buffers. Throws
+  /// std::invalid_argument on a wrong-size input.
+  virtual void infer_into(std::span<const double> x, std::span<double> y,
+                          std::span<double> scratch) const = 0;
+  /// The scratch infer_into() needs, in doubles (0 for Dense and Conv1D).
+  [[nodiscard]] virtual std::size_t infer_scratch() const { return 0; }
+
+  /// capture() and infer_into() into a fresh Vec, for tests.
+  Vec forward_capture(const Vec& x, std::size_t row) {
+    const auto y = capture(x, row);
+    return {y.begin(), y.end()};
+  }
+  [[nodiscard]] Vec infer(const Vec& x) const;
 
   /// Backpropagates dy (one row per captured sample): accumulates
   /// parameter gradients in ascending row order and returns per-row input
@@ -58,16 +90,12 @@ class Layer {
   /// the input gradient — for a layer whose input is the observation.
   void backward_params(const Mat& dy) { (void)backward(dy, false); }
 
-  /// Allocation-light inference: the same outputs as forward_capture, but
-  /// touches no cache, so it is const and safe on a shared layer.
-  [[nodiscard]] virtual Vec infer(const Vec& x) const = 0;
-
   /// Rebuilds the transposed weights the fast paths sweep (Dense, Conv1D,
   /// SimpleRnn's Wh, Lstm's stacked gate weights), in place after the
   /// first call. The sweep turns each latency-bound matvec into a
   /// vectorizable pass with the same per-element accumulation order.
   /// Contract: once a layer has been synced, it must be re-synced after
-  /// every parameter change before the next infer() or forward_capture(),
+  /// every parameter change before the next infer_into() or capture(),
   /// which read the cached transpose when one exists. A layer that has
   /// never been synced uses its exact slow path everywhere, so a training
   /// loop that never syncs never goes stale.
@@ -93,8 +121,10 @@ class Dense : public Layer {
   Dense(std::size_t in, std::size_t out, Activation act, util::Rng& rng);
 
   void begin_capture(std::size_t batch) override;
-  Vec forward_capture(const Vec& x, std::size_t row) override;
-  [[nodiscard]] Vec infer(const Vec& x) const override;
+  std::span<const double> capture(std::span<const double> x,
+                                  std::size_t row) override;
+  void infer_into(std::span<const double> x, std::span<double> y,
+                  std::span<double> scratch) const override;
   void sync_inference_cache() override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::size_t in_dim() const override { return w_.cols(); }
@@ -104,6 +134,10 @@ class Dense : public Layer {
   Mat backward(const Mat& dy, bool input_grad) override;
 
  private:
+  /// The forward body of one sample: z = Wx + b, then y = act(z). `y` may
+  /// be `z`.
+  void forward_row(const double* x, double* z, double* y) const;
+
   Mat w_, dw_;
   Mat b_, db_;
   Activation act_;
@@ -121,8 +155,10 @@ class Conv1D : public Layer {
          Activation act, util::Rng& rng);
 
   void begin_capture(std::size_t batch) override;
-  Vec forward_capture(const Vec& x, std::size_t row) override;
-  [[nodiscard]] Vec infer(const Vec& x) const override;
+  std::span<const double> capture(std::span<const double> x,
+                                  std::size_t row) override;
+  void infer_into(std::span<const double> x, std::span<double> y,
+                  std::span<double> scratch) const override;
   void sync_inference_cache() override;
   std::vector<ParamRef> params() override;
   [[nodiscard]] std::size_t in_dim() const override { return seq_len_; }
@@ -139,9 +175,10 @@ class Conv1D : public Layer {
   Mat backward(const Mat& dy, bool input_grad) override;
 
  private:
-  /// z for one sample, written filter-major per t with the serial
-  /// accumulation order (bias first, then kernel taps k-ascending).
-  void conv_one(const double* x, double* z) const;
+  /// The forward body of one sample: z written filter-major per t with
+  /// the serial accumulation order (bias first, then kernel taps
+  /// k-ascending), then y = act(z). `y` may be `z`.
+  void forward_row(const double* x, double* z, double* y) const;
 
   std::size_t seq_len_, filters_, kernel_, out_len_;
   Mat w_, dw_;  // filters x kernel
@@ -159,10 +196,16 @@ class SimpleRnn : public Layer {
   SimpleRnn(std::size_t seq_len, std::size_t hidden, util::Rng& rng);
 
   void begin_capture(std::size_t batch) override;
-  Vec forward_capture(const Vec& x, std::size_t row) override;
-  [[nodiscard]] Vec infer(const Vec& x) const override;
+  std::span<const double> capture(std::span<const double> x,
+                                  std::size_t row) override;
+  void infer_into(std::span<const double> x, std::span<double> y,
+                  std::span<double> scratch) const override;
   void sync_inference_cache() override;
   std::vector<ParamRef> params() override;
+  /// h_0..h_T, then forward_one's matvec scratch.
+  [[nodiscard]] std::size_t infer_scratch() const override {
+    return (seq_len_ + 2) * hidden_;
+  }
   [[nodiscard]] std::size_t in_dim() const override { return seq_len_; }
   [[nodiscard]] std::size_t out_dim() const override { return hidden_; }
 
@@ -180,7 +223,7 @@ class SimpleRnn : public Layer {
   Mat b_, db_;    // hidden x 1
   Mat xb_cache_;
   Mat hb_cache_;    ///< per captured row: h_0..h_T
-  Vec wh_h_;        ///< forward_capture's matvec scratch
+  Vec wh_h_;        ///< capture's matvec scratch
   Mat wht_cache_;   ///< wh_^T; empty until synced
 };
 
@@ -191,10 +234,16 @@ class Lstm : public Layer {
   Lstm(std::size_t seq_len, std::size_t hidden, util::Rng& rng);
 
   void begin_capture(std::size_t batch) override;
-  Vec forward_capture(const Vec& x, std::size_t row) override;
-  [[nodiscard]] Vec infer(const Vec& x) const override;
+  std::span<const double> capture(std::span<const double> x,
+                                  std::size_t row) override;
+  void infer_into(std::span<const double> x, std::span<double> y,
+                  std::span<double> scratch) const override;
   void sync_inference_cache() override;
   std::vector<ParamRef> params() override;
+  /// A step cache, then forward_one's scratch.
+  [[nodiscard]] std::size_t infer_scratch() const override {
+    return seq_len_ * step_width() + forward_scratch();
+  }
   [[nodiscard]] std::size_t in_dim() const override { return seq_len_; }
   [[nodiscard]] std::size_t out_dim() const override { return hidden_; }
 
@@ -228,7 +277,7 @@ class Lstm : public Layer {
   Mat b_, db_;  // 4H x 1
   Mat xb_cache_;
   Mat steps_cache_;  ///< per captured row: seq_len steps of step_width()
-  Vec scratch_;      ///< forward_capture's forward_one scratch
+  Vec scratch_;      ///< capture's forward_one scratch
   Mat wt_cache_;     ///< w_^T ((1 + H) x 4H); empty until synced
 };
 

@@ -38,15 +38,21 @@ void Mat::init_he(util::Rng& rng) {
   for (double& w : data_) w = rng.normal(0.0, stddev);
 }
 
-Vec Mat::matvec(std::span<const double> x) const {
-  if (x.size() != cols_) throw std::invalid_argument("matvec: size mismatch");
-  Vec y(rows_, 0.0);
+void Mat::matvec(std::span<const double> x, std::span<double> y) const {
+  if (x.size() != cols_ || y.size() != rows_) {
+    throw std::invalid_argument("matvec: size mismatch");
+  }
   for (std::size_t r = 0; r < rows_; ++r) {
     double acc = 0.0;
     const double* row = data_.data() + r * cols_;
     for (std::size_t c = 0; c < cols_; ++c) acc += row[c] * x[c];
     y[r] = acc;
   }
+}
+
+Vec Mat::matvec(std::span<const double> x) const {
+  Vec y(rows_);
+  matvec(x, y);
   return y;
 }
 
@@ -156,16 +162,23 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return acc;
 }
 
-Vec softmax(std::span<const double> logits) {
+void softmax(std::span<const double> logits, std::span<double> probs) {
   if (logits.empty()) throw std::invalid_argument("softmax: empty");
+  if (probs.size() != logits.size()) {
+    throw std::invalid_argument("softmax: size mismatch");
+  }
   const double max_logit = *std::max_element(logits.begin(), logits.end());
-  Vec probs(logits.size());
   double total = 0.0;
   for (std::size_t i = 0; i < logits.size(); ++i) {
     probs[i] = std::exp(logits[i] - max_logit);
     total += probs[i];
   }
   for (double& p : probs) p /= total;
+}
+
+Vec softmax(std::span<const double> logits) {
+  Vec probs(logits.size());
+  softmax(logits, probs);
   return probs;
 }
 

@@ -65,7 +65,9 @@ class Mat {
   /// He (Kaiming) normal init (for ReLU-family layers).
   void init_he(util::Rng& rng);
 
-  /// y = this * x  (rows x cols) * (cols) -> (rows)
+  /// y = this * x  (rows x cols) * (cols) -> (rows), each element one
+  /// c-ascending dot product.
+  void matvec(std::span<const double> x, std::span<double> y) const;
   [[nodiscard]] Vec matvec(std::span<const double> x) const;
 
   /// y = this^T * x  (cols) from (rows)
@@ -114,6 +116,8 @@ void transpose(const Mat& a, Mat& out);
 // ---- Vector helpers -------------------------------------------------------
 
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);
+/// Writes softmax(logits) into `probs` (logits.size() doubles).
+void softmax(std::span<const double> logits, std::span<double> probs);
 [[nodiscard]] Vec softmax(std::span<const double> logits);
 [[nodiscard]] double l2_norm(std::span<const double> a);
 

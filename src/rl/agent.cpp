@@ -18,6 +18,7 @@ PolicyAgent::PolicyAgent(const dsl::StateProgram& program,
                          const dsl::BindingCatalog& catalog, util::Rng& rng)
     : program_(&program), sig_(derive_signature(program, catalog)) {
   net_ = std::make_unique<nn::ActorCriticNet>(spec, sig_, num_actions, rng);
+  probs_.resize(num_actions);
 }
 
 const dsl::StateMatrix& PolicyAgent::eval_state(const dsl::Bindings& obs) {
@@ -40,19 +41,18 @@ PolicyAgent::Decision PolicyAgent::decide(const dsl::Bindings& obs,
   if (!matrix.all_finite()) {
     throw dsl::RuntimeError("state program produced non-finite values");
   }
-  // Inference-only forward: bit-identical to net().forward_capture, leaves
-  // the training caches alone, and rides the fast path on a synced net (the
+  // Inference step: bit-identical to the net's capture step, leaves the
+  // training caches alone, and rides the fast path on a synced net (the
   // training engine's checkpoint evaluations).
-  const auto out = net_->forward_inference(network_rows(matrix));
   Decision d;
-  d.probs = out.probs;
-  d.value = out.value;
+  d.value = net_->infer(network_rows(matrix), probs_);
+  d.probs = probs_;
   if (sample) {
-    d.action = rng.weighted_index(out.probs);
+    d.action = rng.weighted_index(probs_);
   } else {
     d.action = 0;
-    for (std::size_t i = 1; i < out.probs.size(); ++i) {
-      if (out.probs[i] > out.probs[d.action]) d.action = i;
+    for (std::size_t i = 1; i < probs_.size(); ++i) {
+      if (probs_[i] > probs_[d.action]) d.action = i;
     }
   }
   return d;

@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "dsl/binding_catalog.h"
@@ -34,12 +35,16 @@ class PolicyAgent {
 
   struct Decision {
     std::size_t action = 0;
-    nn::Vec probs;
+    /// The policy: a span of the agent's own row, valid until the next
+    /// decide().
+    std::span<const double> probs;
     double value = 0.0;
   };
 
-  /// Runs the state program and the network; samples the action from the
-  /// policy when `sample` is true, otherwise picks the argmax.
+  /// Runs the state program and the network's inference step; samples the
+  /// action from the policy when `sample` is true, otherwise picks the
+  /// argmax. Once the state rows have their shapes, a decision allocates
+  /// nothing beyond what the state program's run does.
   Decision decide(const dsl::Bindings& obs, bool sample, util::Rng& rng);
 
   /// Runs the state program on `obs` through the agent-owned Vm and
@@ -68,6 +73,7 @@ class PolicyAgent {
   std::unique_ptr<nn::ActorCriticNet> net_;
   dsl::Vm vm_;                      ///< agent-owned: agents are thread-confined
   std::vector<nn::Vec> row_cache_;  ///< network_rows scratch
+  nn::Vec probs_;                   ///< decide()'s policy row
 };
 
 /// Derives the network input signature from a trial run of the program on

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 
 #include "nn/mat_kernels.h"
 #include "nn/optimizer.h"
@@ -63,13 +64,15 @@ class PhaseClock {
   std::array<double, kNumPhases> seconds_{};
 };
 
-/// One epoch's trajectory, reused across epochs. The rollout's
-/// forward_capture fills the network's batch caches row by row and its
-/// outputs are recorded here, so the fused update needs NO forward pass at
-/// all — the serial oracle pays three per step (act, value estimate,
-/// gradient) plus a second state-program run.
+/// One epoch's trajectory, reused across epochs. The rollout's capture
+/// steps fill the network's batch caches row by row and write their
+/// outputs here, so the fused update needs NO forward pass at all — the
+/// serial oracle pays three per step (act, value estimate, gradient) plus
+/// a second state-program run. After the first epoch the rollout
+/// allocates nothing: `probs` keeps its shape and the vectors their
+/// capacity.
 struct Rollout {
-  std::vector<nn::Vec> probs;
+  nn::Mat probs;  ///< episode_length x num_actions: step t's policy in row t
   nn::Vec values;
   std::vector<std::size_t> actions;
   std::vector<double> rewards;
@@ -87,8 +90,12 @@ void roll_episode(PolicyAgent& agent, env::Episode& episode,
   // The episode refills this frame in place on every step.
   const dsl::Bindings& obs = episode.reset();
   clock.mark(kEnv);
-  agent.net().begin_batch_capture(episode_length);
-  rollout.probs.clear();
+  nn::ActorCriticNet& net = agent.net();
+  net.begin_batch_capture(episode_length);
+  if (rollout.probs.rows() != episode_length ||
+      rollout.probs.cols() != net.num_actions()) {
+    rollout.probs = nn::Mat(episode_length, net.num_actions());
+  }
   rollout.values.clear();
   rollout.actions.clear();
   rollout.rewards.clear();
@@ -100,14 +107,18 @@ void roll_episode(PolicyAgent& agent, env::Episode& episode,
     }
     const std::vector<nn::Vec>& rows = agent.network_rows(matrix);
     clock.mark(kDsl);
-    // Capture forward: bit-identical to forward_inference, runs on the
+    // Capture step: bit-identical to the inference step, runs on the
     // synced fast inference path, and writes this step's row of the batch
     // caches so the epoch update can go straight to backward_batch.
-    auto out = agent.net().forward_capture(rows, rollout.actions.size());
+    const std::size_t t = rollout.actions.size();
+    if (t == episode_length) {
+      throw std::logic_error("BatchProbeTrainer: episode/capture length skew");
+    }
+    const auto probs = rollout.probs.row(t);
+    const double value = net.capture(rows, t, probs);
     clock.mark(kForward);
-    const std::size_t action = rng.weighted_index(out.probs);
-    rollout.probs.push_back(std::move(out.probs));
-    rollout.values.push_back(out.value);
+    const std::size_t action = rng.weighted_index(probs);
+    rollout.values.push_back(value);
     rollout.actions.push_back(action);
     clock.mark(kSample);
     const env::DomainStep sr = episode.step(action);
@@ -146,7 +157,7 @@ double fused_update(const env::TaskDomain& domain, PolicyAgent& agent,
   nn::Vec dvalues(steps);
   for (std::size_t t = 0; t < steps; ++t) {
     reward_sum += rollout.rewards[t];
-    dvalues[t] = a2c_step_gradient(rollout.probs[t], rollout.actions[t],
+    dvalues[t] = a2c_step_gradient(rollout.probs.row(t), rollout.actions[t],
                                    advantages[t], returns[t],
                                    rollout.values[t], entropy_weight, scale,
                                    dlogits.row(t));
@@ -158,8 +169,7 @@ double fused_update(const env::TaskDomain& domain, PolicyAgent& agent,
   optimizer.step(params);
   clock.mark(kOptimizer);
   // Weights moved: refresh the transposed caches the next rollout's
-  // forward_capture (and any checkpoint evaluation's forward_inference)
-  // reads.
+  // capture steps (and any checkpoint evaluation's inference steps) read.
   agent.net().sync_inference_cache();
   clock.mark(kSync);
   return reward_sum / static_cast<double>(steps);

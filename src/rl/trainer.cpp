@@ -66,7 +66,7 @@ std::vector<double> discounted_returns(std::span<const double> rewards,
   return returns;
 }
 
-double a2c_step_gradient(const nn::Vec& probs, std::size_t action,
+double a2c_step_gradient(std::span<const double> probs, std::size_t action,
                          double advantage, double step_return, double value,
                          double entropy_weight, double scale,
                          std::span<double> dlogits) {

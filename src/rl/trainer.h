@@ -105,7 +105,7 @@ struct TrainResult {
 
 /// One step's policy gradient (entropy-regularized, written into `dlogits`)
 /// and Huber critic gradient (returned).
-double a2c_step_gradient(const nn::Vec& probs, std::size_t action,
+double a2c_step_gradient(std::span<const double> probs, std::size_t action,
                          double advantage, double step_return, double value,
                          double entropy_weight, double scale,
                          std::span<double> dlogits);

@@ -685,6 +685,14 @@ void SearchJob::fold_window() {
       }
     }
     cand.score = probe_score(cand.outcome.early_rewards);
+    // A candidate that cannot enter a full selection stops where it
+    // stands: inserting it at the back and evicting it at once would move
+    // the whole Candidate twice to the same end.
+    if (selection_.size() == config_.full_train_top &&
+        !by_rank(cand, selection_.back())) {
+      stop(std::move(cand.outcome));
+      continue;
+    }
     selection_.insert(
         std::upper_bound(selection_.begin(), selection_.end(), cand, by_rank),
         std::move(cand));

@@ -12,6 +12,7 @@
 #include <iomanip>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "nn/arch.h"
 #include "nn/classifier.h"
@@ -482,6 +483,34 @@ TEST(BatchedLayers, DenseReluMatchesSingle) {
         return test::nn_serial::dense(std::move(ps), Activation::kRelu);
       },
       6, 4);
+}
+
+// Every activation the architecture generator draws, on a scalar branch's
+// shape (in 1), a merge-like fan-in and a head-like fan-out. Batches 5-7
+// leave 1-3-row tails of add_matmul_tn's four-row tiles.
+TEST(BatchedLayers, DenseMatchesSingleAcrossActivations) {
+  const Activation activations[] = {
+      Activation::kLinear, Activation::kRelu,    Activation::kLeakyRelu,
+      Activation::kTanh,   Activation::kSigmoid, Activation::kElu};
+  const std::pair<std::size_t, std::size_t> shapes[] = {{1, 8}, {9, 5},
+                                                        {6, 2}};
+  for (const auto& [in, out] : shapes) {
+    for (const Activation act : activations) {
+      for (const std::size_t batch : {5u, 6u, 7u}) {
+        SCOPED_TRACE("dense " + std::to_string(in) + "x" + std::to_string(out) +
+                     " " + activation_name(act) + " batch " +
+                     std::to_string(batch));
+        check_capture_matches_oracle(
+            [&](util::Rng& rng) {
+              return std::make_unique<Dense>(in, out, act, rng);
+            },
+            [&](std::vector<ParamRef> ps) {
+              return test::nn_serial::dense(std::move(ps), act);
+            },
+            in, batch);
+      }
+    }
+  }
 }
 
 TEST(BatchedLayers, Conv1DMatchesSingle) {
