@@ -170,11 +170,16 @@ std::span<const double> ActorCriticNet::Tower::capture(
 }
 
 void ActorCriticNet::Tower::backward_batch(const Mat& dhead) {
-  Mat dh = dhead;
-  if (head) dh = head->backward_batch(dh);
-  for (auto it = merge.rbegin(); it != merge.rend(); ++it) {
-    dh = (*it)->backward_batch(dh);
-  }
+  // The first backward reads dhead itself, each later one the gradient the
+  // one before it returned.
+  Mat dh;
+  const Mat* d = &dhead;
+  auto back = [&](Layer& layer) {
+    dh = layer.backward_batch(*d);
+    d = &dh;
+  };
+  if (head) back(*head);
+  for (auto it = merge.rbegin(); it != merge.rend(); ++it) back(**it);
   // Split the concat gradient back into branches. Their input is the
   // observation, not a trainable tensor, so they compute no input
   // gradient.
@@ -182,9 +187,9 @@ void ActorCriticNet::Tower::backward_batch(const Mat& dhead) {
     const std::size_t begin = branch_offsets[i];
     const std::size_t end =
         i + 1 < branches.size() ? branch_offsets[i + 1] : concat_dim;
-    Mat slice(dh.rows(), end - begin);
-    for (std::size_t b = 0; b < dh.rows(); ++b) {
-      const auto src = dh.row(b);
+    Mat slice(d->rows(), end - begin);
+    for (std::size_t b = 0; b < d->rows(); ++b) {
+      const auto src = d->row(b);
       std::copy(src.begin() + static_cast<std::ptrdiff_t>(begin),
                 src.begin() + static_cast<std::ptrdiff_t>(end),
                 slice.row(b).begin());
@@ -378,24 +383,21 @@ ActorCriticNet::Output ActorCriticNet::forward_capture(
   return capture_heads(state_rows, row).output();
 }
 
-void ActorCriticNet::backward_batch(const Mat& dlogits, const Vec& dvalues) {
-  if (dlogits.cols() != num_actions_ || dlogits.rows() != dvalues.size()) {
+void ActorCriticNet::backward_batch(const Mat& dlogits, const Mat& dvalues) {
+  if (dlogits.cols() != num_actions_ || dvalues.cols() != 1 ||
+      dlogits.rows() != dvalues.rows()) {
     throw std::invalid_argument("ActorCriticNet::backward_batch: shape");
-  }
-  Mat dvalue_col(dvalues.size(), 1);
-  for (std::size_t b = 0; b < dvalues.size(); ++b) {
-    dvalue_col(b, 0) = dvalues[b];
   }
   if (shared_) {
     Mat dtrunk = actor_head_->backward_batch(dlogits);
-    const Mat dtrunk_v = critic_head_->backward_batch(dvalue_col);
+    const Mat dtrunk_v = critic_head_->backward_batch(dvalues);
     for (std::size_t j = 0; j < dtrunk.size(); ++j) {
       dtrunk.data()[j] += dtrunk_v.data()[j];
     }
     trunk_.backward_batch(dtrunk);
   } else {
     actor_.backward_batch(dlogits);
-    critic_.backward_batch(dvalue_col);
+    critic_.backward_batch(dvalues);
   }
 }
 

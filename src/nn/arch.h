@@ -136,9 +136,9 @@ class ActorCriticNet {
                          std::size_t row);
 
   /// Gradient accumulation for the completed capture: row b of `dlogits`
-  /// and `dvalues[b]` are the loss gradients for captured state b.
-  /// Parameter gradients accumulate in ascending row order.
-  void backward_batch(const Mat& dlogits, const Vec& dvalues);
+  /// and of the one-column `dvalues` are the loss gradients for captured
+  /// state b. Parameter gradients accumulate in ascending row order.
+  void backward_batch(const Mat& dlogits, const Mat& dvalues);
 
   std::vector<ParamRef> params();
   void zero_grad();

@@ -466,19 +466,17 @@ Lstm::Lstm(std::size_t seq_len, std::size_t hidden, util::Rng& rng)
   for (std::size_t i = 0; i < hidden_; ++i) b_(hidden_ + i, 0) = 1.0;
 }
 
-void Lstm::forward_one(const double* x, double* steps,
+void Lstm::forward_one(const double* x, double* steps, double* h_out,
                        double* scratch) const {
   const std::size_t hh = hidden_;
-  double* z = scratch;           // 4H gate pre-activations
+  double* z = scratch;               // 4H gate pre-activations
   double* input = scratch + 4 * hh;  // [x_t; h_{t-1}]
+  std::fill(input + 1, input + 1 + hh, 0.0);  // h_0
   for (std::size_t t = 0; t < seq_len_; ++t) {
     double* step = steps + t * step_width();
-    const double* prev = t > 0 ? step - step_width() : nullptr;
+    const double* c_prev = t > 0 ? step - step_width() + 4 * hh : nullptr;
     // z = W [x_t; h_{t-1}] + b, split into i, f, g, o.
     input[0] = x[t];
-    for (std::size_t i = 0; i < hh; ++i) {
-      input[1 + i] = prev != nullptr ? prev[5 * hh + i] : 0.0;
-    }
     if (!wt_cache_.empty()) {
       std::fill(z, z + 4 * hh, 0.0);
       active_kernels().wt_axpy(wt_cache_.ptr(), input, z, 1 + hh, 4 * hh);
@@ -490,15 +488,21 @@ void Lstm::forward_one(const double* x, double* steps,
     double* gg = step + 2 * hh;
     double* go = step + 3 * hh;
     double* c = step + 4 * hh;
-    double* h = step + 5 * hh;
+    double* tanh_c = step + 5 * hh;
+    // h_t = o * tanh(c) goes where it is read: the next step's input, or
+    // h_out after the last step. The input is free to overwrite once z
+    // holds this step's pre-activations.
+    double* h = t + 1 < seq_len_ ? input + 1 : h_out;
+    const double* b = b_.ptr();
     for (std::size_t i = 0; i < hh; ++i) {
-      gi[i] = Sigmoid::f(z[i] + b_(i, 0));
-      gf[i] = Sigmoid::f(z[hh + i] + b_(hh + i, 0));
-      gg[i] = std::tanh(z[2 * hh + i] + b_(2 * hh + i, 0));
-      go[i] = Sigmoid::f(z[3 * hh + i] + b_(3 * hh + i, 0));
-      const double c_prev = prev != nullptr ? prev[4 * hh + i] : 0.0;
-      c[i] = gf[i] * c_prev + gi[i] * gg[i];
-      h[i] = go[i] * std::tanh(c[i]);
+      gi[i] = Sigmoid::f(z[i] + b[i]);
+      gf[i] = Sigmoid::f(z[hh + i] + b[hh + i]);
+      gg[i] = std::tanh(z[2 * hh + i] + b[2 * hh + i]);
+      go[i] = Sigmoid::f(z[3 * hh + i] + b[3 * hh + i]);
+      const double cp = c_prev != nullptr ? c_prev[i] : 0.0;
+      c[i] = gf[i] * cp + gi[i] * gg[i];
+      tanh_c[i] = std::tanh(c[i]);
+      h[i] = go[i] * tanh_c[i];
     }
   }
 }
@@ -509,29 +513,29 @@ void Lstm::backward_one(const double* x, const double* steps,
   const std::size_t hh = hidden_;
   double* dh = scratch;          // H
   double* dc = dh + hh;          // H
-  double* zeros = dc + hh;       // H: c_0 and h_0
+  double* zeros = dc + hh;       // H: c_0
   double* dinput = zeros + hh;   // 1 + H
   std::copy(dy, dy + hh, dh);
   std::fill(dc, dc + hh, 0.0);
   std::fill(zeros, zeros + hh, 0.0);
   const KernelTable& kernels = active_kernels();
+  double* db = db_.ptr();
   for (std::size_t t = seq_len_; t-- > 0;) {
     const double* step = steps + t * step_width();
     const double* si = step;
     const double* sf = step + hh;
     const double* sg = step + 2 * hh;
     const double* so = step + 3 * hh;
-    const double* sc = step + 4 * hh;
+    const double* tanh_c = step + 5 * hh;
     const double* prev = t > 0 ? step - step_width() : nullptr;
     const double* c_prev = prev != nullptr ? prev + 4 * hh : zeros;
-    const double* h_prev = prev != nullptr ? prev + 5 * hh : zeros;
     // Row seq_len - 1 - t: the rows run in the serial (t descending) order.
     double* dz = dz_rows.row(seq_len_ - 1 - t).data();
     double* input = input_rows.row(seq_len_ - 1 - t).data();
     for (std::size_t i = 0; i < hh; ++i) {
-      const double tanh_c = std::tanh(sc[i]);
-      const double do_ = dh[i] * tanh_c;
-      const double dct = dh[i] * so[i] * (1.0 - tanh_c * tanh_c) + dc[i];
+      const double do_ = dh[i] * tanh_c[i];
+      const double dct =
+          dh[i] * so[i] * (1.0 - tanh_c[i] * tanh_c[i]) + dc[i];
       const double di = dct * sg[i];
       const double df = dct * c_prev[i];
       const double dg = dct * si[i];
@@ -542,8 +546,12 @@ void Lstm::backward_one(const double* x, const double* steps,
       dc[i] = dct * sf[i];
     }
     input[0] = x[t];
-    std::copy(h_prev, h_prev + hh, input + 1);
-    for (std::size_t i = 0; i < 4 * hh; ++i) db_(i, 0) += dz[i];
+    // h_{t-1} = o_{t-1} tanh(c_{t-1}), the forward's own product.
+    for (std::size_t i = 0; i < hh; ++i) {
+      input[1 + i] = prev != nullptr ? prev[3 * hh + i] * prev[5 * hh + i]
+                                     : 0.0;
+    }
+    for (std::size_t i = 0; i < 4 * hh; ++i) db[i] += dz[i];
     // [dx_t; dh_{t-1}] = W^T dz, the sweep over W's rows.
     std::fill(dinput, dinput + 1 + hh, 0.0);
     kernels.wt_axpy(w_.ptr(), dz, dinput, 4 * hh, 1 + hh);
@@ -559,19 +567,18 @@ void Lstm::infer_into(std::span<const double> x, std::span<double> y,
                       std::span<double> scratch) const {
   check_infer("Lstm", x, seq_len_, y, hidden_, scratch, infer_scratch());
   double* steps = scratch.data();
-  forward_one(x.data(), steps, steps + seq_len_ * step_width());
-  std::copy_n(steps + (seq_len_ - 1) * step_width() + 5 * hidden_, hidden_,
-              y.begin());
+  forward_one(x.data(), steps, y.data(), steps + seq_len_ * step_width());
 }
 
 void Lstm::sync_inference_cache() { sync_transpose(w_, wt_cache_); }
 
 void Lstm::begin_capture(std::size_t batch) {
-  // capture overwrites a row's whole step cache, so the caches are
-  // only reallocated when the batch changes.
+  // capture overwrites a row's whole step cache and output, so the caches
+  // are only reallocated when the batch changes.
   if (xb_cache_.rows() != batch || xb_cache_.cols() != seq_len_) {
     xb_cache_ = Mat(batch, seq_len_);
     steps_cache_ = Mat(batch, seq_len_ * step_width());
+    hb_cache_ = Mat(batch, hidden_);
   }
   scratch_.resize(forward_scratch());
 }
@@ -583,9 +590,10 @@ std::span<const double> Lstm::capture(std::span<const double> x,
   }
   check_capture_row("Lstm", row, xb_cache_.rows());
   std::copy(x.begin(), x.end(), xb_cache_.row(row).begin());
-  double* steps = steps_cache_.row(row).data();
-  forward_one(x.data(), steps, scratch_.data());
-  return {steps + (seq_len_ - 1) * step_width() + 5 * hidden_, hidden_};
+  const auto h = hb_cache_.row(row);
+  forward_one(x.data(), steps_cache_.row(row).data(), h.data(),
+              scratch_.data());
+  return h;
 }
 
 Mat Lstm::backward(const Mat& dy, bool input_grad) {

@@ -229,6 +229,13 @@ class SimpleRnn : public Layer {
 
 /// LSTM over a scalar sequence; returns the final hidden state. Used by the
 /// paper's best 4G architecture (LSTM in place of the 1D-CNN).
+///
+/// A step cache holds, per time step, [i, f, g, o, c, tanh c] (hidden
+/// doubles each): the gate activations, the cell state and its tanh, so
+/// BPTT reads tanh(c) instead of computing it again. h = o * tanh(c) is not
+/// stored: the forward writes it where it is read (the next step's input,
+/// and h_T into the layer's own output row), and BPTT forms h_{t-1} again
+/// as the same product, so every value keeps its bits.
 class Lstm : public Layer {
  public:
   Lstm(std::size_t seq_len, std::size_t hidden, util::Rng& rng);
@@ -252,7 +259,7 @@ class Lstm : public Layer {
 
  private:
   /// Doubles one time step occupies in a step cache: the gate activations
-  /// i, f, g, o, then the post-step cell c and hidden h, hidden each.
+  /// i, f, g, o, then the post-step cell c and tanh(c), hidden each.
   [[nodiscard]] std::size_t step_width() const { return 6 * hidden_; }
   /// Doubles of scratch forward_one needs: the gate pre-activations and
   /// the step input [x_t; h_{t-1}].
@@ -261,8 +268,9 @@ class Lstm : public Layer {
   }
 
   /// One sample's forward recurrence into `steps` (seq_len * step_width()
-  /// doubles).
-  void forward_one(const double* x, double* steps, double* scratch) const;
+  /// doubles); writes h_T into `h_out` (hidden doubles).
+  void forward_one(const double* x, double* steps, double* h_out,
+                   double* scratch) const;
   /// One sample's BPTT from its step cache; accumulates dw_/db_ and, when
   /// `dx` is non-null, the input gradient. `scratch` holds 4H + 1 doubles;
   /// `dz_rows` (seq_len x 4H) and `input_rows` (seq_len x (1 + H)) take
@@ -277,6 +285,7 @@ class Lstm : public Layer {
   Mat b_, db_;  // 4H x 1
   Mat xb_cache_;
   Mat steps_cache_;  ///< per captured row: seq_len steps of step_width()
+  Mat hb_cache_;     ///< per captured row: h_T, the layer's output
   Vec scratch_;      ///< capture's forward_one scratch
   Mat wt_cache_;     ///< w_^T ((1 + H) x 4H); empty until synced
 };

@@ -15,14 +15,6 @@ Mat::Mat(std::size_t rows, std::size_t cols, double fill)
   }
 }
 
-double& Mat::operator()(std::size_t r, std::size_t c) {
-  return data_[r * cols_ + c];
-}
-
-double Mat::operator()(std::size_t r, std::size_t c) const {
-  return data_[r * cols_ + c];
-}
-
 void Mat::fill(double value) {
   std::fill(data_.begin(), data_.end(), value);
 }
@@ -90,9 +82,9 @@ void Mat::add_scaled(const Mat& other, double scale) {
   }
 }
 
-// The batched kernels are register-tiled: four samples (or four
-// accumulation steps) advance together through independent accumulators,
-// while each OUTPUT ELEMENT still accumulates its own products in exactly
+// The batched kernels are register-tiled: blocks of output elements
+// advance together through independent accumulators, while each OUTPUT
+// ELEMENT still accumulates its own products in exactly
 // the serial order, so results stay bit-identical to the per-sample loops
 // (pinned by tests/nn_test.cpp's bitwise comparisons). The loop bodies
 // live in nn/mat_kernels.* in scalar and avx2 flavors; these wrappers

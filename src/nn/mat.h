@@ -39,8 +39,12 @@ class Mat {
   [[nodiscard]] std::size_t size() const { return data_.size(); }
   [[nodiscard]] bool empty() const { return data_.empty(); }
 
-  double& operator()(std::size_t r, std::size_t c);
-  double operator()(std::size_t r, std::size_t c) const;
+  double& operator()(std::size_t r, std::size_t c) {
+    return data_[r * cols_ + c];
+  }
+  double operator()(std::size_t r, std::size_t c) const {
+    return data_[r * cols_ + c];
+  }
 
   [[nodiscard]] AlignedVec& data() { return data_; }
   [[nodiscard]] const AlignedVec& data() const { return data_; }

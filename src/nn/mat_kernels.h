@@ -4,7 +4,7 @@
 // transposed-weight sweep and the Adam update exist in two flavors:
 //
 //   scalar  portable loops; the reference semantics on every platform
-//   avx2    the same 4-sample tile with output columns in AVX2 lanes and
+//   avx2    register tiles with output columns in AVX2 lanes and
 //           separate multiply and add per step — BIT-IDENTICAL to scalar
 //           by contract (every output element accumulates its products in
 //           exactly the serial order, and an unfused vector lane rounds

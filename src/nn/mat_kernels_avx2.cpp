@@ -11,8 +11,9 @@
 // -mno-fma -ffp-contract=off forbids the compiler from fusing that mul+add
 // pair behind our back.
 //
-// Remainder handling: row/sample tails (< 4) and column tails (< vector
-// width) run the scalar remainder loops element by element.
+// Remainder handling: row tails (< 4) run one row at a time and column
+// tails (< vector width) element by element, each element in the same
+// order as in a full tile.
 
 #include <immintrin.h>
 
@@ -142,56 +143,125 @@ void matmul(const double* a, const double* b, double* c, std::size_t n,
 
 void add_matmul_tn(const double* a, const double* b, double* c, std::size_t n,
                    std::size_t r_dim, std::size_t m) {
-  std::size_t sample = 0;
-  for (; sample + 4 <= n; sample += 4) {
-    const double* a0 = a + sample * r_dim;
-    const double* a1 = a0 + r_dim;
-    const double* a2 = a1 + r_dim;
-    const double* a3 = a2 + r_dim;
-    const double* b0 = b + sample * m;
-    const double* b1 = b0 + m;
-    const double* b2 = b1 + m;
-    const double* b3 = b2 + m;
-    for (std::size_t r = 0; r < r_dim; ++r) {
-      const __m256d x0 = _mm256_set1_pd(a0[r]);
-      const __m256d x1 = _mm256_set1_pd(a1[r]);
-      const __m256d x2 = _mm256_set1_pd(a2[r]);
-      const __m256d x3 = _mm256_set1_pd(a3[r]);
-      double* crow = c + r * m;
-      std::size_t j = 0;
-      for (; j + 4 <= m; j += 4) {
-        // Per element: (((c + x0*b0) + x1*b1) + x2*b2) + x3*b3 — the
-        // serial add_outer chain, lanewise.
-        __m256d acc = _mm256_loadu_pd(crow + j);
-        acc = madd(acc, x0, _mm256_loadu_pd(b0 + j));
-        acc = madd(acc, x1, _mm256_loadu_pd(b1 + j));
-        acc = madd(acc, x2, _mm256_loadu_pd(b2 + j));
-        acc = madd(acc, x3, _mm256_loadu_pd(b3 + j));
-        _mm256_storeu_pd(crow + j, acc);
+  // A tile of C stays in registers across the whole sample sweep: per
+  // element the chain is c + a_0 b_0 + a_1 b_1 + ... in sample order —
+  // the serial add_outer chain — and the tile is loaded and stored once.
+  std::size_t r = 0;
+  for (; r + 4 <= r_dim; r += 4) {
+    double* c0 = c + r * m;
+    double* c1 = c0 + m;
+    double* c2 = c1 + m;
+    double* c3 = c2 + m;
+    std::size_t j = 0;
+    // 4 rows x 8 columns: eight accumulators.
+    for (; j + 8 <= m; j += 8) {
+      __m256d s00 = _mm256_loadu_pd(c0 + j);
+      __m256d s01 = _mm256_loadu_pd(c0 + j + 4);
+      __m256d s10 = _mm256_loadu_pd(c1 + j);
+      __m256d s11 = _mm256_loadu_pd(c1 + j + 4);
+      __m256d s20 = _mm256_loadu_pd(c2 + j);
+      __m256d s21 = _mm256_loadu_pd(c2 + j + 4);
+      __m256d s30 = _mm256_loadu_pd(c3 + j);
+      __m256d s31 = _mm256_loadu_pd(c3 + j + 4);
+      for (std::size_t sample = 0; sample < n; ++sample) {
+        const double* arow = a + sample * r_dim + r;
+        const double* brow = b + sample * m + j;
+        const __m256d b0 = _mm256_loadu_pd(brow);
+        const __m256d b1 = _mm256_loadu_pd(brow + 4);
+        const __m256d x0 = _mm256_set1_pd(arow[0]);
+        s00 = madd(s00, x0, b0);
+        s01 = madd(s01, x0, b1);
+        const __m256d x1 = _mm256_set1_pd(arow[1]);
+        s10 = madd(s10, x1, b0);
+        s11 = madd(s11, x1, b1);
+        const __m256d x2 = _mm256_set1_pd(arow[2]);
+        s20 = madd(s20, x2, b0);
+        s21 = madd(s21, x2, b1);
+        const __m256d x3 = _mm256_set1_pd(arow[3]);
+        s30 = madd(s30, x3, b0);
+        s31 = madd(s31, x3, b1);
       }
-      for (; j < m; ++j) {
-        double acc = crow[j];
-        acc = madd1(acc, a0[r], b0[j]);
-        acc = madd1(acc, a1[r], b1[j]);
-        acc = madd1(acc, a2[r], b2[j]);
-        acc = madd1(acc, a3[r], b3[j]);
-        crow[j] = acc;
+      _mm256_storeu_pd(c0 + j, s00);
+      _mm256_storeu_pd(c0 + j + 4, s01);
+      _mm256_storeu_pd(c1 + j, s10);
+      _mm256_storeu_pd(c1 + j + 4, s11);
+      _mm256_storeu_pd(c2 + j, s20);
+      _mm256_storeu_pd(c2 + j + 4, s21);
+      _mm256_storeu_pd(c3 + j, s30);
+      _mm256_storeu_pd(c3 + j + 4, s31);
+    }
+    for (; j + 4 <= m; j += 4) {
+      __m256d s0 = _mm256_loadu_pd(c0 + j);
+      __m256d s1 = _mm256_loadu_pd(c1 + j);
+      __m256d s2 = _mm256_loadu_pd(c2 + j);
+      __m256d s3 = _mm256_loadu_pd(c3 + j);
+      for (std::size_t sample = 0; sample < n; ++sample) {
+        const double* arow = a + sample * r_dim + r;
+        const __m256d bv = _mm256_loadu_pd(b + sample * m + j);
+        s0 = madd(s0, _mm256_set1_pd(arow[0]), bv);
+        s1 = madd(s1, _mm256_set1_pd(arow[1]), bv);
+        s2 = madd(s2, _mm256_set1_pd(arow[2]), bv);
+        s3 = madd(s3, _mm256_set1_pd(arow[3]), bv);
       }
+      _mm256_storeu_pd(c0 + j, s0);
+      _mm256_storeu_pd(c1 + j, s1);
+      _mm256_storeu_pd(c2 + j, s2);
+      _mm256_storeu_pd(c3 + j, s3);
+    }
+    // Column tail (< 4).
+    for (; j < m; ++j) {
+      double t0 = c0[j], t1 = c1[j], t2 = c2[j], t3 = c3[j];
+      for (std::size_t sample = 0; sample < n; ++sample) {
+        const double* arow = a + sample * r_dim + r;
+        const double bj = b[sample * m + j];
+        t0 = madd1(t0, arow[0], bj);
+        t1 = madd1(t1, arow[1], bj);
+        t2 = madd1(t2, arow[2], bj);
+        t3 = madd1(t3, arow[3], bj);
+      }
+      c0[j] = t0;
+      c1[j] = t1;
+      c2[j] = t2;
+      c3[j] = t3;
     }
   }
-  for (; sample < n; ++sample) {
-    const double* arow = a + sample * r_dim;
-    const double* brow = b + sample * m;
-    for (std::size_t r = 0; r < r_dim; ++r) {
-      const __m256d ar = _mm256_set1_pd(arow[r]);
-      double* crow = c + r * m;
-      std::size_t j = 0;
-      for (; j + 4 <= m; j += 4) {
-        const __m256d acc =
-            madd(_mm256_loadu_pd(crow + j), ar, _mm256_loadu_pd(brow + j));
-        _mm256_storeu_pd(crow + j, acc);
+  // Row tail (< 4): one row at a time, 16 columns per sweep so four
+  // accumulator chains run side by side.
+  for (; r < r_dim; ++r) {
+    double* crow = c + r * m;
+    std::size_t j = 0;
+    for (; j + 16 <= m; j += 16) {
+      __m256d s0 = _mm256_loadu_pd(crow + j);
+      __m256d s1 = _mm256_loadu_pd(crow + j + 4);
+      __m256d s2 = _mm256_loadu_pd(crow + j + 8);
+      __m256d s3 = _mm256_loadu_pd(crow + j + 12);
+      for (std::size_t sample = 0; sample < n; ++sample) {
+        const __m256d ar = _mm256_set1_pd(a[sample * r_dim + r]);
+        const double* brow = b + sample * m + j;
+        s0 = madd(s0, ar, _mm256_loadu_pd(brow));
+        s1 = madd(s1, ar, _mm256_loadu_pd(brow + 4));
+        s2 = madd(s2, ar, _mm256_loadu_pd(brow + 8));
+        s3 = madd(s3, ar, _mm256_loadu_pd(brow + 12));
       }
-      for (; j < m; ++j) crow[j] = madd1(crow[j], arow[r], brow[j]);
+      _mm256_storeu_pd(crow + j, s0);
+      _mm256_storeu_pd(crow + j + 4, s1);
+      _mm256_storeu_pd(crow + j + 8, s2);
+      _mm256_storeu_pd(crow + j + 12, s3);
+    }
+    for (; j + 4 <= m; j += 4) {
+      __m256d s = _mm256_loadu_pd(crow + j);
+      for (std::size_t sample = 0; sample < n; ++sample) {
+        s = madd(s, _mm256_set1_pd(a[sample * r_dim + r]),
+                 _mm256_loadu_pd(b + sample * m + j));
+      }
+      _mm256_storeu_pd(crow + j, s);
+    }
+    for (; j < m; ++j) {
+      double t = crow[j];
+      for (std::size_t sample = 0; sample < n; ++sample) {
+        t = madd1(t, a[sample * r_dim + r], b[sample * m + j]);
+      }
+      crow[j] = t;
     }
   }
 }
@@ -201,6 +271,37 @@ void wt_axpy(const double* wt, const double* x, double* z, std::size_t k_dim,
   std::size_t j = 0;
   // Column blocks held in registers across the whole k sweep; per element
   // the accumulation stays k-ascending exactly as the scalar sweep runs.
+  // 32 columns first: eight independent accumulator chains.
+  for (; j + 32 <= out; j += 32) {
+    __m256d s0 = _mm256_loadu_pd(z + j);
+    __m256d s1 = _mm256_loadu_pd(z + j + 4);
+    __m256d s2 = _mm256_loadu_pd(z + j + 8);
+    __m256d s3 = _mm256_loadu_pd(z + j + 12);
+    __m256d s4 = _mm256_loadu_pd(z + j + 16);
+    __m256d s5 = _mm256_loadu_pd(z + j + 20);
+    __m256d s6 = _mm256_loadu_pd(z + j + 24);
+    __m256d s7 = _mm256_loadu_pd(z + j + 28);
+    for (std::size_t k = 0; k < k_dim; ++k) {
+      const __m256d xv = _mm256_set1_pd(x[k]);
+      const double* wt_row = wt + k * out + j;
+      s0 = madd(s0, _mm256_loadu_pd(wt_row), xv);
+      s1 = madd(s1, _mm256_loadu_pd(wt_row + 4), xv);
+      s2 = madd(s2, _mm256_loadu_pd(wt_row + 8), xv);
+      s3 = madd(s3, _mm256_loadu_pd(wt_row + 12), xv);
+      s4 = madd(s4, _mm256_loadu_pd(wt_row + 16), xv);
+      s5 = madd(s5, _mm256_loadu_pd(wt_row + 20), xv);
+      s6 = madd(s6, _mm256_loadu_pd(wt_row + 24), xv);
+      s7 = madd(s7, _mm256_loadu_pd(wt_row + 28), xv);
+    }
+    _mm256_storeu_pd(z + j, s0);
+    _mm256_storeu_pd(z + j + 4, s1);
+    _mm256_storeu_pd(z + j + 8, s2);
+    _mm256_storeu_pd(z + j + 12, s3);
+    _mm256_storeu_pd(z + j + 16, s4);
+    _mm256_storeu_pd(z + j + 20, s5);
+    _mm256_storeu_pd(z + j + 24, s6);
+    _mm256_storeu_pd(z + j + 28, s7);
+  }
   for (; j + 16 <= out; j += 16) {
     __m256d s0 = _mm256_loadu_pd(z + j);
     __m256d s1 = _mm256_loadu_pd(z + j + 4);

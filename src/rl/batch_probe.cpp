@@ -154,10 +154,10 @@ double fused_update(const env::TaskDomain& domain, PolicyAgent& agent,
   const double scale = 1.0 / static_cast<double>(steps);
   double reward_sum = 0.0;
   nn::Mat dlogits(steps, agent.net().num_actions());
-  nn::Vec dvalues(steps);
+  nn::Mat dvalues(steps, 1);
   for (std::size_t t = 0; t < steps; ++t) {
     reward_sum += rollout.rewards[t];
-    dvalues[t] = a2c_step_gradient(rollout.probs.row(t), rollout.actions[t],
+    dvalues(t, 0) = a2c_step_gradient(rollout.probs.row(t), rollout.actions[t],
                                    advantages[t], returns[t],
                                    rollout.values[t], entropy_weight, scale,
                                    dlogits.row(t));

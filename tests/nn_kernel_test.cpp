@@ -185,29 +185,58 @@ TEST(KernelBitIdentity, Avx2MatchesScalarBitwiseAcrossShapes) {
       }
     }
   }
+  // add_matmul_tn holds a 4-row x 8-column tile of C across the whole
+  // sample sweep: every row count mod 4, columns around the 8-, 16- and
+  // 4-column blocks, and sample counts up to the funnel's conv dW (240
+  // rows), with C as wide as a merge layer's input (512).
+  for (std::size_t r : {8u, 13u, 34u, 67u}) {
+    for (std::size_t m : {1u, 4u, 7u, 8u, 9u, 17u, 33u, 512u}) {
+      for (std::size_t n : {1u, 5u, 48u, 240u}) {
+        const Mat a = random_mat(n, r, seed++);
+        const Mat grad = random_mat(n, m, seed++);
+        auto [c_tn, r_tn] = under_both(KernelFlavor::kAvx2, [&] {
+          Mat c = random_mat(r, m, seed);  // same seed both runs
+          add_matmul_tn(c, a, grad);
+          return c;
+        });
+        EXPECT_TRUE(same_bits(c_tn, r_tn))
+            << "add_matmul_tn " << n << "x" << r << " ^T * " << n << "x" << m;
+      }
+    }
+  }
 }
 
 TEST(KernelBitIdentity, Avx2WtAxpyMatchesScalarBitwise) {
   if (!avx2_runnable()) GTEST_SKIP() << "avx2 kernels unavailable";
   std::uint64_t seed = 1009;
+  auto check = [&](std::size_t k, std::size_t out) {
+    const Mat wt = random_mat(k, out, seed++);
+    const Mat x = random_mat(1, k, seed++);
+    std::vector<double> z_vec(out, 0.25);
+    std::vector<double> z_ref(out, 0.25);
+    {
+      FlavorGuard guard;
+      set_kernel_flavor(KernelFlavor::kAvx2);
+      active_kernels().wt_axpy(wt.ptr(), x.ptr(), z_vec.data(), k, out);
+      set_kernel_flavor(KernelFlavor::kScalar);
+      active_kernels().wt_axpy(wt.ptr(), x.ptr(), z_ref.data(), k, out);
+    }
+    for (std::size_t j = 0; j < out; ++j) {
+      EXPECT_EQ(z_vec[j], z_ref[j]) << "k=" << k << " out=" << out
+                                    << " j=" << j;
+    }
+  };
   for (std::size_t k : {1u, 2u, 5u, 8u}) {
     for (std::size_t out :
          {1u, 3u, 4u, 7u, 8u, 12u, 16u, 19u, 24u, 28u, 32u, 45u}) {
-      const Mat wt = random_mat(k, out, seed++);
-      const Mat x = random_mat(1, k, seed++);
-      std::vector<double> z_vec(out, 0.25);
-      std::vector<double> z_ref(out, 0.25);
-      {
-        FlavorGuard guard;
-        set_kernel_flavor(KernelFlavor::kAvx2);
-        active_kernels().wt_axpy(wt.ptr(), x.ptr(), z_vec.data(), k, out);
-        set_kernel_flavor(KernelFlavor::kScalar);
-        active_kernels().wt_axpy(wt.ptr(), x.ptr(), z_ref.data(), k, out);
-      }
-      for (std::size_t j = 0; j < out; ++j) {
-        EXPECT_EQ(z_vec[j], z_ref[j]) << "k=" << k << " out=" << out
-                                      << " j=" << j;
-      }
+      check(k, out);
+    }
+  }
+  // Around the 32-column block and its 16/8/4/scalar tails, up to a merge
+  // layer's 512-wide input.
+  for (std::size_t k : {1u, 5u, 64u, 512u}) {
+    for (std::size_t out : {31u, 32u, 33u, 63u, 64u, 65u, 96u, 129u}) {
+      check(k, out);
     }
   }
 }

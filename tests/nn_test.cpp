@@ -325,19 +325,28 @@ TEST(Mat, MatmulTailRowsMatchTiledBitwise) {
   }
 }
 
-TEST(Mat, AddMatmulTnTailSamplesMatchSerialBitwise) {
+TEST(Mat, AddMatmulTnTileTailsMatchSerialBitwise) {
   // The n-dimension (samples) is the accumulation order here, so the pin is
-  // against the serial add_outer chain at every count around the tile edge.
-  for (const std::size_t samples : {1u, 2u, 3u, 5u, 6u, 7u, 9u}) {
-    const Mat a = random_mat(samples, 3, 300 + samples);
-    const Mat b = random_mat(samples, 4, 400 + samples);
-    Mat serial(3, 4, 0.25);
-    for (std::size_t n = 0; n < samples; ++n) {
-      serial.add_outer(a.row(n), b.row(n));
+  // against the serial add_outer chain. C's rows and columns run around
+  // the edges of the register tile (4 rows x 8 columns, then 16-, 4-column
+  // and single-column tails), and the sample counts around a 4-sample
+  // group.
+  std::uint64_t seed = 300;
+  for (const std::size_t rows : {1u, 3u, 4u, 5u, 7u, 8u, 9u}) {
+    for (const std::size_t cols : {1u, 3u, 4u, 5u, 8u, 9u, 13u, 16u, 17u}) {
+      for (const std::size_t samples : {1u, 3u, 4u, 5u, 9u}) {
+        const Mat a = random_mat(samples, rows, seed++);
+        const Mat b = random_mat(samples, cols, seed++);
+        Mat serial(rows, cols, 0.25);
+        for (std::size_t n = 0; n < samples; ++n) {
+          serial.add_outer(a.row(n), b.row(n));
+        }
+        Mat batched(rows, cols, 0.25);
+        add_matmul_tn(batched, a, b);
+        EXPECT_EQ(serial.data(), batched.data())
+            << rows << "x" << cols << ", samples=" << samples;
+      }
     }
-    Mat batched(3, 4, 0.25);
-    add_matmul_tn(batched, a, b);
-    EXPECT_EQ(serial.data(), batched.data()) << "samples=" << samples;
   }
 }
 
@@ -573,11 +582,13 @@ TEST(BatchedLayers, Conv1DMatchesSingleAcrossShapesAndActivations) {
   }
 }
 
-// Hidden 5 puts the gate sweeps (4H = 20 columns) and the W^T dz sweeps
-// (1 + H = 6) on vector-block tails; hidden 16 fills whole 16-column
-// blocks.
+// Hidden 1 is the smallest step layout; hidden 5 puts the gate sweeps
+// (4H = 20 columns) and the W^T dz sweeps (1 + H = 6) on vector-block
+// tails; hidden 8 puts the gate sweep (4H = 32) on one 32-column block;
+// hidden 16 fills two; hidden 33 runs four and a 4-column tail, and the
+// W^T dz sweep (1 + H = 34) on one 32-column block and a scalar tail.
 TEST(BatchedLayers, RecurrentLayersMatchSingleAcrossHiddenSizes) {
-  for (const std::size_t hidden : {5u, 16u}) {
+  for (const std::size_t hidden : {1u, 5u, 8u, 16u, 33u}) {
     SCOPED_TRACE("hidden " + std::to_string(hidden));
     check_capture_matches_oracle(
         [&](util::Rng& rng) {
@@ -759,7 +770,7 @@ TEST_P(NetVariantTest, ForwardBackwardRuns) {
 
   Mat dlogits(1, 6, 0.1);
   dlogits(0, 2) = -0.5;
-  EXPECT_NO_THROW(net.backward_batch(dlogits, {0.7}));
+  EXPECT_NO_THROW(net.backward_batch(dlogits, Mat(1, 1, 0.7)));
   // Gradients should be nonzero somewhere.
   double grad_norm = 0.0;
   for (auto& p : net.params()) {
@@ -812,8 +823,8 @@ TEST_P(NetBatchedVariantTest, BatchedMatchesSingleBitwise) {
   }
   Mat dlogits(batch, 6);
   for (double& v : dlogits.data()) v = data_rng.uniform(-0.5, 0.5);
-  Vec dvalues(batch);
-  for (double& v : dvalues) v = data_rng.uniform(-0.5, 0.5);
+  Mat dvalues(batch, 1);
+  for (double& v : dvalues.data()) v = data_rng.uniform(-0.5, 0.5);
 
   // Single path: the serial oracle over `single`'s parameters, interleaved
   // forward/backward per sample.
@@ -824,7 +835,7 @@ TEST_P(NetBatchedVariantTest, BatchedMatchesSingleBitwise) {
   for (std::size_t b = 0; b < batch; ++b) {
     single_outs.push_back(test::nn_serial::forward(oracle, samples[b]));
     const Vec db(dlogits.row(b).begin(), dlogits.row(b).end());
-    test::nn_serial::backward(oracle, db, dvalues[b]);
+    test::nn_serial::backward(oracle, db, dvalues(b, 0));
   }
 
   // Capture path, on the exact path (unsynced) and the fast path (synced):
@@ -890,6 +901,11 @@ TEST(ActorCriticNet, BatchedRejectsEmptyAndMalformedBatches) {
   net.begin_batch_capture(1);
   const std::vector<Vec> bad_rows = {{0.1}};
   EXPECT_THROW((void)net.forward_capture(bad_rows, 0), std::invalid_argument);
+  // The critic's gradient is one column, one row per logits row.
+  EXPECT_THROW(net.backward_batch(Mat(1, 3), Mat(1, 2)),
+               std::invalid_argument);
+  EXPECT_THROW(net.backward_batch(Mat(1, 3), Mat(2, 1)),
+               std::invalid_argument);
 }
 
 TEST(ActorCriticNet, ForwardCaptureRejectsRowOutsideBatch) {
@@ -939,7 +955,7 @@ TEST(ActorCriticNet, WholeNetGradientCheck) {
   (void)net.forward_capture(rows, 0);
   Mat dlogits(1, w_logit.size());
   std::copy(w_logit.begin(), w_logit.end(), dlogits.row(0).begin());
-  net.backward_batch(dlogits, {w_value});
+  net.backward_batch(dlogits, Mat(1, 1, w_value));
 
   const double eps = 1e-6;
   auto params = net.params();

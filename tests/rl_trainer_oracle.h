@@ -166,7 +166,7 @@ class Trainer {
           entropy_weight, scale, dlogits);
       nn::Mat dlogits_row(1, num_actions);
       std::copy(dlogits.begin(), dlogits.end(), dlogits_row.row(0).begin());
-      agent.net().backward_batch(dlogits_row, {dvalue});
+      agent.net().backward_batch(dlogits_row, nn::Mat(1, 1, dvalue));
     }
     auto params = agent.net().params();
     nn::clip_global_norm(params, rl::kGradClip);
